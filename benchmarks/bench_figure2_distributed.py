@@ -6,37 +6,52 @@ measures the full distributed pipeline: message counts per protocol step,
 bytes on the wire, subscriptions established, and the monitoring /
 revocation epilogue.
 
-The discovery fast path is pinned *off* here: this file documents the
-seed protocol's wire shape (the paper's sequential walkthrough).
-``bench_discovery_fastpath.py`` measures the optimized pipeline against
-these numbers.
+The step table is the paper's own sequential walkthrough, run by the
+seed frontier walk kept as ``tests/discovery/seed_oracle.py``; beside it
+the same deployment is driven through the production
+``DiscoveryEngine`` (one goal and one answer push per home), which must
+find the same proof. Everything else here times the production engine.
 """
 
 import pytest
 
+from repro.crypto.encoding import canonical_encode
 from repro.discovery.engine import DiscoveryStats
 from repro.workloads.scenarios import (
     EXPECTED_BW,
     build_distributed_case_study,
 )
+from tests.discovery.seed_oracle import seed_discover
+
+
+def _steps_1_to_6(discover):
+    # Seeded: both paths must meet the same keys to find the same bytes.
+    deployment = build_distributed_case_study(seed=2)
+    stats = DiscoveryStats()
+    deployment.server.wallet.publish(
+        deployment.case.d1_maria_member)                  # Step 1
+    proof = discover(deployment, stats)                   # Steps 2-5
+    monitor = deployment.server.wallet.monitor(proof)     # Step 6
+    by_topic = {t: s.messages
+                for t, s in deployment.network.by_topic.items()}
+    return deployment, stats, proof, monitor, by_topic
+
+
+def _walkthrough(deployment, stats):
+    return seed_discover(deployment.server, deployment.case.maria.entity,
+                         deployment.case.airnet_access, stats=stats)
+
+
+def _engine(deployment, stats):
+    return deployment.engine.discover(
+        deployment.case.maria.entity, deployment.case.airnet_access,
+        stats=stats)
 
 
 class TestFigure2Reproduction:
     def test_report_steps_and_messages(self, benchmark, report):
-        def run():
-            deployment = build_distributed_case_study(fastpath=False)
-            stats = DiscoveryStats()
-            deployment.server.wallet.publish(
-                deployment.case.d1_maria_member)          # Step 1
-            proof = deployment.engine.discover(           # Steps 2-5
-                deployment.case.maria.entity,
-                deployment.case.airnet_access, stats=stats)
-            monitor = deployment.server.wallet.monitor(proof)  # Step 6
-            return deployment, stats, proof, monitor
-
-        deployment, stats, proof, monitor = benchmark(run)
-        by_topic = {t: s.messages
-                    for t, s in deployment.network.by_topic.items()}
+        deployment, stats, proof, monitor, by_topic = benchmark(
+            _steps_1_to_6, _walkthrough)
         rows = [
             ("1", "present delegation (1) to server", "local publish, "
              "0 messages"),
@@ -52,14 +67,9 @@ class TestFigure2Reproduction:
             ("6", "proof monitor returned",
              f"valid={monitor.valid}, chain={proof.depth()} links"),
         ]
-        report("Figure 2 -- distributed proof construction",
+        report("Figure 2 -- distributed proof construction "
+               "(the paper's walkthrough)",
                ["step", "action", "measured"], rows)
-        report("Figure 2 -- wire totals",
-               ["metric", "value"],
-               [("messages", deployment.network.totals.messages),
-                ("bytes", deployment.network.totals.bytes),
-                ("wallets contacted",
-                 ", ".join(sorted(stats.wallets_contacted)))])
         # Shape assertions: the walkthrough's structure.
         assert stats.wallets_contacted == {"wallet.bigISP.com",
                                            "wallet.airnet.com"}
@@ -71,9 +81,39 @@ class TestFigure2Reproduction:
         grants = proof.grants(deployment.case.base_allocations())
         assert grants[deployment.case.bw] == EXPECTED_BW
 
+        live, live_stats, live_proof, live_monitor, live_topics = \
+            _steps_1_to_6(_engine)
+        report("Figure 2 -- the same steps as DiscoveryEngine runs them",
+               ["step", "action", "measured"], [
+                   ("3-4", "one goal per home, one answer push back",
+                    f"{live_topics.get('notify:gem_eval', 0)} gem_eval + "
+                    f"{live_topics.get('notify:gem_answers', 0)} "
+                    f"gem_answers"),
+                   ("5", "insert; subscriptions made at the source",
+                    f"{live_stats.delegations_cached} delegations "
+                    f"cached, {live_stats.subscriptions_established} "
+                    f"subscriptions, 0 subscribe round trips"),
+                   ("6", "proof monitor returned",
+                    f"valid={live_monitor.valid}, "
+                    f"chain={live_proof.depth()} links"),
+               ])
+        report("Figure 2 -- wire totals",
+               ["path", "messages", "bytes", "wallets contacted"],
+               [(name, d.network.totals.messages, d.network.totals.bytes,
+                 ", ".join(sorted(s.wallets_contacted)))
+                for name, d, s in (("walkthrough", deployment, stats),
+                                   ("engine", live, live_stats))])
+        assert canonical_encode(live_proof.to_dict()) \
+            == canonical_encode(proof.to_dict())
+        assert live_topics == {"notify:gem_eval": 2,
+                               "notify:gem_answers": 2}
+        assert live_stats.subscriptions_established == 7
+        assert live.network.totals.messages \
+            < deployment.network.totals.messages
+
     def test_report_revocation_push(self, benchmark, report):
         def run():
-            deployment = build_distributed_case_study(fastpath=False)
+            deployment = build_distributed_case_study()
             monitor = deployment.authorize_and_monitor()
             deployment.network.reset_counters()
             deployment.bigisp_home.wallet.revoke(
@@ -108,7 +148,7 @@ class TestFigure2Latency:
 
     def test_report_virtual_latency(self, benchmark, report):
         def run():
-            deployment = build_distributed_case_study(fastpath=False)
+            deployment = build_distributed_case_study()
             deployment.network.default_latency = self.LINK_MS / 1000.0
             deployment.server.wallet.publish(
                 deployment.case.d1_maria_member)
@@ -141,14 +181,14 @@ class TestFigure2Latency:
 class TestFigure2Timings:
     def test_bench_full_pipeline(self, benchmark):
         def pipeline():
-            deployment = build_distributed_case_study(fastpath=False)
+            deployment = build_distributed_case_study()
             return deployment.run_steps_1_to_5()
 
         proof = benchmark(pipeline)
         assert proof is not None
 
     def test_bench_discovery_only(self, benchmark):
-        deployment = build_distributed_case_study(fastpath=False)
+        deployment = build_distributed_case_study()
         deployment.server.wallet.publish(deployment.case.d1_maria_member)
         # Warm run caches delegations; measure the warm (local) path.
         deployment.engine.discover(deployment.case.maria.entity,
@@ -163,14 +203,14 @@ class TestFigure2Timings:
         assert proof is not None
 
     def test_bench_remote_subject_query(self, benchmark):
-        deployment = build_distributed_case_study(fastpath=False)
+        deployment = build_distributed_case_study()
         result = benchmark(
             deployment.server.remote_subject_query,
             "wallet.bigISP.com", deployment.case.bigisp_member)
         assert len(result) == 1
 
     def test_bench_confirmation_probe(self, benchmark):
-        deployment = build_distributed_case_study(fastpath=False)
+        deployment = build_distributed_case_study()
         deployment.run_steps_1_to_5()
         result = benchmark(
             deployment.server.remote_confirm, "wallet.bigISP.com",

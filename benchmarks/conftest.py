@@ -22,9 +22,10 @@ import sys
 
 import pytest
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                    os.pardir, "src"))
+_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+# src/ for the package; the repo root for tests.discovery.seed_oracle
+# (the paper's Figure 2 walk, which bench_figure2_distributed.py prints).
+sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.abspath(_ROOT)]
 
 
 def pytest_addoption(parser):

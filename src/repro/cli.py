@@ -342,18 +342,16 @@ def cmd_discover(_workspace: Workspace, args) -> int:
     Unlike ``query`` (which asks the local workspace wallet), this
     command builds one of the paper's distributed scenarios in-process
     and runs the tag-directed discovery protocol across its simulated
-    network, reporting the wire traffic and the fast-path breakdown.
+    network, reporting the wire traffic and the discovery breakdown.
     """
     from repro.crypto import verify_cache
-    from repro.discovery import fastpath, gem
+    from repro.discovery import fastpath
     from repro.discovery.engine import DiscoveryStats
 
     if args.no_crypto_cache:
         verify_cache.set_enabled(False)
     if args.no_discovery_cache:
         fastpath.set_enabled(False)
-    if args.gem:
-        gem.set_enabled(True)
     repeat = max(1, args.repeat)
 
     engine, network, _clock, _wallet, subject, obj = \
@@ -375,31 +373,20 @@ def cmd_discover(_workspace: Workspace, args) -> int:
               f"{snapshot['bytes']} bytes", file=sys.stderr)
         info = engine.discovery_info()
         s = info["stats"]
+        g = engine.gem_info()
         print(
             "# discovery: "
-            f"fastpath={info['fastpath']} "
-            f"batch_rpcs={s['batch_rpcs']} "
-            f"coalesced={s['coalesced_queries']} "
-            f"deduped={s['deduped_queries']} "
+            f"result_cache={info['fastpath']} "
+            f"goals_sent={s['rounds']} "
             f"cache_hits={s['cache_hits']} "
             f"negative_hits={s['cache_negative_hits']} "
-            f"dedup_refs={s['dedup_refs']} pulls={s['pulls']} "
-            f"handshakes={s['handshakes']} "
-            f"sessions_reused={s['sessions_reused']}",
+            f"cache_misses={s['cache_misses']} "
+            f"answers_received={g['answers_received']} "
+            f"answers_dropped={g['answers_dropped']} "
+            f"loops_detected={g['loops_detected']} "
+            f"terminates_sent={g['terminates_sent']}",
             file=sys.stderr,
         )
-        if engine.gem_active:
-            g = engine.gem_info()
-            print(
-                "# gem: "
-                f"roots={g['roots']} "
-                f"evals_issued={g['evals_issued']} "
-                f"answers_received={g['answers_received']} "
-                f"loops_detected={g['loops_detected']} "
-                f"terminates_sent={g['terminates_sent']} "
-                f"tables={g['tables']}",
-                file=sys.stderr,
-            )
     if proof is None:
         print("NO PROOF")
         return 2
@@ -900,16 +887,9 @@ def build_parser() -> argparse.ArgumentParser:
              "ring|mesh|scc|deep[:SIZE[:SEED]] (cyclic cross-home "
              "topologies)")
     discover.add_argument(
-        "--gem", action="store_true",
-        help="evaluate with GEM distributed tabling (per-home goal "
-             "tables, origin-coordinated loop detection, incremental "
-             "answer push) instead of frontier expansion; DRBAC_GEM=1 "
-             "does the same")
-    discover.add_argument(
         "--no-discovery-cache", action="store_true",
-        help="disable the discovery fast path (coalesced batch RPCs, "
-             "per-home result cache, session reuse, wire-level "
-             "credential dedup) and run the sequential seed protocol; "
+        help="neither consult nor fill the per-home discovery result "
+             "cache (every search re-contacts every home); "
              "DRBAC_NO_DISCOVERY_CACHE=1 does the same")
     discover.add_argument(
         "--no-crypto-cache", action="store_true",
@@ -922,8 +902,8 @@ def build_parser() -> argparse.ArgumentParser:
     discover.add_argument(
         "--timing", action="store_true",
         help="report wire traffic and the discovery stats breakdown "
-             "(batch_rpcs, coalesced/deduped queries, cache hits, "
-             "dedup_refs/pulls, handshakes, sessions_reused) on stderr")
+             "(goals sent, result-cache hits, answers received/dropped, "
+             "loops detected) on stderr")
     discover.set_defaults(func=cmd_discover)
 
     metrics = commands.add_parser(

@@ -18,6 +18,7 @@ values and make the whole system reproducible under seeded entity creation.
 
 import secrets
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto import ec, fastcore
@@ -78,8 +79,10 @@ class SchnorrPrivateKey:
         if not ec.is_valid_scalar(self.d):
             raise SchnorrError("private scalar out of range")
 
-    @property
+    @cached_property
     def public_key(self) -> SchnorrPublicKey:
+        """``d*G``, computed once per key (``sign`` reads it on every
+        call)."""
         return SchnorrPublicKey(ec.scalar_mult(self.d))
 
     def sign(self, message: bytes) -> bytes:

@@ -1,40 +1,56 @@
 """Tag-directed distributed proof discovery (paper, Section 4.2.1).
 
-The algorithm, as the paper describes it for a subject of type 'S':
+The search the paper describes for a subject of type 'S':
 
     "The agent first queries its local wallet for sub-proofs of the form
     Sub => *, stopping if it finds one for Sub => Obj. [...] Our algorithm
-    utilizes a parallel breadth-first search, starting from a direct query
-    for Sub => Obj directed towards Sub's home wallet. If the query
-    returns with a proof [...] the search is terminated. If not, the
-    algorithm issues a subject query for Sub to the same wallet. The
-    returned proofs are inserted into the local trusted wallet, with the
-    objects of these proofs serving as the roots for further searches."
+    utilizes a parallel breadth-first search, starting from [...] Sub's
+    home wallet. [...] The returned proofs are inserted into the local
+    trusted wallet, with the objects of these proofs serving as the
+    roots for further searches."
 
-plus the mirror-image object-towards-subject scheme for 'O' objects, run
-simultaneously when both directions are enabled ("a significant reduction
-in the number of paths ... if the search is simultaneously conducted in
-both directions", Section 4.2.3).
+plus the mirror-image object-towards-subject scheme for 'O' objects
+(Section 4.2.3). This engine runs that search as *tabled goal
+evaluation* (after Trivellato, Zannone & Etalle's GEM, PAPERS.md): a
+goal is "everything home H stores from (or towards) node N"; the origin
+sends each goal to its home at most once per search as a one-way
+``gem_eval``, the home answers with one ``gem_answers`` push carrying
+its local closure, and the origin derives the next goals itself from
+the discovery tags of the credentials it has just verified. Because the
+origin dedups goals against the search's issued-set, mutually recursive
+cross-home delegations terminate with a message count that does not
+grow with the number of times a cycle would be revisited.
 
 Every remotely fetched delegation is inserted into the local wallet
-through the coherent cache, and -- matching Step 5 of the case study --
-the local wallet "establishes its own validation subscriptions" at the
-remote wallet for every delegation it now depends on.
+through the coherent cache's publication checks (signature, supports,
+expiry), and -- matching Step 5 of the case study -- a validation
+subscription for each one is established at its source, so a
+revocation there is pushed here.
 
-Store-only flags ('s'/'o') differ from search flags ('S'/'O') only in the
-*guarantee*: both cause the home wallet to be queried, but only the search
-flags promise that every continuing delegation is also registered, making
-the search complete. The engine queries any node whose flag stores at
-home and lets the fetched tags direct the rest, exactly as the paper
-prescribes for mixed-flag searches.
+Store-only flags ('s'/'o') differ from search flags ('S'/'O') only in
+the *guarantee*: both cause the home wallet to be queried, but only the
+search flags promise that every continuing delegation is also
+registered, making the search complete.
+
+The frontier walk the seed shipped lives on as the byte-identity oracle
+in ``tests/discovery/seed_oracle.py``.
 """
 
 import itertools
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from time import perf_counter
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro import obs
 from repro.core.attributes import AttributeRef, Constraint
@@ -44,9 +60,9 @@ from repro.core.proof import Proof
 from repro.core.roles import Role, Subject, subject_key
 from repro.core.tags import DiscoveryTag
 from repro.discovery import fastpath as fastpath_mod
-from repro.discovery import gem as gem_mod
 from repro.discovery import wire
 from repro.discovery.fastpath import DiscoveryCache, make_discovery_key
+from repro.discovery.gem import MAX_DEPTH, GoalKey
 from repro.discovery.resolver import WalletServer
 from repro.net.rpc import RpcError
 from repro.net.transport import NetworkError
@@ -74,11 +90,12 @@ _STATS_TOKENS = itertools.count(1)
 class DiscoveryStats:
     """Counters for one discovery run (Figure 2 / E1 reporting).
 
-    The seed fields describe the logical protocol; the fast-path block
-    describes the wire-level breakdown (coalesced RPCs, session reuse,
-    credential dedup, result-cache traffic). ``wire_messages`` /
-    ``wire_bytes`` are honest network-counter deltas measured around the
-    run.
+    ``remote_subject_queries`` / ``remote_object_queries`` count the
+    forward / reverse goals sent to remote homes and ``rounds`` their
+    sum (``remote_direct_queries`` is only ever moved by the seed
+    oracle's direct probes). The ``cache_*`` block is the result-cache
+    traffic; ``wire_messages`` / ``wire_bytes`` are honest
+    network-counter deltas measured around the run.
     """
 
     local_hit: bool = False
@@ -91,17 +108,9 @@ class DiscoveryStats:
     delegations_rejected: int = 0
     subscriptions_established: int = 0
     rounds: int = 0
-    # -- fast-path breakdown (all zero with the fast path off) ---------
-    batch_rpcs: int = 0
-    coalesced_queries: int = 0
-    deduped_queries: int = 0
     cache_hits: int = 0
     cache_negative_hits: int = 0
     cache_misses: int = 0
-    dedup_refs: int = 0
-    pulls: int = 0
-    handshakes: int = 0
-    sessions_reused: int = 0
     wire_messages: int = 0
     wire_bytes: int = 0
 
@@ -145,6 +154,52 @@ class DiscoveryStats:
         return data
 
 
+class _Answer(NamedTuple):
+    """One accepted ``gem_answers`` push, decoded."""
+
+    home: str
+    goal: GoalKey
+    depth: int
+    status: str
+    proofs: List[Proof]
+    subs: Mapping[str, str]
+
+
+@dataclass
+class _Search:
+    """One ``discover`` call's evaluation root: the coalition-wide goal
+    bookkeeping every home's answers are checked against."""
+
+    root_id: str
+    subject: Subject
+    obj: Role
+    constraints: Tuple[Constraint, ...]
+    bases: Optional[Mapping[AttributeRef, float]]
+    tags: Dict[tuple, DiscoveryTag]
+    stats: DiscoveryStats
+    budget: int
+    # Whether the result cache is read and filled, and the part of its
+    # keys every goal of this search shares.
+    use_cache: bool
+    key_suffix: tuple
+    # Goals waiting to be sent: (home, direction, node, depth).
+    queue: Deque[tuple] = field(default_factory=deque)
+    # Every (home, goal) ever queued -- a derived goal already in here
+    # is a coalition-wide loop, recorded but never re-evaluated.
+    issued: Set[Tuple[str, GoalKey]] = field(default_factory=set)
+    # Goals on the wire and not yet answered, with their depth. An
+    # answer is accepted only for a key in here, from the home it
+    # names, exactly once.
+    pending: Dict[Tuple[str, GoalKey], int] = field(default_factory=dict)
+    # Goals an absorbed closure already answers (see ``_follow``).
+    covered: Set[Tuple[str, GoalKey]] = field(default_factory=set)
+    answers: Deque[_Answer] = field(default_factory=deque)
+    # Certificates received in full this search (resolves the refs a
+    # home sends for anything it already shipped).
+    received: Dict[str, Delegation] = field(default_factory=dict)
+    loop_homes: Set[str] = field(default_factory=set)
+
+
 class DiscoveryEngine:
     """Drives multi-wallet proof discovery from one local wallet server."""
 
@@ -153,30 +208,17 @@ class DiscoveryEngine:
                  subscribe: bool = True,
                  verify_home_authority: bool = False,
                  entity_directory=None,
-                 fastpath: Optional[bool] = None,
                  negative_ttl: float = 5.0,
-                 session_idle_ttl: float = 300.0,
-                 result_cache_size: int = 2048,
-                 gem: Optional[bool] = None) -> None:
+                 result_cache_size: int = 2048) -> None:
         """``verify_home_authority`` enables the Section 4.2.1 check that
         a contacted wallet's host holds the tag's authorizing role
         before its answers are trusted; role names in tags are resolved
         through ``entity_directory`` (an
         :class:`~repro.core.identity.EntityDirectory`).
 
-        ``fastpath`` pins the discovery fast path on/off for this engine;
-        None defers to the global switch in
-        :mod:`repro.discovery.fastpath`. ``negative_ttl`` bounds how long
-        a remote miss (or an unreachable home) is trusted before the
-        query is retried; positive results are bounded by their
-        discovery-tag leases. ``session_idle_ttl`` evicts authenticated
-        Switchboard channels idle longer than that many simulated
-        seconds.
-
-        ``gem`` pins GEM tabled evaluation (see
-        :mod:`repro.discovery.gem`) on/off for this engine; None defers
-        to the global ``DRBAC_GEM`` switch, and ``discover(gem=...)``
-        overrides per query.
+        ``negative_ttl`` bounds how long an empty answer (or an
+        unreachable home) is trusted before the goal is sent again;
+        positive results are bounded by their discovery-tag leases.
         """
         self.server = server
         self.default_ttl = default_ttl
@@ -184,32 +226,19 @@ class DiscoveryEngine:
         self.verify_home_authority = verify_home_authority
         self.entity_directory = entity_directory
         self._authority_cache: Dict[Tuple[str, str], bool] = {}
-        self._fastpath = fastpath
         self.negative_ttl = negative_ttl
-        self.session_idle_ttl = session_idle_ttl
         self.result_cache = DiscoveryCache(maxsize=result_cache_size)
         self.stats = DiscoveryStats()
-        # In-flight query ledger: shared results for identical sub-queries
-        # within one coalesced scope (a discover() call, or one
-        # rediscover_supports() spanning several).
-        self._inflight: Optional[Dict[tuple, object]] = None
-        # Support-delegation ids this engine already subscribed to at
-        # their source (the seed path re-subscribes unconditionally; the
-        # remote side never cancels these, so skipping duplicates is
-        # coherence-neutral and saves the repeat wire traffic).
-        self._support_subs: Set[Tuple[str, str]] = set()
         # Result-cache coherence rides the wallet's own event stream,
         # exactly like graph/proof_cache.py.
         self._cache_subscription = server.wallet.hub.subscribe_all(
             self._on_hub_event)
-        # GEM tabled evaluation (PR 9): the per-engine pin, the live
-        # evaluation roots (answer pushes land here via the server's
-        # sink), and the shared drbac_gem_* counters (the server's
-        # table store already registered one set; reuse it so engine-
-        # and home-side tallies of this host read as one surface).
-        self._gem = gem
-        self._gem_ids = itertools.count()
-        self._gem_runs: Dict[str, dict] = {}
+        # Live searches by root id (answer pushes land here via the
+        # server's sink), and the drbac_gem_* counters shared with the
+        # server's table store so engine- and home-side tallies of this
+        # host read as one surface.
+        self._root_ids = itertools.count()
+        self._searches: Dict[str, _Search] = {}
         self.gem_stats = server.gem_tables.stats
         server.gem_answer_sink = self._on_gem_answers
         server.wallet.gem_info = self.gem_info
@@ -232,9 +261,6 @@ class DiscoveryEngine:
         self._c_remote_queries = obs.counter(
             "drbac_discovery_remote_queries_total",
             address=address, instance=instance)
-        self._c_batch_rpcs = obs.counter(
-            "drbac_discovery_batch_rpcs_total",
-            address=address, instance=instance)
         self._h_seconds = obs.histogram(
             "drbac_discovery_seconds",
             address=address, instance=instance)
@@ -243,69 +269,38 @@ class DiscoveryEngine:
 
     @property
     def fastpath_active(self) -> bool:
-        """Is the fast path in effect for this engine right now?"""
-        if self._fastpath is not None:
-            return self._fastpath
+        """Is the result cache consulted and filled right now?"""
         return fastpath_mod.enabled()
-
-    @property
-    def gem_active(self) -> bool:
-        """Is GEM tabled evaluation in effect for this engine?"""
-        if self._gem is not None:
-            return self._gem
-        return gem_mod.enabled()
 
     def _on_hub_event(self, event) -> None:
         from repro.pubsub.events import EventKind
         kind = event.kind
-        # Credentials the engine absorbs mid-run arrive *from* the remote
-        # homes, so they cannot make a home's cached answers stale; the
-        # publish-drops-negatives arm is suspended inside a coalesced run
-        # (every event fired then is the engine's own insertion).
-        grows = kind.grows_graph and self._inflight is None
+        # Credentials the engine absorbs mid-search arrive *from* the
+        # remote homes, so they cannot make a home's cached answers
+        # stale; the publish-drops-negatives arm is suspended while a
+        # search runs (every event fired then is its own insertion).
+        grows = kind.grows_graph and not self._searches
         self.result_cache.on_event(
             grows, event.delegation_id,
             invalidates=kind.invalidates or kind is EventKind.UPDATED)
 
     def discovery_info(self) -> dict:
-        """Fast-path breakdown for ``Wallet.cache_info()["discovery"]``
-        and the CLI ``--timing`` output."""
-        info = {
+        """Breakdown for ``Wallet.cache_info()["discovery"]`` and the
+        CLI ``--timing`` output."""
+        return {
             "fastpath": self.fastpath_active,
             "stats": self.stats.to_dict(),
             "result_cache": self.result_cache.info(),
         }
-        switchboard = self.server.switchboard
-        if switchboard is not None:
-            info["sessions"] = {
-                "handshakes_completed": switchboard.handshakes_completed,
-                "sessions_reused": switchboard.sessions_reused,
-                "open_channels": len(switchboard._channels),
-            }
-        return info
 
     def gem_info(self) -> dict:
-        """GEM breakdown for ``Wallet.cache_info()["gem"]`` (contract
-        pinned by ``tests/obs/test_contracts.py``): the shared
-        ``drbac_gem_*`` counters plus the switch state and this host's
-        live goal-table count."""
+        """Goal-evaluation breakdown for ``Wallet.cache_info()["gem"]``
+        (contract pinned by ``tests/obs/test_contracts.py``): the
+        shared ``drbac_gem_*`` counters plus this host's live
+        goal-table count."""
         info = self.gem_stats.to_dict()
-        info["active"] = self.gem_active
         info["tables"] = len(self.server.gem_tables)
         return info
-
-    @contextmanager
-    def coalesced(self):
-        """Scope in which identical remote sub-queries are issued once
-        and their results shared (in-flight dedup)."""
-        if self._inflight is not None:
-            yield self._inflight
-            return
-        self._inflight = {}
-        try:
-            yield self._inflight
-        finally:
-            self._inflight = None
 
     # ------------------------------------------------------------------
 
@@ -314,91 +309,50 @@ class DiscoveryEngine:
                  bases: Optional[Mapping[AttributeRef, float]] = None,
                  hints: Optional[Mapping[tuple, DiscoveryTag]] = None,
                  max_remote_queries: int = 64,
-                 stats: Optional[DiscoveryStats] = None,
-                 gem: Optional[bool] = None) -> Optional[Proof]:
+                 stats: Optional[DiscoveryStats] = None
+                 ) -> Optional[Proof]:
         """Find a proof for ``subject => obj``, fetching remote credentials
         as directed by discovery tags. Returns None when the search space
-        is exhausted without a satisfying proof.
-
-        With the fast path active (see :mod:`repro.discovery.fastpath`)
-        the same search runs over coalesced per-home batch RPCs, the
-        per-home result cache, and reusable authenticated sessions; the
-        proofs found are byte-identical either way.
-
-        ``gem`` selects GEM tabled evaluation per query (None defers to
-        the engine pin, then the global switch); with it on, cyclic
-        cross-home delegation graphs evaluate with per-home goal tables
-        instead of frontier re-expansion -- same proofs, a flat message
-        count on cycles (see :mod:`repro.discovery.gem`).
+        (or the ``max_remote_queries`` goal budget) is exhausted without
+        a satisfying proof.
         """
         stats = stats if stats is not None else DiscoveryStats()
         run = DiscoveryStats()
         network = self.server.network
-        switchboard = self.server.switchboard
-        use_gem = self.gem_active if gem is None else bool(gem)
-        fast = self.fastpath_active
         messages_before = network.totals.messages
         bytes_before = network.totals.bytes
-        handshakes_before = switchboard.handshakes_completed \
-            if switchboard is not None else 0
-        reused_before = switchboard.sessions_reused \
-            if switchboard is not None else 0
-        if fast and switchboard is not None and self.session_idle_ttl > 0:
-            switchboard.evict_idle(self.session_idle_ttl)
         started = perf_counter()
         with obs.span("discovery.discover", engine=self.server.address,
                       subject=subject, object=obj) as span:
             try:
-                if use_gem:
-                    with self.coalesced():
-                        return self._discover_gem(
-                            subject, obj, tuple(constraints), bases,
-                            hints, run)
-                if fast:
-                    with self.coalesced():
-                        return self._discover_fast(
-                            subject, obj, tuple(constraints), bases, hints,
-                            max_remote_queries, run)
-                return self._discover_seed(
-                    subject, obj, tuple(constraints), bases, hints,
-                    max_remote_queries, run)
+                return self._discover(subject, obj, tuple(constraints),
+                                      bases, hints, max_remote_queries,
+                                      run)
             finally:
                 run.wire_messages = \
                     network.totals.messages - messages_before
                 run.wire_bytes = network.totals.bytes - bytes_before
-                if switchboard is not None:
-                    run.handshakes = \
-                        switchboard.handshakes_completed - handshakes_before
-                    run.sessions_reused = \
-                        switchboard.sessions_reused - reused_before
                 stats.merge(run)
                 self.stats.merge(run)
-                remote_queries = (run.remote_direct_queries
-                                  + run.remote_subject_queries
-                                  + run.remote_object_queries)
                 self._c_runs.inc()
                 if run.local_hit:
                     self._c_local_hits.inc()
-                self._c_remote_queries.inc(remote_queries)
-                self._c_batch_rpcs.inc(run.batch_rpcs)
+                self._c_remote_queries.inc(run.rounds)
                 self._h_seconds.observe(perf_counter() - started)
                 span.set(local_hit=run.local_hit,
-                         remote_queries=remote_queries,
+                         remote_queries=run.rounds,
                          wire_messages=run.wire_messages,
                          wallets=len(run.wallets_contacted))
 
-    def _discover_seed(self, subject: Subject, obj: Role,
-                       constraints: Tuple[Constraint, ...],
-                       bases: Optional[Mapping[AttributeRef, float]],
-                       hints: Optional[Mapping[tuple, DiscoveryTag]],
-                       max_remote_queries: int,
-                       stats: DiscoveryStats) -> Optional[Proof]:
-        """The seed protocol, preserved query-for-query: one node per
-        round, one sequential RPC per probe, full proof encoding."""
+    def _discover(self, subject: Subject, obj: Role,
+                  constraints: Tuple[Constraint, ...],
+                  bases: Optional[Mapping[AttributeRef, float]],
+                  hints: Optional[Mapping[tuple, DiscoveryTag]],
+                  budget: int, stats: DiscoveryStats) -> Optional[Proof]:
         wallet = self.server.wallet
-
         tags: Dict[tuple, DiscoveryTag] = dict(hints or {})
-        self._harvest_store_tags(tags)
+        for delegation in wallet.store.delegations():
+            self._harvest_tags(delegation, tags)
 
         proof = wallet.query_direct(subject, obj, constraints=constraints,
                                     bases=bases)
@@ -406,144 +360,58 @@ class DiscoveryEngine:
             stats.local_hit = True
             return proof
 
-        forward_frontier: deque = deque()
-        reverse_frontier: deque = deque()
-        forward_seen: Set[tuple] = set()
-        reverse_seen: Set[tuple] = set()
-
-        def push_forward(node_subject: Subject) -> None:
-            key = subject_key(node_subject)
-            if key not in forward_seen:
-                forward_seen.add(key)
-                forward_frontier.append(node_subject)
-
-        def push_reverse(node_obj: Subject) -> None:
-            key = subject_key(node_obj)
-            if key not in reverse_seen:
-                reverse_seen.add(key)
-                reverse_frontier.append(node_obj)
-
-        # Seed the frontiers with everything reachable locally (the
-        # paper's initial local sub-proof queries).
-        push_forward(subject)
-        for sub_proof in wallet.query_subject(subject):
-            push_forward(sub_proof.obj)
-        push_reverse(obj)
-        for sub_proof in wallet.query_object(obj):
-            push_reverse(sub_proof.subject)
-
-        remote_budget = max_remote_queries
-        while (forward_frontier or reverse_frontier) and remote_budget > 0:
-            stats.rounds += 1
-            # Alternate directions; prefer the smaller frontier so the
-            # bidirectional meet happens near the middle.
-            go_forward = bool(forward_frontier) and (
-                not reverse_frontier
-                or len(forward_frontier) <= len(reverse_frontier)
-            )
-            if go_forward:
-                node = forward_frontier.popleft()
-                used, proof = self._expand_forward(
-                    node, subject, obj, constraints, bases, tags,
-                    push_forward, stats)
-            else:
-                node = reverse_frontier.popleft()
-                used, proof = self._expand_reverse(
-                    node, subject, obj, constraints, bases, tags,
-                    push_reverse, stats)
-            remote_budget -= used
-            if proof is not None:
-                return proof
-        return None
-
-    # ------------------------------------------------------------------
-    # Fast path: coalesced batches + result cache + sessions
-    # ------------------------------------------------------------------
-
-    def _discover_fast(self, subject: Subject, obj: Role,
-                       constraints: Tuple[Constraint, ...],
-                       bases: Optional[Mapping[AttributeRef, float]],
-                       hints: Optional[Mapping[tuple, DiscoveryTag]],
-                       max_remote_queries: int,
-                       stats: DiscoveryStats) -> Optional[Proof]:
-        """The same tag-directed bidirectional search, issuing each
-        round's frontier expansions as one ``discover_batch`` per home."""
-        wallet = self.server.wallet
-
-        tags: Dict[tuple, DiscoveryTag] = dict(hints or {})
-        self._harvest_store_tags(tags)
-
-        proof = wallet.query_direct(subject, obj, constraints=constraints,
-                                    bases=bases)
-        if proof is not None:
-            stats.local_hit = True
+        search = _Search(
+            root_id=f"{self.server.address}#gem{next(self._root_ids)}",
+            subject=subject, obj=obj, constraints=constraints,
+            bases=bases, tags=tags, stats=stats, budget=budget,
+            use_cache=self.fastpath_active,
+            key_suffix=(_constraints_key(constraints), _bases_key(bases)))
+        self._searches[search.root_id] = search
+        self.gem_stats.inc("roots")
+        try:
+            self._enqueue(search, subject, "fwd", 0)
+            for sub_proof in wallet.query_subject(subject):
+                self._enqueue(search, sub_proof.obj, "fwd", 0)
+            proof = self._pump(search)
+            if proof is None:
+                # The bidirectional analog: one reverse root from the
+                # object side, when its tag announces an object-flagged
+                # home.
+                self._enqueue(search, obj, "rev", 0)
+                proof = self._pump(search)
             return proof
+        finally:
+            del self._searches[search.root_id]
+            # Homes at either end of a detected back edge drop their
+            # table now; every other table is memo state the home
+            # expires by TTL sweep.
+            search.loop_homes &= stats.wallets_contacted
+            for home in sorted(search.loop_homes):
+                self.server.send_gem_terminate(home, search.root_id)
+                self.gem_stats.inc("terminates_sent")
 
-        forward_frontier: deque = deque()
-        reverse_frontier: deque = deque()
-        forward_seen: Set[tuple] = set()
-        reverse_seen: Set[tuple] = set()
-
-        def push_forward(node_subject: Subject) -> None:
-            key = subject_key(node_subject)
-            if key not in forward_seen:
-                forward_seen.add(key)
-                forward_frontier.append(node_subject)
-
-        def push_reverse(node_obj: Subject) -> None:
-            key = subject_key(node_obj)
-            if key not in reverse_seen:
-                reverse_seen.add(key)
-                reverse_frontier.append(node_obj)
-
-        push_forward(subject)
-        for sub_proof in wallet.query_subject(subject):
-            push_forward(sub_proof.obj)
-        push_reverse(obj)
-        for sub_proof in wallet.query_object(obj):
-            push_reverse(sub_proof.subject)
-
-        remote_budget = max_remote_queries
-        while (forward_frontier or reverse_frontier) and remote_budget > 0:
-            stats.rounds += 1
-            go_forward = bool(forward_frontier) and (
-                not reverse_frontier
-                or len(forward_frontier) <= len(reverse_frontier)
-            )
-            frontier = forward_frontier if go_forward else reverse_frontier
-            push = push_forward if go_forward else push_reverse
-            # Drain the whole frontier, grouped by home: every eligible
-            # expansion of this round rides one batch per home.
-            by_home: Dict[str, List[Subject]] = {}
-            home_order: List[str] = []
-            while frontier:
-                node = frontier.popleft()
-                home = self._home_for(node, tags, stats, go_forward)
-                if home is None:
-                    continue
-                if home not in by_home:
-                    by_home[home] = []
-                    home_order.append(home)
-                by_home[home].append(node)
-            for home in home_order:
-                proof, used, retry = self._query_home(
-                    home, by_home[home], go_forward, subject, obj,
-                    constraints, bases, tags, push, stats, remote_budget)
-                remote_budget -= used
-                # Nodes whose queries were cut short (stop-on-hit or the
-                # query budget) go back on the frontier for the next
-                # round; their seen-keys are already recorded, so append
-                # directly.
-                frontier.extend(retry)
-                if proof is not None:
-                    return proof
-                if remote_budget <= 0:
-                    break
+    def _enqueue(self, search: _Search, node: Subject, direction: str,
+                 depth: int) -> Optional[str]:
+        """Queue the goal ``node`` names, if its tag names a home this
+        engine may ask. Returns that home when the goal was already
+        issued for this search -- a loop -- and None otherwise."""
+        home = self._home_for(node, search.tags, search.stats,
+                              direction == "fwd")
+        if home is None:
+            return None
+        key = (home, (direction, subject_key(node)))
+        if key in search.issued:
+            return home
+        if depth <= MAX_DEPTH:
+            search.issued.add(key)
+            search.queue.append((home, direction, node, depth))
         return None
 
     def _home_for(self, node: Subject, tags: Dict[tuple, DiscoveryTag],
                   stats: DiscoveryStats, forward: bool) -> Optional[str]:
-        """The seed loop's eligibility checks, factored for batching."""
+        """The home a node's tag directs its goal to, or None: no tag,
+        a flag that stores nothing there, this host itself, or a host
+        that failed the Section 4.2.1 authority check."""
         tag = tags.get(subject_key(node))
         if tag is None:
             return None
@@ -559,447 +427,130 @@ class DiscoveryEngine:
             return None
         return home
 
-    def _query_home(self, home: str, nodes: List[Subject], forward: bool,
-                    subject: Subject, obj: Role,
-                    constraints: Tuple[Constraint, ...],
-                    bases: Optional[Mapping[AttributeRef, float]],
-                    tags: Dict[tuple, DiscoveryTag], push, stats,
-                    budget: int
-                    ) -> Tuple[Optional[Proof], int, List[Subject]]:
-        """Expand ``nodes`` at one home: serve what the result cache and
-        in-flight ledger can, batch the rest into one wire call.
-
-        Returns ``(proof, queries_used, retry_nodes)``.
-        """
-        wallet = self.server.wallet
-        now = wallet.clock.now()
-        ck = _constraints_key(constraints)
-        bk = _bases_key(bases)
-        constraints_wire = wire.constraints_to_wire(constraints)
-        bases_wire = wire.bases_to_wire(bases)
-
-        # The per-node plan mirrors the seed expansion: a direct probe
-        # toward the target, then an enumeration query.
-        to_send: List[tuple] = []   # (node, kind, key, wire_query)
-        for node in nodes:
-            if forward:
-                direct_key = make_discovery_key(
-                    home, "direct", subject_key(node), subject_key(obj),
-                    ck, bk)
-                direct_query = {
-                    "kind": "direct",
-                    "subject": wire.subject_to_wire(node),
-                    "object": wire.role_to_wire(obj),
-                    "constraints": constraints_wire,
-                    "bases": bases_wire,
-                }
-                enum_key = make_discovery_key(
-                    home, "subject", subject_key(node), None, ck, ())
-                enum_query = {
-                    "kind": "subject",
-                    "subject": wire.subject_to_wire(node),
-                    "constraints": constraints_wire,
-                }
-            else:
-                direct_key = make_discovery_key(
-                    home, "direct", subject_key(subject),
-                    subject_key(node), ck, bk)
-                direct_query = {
-                    "kind": "direct",
-                    "subject": wire.subject_to_wire(subject),
-                    "object": wire.role_to_wire(node),
-                    "constraints": constraints_wire,
-                    "bases": bases_wire,
-                }
-                enum_key = make_discovery_key(
-                    home, "object", None, subject_key(node), ck, ())
-                enum_query = {
-                    "kind": "object",
-                    "object": wire.role_to_wire(node),
-                    "constraints": constraints_wire,
-                }
-
-            # Direct probe first, from the ledger/cache when possible.
-            hit, value = self._local_lookup(direct_key, now, stats)
-            if hit:
-                if value is not None:
-                    self._absorb_fast([value], home, tags, stats)
-                    done = self._finish(subject, obj, constraints, bases)
-                    if done is not None:
-                        return done, 0, []
-                    continue    # direct hit consumed the node (seed rule)
-            else:
-                to_send.append((node, "direct", direct_key, direct_query))
-
-            hit, value = self._local_lookup(enum_key, now, stats)
-            if hit:
-                proofs = tuple(value or ())
-                self._absorb_fast(proofs, home, tags, stats)
-                for sub_proof in proofs:
-                    push(sub_proof.obj if forward else sub_proof.subject)
-                done = self._finish(subject, obj, constraints, bases)
-                if done is not None:
-                    return done, 0, []
-            else:
-                to_send.append((node, "enum", enum_key, enum_query))
-
-        if not to_send:
-            return None, 0, []
-
-        batch = to_send[:budget]
-        overflow = to_send[budget:]
-        stats.wallets_contacted.add(home)
-        stats.batch_rpcs += 1
-        stats.coalesced_queries += len(batch)
-        for _node, kind, _key, query in batch:
-            if kind == "direct":
-                stats.remote_direct_queries += 1
-            elif query["kind"] == "subject":
+    def _pump(self, search: _Search) -> Optional[Proof]:
+        """Send queued goals until the proof exists, the queue drains or
+        the budget is spent. Answers arrive synchronously on this
+        simulated transport, so each send is followed by absorbing
+        whatever landed; a real deployment would block on the answer
+        stream instead -- the control flow is the same because each
+        goal begets exactly one answer."""
+        stats = search.stats
+        use_cache = search.use_cache
+        now = self.server.wallet.clock.now()
+        while search.queue and search.budget > 0:
+            home, direction, node, depth = search.queue.popleft()
+            goal: GoalKey = (direction, subject_key(node))
+            if (home, goal) in search.covered:
+                continue
+            key = self._cache_key(home, goal, search)
+            if use_cache and self._serve_from_cache(search, key, home,
+                                                    goal, depth, now):
+                continue
+            search.budget -= 1
+            stats.rounds += 1
+            if direction == "fwd":
                 stats.remote_subject_queries += 1
             else:
                 stats.remote_object_queries += 1
-        try:
-            with obs.span("discovery.batch", home=home,
-                          queries=len(batch)):
-                results, meta = self.server.remote_discover_batch(
-                    home, [query for _n, _k, _key, query in batch])
-        except (RpcError, NetworkError, DiscoveryError):
-            # Unreachable or misbehaving home: a clean miss, negative-
-            # cached so the next ``negative_ttl`` seconds don't retry
-            # the dead link. Heals by TTL lapse (or a PUBLISHED event).
-            for _node, kind, key, _query in batch:
-                value = None if kind == "direct" else ()
-                self._remember(key, value, now, self.negative_ttl)
-            return None, len(batch), []
-
-        stats.dedup_refs += meta["dedup_refs"]
-        stats.pulls += meta["pulls"]
-        self._prefetch_batch_signatures(results)
-
-        used = 0
-        hit_node_key: Optional[tuple] = None
-        retry: List[Subject] = []
-        retry_keys: Set[tuple] = set()
-
-        def mark_retry(node: Subject) -> None:
-            key = subject_key(node)
-            if key != hit_node_key and key not in retry_keys:
-                retry_keys.add(key)
-                retry.append(node)
-
-        for (node, kind, key, _query), result in zip(batch, results):
-            if result.get("skipped"):
-                mark_retry(node)
-                continue
-            used += 1
-            if kind == "direct":
-                remote_proof = result["proof"]
-                if remote_proof is None:
-                    self._remember(key, None, now, self.negative_ttl)
-                    continue
-                self._remember(key, remote_proof, now,
-                               self._result_ttl((remote_proof,)),
-                               delegation_ids=[
-                                   d.id for d in
-                                   remote_proof.all_delegations()])
-                self._absorb_fast([remote_proof], home, tags, stats)
-                hit_node_key = subject_key(node)
-                retry_keys.discard(hit_node_key)
-                done = self._finish(subject, obj, constraints, bases)
-                if done is not None:
-                    return done, used, []
-            else:
-                proofs = tuple(result["proofs"])
-                self._remember(key, proofs, now, self._result_ttl(proofs),
-                               delegation_ids=[
-                                   d.id for p in proofs
-                                   for d in p.all_delegations()])
-                self._absorb_fast(proofs, home, tags, stats)
-                for sub_proof in proofs:
-                    push(sub_proof.obj if forward else sub_proof.subject)
-                done = self._finish(subject, obj, constraints, bases)
-                if done is not None:
-                    return done, used, []
-        for node, _kind, _key, _query in overflow:
-            mark_retry(node)
-        # Drop retries for the node whose direct probe hit (seed rule:
-        # a direct hit ends that node's expansion).
-        if hit_node_key is not None:
-            retry = [node for node in retry
-                     if subject_key(node) != hit_node_key]
-        return None, used, retry
-
-    def _local_lookup(self, key: tuple, now: float,
-                      stats: DiscoveryStats) -> Tuple[bool, object]:
-        """Consult the in-flight ledger, then the result cache."""
-        if self._inflight is not None and key in self._inflight:
-            stats.deduped_queries += 1
-            return True, self._inflight[key]
-        hit, value = self.result_cache.lookup(key, now)
-        if hit:
-            stats.cache_hits += 1
-            if value is None or value == ():
-                stats.cache_negative_hits += 1
-            return True, value
-        stats.cache_misses += 1
-        return False, None
-
-    def _remember(self, key: tuple, value: object, now: float, ttl: float,
-                  delegation_ids: Iterable[str] = (),
-                  pending: bool = False) -> None:
-        if pending:
-            # "No answer yet (looping)" is not "definitively no path":
-            # a result observed while the home was still part of an
-            # unresolved cycle may be incomplete, so it must neither be
-            # negative-cached for ``negative_ttl`` nor shared through
-            # the in-flight ledger.
-            return
-        self.result_cache.store(key, value, now, ttl,
-                                delegation_ids=delegation_ids)
-        if self._inflight is not None:
-            self._inflight[key] = value
-
-    def _result_ttl(self, proofs: Iterable[Proof]) -> float:
-        """A cached result may not outlive the discovery-tag lease of any
-        delegation it contains (Section 4.2.1 trust window)."""
-        ttls = [self._ttl_for(d) for p in proofs for d in p.chain]
-        return min(ttls) if ttls else self.default_ttl
-
-    def _prefetch_batch_signatures(self, results: List[dict]) -> None:
-        """Batch-verify every fresh signature across all proofs of one
-        batch response (one multi-scalar check instead of one ladder per
-        certificate per proof)."""
-        from repro.core.delegation import verify_signatures
-        from repro.crypto import verify_cache
-        if not verify_cache.enabled():
-            return
-        store = self.server.wallet.store
-        fresh: List[Delegation] = []
-        seen: Set[str] = set()
-        for result in results:
-            proofs = []
-            if result.get("proof") is not None:
-                proofs.append(result["proof"])
-            proofs.extend(result.get("proofs", ()))
-            for proof in proofs:
-                for delegation in proof.all_delegations():
-                    if delegation.id in seen \
-                            or delegation.__dict__.get("_sig_ok") \
-                            or store.get_delegation(delegation.id) \
-                            is not None:
-                        continue
-                    seen.add(delegation.id)
-                    fresh.append(delegation)
-        if len(fresh) > 1:
-            verify_signatures(fresh)
-
-    def _absorb_fast(self, proofs: Iterable[Proof], home: str,
-                     tags: Dict[tuple, DiscoveryTag],
-                     stats: DiscoveryStats) -> None:
-        """The fast path's :meth:`_absorb`: same inserts, same tag
-        harvest, but all validation subscriptions for the batch ride one
-        ``subscribe`` batch RPC, and support subscriptions this engine
-        already holds are not re-established."""
-        proofs = list(proofs)
-        if not proofs:
-            return
-        wallet = self.server.wallet
-        to_subscribe: List[str] = []
-        chain_inserts: List[Tuple[Delegation, Proof]] = []
-        support_subs: List[Tuple[str, str]] = []
-        seen_ids: Set[str] = set()
-        for proof in proofs:
-            chain_ids = {d.id for d in proof.chain}
-            for delegation in proof.chain:
-                self._harvest_delegation_tags(delegation, tags)
-                if delegation.id in seen_ids:
-                    continue
-                seen_ids.add(delegation.id)
-                if wallet.store.get_delegation(delegation.id) is not None:
-                    continue
-                if self.subscribe:
-                    to_subscribe.append(delegation.id)
-                chain_inserts.append((delegation, proof))
-            if self.subscribe:
-                for delegation in proof.all_delegations():
-                    if delegation.id in chain_ids:
-                        continue
-                    self._harvest_delegation_tags(delegation, tags)
-                    sub_key = (home, delegation.id)
-                    if sub_key in self._support_subs \
-                            or delegation.id in seen_ids:
-                        continue
-                    seen_ids.add(delegation.id)
-                    to_subscribe.append(delegation.id)
-                    support_subs.append(sub_key)
-        cancels: Dict[str, object] = {}
-        if to_subscribe:
-            try:
-                cancel_fns = self.server.remote_subscribe_batch(
-                    home, to_subscribe)
-                for delegation_id, cancel in zip(to_subscribe, cancel_fns):
-                    cancels[delegation_id] = cancel
-                stats.subscriptions_established += len(cancel_fns)
-                self._support_subs.update(support_subs)
-            except (RpcError, NetworkError):
-                cancels = {}
-        for delegation, proof in chain_inserts:
-            cancel = cancels.get(delegation.id)
-            try:
-                self.server.cache.insert(
-                    delegation, proof.supports_for(delegation),
-                    home=home, ttl=self._ttl_for(delegation),
-                    cancel_remote=cancel,
-                )
-                stats.delegations_cached += 1
-            except DRBACError:
-                stats.delegations_rejected += 1
-                if cancel is not None:
-                    cancel()
-
-    # ------------------------------------------------------------------
-    # GEM tabled evaluation (PR 9)
-    # ------------------------------------------------------------------
-
-    def _discover_gem(self, subject: Subject, obj: Role,
-                      constraints: Tuple[Constraint, ...],
-                      bases: Optional[Mapping[AttributeRef, float]],
-                      hints: Optional[Mapping[tuple, DiscoveryTag]],
-                      stats: DiscoveryStats) -> Optional[Proof]:
-        """Distributed tabled evaluation (Trivellato/Zannone/Etalle's
-        GEM, adapted to tag-directed discovery).
-
-        The initiator coordinates the whole evaluation: each goal is a
-        single one-way ``gem_eval`` notify, each home evaluates its
-        local closure once and answers with one ``gem_answers`` notify
-        carrying the closure *and its continuation requests* (the
-        homes its harvested tags name). This origin dedups goals
-        coalition-wide against the root's issued-set -- a continuation
-        naming an already-issued goal is a detected **loop**, recorded
-        but never re-evaluated, so mutual recursion terminates with a
-        bounded message count. Explicit terminate notifications go to
-        the homes participating in detected cycles (the ones holding
-        waiter entries); every other table is pure memo state that
-        expires by TTL sweep. Proofs are byte-identical to the seed
-        path's -- only the wire pattern changes.
-        """
-        wallet = self.server.wallet
-        tags: Dict[tuple, DiscoveryTag] = dict(hints or {})
-        self._harvest_store_tags(tags)
-
-        proof = wallet.query_direct(subject, obj, constraints=constraints,
-                                    bases=bases)
-        if proof is not None:
-            stats.local_hit = True
-            return proof
-
-        root_id = f"{self.server.address}#gem{next(self._gem_ids)}"
-        run = {"received": {}, "answers": []}
-        self._gem_runs[root_id] = run
-        self.gem_stats.c_roots.inc()
-        contacted: Set[str] = set()
-        loop_homes: Set[str] = set()
-        issued: Set[tuple] = set()
-        queue: deque = deque()
-
-        def seed(node: Subject, direction: str) -> None:
-            home = self._home_for(node, tags, stats, direction == "fwd")
-            if home is None:
-                return
-            key = (home, (direction, subject_key(node)))
-            if key in issued:
-                return
-            issued.add(key)
-            queue.append((home, direction, node, 0))
-
-        try:
-            with obs.span("discovery.gem", root=root_id,
-                          engine=self.server.address):
-                seed(subject, "fwd")
-                for sub_proof in wallet.query_subject(subject):
-                    seed(sub_proof.obj, "fwd")
-                self._gem_pump(root_id, queue, issued, tags, constraints,
-                               bases, stats, contacted, loop_homes, run)
-                done = self._finish(subject, obj, constraints, bases)
-                if done is not None:
-                    return done
-                # The bidirectional analog: one reverse root from the
-                # object side, when its tag announces an object-flagged
-                # home. The issued-set keeps even this extra root from
-                # re-evaluating a goal the forward wave covered at the
-                # same home.
-                seed(obj, "rev")
-                self._gem_pump(root_id, queue, issued, tags, constraints,
-                               bases, stats, contacted, loop_homes, run)
-                return self._finish(subject, obj, constraints, bases)
-        finally:
-            loop_homes &= contacted
-            loop_homes.discard(self.server.address)
-            for home in sorted(loop_homes):
-                self.server.send_gem_terminate(home, root_id)
-                self.gem_stats.c_terminates_sent.inc()
-            self._gem_runs.pop(root_id, None)
-
-    def _gem_pump(self, root_id: str, queue: deque, issued: Set[tuple],
-                  tags: Dict[tuple, DiscoveryTag],
-                  constraints: Tuple[Constraint, ...],
-                  bases: Optional[Mapping[AttributeRef, float]],
-                  stats: DiscoveryStats, contacted: Set[str],
-                  loop_homes: Set[str], run: dict) -> None:
-        """Drive one root's evaluation to quiescence: pop a goal, send
-        its one-way eval, absorb whatever answers have landed, enqueue
-        the fresh continuations they request. Answers arrive
-        synchronously on this simulated transport, so the pump drains
-        ``run["answers"]`` after every send; a real deployment would
-        block on the answer stream instead -- the control flow is
-        identical either way because each notify begets exactly one
-        answer."""
-        while queue:
-            home, direction, node, depth = queue.popleft()
-            self.gem_stats.c_evals_issued.inc()
-            stats.rounds += 1
+            stats.wallets_contacted.add(home)
+            self.gem_stats.inc("evals_issued")
+            search.pending[(home, goal)] = depth
             try:
                 with obs.span("discovery.gem_eval", home=home,
-                              root=root_id):
+                              root=search.root_id):
                     self.server.remote_gem_eval(
-                        home, root_id, self.server.address, direction,
-                        node, constraints=constraints, bases=bases,
-                        subscribe=self.subscribe)
+                        home, search.root_id, direction, node,
+                        constraints=search.constraints,
+                        bases=search.bases, subscribe=self.subscribe)
             except (RpcError, NetworkError, DiscoveryError):
-                stats.wallets_rejected.add(home)
+                # Unreachable home: a clean miss, negative-cached so
+                # the next ``negative_ttl`` seconds don't retry the
+                # dead link. Heals by TTL lapse.
+                del search.pending[(home, goal)]
+                if use_cache:
+                    self.result_cache.store(key, (), now,
+                                            self.negative_ttl)
                 continue
-            stats.wallets_contacted.add(home)
-            contacted.add(home)
-            while run["answers"]:
-                record = run["answers"].pop(0)
-                self._gem_absorb(record, tags, stats, constraints)
-                for c_home, goal_wire in record.get("continuations", ()):
-                    c_dir, c_node = wire.gem_goal_from_wire(goal_wire)
-                    key = (c_home, (c_dir, subject_key(c_node)))
-                    if key in issued:
-                        # Coalition-wide loop: this goal identifier was
-                        # already issued for this root. Record both
-                        # ends of the back edge for the terminate wave.
-                        self.gem_stats.c_loops_detected.inc()
-                        loop_homes.add(record["home"])
-                        loop_homes.add(c_home)
-                        continue
-                    if depth + 1 > gem_mod.MAX_DEPTH \
-                            or c_home == self.server.address:
-                        continue
-                    issued.add(key)
-                    queue.append((c_home, c_dir, c_node, depth + 1))
+            while search.answers:
+                cached_before = stats.delegations_cached
+                self._absorb(search, search.answers.popleft(), now)
+                if stats.delegations_cached > cached_before:
+                    proof = self.server.wallet.query_direct(
+                        search.subject, search.obj,
+                        constraints=search.constraints, bases=search.bases)
+                    if proof is not None:
+                        return proof
+        return None
 
-    def _on_gem_answers(self, params: dict) -> None:
-        """The server's ``gem_answers`` sink: decode one home's pushed
-        closure against the per-root received-store. Refs only ever
-        name certificates the same home already shipped in full for
-        this root, so decoding never pulls."""
-        run = self._gem_runs.get(params.get("root"))
-        if run is None:
+    @staticmethod
+    def _cache_key(home: str, goal: GoalKey, search: _Search) -> tuple:
+        direction, node_key = goal
+        if direction == "fwd":
+            return make_discovery_key(home, "subject", node_key, None,
+                                      *search.key_suffix)
+        return make_discovery_key(home, "object", None, node_key,
+                                  *search.key_suffix)
+
+    def _serve_from_cache(self, search: _Search, key: tuple, home: str,
+                          goal: GoalKey, depth: int, now: float) -> bool:
+        """Answer a goal from the result cache. A cached closure counts
+        only while every chain link of it is still in the local wallet:
+        then nothing needs inserting (or subscribing to) and the goal
+        costs no message."""
+        stats = search.stats
+        hit, proofs = self.result_cache.lookup(key, now)
+        store = self.server.wallet.store
+        if not hit or not all(
+                store.get_delegation(d.id) is not None
+                for proof in proofs for d in proof.chain):
+            stats.cache_misses += 1
+            return False
+        stats.cache_hits += 1
+        if not proofs:
+            stats.cache_negative_hits += 1
+        self._follow(search, home, goal[0], proofs, depth)
+        return True
+
+    def _follow(self, search: _Search, home: str, direction: str,
+                proofs: Iterable[Proof], depth: int) -> None:
+        """Queue the goals a home's closure continues into: each proof's
+        head (its object going forward, its subject in reverse), homed
+        by the tags of verified credentials only.
+
+        A head stored at the answering home itself continues nowhere:
+        the closure is transitive, so it already holds every link that
+        home has from there, and a goal still queued for that head is
+        covered too. Not so under constraints -- a shorter chain from
+        the head may pass where the one through this goal's node did
+        not -- so then every head is asked."""
+        covers = not search.constraints
+        for proof in proofs:
+            head = proof.obj if direction == "fwd" else proof.subject
+            tag = search.tags.get(subject_key(head))
+            if covers and tag is not None and tag.home == home:
+                search.covered.add((home, (direction, subject_key(head))))
+                continue
+            loop_home = self._enqueue(search, head, direction, depth + 1)
+            if loop_home is not None:
+                self.gem_stats.inc("loops_detected")
+                search.loop_homes.update((home, loop_home))
+
+    def _on_gem_answers(self, src: str, params: dict) -> None:
+        """The server's ``gem_answers`` sink. A push is accepted only
+        from the home a still-unanswered goal of a live search was sent
+        to, once; anything else -- an unknown root, another home's
+        goal, a replay -- is dropped before it is decoded."""
+        search = self._searches.get(params.get("root"))
+        depth = None
+        if search is not None:
+            direction, node = wire.gem_goal_from_wire(params["goal"])
+            goal: GoalKey = (direction, subject_key(node))
+            depth = search.pending.pop((src, goal), None)
+        if depth is None:
+            self.gem_stats.inc("answers_dropped")
             return
-        self.gem_stats.c_answers_received.inc()
-        received: Dict[str, Delegation] = run["received"]
+        self.gem_stats.inc("answers_received")
+        received = search.received
         store = self.server.wallet.store
         memo: Dict[int, Delegation] = {}
         payloads = params.get("answers", ())
@@ -1014,185 +565,125 @@ class DiscoveryEngine:
                 delegation = store.get_delegation(delegation_id)
             if delegation is None:
                 raise DiscoveryError(
-                    f"unresolvable GEM answer ref {delegation_id!r}")
+                    f"unresolvable answer ref {delegation_id!r}")
             return delegation
 
-        def record(delegation: Delegation) -> None:
-            received[delegation.id] = delegation
-
-        proofs = [wire.proof_from_wire_session(payload, resolve, record,
-                                               memo=memo)
+        proofs = [wire.proof_from_wire_session(payload, resolve, memo=memo)
                   for payload in payloads]
-        self.gem_stats.c_answer_records.inc(len(proofs))
-        run["answers"].append({
-            "home": params.get("home"),
-            "goal": params.get("goal"),
-            "status": params.get("status", "done"),
-            "proofs": proofs,
-            "subs": params.get("subs", {}),
-            "continuations": params.get("continuations", ()),
-        })
+        self.gem_stats.inc("answer_records", len(proofs))
+        search.answers.append(_Answer(
+            src, goal, depth, params.get("status", "done"), proofs,
+            params.get("subs", {})))
 
-    def _gem_absorb(self, record: dict, tags: Dict[tuple, DiscoveryTag],
-                    stats: DiscoveryStats,
-                    constraints: Tuple[Constraint, ...]) -> None:
-        """Absorb one pushed answer record: insert the credentials and
-        feed the (home, goal) closure to the PR-4 result cache -- the
-        same entry a ``discover_batch`` enumeration would have stored,
-        so later fast-path queries are served without re-contacting the
-        home. A ``"duplicate"`` record carries an empty closure for a
-        goal still tabled elsewhere -- "no answer *yet*", stored as
-        pending so it can never masquerade as "definitively no path"
-        (the cyclic-topology negative-cache hazard)."""
-        ck = _constraints_key(constraints)
-        now = self.server.wallet.clock.now()
-        home = record["home"]
-        proofs = tuple(record["proofs"])
-        direction, node = wire.gem_goal_from_wire(record["goal"])
-        stats.wallets_contacted.add(home)
-        if direction == "fwd":
-            key = make_discovery_key(home, "subject",
-                                     subject_key(node), None, ck, ())
-        else:
-            key = make_discovery_key(home, "object", None,
-                                     subject_key(node), ck, ())
-        self._remember(key, proofs, now, self._result_ttl(proofs),
-                       delegation_ids=[d.id for p in proofs
-                                       for d in p.all_delegations()],
-                       pending=record.get("status") == "duplicate")
-        self._gem_insert(proofs, home, record["subs"], tags, stats)
+    def _absorb(self, search: _Search, answer: _Answer,
+                now: float) -> None:
+        """Absorb one accepted answer: insert its credentials, remember
+        the (home, goal) closure in the result cache, and queue the
+        goals it continues into."""
+        home, proofs = answer.home, answer.proofs
+        verified = self._insert(proofs, home, answer.subs, search.tags,
+                                search.stats)
+        # A ``"duplicate"`` record is an empty closure for a goal the
+        # home had already tabled -- "no answer *yet*", never "no
+        # path" -- and a closure with rejected links is not the home's
+        # real answer: neither may be served to a later search.
+        if search.use_cache and answer.status == "done" \
+                and len(verified) == len(proofs):
+            ttl = self._result_ttl(proofs) if proofs else self.negative_ttl
+            self.result_cache.store(
+                self._cache_key(home, answer.goal, search),
+                tuple(proofs), now, ttl,
+                delegation_ids=[d.id for p in proofs
+                                for d in p.all_delegations()])
+        self._follow(search, home, answer.goal[0], verified, answer.depth)
 
-    def _gem_insert(self, proofs: Tuple[Proof, ...], home: str,
-                    subs: Mapping[str, str],
-                    tags: Dict[tuple, DiscoveryTag],
-                    stats: DiscoveryStats) -> None:
-        """The GEM-side :meth:`_absorb_fast`: same coherent-cache
-        inserts and tag harvest, but validation subscriptions already
-        exist -- the home established them server-side when it shipped
-        each certificate, so only the cancel closures are built here."""
-        wallet = self.server.wallet
-        self._prefetch_batch_signatures([{"proofs": list(proofs)}])
+    def _result_ttl(self, proofs: Iterable[Proof]) -> float:
+        """A cached result may not outlive the discovery-tag lease of any
+        delegation it contains (Section 4.2.1 trust window)."""
+        return min(self._ttl_for(d) for p in proofs for d in p.chain)
+
+    def _insert(self, proofs: List[Proof], home: str,
+                subs: Mapping[str, str], tags: Dict[tuple, DiscoveryTag],
+                stats: DiscoveryStats) -> List[Proof]:
+        """Insert a closure's chain links through the coherent cache's
+        publication checks. The validation subscriptions already exist
+        -- the home established them when it shipped each certificate
+        -- so only the cancel closures are built here. Returns the
+        proofs whose every chain link is now in the local wallet; only
+        their tags are harvested."""
+        self._prefetch_signatures(proofs)
         stats.subscriptions_established += len(subs)
         server = self.server
+        store = server.wallet.store
 
         def cancel_for(delegation_id: str):
             sub_id = subs.get(delegation_id)
-            if sub_id is None:
+            if sub_id is None or not self.subscribe:
                 return None
 
             def cancel() -> None:
                 try:
                     server.rpc.call(home, "unsubscribe",
                                     {"subscription": sub_id})
-                except (RpcError, Exception):  # noqa: BLE001
+                except (RpcError, NetworkError):
                     pass
 
             return cancel
 
-        seen_ids: Set[str] = set()
+        rejected: Set[str] = set()
+        verified: List[Proof] = []
         for proof in proofs:
-            chain_ids = {d.id for d in proof.chain}
             for delegation in proof.chain:
-                self._harvest_delegation_tags(delegation, tags)
-                if delegation.id in seen_ids:
+                if delegation.id in rejected:
+                    break
+                if store.get_delegation(delegation.id) is not None:
                     continue
-                seen_ids.add(delegation.id)
-                if wallet.store.get_delegation(delegation.id) is not None:
-                    continue
-                cancel = cancel_for(delegation.id) if self.subscribe \
-                    else None
+                cancel = cancel_for(delegation.id)
                 try:
-                    self.server.cache.insert(
+                    server.cache.insert(
                         delegation, proof.supports_for(delegation),
                         home=home, ttl=self._ttl_for(delegation),
                         cancel_remote=cancel,
                     )
                     stats.delegations_cached += 1
                 except DRBACError:
+                    # A remote wallet served material the local
+                    # publication checks reject (bad signature, missing
+                    # or invalid support proofs, expired). Skip it -- a
+                    # rogue or stale peer must not poison the trusted
+                    # wallet or abort the search.
                     stats.delegations_rejected += 1
+                    rejected.add(delegation.id)
                     if cancel is not None:
                         cancel()
+                    break
+            else:
+                verified.append(proof)
+                for delegation in proof.all_delegations():
+                    self._harvest_tags(delegation, tags)
+        return verified
+
+    def _prefetch_signatures(self, proofs: Iterable[Proof]) -> None:
+        """Batch-verify every fresh signature across one answer (one
+        multi-scalar check instead of one ladder per certificate per
+        proof). Failures are ignored here -- the insert path re-checks
+        and rejects through its normal accounting."""
+        from repro.core.delegation import verify_signatures
+        from repro.crypto import verify_cache
+        if not verify_cache.enabled():
+            return
+        store = self.server.wallet.store
+        fresh: Dict[str, Delegation] = {}
+        for proof in proofs:
             for delegation in proof.all_delegations():
-                if delegation.id not in chain_ids:
-                    self._harvest_delegation_tags(delegation, tags)
+                if delegation.id not in fresh \
+                        and not delegation.__dict__.get("_sig_ok") \
+                        and store.get_delegation(delegation.id) is None:
+                    fresh[delegation.id] = delegation
+        if len(fresh) > 1:
+            verify_signatures(list(fresh.values()))
 
     # ------------------------------------------------------------------
-
-    def _expand_forward(self, node: Subject, subject: Subject, obj: Role,
-                        constraints, bases, tags, push, stats
-                        ) -> Tuple[int, Optional[Proof]]:
-        tag = tags.get(subject_key(node))
-        if tag is None or not tag.subject_flag.stores_at_home:
-            return 0, None
-        home = tag.home
-        if not home or home == self.server.address:
-            return 0, None
-        if not self._authorized(home, tag, stats):
-            return 0, None
-        used = 0
-        # Direct query toward the home wallet first (the paper's opening
-        # move), then fall back to a subject query.
-        try:
-            stats.remote_direct_queries += 1
-            stats.wallets_contacted.add(home)
-            used += 1
-            remote_proof = self.server.remote_direct_query(
-                home, node, obj, constraints=constraints, bases=bases)
-        except (RpcError, NetworkError, DiscoveryError):
-            return used, None
-        if remote_proof is not None:
-            self._absorb(remote_proof, home, tags, stats)
-            return used, self._finish(subject, obj, constraints, bases)
-        try:
-            stats.remote_subject_queries += 1
-            used += 1
-            sub_proofs = self.server.remote_subject_query(
-                home, node, constraints=constraints)
-        except (RpcError, NetworkError, DiscoveryError):
-            return used, None
-        for sub_proof in sub_proofs:
-            self._absorb(sub_proof, home, tags, stats)
-            push(sub_proof.obj)
-        done = self._finish(subject, obj, constraints, bases)
-        return used, done
-
-    def _expand_reverse(self, node: Subject, subject: Subject, obj: Role,
-                        constraints, bases, tags, push, stats
-                        ) -> Tuple[int, Optional[Proof]]:
-        tag = tags.get(subject_key(node))
-        if tag is None or not tag.object_flag.stores_at_home:
-            return 0, None
-        if not isinstance(node, Role):
-            return 0, None
-        home = tag.home
-        if not home or home == self.server.address:
-            return 0, None
-        if not self._authorized(home, tag, stats):
-            return 0, None
-        used = 0
-        try:
-            stats.remote_direct_queries += 1
-            stats.wallets_contacted.add(home)
-            used += 1
-            remote_proof = self.server.remote_direct_query(
-                home, subject, node, constraints=constraints, bases=bases)
-        except (RpcError, NetworkError, DiscoveryError):
-            return used, None
-        if remote_proof is not None:
-            self._absorb(remote_proof, home, tags, stats)
-            return used, self._finish(subject, obj, constraints, bases)
-        try:
-            stats.remote_object_queries += 1
-            used += 1
-            sub_proofs = self.server.remote_object_query(
-                home, node, constraints=constraints)
-        except (RpcError, NetworkError, DiscoveryError):
-            return used, None
-        for sub_proof in sub_proofs:
-            self._absorb(sub_proof, home, tags, stats)
-            push(sub_proof.subject)
-        done = self._finish(subject, obj, constraints, bases)
-        return used, done
 
     def rediscover_supports(self, delegation: Delegation,
                             stats: Optional[DiscoveryStats] = None,
@@ -1222,29 +713,25 @@ class DiscoveryEngine:
         now = wallet.clock.now()
         satisfied = 0
         fresh: List = []
-        # One coalesced scope across all required roles: the per-role
-        # searches typically fan out to the same issuer home, so their
-        # identical sub-queries are issued once and shared.
-        with self.coalesced():
-            for role in required:
-                existing = next(
-                    (proof for proof in wallet.store.supports_for(
-                        delegation.id)
-                     if proof.obj == role and proof.subject ==
-                     delegation.issuer
-                     and is_valid_proof(proof, at=now,
-                                        revoked=wallet.store.is_revoked)),
-                    None,
-                )
-                if existing is not None:
-                    satisfied += 1
-                    continue
-                found = self.discover(
-                    delegation.issuer, role, hints=hints,
-                    max_remote_queries=max_remote_queries, stats=stats)
-                if found is not None:
-                    fresh.append(found)
-                    satisfied += 1
+        for role in required:
+            existing = next(
+                (proof for proof in wallet.store.supports_for(
+                    delegation.id)
+                 if proof.obj == role and proof.subject ==
+                 delegation.issuer
+                 and is_valid_proof(proof, at=now,
+                                    revoked=wallet.store.is_revoked)),
+                None,
+            )
+            if existing is not None:
+                satisfied += 1
+                continue
+            found = self.discover(
+                delegation.issuer, role, hints=hints,
+                max_remote_queries=max_remote_queries, stats=stats)
+            if found is not None:
+                fresh.append(found)
+                satisfied += 1
         if fresh:
             wallet.store.add_supports(delegation.id, fresh)
         return satisfied == len(required)
@@ -1285,78 +772,6 @@ class DiscoveryEngine:
         except Exception:  # noqa: BLE001 - malformed tag role name
             return None
 
-    def _finish(self, subject: Subject, obj: Role, constraints, bases
-                ) -> Optional[Proof]:
-        return self.server.wallet.query_direct(
-            subject, obj, constraints=constraints, bases=bases)
-
-    # ------------------------------------------------------------------
-
-    def _absorb(self, proof: Proof, home: str,
-                tags: Dict[tuple, DiscoveryTag],
-                stats: DiscoveryStats) -> None:
-        """Insert a fetched sub-proof into the local trusted wallet.
-
-        Chain delegations go through the coherent cache (with their
-        support proofs); validation subscriptions are established at the
-        source wallet for every delegation the proof depends on (Step 5).
-        """
-        from repro.core.delegation import verify_signatures
-        from repro.crypto import verify_cache
-        wallet = self.server.wallet
-        if verify_cache.enabled():
-            # Batch-verify everything the remote proof carries (chain +
-            # supports) before the per-delegation inserts re-validate:
-            # one multi-scalar multiplication instead of one ladder per
-            # certificate. Failures are ignored here -- the insert path
-            # re-checks and rejects through its normal accounting.
-            fresh = [d for d in proof.all_delegations()
-                     if not d.__dict__.get("_sig_ok")
-                     and wallet.store.get_delegation(d.id) is None]
-            if len(fresh) > 1:
-                verify_signatures(fresh)
-        for delegation in proof.chain:
-            self._harvest_delegation_tags(delegation, tags)
-            if wallet.store.get_delegation(delegation.id) is not None:
-                continue
-            cancel = None
-            if self.subscribe:
-                try:
-                    cancel = self.server.remote_subscribe(
-                        home, delegation.id)
-                    stats.subscriptions_established += 1
-                except (RpcError, NetworkError):
-                    cancel = None
-            try:
-                self.server.cache.insert(
-                    delegation, proof.supports_for(delegation),
-                    home=home, ttl=self._ttl_for(delegation),
-                    cancel_remote=cancel,
-                )
-                stats.delegations_cached += 1
-            except DRBACError:
-                # A remote wallet served material the local publication
-                # checks reject (bad signature, missing/invalid support
-                # proofs, expired). Skip it -- a rogue or stale peer must
-                # not poison the trusted wallet or abort the search.
-                stats.delegations_rejected += 1
-                if cancel is not None:
-                    cancel()
-        if self.subscribe:
-            # Support delegations also gate the proof's validity; monitor
-            # them at the source even though they live in the supports map
-            # rather than the local graph.
-            chain_ids = {d.id for d in proof.chain}
-            for delegation in proof.all_delegations():
-                if delegation.id in chain_ids:
-                    continue
-                self._harvest_delegation_tags(delegation, tags)
-                try:
-                    self.server.remote_subscribe(home, delegation.id)
-                    stats.subscriptions_established += 1
-                except (RpcError, NetworkError):
-                    pass
-
     def _ttl_for(self, delegation: Delegation) -> float:
         ttls = [
             tag.ttl for tag in (delegation.subject_tag,
@@ -1365,13 +780,9 @@ class DiscoveryEngine:
         ]
         return min(ttls) if ttls else self.default_ttl
 
-    def _harvest_store_tags(self, tags: Dict[tuple, DiscoveryTag]) -> None:
-        for delegation in self.server.wallet.store.delegations():
-            self._harvest_delegation_tags(delegation, tags)
-
     @staticmethod
-    def _harvest_delegation_tags(delegation: Delegation,
-                                 tags: Dict[tuple, DiscoveryTag]) -> None:
+    def _harvest_tags(delegation: Delegation,
+                      tags: Dict[tuple, DiscoveryTag]) -> None:
         if delegation.subject_tag is not None:
             tags.setdefault(delegation.subject_node, delegation.subject_tag)
         if delegation.object_tag is not None:

@@ -1,33 +1,25 @@
-"""Discovery fast path: global toggle + per-home result cache.
+"""The discovery result cache and its switch.
 
-The distributed pipeline's seed behavior pays one sequential RPC per
-frontier node and re-ships every delegation in full on every exchange.
-The fast path layers four optimizations over it (see
-docs/PERFORMANCE.md, "Distributed discovery"):
+A :class:`DiscoveryCache` memoizes what remote homes answered: the
+engine fills it with each ``(home, goal)`` closure it absorbs and reads
+it before sending a goal, so a search re-contacts only the homes whose
+answers it no longer holds (see docs/PERFORMANCE.md, "Distributed
+discovery").
 
-1. **RPC coalescing** -- same-home frontier expansions ride a single
-   ``discover_batch`` call (engine);
-2. **wire-level credential dedup** -- a per-channel seen-set so each
-   delegation crosses a Switchboard session at most once (wire/net);
-3. **per-home result caching** -- the :class:`DiscoveryCache` below;
-4. **Switchboard session reuse** -- authenticated channels outlive a
-   single query (net/switchboard).
+This module owns the *switch* (mirroring ``repro.crypto.verify_cache``):
+:func:`enabled` / :func:`scoped` / :func:`set_enabled` /
+:func:`disabled`, the CLI's ``--no-discovery-cache`` and the
+``DRBAC_NO_DISCOVERY_CACHE`` environment variable. Off means only that
+the engine neither consults nor fills the cache -- the search, its wire
+protocol and the proofs it finds are the same either way (asserted by
+``tests/discovery/test_byte_identity.py``).
 
-This module owns the *global switch* (mirroring
-``repro.crypto.verify_cache``): disable with the CLI's
-``--no-discovery-cache``, the ``DRBAC_NO_DISCOVERY_CACHE`` environment
-variable, :func:`set_enabled`, or the :func:`disabled` context manager.
-With the fast path off the engine runs the seed protocol byte-for-byte;
-with it on, the discovered proofs are byte-identical -- only the wire
-pattern changes (asserted by ``tests/discovery/test_fastpath.py``).
-
-The cache memoizes *remote* query results per ``(home, kind, subject,
-object, constraints, bases)`` key. Unlike ``graph/proof_cache.py`` --
-whose entries mirror the local graph -- these entries mirror a *remote*
-wallet's answers, so every entry is TTL-bounded by the discovery-tag
-lease (Section 4.2.1: trust cached information for the tag's TTL, then
-reconfirm). Within that window the invalidation matrix is the
-proof-cache's, fed by the same :class:`SubscriptionHub` events:
+Unlike ``graph/proof_cache.py`` -- whose entries mirror the local
+graph -- these entries mirror a *remote* wallet's answers, so every
+entry is TTL-bounded by the discovery-tag lease (Section 4.2.1: trust
+cached information for the tag's TTL, then reconfirm). Within that
+window the invalidation matrix is the proof-cache's, fed by the same
+:class:`SubscriptionHub` events:
 
 ====================  =====================  ========================
 entry type            REVOKED/EXPIRED/UPD    PUBLISHED
@@ -66,21 +58,21 @@ DEFAULT_MAXSIZE = 2048
 _ENABLED = not os.environ.get("DRBAC_NO_DISCOVERY_CACHE")
 
 # Per-context override (None = defer to the global switch).  The
-# sharded service layer scopes the fast path per shard so tenants can
-# not flip each other's switch; see :func:`scoped`.
+# sharded service layer scopes the switch per shard so tenants can
+# not flip each other's; see :func:`scoped`.
 _SCOPED: "ContextVar[Optional[bool]]" = ContextVar(
     "drbac_discovery_fastpath", default=None)
 
 
 def enabled() -> bool:
-    """Is the discovery fast path enabled in this context?"""
+    """Is the discovery result cache enabled in this context?"""
     override = _SCOPED.get()
     return _ENABLED if override is None else override
 
 
 @contextmanager
 def scoped(value: bool = True):
-    """Pin the fast-path switch for this context, ignoring the global.
+    """Pin the switch for this context, ignoring the global.
 
     Rides ``contextvars`` like ``obs.scoped()`` and
     ``verify_cache.scoped()``; the global :func:`set_enabled` /
@@ -95,18 +87,15 @@ def scoped(value: bool = True):
 
 
 def set_enabled(value: bool) -> None:
-    """Globally enable/disable the fast path (CLI ``--no-discovery-cache``).
-
-    Engines constructed with an explicit ``fastpath=`` argument ignore
-    the global switch.
-    """
+    """Globally enable/disable the result cache (CLI
+    ``--no-discovery-cache``)."""
     global _ENABLED
     _ENABLED = bool(value)
 
 
 @contextmanager
 def disabled():
-    """Temporarily run with the fast path off (tests, honest baselines)."""
+    """Temporarily run with the result cache off (tests, baselines)."""
     global _ENABLED
     previous = _ENABLED
     _ENABLED = False
@@ -257,19 +246,11 @@ class DiscoveryCache:
         return True, entry.value
 
     def store(self, key: DiscoveryKey, value: object, now: float,
-              ttl: float, delegation_ids=(), pending: bool = False) -> None:
+              ttl: float, delegation_ids=()) -> None:
         """Memoize one remote result observed at ``now`` for ``ttl``
         seconds (the discovery-tag lease for positives, the negative
-        TTL for misses and unreachable homes).
-
-        ``pending=True`` refuses the store outright: a home still
-        participating in an unresolved cycle has "no answer *yet*",
-        which must not be conflated with "definitively no path" -- a
-        negative entry written then would mask the real answer for
-        ``negative_ttl`` seconds after the cycle resolves (the cyclic-
-        topology hazard; GEM marks looping-goal results this way).
-        """
-        if ttl <= 0 or pending:
+        TTL for empty answers and unreachable homes)."""
+        if ttl <= 0:
             return
         if key in self._entries:
             self._drop(key)

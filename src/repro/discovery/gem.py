@@ -1,45 +1,28 @@
-"""GEM-style distributed tabled goal evaluation (PR 9).
+"""Tabled goal evaluation: the per-home tables and the shared counters.
 
-The seed discovery protocol is frontier expansion: every home a query
-visits answers from its local closure, and the engine re-issues
-subqueries for each continuation node. On tree-shaped coalitions (the
-paper's Figure 2) that is fine; on *cyclic* ones -- A trusts B trusts C
-trusts A -- the frontier revisits homes and re-expands the same
-subgoals, so the cross-home message count grows with the cycle's size
-even though the answer set does not.
+Discovery (:mod:`repro.discovery.engine`) evaluates a query the way
+Trivellato, Zannone & Etalle's GEM does (see PAPERS.md): each home
+keeps a *goal table* per evaluation root recording which goals are
+ACTIVE or DONE, evaluates each goal's local closure once and pushes
+the answers *once*, directly to the evaluation's origin. The origin
+derives the continuing goals from the credentials it verifies and
+dedups them coalition-wide, so a goal naming an already-issued
+``(home, direction, node)`` is a detected cycle -- recorded, never
+re-evaluated -- and mutually-recursive cross-home delegations complete
+without centralizing the graph, with a message count flat in the number
+of in-home revisits.
 
-This module holds the machinery for the tabled alternative, after
-Trivellato, Zannone & Etalle's GEM (see PAPERS.md): each home keeps a
-*goal table* per evaluation root recording which goals are ACTIVE or
-DONE, evaluates each goal's local closure once and pushes the answers
-*once* directly to the evaluation's origin together with its
-continuation requests. The coalition-wide goal identifiers (root id +
-direction + node key) travel on the wire, so the origin detects loops
-by dedup -- a continuation naming an already-issued goal is a cycle,
-recorded but never re-evaluated -- and sends explicit termination
-notifications to the homes participating in detected cycles. The
-evaluation of mutually-recursive cross-home delegations completes
-without centralizing the graph: no home ever evaluates the same goal
-twice for one root, so the message count is flat in the number of
-in-home revisits.
+This module holds:
 
-Layout mirrors :mod:`repro.discovery.fastpath`:
-
-* the **global switch** (``DRBAC_GEM`` / ``--gem`` / :func:`set_enabled`
-  / :func:`scoped`) -- off by default, the seed and PR-4 fast paths are
-  the reference arms;
 * :class:`GemStats` -- registry-backed ``drbac_gem_*`` counters;
 * :class:`GoalTable` / :class:`GemTableStore` -- the per-home tables,
   owned by each :class:`~repro.discovery.resolver.WalletServer` and
-  flushed by terminate notifications, hub events, and channel eviction
-  (see docs/PROTOCOL.md, "Goal-table invalidation").
+  flushed by terminate notifications, hub events and TTL sweep (see
+  docs/PROTOCOL.md, "Goal-table invalidation").
 """
 
-import os
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro import obs
 
@@ -61,42 +44,6 @@ MAX_DEPTH = 64
 
 
 # ---------------------------------------------------------------------------
-# Global toggle (the shape of fastpath's switch, default OFF)
-# ---------------------------------------------------------------------------
-
-_ENABLED = bool(os.environ.get("DRBAC_GEM"))
-
-_SCOPED: "ContextVar[Optional[bool]]" = ContextVar(
-    "drbac_discovery_gem", default=None)
-
-
-def enabled() -> bool:
-    """Is GEM evaluation enabled in this context?"""
-    override = _SCOPED.get()
-    return _ENABLED if override is None else override
-
-
-@contextmanager
-def scoped(value: bool = True):
-    """Pin the GEM switch for this context, ignoring the global."""
-    token = _SCOPED.set(bool(value))
-    try:
-        yield
-    finally:
-        _SCOPED.reset(token)
-
-
-def set_enabled(value: bool) -> None:
-    """Globally enable/disable GEM evaluation (CLI ``--gem``).
-
-    Engines constructed with an explicit ``gem=`` argument ignore the
-    global switch, and ``discover(gem=...)`` overrides per query.
-    """
-    global _ENABLED
-    _ENABLED = bool(value)
-
-
-# ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
 
@@ -105,87 +52,42 @@ class GemStats:
     """Registry-backed ``drbac_gem_*`` tallies.
 
     One instance serves both protocol sides: an engine increments the
-    initiator-side counters (roots/evals issued/answers received), a
-    :class:`GemTableStore` the home-side ones (evals served/loops
-    detected/answers pushed/table flushes). ``cache_info()["gem"]``
-    surfaces :meth:`to_dict` (pinned by ``tests/obs/test_contracts.py``).
+    initiator-side counters (roots/evals issued/answers received or
+    dropped), a :class:`GemTableStore` the home-side ones (evals
+    served/loops detected/answers pushed/table flushes).
+    ``cache_info()["gem"]`` surfaces :meth:`to_dict` (pinned by
+    ``tests/obs/test_contracts.py``).
+
+    A series is registered when it first moves: every wallet server
+    owns one of these, most only ever play one side, and a registered
+    series lives as long as the process does.
     """
 
-    __slots__ = ("c_roots", "c_evals_issued", "c_answers_received",
-                 "c_answer_records", "c_terminates_sent",
-                 "c_evals_served", "c_loops_detected",
-                 "c_answers_pushed", "c_table_flushes")
+    NAMES = ("roots", "evals_issued", "answers_received",
+             "answers_dropped", "answer_records", "terminates_sent",
+             "evals_served", "loops_detected", "answers_pushed",
+             "table_flushes")
+
+    __slots__ = ("_registry", "_instance", "_counters")
 
     def __init__(self) -> None:
-        instance = obs.next_instance()
-        reg = obs.registry()
-        self.c_roots = reg.counter(
-            "drbac_gem_roots_total", instance=instance)
-        self.c_evals_issued = reg.counter(
-            "drbac_gem_evals_issued_total", instance=instance)
-        self.c_answers_received = reg.counter(
-            "drbac_gem_answers_received_total", instance=instance)
-        self.c_answer_records = reg.counter(
-            "drbac_gem_answer_records_total", instance=instance)
-        self.c_terminates_sent = reg.counter(
-            "drbac_gem_terminates_sent_total", instance=instance)
-        self.c_evals_served = reg.counter(
-            "drbac_gem_evals_served_total", instance=instance)
-        self.c_loops_detected = reg.counter(
-            "drbac_gem_loops_detected_total", instance=instance)
-        self.c_answers_pushed = reg.counter(
-            "drbac_gem_answers_pushed_total", instance=instance)
-        self.c_table_flushes = reg.counter(
-            "drbac_gem_table_flushes_total", instance=instance)
+        self._registry = obs.registry()
+        self._instance = obs.next_instance()
+        self._counters: Dict[str, obs.Counter] = {}
 
-    @property
-    def roots(self) -> int:
-        return self.c_roots.value
-
-    @property
-    def evals_issued(self) -> int:
-        return self.c_evals_issued.value
-
-    @property
-    def answers_received(self) -> int:
-        return self.c_answers_received.value
-
-    @property
-    def answer_records(self) -> int:
-        return self.c_answer_records.value
-
-    @property
-    def terminates_sent(self) -> int:
-        return self.c_terminates_sent.value
-
-    @property
-    def evals_served(self) -> int:
-        return self.c_evals_served.value
-
-    @property
-    def loops_detected(self) -> int:
-        return self.c_loops_detected.value
-
-    @property
-    def answers_pushed(self) -> int:
-        return self.c_answers_pushed.value
-
-    @property
-    def table_flushes(self) -> int:
-        return self.c_table_flushes.value
+    def inc(self, name: str, amount: int = 1) -> None:
+        counter = self._counters.get(name)
+        if counter is None:
+            if name not in self.NAMES:
+                raise KeyError(name)
+            counter = self._counters[name] = self._registry.counter(
+                f"drbac_gem_{name}_total", instance=self._instance)
+        counter.inc(amount)
 
     def to_dict(self) -> dict:
-        return {
-            "roots": self.roots,
-            "evals_issued": self.evals_issued,
-            "answers_received": self.answers_received,
-            "answer_records": self.answer_records,
-            "terminates_sent": self.terminates_sent,
-            "evals_served": self.evals_served,
-            "loops_detected": self.loops_detected,
-            "answers_pushed": self.answers_pushed,
-            "table_flushes": self.table_flushes,
-        }
+        counters = self._counters
+        return {name: counters[name].value if name in counters else 0
+                for name in self.NAMES}
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +99,12 @@ class GemStats:
 class GoalTable:
     """One home's tabled state for one evaluation root.
 
-    ``goals`` maps goal keys to ACTIVE (evaluation in flight somewhere
-    below this home -- an arriving duplicate is a *loop*) or DONE
-    (answers already pushed to the origin; a duplicate is a no-op).
-    ``issued`` dedups the continuation evaluations this home has
-    forwarded; ``sent_ids`` is the per-root credential dedup set, so
-    each certificate crosses the wire to the origin at most once per
-    evaluation no matter how many goals its proofs support.
+    ``goals`` maps goal keys to ACTIVE (evaluation in flight) or DONE
+    (answers already pushed to the origin); either way an arriving
+    duplicate is never re-evaluated. ``sent_ids`` is the per-root
+    credential dedup set, so each certificate crosses the wire to the
+    origin at most once per evaluation no matter how many goals its
+    proofs support.
     """
 
     root_id: str
@@ -211,22 +112,17 @@ class GoalTable:
     created_at: float
     deadline: float
     goals: Dict[GoalKey, str] = field(default_factory=dict)
-    issued: Set[Tuple[str, GoalKey]] = field(default_factory=set)
     sent_ids: Set[str] = field(default_factory=set, repr=False)
-    waiters: Dict[GoalKey, List[str]] = field(default_factory=dict)
-    channel_id: Optional[str] = None
 
-    def status(self, goal: GoalKey) -> Optional[str]:
-        return self.goals.get(goal)
-
-    def activate(self, goal: GoalKey) -> None:
+    def activate(self, goal: GoalKey) -> bool:
+        """Table ``goal`` as ACTIVE; False when it already was tabled."""
+        if goal in self.goals:
+            return False
         self.goals[goal] = ACTIVE
+        return True
 
     def finish(self, goal: GoalKey) -> None:
         self.goals[goal] = DONE
-
-    def add_waiter(self, goal: GoalKey, home: str) -> None:
-        self.waiters.setdefault(goal, []).append(home)
 
 
 class GemTableStore:
@@ -234,9 +130,9 @@ class GemTableStore:
 
     Tables are bounded (``max_roots``, oldest-first eviction) and
     TTL-swept, because a crashed initiator never sends its terminate
-    wave; the explicit flush channels are the terminate notification,
-    local hub events (``flush_all`` -- a mutation makes every tabled
-    DONE state stale), and Switchboard channel eviction.
+    wave; the explicit flush channels are the terminate notification
+    and local hub events (``flush_all`` -- a mutation makes every
+    tabled DONE state stale).
     """
 
     def __init__(self, max_roots: int = DEFAULT_MAX_ROOTS,
@@ -270,7 +166,7 @@ class GemTableStore:
         """Drop one root's table (terminate notification). Idempotent."""
         if self._tables.pop(root_id, None) is None:
             return False
-        self.stats.c_table_flushes.inc()
+        self.stats.inc("table_flushes")
         return True
 
     def flush_all(self) -> int:
@@ -278,7 +174,7 @@ class GemTableStore:
         count = len(self._tables)
         if count:
             self._tables.clear()
-            self.stats.c_table_flushes.inc(count)
+            self.stats.inc("table_flushes", count)
         return count
 
     def sweep(self, now: float) -> int:

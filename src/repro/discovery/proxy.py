@@ -24,13 +24,12 @@ host holds the discovery tag's authorizing role, which clients check via
 :meth:`WalletServer.verify_wallet_authority` before subscribing.
 """
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.core.delegation import Delegation
 from repro.core.errors import DiscoveryError
 from repro.core.proof import Proof
 from repro.core.roles import Role, Subject
-from repro.discovery import fastpath, wire
 from repro.discovery.resolver import WalletServer
 from repro.net.rpc import RpcError
 from repro.net.transport import NetworkError
@@ -84,26 +83,7 @@ class ValidationProxy:
 
         This is how a directory cache warms itself for a community of
         principals it fronts. Returns the number of delegations mirrored.
-        With the discovery fast path enabled the warm-up rides one
-        ``discover_batch`` (session credential dedup included) and one
-        batched upstream ``subscribe``; otherwise it issues the seed's
-        sequential per-delegation RPCs.
         """
-        if fastpath.enabled():
-            try:
-                results, _meta = self.server.remote_discover_batch(
-                    self.upstream,
-                    [{"kind": "subject",
-                      "subject": wire.subject_to_wire(subject),
-                      "constraints": []}],
-                    stop_on_hit=False,
-                )
-            except (RpcError, NetworkError) as exc:
-                raise DiscoveryError(
-                    f"upstream subject query failed: {exc}"
-                ) from exc
-            proofs = results[0].get("proofs", ()) if results else ()
-            return self._mirror_batch(proofs, ttl)
         try:
             proofs = self.server.remote_subject_query(self.upstream,
                                                       subject)
@@ -118,43 +98,6 @@ class ValidationProxy:
                         delegation, proof.supports_for(delegation),
                         ttl=ttl):
                     mirrored += 1
-        return mirrored
-
-    def _mirror_batch(self, proofs, ttl: Optional[float]) -> int:
-        """Mirror the chains of several proofs with one batched upstream
-        subscribe call (the fast-path warm-up)."""
-        pending: List[Tuple[Delegation, Tuple[Proof, ...]]] = []
-        need_sub: List[str] = []
-        seen: Set[str] = set()
-        for proof in proofs:
-            for delegation in proof.chain:
-                if delegation.id in seen:
-                    continue
-                seen.add(delegation.id)
-                pending.append((delegation,
-                                proof.supports_for(delegation)))
-                if delegation.id not in self._mirrored:
-                    need_sub.append(delegation.id)
-        cancels = {}
-        if need_sub:
-            try:
-                cancel_fns = self.server.remote_subscribe_batch(
-                    self.upstream, need_sub)
-            except (RpcError, NetworkError) as exc:
-                raise DiscoveryError(
-                    f"cannot subscribe upstream at {self.upstream}: {exc}"
-                ) from exc
-            cancels = dict(zip(need_sub, cancel_fns))
-        mirrored = 0
-        for delegation, supports in pending:
-            inserted = self.server.cache.insert(
-                delegation, supports, home=self.upstream,
-                ttl=self.default_ttl if ttl is None else ttl,
-                cancel_remote=cancels.get(delegation.id),
-            )
-            self._mirrored.add(delegation.id)
-            if inserted:
-                mirrored += 1
         return mirrored
 
     def mirror_proof(self, proof: Proof,

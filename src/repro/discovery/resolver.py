@@ -14,16 +14,15 @@ address without going through the network.
 import itertools
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.delegation import Delegation, Revocation
+from repro.core.delegation import Revocation
 from repro.core.errors import DiscoveryError
 from repro.core.identity import Principal
 from repro.core.proof import Proof
-from repro.core.roles import Role, subject_key
-from repro.discovery import gem as gem_mod
+from repro.core.roles import subject_key
 from repro.discovery import wire
-from repro.discovery.gem import MAX_DEPTH, GemTableStore, GoalTable
+from repro.discovery.gem import GemTableStore, GoalTable
 from repro.net.rpc import RpcError, RpcNode
-from repro.net.switchboard import Channel, HandshakeError, Switchboard
+from repro.net.switchboard import Switchboard
 from repro.net.transport import Network, NetworkError
 from repro.pubsub.events import DelegationEvent, EventKind
 from repro.wallet.cache import CoherentCache
@@ -42,8 +41,7 @@ class WalletServer:
         self.principal = principal
         self.cache = CoherentCache(wallet)
         self.rpc = RpcNode(network, wallet.address)
-        # An authenticated-session endpoint for the discovery fast path
-        # (session reuse + per-channel credential dedup). Needs a signing
+        # The host's authenticated-channel endpoint. Needs a signing
         # principal; skipped when the host already runs its own
         # switchboard at this address.
         self.switchboard: Optional[Switchboard] = None
@@ -55,16 +53,14 @@ class WalletServer:
                 self.switchboard = None
         self._remote_subs: Dict[str, Tuple[str, Any]] = {}
         self._sub_ids = itertools.count()
-        # GEM tabled evaluation (PR 9): per-root goal tables, the
-        # answer sink a local DiscoveryEngine installs, and a hub
+        # Tabled goal evaluation: per-root goal tables, the answer
+        # sink a local DiscoveryEngine installs, and a hub
         # subscription flushing tabled DONE states on any local
         # mutation (they summarize the closure that just changed).
         self.gem_tables = GemTableStore()
-        self.gem_answer_sink: Optional[Callable[[dict], None]] = None
+        self.gem_answer_sink: Optional[Callable[[str, dict], None]] = None
         self._gem_hub_sub = wallet.hub.subscribe_all(
             self._on_gem_local_event)
-        if self.switchboard is not None:
-            self.switchboard.on_evict = self._on_channel_evicted
         self._expose_all()
         # Counters surfaced in benchmark reports.
         self.queries_served = 0
@@ -87,7 +83,6 @@ class WalletServer:
         self.rpc.expose("prove_role", self._rpc_prove_role)
         self.rpc.expose("get_delegation", self._rpc_get_delegation)
         self.rpc.expose("delegation_event", self._rpc_delegation_event)
-        self.rpc.expose("discover_batch", self._rpc_discover_batch)
         self.rpc.expose("gem_eval", self._rpc_gem_eval)
         self.rpc.expose("gem_answers", self._rpc_gem_answers)
         self.rpc.expose("gem_terminate", self._rpc_gem_terminate)
@@ -216,139 +211,52 @@ class WalletServer:
                 self.wallet.store.supports_for(delegation.id)),
         }
 
-    def _rpc_discover_batch(self, src: str, params: dict) -> dict:
-        """Serve several coalesced discovery queries in one round trip.
-
-        ``params["queries"]`` is an ordered list of
-        ``{"kind": "direct"|"subject"|"object", ...}`` records; a
-        ``"session"`` channel id (from an established Switchboard
-        session with this host) switches the reply to the
-        credential-deduplicated proof encoding. ``stop_on_hit`` skips
-        the queries after a successful direct probe -- exactly the work
-        the seed protocol's early return would never have issued.
-        """
-        channel = self._session_channel(params.get("session"), src)
-        if channel is not None:
-            channel.last_used = self.network.clock.now()
-
-        def encode(data: Optional[dict]) -> Optional[dict]:
-            # Re-encode one full wire proof for the session. The round
-            # trip through Proof keeps the single-query handlers as the
-            # one implementation (subclass overrides included); only the
-            # session encoding actually crosses the wire.
-            if channel is None or data is None:
-                return data
-            return wire.proof_to_wire_session(Proof.from_dict(data),
-                                              channel.sent_ids)
-
-        stop_on_hit = bool(params.get("stop_on_hit", True))
-        results: List[dict] = []
-        hit = False
-        for query in params.get("queries", ()):
-            if hit and stop_on_hit:
-                results.append({"skipped": True})
-                continue
-            kind = query.get("kind")
-            if kind == "direct":
-                data = self._rpc_direct_query(src, query)
-                results.append({"proof": encode(data)})
-                if data is not None:
-                    hit = True
-            elif kind == "subject":
-                data = self._rpc_subject_query(src, query)
-                results.append({"proofs": [encode(p) for p in data]})
-            elif kind == "object":
-                data = self._rpc_object_query(src, query)
-                results.append({"proofs": [encode(p) for p in data]})
-            else:
-                results.append({"error": f"unknown query kind {kind!r}"})
-        return {
-            "results": results,
-            "session": channel.channel_id if channel is not None else None,
-        }
-
-    def _session_channel(self, channel_id: Optional[str],
-                         src: str) -> Optional[Channel]:
-        """Validate a claimed session: the channel must exist on this
-        host's switchboard, be open, and belong to the calling address
-        (a peer cannot borrow another session's dedup state)."""
-        if channel_id is None or self.switchboard is None:
-            return None
-        channel = self.switchboard.channel(channel_id)
-        if channel is None or not channel.open:
-            return None
-        if getattr(channel, "_peer_address", None) != src:
-            return None
-        return channel
-
     # ------------------------------------------------------------------
-    # GEM tabled evaluation (PR 9)
+    # Tabled goal evaluation (the serving side of discovery)
     # ------------------------------------------------------------------
 
     def _rpc_gem_eval(self, src: str, params: dict) -> None:
-        """Evaluate one tabled goal for a coalition-wide root.
+        """Evaluate one tabled goal for a search rooted at ``src``.
 
-        Arrives as a one-message *notify* from the evaluation's origin
-        (the coordinating engine); nothing rides back on this exchange.
-        The home tables the goal, computes its local closure **once**,
-        and pushes a single ``gem_answers`` notify straight to the
-        origin carrying the closure (session-encoded against the
-        per-root sent-set), the validation subscriptions it established
-        server-side, and the *continuation requests* its harvested tags
-        name -- the origin re-issues only goals it has never seen for
-        this root, which is the coalition-wide loop detection. A goal
-        already tabled (a duplicate the origin's dedup let through, or
-        a replay) answers ``"duplicate"`` with an empty closure instead
-        of re-evaluating.
+        Arrives as a one-message *notify* from the search's origin (the
+        coordinating engine); nothing rides back on this exchange. The
+        home tables the goal, computes its local closure **once**, and
+        pushes a single ``gem_answers`` notify straight back to ``src``
+        carrying the closure (session-encoded against the per-root
+        sent-set) and the validation subscriptions it established
+        server-side. The origin derives the continuing goals itself
+        from the tags of what it verifies. A goal already tabled (a
+        replay) answers ``"duplicate"`` with an empty closure instead
+        of re-evaluating. Tables are keyed by ``(src, root)``: no other
+        host can reach, redirect or flush this origin's table.
         """
-        root_id, origin = wire.gem_root_from_wire(params["root"])
         direction, node = wire.gem_goal_from_wire(params["goal"])
         now = self.wallet.clock.now()
         self.gem_tables.sweep(now)
-        table = self.gem_tables.get_or_create(root_id, origin, now)
+        table = self.gem_tables.get_or_create(
+            _table_key(src, params["root"]), src, now)
         stats = self.gem_tables.stats
-        stats.c_evals_served.inc()
-        channel = self._session_channel(params.get("session"), src)
-        if channel is not None:
-            channel.last_used = now
-            channel.gem_roots.add(root_id)
-            table.channel_id = channel.channel_id
+        stats.inc("evals_served")
         goal = (direction, subject_key(node))
-        status = table.status(goal)
-        if status is not None:
-            if status == gem_mod.ACTIVE:
-                table.add_waiter(goal, src)
-            stats.c_loops_detected.inc()
-            self._gem_push_answers(table, params["goal"], [], False, [],
-                                   "duplicate")
+        if not table.activate(goal):
+            stats.inc("loops_detected")
+            self._gem_push_answers(table, params, [], "duplicate")
             return
-        table.activate(goal)
-        constraints = wire.constraints_from_wire(
-            params.get("constraints", ()))
-        bases = wire.bases_from_wire(params.get("bases", ()))
         self.queries_served += 1
-        if direction == "rev":
-            proofs = self.wallet.query_object(
-                node, constraints=constraints, bases=bases)
-        else:
-            proofs = self.wallet.query_subject(
-                node, constraints=constraints, bases=bases)
-        subscribe = bool(params.get("subscribe", True))
-        continuations = [
-            [next_home, wire.gem_goal_to_wire(direction, next_node)]
-            for next_home, next_node in self._gem_continuations(
-                direction, proofs)
-        ]
+        query = self.wallet.query_object if direction == "rev" \
+            else self.wallet.query_subject
+        proofs = query(
+            node,
+            constraints=wire.constraints_from_wire(
+                params.get("constraints", ())),
+            bases=wire.bases_from_wire(params.get("bases", ())))
         table.finish(goal)
-        self._gem_push_answers(table, params["goal"], proofs, subscribe,
-                               continuations, "done")
+        self._gem_push_answers(table, params, proofs, "done")
 
-    def _gem_push_answers(self, table: GoalTable, goal: dict,
-                          proofs: List[Proof], subscribe: bool,
-                          continuations: List[list],
-                          status: str) -> None:
+    def _gem_push_answers(self, table: GoalTable, request: dict,
+                          proofs: List[Proof], status: str) -> None:
         """Ship this home's local closure for one goal straight to the
-        evaluation origin: one notify, session-encoded against the
+        search's origin: one notify, session-encoded against the
         per-root sent-set (each certificate crosses the wire at most
         once per root). The notify doubles as the goal's completion
         signal, so it is sent even for an empty closure. Newly shipped
@@ -356,89 +264,44 @@ class WalletServer:
         *here*, server-side, with the origin as subscriber -- no
         subscribe round trips."""
         before = set(table.sent_ids)
-        answers = wire.gem_answers_to_wire(proofs, table.sent_ids)
+        answers = [wire.proof_to_wire_session(proof, table.sent_ids)
+                   for proof in proofs]
         subs: Dict[str, str] = {}
-        if subscribe:
+        if request.get("subscribe", True):
             for delegation_id in sorted(table.sent_ids - before):
                 granted = self._rpc_subscribe(table.origin, {
-                    "delegation_id": delegation_id,
-                    "subscriber": table.origin,
-                })
+                    "delegation_id": delegation_id})
                 subs[delegation_id] = granted["subscription"]
         try:
             self.rpc.notify(table.origin, "gem_answers", {
-                "root": table.root_id,
-                "home": self.address,
-                "goal": goal,
+                "root": request["root"],
+                "goal": request["goal"],
                 "status": status,
                 "answers": answers,
                 "subs": subs,
-                "continuations": continuations,
             })
         except NetworkError:
             return
-        self.gem_tables.stats.c_answers_pushed.inc(len(answers))
+        self.gem_tables.stats.inc("answers_pushed", len(answers))
 
-    def _gem_continuations(self, direction: str, proofs: List[Proof]
-                           ) -> List[Tuple[str, Any]]:
-        """Continuation goals for one local closure: each proof's head
-        (its object going forward, its subject in reverse) whose
-        harvested discovery tag stores it at some *other* home."""
-        tags: Dict[tuple, Any] = {}
-        for proof in proofs:
-            for delegation in proof.all_delegations():
-                if delegation.subject_tag is not None:
-                    tags.setdefault(delegation.subject_node,
-                                    delegation.subject_tag)
-                if delegation.object_tag is not None:
-                    tags.setdefault(delegation.object_node,
-                                    delegation.object_tag)
-        out: List[Tuple[str, Any]] = []
-        seen: set = set()
-        for proof in proofs:
-            head = proof.obj if direction == "fwd" else proof.subject
-            key = subject_key(head)
-            if key in seen:
-                continue
-            seen.add(key)
-            tag = tags.get(key)
-            if tag is None:
-                continue
-            flag = tag.subject_flag if direction == "fwd" \
-                else tag.object_flag
-            if not flag.stores_at_home:
-                continue
-            if direction == "rev" and not isinstance(head, Role):
-                continue
-            if not tag.home or tag.home == self.address:
-                continue
-            out.append((tag.home, head))
-        return out
-
-    def _rpc_gem_answers(self, _src: str, params: dict) -> None:
-        """Answer push arriving at an evaluation's origin; handed to
-        the engine-installed sink. Unknown roots (terminated, or no
-        engine) are dropped -- the terminate wave races late pushes."""
+    def _rpc_gem_answers(self, src: str, params: dict) -> None:
+        """Answer push arriving at a search's origin; handed, with its
+        transport source, to the engine-installed sink (which decides
+        whether anyone asked ``src`` for it)."""
         sink = self.gem_answer_sink
         if sink is not None:
-            sink(params)
+            sink(src, params)
 
-    def _rpc_gem_terminate(self, _src: str, params: dict) -> None:
+    def _rpc_gem_terminate(self, src: str, params: dict) -> None:
         """Explicit termination: the origin is done with this root.
         Idempotent -- a root this home never tabled is a no-op."""
-        self.gem_tables.flush_root(params.get("root"))
+        self.gem_tables.flush_root(_table_key(src, params.get("root")))
 
     def _on_gem_local_event(self, _event) -> None:
         """Any local mutation invalidates every tabled DONE state (the
         tables summarize the local closure that just changed)."""
         if len(self.gem_tables):
             self.gem_tables.flush_all()
-
-    def _on_channel_evicted(self, channel: Channel) -> None:
-        """A Switchboard session died; the table handles scoped to it
-        go with it (the initiator can no longer be assumed live)."""
-        for root_id in list(getattr(channel, "gem_roots", ())):
-            self.gem_tables.flush_root(root_id)
 
     def _rpc_delegation_event(self, src: str, params: dict) -> None:
         """Inbound push from a wallet we subscribed at (client side)."""
@@ -535,176 +398,18 @@ class WalletServer:
 
         return cancel
 
-    def session_to(self, remote: str) -> Optional[Channel]:
-        """An authenticated Switchboard session to ``remote``, reusing an
-        open channel when one exists. None when either end lacks a
-        switchboard or the handshake fails -- callers fall back to the
-        sessionless (full-encoding) protocol."""
-        if self.switchboard is None:
-            return None
-        try:
-            return self.switchboard.session_to(remote)
-        except (HandshakeError, NetworkError, RpcError):
-            return None
-
-    def remote_discover_batch(self, remote: str, queries: List[dict],
-                              stop_on_hit: bool = True
-                              ) -> Tuple[List[dict], dict]:
-        """Run coalesced discovery queries at ``remote`` in one round
-        trip, riding an authenticated session when available.
-
-        Returns ``(results, meta)``: per-query dicts with decoded
-        :class:`Proof` objects (``{"proof": ...}``, ``{"proofs": [...]}``
-        or ``{"skipped": True}``), and wire accounting
-        (``session``/``dedup_refs``/``pulls``).
-        """
-        channel = self.session_to(remote)
-        params: Dict[str, Any] = {"queries": queries,
-                                  "stop_on_hit": stop_on_hit}
-        if channel is not None:
-            params["session"] = channel.channel_id
-        reply = self.rpc.call(remote, "discover_batch", params)
-        raw = reply.get("results", [])
-        meta = {"session": False, "dedup_refs": 0, "pulls": 0}
-
-        payloads = []
-        for result in raw:
-            if result.get("skipped") or result.get("error"):
-                continue
-            if "proof" in result:
-                if result["proof"] is not None:
-                    payloads.append(result["proof"])
-            else:
-                payloads.extend(result.get("proofs", ()))
-
-        if channel is not None \
-                and reply.get("session") == channel.channel_id:
-            meta["session"] = True
-            decode = self._session_decoder(remote, channel, payloads, meta)
-        else:
-            decode = Proof.from_dict
-
-        results: List[dict] = []
-        for result in raw:
-            if result.get("skipped"):
-                results.append({"skipped": True})
-            elif result.get("error"):
-                results.append({"skipped": True, "error": result["error"]})
-            elif "proof" in result:
-                results.append({
-                    "proof": None if result["proof"] is None
-                    else decode(result["proof"]),
-                })
-            else:
-                results.append({
-                    "proofs": [decode(p)
-                               for p in result.get("proofs", ())],
-                })
-        return results, meta
-
-    def _session_decoder(self, remote: str, channel: Channel,
-                         payloads: List[dict], meta: dict):
-        """Build the ref-resolving decoder for one session-encoded batch:
-        collect every ref across ``payloads``, pull the ones neither the
-        channel's received-store nor the wallet holds (one batched
-        ``get_delegation``), and decode against the union."""
-        refs: List[str] = []
-        for payload in payloads:
-            refs.extend(wire.proof_refs(payload))
-        meta["dedup_refs"] = len(refs)
-        # Certificates arriving in full within this same batch resolve
-        # refs in its other payloads; record them before deciding what
-        # to pull. The memo carries each materialized Delegation over
-        # to the final decode below, so no wire entry is built twice.
-        decode_memo: Dict[int, Delegation] = {}
-        for payload in payloads:
-            for delegation in wire.proof_full_delegations(
-                    payload, memo=decode_memo):
-                channel.received[delegation.id] = delegation
-        missing = []
-        for delegation_id in dict.fromkeys(refs):
-            if delegation_id in channel.received:
-                continue
-            if self.wallet.store.get_delegation(delegation_id) is not None:
-                continue
-            missing.append(delegation_id)
-        pulled: Dict[str, Delegation] = {}
-        if missing:
-            meta["pulls"] = len(missing)
-            records = self.rpc.call_batch(
-                remote, "get_delegation",
-                [{"delegation_id": i} for i in missing])
-            for delegation_id, record in zip(missing, records):
-                if record is not None:
-                    delegation = wire.delegation_from_wire(
-                        record["delegation"])
-                    pulled[delegation_id] = delegation
-                    channel.received[delegation.id] = delegation
-
-        def resolve(delegation_id: str) -> Delegation:
-            delegation = channel.received.get(delegation_id)
-            if delegation is None:
-                delegation = pulled.get(delegation_id)
-            if delegation is None:
-                delegation = self.wallet.store.get_delegation(
-                    delegation_id)
-            if delegation is None:
-                raise DiscoveryError(
-                    f"unresolvable delegation ref {delegation_id!r} "
-                    f"from {remote!r}"
-                )
-            return delegation
-
-        def record(delegation: Delegation) -> None:
-            channel.received[delegation.id] = delegation
-
-        return lambda payload: wire.proof_from_wire_session(
-            payload, resolve, record, memo=decode_memo)
-
-    def remote_subscribe_batch(self, remote: str,
-                               delegation_ids: List[str]
-                               ) -> List[Callable[[], None]]:
-        """Subscribe to several delegations at ``remote`` in one round
-        trip; returns one cancel function per id, in order."""
-        results = self.rpc.call_batch(remote, "subscribe", [
-            {"delegation_id": delegation_id, "subscriber": self.address}
-            for delegation_id in delegation_ids
-        ])
-        cancels = []
-        for result in results:
-            sub_id = result["subscription"]
-
-            def cancel(sub_id=sub_id) -> None:
-                try:
-                    self.rpc.call(remote, "unsubscribe",
-                                  {"subscription": sub_id})
-                except (RpcError, Exception):  # noqa: BLE001 - best effort
-                    pass
-
-            cancels.append(cancel)
-        return cancels
-
-    def remote_gem_eval(self, remote: str, root_id: str, origin: str,
-                        direction: str, node, constraints=(), bases=None,
+    def remote_gem_eval(self, remote: str, root_id: str, direction: str,
+                        node, constraints=(), bases=None,
                         subscribe: bool = True) -> None:
-        """Issue one tabled evaluation at ``remote`` -- a single notify,
-        no reply; the home's answer arrives as its own ``gem_answers``
-        notify addressed to the root's origin. Rides an *already-open*
-        Switchboard channel when one exists, so the home can scope its
-        table handle to the session; a cold evaluation never pays a
-        handshake for it."""
-        params: Dict[str, Any] = {
-            "root": wire.gem_root_to_wire(root_id, origin),
+        """Send one goal to ``remote`` -- a single notify, no reply; the
+        home's answer arrives as its own ``gem_answers`` notify."""
+        self.rpc.notify(remote, "gem_eval", {
+            "root": root_id,
             "goal": wire.gem_goal_to_wire(direction, node),
             "constraints": wire.constraints_to_wire(constraints),
             "bases": wire.bases_to_wire(bases),
             "subscribe": subscribe,
-        }
-        if self.switchboard is not None:
-            channel = self.switchboard.open_channel_to(remote)
-            if channel is not None:
-                params["session"] = channel.channel_id
-        self.rpc.notify(remote, "gem_eval", params)
+        })
 
     def send_gem_terminate(self, remote: str, root_id: str) -> None:
         """Best-effort terminate notification (one message); a home
@@ -760,6 +465,11 @@ class WalletServer:
         if self.switchboard is not None:
             self.switchboard.close()
         self.rpc.close()
+
+
+def _table_key(origin: str, root_id: Any) -> str:
+    """Goal tables belong to the host that opened them."""
+    return f"{origin} {root_id}"
 
 
 class WalletDirectory:

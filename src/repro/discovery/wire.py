@@ -8,15 +8,14 @@ Two encoding families live here:
 
 * the plain ``*_to_wire``/``*_from_wire`` pairs -- every value is
   self-contained, decodable with no shared state;
-* the ``*_session`` pairs -- credential-deduplicated proofs for
-  established Switchboard sessions. The sender keeps a per-channel
-  seen-set and replaces a delegation it has already shipped on that
-  channel with ``{"ref": <delegation id>}``; the receiver resolves refs
-  against its per-channel received-store (or its wallet, or a
-  ``get_delegation`` pull). Each certificate therefore crosses a
-  session at most once, and the byte counters record the savings
-  honestly because the refs are what actually crosses the simulated
-  wire.
+* the ``*_session`` pairs -- credential-deduplicated proofs for the
+  answers of one discovery search. A home keeps a per-root seen-set
+  and replaces a delegation it has already shipped for that root with
+  ``{"ref": <delegation id>}``; the origin resolves refs against what
+  it received in full during the same search (or its wallet). Each
+  certificate therefore crosses the wire at most once per home and
+  search, and the byte counters record the savings honestly because
+  the refs are what actually crosses the simulated wire.
 """
 
 from typing import (
@@ -131,26 +130,16 @@ def delegation_from_wire(data: dict) -> Delegation:
 
 
 # ---------------------------------------------------------------------------
-# GEM tabled-evaluation framing (PR 9)
+# Goal-evaluation framing
 # ---------------------------------------------------------------------------
 #
-# Three message kinds ride the existing RPC/notify transport:
+# Discovery rides three one-way notify kinds (docs/PROTOCOL.md):
 #
-# * ``gem_eval``      -- request/reply; the reply is control-only
-#   (loop/done status + contacted homes), never answers;
-# * ``gem_answers``   -- one-way notify, evaluating home -> origin,
-#   carrying the home's local closure as *session-encoded* proofs
-#   deduplicated against a per-root sent-set;
-# * ``gem_terminate`` -- one-way notify, origin -> each contacted home,
-#   flushing that root's goal table.
-
-
-def gem_root_to_wire(root_id: str, origin: str) -> dict:
-    return {"id": root_id, "origin": origin}
-
-
-def gem_root_from_wire(data: Mapping) -> Tuple[str, str]:
-    return data["id"], data["origin"]
+# * ``gem_eval``      -- origin -> home: evaluate one goal for a root;
+# * ``gem_answers``   -- home -> origin: the home's local closure for
+#   that goal as *session-encoded* proofs deduplicated against the
+#   per-root sent-set, plus the subscriptions it established;
+# * ``gem_terminate`` -- origin -> home: flush that root's goal table.
 
 
 def gem_goal_to_wire(direction: str, node: Subject) -> dict:
@@ -159,14 +148,6 @@ def gem_goal_to_wire(direction: str, node: Subject) -> dict:
 
 def gem_goal_from_wire(data: Mapping) -> Tuple[str, Subject]:
     return data["dir"], _subject_from_dict(data["node"])
-
-
-def gem_answers_to_wire(proofs: Iterable[Proof],
-                        sent_ids: Set[str]) -> List[dict]:
-    """Session-encode one answer batch against the root's sent-set
-    (mutated), so each certificate crosses the wire to the origin at
-    most once per evaluation root."""
-    return [proof_to_wire_session(proof, sent_ids) for proof in proofs]
 
 
 # ---------------------------------------------------------------------------
@@ -205,26 +186,13 @@ def proof_to_wire_session(proof: Proof, sent_ids: Set[str]) -> dict:
     return encode(proof)
 
 
-def proof_refs(data: Mapping) -> Iterator[str]:
-    """Yield every ``{"ref": id}`` placeholder in a session-encoded proof
-    (duplicates included; callers typically collect into a set)."""
-    stack = [data]
-    while stack:
-        node = stack.pop()
-        for entry in node["chain"]:
-            if "ref" in entry:
-                yield entry["ref"]
-        for proofs in node.get("supports", {}).values():
-            stack.extend(proofs)
-
-
 def proof_full_delegations(data: Mapping,
                            memo: Optional[dict] = None
                            ) -> Iterator[Delegation]:
     """Yield every delegation that appears *in full* in a session-encoded
-    proof. Used to pre-seed the receiver's per-channel store before
-    computing which refs need a ``get_delegation`` pull -- a certificate
-    shipped in one payload of a batch resolves refs in the others.
+    proof. Used to pre-seed the receiver's store before decoding -- a
+    certificate shipped in one payload of an answer resolves refs in
+    the others.
 
     ``memo`` (entry-identity keyed) shares the materialized
     :class:`Delegation` objects with a later
@@ -259,8 +227,8 @@ def proof_from_wire_session(data: Mapping,
     """Decode a session-encoded proof.
 
     ``resolve`` maps a ref id to the full :class:`Delegation` (the
-    channel's received-store, the wallet, or a ``get_delegation`` pull
-    -- raising :class:`KeyError` on an unknown id). ``record`` is called
+    search's received-store or the wallet -- raising on an unknown
+    id). ``record`` is called
     with every delegation that arrived *in full*, letting the caller
     populate the received-store for future refs. ``memo`` reuses
     delegations already materialized from these exact entry dicts by

@@ -22,7 +22,7 @@ reproduced claim depends on encryption.
 import itertools
 import secrets
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional
 
 from repro import obs
 from repro.core.identity import Entity, Principal
@@ -53,16 +53,6 @@ class Channel:
     inbox: List[Any] = field(default_factory=list)
     on_message: Optional[Callable[[Any], None]] = None
     open: bool = True
-    # Credential-dedup state for the discovery fast path: ids this end
-    # has shipped in full on this channel, and the full certificates this
-    # end has received (resolving later {"ref": id} placeholders).
-    sent_ids: Set[str] = field(default_factory=set, repr=False)
-    received: Dict[str, Any] = field(default_factory=dict, repr=False)
-    last_used: float = 0.0
-    # GEM evaluation roots scoped to this session: a home records each
-    # root whose gem_eval rode this channel, so eviction can flush the
-    # matching goal tables (see WalletServer._on_channel_evicted).
-    gem_roots: Set[str] = field(default_factory=set, repr=False)
 
     def send(self, payload: Any) -> None:
         """Send a MAC'd frame to the peer."""
@@ -75,7 +65,6 @@ class Channel:
         }
         frame["mac"] = _frame_mac(self.session_key, self.send_seq, payload)
         self.send_seq += 1
-        self.last_used = self.switchboard.network.clock.now()
         self.switchboard._send_frame(self, frame)
 
     def _receive(self, frame: dict) -> None:
@@ -134,10 +123,6 @@ class Switchboard:
         self._c_sessions_reused = reg.counter(
             "drbac_switchboard_sessions_reused_total",
             address=address, instance=instance)
-        # Invoked with each channel closed by evict_idle, before the
-        # channel is forgotten (hosts hang session-scoped state -- GEM
-        # goal-table handles -- off channels and must hear about it).
-        self.on_evict: Optional[Callable[[Channel], None]] = None
 
     @property
     def handshakes_completed(self) -> int:
@@ -226,7 +211,6 @@ class Switchboard:
             session_key=session_key,
         )
         channel._peer_address = remote_address  # type: ignore[attr-defined]
-        channel.last_used = self.network.clock.now()
         self._channels[channel.channel_id] = channel
         self._by_peer[remote_address] = channel.channel_id
         self._c_handshakes_completed.inc()
@@ -238,38 +222,18 @@ class Switchboard:
                    expected_peer: Optional[Entity] = None,
                    role_proof: Optional[Proof] = None) -> Channel:
         """An authenticated channel to ``remote_address``, reusing the
-        open one from a previous query when available (the fast path's
-        session reuse -- no re-handshake, and the channel's credential
-        dedup state survives across queries)."""
+        open one from a previous exchange when available (no
+        re-handshake)."""
         channel_id = self._by_peer.get(remote_address)
         if channel_id is not None:
             channel = self._channels.get(channel_id)
             if channel is not None and channel.open:
                 if expected_peer is None or channel.peer == expected_peer:
-                    channel.last_used = self.network.clock.now()
                     self._c_sessions_reused.inc()
                     return channel
             self._by_peer.pop(remote_address, None)
         return self.connect(remote_address, expected_peer=expected_peer,
                             role_proof=role_proof)
-
-    def evict_idle(self, idle_ttl: float) -> int:
-        """Close channels untouched for longer than ``idle_ttl`` seconds
-        of simulated time; returns how many were evicted."""
-        now = self.network.clock.now()
-        evicted = 0
-        for channel_id, channel in list(self._channels.items()):
-            if now - channel.last_used > idle_ttl:
-                channel.close()
-                del self._channels[channel_id]
-                if self.on_evict is not None:
-                    self.on_evict(channel)
-                evicted += 1
-        self._by_peer = {
-            peer: cid for peer, cid in self._by_peer.items()
-            if cid in self._channels
-        }
-        return evicted
 
     # -- acceptor side -------------------------------------------------------
 
@@ -343,7 +307,6 @@ class Switchboard:
             session_key=session_key,
         )
         channel._peer_address = pending["from"]  # type: ignore[attr-defined]
-        channel.last_used = self.network.clock.now()
         self._channels[channel.channel_id] = channel
         self._by_peer[pending["from"]] = channel.channel_id
         self._c_handshakes_completed.inc()
@@ -368,20 +331,6 @@ class Switchboard:
 
     def channel(self, channel_id: str) -> Optional[Channel]:
         return self._channels.get(channel_id)
-
-    def open_channel_to(self, remote_address: str) -> Optional[Channel]:
-        """The open channel to ``remote_address`` if one already exists,
-        else None -- never a handshake. Callers that merely *benefit*
-        from a session (GEM table handles scoped to it) peek with this
-        instead of :meth:`session_to`, which would pay two messages to
-        establish one."""
-        channel_id = self._by_peer.get(remote_address)
-        if channel_id is None:
-            return None
-        channel = self._channels.get(channel_id)
-        if channel is None or not channel.open:
-            return None
-        return channel
 
     def close(self) -> None:
         self.network.unregister(self._net_address(self.address))

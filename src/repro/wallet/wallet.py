@@ -158,8 +158,10 @@ class Wallet:
         or above that severity; ``"off"`` disables an instance-level
         gate for this call.
         """
+        # The id, not the certificate: a finished span outlives the
+        # wallet in the tracer's buffer and must not pin what it saw.
         with obs.span("wallet.publish", wallet=self.address,
-                      delegation=delegation) as span:
+                      delegation=delegation.id) as span:
             inserted = self._publish_impl(delegation, supports, at, lint)
             if inserted:
                 self._c_publishes.inc()

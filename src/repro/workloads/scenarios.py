@@ -324,17 +324,13 @@ class DistributedFederation:
 def build_distributed_federation(domains: int = 4,
                                  users_per_domain: int = 2,
                                  ttl: float = 300.0,
-                                 seed: Optional[int] = None,
-                                 fastpath: Optional[bool] = None,
-                                 gem: Optional[bool] = None
+                                 seed: Optional[int] = None
                                  ) -> DistributedFederation:
     """Build an n-domain federation over one simulated network.
 
     Per domain: a principal, roles ``member``/``access``, a home wallet
     (holding the member->access grant and the inbound bridge), an empty
     access server with a discovery engine, and tagged user credentials.
-    ``fastpath``/``gem`` pin the engines' discovery fast path / GEM
-    evaluation mode on/off (None defers to the global switches).
     """
     from repro.workloads.topology import _rng
     from repro.discovery.engine import DiscoveryStats  # noqa: F401
@@ -365,8 +361,7 @@ def build_distributed_federation(domains: int = 4,
                             principal=principals[k])
         server = WalletServer(network, server_wallet,
                               principal=principals[k])
-        engine = DiscoveryEngine(server, default_ttl=ttl,
-                                 fastpath=fastpath, gem=gem)
+        engine = DiscoveryEngine(server, default_ttl=ttl)
         users = [create_principal(f"D{k}-u{u}", rng=rng)
                  for u in range(users_per_domain)]
         credentials = [
@@ -398,8 +393,7 @@ def build_distributed_federation(domains: int = 4,
 
 
 def build_distributed_case_study(seed: Optional[int] = None,
-                                 ttl: float = 30.0,
-                                 fastpath: Optional[bool] = None
+                                 ttl: float = 30.0
                                  ) -> DistributedCaseStudy:
     """Wire the Figure 2(a) initial state.
 
@@ -440,7 +434,7 @@ def build_distributed_case_study(seed: Optional[int] = None,
                                              principal=case.big_isp))
     airnet_home = directory.add(WalletServer(network, airnet_wallet,
                                              principal=case.air_net))
-    engine = DiscoveryEngine(server, default_ttl=ttl, fastpath=fastpath)
+    engine = DiscoveryEngine(server, default_ttl=ttl)
     return DistributedCaseStudy(
         case=case, network=network, clock=clock, server=server,
         bigisp_home=bigisp_home, airnet_home=airnet_home,
@@ -475,14 +469,13 @@ class DeployedCoalition:
     ttl: float
 
     def authorize(self, stats: Optional[DiscoveryStats] = None,
-                  gem: Optional[bool] = None,
                   max_remote_queries: int = 64):
         """Present the user credential and run discovery at the server."""
         if self.server.wallet.store.get_delegation(self.entry.id) is None:
             self.server.wallet.publish(self.entry)
         return self.engine.discover(
             self.workload.subject, self.workload.obj, stats=stats,
-            gem=gem, max_remote_queries=max_remote_queries)
+            max_remote_queries=max_remote_queries)
 
     def close(self) -> None:
         self.server.close()
@@ -491,9 +484,7 @@ class DeployedCoalition:
 
 
 def deploy_coalition(workload: "GeneratedWorkload",
-                     ttl: Optional[float] = None,
-                     fastpath: Optional[bool] = None,
-                     gem: Optional[bool] = None) -> DeployedCoalition:
+                     ttl: Optional[float] = None) -> DeployedCoalition:
     """Deploy a coalition-family workload across per-domain wallets.
 
     Placement follows the delegations' own discovery tags: a
@@ -506,8 +497,7 @@ def deploy_coalition(workload: "GeneratedWorkload",
     mirroring :meth:`DistributedFederation.authorize`.
 
     The resource server belongs to the object role's domain and hosts
-    the :class:`DiscoveryEngine`; ``fastpath``/``gem`` pin its
-    discovery modes (None defers to the global switches).
+    the :class:`DiscoveryEngine`.
     """
     addresses = workload.extras.get("home_addresses")
     if not addresses:
@@ -548,8 +538,7 @@ def deploy_coalition(workload: "GeneratedWorkload",
                            clock=clock)
     server = WalletServer(network, server_wallet,
                           principal=owners[target])
-    engine = DiscoveryEngine(server, default_ttl=ttl, fastpath=fastpath,
-                             gem=gem)
+    engine = DiscoveryEngine(server, default_ttl=ttl)
     return DeployedCoalition(
         network=network, clock=clock, workload=workload, homes=homes,
         server=server, engine=engine, entry=entry, ttl=ttl,

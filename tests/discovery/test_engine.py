@@ -3,11 +3,12 @@ import pytest
 from repro.core import (
     DiscoveryTag,
     ObjectFlag,
+    Proof,
     Role,
-    SimClock,
     SubjectFlag,
     issue,
 )
+from repro.discovery import wire
 from repro.discovery.engine import DiscoveryEngine, DiscoveryStats
 from repro.discovery.resolver import WalletServer
 from repro.net.transport import Network
@@ -222,3 +223,69 @@ class TestBudget:
                                 max_remote_queries=1, stats=stats)
         # One remote query is not enough to complete the two-hop chain.
         assert proof is None
+        assert stats.rounds == 1
+        assert stats.wallets_contacted == {"w.mid"}
+
+    def test_budget_spent_exactly(self, two_hop, alice):
+        engine, _server, roles, _ds, _net = two_hop
+        stats = DiscoveryStats()
+        assert engine.discover(alice.entity, roles[2],
+                               max_remote_queries=2,
+                               stats=stats) is not None
+        assert stats.rounds == 2
+
+    @pytest.fixture()
+    def endless(self, org, alice, clock):
+        """Two hosts of one rogue operator that answer every goal with
+        a freshly minted, perfectly valid link into the next role of
+        an endless chain, homed at the other host."""
+        from repro.core import create_principal
+        network = Network(clock=clock)
+        rogue = create_principal("Rogue")
+
+        def role(i):
+            return Role(rogue.entity, f"r{i}")
+
+        def home(i):
+            return ("liar.a", "liar.b")[i % 2]
+
+        class EndlessServer(WalletServer):
+            def _rpc_gem_eval(self, src, params):
+                _direction, node = wire.gem_goal_from_wire(params["goal"])
+                i = int(node.name[1:])
+                link = issue(rogue, role(i), role(i + 1),
+                             subject_tag=_tag(home(i)),
+                             object_tag=_tag(home(i + 1)))
+                table = self.gem_tables.get_or_create(
+                    params["root"], src, 0.0)
+                self._gem_push_answers(table, params,
+                                       [Proof.single(link)], "done")
+
+        for address in ("liar.a", "liar.b"):
+            EndlessServer(network,
+                          Wallet(owner=rogue, address=address, clock=clock),
+                          principal=rogue)
+        local = Wallet(owner=org, address="w.local", clock=clock)
+        local.publish(issue(rogue, alice.entity, role(0),
+                            object_tag=_tag(home(0))))
+        engine = DiscoveryEngine(WalletServer(network, local,
+                                              principal=org))
+        return engine, Role(org.entity, "admin")
+
+    def test_lying_home_stops_within_the_budget(self, endless, alice):
+        engine, target = endless
+        stats = DiscoveryStats()
+        assert engine.discover(alice.entity, target,
+                               max_remote_queries=10,
+                               stats=stats) is None
+        assert stats.rounds == 10
+        assert stats.delegations_cached == 10
+
+    def test_lying_home_stops_at_max_depth(self, endless, alice):
+        from repro.discovery.gem import MAX_DEPTH
+        engine, target = endless
+        stats = DiscoveryStats()
+        assert engine.discover(alice.entity, target,
+                               max_remote_queries=10 * MAX_DEPTH,
+                               stats=stats) is None
+        assert stats.rounds == MAX_DEPTH + 1

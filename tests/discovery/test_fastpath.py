@@ -1,11 +1,10 @@
-"""The discovery fast path: coherence with the seed protocol, the
-per-home result cache, RPC coalescing, session reuse, and the global
-bypass switches.
+"""The discovery result cache: coherence (the cache may change what
+crosses the wire, never the answer), what a repeat search is served
+from, how entries lapse and are invalidated, and the switch.
 
-The load-bearing invariant: the fast path may change the wire pattern
-(fewer messages, fewer bytes, deduplicated credentials) but never the
-*answer* -- discovered proofs are byte-identical with the fast path on
-or off.
+The load-bearing invariant: discovered proofs are byte-identical with
+the cache on or off -- and identical to what the seed frontier walk
+(``seed_oracle``) finds.
 """
 
 import pathlib
@@ -18,7 +17,6 @@ from repro.core import (
     DiscoveryTag,
     ObjectFlag,
     Role,
-    SimClock,
     SubjectFlag,
     issue,
 )
@@ -34,55 +32,70 @@ from repro.workloads.scenarios import (
     build_distributed_case_study,
 )
 
+from .seed_oracle import seed_discover
+
 
 def _proof_bytes(proof):
     return canonical_encode(proof.to_dict())
 
 
-def _run_walkthrough(fastpath_on, seed=11):
-    d = build_distributed_case_study(seed=seed, fastpath=fastpath_on)
-    proof = d.run_steps_1_to_5()
+def _run_walkthrough(cache_on, seed=11):
+    d = build_distributed_case_study(seed=seed)
+    with fastpath.scoped(cache_on):
+        proof = d.run_steps_1_to_5()
     assert proof is not None
     return d, proof
 
 
 class TestCoherence:
     def test_proofs_byte_identical_fast_on_vs_off(self):
-        """Same seed, both protocols: the discovered proof encodes to
-        the exact same bytes."""
-        _d_fast, fast_proof = _run_walkthrough(True)
-        _d_seed, seed_proof = _run_walkthrough(False)
-        assert _proof_bytes(fast_proof) == _proof_bytes(seed_proof)
+        """Same seed, result cache on and off, and the seed walk: the
+        discovered proof encodes to the exact same bytes."""
+        _d_on, on_proof = _run_walkthrough(True)
+        _d_off, off_proof = _run_walkthrough(False)
+        d = build_distributed_case_study(seed=11)
+        d.server.wallet.publish(d.case.d1_maria_member)
+        oracle_proof = seed_discover(d.server, d.case.maria.entity,
+                                     d.case.airnet_access)
+        assert _proof_bytes(on_proof) == _proof_bytes(off_proof) \
+            == _proof_bytes(oracle_proof)
 
     def test_grants_identical(self):
-        d_fast, fast_proof = _run_walkthrough(True)
-        d_seed, seed_proof = _run_walkthrough(False)
-        fast_grants = fast_proof.grants(d_fast.case.base_allocations())
-        seed_grants = seed_proof.grants(d_seed.case.base_allocations())
-        assert fast_grants[d_fast.case.bw] == EXPECTED_BW
-        assert {a.name: v for a, v in fast_grants.items()} == \
-            {a.name: v for a, v in seed_grants.items()}
+        d_on, on_proof = _run_walkthrough(True)
+        d_off, off_proof = _run_walkthrough(False)
+        on_grants = on_proof.grants(d_on.case.base_allocations())
+        off_grants = off_proof.grants(d_off.case.base_allocations())
+        assert on_grants[d_on.case.bw] == EXPECTED_BW
+        assert {a.name: v for a, v in on_grants.items()} == \
+            {a.name: v for a, v in off_grants.items()}
 
     def test_same_wallet_contents_absorbed(self):
-        d_fast, _p1 = _run_walkthrough(True)
-        d_seed, _p2 = _run_walkthrough(False)
-        fast_ids = {d.id for d in
-                    d_fast.server.wallet.store.delegations()}
-        seed_ids = {d.id for d in
-                    d_seed.server.wallet.store.delegations()}
-        assert fast_ids == seed_ids
+        d_on, _p1 = _run_walkthrough(True)
+        d_off, _p2 = _run_walkthrough(False)
+        on_ids = {d.id for d in d_on.server.wallet.store.delegations()}
+        off_ids = {d.id for d in d_off.server.wallet.store.delegations()}
+        assert on_ids == off_ids
 
     def test_fast_path_uses_fewer_messages_and_bytes(self):
-        d_fast, _p1 = _run_walkthrough(True)
-        d_seed, _p2 = _run_walkthrough(False)
-        assert d_fast.network.totals.messages < \
-            d_seed.network.totals.messages
-        assert d_fast.network.totals.bytes < d_seed.network.totals.bytes
+        """What the cache buys: a second search (another target, same
+        homes) re-contacts nobody with it on, everybody with it off."""
+        traffic = {}
+        for cache_on in (True, False):
+            d, _proof = _run_walkthrough(cache_on)
+            ghost = Role(d.case.air_net.entity, "ghost")
+            d.network.reset_counters()
+            with fastpath.scoped(cache_on):
+                assert d.engine.discover(d.case.maria.entity,
+                                         ghost) is None
+            traffic[cache_on] = d.network.totals
+        assert traffic[True].messages < traffic[False].messages
+        assert traffic[True].bytes < traffic[False].bytes
 
 
 @pytest.fixture()
 def two_home(org, alice, clock):
-    """The two_hop topology from test_engine.py, fast path pinned on:
+    """The two_hop topology from test_engine.py, plus a tag sending
+    r3's continuation back to w.mid, which stores nothing from it:
     [alice -> r1] local, [r1 -> r2] at w.mid, [r2 -> r3] at w.far."""
     network = Network(clock=clock)
     local = Wallet(owner=org, address="w.local", clock=clock)
@@ -98,11 +111,12 @@ def two_home(org, alice, clock):
     local.publish(issue(org, alice.entity, r1, object_tag=tag("w.mid")))
     mid.publish(issue(org, r1, r2, subject_tag=tag("w.mid"),
                       object_tag=tag("w.far")))
-    far.publish(issue(org, r2, r3, subject_tag=tag("w.far")))
+    far.publish(issue(org, r2, r3, subject_tag=tag("w.far"),
+                      object_tag=tag("w.mid")))
     server = WalletServer(network, local, principal=org)
     WalletServer(network, mid, principal=org)
     WalletServer(network, far, principal=org)
-    engine = DiscoveryEngine(server, fastpath=True)
+    engine = DiscoveryEngine(server)
     return engine, server, network, (r1, r2, r3)
 
 
@@ -116,13 +130,13 @@ class TestResultCache:
         stats = DiscoveryStats()
         assert engine.discover(alice.entity, ghost, stats=stats) is None
         # The repeat is served entirely from the result cache: the
-        # direct probes hit their negative entries, the enumerations
-        # their positive ones.
+        # closures w.mid and w.far shipped hit their positive entries,
+        # w.mid's empty answer about r3 its negative one.
         assert network.totals.messages == first
         assert stats.wire_messages == 0
         assert stats.cache_hits > 0
         assert stats.cache_negative_hits > 0
-        assert stats.batch_rpcs == 0
+        assert stats.rounds == 0
 
     def test_positive_enum_reused_across_targets(self, two_home, alice,
                                                  org):
@@ -133,21 +147,24 @@ class TestResultCache:
         assert engine.discover(alice.entity,
                                Role(org.entity, "ghostB"),
                                stats=stats) is None
-        # The frontier enumerations are target-independent; only the
-        # ghostB direct probes had to go to the wire.
+        # A home's closure is target-independent: the search for
+        # another target asks no home again.
         assert stats.cache_hits > 0
         assert stats.remote_subject_queries == 0
-        assert stats.remote_direct_queries > 0
+        assert stats.wire_messages == 0
 
     def test_negative_ttl_lapse_retries(self, two_home, alice, org,
                                         clock):
         engine, _server, network, _roles = two_home
         ghost = Role(org.entity, "ghost")
         assert engine.discover(alice.entity, ghost) is None
-        before = network.totals.messages
         clock.advance(engine.negative_ttl + 1.0)
-        assert engine.discover(alice.entity, ghost) is None
-        assert network.totals.messages > before   # re-probed after lapse
+        stats = DiscoveryStats()
+        assert engine.discover(alice.entity, ghost, stats=stats) is None
+        # Only the empty answer lapsed; the positive closures stand.
+        assert stats.remote_subject_queries == 1
+        assert stats.cache_hits == 2
+        assert network.by_topic["notify:gem_eval"].messages == 3 + 1
 
     def test_publish_event_drops_negatives(self, two_home, alice, bob,
                                            org):
@@ -171,85 +188,47 @@ class TestResultCache:
         assert "discovery" in info
         disc = info["discovery"]
         assert disc["fastpath"] is True
-        assert disc["stats"]["batch_rpcs"] > 0
-        assert disc["result_cache"]["stores"] > 0
-        assert disc["sessions"]["handshakes_completed"] > 0
+        assert disc["stats"]["rounds"] == 2
+        assert disc["result_cache"]["stores"] == 2
 
 
 class TestCoalescingAndSessions:
-    def test_chain_found_with_batches(self, two_home, alice):
+    def test_chain_found_one_exchange_per_home(self, two_home, alice):
         engine, server, network, roles = two_home
         stats = DiscoveryStats()
         proof = engine.discover(alice.entity, roles[2], stats=stats)
         assert proof is not None
         server.wallet.validate(proof)
         assert stats.wallets_contacted == {"w.mid", "w.far"}
-        assert stats.batch_rpcs == 2          # one RPC per home contacted
-        assert stats.coalesced_queries >= stats.batch_rpcs
-        # No per-probe RPCs crossed the network.
-        assert "rpc:direct_query" not in network.by_topic
-        assert "rpc:subject_query" not in network.by_topic
-        assert network.by_topic["rpc:discover_batch"].messages == 2
+        assert stats.rounds == 2              # one goal per home
+        # One notify out and one answer push back per home: no
+        # per-probe RPCs, no subscribe round trips, no handshakes.
+        assert {topic: t.messages
+                for topic, t in network.by_topic.items()} == {
+            "notify:gem_eval": 2, "notify:gem_answers": 2}
+        assert stats.subscriptions_established == 2
+        assert server.switchboard.handshakes_completed == 0
 
-    def test_sessions_reused_across_queries(self, two_home, alice, org):
-        engine, _server, _network, roles = two_home
-        first = DiscoveryStats()
-        assert engine.discover(alice.entity, roles[2],
-                               stats=first) is not None
-        assert first.handshakes == 2          # one per home, first contact
-        second = DiscoveryStats()
-        engine.discover(alice.entity, Role(org.entity, "ghost"),
-                        stats=second)
-        # The ghost search re-contacts both homes over the channels the
-        # first query authenticated.
-        assert second.handshakes == 0
-        assert second.sessions_reused >= 1
-
-    def test_idle_sessions_evicted(self, two_home, alice, org, clock):
-        engine, server, _network, roles = two_home
-        engine.session_idle_ttl = 10.0
-        assert engine.discover(alice.entity, roles[2]) is not None
-        assert len(server.switchboard._channels) > 0
-        clock.advance(60.0)
-        stats = DiscoveryStats()
-        engine.discover(alice.entity, Role(org.entity, "ghost"),
-                        stats=stats)
-        # The pre-advance channels were evicted, forcing re-handshakes.
-        assert stats.handshakes > 0
-
-    def test_credential_dedup_across_epochs(self, two_home, alice,
-                                            clock):
-        """After a TTL sweep evicts the absorbed delegations, the
-        re-discovery re-fetches them -- but over the still-open session
-        their certificates ride ``{"ref": id}`` placeholders, not full
-        bodies."""
-        engine, server, network, roles = two_home
-        assert engine.discover(alice.entity, roles[2]) is not None
-        cold_bytes = network.totals.bytes
-        clock.advance(31.0)                  # lapse the 30 s tag leases
-        server.cache.sweep()                 # evict the local copies
-        network.reset_counters()
-        stats = DiscoveryStats()
-        assert engine.discover(alice.entity, roles[2],
-                               stats=stats) is not None
-        assert stats.dedup_refs > 0          # refs crossed, not bodies
-        assert stats.pulls == 0              # channel store resolved all
-        assert stats.handshakes == 0         # session outlived the epoch
-        assert network.totals.bytes < cold_bytes
+    def test_sessions_reused_across_queries(self, two_home):
+        """Discovery opens no sessions; a wallet host's switchboard
+        still authenticates once per peer and reuses the channel."""
+        _engine, server, _network, _roles = two_home
+        board = server.switchboard
+        first = board.session_to("w.mid")
+        assert (board.handshakes_completed, board.sessions_reused) \
+            == (1, 0)
+        assert board.session_to("w.mid") is first
+        assert (board.handshakes_completed, board.sessions_reused) \
+            == (1, 1)
 
 
 class TestBypass:
-    def test_engine_pin_overrides_global(self, two_home):
-        engine = two_home[0]
-        with fastpath.disabled():
-            assert engine.fastpath_active    # pinned True at build time
-
     def test_global_switch(self, org, clock):
         network = Network(clock=clock)
         server = WalletServer(
             network, Wallet(owner=org, address="w.x", clock=clock),
             principal=org)
-        engine = DiscoveryEngine(server)      # defers to the global
+        engine = DiscoveryEngine(server)
         assert engine.fastpath_active == fastpath.enabled()
         with fastpath.disabled():
             assert not engine.fastpath_active
@@ -265,19 +244,25 @@ class TestBypass:
                  "PYTHONPATH": str(root / "src")})
         assert result.returncode == 0
 
-    def test_seed_protocol_when_disabled(self, two_home, alice):
-        # Same topology, fast path pinned off: the seed wire pattern.
-        _engine, server, network, roles = two_home
-        seed_engine = DiscoveryEngine(server, fastpath=False)
-        stats = DiscoveryStats()
-        proof = seed_engine.discover(alice.entity, roles[2],
-                                     stats=stats)
-        assert proof is not None
-        assert stats.batch_rpcs == 0
-        assert stats.cache_hits == 0
-        assert stats.dedup_refs == 0
-        assert "rpc:discover_batch" not in network.by_topic
-        assert network.by_topic["rpc:direct_query"].messages > 0
+    def test_no_cache_traffic_when_disabled(self, two_home, alice):
+        """Switch off: the same search over the same wire protocol,
+        but the cache is neither read nor filled -- a repeat for
+        another target pays the full price again."""
+        engine, _server, network, roles = two_home
+        with fastpath.disabled():
+            stats = DiscoveryStats()
+            assert engine.discover(alice.entity, roles[2],
+                                   stats=stats) is not None
+            cold = stats.wire_messages
+            assert len(engine.result_cache) == 0
+            again = DiscoveryStats()
+            assert engine.discover(alice.entity,
+                                   Role(roles[0].entity, "ghost"),
+                                   stats=again) is None
+        assert again.cache_hits == again.cache_misses == 0
+        assert again.wire_messages > cold
+        assert set(network.by_topic) <= {
+            "notify:gem_eval", "notify:gem_answers", "notify:gem_terminate"}
 
 
 class TestDiscoveryCacheUnit:

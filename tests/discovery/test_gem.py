@@ -1,33 +1,42 @@
-"""GEM distributed tabled evaluation: coherence with the seed
-protocol, loop detection and termination on cyclic coalitions, the
-goal-table lifecycle, and the mode switches.
+"""Tabled goal evaluation, the engine's one search: coherence with the
+seed frontier walk, loop detection and termination on cyclic
+coalitions, which answer pushes an origin accepts, and the goal-table
+lifecycle.
 
-The load-bearing invariants: (1) GEM may change the wire pattern but
-never the *answer* -- discovered proofs are byte-identical with GEM on
-or off; (2) on cyclic topologies its cross-home message count is flat
-in the cycle's revisit count, where the seed protocol re-expands.
+The load-bearing invariants: (1) the engine may use a different wire
+pattern than the seed walk but never finds a different *answer* --
+proofs are byte-identical, result cache on or off; (2) on cyclic
+topologies its cross-home message count is flat in the cycle's revisit
+count, where the seed walk re-expands; (3) only the home a goal was
+sent to can answer it, once.
 """
-
-import os
-import subprocess
-import sys
 
 import pytest
 
+from repro.core import DiscoveryTag, Proof, Role, SubjectFlag, issue
 from repro.crypto.encoding import canonical_encode
-from repro.discovery import gem
-from repro.discovery.engine import DiscoveryStats
+from repro.discovery import fastpath, gem, wire
+from repro.discovery.engine import DiscoveryEngine, DiscoveryStats
+from repro.discovery.resolver import WalletServer
+from repro.net.transport import Network
+from repro.wallet.wallet import Wallet
 from repro.workloads import topology
-from repro.workloads.scenarios import deploy_coalition
+from repro.workloads.scenarios import (
+    build_distributed_case_study,
+    build_distributed_federation,
+    deploy_coalition,
+)
+
+from .seed_oracle import seed_discover
 
 
 def _proof_bytes(proof):
     return canonical_encode(proof.to_dict())
 
 
-def _cold(workload, *, gem_on, fastpath=False, stats=None):
+def _cold(workload, stats=None):
     """Fresh deployment, one cold authorization, message count."""
-    dep = deploy_coalition(workload, fastpath=fastpath, gem=gem_on)
+    dep = deploy_coalition(workload)
     try:
         dep.network.reset_counters()
         proof = dep.authorize(stats=stats, max_remote_queries=1024)
@@ -36,75 +45,122 @@ def _cold(workload, *, gem_on, fastpath=False, stats=None):
         dep.close()
 
 
+def _cold_oracle(workload):
+    """The same, by the seed frontier walk."""
+    dep = deploy_coalition(workload)
+    try:
+        dep.server.wallet.publish(dep.entry)
+        dep.network.reset_counters()
+        proof = seed_discover(dep.server, workload.subject, workload.obj,
+                              max_remote_queries=1024,
+                              default_ttl=dep.ttl)
+        return dep, proof, dep.network.totals.messages
+    finally:
+        dep.close()
+
+
+def _coalition(make):
+    """(engine proof, oracle proof) over one coalition family."""
+    def run():
+        workload = make()
+        return _cold(workload)[1], _cold_oracle(workload)[1]
+    return run
+
+
+def _case_study():
+    proofs = []
+    for discover in (
+            lambda d: d.engine.discover(d.case.maria.entity,
+                                        d.case.airnet_access),
+            lambda d: seed_discover(d.server, d.case.maria.entity,
+                                    d.case.airnet_access)):
+        d = build_distributed_case_study(seed=11)
+        d.server.wallet.publish(d.case.d1_maria_member)
+        proofs.append(discover(d))
+    return proofs
+
+
+def _federation():
+    proofs = []
+    for use_engine in (True, False):
+        fed = build_distributed_federation(domains=6, users_per_domain=1,
+                                           seed=7)
+        if use_engine:
+            proofs.append(fed.authorize(5, 0, 0))
+            continue
+        source, target = fed.domains[5], fed.domains[0]
+        target.server.wallet.publish(source.credentials[0])
+        proofs.append(seed_discover(target.server,
+                                    source.users[0].entity,
+                                    target.access, default_ttl=fed.ttl))
+    return proofs
+
+
 FAMILIES = [
-    ("ring", lambda: topology.make_ring_coalition(4, seed=41)),
-    ("mesh", lambda: topology.make_mesh_coalition(4, seed=42)),
-    ("scc", lambda: topology.make_scc_heavy(3, 2, seed=43)),
-    ("deep", lambda: topology.make_deep_mutual_trust(3, seed=44)),
+    ("ring", _coalition(lambda: topology.make_ring_coalition(4, seed=41))),
+    ("mesh", _coalition(lambda: topology.make_mesh_coalition(4, seed=42))),
+    ("scc", _coalition(lambda: topology.make_scc_heavy(3, 2, seed=43))),
+    ("deep", _coalition(
+        lambda: topology.make_deep_mutual_trust(3, seed=44))),
+    ("case-study", _case_study),
+    ("federation", _federation),
 ]
 
 
 class TestCoherence:
-    @pytest.mark.parametrize("name,make", FAMILIES,
+    @pytest.mark.parametrize("name,run", FAMILIES,
                              ids=[f[0] for f in FAMILIES])
-    def test_proofs_byte_identical_across_arms(self, name, make):
-        """Same workload, all three protocols: the exact same proof
-        bytes, on every topology family."""
-        workload = make()
-        _d, seed_proof, _m = _cold(workload, gem_on=False)
-        _d, fast_proof, _m = _cold(workload, gem_on=False, fastpath=True)
-        _d, gem_proof, _m = _cold(workload, gem_on=True)
-        assert seed_proof is not None
-        assert _proof_bytes(seed_proof) == _proof_bytes(fast_proof) \
-            == _proof_bytes(gem_proof)
+    def test_proofs_byte_identical_across_arms(self, name, run):
+        """Same workload, the engine and the seed oracle, result cache
+        on and off: the exact same proof bytes, on every family. (The
+        random digraphs are in ``test_gem_hypothesis.py``.)"""
+        for cache_on in (True, False):
+            with fastpath.scoped(cache_on):
+                engine_proof, oracle_proof = run()
+            assert oracle_proof is not None
+            assert _proof_bytes(engine_proof) == _proof_bytes(oracle_proof)
 
     def test_absorbed_wallet_contents_cover_seed(self):
-        """GEM ships each home's whole tabled closure, so the absorbed
-        credentials are a superset of the seed frontier's (the ring's
-        closing bridge is fetched even though no proof needs it) --
-        but every delegation the seed proof uses arrives too."""
+        """The engine stops asking once the proof exists, like the seed
+        walk, but absorbs each home's whole closure: every delegation
+        of the oracle's proof arrives, and nothing arrives that some
+        contacted home does not store."""
         workload = topology.make_ring_coalition(4, seed=45)
-        d_seed = deploy_coalition(workload, fastpath=False, gem=False)
-        d_gem = deploy_coalition(workload, fastpath=False, gem=True)
-        try:
-            seed_proof = d_seed.authorize()
-            assert seed_proof is not None
-            assert d_gem.authorize() is not None
-            seed_ids = {d.id for d in
-                        d_seed.server.wallet.store.delegations()}
-            gem_ids = {d.id for d in
-                       d_gem.server.wallet.store.delegations()}
-            assert seed_ids <= gem_ids
-            assert {d.id for d in seed_proof.all_delegations()} \
-                <= gem_ids
-        finally:
-            d_seed.close()
-            d_gem.close()
+        d_engine, engine_proof, _m = _cold(workload)
+        _d_oracle, oracle_proof, _m = _cold_oracle(workload)
+        engine_ids = {d.id for d in
+                      d_engine.server.wallet.store.delegations()}
+        assert {d.id for d in oracle_proof.all_delegations()} \
+            <= engine_ids
+        stored = {d.id for home in d_engine.homes.values()
+                  for d in home.wallet.store.delegations()}
+        assert engine_ids <= stored | {d_engine.entry.id}
+        assert _proof_bytes(engine_proof) == _proof_bytes(oracle_proof)
 
 
 class TestTermination:
     def test_messages_flat_in_revisit_count(self):
         """Growing the SCC components grows the number of times the
-        seed frontier revisits each home; GEM tables every goal once,
-        so its cross-home message count must not move at all."""
-        gem_msgs, seed_msgs = [], []
+        seed frontier revisits each home; the engine tables every goal
+        once, so its cross-home message count must not move at all."""
+        engine_msgs, seed_msgs = [], []
         for m in (2, 4):
             workload = topology.make_scc_heavy(3, m, seed=46)
-            _d, proof, msgs = _cold(workload, gem_on=True)
+            _d, proof, msgs = _cold(workload)
             assert proof is not None
-            gem_msgs.append(msgs)
-            _d, proof, msgs = _cold(workload, gem_on=False)
+            engine_msgs.append(msgs)
+            _d, proof, msgs = _cold_oracle(workload)
             assert proof is not None
             seed_msgs.append(msgs)
-        assert gem_msgs[0] == gem_msgs[1]
+        assert engine_msgs[0] == engine_msgs[1]
         assert seed_msgs[0] < seed_msgs[1]
 
     def test_loops_detected_at_origin(self):
-        """The ring's closing bridge makes the continuation chain come
-        back around to an already-issued goal: the origin's issued-set
-        catches it and the terminate wave covers the loop ends."""
-        workload = topology.make_ring_coalition(4, seed=47)
-        dep = deploy_coalition(workload, fastpath=False, gem=True)
+        """A mesh home's closure bridges back into a home already
+        asked: the origin's issued-set catches it and the terminate
+        wave covers the loop ends."""
+        workload = topology.make_mesh_coalition(4, seed=47)
+        dep = deploy_coalition(workload)
         try:
             assert dep.authorize() is not None
             info = dep.engine.gem_info()
@@ -118,17 +174,194 @@ class TestTermination:
         coalition equals evals issued by the origin (every one-way
         eval lands on a fresh table slot)."""
         workload = topology.make_scc_heavy(3, 3, seed=48)
-        dep = deploy_coalition(workload, fastpath=False, gem=True)
+        dep = deploy_coalition(workload)
         try:
-            before = dep.engine.gem_stats.to_dict()
             assert dep.authorize() is not None
-            after = dep.engine.gem_stats.to_dict()
-            issued = after["evals_issued"] - before["evals_issued"]
-            answers = after["answers_received"] - \
-                before["answers_received"]
-            assert issued == answers > 0
+            info = dep.engine.gem_info()
+            served = sum(home.gem_tables.info()["evals_served"]
+                         for home in dep.homes.values())
+            assert info["evals_issued"] == info["answers_received"] \
+                == served > 0
+            assert info["answers_dropped"] == 0
         finally:
             dep.close()
+
+    def test_stops_asking_once_the_proof_exists(self):
+        """Cost follows the proof, not the coalition: a user one
+        bridge away contacts two homes of six."""
+        fed = build_distributed_federation(domains=6, users_per_domain=1)
+        stats = DiscoveryStats()
+        assert fed.authorize(1, 0, 0, stats=stats) is not None
+        assert stats.wallets_contacted == {"wallet.d1.example",
+                                           "wallet.d0.example"}
+        assert stats.rounds == 2
+
+
+@pytest.fixture()
+def two_home(org, alice, clock):
+    """[alice -> r1] local, [r1 -> r2] at w.mid, [r2 -> r3] at w.far,
+    and a third wallet host, w.rogue, nobody's tag names."""
+    network = Network(clock=clock)
+    r1, r2, r3 = (Role(org.entity, n) for n in ("r1", "r2", "r3"))
+
+    def tag(home):
+        return DiscoveryTag(home=home, ttl=30.0,
+                            subject_flag=SubjectFlag.SEARCH)
+
+    def host(address):
+        return WalletServer(
+            network, Wallet(owner=org, address=address, clock=clock),
+            principal=org)
+
+    server, mid, far, rogue = (host(a) for a in (
+        "w.local", "w.mid", "w.far", "w.rogue"))
+    server.wallet.publish(
+        issue(org, alice.entity, r1, object_tag=tag("w.mid")))
+    mid.wallet.publish(issue(org, r1, r2, subject_tag=tag("w.mid"),
+                             object_tag=tag("w.far")))
+    far.wallet.publish(issue(org, r2, r3, subject_tag=tag("w.far")))
+    return DiscoveryEngine(server), server, rogue, network, (r1, r2, r3)
+
+
+class TestAnswerAcceptance:
+    """Root ids are guessable (``addr#gemN``), so what an origin
+    absorbs is decided by who was asked what, never by what a push
+    claims about itself."""
+
+    @staticmethod
+    def _empty_answer(root_id, node):
+        return {"root": root_id, "status": "done", "answers": [],
+                "subs": {}, "goal": wire.gem_goal_to_wire("fwd", node)}
+
+    def _interfere(self, engine, interfere):
+        """Run ``interfere(root_id)`` the moment w.mid is asked, before
+        its own answer is pushed."""
+        mid_eval = engine.server.network._handlers["w.mid"]
+
+        def handler(src, topic, payload):
+            if topic == "notify:gem_eval" and src == "w.local":
+                interfere(payload["params"]["root"])
+            return mid_eval(src, topic, payload)
+
+        engine.server.network._handlers["w.mid"] = handler
+
+    def test_misattributed_answer_is_dropped(self, two_home, alice):
+        """A third host plants an empty "done" closure for the goal
+        w.mid was asked: dropped, so w.mid's real answer still counts,
+        the proof is found and nothing negative is cached."""
+        engine, server, rogue, _network, roles = two_home
+        self._interfere(engine, lambda root_id: rogue.rpc.notify(
+            "w.local", "gem_answers",
+            dict(self._empty_answer(root_id, roles[0]), home="w.mid")))
+        assert engine.discover(alice.entity, roles[2]) is not None
+        assert engine.gem_info()["answers_dropped"] == 1
+        assert not engine.result_cache._negatives
+
+    def test_forged_answer_for_an_unissued_goal_is_dropped(
+            self, two_home, alice, org):
+        """The home that *was* asked answers a goal it was not asked:
+        no grant, no cache entry."""
+        engine, _server, _rogue, network, roles = two_home
+        ghost = Role(org.entity, "ghost")
+        forged = issue(org, alice.entity, ghost)
+        mid = network._handlers["w.mid"]
+
+        def lying_mid(src, topic, payload):
+            if topic == "notify:gem_eval":
+                answer = self._empty_answer(payload["params"]["root"],
+                                            alice.entity)
+                answer["answers"] = [wire.proof_to_wire_session(
+                    Proof.single(forged), set())]
+                network.send("w.mid", "w.local", "notify:gem_answers",
+                             {"method": "gem_answers", "params": answer,
+                              "oneway": True})
+            return mid(src, topic, payload)
+
+        network._handlers["w.mid"] = lying_mid
+        stats = DiscoveryStats()
+        assert engine.discover(alice.entity, ghost, stats=stats) is None
+        assert engine.gem_info()["answers_dropped"] >= 1
+        assert engine.server.wallet.store.get_delegation(forged.id) is None
+        assert stats.delegations_cached == 2    # the honest chain only
+
+    def test_replayed_answer_is_dropped(self, two_home, alice):
+        """The real answer delivered twice counts once: the replay
+        finds its goal already answered."""
+        engine, server, _rogue, network, roles = two_home
+        local = network._handlers["w.local"]
+        replays = []
+
+        def replaying_local(src, topic, payload):
+            reply = local(src, topic, payload)
+            if topic == "notify:gem_answers" and src == "w.mid" \
+                    and not replays:
+                replays.append(payload)
+                local(src, topic, payload)
+            return reply
+
+        network._handlers["w.local"] = replaying_local
+        stats = DiscoveryStats()
+        assert engine.discover(alice.entity, roles[2],
+                               stats=stats) is not None
+        assert replays
+        info = engine.gem_info()
+        assert info["answers_received"] == 2
+        assert info["answers_dropped"] == 1
+        assert stats.delegations_cached == 2
+
+    def test_answer_after_the_search_is_dropped(self, two_home, alice):
+        engine, _server, rogue, _network, roles = two_home
+        assert engine.discover(alice.entity, roles[2]) is not None
+        cached = len(engine.result_cache)
+        rogue.rpc.notify("w.local", "gem_answers", self._empty_answer(
+            "w.local#gem0", roles[0]))
+        assert engine.gem_info()["answers_dropped"] == 1
+        assert len(engine.result_cache) == cached
+
+    def test_duplicate_record_is_not_cached(self, two_home, alice):
+        """w.mid evaluates the goal but its answer push is lost; the
+        retransmitted eval finds the goal tabled and answers
+        "duplicate" with an empty closure. That is "no answer *yet*",
+        not "no path": no entry, positive or negative, may come of it,
+        so the next search (a fresh root) gets the real closure."""
+        engine, _server, _rogue, network, roles = two_home
+        mid = network._handlers["w.mid"]
+
+        def flaky_mid(src, topic, payload):
+            if topic == "notify:gem_eval":
+                network.partition("w.mid", "w.local", bidirectional=False)
+                mid(src, topic, payload)
+                network.heal("w.mid", "w.local", bidirectional=False)
+            return mid(src, topic, payload)
+
+        network._handlers["w.mid"] = flaky_mid
+        assert engine.discover(alice.entity, roles[2]) is None
+        assert engine.gem_info()["answers_received"] == 1
+        assert len(engine.result_cache) == 0
+        network._handlers["w.mid"] = mid
+        assert engine.discover(alice.entity, roles[2]) is not None
+
+    def test_another_origins_table_is_out_of_reach(self, two_home, alice):
+        """Goal tables are keyed by the host that opened them: a third
+        host reusing the origin's root id neither reads, redirects nor
+        flushes its table."""
+        engine, _server, rogue, _network, roles = two_home
+        interfered = []
+
+        def squat(root_id):
+            rogue.rpc.notify("w.mid", "gem_eval", {
+                "root": root_id, "subscribe": False,
+                "goal": wire.gem_goal_to_wire("fwd", roles[0])})
+            rogue.rpc.notify("w.mid", "gem_terminate", {"root": root_id})
+            interfered.append(root_id)
+
+        self._interfere(engine, squat)
+        assert engine.discover(alice.entity, roles[2]) is not None
+        assert interfered
+        # w.mid answered the origin "done", not "duplicate", and to it.
+        assert engine.gem_info()["answers_dropped"] == 0
+        assert {key[0] for key in engine.result_cache._entries} \
+            == {"w.mid", "w.far"}
 
 
 class TestGoalTables:
@@ -136,7 +369,7 @@ class TestGoalTables:
         """Loop participants are flushed by the terminate wave; the
         rest expire by TTL sweep -- nothing outlives the table TTL."""
         workload = topology.make_ring_coalition(4, seed=49)
-        dep = deploy_coalition(workload, fastpath=False, gem=True)
+        dep = deploy_coalition(workload)
         try:
             assert dep.authorize() is not None
             dep.clock.advance(gem.DEFAULT_TABLE_TTL + 1.0)
@@ -151,7 +384,7 @@ class TestGoalTables:
         """A local mutation makes every tabled DONE state stale: the
         hub wildcard subscription flushes the whole store."""
         workload = topology.make_ring_coalition(4, seed=50)
-        dep = deploy_coalition(workload, fastpath=False, gem=True)
+        dep = deploy_coalition(workload)
         try:
             assert dep.authorize() is not None
             home = next(h for h in dep.homes.values()
@@ -168,11 +401,11 @@ class TestGoalTables:
             dep.close()
 
     def test_duplicate_answer_never_caches_negative(self):
-        """A "duplicate" record is "no answer *yet*", not "no path":
-        it must not plant a negative entry in the PR-4 result cache
-        (the cyclic-topology negative-cache hazard)."""
+        """Nothing a cyclic coalition's search absorbs may plant a
+        negative entry for a home that has an answer (the
+        cyclic-topology negative-cache hazard)."""
         workload = topology.make_ring_coalition(4, seed=51)
-        dep = deploy_coalition(workload, fastpath=True, gem=True)
+        dep = deploy_coalition(workload)
         try:
             assert dep.authorize() is not None
             cache = dep.engine.result_cache
@@ -181,71 +414,18 @@ class TestGoalTables:
             dep.close()
 
     def test_gem_feeds_discovery_cache(self):
-        """Tabled answers land in the PR-4 result cache: a warm repeat
-        is answered locally, zero wire traffic."""
-        workload = topology.make_ring_coalition(4, seed=52)
-        dep = deploy_coalition(workload, fastpath=True, gem=True)
-        try:
-            assert dep.authorize() is not None
-            assert len(dep.engine.result_cache) > 0
-            before = dep.network.totals.messages
-            assert dep.authorize() is not None
-            assert dep.network.totals.messages == before
-        finally:
-            dep.close()
-
-
-class TestSwitches:
-    def test_global_switch_off_by_default(self):
-        workload = topology.make_ring_coalition(4, seed=53)
-        dep = deploy_coalition(workload, fastpath=False)
-        try:
-            assert not dep.engine.gem_active
-            stats = DiscoveryStats()
-            assert dep.authorize(stats=stats) is not None
-            assert dep.engine.gem_stats.to_dict()["roots"] == 0
-        finally:
-            dep.close()
-
-    def test_scoped_enables(self):
-        workload = topology.make_ring_coalition(4, seed=54)
-        dep = deploy_coalition(workload, fastpath=False)
-        try:
-            with gem.scoped(True):
-                assert dep.engine.gem_active
-                assert dep.authorize() is not None
-            assert dep.engine.gem_stats.to_dict()["roots"] == 1
-            assert not dep.engine.gem_active
-        finally:
-            dep.close()
-
-    def test_engine_pin_overrides_global(self):
-        workload = topology.make_ring_coalition(4, seed=55)
-        dep = deploy_coalition(workload, fastpath=False, gem=True)
-        try:
-            assert dep.engine.gem_active
-            with gem.scoped(False):
-                assert dep.engine.gem_active
-        finally:
-            dep.close()
-
-    def test_per_query_override(self):
-        workload = topology.make_ring_coalition(4, seed=56)
-        dep = deploy_coalition(workload, fastpath=False, gem=False)
-        try:
-            assert dep.authorize(gem=True) is not None
-            assert dep.engine.gem_stats.to_dict()["roots"] == 1
-        finally:
-            dep.close()
-
-    def test_env_variable_enables(self):
-        """DRBAC_GEM flips the module default in a fresh interpreter."""
-        code = ("from repro.discovery import gem; "
-                "import sys; sys.exit(0 if gem.enabled() else 1)")
-        env = dict(os.environ, DRBAC_GEM="1",
-                   PYTHONPATH=os.pathsep.join(sys.path))
-        assert subprocess.run([sys.executable, "-c", code],
-                              env=env).returncode == 0
-        env.pop("DRBAC_GEM")
-        assert subprocess.run([sys.executable, "-c", code],
-                              env=env).returncode == 1
+        """Tabled answers land in the result cache, and the engine
+        reads it back: once a bridge is revoked, the re-search asks
+        only the home whose closure the revocation invalidated."""
+        fed = build_distributed_federation(domains=6, users_per_domain=1)
+        assert fed.authorize(5, 0, 0) is not None
+        engine = fed.domains[0].engine
+        assert len(engine.result_cache) == 6
+        issuer, holder = fed.domains[2], fed.domains[3]
+        holder.home.wallet.revoke(issuer.principal, issuer.bridge.id)
+        assert len(engine.result_cache) == 5
+        stats = DiscoveryStats()
+        assert fed.authorize(5, 0, 0, stats=stats) is None
+        assert stats.wallets_contacted == {"wallet.d3.example"}
+        assert stats.rounds == 1
+        assert stats.cache_hits == 2

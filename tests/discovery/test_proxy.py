@@ -236,3 +236,56 @@ class TestEngineAuthorityCheck:
         proof = engine.discover(alice.entity, role,
                                 hints={subject_key(alice.entity): tag})
         assert proof is not None
+
+    def test_engine_skips_unauthorized_continuation_home(self, org, alice,
+                                                          clock):
+        """The authority check covers every home a search contacts, not
+        only the first: an authorized home's closure continues into a
+        host that cannot prove the tag's role, and the engine stops
+        there -- even though that host stores a genuine credential."""
+        from repro.core import (DiscoveryTag, EntityDirectory,
+                                SubjectFlag)
+        from repro.core.identity import create_principal
+        from repro.core.roles import subject_key
+        from repro.discovery.engine import DiscoveryEngine, DiscoveryStats
+
+        network = Network(clock=clock)
+        mid, role = Role(org.entity, "mid"), Role(org.entity, "r")
+        wallet_role = Role(org.entity, "wallet")
+
+        def tag(home):
+            return DiscoveryTag(home=home, auth_role_name="Org.wallet",
+                                ttl=30.0, subject_flag=SubjectFlag.SEARCH)
+
+        host = create_principal("HostCo")
+        good = Wallet(owner=host, address="good.home", clock=clock)
+        good.publish(issue(org, host.entity, wallet_role))
+        good.publish(issue(org, alice.entity, mid,
+                           object_tag=tag("rogue.home")))
+        WalletServer(network, good, principal=host)
+        rogue = create_principal("Rogue")
+        rogue_wallet = Wallet(owner=rogue, address="rogue.home",
+                              clock=clock)
+        rogue_wallet.publish(issue(org, mid, role,
+                                   subject_tag=tag("rogue.home")))
+        WalletServer(network, rogue_wallet, principal=rogue)
+
+        client = WalletServer(network,
+                              Wallet(owner=org, address="client",
+                                     clock=clock), principal=org)
+        engine = DiscoveryEngine(client, verify_home_authority=True,
+                                 entity_directory=EntityDirectory(
+                                     [org.entity]))
+        stats = DiscoveryStats()
+        proof = engine.discover(
+            alice.entity, role, stats=stats,
+            hints={subject_key(alice.entity): tag("good.home")})
+        assert proof is None
+        assert stats.wallets_contacted == {"good.home"}
+        assert stats.wallets_rejected == {"rogue.home"}
+        assert network.messages_from("client", "notify:gem_eval") == 1
+        # The same search with the check off does follow the tag.
+        trusting = DiscoveryEngine(client)
+        assert trusting.discover(
+            alice.entity, role,
+            hints={subject_key(alice.entity): tag("good.home")}) is not None

@@ -145,6 +145,18 @@ class TestNonCanonicalRejected:
             canonical_decode(swapped)
 
 
+def _proof_refs(payload):
+    """Every ``{"ref": id}`` placeholder in a session-encoded proof."""
+    stack = [payload]
+    while stack:
+        node = stack.pop()
+        for entry in node["chain"]:
+            if "ref" in entry:
+                yield entry["ref"]
+        for proofs_ in node.get("supports", {}).values():
+            stack.extend(proofs_)
+
+
 class TestSessionEncoding:
     @given(st.lists(proofs(), min_size=1, max_size=4))
     @settings(max_examples=20, deadline=None)
@@ -161,7 +173,7 @@ class TestSessionEncoding:
         # ...and every ref points at something already shipped.
         seen = set()
         for payload in payloads:
-            refs = set(wire.proof_refs(payload))
+            refs = set(_proof_refs(payload))
             full = {d.id for d in wire.proof_full_delegations(payload)}
             assert refs <= (seen | full)
             seen |= full

@@ -85,16 +85,13 @@ class TestRogueWallet:
         target = Role(org.entity, "admin")
 
         class LyingServer(WalletServer):
-            def _rpc_direct_query(self, _src, params):
-                # Serve a forged proof regardless of what's asked.
+            def _rpc_gem_eval(self, src, params):
+                # Answer a forged closure regardless of what's asked.
                 forged = Proof.single(
                     issue(rogue, alice.entity, target))
-                return forged.to_dict()
-
-            def _rpc_subject_query(self, _src, params):
-                forged = Proof.single(
-                    issue(rogue, alice.entity, target))
-                return [forged.to_dict()]
+                table = self.gem_tables.get_or_create(
+                    params["root"], src, 0.0)
+                self._gem_push_answers(table, params, [forged], "done")
 
         rogue_wallet = Wallet(owner=rogue, address="rogue.home",
                               clock=clock)
@@ -120,6 +117,9 @@ class TestRogueWallet:
         assert len(client.wallet) == 0
         assert stats.delegations_rejected > 0
         assert stats.delegations_cached == 0
+        # A closure the publication checks took apart is not the
+        # home's answer: nothing of it may be served to a later search.
+        assert len(engine.result_cache) == 0
 
     def test_forged_proof_fails_independent_validation(
             self, rogue_deployment, org, alice):

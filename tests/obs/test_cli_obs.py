@@ -23,8 +23,9 @@ class TestMetricsCommand:
         samples = parse_prometheus_text(capsys.readouterr().out)
         for name in ("drbac_wallet_authorizations_total",
                      "drbac_discovery_runs_total",
-                     "drbac_rpc_calls_total",
-                     "drbac_switchboard_handshakes_completed_total",
+                     "drbac_rpc_notifies_total",
+                     "drbac_gem_evals_issued_total",
+                     "drbac_gem_evals_served_total",
                      "drbac_crypto_memo_misses_total"):
             assert sample_total(samples, name) > 0, name
 
@@ -59,7 +60,7 @@ class TestTraceCommand:
         assert events
         names = {e["name"] for e in events}
         assert {"wallet.authorize", "discovery.discover",
-                "rpc.call_batch", "crypto.verify"} <= names
+                "discovery.gem_eval", "wallet.publish"} <= names
         roots = [e for e in events if "parent_id" not in e["args"]]
         assert [e["name"] for e in roots] == ["wallet.authorize"]
         ids = {e["args"]["span_id"] for e in events}

@@ -40,7 +40,8 @@ CODEC_KEYS = {
     "intern_hit_rate": float, "atoms": int,
 }
 
-# Contract v1 -- DiscoveryStats.to_dict().
+# Contract v2 -- DiscoveryStats.to_dict() (v1's batch/session/dedup
+# block left with the code it described).
 DISCOVERY_STATS_KEYS = {
     "local_hit": bool,
     "remote_direct_queries": int, "remote_subject_queries": int,
@@ -48,10 +49,7 @@ DISCOVERY_STATS_KEYS = {
     "wallets_contacted": list, "wallets_rejected": list,
     "delegations_cached": int, "delegations_rejected": int,
     "subscriptions_established": int, "rounds": int,
-    "batch_rpcs": int, "coalesced_queries": int, "deduped_queries": int,
     "cache_hits": int, "cache_negative_hits": int, "cache_misses": int,
-    "dedup_refs": int, "pulls": int,
-    "handshakes": int, "sessions_reused": int,
     "wire_messages": int, "wire_bytes": int,
 }
 
@@ -63,12 +61,14 @@ DISCOVERY_CACHE_KEYS = {
     "entries": int, "maxsize": int,
 }
 
-# Contract v1 -- DiscoveryEngine.gem_info() / cache_info()["gem"].
+# Contract v2 -- DiscoveryEngine.gem_info() / cache_info()["gem"]
+# (v1 + "answers_dropped"; "active" left with the switch).
 GEM_INFO_KEYS = {
     "roots": int, "evals_issued": int, "answers_received": int,
-    "answer_records": int, "terminates_sent": int, "evals_served": int,
+    "answers_dropped": int, "answer_records": int,
+    "terminates_sent": int, "evals_served": int,
     "loops_detected": int, "answers_pushed": int, "table_flushes": int,
-    "active": bool, "tables": int,
+    "tables": int,
 }
 
 
@@ -198,8 +198,7 @@ class TestGemInfoContract:
         cache_info()["gem"] -- keys and types pinned."""
         from repro.workloads.scenarios import deploy_coalition
         from repro.workloads.topology import make_ring_coalition
-        dep = deploy_coalition(make_ring_coalition(2, seed=61),
-                               fastpath=False, gem=True)
+        dep = deploy_coalition(make_ring_coalition(2, seed=61))
         try:
             assert dep.authorize() is not None
             info = dep.server.wallet.cache_info()["gem"]

@@ -2,14 +2,16 @@
 
 The acceptance claim of the observability layer: a single
 ``Wallet.authorize`` over distributed discovery yields ONE connected
-span tree covering the discovery run, its batch RPCs, the transport
-handshakes, and the signature verifications -- with the metrics
-registry agreeing about what happened.
+span tree covering the discovery run, the goals it sends, the homes'
+searches on the far side, the insertions and the signature
+verifications -- with the metrics registry agreeing about what
+happened.
 """
 
 import pytest
 
 from repro import obs
+from repro.crypto import verify_cache
 from repro.workloads import build_distributed_case_study
 
 
@@ -30,8 +32,12 @@ def authorized_case():
         # authorize alone.  reset() zeroes instruments in place, so
         # the live stats objects stay coherent.
         obs.reset()
-        proof = d.server.wallet.authorize(
-            d.case.maria.entity, d.case.airnet_access)
+        # A fresh signature memo: what the build verified while
+        # publishing must be verified again by the wallet that now
+        # receives it over the wire.
+        with verify_cache.scoped():
+            proof = d.server.wallet.authorize(
+                d.case.maria.entity, d.case.airnet_access)
     assert proof is not None
     return d, obs.tracer().finished()
 
@@ -58,8 +64,8 @@ class TestSpanTree:
         _, spans = authorized_case
         names = {s.name for s in spans}
         for required in ("wallet.authorize", "discovery.discover",
-                         "discovery.batch", "rpc.call_batch",
-                         "net.handshake", "crypto.verify"):
+                         "discovery.gem_eval", "wallet.search",
+                         "wallet.publish", "crypto.verify"):
             assert required in names, f"missing {required} span"
 
     def test_intervals_nest(self, authorized_case):
@@ -94,12 +100,14 @@ class TestMetricsAgree:
         assert registry.total("drbac_wallet_authorizations_total") == 1
         assert registry.total("drbac_discovery_runs_total") == 1
         assert registry.total("drbac_discovery_local_hits_total") == 0
-        assert registry.total("drbac_rpc_calls_total") >= 2
-        # Both endpoints of a handshake count it (each switchboard is
-        # its own labeled instance): two channels -> four increments
-        # registry-wide, two on the server's own switchboard.
+        # One goal out and one answer back per home, nothing else: no
+        # query or subscribe round trips, no handshakes.
+        assert registry.total("drbac_rpc_notifies_total") == 4
+        assert registry.total("drbac_rpc_calls_total") == 0
+        assert registry.total("drbac_gem_evals_issued_total") == 2
+        assert registry.total("drbac_gem_evals_served_total") == 2
         assert registry.total(
-            "drbac_switchboard_handshakes_completed_total") == 4
+            "drbac_switchboard_handshakes_completed_total") == 0
 
     def test_discovery_histogram_observed_once(self, authorized_case):
         hists = [h for h in obs.registry().histograms()
@@ -109,8 +117,9 @@ class TestMetricsAgree:
     def test_legacy_surfaces_stay_live(self, authorized_case):
         d, _ = authorized_case
         info = d.engine.discovery_info()
-        assert info["stats"]["batch_rpcs"] > 0
-        assert info["sessions"]["handshakes_completed"] == 2
+        assert info["stats"]["rounds"] == 2
+        assert info["result_cache"]["stores"] == 2
+        assert d.engine.gem_info()["answers_received"] == 2
 
 
 class TestLocalShortCircuit:

@@ -116,33 +116,44 @@ class TestDistributedScenario:
         assert monitor is not None and monitor.valid
 
     def test_message_flow_matches_walkthrough(self):
-        """Steps 3-4 under the seed protocol: one subject query at
-        BigISP's home, direct queries per frontier role, subscriptions
-        for every fetched delegation."""
+        """Steps 3-4 as the paper walks them (the seed frontier walk,
+        kept as ``tests/discovery/seed_oracle.py``): one subject query
+        at BigISP's home, direct queries per frontier role,
+        subscriptions for every fetched delegation."""
         from repro.workloads.scenarios import build_distributed_case_study
-        d = build_distributed_case_study(fastpath=False)
-        d.run_steps_1_to_5()
+        from tests.discovery.seed_oracle import seed_discover
+        d = build_distributed_case_study()
+        d.server.wallet.publish(d.case.d1_maria_member)
+        proof = seed_discover(d.server, d.case.maria.entity,
+                              d.case.airnet_access)
+        assert proof is not None
         by_topic = {topic: stats.messages
                     for topic, stats in d.network.by_topic.items()}
         assert by_topic.get("rpc:subject_query") == 1
         assert by_topic.get("rpc:direct_query") == 2
         assert by_topic.get("rpc:subscribe") == 7
+        assert d.network.totals.messages == 20
 
     def test_message_flow_fastpath(self):
-        """The same walkthrough over the fast path: the ten sequential
-        RPCs collapse into two coalesced batches (one per home) and two
-        batched subscribe calls, with no sequential query topics at all;
-        the granted attributes are unchanged."""
+        """The same walkthrough as the engine runs it: the ten
+        sequential RPCs collapse into one goal and one answer push per
+        home, subscriptions established at the source while it ships
+        -- no query, subscribe or handshake round trips at all; the
+        granted attributes are unchanged."""
+        from repro.discovery.engine import DiscoveryStats
         from repro.workloads.scenarios import build_distributed_case_study
-        d = build_distributed_case_study(fastpath=True)
-        proof = d.run_steps_1_to_5()
+        d = build_distributed_case_study()
+        d.server.wallet.publish(d.case.d1_maria_member)
+        stats = DiscoveryStats()
+        proof = d.engine.discover(d.case.maria.entity,
+                                  d.case.airnet_access, stats=stats)
         assert proof is not None
         grants = proof.grants(d.case.base_allocations())
         assert grants[d.case.bw] == EXPECTED_BW
         by_topic = {topic: stats.messages
                     for topic, stats in d.network.by_topic.items()}
-        assert by_topic.get("rpc:discover_batch") == 2
-        assert by_topic.get("rpc:subscribe") == 2
-        assert "rpc:subject_query" not in by_topic
-        assert "rpc:direct_query" not in by_topic
-        assert "rpc:get_delegation" not in by_topic
+        assert by_topic == {"notify:gem_eval": 2, "notify:gem_answers": 2}
+        assert stats.wallets_contacted == {"wallet.bigISP.com",
+                                           "wallet.airnet.com"}
+        assert stats.delegations_cached == 2      # (2) and (6)
+        assert stats.subscriptions_established == 7

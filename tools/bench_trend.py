@@ -7,7 +7,7 @@ and CI commits the full-run artifacts at the repo root, so git history
 This tool walks that history::
 
     python tools/bench_trend.py                  # all BENCH_*.json
-    python tools/bench_trend.py BENCH_gem_eval.json --tolerance 0.15
+    python tools/bench_trend.py BENCH_proof_cache.json --tolerance 0.15
 
 For each file it collects every historical version (``git log`` +
 ``git show rev:path``) plus the working copy, extracts the numeric

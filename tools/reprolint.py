@@ -114,7 +114,7 @@ OBS_INSTRUMENTED_SUFFIXES = (
 OBS_COUNTER_SUFFIXES = (
     "hits", "misses", "evictions", "stores", "invalidations",
     "expirations", "handshakes", "completed", "rejected", "reused",
-    "published", "delivered", "runs", "pulls",
+    "published", "delivered", "runs",
 )
 
 # The service layer must go through injected handles; these module
