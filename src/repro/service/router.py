@@ -29,8 +29,9 @@ from repro.workloads.scenarios import ServicePopulation
 from .ring import ConsistentHashRing, DEFAULT_VNODES
 from .shard import (
     DEFAULT_MEMO_MAXSIZE, DEFAULT_QUEUE_DEPTH,
-    InlineShard, ProcessShard, ShardRuntime, ThreadShard,
+    InlineShard, ProcessShard, ShardRuntime, ThreadShard, response_for,
 )
+from .transport import encode_frame
 
 STATUS_OK = "ok"
 STATUS_DENIED = "denied"
@@ -126,11 +127,24 @@ class Router:
 
     def _shed_response(self, request: dict, shard_id: str) -> dict:
         self._c_shed[shard_id].inc()
-        response = {"status": STATUS_RETRY_LATER, "shard": shard_id,
-                    "retry_after_ms": self.config.retry_after_ms}
-        if "id" in request:
-            response["id"] = request["id"]
-        return response
+        return response_for(request, STATUS_RETRY_LATER, shard_id,
+                            retry_after_ms=self.config.retry_after_ms)
+
+    def _admit(self, request: dict):
+        """Ring lookup and admission control: ``(backend, None)`` to
+        go ahead, ``(None, response)`` when refused (no ``ns``) or shed."""
+        ns = request.get("ns")
+        if not isinstance(ns, str):
+            return None, {"status": STATUS_ERROR,
+                          "error": "request missing 'ns'"}
+        shard_id = self.ring.lookup(ns)
+        backend = self._backends[shard_id]
+        self._c_requests[shard_id].inc()
+        depth = backend.pending()
+        self._g_depth[shard_id].set(depth)
+        if depth >= self.config.high_watermark:
+            return None, self._shed_response(request, shard_id)
+        return backend, None
 
     def submit_nowait(self, request: dict) -> "Future[dict]":
         """Admit (or shed) a request; returns a future response.
@@ -138,28 +152,16 @@ class Router:
         Shed decisions resolve immediately with ``RETRY_LATER``; the
         caller never blocks on a saturated shard.
         """
-        ns = request.get("ns")
-        if not isinstance(ns, str):
-            future: "Future[dict]" = Future()
-            future.set_result({"status": STATUS_ERROR,
-                               "error": "request missing 'ns'"})
-            return future
-        shard_id = self.ring.lookup(ns)
-        backend = self._backends[shard_id]
-        self._c_requests[shard_id].inc()
-        depth = backend.pending()
-        self._g_depth[shard_id].set(depth)
-        if depth >= self.config.high_watermark:
-            future = Future()
-            future.set_result(self._shed_response(request, shard_id))
-            return future
-        try:
-            return backend.submit(request)
-        except queue.Full:
-            # Bounded queue filled between the check and the put.
-            future = Future()
-            future.set_result(self._shed_response(request, shard_id))
-            return future
+        backend, response = self._admit(request)
+        if backend is not None:
+            try:
+                return backend.submit(request)
+            except queue.Full:
+                # Bounded queue filled between the check and the put.
+                response = self._shed_response(request, backend.shard_id)
+        future: "Future[dict]" = Future()
+        future.set_result(response)
+        return future
 
     def submit(self, request: dict) -> dict:
         """Synchronous request/response through admission control."""
@@ -167,6 +169,29 @@ class Router:
         response = self.submit_nowait(request).result()
         self._h_latency.observe(perf_counter() - started)
         return response
+
+    async def attach(self) -> None:
+        """Give the running event loop the process shards' pipes."""
+        for backend in self._backends.values():
+            if isinstance(backend, ProcessShard):
+                await backend.attach()
+
+    async def relay(self, request: dict, payload: bytes) -> bytes:
+        """``submit`` for the socket server's loop: the response *frame*
+        for the request decoded from ``payload``.  A process shard gets
+        ``payload`` as it came, and its answer is passed on as it comes."""
+        started = perf_counter()
+        backend, response = self._admit(request)
+        frame = None
+        if backend is not None:
+            try:
+                frame = await backend.serve_frame(request, payload)
+            except queue.Full:
+                response = self._shed_response(request, backend.shard_id)
+        if frame is None:
+            frame = encode_frame(response)
+        self._h_latency.observe(perf_counter() - started)
+        return frame
 
     # -- inspection ---------------------------------------------------------
 

@@ -5,15 +5,15 @@ it, plus the scoped infrastructure those wallets share: a private
 :class:`~repro.obs.MetricsRegistry`/:class:`~repro.obs.Tracer` pair, a
 private :class:`~repro.crypto.verify_cache.VerificationMemo`, and a
 pinned discovery fast-path switch.  Nothing a shard does leaks into
-the process-global registries -- the ``service-injection`` reprolint
-rule keeps it that way -- so shards compose: one per process, N per
-process, or forked workers, all with identical behavior.
+the process-global registries -- reprolint's ``service-injection`` and
+the concurrency analyzer's ``scope-escape`` keep it that way -- so
+shards compose: one per process, N per process, or forked workers,
+all with identical behavior.
 
-Partitioned memos are the scaling mechanism on a CPU-bound host: each
-shard's 8192-entry memo covers only *its* namespaces' hot credentials,
-so N shards hold N memos' worth of hot set.  A working set that
-thrashes one memo fits in two -- docs/PERFORMANCE.md ("Service layer")
-quantifies the effect.
+Each shard's 8192-entry memo covers only *its* namespaces' hot
+credentials, so N shards hold N memos' worth of hot set; process
+shards add real parallelism on top.  docs/PERFORMANCE.md ("Service
+layer") has the numbers for both.
 
 Backends
 --------
@@ -22,13 +22,20 @@ Backends
                        overhead; what the scaling benchmark measures).
 :class:`ThreadShard`   a worker thread behind a bounded queue (gives
                        the router real queue depths to shed against).
-:class:`ProcessShard`  a forked ``multiprocessing`` worker; the child
-                       rebuilds the runtime from the population spec,
-                       so only plain request/response dicts cross the
-                       pipe.
+:class:`ProcessShard`  a forked worker on one end of a socketpair; the
+                       child rebuilds the runtime from the population
+                       spec and does the decoding and encoding, so a
+                       request's canonical bytes cross the parent as
+                       they came (``transport.pipe_frame``).
+
+Every backend answers ``submit(request) -> Future[dict]`` for callers
+without an event loop and ``await serve_frame(request, payload) ->
+bytes`` (the response frame) for the socket server's loop.
 """
 
+import asyncio
 import queue
+import socket
 import threading
 from concurrent.futures import Future
 from contextlib import contextmanager
@@ -45,12 +52,27 @@ from repro.obs import MetricsRegistry, Tracer
 from repro.wallet.wallet import Wallet
 from repro.workloads.scenarios import SERVICE_EPOCH, ServicePopulation
 
+from .transport import (
+    HEADER, PIPE_MAX_FRAME, FrameDecoder, decode_payload, encode_frame,
+    encode_payload, pipe_frame, split_pipe_frame,
+)
+
 DEFAULT_MEMO_MAXSIZE = verify_cache.DEFAULT_MAXSIZE
 DEFAULT_QUEUE_DEPTH = 64
 
 _STATUS_OK = "ok"
 _STATUS_DENIED = "denied"
 _STATUS_ERROR = "error"
+
+
+def response_for(request: dict, status: str, shard_id: str,
+                 **fields) -> dict:
+    """A response from ``shard_id``, echoing the request's ``id``."""
+    response = {"status": status, "shard": shard_id}
+    if "id" in request:
+        response["id"] = request["id"]
+    response.update(fields)
+    return response
 
 
 class ShardContext:
@@ -118,11 +140,7 @@ class ShardRuntime:
     # -- dispatch -----------------------------------------------------------
 
     def _response(self, request: dict, status: str, **fields) -> dict:
-        response = {"status": status, "shard": self.shard_id}
-        if "id" in request:
-            response["id"] = request["id"]
-        response.update(fields)
-        return response
+        return response_for(request, status, self.shard_id, **fields)
 
     def _home_for(self, request: dict) -> Tuple[Wallet, object]:
         ns = request["ns"]
@@ -207,6 +225,9 @@ class InlineShard:
         future.set_result(self.runtime.handle(request))
         return future
 
+    async def serve_frame(self, request: dict, _payload: bytes) -> bytes:
+        return encode_frame(self.runtime.handle(request))
+
     def close(self) -> None:
         pass
 
@@ -247,6 +268,9 @@ class ThreadShard:
             raise
         return future
 
+    async def serve_frame(self, request: dict, _payload: bytes) -> bytes:
+        return encode_frame(await asyncio.wrap_future(self.submit(request)))
+
     def _run(self) -> None:
         while True:
             item = self._queue.get()
@@ -268,30 +292,44 @@ class ThreadShard:
 
 def _process_worker(shard_id: str, population_spec: dict,
                     namespaces: List[str], memo_maxsize: int,
-                    requests, responses) -> None:
-    """Forked worker main loop: rebuild the runtime, serve until None."""
+                    pipe: socket.socket, parent_end: socket.socket) -> None:
+    """Forked worker main loop: rebuild the runtime, then decode,
+    handle and encode frame by frame until the parent hangs up."""
+    parent_end.close()      # or the parent's death would never read as EOF
     runtime = ShardRuntime(
         shard_id, ServicePopulation(**population_spec), namespaces,
         memo_maxsize=memo_maxsize)
+    decoder = FrameDecoder(max_frame=PIPE_MAX_FRAME)
     while True:
-        item = requests.get()
-        if item is None:
+        data = pipe.recv(65536)
+        if not data:
             return
-        request_id, request = item
-        try:
-            response = runtime.handle(request)
-        except BaseException as exc:  # keep serving; report the failure
-            response = {"status": _STATUS_ERROR, "shard": shard_id,
-                        "error": f"{type(exc).__name__}: {exc}"}
-        responses.put((request_id, response))
+        for body in decoder.frames(data):
+            request_id, payload = split_pipe_frame(body)
+            try:
+                answer = encode_payload(
+                    runtime.handle(decode_payload(payload)))
+            except Exception as exc:    # keep serving; report the failure
+                answer = encode_payload(
+                    {"status": _STATUS_ERROR, "shard": shard_id,
+                     "error": f"{type(exc).__name__}: {exc}"})
+            pipe.sendall(pipe_frame(request_id, answer))
 
 
-class ProcessShard:
-    """A forked ``multiprocessing`` worker behind request/response pipes.
+class ProcessShard(asyncio.Protocol):
+    """A forked ``multiprocessing`` worker behind one socketpair.
 
     The child rebuilds its :class:`ShardRuntime` from the population
     *spec* (seed + sizes), so parent and child agree on every key and
     credential byte without shipping objects across the fork.
+
+    The parent end has two users, never at once, and neither needs a
+    helper thread.  Until :meth:`attach`, ``submit`` callers take turns
+    to send one request and read the pipe until it is answered; after
+    it the event loop owns the socket for good and ``serve_frame``
+    writes through a transport whose protocol is this object.  Both
+    wait on ``_waiting[request id]``, so ``pending()`` is honest either
+    way, and a dead worker answers ``shard-unavailable`` from then on.
     """
 
     def __init__(self, shard_id: str, population_spec: dict,
@@ -299,60 +337,104 @@ class ProcessShard:
                  memo_maxsize: int = DEFAULT_MEMO_MAXSIZE,
                  queue_depth: int = DEFAULT_QUEUE_DEPTH) -> None:
         import multiprocessing
-        context = multiprocessing.get_context("fork")
         self.shard_id = shard_id
-        self._requests = context.Queue(maxsize=queue_depth)
-        self._responses = context.Queue()
-        self._futures: Dict[int, "Future[dict]"] = {}
+        self._queue_depth = queue_depth
+        self._sock, worker_end = socket.socketpair()
+        self._decoder = FrameDecoder(max_frame=PIPE_MAX_FRAME)
+        self._waiting: Dict[int, Future] = {}   # or asyncio futures
         self._next_id = 0
-        self._lock = threading.Lock()
-        self._process = context.Process(
+        self._admission = threading.Lock()
+        self._turn = threading.Lock()
+        self._transport: Optional[asyncio.Transport] = None
+        self._process = multiprocessing.get_context("fork").Process(
             target=_process_worker,
             args=(shard_id, population_spec, namespaces, memo_maxsize,
-                  self._requests, self._responses),
+                  worker_end, self._sock),
             daemon=True)
         self._process.start()
-        self._reader = threading.Thread(
-            target=self._drain, name=f"{shard_id}-reader", daemon=True)
-        self._reader.start()
+        worker_end.close()
 
     def pending(self) -> int:
-        with self._lock:
-            return len(self._futures)
+        return len(self._waiting)
+
+    def _admit(self, waiter) -> int:
+        with self._admission:
+            if len(self._waiting) >= self._queue_depth:
+                raise queue.Full
+            request_id = self._next_id
+            self._next_id = (request_id + 1) & 0xFFFFFFFF
+            self._waiting[request_id] = waiter
+        return request_id
+
+    def data_received(self, data: bytes) -> None:
+        for body in self._decoder.frames(data):
+            request_id, answer = split_pipe_frame(body)
+            # No entry: the caller was cancelled or interrupted.
+            waiter = self._waiting.get(request_id)
+            if waiter is not None and not waiter.done():
+                waiter.set_result(answer)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        for waiter in list(self._waiting.values()):
+            if not waiter.done():
+                waiter.set_result(None)
+
+    def _unavailable(self, request: dict) -> dict:
+        return response_for(request, _STATUS_ERROR, self.shard_id,
+                            error="shard-unavailable")
 
     def submit(self, request: dict) -> "Future[dict]":
-        future: "Future[dict]" = Future()
-        with self._lock:
-            request_id = self._next_id
-            self._next_id += 1
-            self._futures[request_id] = future
+        if self._transport is not None:
+            raise RuntimeError(
+                f"{self.shard_id}'s pipe belongs to the event loop")
+        payload = encode_payload(request)
+        waiter: "Future[Optional[bytes]]" = Future()
+        request_id = self._admit(waiter)
         try:
-            self._requests.put_nowait((request_id, request))
-        except queue.Full:
-            with self._lock:
-                self._futures.pop(request_id, None)
-            raise
+            with self._turn:
+                self._sock.sendall(pipe_frame(request_id, payload))
+                while not waiter.done():
+                    data = self._sock.recv(65536)
+                    if not data:
+                        raise ConnectionError("shard worker hung up")
+                    self.data_received(data)
+        except OSError:
+            self.connection_lost(None)
+        finally:
+            self._waiting.pop(request_id, None)
+        answer = waiter.result()
+        future: "Future[dict]" = Future()
+        future.set_result(self._unavailable(request) if answer is None
+                          else decode_payload(answer))
         return future
 
-    def _drain(self) -> None:
-        while True:
-            item = self._responses.get()
-            if item is None:
-                return
-            request_id, response = item
-            with self._lock:
-                future = self._futures.pop(request_id, None)
-            if future is not None:
-                future.set_result(response)
+    async def attach(self) -> None:
+        """Hand the pipe to the running event loop."""
+        self._transport, _ = await asyncio.get_running_loop() \
+            .create_connection(lambda: self, sock=self._sock)
+
+    async def serve_frame(self, request: dict, payload: bytes) -> bytes:
+        waiter = asyncio.get_running_loop().create_future()
+        request_id = self._admit(waiter)
+        try:
+            answer = None
+            if not self._transport.is_closing():
+                self._transport.write(pipe_frame(request_id, payload))
+                answer = await waiter
+        finally:
+            self._waiting.pop(request_id, None)
+        if answer is None:
+            return encode_frame(self._unavailable(request))
+        return HEADER.pack(len(answer)) + answer
 
     def close(self) -> None:
         try:
-            self._requests.put(None, timeout=1.0)
-        except queue.Full:
-            pass
+            self._sock.shutdown(socket.SHUT_RDWR)   # the worker reads EOF
+        except OSError:
+            pass                # the transport closed it on worker death
         self._process.join(timeout=5.0)
         if self._process.is_alive():
             self._process.terminate()
             self._process.join(timeout=5.0)
-        self._responses.put(None)
-        self._reader.join(timeout=5.0)
+        if self._transport is None:     # else the transport owns it
+            self._sock.close()

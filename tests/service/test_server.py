@@ -1,0 +1,269 @@
+"""The socket server itself, in front of each kind of shard.
+
+Every test runs ``ServiceServer`` and its clients on one event loop in
+the test's own thread, so what a client reads are the bytes the server
+wrote and any thread the service started shows in
+``threading.active_count()``.  The reference throughout is a separate
+inline ``Router`` over the same population: whatever shard answered,
+the frame on the wire must be ``encode_frame`` of that router's
+response dict.
+"""
+
+import asyncio
+import multiprocessing
+import os
+import signal
+import threading
+
+import pytest
+
+from repro.crypto.encoding import canonical_decode, canonical_encode
+from repro.obs import MetricsRegistry
+from repro.service import (
+    Router,
+    RouterConfig,
+    STATUS_ERROR,
+    STATUS_OK,
+    STATUS_RETRY_LATER,
+    ServiceServer,
+    encode_frame,
+)
+from repro.service.transport import HEADER
+from repro.workloads.scenarios import SERVICE_EPOCH
+
+from .test_service import POP, _authorize, reference_proof_bytes
+
+MODES = ("inline", "thread", "process")
+TIMEOUT = 20.0
+
+
+def _serve(mode, scenario, **config):
+    """Run ``scenario(router, port)`` against a started server, then
+    stop the server and close the router, all on one loop."""
+    router = Router(POP, RouterConfig(shards=2, mode=mode, **config),
+                    registry=MetricsRegistry())
+
+    async def main():
+        server = ServiceServer(router)
+        try:
+            await server.start()
+            return await asyncio.wait_for(
+                scenario(router, server.port), TIMEOUT)
+        finally:
+            await server.stop()
+            router.close()
+            await asyncio.sleep(0.05)   # the loop sees the pipes close
+
+    return asyncio.run(main())
+
+
+async def _read_frame(reader):
+    """One raw frame off the socket, header included."""
+    header = await reader.readexactly(HEADER.size)
+    (length,) = HEADER.unpack(header)
+    return header + await reader.readexactly(length)
+
+
+async def _call(reader, writer, request):
+    writer.write(encode_frame(request))
+    return canonical_decode((await _read_frame(reader))[HEADER.size:])
+
+
+def _on(router, shard_id, count):
+    """``count`` principals whose namespace lives on ``shard_id``."""
+    indices = [i for i in range(POP.population) if router.route(
+        POP.namespace(POP.domain_of(i))) == shard_id]
+    return indices[:count]
+
+
+def _worker_pid(router, shard_id):
+    return router._backends[shard_id]._process.pid
+
+
+async def _until(condition):
+    while not condition():
+        await asyncio.sleep(0.002)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_frames_are_the_inline_routers_response_encoded(mode):
+    revoked = 123
+    namespace = POP.namespace(POP.domain_of(revoked))
+    requests = [_authorize(index) for index in (0, 41, 399)] + [
+        {"op": "ping", "ns": POP.namespace(3), "id": 9},
+        {"op": "publish", "ns": namespace,
+         "credential": POP.credential(revoked).to_dict()},
+        {"op": "revoke", "ns": namespace, "revocation": POP.revocation(
+            revoked, revoked_at=SERVICE_EPOCH).to_dict()},
+        _authorize(revoked),                            # denied
+        {"op": "authorize"},                            # no ns
+        {"op": "authorize", "ns": "nowhere.example"},   # not homed
+        {"op": "frobnicate", "ns": POP.namespace(0)},
+    ]
+    reference = Router(POP, RouterConfig(shards=2, mode="inline"),
+                       registry=MetricsRegistry())
+    expected = [reference.submit(request) for request in requests]
+    assert [r["status"] for r in expected[:3]] == [STATUS_OK] * 3
+    assert {r["status"] for r in expected[3:]} >= {"denied", STATUS_ERROR}
+
+    async def scenario(_router, port):
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        frames = []
+        for request in requests:
+            writer.write(encode_frame(request))
+            frames.append(await _read_frame(reader))
+        writer.close()
+        return frames
+
+    frames = _serve(mode, scenario)
+    assert frames == [encode_frame(response) for response in expected]
+    for frame, index in zip(frames, (0, 41, 399)):
+        proof = canonical_decode(frame[HEADER.size:])["proof"]
+        assert canonical_encode(proof) == reference_proof_bytes(index)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_back_to_back_requests_are_answered_in_order(mode):
+    # Neighbouring requests go to different shards, whose answers may
+    # be ready out of order.
+    async def scenario(router, port):
+        first, second = _on(router, "shard-0", 4), _on(router, "shard-1", 4)
+        indices = [i for pair in zip(first, second) for i in pair]
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(b"".join(
+            encode_frame(dict(_authorize(index), id=number))
+            for number, index in enumerate(indices)))
+        answers = [canonical_decode((await _read_frame(reader))[4:])
+                   for _ in indices]
+        writer.close()
+        return answers
+
+    answers = _serve(mode, scenario)
+    assert [a["id"] for a in answers] == list(range(8))
+    assert [a["shard"] for a in answers] == ["shard-0", "shard-1"] * 4
+    assert all(a["status"] == STATUS_OK for a in answers)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_garbage_frame_closes_only_its_own_connection(mode):
+    async def scenario(_router, port):
+        good = await asyncio.open_connection("127.0.0.1", port)
+        assert (await _call(*good, _authorize(1)))["status"] == STATUS_OK
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        junk = b"\xff\xfe\xfd\xfc"
+        writer.write(HEADER.pack(len(junk)) + junk + encode_frame(
+            {"op": "ping", "ns": POP.namespace(0)}))
+        answer = canonical_decode((await _read_frame(reader))[4:])
+        assert await reader.read() == b"", "one answer, then a close"
+        writer.close()
+        assert (await _call(*good, _authorize(2)))["status"] == STATUS_OK
+        good[1].close()
+        return answer
+
+    answer = _serve(mode, scenario)
+    assert answer["status"] == STATUS_ERROR
+    assert answer["error"] == "bad-frame"
+    assert "garbage" in answer["detail"]
+
+
+def test_process_shards_add_no_thread_and_leave_no_child():
+    threads_before = threading.active_count()
+    children_before = set(multiprocessing.active_children())
+
+    async def scenario(router, port):
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        for index in range(20):
+            response = await _call(reader, writer, _authorize(index))
+            assert response["status"] == STATUS_OK
+            assert threading.active_count() == threads_before
+        writer.close()
+        return set(multiprocessing.active_children()) - children_before
+
+    workers = _serve("process", scenario)
+    assert len(workers) == 2
+    assert not any(worker.is_alive() for worker in workers)
+    assert set(multiprocessing.active_children()) == children_before
+    assert threading.active_count() == threads_before
+
+
+def test_killed_worker_answers_typed_on_the_socket():
+    async def scenario(router, port):
+        doomed, healthy = _on(router, "shard-0", 6), _on(router, "shard-1", 3)
+        backend = router._backends["shard-0"]
+        worker = _worker_pid(router, "shard-0")
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        assert (await _call(reader, writer,
+                            _authorize(doomed[0])))["status"] == STATUS_OK
+        # Mid-load: five connections each with a request in the pipe.
+        os.kill(worker, signal.SIGSTOP)
+        in_flight = []
+        for index in doomed[:5]:
+            connection = await asyncio.open_connection("127.0.0.1", port)
+            connection[1].write(encode_frame(dict(_authorize(index),
+                                                  id=index)))
+            in_flight.append(connection)
+        await _until(lambda: backend.pending() == 5)
+        os.kill(worker, signal.SIGKILL)
+        answers = []
+        for connection_reader, connection_writer in in_flight:
+            answers.append(canonical_decode(
+                (await _read_frame(connection_reader))[4:]))
+            connection_writer.close()
+        assert answers == [
+            {"status": STATUS_ERROR, "error": "shard-unavailable",
+             "shard": "shard-0", "id": index} for index in doomed[:5]]
+        assert backend.pending() == 0
+        later = await _call(reader, writer, _authorize(doomed[5]))
+        assert later == {"status": STATUS_ERROR, "shard": "shard-0",
+                         "error": "shard-unavailable"}
+        for index in healthy:
+            response = await _call(reader, writer, _authorize(index))
+            assert response["status"] == STATUS_OK
+            assert response["shard"] == "shard-1"
+        writer.close()
+
+    _serve("process", scenario)
+
+
+def test_socket_overload_sheds_and_a_vanished_client_leaks_nothing():
+    async def scenario(router, port):
+        backend = router._backends["shard-0"]
+        worker = _worker_pid(router, "shard-0")
+        indices = _on(router, "shard-0", 10)
+        os.kill(worker, signal.SIGSTOP)
+        try:
+            connections = []
+            for index in indices:
+                connection = await asyncio.open_connection("127.0.0.1", port)
+                connection[1].write(encode_frame(_authorize(index)))
+                connections.append(connection)
+            # Past the high-watermark the front door answers at once.
+            shed = [canonical_decode((await _read_frame(reader))[4:])
+                    for reader, _ in connections[4:]]
+            assert backend.pending() == 4
+            # One admitted client walks away before its answer.
+            connections[0][1].close()
+            # A cancelled request gives its slot back straight away.
+            ping = {"op": "ping", "ns": _authorize(indices[0])["ns"]}
+            task = asyncio.ensure_future(
+                backend.serve_frame(ping, canonical_encode(ping)))
+            await asyncio.sleep(0)
+            assert backend.pending() == 5
+            task.cancel()
+            await asyncio.gather(task, return_exceptions=True)
+            assert backend.pending() == 4
+        finally:
+            os.kill(worker, signal.SIGCONT)
+        served = [canonical_decode((await _read_frame(reader))[4:])
+                  for reader, _ in connections[1:4]]
+        await _until(lambda: backend.pending() == 0)
+        for _, writer in connections[1:]:
+            writer.close()
+        return shed, served
+
+    shed, served = _serve("process", scenario,
+                          queue_depth=8, high_watermark=4)
+    assert [r["status"] for r in shed] == [STATUS_RETRY_LATER] * 6
+    assert all(r["retry_after_ms"] == 50.0 and r["shard"] == "shard-0"
+               for r in shed)
+    assert [r["status"] for r in served] == [STATUS_OK] * 3

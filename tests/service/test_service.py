@@ -9,8 +9,11 @@ seeds (the property the scaling benchmark's shared-stream methodology
 rests on).
 """
 
+import os
 import queue
+import signal
 import threading
+import time
 
 import pytest
 
@@ -60,23 +63,28 @@ def test_authorize_grants_members(router):
     assert "proof" in response
 
 
+def reference_proof_bytes(index):
+    """Single-process ``Wallet.authorize`` for principal ``index``."""
+    domain = POP.domain(POP.domain_of(index))
+    namespace = POP.namespace(POP.domain_of(index))
+    credential = POP.credential(index)
+    home = Wallet(owner=domain.authority,
+                  address=f"wallet.{namespace}",
+                  clock=SimClock(SERVICE_EPOCH), cache_size=4096)
+    home.publish(domain.grant)
+    home.publish(credential)
+    monitor = home.authorize(credential.subject, domain.access)
+    reference = canonical_encode(monitor.proof.to_dict())
+    monitor.cancel()
+    return reference
+
+
 def test_proof_bytes_match_single_process_wallet(router):
     for index in (0, 41, 399):
-        domain = POP.domain(POP.domain_of(index))
-        namespace = POP.namespace(POP.domain_of(index))
-        credential = POP.credential(index)
-        home = Wallet(owner=domain.authority,
-                      address=f"wallet.{namespace}",
-                      clock=SimClock(SERVICE_EPOCH), cache_size=4096)
-        home.publish(domain.grant)
-        home.publish(credential)
-        monitor = home.authorize(credential.subject, domain.access)
-        reference = canonical_encode(monitor.proof.to_dict())
-        monitor.cancel()
-
         response = router.submit(_authorize(index))
         assert response["status"] == STATUS_OK
-        assert canonical_encode(response["proof"]) == reference
+        assert canonical_encode(response["proof"]) == \
+            reference_proof_bytes(index)
 
 
 def test_revoked_credential_is_denied(router):
@@ -165,6 +173,90 @@ def test_overload_sheds_typed_retry_later():
     for response in shed:
         assert response["retry_after_ms"] == config.retry_after_ms
         assert response["shard"] == "shard-0"
+
+
+def _call_from_threads(router, requests):
+    """One caller thread per request; ``(threads, responses)`` with
+    ``responses[i]`` filled in when ``requests[i]`` is answered."""
+    responses = [None] * len(requests)
+
+    def caller(slot):
+        responses[slot] = router.submit(requests[slot])
+
+    threads = [threading.Thread(target=caller, args=(slot,), daemon=True)
+               for slot in range(len(requests))]
+    for thread in threads:
+        thread.start()
+    return threads, responses
+
+
+def _wait_for(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.002)
+
+
+def test_process_overload_sheds_typed_retry_later_without_blocking():
+    # Lock-step callers count as pending while they wait: with the
+    # worker stopped, high_watermark callers are admitted and block,
+    # and everyone after them is shed at once, typed.
+    config = RouterConfig(shards=1, mode="process", queue_depth=8,
+                          high_watermark=4)
+    router = Router(POP, config, registry=MetricsRegistry())
+    backend = router._backends["shard-0"]
+    worker = backend._process.pid
+    try:
+        os.kill(worker, signal.SIGSTOP)
+        threads, admitted = _call_from_threads(
+            router, [_authorize(i) for i in range(config.high_watermark)])
+        _wait_for(lambda: backend.pending() == config.high_watermark)
+        for index in range(20):
+            future = router.submit_nowait(_authorize(index))
+            assert future.done()
+            response = future.result()
+            assert response["status"] == STATUS_RETRY_LATER
+            assert response["retry_after_ms"] == config.retry_after_ms
+            assert response["shard"] == "shard-0"
+        assert backend.pending() == config.high_watermark
+        os.kill(worker, signal.SIGCONT)
+        for thread in threads:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        assert [r["status"] for r in admitted] == \
+            [STATUS_OK] * config.high_watermark
+        assert backend.pending() == 0
+        snapshot = router.registry.snapshot()
+        shed = [c["value"] for c in snapshot["counters"]
+                if c["name"] == "drbac_service_shed_total"]
+        assert shed == [20]
+    finally:
+        os.kill(worker, signal.SIGCONT)
+        router.close()
+
+
+def test_queue_depth_caps_what_bypasses_admission_control():
+    # stats() goes straight to the backend; past queue_depth the
+    # backend itself refuses, and the router types that retry-later.
+    config = RouterConfig(shards=1, mode="process", queue_depth=2,
+                          high_watermark=2)
+    router = Router(POP, config, registry=MetricsRegistry())
+    backend = router._backends["shard-0"]
+    worker = backend._process.pid
+    try:
+        os.kill(worker, signal.SIGSTOP)
+        threads, _ = _call_from_threads(
+            router, [_authorize(i) for i in range(2)])
+        _wait_for(lambda: backend.pending() == 2)
+        with pytest.raises(queue.Full):
+            backend.submit({"op": "stats"})
+        os.kill(worker, signal.SIGCONT)
+        for thread in threads:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+    finally:
+        os.kill(worker, signal.SIGCONT)
+        router.close()
 
 
 def test_shed_decisions_never_block(router):
@@ -262,5 +354,57 @@ def test_process_mode_round_trips():
         assert response["granted"] is True
         stats = router.stats()
         assert set(stats["shards"]) == {"shard-0", "shard-1"}
+    finally:
+        router.close()
+
+
+def test_process_worker_bounds_the_frames_it_writes():
+    # The answer (an error quoting the op's repr, ~4 bytes a byte)
+    # would pass DEFAULT_MAX_FRAME; the worker says so in a frame that
+    # fits and keeps serving.
+    router = Router(POP, RouterConfig(shards=1, mode="process"),
+                    registry=MetricsRegistry())
+    try:
+        response = router.submit(
+            {"op": b"\x00" * 600_000, "ns": POP.namespace(0)})
+        assert response["status"] == STATUS_ERROR
+        assert response["shard"] == "shard-0"
+        assert "exceeds" in response["error"]
+        assert router.submit(_authorize(9))["status"] == STATUS_OK
+    finally:
+        router.close()
+
+
+def test_killed_worker_fails_typed_and_other_shards_keep_serving():
+    router = Router(POP, RouterConfig(shards=2, mode="process"),
+                    registry=MetricsRegistry())
+    by_shard = {}
+    for index in range(40):
+        by_shard.setdefault(router.route(
+            POP.namespace(POP.domain_of(index))), []).append(index)
+    doomed, healthy = by_shard["shard-0"], by_shard["shard-1"]
+    backend = router._backends["shard-0"]
+    worker = backend._process.pid
+    try:
+        assert router.submit(_authorize(doomed[0]))["status"] == STATUS_OK
+        # Mid-load: callers are inside, or queued for, the lock step.
+        os.kill(worker, signal.SIGSTOP)
+        threads, in_flight = _call_from_threads(
+            router, [dict(_authorize(i), id=i) for i in doomed[:5]])
+        _wait_for(lambda: backend.pending() == 5)
+        os.kill(worker, signal.SIGKILL)
+        for thread in threads:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive(), "a dead worker must not hang"
+        later = router.submit(_authorize(doomed[5]))
+        for response, index in zip(in_flight, doomed):
+            assert response == {"status": STATUS_ERROR, "id": index,
+                                "error": "shard-unavailable",
+                                "shard": "shard-0"}
+        assert later == {"status": STATUS_ERROR, "shard": "shard-0",
+                         "error": "shard-unavailable"}
+        assert backend.pending() == 0
+        for index in healthy[:5]:
+            assert router.submit(_authorize(index))["status"] == STATUS_OK
     finally:
         router.close()

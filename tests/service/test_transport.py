@@ -18,7 +18,10 @@ from repro.service.transport import (
     FrameDecoder,
     FrameError,
     HEADER,
+    PIPE_MAX_FRAME,
     encode_frame,
+    pipe_frame,
+    split_pipe_frame,
 )
 
 # Values the canonical codec round-trips exactly (floats excluded on
@@ -54,12 +57,17 @@ def _chunks(data, boundaries):
        st.lists(st.integers(min_value=0, max_value=10_000), max_size=8))
 def test_frames_round_trip_under_any_chunking(msgs, boundaries):
     stream = b"".join(encode_frame(m) for m in msgs)
-    decoder = FrameDecoder()
-    decoded = []
+    decoder, splitter = FrameDecoder(), FrameDecoder()
+    decoded, payloads = [], []
     for chunk in _chunks(stream, boundaries):
         decoded.extend(decoder.feed(chunk))
+        payloads.extend(splitter.frames(chunk))
     assert decoded == msgs
     assert decoder.pending_bytes() == 0
+    # The raw splitter feed() is built on hands over the same frames,
+    # still encoded.
+    assert payloads == [canonical_encode(m) for m in msgs]
+    assert splitter.pending_bytes() == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -132,3 +140,26 @@ def test_poison_mid_feed_drops_the_batch():
         decoder.feed(good + HEADER.pack(0))
     with pytest.raises(FrameError):
         decoder.feed(good)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**32 - 1),
+                          st.binary(min_size=1, max_size=64)),
+                min_size=1, max_size=5),
+       st.lists(st.integers(min_value=0, max_value=400), max_size=8))
+def test_pipe_frames_ride_the_same_splitter(frames, boundaries):
+    stream = b"".join(pipe_frame(i, payload) for i, payload in frames)
+    decoder = FrameDecoder(max_frame=PIPE_MAX_FRAME)
+    bodies = []
+    for chunk in _chunks(stream, boundaries):
+        bodies.extend(decoder.frames(chunk))
+    assert [split_pipe_frame(body) for body in bodies] == frames
+
+
+def test_pipe_bound_admits_exactly_the_largest_client_payload():
+    decoder = FrameDecoder(max_frame=PIPE_MAX_FRAME)
+    largest = b"x" * DEFAULT_MAX_FRAME
+    (body,) = decoder.frames(pipe_frame(7, largest))
+    assert split_pipe_frame(body) == (7, largest)
+    with pytest.raises(FrameError, match="exceeds"):
+        decoder.frames(pipe_frame(8, largest + b"x"))
