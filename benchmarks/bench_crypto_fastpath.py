@@ -14,15 +14,24 @@ Five measurements (see docs/PERFORMANCE.md, "The crypto fast path" and
   double-and-add, exactly what ``SchnorrPublicKey.verify`` computed
   before the Strauss/GLV joint ladder). Fresh keys every sample so no
   window table exists for P on either side. Required: >= 1.5x.
-* **batch verification throughput** (report-only): ``verify_batch`` on
-  a bundle of distinct certificates vs. one-at-a-time verifies, memo
-  disabled in both arms.
+* **batch verification, kernel by kernel** (report-only): a grid over
+  the (signatures, distinct keys) shapes the call sites see -- (2, 2) a
+  federation answer, (7, 2) a cyclic-coalition closure, (16, 4), (64, 6)
+  a wallet load -- with hot keys and signatures made fresh for every
+  sample, so no nonce point is interned and the equation pays its
+  square roots. Prints the single-check kernel, the batch equation and
+  which of the two ``schnorr.verify_batch`` dispatches to.
 * **cold validate_proof, fastcore vs seed**: the same cold pass with
   the hardware-speed core (comb tables, wNAF, interned decode, fast
   codec) disabled via ``fastcore.disabled()`` against the fast arm.
   Both arms clear the verification memo every pass; the fast arm is
   warmed until its comb tables exist (table construction is a one-time
-  cost, not per-validation work). Required: >= 2x.
+  cost, not per-validation work). Required: >= 1.3x. (It was 2x while
+  the seed arm's batch equation dragged every nonce point through a
+  GLV-split 4-bit ladder and its single check paid a square root; both
+  arms now share one verification kernel, the seed arm's cold pass
+  fell from ~6.5 to ~4 ms against the fast arm's 2.7 -> 2.3, and what
+  is left between them is combs vs window tables and the intern pools.)
 * **wire codec, fast vs seed**: ``canonical_encode``/``canonical_decode``
   on the case-study proof's wire dict, fast arm vs seed arm, with the
   fast encoding asserted BYTE-IDENTICAL to the seed encoding in-bench
@@ -69,7 +78,7 @@ from repro.workloads import build_case_study             # noqa: E402
 OUTPUT = "BENCH_crypto_fastpath.json"
 REQUIRED_WARM_SPEEDUP = 5.0
 REQUIRED_VERIFY_SPEEDUP = 1.5
-REQUIRED_COLD_SPEEDUP = 2.0
+REQUIRED_COLD_SPEEDUP = 1.3
 REQUIRED_CODEC_SPEEDUP = 1.3
 
 
@@ -139,8 +148,9 @@ def _baseline_verify(public_point, message: bytes, signature: bytes) -> bool:
     parsed = _parse_signature(signature)
     if parsed is None:
         return False
-    r_point, s = parsed
-    e = _challenge(r_point, public_point, message)
+    r_bytes, _x, s = parsed
+    r_point = ec.Point.decode(r_bytes)
+    e = _challenge(r_bytes, public_point, message)
     lhs = ec.scalar_mult(s)
     rhs = ec.point_add(r_point, ec.scalar_mult_plain(e, public_point))
     return lhs == rhs
@@ -176,35 +186,57 @@ def bench_schnorr_verify(repeat: int) -> dict:
     }
 
 
-def bench_batch_verify(batch_size: int, repeat: int) -> dict:
-    """Report-only: RLC batch vs one-at-a-time, memo off in both arms."""
+BATCH_SHAPES = ((2, 2), (7, 2), (16, 4), (64, 6))
+
+
+def bench_batch_verify(repeat: int) -> dict:
+    """Report-only: both verification kernels over the shapes the call
+    sites produce, and the one the dispatch picks for each."""
     rng = random.Random(77)
-    items = []
-    for index in range(batch_size):
-        key = SchnorrPrivateKey(rng.randrange(1, ec.N))
-        message = b"batch sample %d" % index
-        items.append((key.public_key, message, key.sign(message)))
+    signers = [SchnorrPrivateKey(rng.randrange(1, ec.N))
+               for _ in range(max(keys for _count, keys in BATCH_SHAPES))]
+    for signer in signers:      # past the comb threshold: hot keys
+        for index in range(ec._COMB_BUILD_THRESHOLD + 1):
+            message = b"warm %d" % index
+            assert signer.public_key.verify(message, signer.sign(message))
 
-    individual_samples = []
-    batch_samples = []
-    for _ in range(repeat):
-        started = time.perf_counter()
-        assert all(public.verify(message, signature)
-                   for public, message, signature in items)
-        individual_samples.append(time.perf_counter() - started)
+    serial = 0
+    shapes = []
+    for count, keys in BATCH_SHAPES:
+        single_samples = []
+        equation_samples = []
+        for _ in range(repeat):
+            items = []
+            for index in range(2 * count):      # fresh per sample
+                signer = signers[index % keys]
+                serial += 1
+                message = b"batch sample %d" % serial
+                items.append((signer.public_key, message,
+                              signer.sign(message)))
+            started = time.perf_counter()
+            assert all(public.verify(message, signature)
+                       for public, message, signature in items[:count])
+            single_samples.append(time.perf_counter() - started)
 
-        started = time.perf_counter()
-        assert schnorr.verify_batch(items)
-        batch_samples.append(time.perf_counter() - started)
-
-    individual = _median(individual_samples)
-    batch = _median(batch_samples)
-    return {
-        "batch_size": batch_size,
-        "individual_ms": individual * 1e3,
-        "batch_ms": batch * 1e3,
-        "batch_speedup": individual / batch if batch > 0 else float("inf"),
-    }
+            dispatch = schnorr.equation_wins
+            schnorr.equation_wins = lambda _items, _keys: True
+            try:
+                started = time.perf_counter()
+                assert schnorr.verify_batch(items[count:])
+                equation_samples.append(time.perf_counter() - started)
+            finally:
+                schnorr.equation_wins = dispatch
+        single = _median(single_samples) / count
+        equation = _median(equation_samples) / count
+        shapes.append({
+            "items": count,
+            "keys": keys,
+            "single_ms_per_signature": single * 1e3,
+            "equation_ms_per_signature": equation * 1e3,
+            "dispatch": "equation" if schnorr.equation_wins(count, keys)
+                        else "single",
+        })
+    return {"shapes": shapes}
 
 
 def bench_cold_fastcore(repeat: int) -> dict:
@@ -322,11 +354,12 @@ def run(quick: bool, output: str, metrics_out=None) -> int:
           f"speedup={verify['cold_verify_speedup']:.2f}x "
           f"(required {REQUIRED_VERIFY_SPEEDUP:.1f}x)")
 
-    batch = bench_batch_verify(8 if quick else 16, max(3, repeat // 2))
-    print(f"batch verify     n={batch['batch_size']} "
-          f"individual={batch['individual_ms']:.2f}ms "
-          f"batch={batch['batch_ms']:.2f}ms "
-          f"speedup={batch['batch_speedup']:.2f}x (report-only)")
+    batch = bench_batch_verify(max(3, repeat // 2))
+    for shape in batch["shapes"]:
+        print(f"batch verify     n={shape['items']:<2} k={shape['keys']} "
+              f"single={shape['single_ms_per_signature']:.3f} "
+              f"equation={shape['equation_ms_per_signature']:.3f} "
+              f"ms/signature -> {shape['dispatch']} (report-only)")
 
     cold = bench_cold_fastcore(repeat)
     print(f"fastcore cold    seed={cold['seed_cold_ms']:.2f}ms "
@@ -371,7 +404,7 @@ def run(quick: bool, output: str, metrics_out=None) -> int:
 
 def test_crypto_fastpath_speedups(tmp_path):
     """Shape claim: warm validation 5x+, joint-ladder verify 1.5x+,
-    fastcore cold validation 2x+, codec 1.3x+ byte-identical."""
+    fastcore cold validation 1.3x+, codec 1.3x+ byte-identical."""
     assert run(quick=True, output=str(tmp_path / OUTPUT)) == 0
 
 

@@ -522,6 +522,28 @@ def verify_signatures(certificates: Sequence[SignedCertificate]
     return [bool(verdict) for verdict in results]
 
 
+def prefetch_signatures(delegations: Iterable[Delegation]) -> None:
+    """Batch-verify the distinct, not yet proven signatures among
+    ``delegations`` ahead of a sequential pass over them.
+
+    Purely an accelerator: successes land in the per-object flags and
+    the process memo, so the per-certificate checks that follow
+    short-circuit. Failures are deliberately NOT acted on here -- the
+    sequential path re-verifies and raises or rejects with the exact
+    error, index and ordering (relative to expiry/revocation checks) it
+    always had. No-op while the memo is disabled (nothing would carry
+    over) and for a single fresh certificate (nothing to amortize).
+    """
+    if not verify_cache.enabled():
+        return
+    fresh: dict = {}
+    for delegation in delegations:
+        if not delegation.__dict__.get("_sig_ok"):
+            fresh.setdefault(delegation.id, delegation)
+    if len(fresh) > 1:
+        verify_signatures(list(fresh.values()))
+
+
 def revoke(principal: Principal, delegation: Delegation,
            revoked_at: float) -> Revocation:
     """Issue a signed revocation for ``delegation``.

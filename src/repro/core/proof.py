@@ -38,7 +38,7 @@ from repro.core.attributes import (
     ModifierSet,
     check_constraints,
 )
-from repro.core.delegation import Delegation, verify_signatures
+from repro.core.delegation import Delegation, prefetch_signatures
 from repro.core.errors import (
     ExpiredError,
     ProofError,
@@ -246,7 +246,7 @@ def validate_proof(proof: Proof, at: float,
                    max_depth: int = MAX_SUPPORT_DEPTH) -> None:
     """Validate ``proof`` at time ``at``; raise :class:`ProofError` on any
     violation. See the module docstring for the checked rules."""
-    _prefetch_signatures(proof)
+    prefetch_signatures(proof.all_delegations())
     _validate(proof, at, _revocation_test(revoked),
               strict_attribute_namespace, max_depth, active=frozenset())
     if constraints:
@@ -266,35 +266,13 @@ def validate_proofs(proofs: Iterable[Proof], at: float,
     them; raises on the first violation in iteration order, with the same
     exception :func:`validate_proof` would have raised."""
     proofs = list(proofs)
-    _prefetch_signatures(*proofs)
+    prefetch_signatures(delegation for proof in proofs
+                        for delegation in proof.all_delegations())
     for proof in proofs:
         validate_proof(proof, at, revoked=revoked, constraints=constraints,
                        bases=bases,
                        strict_attribute_namespace=strict_attribute_namespace,
                        max_depth=max_depth)
-
-
-def _prefetch_signatures(*proofs: Proof) -> None:
-    """Batch-verify every distinct delegation signature across ``proofs``.
-
-    Purely an accelerator: successes are recorded in per-object flags
-    and the process memo, so the sequential checks inside ``_validate``
-    short-circuit. Failures are deliberately NOT acted on here -- the
-    per-link loop re-verifies and raises the exact
-    :class:`SignatureInvalidError` (with link index and ordering
-    relative to expiry/revocation checks) that the unbatched path
-    produces. No-op while the memo is disabled, keeping the disabled
-    path byte-for-byte the pre-batching behavior.
-    """
-    from repro.crypto import verify_cache
-    if not verify_cache.enabled():
-        return
-    fresh = [delegation
-             for proof in proofs
-             for delegation in proof.all_delegations()
-             if not delegation.__dict__.get("_sig_ok")]
-    if len(fresh) > 1:
-        verify_signatures(fresh)
 
 
 def is_valid_proof(proof: Proof, at: float,

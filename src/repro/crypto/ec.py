@@ -5,7 +5,7 @@ Provides the group operations needed by the Schnorr signature scheme in
 multiplication using Jacobian projective coordinates. Pure Python,
 stdlib only.
 
-Four layers of scalar-multiplication machinery, fastest applicable one
+Layers of scalar-multiplication machinery, fastest applicable one
 wins:
 
 * **comb tables** (:class:`_CombTable`) for the hottest fixed base
@@ -17,13 +17,16 @@ wins:
   magnitude cheaper to build;
 * **Strauss/Shamir joint ladders** (:func:`double_scalar_mult`,
   :func:`multi_scalar_mult`) for the verification equation's
-  ``s*G - e*P`` and for batch verification -- all scalars share one run
+  ``s*G - e*P`` while a key is still cold -- all scalars share one run
   of doublings, the secp256k1 GLV endomorphism
   (``lambda*(x, y) = (beta*x, y)``) halves each scalar to ~128 bits so
   the shared ladder is half as tall, and (fast path) width-5 wNAF
   recoding drops the addition density from 15/16 per 4 bits to ~1/6 per
   bit while all precomputed odd-multiple rows for one call share a
   single Montgomery-batched inversion;
+* **one short NAF ladder** (:func:`multi_scalar_mult_equals`) for the
+  one-shot nonce points of a batch-verification equation, whose
+  coefficients are 64 bits: no rows, no GLV, nothing cached;
 * **plain double-and-add** (:func:`scalar_mult_plain`) as the
   independent reference implementation the optimized paths are tested
   against.
@@ -550,19 +553,10 @@ def _signed_pair(scalar: int, row: List[_Affine]
     return scalar, row
 
 
-def _ladder_pairs(scalar: int, point: Point
-                  ) -> List[Tuple[int, List[_Affine]]]:
-    """Decompose ``scalar * point`` into joint-ladder (scalar, row) pairs.
-
-    Scalars short enough already (<= ~130 bits: batch-verification
-    random coefficients) skip the GLV split.
-    """
-    scalar %= N
-    if scalar == 0 or point.is_infinity:
-        return []
-    row = _affine_row(point)
-    if scalar.bit_length() <= 130:
-        return [(scalar, row)]
+def _glv_pairs(scalar: int, row: List[_Affine]
+               ) -> List[Tuple[int, List[_Affine]]]:
+    """GLV-decomposed (positive scalar, row) pairs of ``scalar * P`` for
+    the joint ladders, given P's affine row; ``scalar`` in [1, N)."""
     k1, k2 = _glv_split(scalar)
     pairs = []
     first = _signed_pair(k1, row)
@@ -666,22 +660,6 @@ def _rows_for_batch(points: Sequence[Point]) -> List[List[_Affine]]:
     return rows  # type: ignore[return-value]
 
 
-def _wnaf_pairs(scalar: int, row: List[_Affine]
-                ) -> List[Tuple[int, List[_Affine]]]:
-    """GLV-decomposed (positive scalar, row) pairs for the wNAF ladder."""
-    if scalar.bit_length() <= 130:
-        return [(scalar, row)]
-    k1, k2 = _glv_split(scalar)
-    pairs = []
-    first = _signed_pair(k1, row)
-    if first is not None:
-        pairs.append(first)
-    second = _signed_pair(k2, _beta_row(row))
-    if second is not None:
-        pairs.append(second)
-    return pairs
-
-
 def _joint_wnaf(pairs: List[Tuple[int, List[_Affine]]]) -> _Jacobian:
     """Strauss/Shamir interleaving over width-5 wNAF digits: one shared
     run of doublings, mixed additions from the shared affine rows."""
@@ -729,7 +707,7 @@ def _multi_scalar_mult_fast(scaled: List[Tuple[int, Point]]) -> _Jacobian:
         rows = _rows_for_batch([point for _scalar, point in cold])
         pairs: List[Tuple[int, List[_Affine]]] = []
         for (scalar, _point), row in zip(cold, rows):
-            pairs.extend(_wnaf_pairs(scalar, row))
+            pairs.extend(_glv_pairs(scalar, row))
         result = _jacobian_add(result, _joint_wnaf(pairs))
     return result
 
@@ -758,45 +736,8 @@ def double_scalar_mult(a: int, p: Point, b: int, q: Point) -> Point:
     if table_p is not None and table_q is not None:
         return _from_jacobian(_jacobian_add(table_p.mult_jac(a),
                                             table_q.mult_jac(b)))
-    pairs = _ladder_pairs(a, p) + _ladder_pairs(b, q)
+    pairs = _glv_pairs(a, _affine_row(p)) + _glv_pairs(b, _affine_row(q))
     return _from_jacobian(_joint_ladder(pairs))
-
-
-def _jacobian_equals_affine(point: _Jacobian, expected: Point) -> bool:
-    """Compare a Jacobian point to an affine one WITHOUT an inversion:
-    ``(X, Y, Z)`` equals ``(x, y)`` iff ``X == x*Z^2`` and
-    ``Y == y*Z^3`` (mod P). Two multiplications replace the ~20us
-    modular inversion of a full affine conversion."""
-    x, y, z = point
-    if z == 0:
-        return expected.is_infinity
-    if expected.is_infinity:
-        return False
-    zz = (z * z) % P
-    return (x - expected.x * zz) % P == 0 \
-        and (y - expected.y * zz * z) % P == 0
-
-
-def double_scalar_mult_equals(a: int, p: Point, b: int, q: Point,
-                              expected: Point) -> bool:
-    """Return ``a*p + b*q == expected`` without materializing the sum.
-
-    The Schnorr verification equation only needs equality against the
-    signature's R point, so on the fast path the comparison happens in
-    Jacobian coordinates and the final modular inversion of
-    :func:`_from_jacobian` is skipped entirely. The seed path computes
-    the affine sum and compares, bit-for-bit the historical behavior.
-    """
-    a %= N
-    b %= N
-    if a == 0 or p.is_infinity:
-        return scalar_mult(b, q) == expected
-    if b == 0 or q.is_infinity:
-        return scalar_mult(a, p) == expected
-    if fastcore.enabled():
-        return _jacobian_equals_affine(
-            _multi_scalar_mult_fast([(a, p), (b, q)]), expected)
-    return double_scalar_mult(a, p, b, q) == expected
 
 
 def _merged_terms(terms: Sequence[Tuple[int, Point]]
@@ -820,34 +761,11 @@ def _merged_terms(terms: Sequence[Tuple[int, Point]]
             if merged[(point.x, point.y)] != 0]
 
 
-def multi_scalar_mult_is_infinity(
-        terms: Sequence[Tuple[int, Point]]) -> bool:
-    """Return ``sum(scalar_i * point_i) == O`` without an inversion.
-
-    Batch verification only needs to know whether the combined check
-    sums to the identity; in Jacobian coordinates that is ``Z == 0``,
-    so the fast path skips :func:`_from_jacobian` for the whole batch.
-    The seed path materializes the affine sum, as it always did.
-    """
-    if fastcore.enabled():
-        scaled = _merged_terms(terms)
-        return _multi_scalar_mult_fast(scaled)[2] == 0
-    return multi_scalar_mult(terms) == INFINITY
-
-
-def multi_scalar_mult(terms: Sequence[Tuple[int, Point]]) -> Point:
-    """Return ``sum(scalar_i * point_i)`` with one shared joint ladder.
-
-    Used by batch signature verification: coefficients for repeated
-    points are merged first (one wallet-load batch typically re-uses a
-    handful of issuer keys), points with comb or window tables are
-    handled by table multiplication, and everything else shares a
-    single GLV-halved ladder -- width-5 wNAF with one batched row
-    inversion on the fast path, 4-bit windows otherwise.
-    """
+def _multi_scalar_mult_jac(terms: Sequence[Tuple[int, Point]]) -> _Jacobian:
+    """:func:`multi_scalar_mult` before the final affine conversion."""
     scaled = _merged_terms(terms)
     if fastcore.enabled():
-        return _from_jacobian(_multi_scalar_mult_fast(scaled))
+        return _multi_scalar_mult_fast(scaled)
     pairs: List[Tuple[int, List[_Affine]]] = []
     result: _Jacobian = _J_INFINITY
     for scalar, point in scaled:
@@ -855,10 +773,72 @@ def multi_scalar_mult(terms: Sequence[Tuple[int, Point]]) -> Point:
         if table is not None:
             result = _jacobian_add(result, table.mult_jac(scalar))
         else:
-            pairs.extend(_ladder_pairs(scalar, point))
+            pairs.extend(_glv_pairs(scalar, _affine_row(point)))
     if pairs:
         result = _jacobian_add(result, _joint_ladder(pairs))
-    return _from_jacobian(result)
+    return result
+
+
+def multi_scalar_mult(terms: Sequence[Tuple[int, Point]]) -> Point:
+    """Return ``sum(scalar_i * point_i)`` over reusable points.
+
+    The fixed-key side of batch signature verification: coefficients
+    for repeated points are merged first (one wallet-load batch
+    typically re-uses a handful of issuer keys), points with comb or
+    window tables are handled by table multiplication, and everything
+    else shares a single GLV-halved ladder -- width-5 wNAF with one
+    batched row inversion on the fast path, 4-bit windows otherwise.
+    """
+    return _from_jacobian(_multi_scalar_mult_jac(terms))
+
+
+def _short_joint_mult(terms: Sequence[Tuple[int, Point]]) -> _Jacobian:
+    """``sum(z_i * R_i)`` for short positive scalars on one-shot points.
+
+    Plain NAF digits, so only ``+-R_i`` is ever added: no rows, no GLV
+    split, and nothing is cached or counted towards table promotion.
+    One shared run of doublings as tall as the longest scalar and one
+    mixed addition per nonzero digit (a third of the bits) per point.
+    """
+    height = max((scalar.bit_length() for scalar, _point in terms),
+                 default=0) + 1
+    columns: List[List[_Affine]] = [[] for _ in range(height)]
+    for scalar, point in terms:
+        # Indexed by the NAF digit itself: [1] is +R, [-1] is -R.
+        signed = (None, (point.x, point.y), (point.x, P - point.y))
+        for index, digit in enumerate(_wnaf_digits(scalar, 2)):
+            if digit:
+                columns[index].append(signed[digit])
+    result: _Jacobian = _J_INFINITY
+    for column in reversed(columns):
+        if result[2] != 0:
+            result = _jacobian_double(result)
+        for x, y in column:
+            result = _jacobian_add_affine(result, x, y)
+    return result
+
+
+def multi_scalar_mult_equals(terms: Sequence[Tuple[int, Point]],
+                             short_terms: Sequence[Tuple[int, Point]]
+                             ) -> bool:
+    """Return ``sum(terms) == sum(short_terms)`` without an inversion.
+
+    The batch-verification equation: ``terms`` are the reusable points
+    (generator, issuer keys) with full-width scalars, evaluated as
+    :func:`multi_scalar_mult` does; ``short_terms`` are the signatures'
+    nonce points, finite and each seen once, with short positive
+    coefficients (:func:`_short_joint_mult`). The two Jacobian sums are
+    compared by cross-multiplication: ``X1*Z2^2 == X2*Z1^2`` and
+    ``Y1*Z2^3 == Y2*Z1^3``.
+    """
+    x1, y1, z1 = _multi_scalar_mult_jac(terms)
+    x2, y2, z2 = _short_joint_mult(short_terms)
+    if z1 == 0 or z2 == 0:
+        return z1 == z2
+    z1sq = (z1 * z1) % P
+    z2sq = (z2 * z2) % P
+    return (x1 * z2sq - x2 * z1sq) % P == 0 \
+        and (y1 * z2sq * z2 - y2 * z1sq * z1) % P == 0
 
 
 def is_valid_scalar(scalar: int) -> bool:

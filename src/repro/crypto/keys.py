@@ -187,11 +187,11 @@ def verify_batch(items: Sequence[BatchItem]) -> List[bool]:
 
     * items already in the verification memo are answered without any
       group arithmetic;
-    * the remaining Schnorr items are checked together with
-      random-linear-combination batching
-      (:func:`repro.crypto.schnorr.verify_batch`), one multi-scalar
-      multiplication for the whole group, with bisection on failure so
-      the offending item is identified exactly;
+    * the remaining Schnorr items are checked together
+      (:func:`repro.crypto.schnorr.verify_batch_bisect`): one
+      random-linear-combination equation for the whole group when the
+      group is large enough for that to beat single checks, with
+      bisection on failure so the offending item is identified exactly;
     * RSA (and malformed) items fall back to individual verification.
 
     Successes are recorded in the memo either way.
@@ -221,11 +221,12 @@ def verify_batch(items: Sequence[BatchItem]) -> List[bool]:
             results[index] = public_key._decode().verify(message,
                                                          signature)
     if schnorr_items:
-        with obs.span("crypto.verify_batch", items=len(schnorr_items)):
-            if schnorr.verify_batch(schnorr_items):
-                verdicts = [True] * len(schnorr_items)
-            else:
-                verdicts = schnorr.verify_batch_bisect(schnorr_items)
+        count = len(schnorr_items)
+        issuers = len({key for key, _message, _signature in schnorr_items})
+        with obs.span("crypto.verify_batch", items=count, keys=issuers,
+                      kernel="equation" if schnorr.equation_wins(
+                          count, issuers) else "single"):
+            verdicts = schnorr.verify_batch_bisect(schnorr_items)
         for index, verdict in zip(schnorr_indices, verdicts):
             results[index] = verdict
     if use_memo:

@@ -52,21 +52,21 @@ class SchnorrPublicKey:
         """Return True iff ``signature`` is valid for ``message``.
 
         The check ``s*G == R + e*Q`` is rearranged to
-        ``s*G + (n - e)*Q == R`` so both scalar multiplications run in a
-        single Strauss/Shamir joint ladder (one shared run of doublings
-        instead of two, ~1.6-2x faster per cold verification than the
-        textbook two-multiplication form), and the comparison against R
-        happens in Jacobian coordinates
-        (:func:`ec.double_scalar_mult_equals`), skipping the final
-        modular inversion on the fast path.
+        ``s*G + (n - e)*Q == R`` so both scalar multiplications run as
+        one :func:`ec.double_scalar_mult` (two table multiplications for
+        a hot key, one joint ladder for a cold one), and the sum's
+        affine x and y parity are compared with the 33 bytes of R as
+        received. R is never decompressed: an x that is not on the
+        curve cannot equal the x of a curve point, so the accept set is
+        that of the decode-and-compare form without its square root.
         """
         parsed = _parse_signature(signature)
         if parsed is None:
             return False
-        r_point, s = parsed
-        e = _challenge(r_point, self.point, message)
-        return ec.double_scalar_mult_equals(
-            s, ec.GENERATOR, ec.N - e, self.point, r_point)
+        r_bytes, x, s = parsed
+        e = _challenge(r_bytes, self.point, message)
+        total = ec.double_scalar_mult(s, ec.GENERATOR, ec.N - e, self.point)
+        return total.x == x and (total.y & 1) == (r_bytes[0] & 1)
 
 
 @dataclass(frozen=True)
@@ -91,11 +91,11 @@ class SchnorrPrivateKey:
         attempt = 0
         while True:
             k = _deterministic_nonce(self.d, message, start=attempt)
-            r_point = ec.scalar_mult(k)
-            e = _challenge(r_point, public_point, message)
+            r_bytes = ec.scalar_mult(k).encode()
+            e = _challenge(r_bytes, public_point, message)
             s = (k + e * self.d) % ec.N
             if s != 0:
-                return r_point.encode() + s.to_bytes(32, "big")
+                return r_bytes + s.to_bytes(32, "big")
             # Astronomically unlikely: re-derive the nonce for the SAME
             # message from the next counter value. (Tweaking the message
             # itself, as older revisions did, produced a signature that
@@ -131,35 +131,54 @@ def _deterministic_nonce(d: int, message: bytes, start: int = 0) -> int:
         counter += 1
 
 
-def _challenge(r_point: ec.Point, public_point: ec.Point,
+def _challenge(r_bytes: bytes, public_point: ec.Point,
                message: bytes) -> int:
-    """Fiat-Shamir challenge binding nonce commitment, key, and message."""
-    digest = sha256(r_point.encode() + public_point.encode() + message)
+    """Fiat-Shamir challenge binding nonce commitment (the 33 encoded
+    bytes of R), key, and message."""
+    digest = sha256(r_bytes + public_point.encode() + message)
     e = int.from_bytes(digest, "big") % ec.N
     return e if e != 0 else 1
 
 
 def _parse_signature(signature: bytes
-                     ) -> Optional[Tuple[ec.Point, int]]:
-    """Decode a 65-byte signature into (R, s), or None if malformed."""
-    if len(signature) != SIGNATURE_SIZE:
+                     ) -> Optional[Tuple[bytes, int, int]]:
+    """Split a 65-byte signature into (R bytes, R's x, s), or None if
+    malformed: R must be a compressed finite point encoding (prefix 2
+    or 3, x < P; curve membership is the caller's to establish) and s
+    a scalar in [1, N)."""
+    if not isinstance(signature, (bytes, bytearray, memoryview)) \
+            or len(signature) != SIGNATURE_SIZE:
         return None
-    try:
-        r_point = ec.Point.decode(signature[:33])
-    except ec.ECError:
-        return None
-    if r_point.is_infinity:
-        return None
+    r_bytes = bytes(signature[:33])
+    x = int.from_bytes(r_bytes[1:], "big")
     s = int.from_bytes(signature[33:], "big")
-    if not ec.is_valid_scalar(s):
+    if r_bytes[0] not in (2, 3) or x >= ec.P or not ec.is_valid_scalar(s):
         return None
-    return r_point, s
+    return r_bytes, x, s
 
 
 # -- batch verification ------------------------------------------------------
 
 # An item to batch-verify: (public key, message, signature).
 BatchItem = Tuple[SchnorrPublicKey, bytes, bytes]
+
+# What each kernel costs in mixed point additions once the keys are hot
+# (comb tables), counted by tests/crypto/test_batch_verify.py. A single
+# check is two comb multiplications per signature. The batch equation
+# is one comb multiplication for the generator and one per distinct
+# key, ~21 additions per nonce point (NAF of a 64-bit coefficient), and
+# 64 shared doublings at ~0.6 of an addition each.
+_SINGLE_COST = 64
+_COMB_COST = 32
+_NONCE_COST = 21
+_LADDER_COST = 40
+
+
+def equation_wins(items: int, keys: int) -> bool:
+    """Is the batch equation cheaper than ``items`` single checks, for
+    signatures by ``keys`` distinct keys? (7 by 2: yes; 2 by 2: no.)"""
+    return _COMB_COST * (keys + 1) + _NONCE_COST * items + _LADDER_COST \
+        < _SINGLE_COST * items
 
 
 def verify_batch(items: Sequence[BatchItem],
@@ -171,31 +190,35 @@ def verify_batch(items: Sequence[BatchItem],
     by an independent random 64-bit coefficient z_i and the combined
     check
 
-        (sum z_i*s_i)*G - sum z_i*R_i - sum (z_i*e_i)*Q_i == O
+        (sum z_i*s_i)*G - sum (z_i*e_i)*Q_i == sum z_i*R_i
 
-    runs as ONE multi-scalar multiplication (:func:`ec.multi_scalar_mult`)
-    sharing a single ladder across the whole batch. A forged item slips
-    through with probability <= 2**-64 per attempt; the coefficients are
-    fresh per call, so a failure cannot be replayed into an accept.
+    runs as ONE :func:`ec.multi_scalar_mult_equals`: table
+    multiplications for the generator and the merged per-key terms on
+    the left, one short ladder over the nonce points on the right. A
+    forged item slips through with probability <= 2**-64 per attempt;
+    the coefficients are fresh per call, so a failure cannot be replayed
+    into an accept. A batch too small for the equation to pay for
+    itself (:func:`equation_wins`) runs the single check per item.
 
     Returns True iff every item would verify individually. Use
     :func:`verify_batch_bisect` to identify *which* items failed.
     ``rng`` exists so tests can force coefficient choices.
     """
+    if not equation_wins(len(items), len({key for key, _m, _s in items})):
+        return all(key.verify(message, signature)
+                   for key, message, signature in items)
     parsed = []
     for public_key, message, signature in items:
         decoded = _parse_signature(signature)
         if decoded is None:
             return False
-        r_point, s = decoded
-        e = _challenge(r_point, public_key.point, message)
+        r_bytes, _x, s = decoded
+        try:
+            r_point = ec.Point.decode(r_bytes)
+        except ec.ECError:
+            return False
+        e = _challenge(r_bytes, public_key.point, message)
         parsed.append((public_key.point, r_point, s, e))
-    if not parsed:
-        return True
-    if len(parsed) == 1:
-        q, r_point, s, e = parsed[0]
-        return ec.double_scalar_mult_equals(
-            s, ec.GENERATOR, ec.N - e, q, r_point)
     if rng is None and fastcore.enabled():
         # One entropy read for the whole batch instead of one syscall
         # per item. `or 1` keeps the coefficient nonzero; the 2**-64
@@ -208,14 +231,15 @@ def verify_batch(items: Sequence[BatchItem],
     else:
         rand = rng if rng is not None else secrets.SystemRandom()
         coefficients = [rand.randrange(1, 1 << 64) for _ in parsed]
-    terms: List[Tuple[int, ec.Point]] = []
+    key_terms: List[Tuple[int, ec.Point]] = []
+    nonce_terms: List[Tuple[int, ec.Point]] = []
     s_combined = 0
     for (q, r_point, s, e), z in zip(parsed, coefficients):
-        s_combined = (s_combined + z * s) % ec.N
-        terms.append((ec.N - z % ec.N, r_point))
-        terms.append((ec.N - (z * e) % ec.N, q))
-    terms.append((s_combined, ec.GENERATOR))
-    return ec.multi_scalar_mult_is_infinity(terms)
+        s_combined += z * s
+        key_terms.append((-z * e, q))
+        nonce_terms.append((z, r_point))
+    key_terms.append((s_combined, ec.GENERATOR))
+    return ec.multi_scalar_mult_equals(key_terms, nonce_terms)
 
 
 def verify_batch_bisect(items: Sequence[BatchItem],

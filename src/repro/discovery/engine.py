@@ -54,7 +54,7 @@ from typing import (
 
 from repro import obs
 from repro.core.attributes import AttributeRef, Constraint
-from repro.core.delegation import Delegation
+from repro.core.delegation import Delegation, prefetch_signatures
 from repro.core.errors import DiscoveryError, DRBACError
 from repro.core.proof import Proof
 from repro.core.roles import Role, Subject, subject_key
@@ -611,10 +611,15 @@ class DiscoveryEngine:
         -- so only the cancel closures are built here. Returns the
         proofs whose every chain link is now in the local wallet; only
         their tags are harvested."""
-        self._prefetch_signatures(proofs)
         stats.subscriptions_established += len(subs)
         server = self.server
         store = server.wallet.store
+        # One batch for every signature this wallet has not admitted yet;
+        # a failure is rejected by the insert below, with its accounting.
+        prefetch_signatures(
+            delegation for proof in proofs
+            for delegation in proof.all_delegations()
+            if store.get_delegation(delegation.id) is None)
 
         def cancel_for(delegation_id: str):
             sub_id = subs.get(delegation_id)
@@ -662,26 +667,6 @@ class DiscoveryEngine:
                 for delegation in proof.all_delegations():
                     self._harvest_tags(delegation, tags)
         return verified
-
-    def _prefetch_signatures(self, proofs: Iterable[Proof]) -> None:
-        """Batch-verify every fresh signature across one answer (one
-        multi-scalar check instead of one ladder per certificate per
-        proof). Failures are ignored here -- the insert path re-checks
-        and rejects through its normal accounting."""
-        from repro.core.delegation import verify_signatures
-        from repro.crypto import verify_cache
-        if not verify_cache.enabled():
-            return
-        store = self.server.wallet.store
-        fresh: Dict[str, Delegation] = {}
-        for proof in proofs:
-            for delegation in proof.all_delegations():
-                if delegation.id not in fresh \
-                        and not delegation.__dict__.get("_sig_ok") \
-                        and store.get_delegation(delegation.id) is None:
-                    fresh[delegation.id] = delegation
-        if len(fresh) > 1:
-            verify_signatures(list(fresh.values()))
 
     # ------------------------------------------------------------------
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro import obs
+from repro.core.delegation import prefetch_signatures
 from repro.core.identity import Entity, Principal
 from repro.core.proof import Proof
 from repro.crypto.encoding import canonical_encode
@@ -287,13 +288,7 @@ class Switchboard:
                 # per-object flags. (Transcript verification above and
                 # everything inside the validator already ride the
                 # process-wide memo via PublicKey.verify.)
-                from repro.core.delegation import verify_signatures
-                from repro.crypto import verify_cache
-                if verify_cache.enabled():
-                    fresh = [d for d in proof.all_delegations()
-                             if not d.__dict__.get("_sig_ok")]
-                    if len(fresh) > 1:
-                        verify_signatures(fresh)
+                prefetch_signatures(proof.all_delegations())
             try:
                 self.required_role_validator(initiator, proof)
             except Exception as exc:  # noqa: BLE001 - policy boundary

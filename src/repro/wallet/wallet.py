@@ -27,7 +27,11 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Uni
 from repro import obs
 from repro.core.attributes import AttributeRef, Constraint
 from repro.core.clock import Clock, SimClock
-from repro.core.delegation import Delegation, Revocation
+from repro.core.delegation import (
+    Delegation,
+    Revocation,
+    prefetch_signatures,
+)
 from repro.core.delegation import revoke as _sign_revocation
 from repro.core.errors import ProofError, PublicationError
 from repro.core.identity import Entity, Principal
@@ -289,28 +293,17 @@ class Wallet:
 
         Signature checks for the whole batch (delegations and their
         support-proof chains) are front-loaded through
-        :func:`repro.core.delegation.verify_signatures`, so the
+        :func:`repro.core.delegation.prefetch_signatures`, so the
         per-item ``publish`` calls hit per-object flags instead of
         re-running group arithmetic one certificate at a time. Outcomes
         -- including which item raises first -- are unchanged.
         """
-        from repro.core.delegation import verify_signatures
-        from repro.crypto import verify_cache
         items = [(delegation, tuple(supports))
                  for delegation, supports in items]
-        if verify_cache.enabled():
-            pending = []
-            seen = set()
-            for delegation, supports in items:
-                for candidate in [delegation] + [
-                        d for proof in supports
-                        for d in proof.all_delegations()]:
-                    if candidate.id not in seen \
-                            and not candidate.__dict__.get("_sig_ok"):
-                        seen.add(candidate.id)
-                        pending.append(candidate)
-            if len(pending) > 1:
-                verify_signatures(pending)
+        prefetch_signatures(
+            candidate for delegation, supports in items
+            for candidate in [delegation] + [
+                d for proof in supports for d in proof.all_delegations()])
         inserted = 0
         for delegation, supports in items:
             if self.publish(delegation, supports):

@@ -6,9 +6,11 @@ from repro.core.delegation import (
     DelegationKind,
     Revocation,
     issue,
+    prefetch_signatures,
     revoke,
 )
-from repro.core.errors import DelegationError
+from repro.core.errors import DelegationError, SignatureInvalidError
+from repro.crypto import keys, verify_cache
 from repro.core.roles import Role, attribute_right
 from repro.core.tags import DiscoveryTag
 
@@ -125,6 +127,58 @@ class TestTampering:
             modifiers=ModifierSet([Modifier(attr, Operator.MIN, 10_000)]),
             signature=d.signature)
         assert not tampered.verify_signature()
+
+
+class TestPrefetchSignatures:
+    """The one pre-batching helper every sequential checker calls first."""
+
+    @pytest.fixture()
+    def batches(self, monkeypatch):
+        """Item counts handed to ``keys.verify_batch``, one per call."""
+        seen = []
+        real = keys.verify_batch
+        monkeypatch.setattr(
+            keys, "verify_batch",
+            lambda items: seen.append(len(items)) or real(items))
+        return seen
+
+    def _fresh(self, org, subject, role):
+        return Delegation.from_dict(issue(org, subject, role).to_dict())
+
+    def test_distinct_fresh_certificates_share_one_batch(
+            self, org, alice, bob, carol, role, batches):
+        proven = self._fresh(org, carol.entity, role)
+        assert proven.verify_signature()
+        a, b = (self._fresh(org, who.entity, role) for who in (alice, bob))
+        twin = self._fresh(org, alice.entity, role)
+        with verify_cache.scoped():
+            prefetch_signatures(iter([a, proven, b, twin]))
+        assert batches == [2]      # `proven` skipped, `twin` is `a` again
+        assert a.__dict__.get("_sig_ok") and b.__dict__.get("_sig_ok")
+
+    def test_nothing_to_amortize_is_a_no_op(self, org, alice, bob, role,
+                                            batches):
+        a, b = (self._fresh(org, who.entity, role) for who in (alice, bob))
+        with verify_cache.scoped():
+            prefetch_signatures([a])
+            prefetch_signatures([])
+            with verify_cache.disabled():
+                prefetch_signatures([a, b])
+        assert batches == []
+        assert not a.__dict__.get("_sig_ok")
+
+    def test_failure_is_left_to_the_sequential_check(self, org, alice, bob,
+                                                     role):
+        good = self._fresh(org, alice.entity, role)
+        forged = Delegation(subject=bob.entity, obj=role, issuer=org.entity,
+                            signature=good.signature)
+        with verify_cache.scoped() as memo:
+            prefetch_signatures([forged, good])
+            assert good.__dict__.get("_sig_ok")
+            assert not forged.__dict__.get("_sig_ok")
+            assert memo.info()["entries"] == 1
+            with pytest.raises(SignatureInvalidError):
+                forged.ensure_signed()
 
 
 class TestExpiry:

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import ec
+from repro.crypto import ec, keys, verify_cache
+from repro.workloads.topology import make_scc_heavy
 
 
 class TestPointValidation:
@@ -131,3 +132,34 @@ class TestEncoding:
         encoded = ec.GENERATOR.encode()
         assert ec.Point.decode(bytearray(encoded)) == ec.GENERATOR
         assert ec.Point.decode(memoryview(encoded)) == ec.GENERATOR
+
+
+class TestPromotionCaches:
+    def test_one_shot_points_stay_out(self, monkeypatch):
+        """Signature nonce points are seen once per signature and must
+        never be counted towards, or promoted into, a window or comb
+        table: only the generator and the issuer keys earn one. (A
+        nonce point that does costs ~0.4 MB per comb and, because the
+        comb cache freezes when full, a slot a real key then cannot
+        get.)"""
+        caches = ("_table_cache", "_comb_cache", "_use_counts",
+                  "_comb_use_counts")
+        for name in caches:
+            monkeypatch.setattr(ec, name, {})
+        ec._table_cache[(ec.GX, ec.GY)] = ec._WindowTable(ec.GENERATOR)
+        workload = make_scc_heavy(6, 6, seed=1)
+        items = [(d.issuer.public_key, d.signing_bytes(), d.signature)
+                 for d, _supports in workload.delegations]
+        assert len(items) == 43
+        with verify_cache.disabled():   # "fresh memo": nothing carries
+            for _round in range(30):
+                assert all(keys.verify_batch(items))
+                assert all(public.verify(message, signature)
+                           for public, message, signature in items)
+        reusable = {(ec.GX, ec.GY)} | {
+            (point.x, point.y) for point in
+            (public._decode().point for public, _m, _s in items)}
+        assert len(reusable) == 7
+        for name in caches:
+            assert set(getattr(ec, name)) <= reusable, name
+        assert set(ec._comb_cache) == set(ec._table_cache) == reusable

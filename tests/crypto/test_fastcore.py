@@ -17,6 +17,8 @@ from repro.core.delegation import Delegation
 from repro.crypto import ec, encoding, fastcore
 from repro.workloads import build_case_study
 
+from .reference_verify import double_scalar_mult_equals
+
 # Scalars at the edges the recodings are most likely to get wrong:
 # zero, tiny, window boundaries, the group order's neighbors (n reduces
 # to 0, n+1 to 1), and all-ones patterns.
@@ -96,17 +98,38 @@ class TestCombAndWnafCorrectness:
                                 ec.scalar_mult_plain(a + 1, q))
         for ctx in (fastcore.forced, fastcore.disabled):
             with ctx():
-                assert ec.double_scalar_mult_equals(
+                assert double_scalar_mult_equals(
                     a, ec.GENERATOR, a + 1, q, expected)
-                assert not ec.double_scalar_mult_equals(
+                assert not double_scalar_mult_equals(
                     a, ec.GENERATOR, a + 1, q, ec.GENERATOR)
 
     def test_is_infinity_both_arms(self):
         terms = [(5, ec.GENERATOR), (ec.N - 5, ec.GENERATOR)]
         for ctx in (fastcore.forced, fastcore.disabled):
             with ctx():
-                assert ec.multi_scalar_mult_is_infinity(terms)
-                assert not ec.multi_scalar_mult_is_infinity(terms[:1])
+                assert ec.multi_scalar_mult(terms) == ec.INFINITY
+                assert ec.multi_scalar_mult(terms[:1]) != ec.INFINITY
+                assert ec.multi_scalar_mult_equals(terms, [])
+                assert not ec.multi_scalar_mult_equals(terms[:1], [])
+
+    @given(st.lists(st.integers(min_value=1, max_value=2**64 - 1),
+                    min_size=1, max_size=4),
+           st.integers(min_value=0, max_value=1))
+    @settings(max_examples=10, deadline=None)
+    def test_equation_sides_compare_as_points(self, coefficients, skew):
+        """sum(terms) == sum(short_terms) exactly when the two sums are
+        the same point: short NAF ladder on one side, tables/ladders on
+        the other, compared in Jacobian coordinates."""
+        nonces = [(z, ec.scalar_mult(0x5EED + index))
+                  for index, z in enumerate(coefficients)]
+        total = sum(z * (0x5EED + index)
+                    for index, z in enumerate(coefficients))
+        q = ec.scalar_mult(0xF00D)
+        terms = [(total + skew - 7 * 0xF00D, ec.GENERATOR), (7, q)]
+        for ctx in (fastcore.forced, fastcore.disabled):
+            with ctx():
+                assert ec.multi_scalar_mult_equals(terms, nonces) \
+                    == (skew == 0)
 
     def test_wnaf_digits_reconstruct_scalar(self):
         for scalar in EDGE_SCALARS:

@@ -4,13 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import ec
+from repro.crypto import ec, fastcore
 from repro.crypto.schnorr import (
     SIGNATURE_SIZE,
     SchnorrError,
     SchnorrPrivateKey,
     SchnorrPublicKey,
     generate_schnorr_keypair,
+)
+
+from .reference_verify import (
+    mirrored_signature,
+    off_curve_x,
+    reference_verify,
 )
 
 
@@ -94,6 +100,119 @@ class TestSignVerify:
         assert not key.public_key.verify(b"fixed message", bytes(sig))
 
 
+def _mutate(kind: str, signature: bytes, filler: int) -> bytes:
+    """One way to spoil a valid signature; ``filler`` picks the variant."""
+    r, s = signature[:33], signature[33:]
+    if kind == "parity":
+        return bytes([r[0] ^ 1]) + r[1:] + s
+    if kind == "prefix":
+        return bytes([(0, 1, 4, 5, 255)[filler % 5]]) + r[1:] + s
+    if kind == "x_ge_p":
+        x = ec.P + filler % (2**256 - ec.P)
+        return r[:1] + x.to_bytes(32, "big") + s
+    if kind == "x_off_curve":
+        return r[:1] + off_curve_x().to_bytes(32, "big") + s
+    if kind == "s_zero":
+        return r + bytes(32)
+    if kind == "s_ge_n":
+        return r + (ec.N + filler % (2**256 - ec.N)).to_bytes(32, "big")
+    if kind == "short":
+        return signature[:-1]
+    if kind == "long":
+        return signature + bytes([filler % 256])
+    return signature
+
+
+SPOILED_BYTES = ("parity", "prefix", "x_ge_p", "x_off_curve", "s_zero",
+                 "s_ge_n", "short", "long")
+MUTATIONS = ("valid",) + SPOILED_BYTES + ("wrong_key", "wrong_message")
+
+
+class TestAcceptSetIdentity:
+    """The check that never decompresses R accepts exactly what the
+    decode-and-compare reference does, in both ``fastcore`` arms."""
+
+    @given(kind=st.sampled_from(MUTATIONS),
+           message=st.binary(min_size=0, max_size=40),
+           filler=st.integers(min_value=0, max_value=2**64),
+           container=st.sampled_from((bytes, bytearray, memoryview)),
+           arm=st.sampled_from((fastcore.forced, fastcore.disabled)))
+    @settings(max_examples=80, deadline=None)
+    def test_verdict_equals_reference(self, key, kind, message, filler,
+                                      container, arm):
+        signature = container(_mutate(kind, key.sign(message), filler))
+        public = key.public_key
+        if kind == "wrong_key":
+            public = generate_schnorr_keypair(
+                rng=random.Random(filler)).public_key
+        if kind == "wrong_message":
+            message += b"!"
+        with arm():
+            verdict = public.verify(message, signature)
+            assert verdict == reference_verify(public.point, message,
+                                               signature)
+        assert verdict == (kind == "valid")
+
+    def test_every_mutation_is_exercised(self, key):
+        """Hypothesis samples; this walks each case once, so none of
+        the listed rejections can silently go untested."""
+        signature = key.sign(b"walk")
+        for kind in SPOILED_BYTES:
+            spoiled = _mutate(kind, signature, filler=7)
+            assert spoiled != signature
+            assert not key.public_key.verify(b"walk", spoiled)
+            assert not reference_verify(key.public_key.point, b"walk",
+                                        spoiled)
+
+    def test_negated_nonce_rejected(self, key):
+        """The parity byte is compared, not just x. Flipping it on a
+        finished signature also changes the challenge, so this one is
+        made by a cheating signer (``mirrored_signature``): the sum
+        lands on the committed x with the other y."""
+        message = b"mirror"
+        signature = mirrored_signature(key.d, message)
+        assert not reference_verify(key.public_key.point, message,
+                                    signature)
+        for arm in (fastcore.forced, fastcore.disabled):
+            with arm():
+                assert not key.public_key.verify(message, signature)
+
+    def test_scalar_alias_rejected(self, key, monkeypatch):
+        """s and s + N give the same ``s*G``; only the range check tells
+        them apart. A real s is never small enough for s + N to fit 32
+        bytes, so the challenge is pinned to make one."""
+        from repro.crypto import schnorr
+
+        from . import reference_verify as reference
+
+        e, s = 0xE, 0x5
+        monkeypatch.setattr(schnorr, "_challenge", lambda *args: e)
+        monkeypatch.setattr(reference, "challenge", lambda *args: e)
+        nonce = ec.double_scalar_mult(s, ec.GENERATOR, ec.N - e,
+                                      key.public_key.point).encode()
+        honest = nonce + s.to_bytes(32, "big")
+        alias = nonce + (s + ec.N).to_bytes(32, "big")
+        for signature, verdict in ((honest, True), (alias, False)):
+            assert key.public_key.verify(b"m", signature) is verdict
+            assert reference.reference_verify(
+                key.public_key.point, b"m", signature) is verdict
+
+    def test_single_check_never_decompresses_r(self, key, monkeypatch):
+        """No modular square root on a never-seen signature: the nonce
+        bytes are compared, not decoded."""
+        signature = key.sign(b"never seen before")
+        decoded = []
+        real_decode = ec.Point.decode
+
+        def spy(data):
+            decoded.append(bytes(data))
+            return real_decode(data)
+
+        monkeypatch.setattr(ec.Point, "decode", staticmethod(spy))
+        assert key.public_key.verify(b"never seen before", signature)
+        assert decoded == []
+
+
 class TestZeroSRetry:
     """The s == 0 branch in sign() retries over the SAME message.
 
@@ -126,10 +245,10 @@ class TestZeroSRetry:
                 return k0
             return real_nonce(d, msg, start=start)
 
-        def fake_challenge(r_point, public_point, msg):
-            if r_point == r0:
+        def fake_challenge(r_bytes, public_point, msg):
+            if r_bytes == r0.encode():
                 return e0
-            return real_challenge(r_point, public_point, msg)
+            return real_challenge(r_bytes, public_point, msg)
 
         monkeypatch.setattr(schnorr, "_deterministic_nonce", fake_nonce)
         monkeypatch.setattr(schnorr, "_challenge", fake_challenge)
