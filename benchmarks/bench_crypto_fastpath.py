@@ -1,7 +1,6 @@
 """Benchmark the crypto fast path: memo, double-scalar verify, batching.
 
-Five measurements (see docs/PERFORMANCE.md, "The crypto fast path" and
-"Hardware-speed core"):
+Three measurements (see docs/PERFORMANCE.md, "The crypto fast path"):
 
 * **warm vs cold validate_proof** on the Table 3 case-study proof
   (Maria => AirNet.access, 3 links + support proofs, 8 distinct
@@ -21,25 +20,10 @@ Five measurements (see docs/PERFORMANCE.md, "The crypto fast path" and
   sample, so no nonce point is interned and the equation pays its
   square roots. Prints the single-check kernel, the batch equation and
   which of the two ``schnorr.verify_batch`` dispatches to.
-* **cold validate_proof, fastcore vs seed**: the same cold pass with
-  the hardware-speed core (comb tables, wNAF, interned decode, fast
-  codec) disabled via ``fastcore.disabled()`` against the fast arm.
-  Both arms clear the verification memo every pass; the fast arm is
-  warmed until its comb tables exist (table construction is a one-time
-  cost, not per-validation work). Required: >= 1.3x. (It was 2x while
-  the seed arm's batch equation dragged every nonce point through a
-  GLV-split 4-bit ladder and its single check paid a square root; both
-  arms now share one verification kernel, the seed arm's cold pass
-  fell from ~6.5 to ~4 ms against the fast arm's 2.7 -> 2.3, and what
-  is left between them is combs vs window tables and the intern pools.)
-* **wire codec, fast vs seed**: ``canonical_encode``/``canonical_decode``
-  on the case-study proof's wire dict, fast arm vs seed arm, with the
-  fast encoding asserted BYTE-IDENTICAL to the seed encoding in-bench
-  (the canonical bytes are signature-bearing, so any divergence is a
-  correctness bug, not a regression). Required: >= 1.3x each way.
 
-Emits ``BENCH_crypto_fastpath.json`` and exits nonzero if a required
-speedup is missed. Run standalone
+Emits ``BENCH_crypto_fastpath.json`` (git-ignored, not a tracked
+trajectory) and exits nonzero if a required speedup is missed. Run
+standalone
 (``python benchmarks/bench_crypto_fastpath.py [--quick]``) or under
 pytest (``pytest benchmarks/bench_crypto_fastpath.py``).
 """
@@ -60,13 +44,7 @@ import _emit                                          # noqa: E402
 
 from repro.core import SimClock                          # noqa: E402
 from repro.core.proof import Proof, validate_proof       # noqa: E402
-from repro.crypto import (                               # noqa: E402
-    ec,
-    encoding,
-    fastcore,
-    schnorr,
-    verify_cache,
-)
+from repro.crypto import ec, schnorr, verify_cache       # noqa: E402
 from repro.crypto.schnorr import (                       # noqa: E402
     SchnorrPrivateKey,
     _challenge,
@@ -78,8 +56,6 @@ from repro.workloads import build_case_study             # noqa: E402
 OUTPUT = "BENCH_crypto_fastpath.json"
 REQUIRED_WARM_SPEEDUP = 5.0
 REQUIRED_VERIFY_SPEEDUP = 1.5
-REQUIRED_COLD_SPEEDUP = 1.3
-REQUIRED_CODEC_SPEEDUP = 1.3
 
 
 def _median(samples):
@@ -239,104 +215,6 @@ def bench_batch_verify(repeat: int) -> dict:
     return {"shapes": shapes}
 
 
-def bench_cold_fastcore(repeat: int) -> dict:
-    """Cold validate_proof: hardware-speed core vs seed implementation.
-
-    Every pass decodes fresh objects and clears the verification memo,
-    so both arms pay full signature checks; only the underlying EC,
-    codec, and decode-interning machinery differs. The fast arm is
-    warmed past the comb-build threshold first -- the tables are a
-    one-time per-process cost, and a cold *validation* should not be
-    charged for them (the seed arm's generator window table was likewise
-    built at import, before anyone measured).
-    """
-    proof = _case_study_proof()
-    wire = proof.to_dict()
-
-    def cold_pass():
-        fresh = Proof.from_dict(wire)
-        verify_cache.cache_clear()
-        started = time.perf_counter()
-        validate_proof(fresh, at=0.0)
-        return time.perf_counter() - started
-
-    samples = max(10, repeat * 2)
-    with fastcore.disabled():
-        for _ in range(3):
-            cold_pass()
-        seed_samples = [cold_pass() for _ in range(samples)]
-
-    for _ in range(30):  # past _COMB_BUILD_THRESHOLD for the hot points
-        cold_pass()
-    fast_samples = [cold_pass() for _ in range(samples)]
-
-    # Best-of, not median: a cold validation has a well-defined floor
-    # and only upward noise (GC, scheduler), so min is the stable
-    # estimator for both arms and the ratio is noise-resistant.
-    seed = min(seed_samples)
-    fast = min(fast_samples)
-    return {
-        "seed_cold_ms": seed * 1e3,
-        "fastcore_cold_ms": fast * 1e3,
-        "cold_speedup": seed / fast if fast > 0 else float("inf"),
-    }
-
-
-def bench_wire_codec(repeat: int) -> dict:
-    """canonical_encode/decode, fast arm vs seed arm, byte-identity gated.
-
-    The value under test is the case-study proof's wire dict -- the
-    exact shape every publish/import/discovery RPC serializes. The fast
-    encoding MUST equal the seed encoding byte for byte (canonical
-    bytes feed signatures and fingerprints); the bench asserts that on
-    every sample before it trusts any timing.
-    """
-    wire = _case_study_proof().to_dict()
-    inner = 20  # encodes/decodes per timed sample
-
-    with fastcore.disabled():
-        seed_bytes = encoding.canonical_encode(wire)
-    fast_bytes = encoding.canonical_encode(wire)
-    assert fast_bytes == seed_bytes, \
-        "fast encoder diverged from canonical bytes"
-    assert encoding.canonical_decode(fast_bytes) == \
-        encoding.canonical_decode(memoryview(fast_bytes)), \
-        "fast decoder diverged between bytes and memoryview inputs"
-    with fastcore.disabled():
-        seed_value = encoding.canonical_decode(seed_bytes)
-    assert encoding.canonical_decode(fast_bytes) == seed_value, \
-        "fast decoder diverged from seed decoder"
-
-    def time_arm(function, argument):
-        samples = []
-        for _ in range(repeat):
-            started = time.perf_counter()
-            for _ in range(inner):
-                function(argument)
-            samples.append((time.perf_counter() - started) / inner)
-        return _median(samples)
-
-    with fastcore.disabled():
-        seed_encode = time_arm(encoding.canonical_encode, wire)
-        seed_decode = time_arm(encoding.canonical_decode, seed_bytes)
-    fast_encode = time_arm(encoding.canonical_encode, wire)
-    fast_decode = time_arm(encoding.canonical_decode, seed_bytes)
-
-    return {
-        "wire_bytes": len(seed_bytes),
-        "byte_identical": fast_bytes == seed_bytes,
-        "seed_encode_us": seed_encode * 1e6,
-        "fast_encode_us": fast_encode * 1e6,
-        "encode_speedup":
-            seed_encode / fast_encode if fast_encode > 0 else float("inf"),
-        "seed_decode_us": seed_decode * 1e6,
-        "fast_decode_us": fast_decode * 1e6,
-        "decode_speedup":
-            seed_decode / fast_decode if fast_decode > 0 else float("inf"),
-        "codec": encoding.codec_info(),
-    }
-
-
 def run(quick: bool, output: str, metrics_out=None) -> int:
     started = time.perf_counter()
     repeat = 5 if quick else 15
@@ -361,40 +239,16 @@ def run(quick: bool, output: str, metrics_out=None) -> int:
               f"equation={shape['equation_ms_per_signature']:.3f} "
               f"ms/signature -> {shape['dispatch']} (report-only)")
 
-    cold = bench_cold_fastcore(repeat)
-    print(f"fastcore cold    seed={cold['seed_cold_ms']:.2f}ms "
-          f"fast={cold['fastcore_cold_ms']:.2f}ms "
-          f"speedup={cold['cold_speedup']:.2f}x "
-          f"(required {REQUIRED_COLD_SPEEDUP:.1f}x)")
-
-    codec = bench_wire_codec(repeat)
-    print(f"wire codec       encode {codec['seed_encode_us']:.1f}us->"
-          f"{codec['fast_encode_us']:.1f}us "
-          f"({codec['encode_speedup']:.2f}x)  "
-          f"decode {codec['seed_decode_us']:.1f}us->"
-          f"{codec['fast_decode_us']:.1f}us "
-          f"({codec['decode_speedup']:.2f}x) "
-          f"(required {REQUIRED_CODEC_SPEEDUP:.1f}x, byte-identity "
-          f"{'OK' if codec['byte_identical'] else 'BROKEN'})")
-
     ok = (validate["warm_speedup_vs_cold"] >= REQUIRED_WARM_SPEEDUP
-          and verify["cold_verify_speedup"] >= REQUIRED_VERIFY_SPEEDUP
-          and cold["cold_speedup"] >= REQUIRED_COLD_SPEEDUP
-          and codec["byte_identical"]
-          and codec["encode_speedup"] >= REQUIRED_CODEC_SPEEDUP
-          and codec["decode_speedup"] >= REQUIRED_CODEC_SPEEDUP)
+          and verify["cold_verify_speedup"] >= REQUIRED_VERIFY_SPEEDUP)
 
     _emit.emit(output, "crypto_fastpath", {
         "required_warm_speedup": REQUIRED_WARM_SPEEDUP,
         "required_verify_speedup": REQUIRED_VERIFY_SPEEDUP,
-        "required_cold_speedup": REQUIRED_COLD_SPEEDUP,
-        "required_codec_speedup": REQUIRED_CODEC_SPEEDUP,
         "pass": ok,
         "validate_proof": validate,
         "schnorr_verify": verify,
         "batch_verify": batch,
-        "cold_fastcore": cold,
-        "wire_codec": codec,
     }, quick=quick, started=started, metrics_out=metrics_out)
     print(f"wrote {output} -> {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
@@ -403,8 +257,7 @@ def run(quick: bool, output: str, metrics_out=None) -> int:
 # -- pytest entry points -----------------------------------------------------
 
 def test_crypto_fastpath_speedups(tmp_path):
-    """Shape claim: warm validation 5x+, joint-ladder verify 1.5x+,
-    fastcore cold validation 1.3x+, codec 1.3x+ byte-identical."""
+    """Shape claim: warm validation 5x+, joint-ladder verify 1.5x+."""
     assert run(quick=True, output=str(tmp_path / OUTPUT)) == 0
 
 

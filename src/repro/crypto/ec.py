@@ -5,8 +5,7 @@ Provides the group operations needed by the Schnorr signature scheme in
 multiplication using Jacobian projective coordinates. Pure Python,
 stdlib only.
 
-Layers of scalar-multiplication machinery, fastest applicable one
-wins:
+One scalar-multiplication stack, fastest applicable layer wins:
 
 * **comb tables** (:class:`_CombTable`) for the hottest fixed base
   points (the generator always; entity keys after sustained reuse) --
@@ -15,27 +14,21 @@ wins:
 * **window tables** (:class:`_WindowTable`) for warm fixed base points --
   the same idea with 4-bit windows (~64 mixed additions), an order of
   magnitude cheaper to build;
-* **Strauss/Shamir joint ladders** (:func:`double_scalar_mult`,
+* **one Strauss/Shamir joint ladder** (:func:`double_scalar_mult`,
   :func:`multi_scalar_mult`) for the verification equation's
   ``s*G - e*P`` while a key is still cold -- all scalars share one run
   of doublings, the secp256k1 GLV endomorphism
   (``lambda*(x, y) = (beta*x, y)``) halves each scalar to ~128 bits so
-  the shared ladder is half as tall, and (fast path) width-5 wNAF
-  recoding drops the addition density from 15/16 per 4 bits to ~1/6 per
-  bit while all precomputed odd-multiple rows for one call share a
-  single Montgomery-batched inversion;
+  the shared ladder is half as tall, width-5 wNAF recoding keeps the
+  addition density at ~1/6 per bit, and all precomputed odd-multiple
+  rows for one call share a single Montgomery-batched inversion;
 * **one short NAF ladder** (:func:`multi_scalar_mult_equals`) for the
   one-shot nonce points of a batch-verification equation, whose
   coefficients are 64 bits: no rows, no GLV, nothing cached;
-* **plain double-and-add** (:func:`scalar_mult_plain`) as the
-  independent reference implementation the optimized paths are tested
-  against.
-
-The wNAF ladder, the comb cache, and the :meth:`Point.decode` intern
-pool are gated by :mod:`repro.crypto.fastcore`; with the switch off,
-the seed code paths run unchanged. Either way the results are
-identical group elements (asserted by ``tests/crypto/test_fastcore.py``
-against :func:`scalar_mult_plain`).
+* **plain double-and-add** (:func:`scalar_mult_plain`) for a point seen
+  once or twice, and the independent oracle every table and ladder
+  above is tested against (``tests/crypto``: edge scalars, Hypothesis
+  cross-checks, published secp256k1 vectors).
 
 Curve: y^2 = x^3 + 7 over F_p with the standard secp256k1 parameters.
 """
@@ -44,7 +37,7 @@ import threading
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.crypto import fastcore
+from repro.crypto.pools import make_room
 
 # secp256k1 domain parameters.
 P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
@@ -97,7 +90,7 @@ class Point:
         Decompression costs a modular square root (~150us), and wire
         payloads repeat the same handful of issuer keys and signature
         nonce points, so successfully decoded points are interned in a
-        bounded pool keyed by the exact input bytes (fast path only).
+        bounded pool keyed by the exact input bytes.
         """
         if not isinstance(data, bytes):
             if not isinstance(data, (bytearray, memoryview)):
@@ -112,10 +105,9 @@ class Point:
             if len(data) > 33 and data[0] in (2, 3):
                 raise ECError("trailing bytes after compressed point")
             raise ECError("invalid compressed point encoding")
-        if fastcore.enabled():
-            cached = _point_intern.get(data)
-            if cached is not None:
-                return cached
+        cached = _point_intern.get(data)
+        if cached is not None:
+            return cached
         x = int.from_bytes(data[1:], "big")
         if x >= P:
             raise ECError("x coordinate out of range")
@@ -126,10 +118,8 @@ class Point:
         if (y & 1) != (data[0] & 1):
             y = P - y
         point = Point(x, y)
-        if fastcore.enabled():
-            if len(_point_intern) >= _POINT_INTERN_LIMIT:
-                _point_intern.pop(next(iter(_point_intern)))
-            _point_intern[data] = point
+        make_room(_point_intern, _POINT_INTERN_LIMIT)
+        _point_intern[data] = point
         return point
 
 
@@ -312,20 +302,20 @@ class _WindowTable:
 # costs about two plain multiplications, so it only pays off for points
 # used repeatedly -- we count uses and switch over at a threshold. Both
 # maps are bounded so a workload minting thousands of one-shot entities
-# cannot grow memory without limit; eviction is FIFO, fine for this
-# access pattern.
+# cannot grow memory without limit; eviction is FIFO
+# (:func:`repro.crypto.pools.make_room`), fine for this access pattern.
 _TABLE_CACHE_LIMIT = 512
 _TABLE_BUILD_THRESHOLD = 3
 _table_cache: dict = {}
 _use_counts: dict = {}
 
-# Small per-point affine rows ([1..15] * P) used by the joint ladders
+# Small per-point affine rows ([1..15] * P) used by the joint ladder
 # for points that are not (yet) hot enough for a full window table.
 # Bounded FIFO for the same reason as the table cache above.
 _ROW_CACHE_LIMIT = 1024
 _row_cache: dict = {}
 
-# Decoded-point intern pool (fast path): wire payloads repeat the same
+# Decoded-point intern pool: wire payloads repeat the same
 # issuer keys and nonce points; interning skips the ~150us square root
 # on every repeat. Keyed by the exact 33 encoded bytes, so two inputs
 # share an entry only when they are literally the same encoding.
@@ -351,38 +341,14 @@ def _table_for(point: Point):
         return table
     count = _use_counts.get(key, 0) + 1
     if count < _TABLE_BUILD_THRESHOLD:
-        if len(_use_counts) >= 4 * _TABLE_CACHE_LIMIT:
-            _use_counts.pop(next(iter(_use_counts)))
+        make_room(_use_counts, 4 * _TABLE_CACHE_LIMIT)
         _use_counts[key] = count
         return None
     _use_counts.pop(key, None)
     table = _WindowTable(point)
-    if len(_table_cache) >= _TABLE_CACHE_LIMIT:
-        _table_cache.pop(next(iter(_table_cache)))
+    make_room(_table_cache, _TABLE_CACHE_LIMIT)
     _table_cache[key] = table
     return table
-
-
-def _affine_row(point: Point) -> List[_Affine]:
-    """``[None, 1*P, 2*P, ..., 15*P]`` as affine entries (one inversion)."""
-    key = (point.x, point.y)
-    table = _table_cache.get(key)
-    if table is not None:
-        return table.windows[0]
-    row = _row_cache.get(key)
-    if row is not None:
-        return row
-    base = _to_jacobian(point)
-    jacobians: List[_Jacobian] = []
-    accum = base
-    for _digit in range(1, 16):
-        jacobians.append(accum)
-        accum = _jacobian_add(accum, base)
-    row = [None] + _batch_to_affine(jacobians)
-    if len(_row_cache) >= _ROW_CACHE_LIMIT:
-        _row_cache.pop(next(iter(_row_cache)))
-    _row_cache[key] = row
-    return row
 
 
 class _CombTable:
@@ -463,8 +429,7 @@ def _comb_for(point: Point):
         return None
     count = _comb_use_counts.get(key, 0) + 1
     if count < _COMB_BUILD_THRESHOLD:
-        if len(_comb_use_counts) >= 4 * _COMB_CACHE_LIMIT:
-            _comb_use_counts.pop(next(iter(_comb_use_counts)))
+        make_room(_comb_use_counts, 4 * _COMB_CACHE_LIMIT)
         _comb_use_counts[key] = count
         return None
     with _FAST_LOCK:
@@ -482,10 +447,9 @@ def scalar_mult(scalar: int, point: Point = GENERATOR) -> Point:
     scalar %= N
     if scalar == 0 or point.is_infinity:
         return INFINITY
-    if fastcore.enabled():
-        comb = _comb_for(point)
-        if comb is not None:
-            return comb.mult(scalar)
+    comb = _comb_for(point)
+    if comb is not None:
+        return comb.mult(scalar)
     table = _table_for(point)
     if table is None:
         return scalar_mult_plain(scalar, point)
@@ -493,7 +457,8 @@ def scalar_mult(scalar: int, point: Point = GENERATOR) -> Point:
 
 
 def scalar_mult_plain(scalar: int, point: Point = GENERATOR) -> Point:
-    """Table-free double-and-add; reference implementation for tests."""
+    """Table-free double-and-add: the cold-point path of
+    :func:`scalar_mult` and the oracle for everything faster."""
     scalar %= N
     if scalar == 0 or point.is_infinity:
         return INFINITY
@@ -512,7 +477,7 @@ def scalar_mult_plain(scalar: int, point: Point = GENERATOR) -> Point:
 # secp256k1 has an efficiently computable endomorphism
 # ``lambda * (x, y) = (beta * x, y)`` with lambda^3 = 1 mod N and
 # beta^3 = 1 mod P. Decomposing a 256-bit scalar k into k1 + k2*lambda
-# with |k1|, |k2| ~ 2^128 halves the height of every joint ladder.
+# with |k1|, |k2| ~ 2^128 halves the height of the joint ladder.
 # Constants are the standard published secp256k1 GLV parameters.
 
 GLV_LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
@@ -556,7 +521,7 @@ def _signed_pair(scalar: int, row: List[_Affine]
 def _glv_pairs(scalar: int, row: List[_Affine]
                ) -> List[Tuple[int, List[_Affine]]]:
     """GLV-decomposed (positive scalar, row) pairs of ``scalar * P`` for
-    the joint ladders, given P's affine row; ``scalar`` in [1, N)."""
+    the joint ladder, given P's affine row; ``scalar`` in [1, N)."""
     k1, k2 = _glv_split(scalar)
     pairs = []
     first = _signed_pair(k1, row)
@@ -568,37 +533,16 @@ def _glv_pairs(scalar: int, row: List[_Affine]
     return pairs
 
 
-def _joint_ladder(pairs: List[Tuple[int, List[_Affine]]]) -> _Jacobian:
-    """Strauss/Shamir interleaving: one shared run of doublings, 4-bit
-    windows per scalar, mixed additions from affine rows."""
-    if not pairs:
-        return _J_INFINITY
-    windows = (max(scalar.bit_length() for scalar, _row in pairs) + 3) // 4
-    result: _Jacobian = _J_INFINITY
-    double = _jacobian_double
-    add_affine = _jacobian_add_affine
-    for index in range(windows - 1, -1, -1):
-        if result[2] != 0:
-            result = double(double(double(double(result))))
-        shift = index << 2
-        for scalar, row in pairs:
-            digit = (scalar >> shift) & 0xF
-            if digit:
-                entry = row[digit]
-                result = add_affine(result, entry[0], entry[1])
-    return result
-
-
-# -- wNAF fast path ----------------------------------------------------------
+# -- wNAF joint ladder -------------------------------------------------------
 #
 # Width-5 non-adjacent form: every scalar is recoded into signed odd
 # digits in {+-1, +-3, ..., +-15} with at least 4 zeros between nonzero
-# digits, so a 128-bit GLV half costs ~21 additions instead of the
-# 4-bit ladder's ~30, reusing the same [1..15]*P affine rows (negative
-# digits negate the entry inline -- a field subtraction, not a new
-# row). All rows a call needs are normalized together with ONE
-# Montgomery-batched inversion (:func:`_rows_for_batch`), so an entire
-# batch-verification equation shares a single ``pow(x, -1, P)``.
+# digits, so a 128-bit GLV half costs ~21 additions off a [1..15]*P
+# affine row (negative digits negate the entry inline -- a field
+# subtraction, not a new row). All rows a call needs are normalized
+# together with ONE Montgomery-batched inversion
+# (:func:`_rows_for_batch`), so an entire batch-verification equation
+# shares a single ``pow(x, -1, P)``.
 
 
 def _wnaf_digits(scalar: int, width: int = 5) -> List[int]:
@@ -626,8 +570,7 @@ def _rows_for_batch(points: Sequence[Point]) -> List[List[_Affine]]:
 
     Cached rows (and window-table rows, which subsume them) are reused;
     the remaining points' 14 chain additions each are normalized in a
-    single :func:`_batch_to_affine` call, then cached under the same
-    bound/eviction as :func:`_affine_row`.
+    single :func:`_batch_to_affine` call, then cached (bounded FIFO).
     """
     rows: List[Optional[List[_Affine]]] = [None] * len(points)
     missing: List[int] = []
@@ -654,8 +597,7 @@ def _rows_for_batch(points: Sequence[Point]) -> List[List[_Affine]]:
             row = [None] + affine[slot * 15:(slot + 1) * 15]
             rows[index] = row
             point = points[index]
-            if len(_row_cache) >= _ROW_CACHE_LIMIT:
-                _row_cache.pop(next(iter(_row_cache)))
+            make_room(_row_cache, _ROW_CACHE_LIMIT)
             _row_cache[(point.x, point.y)] = row
     return rows  # type: ignore[return-value]
 
@@ -687,9 +629,10 @@ def _joint_wnaf(pairs: List[Tuple[int, List[_Affine]]]) -> _Jacobian:
     return result
 
 
-def _multi_scalar_mult_fast(scaled: List[Tuple[int, Point]]) -> _Jacobian:
-    """Fast-path core of :func:`multi_scalar_mult`: comb and window
-    tables where available, one shared wNAF ladder (and one shared row
+def _multi_scalar_mult_jac(scaled: Sequence[Tuple[int, Point]]) -> _Jacobian:
+    """``sum(scalar_i * point_i)`` before the final affine conversion,
+    for scalars in [1, N) on finite points: comb and window tables
+    where available, one shared wNAF ladder (and one shared row
     inversion) for everything still cold."""
     result: _Jacobian = _J_INFINITY
     cold: List[Tuple[int, Point]] = []
@@ -729,15 +672,7 @@ def double_scalar_mult(a: int, p: Point, b: int, q: Point) -> Point:
         return scalar_mult(b, q)
     if b == 0 or q.is_infinity:
         return scalar_mult(a, p)
-    if fastcore.enabled():
-        return _from_jacobian(_multi_scalar_mult_fast([(a, p), (b, q)]))
-    table_p = _table_for(p)
-    table_q = _table_for(q)
-    if table_p is not None and table_q is not None:
-        return _from_jacobian(_jacobian_add(table_p.mult_jac(a),
-                                            table_q.mult_jac(b)))
-    pairs = _glv_pairs(a, _affine_row(p)) + _glv_pairs(b, _affine_row(q))
-    return _from_jacobian(_joint_ladder(pairs))
+    return _from_jacobian(_multi_scalar_mult_jac([(a, p), (b, q)]))
 
 
 def _merged_terms(terms: Sequence[Tuple[int, Point]]
@@ -761,24 +696,6 @@ def _merged_terms(terms: Sequence[Tuple[int, Point]]
             if merged[(point.x, point.y)] != 0]
 
 
-def _multi_scalar_mult_jac(terms: Sequence[Tuple[int, Point]]) -> _Jacobian:
-    """:func:`multi_scalar_mult` before the final affine conversion."""
-    scaled = _merged_terms(terms)
-    if fastcore.enabled():
-        return _multi_scalar_mult_fast(scaled)
-    pairs: List[Tuple[int, List[_Affine]]] = []
-    result: _Jacobian = _J_INFINITY
-    for scalar, point in scaled:
-        table = _table_for(point)
-        if table is not None:
-            result = _jacobian_add(result, table.mult_jac(scalar))
-        else:
-            pairs.extend(_glv_pairs(scalar, _affine_row(point)))
-    if pairs:
-        result = _jacobian_add(result, _joint_ladder(pairs))
-    return result
-
-
 def multi_scalar_mult(terms: Sequence[Tuple[int, Point]]) -> Point:
     """Return ``sum(scalar_i * point_i)`` over reusable points.
 
@@ -786,10 +703,10 @@ def multi_scalar_mult(terms: Sequence[Tuple[int, Point]]) -> Point:
     for repeated points are merged first (one wallet-load batch
     typically re-uses a handful of issuer keys), points with comb or
     window tables are handled by table multiplication, and everything
-    else shares a single GLV-halved ladder -- width-5 wNAF with one
-    batched row inversion on the fast path, 4-bit windows otherwise.
+    else shares a single GLV-halved width-5 wNAF ladder with one
+    batched row inversion.
     """
-    return _from_jacobian(_multi_scalar_mult_jac(terms))
+    return _from_jacobian(_multi_scalar_mult_jac(_merged_terms(terms)))
 
 
 def _short_joint_mult(terms: Sequence[Tuple[int, Point]]) -> _Jacobian:
@@ -831,7 +748,7 @@ def multi_scalar_mult_equals(terms: Sequence[Tuple[int, Point]],
     compared by cross-multiplication: ``X1*Z2^2 == X2*Z1^2`` and
     ``Y1*Z2^3 == Y2*Z1^3``.
     """
-    x1, y1, z1 = _multi_scalar_mult_jac(terms)
+    x1, y1, z1 = _multi_scalar_mult_jac(_merged_terms(terms))
     x2, y2, z2 = _short_joint_mult(short_terms)
     if z1 == 0 or z2 == 0:
         return z1 == z2

@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.crypto import fastcore, rsa, schnorr, verify_cache
+from repro.crypto import rsa, schnorr, verify_cache
 from repro.crypto.hashing import sha256, sha256_hex
+from repro.crypto.pools import make_room
 
 DEFAULT_ALGORITHM = "schnorr-secp256k1"
 ALGORITHMS = ("schnorr-secp256k1", "rsa-fdh-sha256")
@@ -32,7 +33,7 @@ class SignatureError(ValueError):
     """Raised on malformed keys, unknown algorithms, or bad signatures."""
 
 
-# Interned PublicKey instances (fast path): wire payloads and wallet
+# Interned PublicKey instances: wire payloads and wallet
 # snapshots repeat the same issuer/subject keys in every record, and
 # each construction re-validates (the Schnorr arm pays a modular square
 # root). The intern key is the COMPLETE content -- (algorithm, key
@@ -141,14 +142,13 @@ class PublicKey:
             key_bytes = bytes(data["key"])
         except (KeyError, TypeError) as exc:
             raise SignatureError(f"malformed public key record: {exc}") from exc
-        if isinstance(algorithm, str) and fastcore.enabled():
+        if isinstance(algorithm, str):
             intern_key = (algorithm, key_bytes)
             cached = _pk_intern.get(intern_key)
             if cached is not None:
                 return cached
             key = PublicKey(algorithm=algorithm, key_bytes=key_bytes)
-            if len(_pk_intern) >= _PK_INTERN_LIMIT:
-                _pk_intern.pop(next(iter(_pk_intern)))
+            make_room(_pk_intern, _PK_INTERN_LIMIT)
             _pk_intern[intern_key] = key
             return key
         return PublicKey(algorithm=algorithm, key_bytes=key_bytes)

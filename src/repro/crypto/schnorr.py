@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
-from repro.crypto import ec, fastcore
+from repro.crypto import ec
 from repro.crypto.hashing import hmac_sha256, sha256
 
 SIGNATURE_SIZE = 33 + 32  # compressed R point + 32-byte scalar s
@@ -219,7 +219,7 @@ def verify_batch(items: Sequence[BatchItem],
             return False
         e = _challenge(r_bytes, public_key.point, message)
         parsed.append((public_key.point, r_point, s, e))
-    if rng is None and fastcore.enabled():
+    if rng is None:
         # One entropy read for the whole batch instead of one syscall
         # per item. `or 1` keeps the coefficient nonzero; the 2**-64
         # extra mass on z == 1 is immaterial to the soundness bound.
@@ -229,8 +229,7 @@ def verify_batch(items: Sequence[BatchItem],
             for index in range(len(parsed))
         ]
     else:
-        rand = rng if rng is not None else secrets.SystemRandom()
-        coefficients = [rand.randrange(1, 1 << 64) for _ in parsed]
+        coefficients = [rng.randrange(1, 1 << 64) for _ in parsed]
     key_terms: List[Tuple[int, ec.Point]] = []
     nonce_terms: List[Tuple[int, ec.Point]] = []
     s_combined = 0

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import crypto, obs
-from repro.crypto import ec, fastcore, schnorr, verify_cache
+from repro.crypto import ec, schnorr, verify_cache
 from repro.crypto.schnorr import (
     SchnorrPrivateKey,
     equation_wins,
@@ -182,20 +182,18 @@ class TestDispatch:
             assert not verify_batch(tampered)
             assert verify_batch_bisect(tampered) == expected
 
-    @given(data=st.data(), shape=st.sampled_from(SHAPES),
-           arm=st.sampled_from((fastcore.forced, fastcore.disabled)))
+    @given(data=st.data(), shape=st.sampled_from(SHAPES))
     @settings(max_examples=30, deadline=None)
-    def test_property_mixes_match_single_check(self, data, shape, arm):
+    def test_property_mixes_match_single_check(self, data, shape):
         count, keys = shape
         items = _shaped(count, keys, seed=data.draw(st.integers(0, 3)))
         for index in range(count):
             kind = data.draw(st.sampled_from((None,) + TAMPER_KINDS))
             if kind is not None:
                 items = _tamper(items, index, kind)
-        with arm():
-            expected = _reference(items)
-            assert verify_batch(items) == all(expected)
-            assert verify_batch_bisect(items) == expected
+        expected = _reference(items)
+        assert verify_batch(items) == all(expected)
+        assert verify_batch_bisect(items) == expected
 
     def test_off_curve_nonce_rejected_by_the_equation(self):
         items = _shaped(7, 2)
@@ -267,19 +265,16 @@ class TestSoundness:
 
         monkeypatch.setattr(ec, "multi_scalar_mult_equals", spy)
         items = _shaped(7, 2)
-        for arm in (fastcore.forced, fastcore.disabled):
-            with arm():
-                assert verify_batch(items)
-                assert verify_batch(items)
-        assert len(seen) == 4
+        assert verify_batch(items)
+        assert verify_batch(items)
+        assert len(seen) == 2
         assert all(len(row) == 7 and all(0 < z < 1 << 64 for z in row)
                    for row in seen)
-        assert len({tuple(row) for row in seen}) == 4
+        assert seen[0] != seen[1]
         # A zero draw from the entropy blob is bumped to 1, not used.
         monkeypatch.setattr(schnorr.secrets, "token_bytes",
                             lambda size: bytes(size))
-        with fastcore.forced():
-            assert verify_batch(items)
+        assert verify_batch(items)
         assert seen[-1] == [1] * 7
 
 
@@ -325,12 +320,11 @@ class TestCostModel:
     def test_counted_operations_match_the_constants(self, hot_items,
                                                     monkeypatch):
         counter = _OpCounter(monkeypatch)
-        with fastcore.forced():
-            for public, message, signature in hot_items:
-                assert public.verify(message, signature)
-            single = counter.take()
-            assert verify_batch(hot_items, rng=random.Random(7))
-            batch = counter.take()
+        for public, message, signature in hot_items:
+            assert public.verify(message, signature)
+        single = counter.take()
+        assert verify_batch(hot_items, rng=random.Random(7))
+        batch = counter.take()
         count, keys = 7, 2
         # Single check: two comb multiplications, each joined to the
         # running sum (the first join is onto the identity: free), no
@@ -354,12 +348,11 @@ class TestCostModel:
             self, hot_items, monkeypatch):
         pair = [hot_items[0], hot_items[1]]
         counter = _OpCounter(monkeypatch)
-        with fastcore.forced():
-            assert all(public.verify(message, signature)
-                       for public, message, signature in pair)
-            single = counter.take()
-            assert verify_batch(pair)
-            assert counter.take() == single
+        assert all(public.verify(message, signature)
+                   for public, message, signature in pair)
+        single = counter.take()
+        assert verify_batch(pair)
+        assert counter.take() == single
         assert single["double"] == 0
 
 

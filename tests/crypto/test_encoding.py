@@ -1,3 +1,5 @@
+import collections
+import enum
 import math
 
 import pytest
@@ -9,6 +11,8 @@ from repro.crypto.encoding import (
     canonical_decode,
     canonical_encode,
 )
+
+from .reference_codec import reference_decode, reference_encode
 
 
 class TestScalars:
@@ -152,17 +156,92 @@ class TestProperties:
     @given(_values)
     @settings(max_examples=150, deadline=None)
     def test_fast_arm_matches_seed_arm(self, value):
-        """The zero-copy fast codec is byte-identical to the seed
-        codec (the canonical bytes feed signatures), and the fast
-        decoder accepts memoryviews without changing the result."""
-        from repro.crypto import fastcore
-        with fastcore.disabled():
-            seed_encoded = canonical_encode(value)
-        with fastcore.forced():
-            fast_encoded = canonical_encode(value)
-            assert fast_encoded == seed_encoded
-            fast_decoded = canonical_decode(seed_encoded)
-            view_decoded = canonical_decode(memoryview(seed_encoded))
-        with fastcore.disabled():
-            seed_decoded = canonical_decode(seed_encoded)
-        assert fast_decoded == seed_decoded == view_decoded == value
+        """The codec is byte-identical to the seed codec kept in
+        ``reference_codec.py`` (the canonical bytes feed signatures),
+        and decoding a memoryview does not change the result."""
+        encoded = reference_encode(value)
+        assert canonical_encode(value) == encoded
+        assert reference_decode(encoded) == canonical_decode(encoded) \
+            == canonical_decode(memoryview(encoded)) == value
+
+
+class _Text(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+class _Ratio(float):
+    pass
+
+
+class _Blob(bytes):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 300
+
+
+class _Colour(str, enum.Enum):
+    RED = "red"     # str(RED) is "_Colour.RED"; the encoding is of "red"
+
+
+_Pair = collections.namedtuple("_Pair", "left right")
+
+# Values no exact-type arm of the encoder takes: subclasses, buffer
+# look-alikes and container look-alikes, plus the plain scalars at the
+# edges of the arms next to them.
+FALL_THROUGH = {
+    "str-subclass": _Text("role"),
+    "int-subclass": _Count(7),
+    "int-subclass-big-negative": _Count(-2**70),
+    "float-subclass": _Ratio(2.5),
+    "float-subclass-negative-zero": _Ratio(-0.0),
+    "bytes-subclass": _Blob(b"\x00\x01"),
+    "int-enum-small": _Level.LOW,
+    "int-enum": _Level.HIGH,
+    "str-enum": _Colour.RED,
+    "bytearray": bytearray(b"abc"),
+    "memoryview": memoryview(b"abcdef")[1:4],
+    "memoryview-strided": memoryview(b"abcdef")[::2],
+    "namedtuple": _Pair(1, "two"),
+    "ordered-dict": collections.OrderedDict(b=1, a=[_Count(2)]),
+    "str-subclass-key": {_Text("key"): _Pair(_Ratio(0.0), None)},
+    "zero": 0.0,
+    "negative-zero": -0.0,
+    "big": 2**70,
+    "big-negative": -2**70,
+}
+
+REJECTED = {
+    "nan": float("nan"),
+    "nan-subclass": _Ratio("nan"),
+    "int-key": {1: "x"},
+    "int-subclass-key": {_Count(1): "x"},
+    "int-key-in-dict-subclass": collections.OrderedDict([(1, "x")]),
+    "object": [object()],
+    "set": {"k": {1, 2}},
+    "frozenset-in-namedtuple": _Pair(1, frozenset()),
+    "range": range(3),
+}
+
+
+class TestFallThroughInputs:
+    @pytest.mark.parametrize("name", FALL_THROUGH)
+    def test_same_bytes_as_the_seed_codec(self, name):
+        value = FALL_THROUGH[name]
+        encoded = canonical_encode(value)
+        assert encoded == reference_encode(value)
+        assert canonical_decode(encoded) == reference_decode(encoded)
+
+    @pytest.mark.parametrize("name", REJECTED)
+    def test_same_rejections_as_the_seed_codec(self, name):
+        with pytest.raises(EncodingError) as seed:
+            reference_encode(REJECTED[name])
+        with pytest.raises(EncodingError) as ours:
+            canonical_encode(REJECTED[name])
+        assert str(ours.value) == str(seed.value)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import ec, fastcore
+from repro.crypto import ec
 from repro.crypto.schnorr import (
     SIGNATURE_SIZE,
     SchnorrError,
@@ -130,16 +130,15 @@ MUTATIONS = ("valid",) + SPOILED_BYTES + ("wrong_key", "wrong_message")
 
 class TestAcceptSetIdentity:
     """The check that never decompresses R accepts exactly what the
-    decode-and-compare reference does, in both ``fastcore`` arms."""
+    decode-and-compare reference does."""
 
     @given(kind=st.sampled_from(MUTATIONS),
            message=st.binary(min_size=0, max_size=40),
            filler=st.integers(min_value=0, max_value=2**64),
-           container=st.sampled_from((bytes, bytearray, memoryview)),
-           arm=st.sampled_from((fastcore.forced, fastcore.disabled)))
+           container=st.sampled_from((bytes, bytearray, memoryview)))
     @settings(max_examples=80, deadline=None)
     def test_verdict_equals_reference(self, key, kind, message, filler,
-                                      container, arm):
+                                      container):
         signature = container(_mutate(kind, key.sign(message), filler))
         public = key.public_key
         if kind == "wrong_key":
@@ -147,10 +146,9 @@ class TestAcceptSetIdentity:
                 rng=random.Random(filler)).public_key
         if kind == "wrong_message":
             message += b"!"
-        with arm():
-            verdict = public.verify(message, signature)
-            assert verdict == reference_verify(public.point, message,
-                                               signature)
+        verdict = public.verify(message, signature)
+        assert verdict == reference_verify(public.point, message,
+                                           signature)
         assert verdict == (kind == "valid")
 
     def test_every_mutation_is_exercised(self, key):
@@ -173,9 +171,7 @@ class TestAcceptSetIdentity:
         signature = mirrored_signature(key.d, message)
         assert not reference_verify(key.public_key.point, message,
                                     signature)
-        for arm in (fastcore.forced, fastcore.disabled):
-            with arm():
-                assert not key.public_key.verify(message, signature)
+        assert not key.public_key.verify(message, signature)
 
     def test_scalar_alias_rejected(self, key, monkeypatch):
         """s and s + N give the same ``s*G``; only the range check tells

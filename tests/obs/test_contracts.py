@@ -33,8 +33,10 @@ REACH_INDEX_KEYS = {
     "nodes": int, "dirty": bool, "rebuilds": int,
     "incremental_updates": int,
 }
+# Contract v2 -- encoding.codec_info() / cache_info()["codec"] (v1's
+# "fast" reported a codec switch that no longer exists).
 CODEC_KEYS = {
-    "fast": bool, "encodes": int, "encoded_bytes": int,
+    "encodes": int, "encoded_bytes": int,
     "decodes": int, "decoded_bytes": int,
     "intern_hits": int, "intern_misses": int,
     "intern_hit_rate": float, "atoms": int,
