@@ -1,16 +1,22 @@
 """Shared benchmark plumbing.
 
-Every benchmark file reproduces one paper artifact (see DESIGN.md,
-Section 1) and follows the same pattern:
+Each of the ten artifact files here (``bench_table1-3``,
+``bench_figure1-2``, ``bench_search_strategies``, ``bench_revocation``,
+``bench_scalability``, ``bench_ablations``, ``bench_crypto``) reproduces
+one paper artifact (see DESIGN.md, Section 1) and follows the same
+pattern:
 
 * timing tests via the ``benchmark`` fixture;
 * a ``test_report_*`` that regenerates the paper's rows/series, prints
   them (visible with ``-s``; always recorded in ``benchmark.extra_info``),
   and asserts the *shape* claims -- who wins, by roughly what factor.
 
-Run everything with::
-
-    pytest benchmarks/ --benchmark-only
+Run them with ``pytest benchmarks/bench_*.py --benchmark-only`` (add
+``-s`` to see the tables), or once each, as CI does, with
+``--benchmark-disable``: the shape claims must hold for one round as
+well as for three.  ``bench_observability.py`` reports what tracing
+costs; how fast the system is, in time and in messages, is
+``benchmarks/e2e`` (its own README).
 
 ``--metrics-out PATH`` dumps the observability registry (Prometheus
 text format, same as ``drbac metrics``) after the session, covering

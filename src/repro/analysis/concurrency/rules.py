@@ -429,9 +429,9 @@ def _is_global_surface(site: CallSite) -> Optional[str]:
     "scope-escape", Severity.ERROR,
     "process-global mutable state reachable from a shard entry point "
     "without an enclosing scoped()",
-    "wrap the call path in obs.scoped()/verify_cache.scoped()/"
-    "fastpath.scoped() (e.g. via ShardContext.activate()) or inject "
-    "the per-shard handle instead of touching the global surface",
+    "wrap the call path in obs.scoped()/verify_cache.scoped() (e.g. "
+    "via ShardContext.activate()) or inject the per-shard handle "
+    "instead of touching the global surface",
 )
 def check_scope_escape(ctx: ConcurrencyContext,
                        rule: Rule) -> List[Finding]:

@@ -21,8 +21,7 @@ plain-Lock wrapper deliberately does NOT define
 while the RLock wrapper defines all three and keeps the held-stack
 consistent across ``Condition.wait``.
 
-Installed by ``pytest --sanitize`` (see ``tests/conftest.py``) and by
-``benchmarks/bench_concurrency_analysis.py`` to measure overhead.
+Installed by ``pytest --sanitize`` (see ``tests/conftest.py``).
 """
 
 import sys

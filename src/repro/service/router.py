@@ -6,8 +6,8 @@ applies admission control against that shard's bounded queue: if
 ``pending() >= high_watermark`` the request is *shed* with a typed
 ``RETRY_LATER`` response (carrying ``retry_after_ms``) instead of
 queueing without bound -- overload degrades to fast, explicit refusals
-rather than collapse (asserted by the overload section of
-``benchmarks/bench_service_scale.py``).
+rather than collapse (``tests/service/test_service.py`` floods a
+shallow queue and stops a process worker to show it).
 
 The router's own metrics (``drbac_service_*``, catalogued in
 docs/OBSERVABILITY.md) go to an *injected* registry -- pass

@@ -2,24 +2,23 @@
 
 A shard owns the home wallets of every namespace the ring assigns to
 it, plus the scoped infrastructure those wallets share: a private
-:class:`~repro.obs.MetricsRegistry`/:class:`~repro.obs.Tracer` pair, a
-private :class:`~repro.crypto.verify_cache.VerificationMemo`, and a
-pinned discovery fast-path switch.  Nothing a shard does leaks into
-the process-global registries -- reprolint's ``service-injection`` and
-the concurrency analyzer's ``scope-escape`` keep it that way -- so
-shards compose: one per process, N per process, or forked workers,
-all with identical behavior.
+:class:`~repro.obs.MetricsRegistry`/:class:`~repro.obs.Tracer` pair and
+a private :class:`~repro.crypto.verify_cache.VerificationMemo`.
+Nothing a shard does leaks into the process-global registries --
+reprolint's ``service-injection`` and the concurrency analyzer's
+``scope-escape`` keep it that way -- so shards compose: one per
+process, N per process, or forked workers, all with identical behavior.
 
 Each shard's 8192-entry memo covers only *its* namespaces' hot
 credentials, so N shards hold N memos' worth of hot set; process
 shards add real parallelism on top.  docs/PERFORMANCE.md ("Service
-layer") has the numbers for both.
+layer") says which ``benchmarks/e2e`` rows price both.
 
 Backends
 --------
 
 :class:`InlineShard`   runs requests on the caller's thread (lowest
-                       overhead; what the scaling benchmark measures).
+                       overhead; what the tier-1 tests drive).
 :class:`ThreadShard`   a worker thread behind a bounded queue (gives
                        the router real queue depths to shed against).
 :class:`ProcessShard`  a forked worker on one end of a socketpair; the
@@ -47,7 +46,6 @@ from repro.core.delegation import Delegation, Revocation
 from repro.core.errors import ProofError, PublicationError
 from repro.crypto import verify_cache
 from repro.crypto.verify_cache import VerificationMemo
-from repro.discovery import fastpath
 from repro.obs import MetricsRegistry, Tracer
 from repro.wallet.wallet import Wallet
 from repro.workloads.scenarios import SERVICE_EPOCH, ServicePopulation
@@ -79,12 +77,10 @@ class ShardContext:
     """The scoped singletons one shard injects around its work."""
 
     def __init__(self, shard_id: str,
-                 memo_maxsize: int = DEFAULT_MEMO_MAXSIZE,
-                 fastpath_enabled: bool = True) -> None:
+                 memo_maxsize: int = DEFAULT_MEMO_MAXSIZE) -> None:
         self.shard_id = shard_id
         self.registry = MetricsRegistry()
         self.tracer = Tracer()
-        self.fastpath_enabled = fastpath_enabled
         # Construct the memo inside the obs scope so its counters land
         # in this shard's registry, not the process-global one.
         with obs.scoped(registry=self.registry, tracer=self.tracer):
@@ -92,11 +88,10 @@ class ShardContext:
 
     @contextmanager
     def activate(self):
-        """Enter the shard's scopes (obs + verify memo + fast path)."""
+        """Enter the shard's scopes (obs + verify memo)."""
         with obs.scoped(registry=self.registry, tracer=self.tracer):
             with verify_cache.scoped(self.memo):
-                with fastpath.scoped(self.fastpath_enabled):
-                    yield self
+                yield self
 
 
 class ShardRuntime:

@@ -11,8 +11,11 @@ happened.
 import pytest
 
 from repro import obs
+from repro.core import SimClock
 from repro.crypto import verify_cache
+from repro.wallet.wallet import Wallet
 from repro.workloads import build_distributed_case_study
+from repro.workloads.topology import make_coalition
 
 
 def _span_index(spans):
@@ -140,6 +143,34 @@ class TestLocalShortCircuit:
         assert "discovery.discover" not in {s.name for s in spans}
         assert obs.registry().total(
             "drbac_wallet_authorizations_total") == 2
+
+    def test_warm_query_direct_opens_no_span(self, monkeypatch):
+        """What the < 3% overhead budget protects, pinned exactly: a
+        proof-cache hit returns before tracing is consulted at all."""
+        workload = make_coalition(3, 3, 2, seed=7, partner_links=1)
+        wallet = Wallet(owner=None, address="pin", clock=SimClock())
+        for delegation, supports in workload.delegations:
+            wallet.publish(delegation, supports)
+        subject, role = workload.subject, workload.obj
+        calls = []
+        real_span = obs.span
+
+        def counting_span(name, **attrs):
+            calls.append(name)
+            return real_span(name, **attrs)
+
+        monkeypatch.setattr(obs, "span", counting_span)
+        with obs.enabled_ctx():
+            assert wallet.query_direct(subject, role) is not None
+            assert "wallet.search" in calls     # the cold fill is traced
+            calls.clear()
+            obs.tracer().clear()
+            hits = wallet.cache_info()["hits"]
+            for _ in range(3):
+                assert wallet.query_direct(subject, role) is not None
+        assert wallet.cache_info()["hits"] == hits + 3
+        assert calls == []
+        assert obs.tracer().finished() == []
 
     def test_disabled_tracing_still_counts(self):
         obs.reset()

@@ -12,19 +12,9 @@ Exits nonzero if the file does not parse as Prometheus text exposition
 format (the parser is strict: any malformed sample line is an error),
 or if any ``--require``d metric name is absent or sums to zero across
 its label sets.
-
-``--bench-json PATH`` (repeatable) additionally validates a benchmark
-trajectory file against the schema-v1 header contract every
-``BENCH_*.json``/``PROFILE_*.json`` carries (see benchmarks/_emit.py):
-``schema_version == 1`` plus typed ``benchmark``/``quick``/
-``timestamp``/``metrics`` fields. CI runs it against the smoke
-artifacts so a header regression fails the build, not a later
-trajectory consumer.
 """
 
 import argparse
-import json
-import numbers
 import os
 import sys
 
@@ -37,76 +27,16 @@ from repro.obs.export import (            # noqa: E402
     sample_total,
 )
 
-# The schema-v1 header every trajectory file starts with. git_rev,
-# seed, wall_seconds, and virtual_time are nullable, so only their
-# presence is checked.
-_BENCH_HEADER = {
-    "schema_version": int,
-    "benchmark": str,
-    "quick": bool,
-    "timestamp": numbers.Real,
-    "metrics": dict,
-}
-_BENCH_NULLABLE = ("git_rev", "seed", "wall_seconds", "virtual_time")
-
-
-def check_bench_json(path: str) -> list:
-    """Schema-v1 header failures for one trajectory file (empty = ok)."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            record = json.load(handle)
-    except (OSError, ValueError) as exc:
-        return [f"{path}: {exc}"]
-    if not isinstance(record, dict):
-        return [f"{path}: top level is {type(record).__name__}, "
-                f"not an object"]
-    failures = []
-    for key, expected in _BENCH_HEADER.items():
-        if key not in record:
-            failures.append(f"{path}: missing header key {key!r}")
-        elif not isinstance(record[key], expected) \
-                or isinstance(record[key], bool) is not (expected is bool):
-            failures.append(
-                f"{path}: header key {key!r} is "
-                f"{type(record[key]).__name__}, expected "
-                f"{expected.__name__}")
-    for key in _BENCH_NULLABLE:
-        if key not in record:
-            failures.append(f"{path}: missing header key {key!r}")
-    if record.get("schema_version") not in (None, 1):
-        failures.append(f"{path}: schema_version "
-                        f"{record['schema_version']!r}, expected 1")
-    return failures
-
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__.splitlines()[0])
-    parser.add_argument("path", nargs="?", default=None,
-                        help="Prometheus text dump to check")
+    parser.add_argument("path", help="Prometheus text dump to check")
     parser.add_argument("--require", action="append", default=[],
                         metavar="NAME",
                         help="metric name that must be present with a "
                              "nonzero total (repeatable)")
-    parser.add_argument("--bench-json", action="append", default=[],
-                        metavar="PATH",
-                        help="benchmark trajectory file whose schema-v1 "
-                             "header must validate (repeatable)")
     args = parser.parse_args(argv)
-    if args.path is None and not args.bench_json:
-        parser.error("nothing to check: give a metrics dump path "
-                     "and/or --bench-json")
-
-    bench_failures = []
-    for bench_path in args.bench_json:
-        bench_failures.extend(check_bench_json(bench_path))
-    for failure in bench_failures:
-        print(f"check_metrics: {failure}", file=sys.stderr)
-    if args.bench_json and not bench_failures:
-        print(f"check_metrics: {len(args.bench_json)} trajectory "
-              f"file(s) passed the schema-v1 header check")
-    if args.path is None:
-        return 1 if bench_failures else 0
 
     with open(args.path, "r", encoding="utf-8") as handle:
         text = handle.read()
@@ -135,7 +65,7 @@ def main(argv=None) -> int:
           f"{len(names)} metric names, "
           f"{len(args.require) - len(failures)}/{len(args.require)} "
           f"required checks passed")
-    return 1 if failures or bench_failures else 0
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
