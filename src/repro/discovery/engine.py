@@ -155,14 +155,19 @@ class DiscoveryStats:
 
 
 class _Answer(NamedTuple):
-    """One accepted ``gem_answers`` push, decoded."""
+    """One accepted ``gem_answers`` push: decoded, or -- while
+    ``missing`` names refs this wallet cannot resolve -- waiting for
+    ``_pump`` to fetch them."""
 
     home: str
     goal: GoalKey
     depth: int
     status: str
+    payloads: List[Mapping]
+    memo: Dict[int, Delegation]
+    missing: List[str]
     proofs: List[Proof]
-    subs: Mapping[str, str]
+    subs: Dict[str, str]
 
 
 @dataclass
@@ -297,9 +302,11 @@ class DiscoveryEngine:
         """Goal-evaluation breakdown for ``Wallet.cache_info()["gem"]``
         (contract pinned by ``tests/obs/test_contracts.py``): the
         shared ``drbac_gem_*`` counters plus this host's live
-        goal-table count."""
+        goal-table count and, next to it, how many (peer, credential)
+        holdings it keeps a validation subscription for."""
         info = self.gem_stats.to_dict()
         info["tables"] = len(self.server.gem_tables)
+        info["holdings"] = self.server.holdings_count()
         return info
 
     # ------------------------------------------------------------------
@@ -473,7 +480,10 @@ class DiscoveryEngine:
                 continue
             while search.answers:
                 cached_before = stats.delegations_cached
-                self._absorb(search, search.answers.popleft(), now)
+                answer = search.answers.popleft()
+                if answer.missing:
+                    self._refetch(search, answer)
+                self._absorb(search, answer, now)
                 if stats.delegations_cached > cached_before:
                     proof = self.server.wallet.query_direct(
                         search.subject, search.obj,
@@ -553,11 +563,37 @@ class DiscoveryEngine:
         received = search.received
         store = self.server.wallet.store
         memo: Dict[int, Delegation] = {}
+        refs: Set[str] = set()
         payloads = params.get("answers", ())
         for payload in payloads:
             for delegation in wire.proof_full_delegations(
-                    payload, memo=memo):
+                    payload, memo=memo, refs=refs):
                 received[delegation.id] = delegation
+        # A ref to nothing shipped this search is the home saying "you
+        # hold this". Believe it only as far as the wallet agrees: what
+        # is gone (a lapsed lease whose unsubscribe was lost, a restart)
+        # is fetched by ``_pump`` -- never from in here, on the home's
+        # stack.
+        held = refs.difference(received)
+        missing = sorted(r for r in held
+                         if store.get_delegation(r) is None)
+        if len(held) > len(missing):
+            self.gem_stats.inc("refs_from_holdings",
+                               len(held) - len(missing))
+        answer = _Answer(src, goal, depth, params.get("status", "done"),
+                         payloads, memo, missing, [],
+                         dict(params.get("subs", {})))
+        if not missing:
+            self._decode(search, answer)
+        search.answers.append(answer)
+
+    def _decode(self, search: _Search, answer: _Answer) -> None:
+        """Materialize an answer's proofs, resolving refs against what
+        this search received in full and then the wallet. A proof with
+        a ref neither knows (or one that is malformed) is dropped,
+        which leaves the answer incomplete: see ``_absorb``."""
+        received = search.received
+        store = self.server.wallet.store
 
         def resolve(delegation_id: str) -> Delegation:
             delegation = received.get(delegation_id)
@@ -568,12 +604,45 @@ class DiscoveryEngine:
                     f"unresolvable answer ref {delegation_id!r}")
             return delegation
 
-        proofs = [wire.proof_from_wire_session(payload, resolve, memo=memo)
-                  for payload in payloads]
-        self.gem_stats.inc("answer_records", len(proofs))
-        search.answers.append(_Answer(
-            src, goal, depth, params.get("status", "done"), proofs,
-            params.get("subs", {})))
+        for payload in answer.payloads:
+            try:
+                answer.proofs.append(wire.proof_from_wire_session(
+                    payload, resolve, memo=answer.memo))
+            except (DRBACError, KeyError, TypeError, ValueError,
+                    AttributeError):
+                continue        # unresolved, or not shaped like a proof
+        self.gem_stats.inc("answer_records", len(answer.proofs))
+
+    def _refetch(self, search: _Search, answer: _Answer) -> None:
+        """Recover an answer whose refs the wallet could not resolve:
+        fetch each from the home that referred to it, re-establish its
+        validation subscription there (idempotent at the home) and
+        decode. What comes back goes through ``_insert``'s publication
+        checks like anything shipped in full; only its id is checked
+        here, so a home cannot pass one credential off as another."""
+        rpc, home = self.server.rpc, answer.home
+        for ref in answer.missing:
+            try:
+                record = rpc.call(home, "get_delegation",
+                                  {"delegation_id": ref})
+                delegation = wire.delegation_from_wire(
+                    record["delegation"])
+                if delegation.id != ref:
+                    raise DiscoveryError(f"{home} answered {ref!r} "
+                                         f"with {delegation.id!r}")
+                if self.subscribe:
+                    answer.subs[ref] = rpc.call(
+                        home, "subscribe",
+                        {"delegation_id": ref})["subscription"]
+            except (RpcError, NetworkError, DRBACError, KeyError,
+                    TypeError):
+                # Unreachable, unknown there (a null record), not what
+                # was asked for, or not a record at all.
+                self.gem_stats.inc("refs_unresolved")
+                continue
+            search.received[ref] = delegation
+            self.gem_stats.inc("refs_refetched")
+        self._decode(search, answer)
 
     def _absorb(self, search: _Search, answer: _Answer,
                 now: float) -> None:
@@ -585,10 +654,11 @@ class DiscoveryEngine:
                                 search.stats)
         # A ``"duplicate"`` record is an empty closure for a goal the
         # home had already tabled -- "no answer *yet*", never "no
-        # path" -- and a closure with rejected links is not the home's
-        # real answer: neither may be served to a later search.
+        # path" -- and a closure with rejected links or dropped proofs
+        # (a ref left unresolved) is not the home's real answer: none
+        # of them may be served to a later search.
         if search.use_cache and answer.status == "done" \
-                and len(verified) == len(proofs):
+                and len(verified) == len(answer.payloads):
             ttl = self._result_ttl(proofs) if proofs else self.negative_ttl
             self.result_cache.store(
                 self._cache_key(home, answer.goal, search),

@@ -66,7 +66,8 @@ class GemStats:
     NAMES = ("roots", "evals_issued", "answers_received",
              "answers_dropped", "answer_records", "terminates_sent",
              "evals_served", "loops_detected", "answers_pushed",
-             "table_flushes")
+             "table_flushes", "refs_from_holdings", "refs_refetched",
+             "refs_unresolved")
 
     __slots__ = ("_registry", "_instance", "_counters")
 
@@ -102,9 +103,10 @@ class GoalTable:
     ``goals`` maps goal keys to ACTIVE (evaluation in flight) or DONE
     (answers already pushed to the origin); either way an arriving
     duplicate is never re-evaluated. ``sent_ids`` is the per-root
-    credential dedup set, so each certificate crosses the wire to the
-    origin at most once per evaluation no matter how many goals its
-    proofs support.
+    credential dedup set -- what this root shipped, plus what the
+    origin already held a subscription for when a goal was answered --
+    so each certificate crosses the wire to the origin at most once
+    per evaluation no matter how many goals its proofs support.
     """
 
     root_id: str

@@ -25,6 +25,7 @@ from repro.net.rpc import RpcError, RpcNode
 from repro.net.switchboard import Switchboard
 from repro.net.transport import Network, NetworkError
 from repro.pubsub.events import DelegationEvent, EventKind
+from repro.pubsub.subscriptions import Subscription
 from repro.wallet.cache import CoherentCache
 from repro.wallet.wallet import Wallet
 
@@ -51,7 +52,11 @@ class WalletServer:
                                                wallet.address)
             except NetworkError:
                 self.switchboard = None
-        self._remote_subs: Dict[str, Tuple[str, Any]] = {}
+        # What each peer holds of this wallet's credentials: peer (the
+        # transport source) -> delegation id -> (token, live hub
+        # subscription). A peer that subscribed to a credential's status
+        # has a copy of it, so discovery answers ship it a ref instead.
+        self._holdings: Dict[str, Dict[str, Tuple[str, Subscription]]] = {}
         self._sub_ids = itertools.count()
         # Tabled goal evaluation: per-root goal tables, the answer
         # sink a local DiscoveryEngine installs, and a hub
@@ -128,48 +133,67 @@ class WalletServer:
         return self.wallet.publish(delegation, supports)
 
     def _rpc_subscribe(self, src: str, params: dict) -> dict:
-        """Register a remote subscriber for one delegation's status.
+        """Register the calling peer for one delegation's status.
 
         Pushes a ``delegation_event`` notification (with the signed
-        revocation when one exists) to the subscriber address on every
-        invalidating event. Returns the current status so the subscriber
+        revocation when one exists) to ``src`` -- the transport source,
+        never an address the request names -- on every invalidating
+        event. Idempotent per (peer, delegation): a repeat answers the
+        existing token. Returns the current status so the subscriber
         can detect an already-dead delegation.
         """
         delegation_id = params["delegation_id"]
-        subscriber = params.get("subscriber", src)
+        held = self._holdings.setdefault(src, {})
+        if delegation_id not in held:
 
-        def forward(event: DelegationEvent) -> None:
-            payload = {"event": event.to_dict()}
-            revocation = self.wallet.store.revocation_for(
-                event.delegation_id)
-            if revocation is not None:
-                payload["revocation"] = revocation.to_dict()
-            try:
-                self.rpc.notify(subscriber, "delegation_event", payload)
-            except Exception:  # noqa: BLE001 - push is best-effort
-                # An unreachable subscriber must not fail the publisher:
-                # its TTL lease will lapse without confirmation, which is
-                # exactly the fallback Section 4.2.1's TTL exists for.
-                self.pushes_failed += 1
-            else:
-                self.events_pushed += 1
+            def forward(event: DelegationEvent) -> None:
+                payload = {"event": event.to_dict()}
+                revocation = self.wallet.store.revocation_for(
+                    event.delegation_id)
+                if revocation is not None:
+                    payload["revocation"] = revocation.to_dict()
+                try:
+                    self.rpc.notify(src, "delegation_event", payload)
+                except Exception:  # noqa: BLE001 - push is best-effort
+                    # An unreachable subscriber must not fail the
+                    # publisher: its TTL lease will lapse without
+                    # confirmation, which is exactly the fallback
+                    # Section 4.2.1's TTL exists for.
+                    self.pushes_failed += 1
+                else:
+                    self.events_pushed += 1
 
-        subscription = self.wallet.hub.subscribe(delegation_id, forward)
-        sub_id = f"{self.address}/sub/{next(self._sub_ids)}"
-        self._remote_subs[sub_id] = (delegation_id, subscription)
+            held[delegation_id] = (
+                f"{self.address}/sub/{next(self._sub_ids)}",
+                self.wallet.hub.subscribe(delegation_id, forward))
         return {
-            "subscription": sub_id,
+            "subscription": held[delegation_id][0],
             "known": self.wallet.store.get_delegation(delegation_id)
             is not None,
             "revoked": self.wallet.is_revoked(delegation_id),
         }
 
-    def _rpc_unsubscribe(self, _src: str, params: dict) -> bool:
-        entry = self._remote_subs.pop(params.get("subscription"), None)
-        if entry is None:
-            return False
-        entry[1].cancel()
-        return True
+    def _rpc_unsubscribe(self, src: str, params: dict) -> bool:
+        """Drop one of the caller's *own* subscriptions; a token some
+        other peer holds is not the caller's to cancel."""
+        token = params.get("subscription")
+        held = self._holdings.get(src, {})
+        for delegation_id, (held_token, _subscription) in held.items():
+            if held_token == token:
+                self._release(src, delegation_id)
+                return True
+        return False
+
+    def holdings_count(self) -> int:
+        """Live (peer, delegation) pairs -- one hub subscription each."""
+        return sum(len(held) for held in self._holdings.values())
+
+    def _release(self, peer: str, delegation_id: str) -> None:
+        """Forget that ``peer`` holds ``delegation_id``."""
+        held = self._holdings[peer]
+        held.pop(delegation_id)[1].cancel()
+        if not held:
+            del self._holdings[peer]
 
     def _rpc_confirm(self, _src: str, params: dict) -> dict:
         """TTL confirmation probe: is the delegation still valid here?"""
@@ -257,23 +281,28 @@ class WalletServer:
                           proofs: List[Proof], status: str) -> None:
         """Ship this home's local closure for one goal straight to the
         search's origin: one notify, session-encoded against the
-        per-root sent-set (each certificate crosses the wire at most
-        once per root). The notify doubles as the goal's completion
-        signal, so it is sent even for an empty closure. Newly shipped
-        certificates get their validation subscriptions established
-        *here*, server-side, with the origin as subscriber -- no
-        subscribe round trips."""
-        before = set(table.sent_ids)
-        answers = [wire.proof_to_wire_session(proof, table.sent_ids)
+        per-root sent-set *and* what the origin holds a validation
+        subscription for, so each certificate crosses the wire only
+        while the origin lacks it. The notify doubles as the goal's
+        completion signal, so it is sent even for an empty closure.
+        Newly shipped certificates get their validation subscriptions
+        established *here*, server-side, with the origin as subscriber
+        -- no subscribe round trips; a push that never left takes them
+        back, for nobody holds what it carried."""
+        origin, sent = table.origin, table.sent_ids
+        sent.update(self._holdings.get(origin, ()))
+        before = set(sent)
+        answers = [wire.proof_to_wire_session(proof, sent)
                    for proof in proofs]
+        shipped = sent - before
         subs: Dict[str, str] = {}
         if request.get("subscribe", True):
-            for delegation_id in sorted(table.sent_ids - before):
-                granted = self._rpc_subscribe(table.origin, {
+            for delegation_id in sorted(shipped):
+                granted = self._rpc_subscribe(origin, {
                     "delegation_id": delegation_id})
                 subs[delegation_id] = granted["subscription"]
         try:
-            self.rpc.notify(table.origin, "gem_answers", {
+            self.rpc.notify(origin, "gem_answers", {
                 "root": request["root"],
                 "goal": request["goal"],
                 "status": status,
@@ -281,6 +310,9 @@ class WalletServer:
                 "subs": subs,
             })
         except NetworkError:
+            sent -= shipped
+            for delegation_id in subs:
+                self._release(origin, delegation_id)
             return
         self.gem_tables.stats.inc("answers_pushed", len(answers))
 
@@ -383,10 +415,8 @@ class WalletServer:
 
         Returns a cancel function (used by the coherent cache).
         """
-        result = self.rpc.call(remote, "subscribe", {
-            "delegation_id": delegation_id,
-            "subscriber": self.address,
-        })
+        result = self.rpc.call(remote, "subscribe",
+                               {"delegation_id": delegation_id})
         sub_id = result["subscription"]
 
         def cancel() -> None:
@@ -457,9 +487,10 @@ class WalletServer:
         return False
 
     def close(self) -> None:
-        for _delegation_id, subscription in self._remote_subs.values():
-            subscription.cancel()
-        self._remote_subs.clear()
+        for held in self._holdings.values():
+            for _token, subscription in held.values():
+                subscription.cancel()
+        self._holdings.clear()
         self._gem_hub_sub.cancel()
         self.gem_tables.flush_all()
         if self.switchboard is not None:

@@ -10,12 +10,13 @@ Two encoding families live here:
   self-contained, decodable with no shared state;
 * the ``*_session`` pairs -- credential-deduplicated proofs for the
   answers of one discovery search. A home keeps a per-root seen-set
-  and replaces a delegation it has already shipped for that root with
+  and replaces a delegation the origin already has -- shipped earlier
+  for that root, or held under a live validation subscription -- with
   ``{"ref": <delegation id>}``; the origin resolves refs against what
-  it received in full during the same search (or its wallet). Each
-  certificate therefore crosses the wire at most once per home and
-  search, and the byte counters record the savings honestly because
-  the refs are what actually crosses the simulated wire.
+  it received in full during the same search, then its wallet. Each
+  certificate therefore crosses the wire only while the origin lacks
+  it, and the byte counters record the savings honestly because the
+  refs are what actually crosses the simulated wire.
 """
 
 from typing import (
@@ -187,12 +188,13 @@ def proof_to_wire_session(proof: Proof, sent_ids: Set[str]) -> dict:
 
 
 def proof_full_delegations(data: Mapping,
-                           memo: Optional[dict] = None
+                           memo: Optional[dict] = None,
+                           refs: Optional[Set[str]] = None
                            ) -> Iterator[Delegation]:
     """Yield every delegation that appears *in full* in a session-encoded
     proof. Used to pre-seed the receiver's store before decoding -- a
     certificate shipped in one payload of an answer resolves refs in
-    the others.
+    the others. The ids the proof only refers to are added to ``refs``.
 
     ``memo`` (entry-identity keyed) shares the materialized
     :class:`Delegation` objects with a later
@@ -205,10 +207,12 @@ def proof_full_delegations(data: Mapping,
     while stack:
         node = stack.pop()
         for entry in node["chain"]:
-            if "ref" not in entry:
-                if memo is None:
-                    yield Delegation.from_dict(entry)
-                    continue
+            if "ref" in entry:
+                if refs is not None:
+                    refs.add(entry["ref"])
+            elif memo is None:
+                yield Delegation.from_dict(entry)
+            else:
                 key = id(entry)
                 delegation = memo.get(key)
                 if delegation is None:

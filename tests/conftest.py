@@ -6,6 +6,7 @@ the suite stays fast without stubbing any cryptography.
 """
 
 import pytest
+from hypothesis import settings
 
 from repro.core import Role, SimClock, create_principal
 from repro.workloads import (
@@ -13,6 +14,21 @@ from repro.workloads import (
     build_distributed_case_study,
     build_table1,
 )
+
+
+# -- Hypothesis budgets ------------------------------------------------------
+#
+# A property that leaves ``max_examples`` (a state machine:
+# ``stateful_step_count``) unset follows the loaded profile: the tier-1
+# budget by default, ``--hypothesis-profile=long`` for CI's long step.
+# This file is imported before the Hypothesis plugin reads that flag, so
+# the flag wins.
+
+settings.register_profile("tier1", max_examples=10, stateful_step_count=15,
+                          deadline=None)
+settings.register_profile("long", max_examples=200, stateful_step_count=30,
+                          deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -341,6 +341,143 @@ class TestAnswerAcceptance:
         network._handlers["w.mid"] = mid
         assert engine.discover(alice.entity, roles[2]) is not None
 
+    def _lying_mid(self, network, forge, fetched=None):
+        """w.mid answers every goal with ``forge(params)`` instead of
+        its closure, and -- when ``fetched`` is given -- every
+        ``get_delegation`` with that record."""
+        mid = network._handlers["w.mid"]
+
+        def handler(src, topic, payload):
+            if topic == "notify:gem_eval":
+                params = payload["params"]
+                network.send("w.mid", "w.local", "notify:gem_answers", {
+                    "method": "gem_answers", "oneway": True,
+                    "params": {"root": params["root"],
+                               "goal": params["goal"], "status": "done",
+                               "answers": forge(params), "subs": {}}})
+                return None
+            if topic == "rpc:get_delegation" and fetched is not None:
+                return {"error": None, "result": fetched}
+            return mid(src, topic, payload)
+
+        network._handlers["w.mid"] = handler
+        return mid
+
+    @staticmethod
+    def _ref_only(proof, ref):
+        payload = wire.proof_to_wire_session(proof, set())
+        payload["chain"] = [{"ref": ref}]
+        return payload
+
+    def test_ref_to_a_credential_nobody_has_is_not_cached(
+            self, two_home, alice, org):
+        """A forged answer whose ref names an id that exists nowhere:
+        the fetch comes back empty, the proof is dropped, and the
+        incomplete answer is cached neither way -- the next, honest
+        search gets the real closure."""
+        engine, _server, _rogue, network, roles = two_home
+        link = issue(org, roles[0], roles[1])
+        mid = self._lying_mid(network, lambda _params: [
+            self._ref_only(Proof.single(link), "f" * 64)])
+        assert engine.discover(alice.entity, roles[2]) is None
+        info = engine.gem_info()
+        assert info["refs_unresolved"] == 1
+        assert info["refs_refetched"] == info["answer_records"] == 0
+        assert len(engine.result_cache) == 0
+        assert "rpc:subscribe" not in network.by_topic
+        network._handlers["w.mid"] = mid
+        assert engine.discover(alice.entity, roles[2]) is not None
+
+    @pytest.mark.parametrize("record", ["another-credential",
+                                        {"supports": []}, 5])
+    def test_fetched_record_that_is_not_the_ref_is_rejected(
+            self, two_home, alice, org, record):
+        """The home answers the recovery fetch with a credential that
+        does not hash to the ref it sent, or with no credential record
+        at all: not absorbed, not subscribed to, nothing cached, and
+        nothing raised out of ``discover``."""
+        engine, server, _rogue, network, roles = two_home
+        link = issue(org, roles[0], roles[1])
+        other = issue(org, roles[0], roles[2])
+        if record == "another-credential":
+            record = {"delegation": wire.delegation_to_wire(other),
+                      "supports": []}
+        mid = self._lying_mid(
+            network,
+            lambda _params: [self._ref_only(Proof.single(link), link.id)],
+            fetched=record)
+        assert engine.discover(alice.entity, roles[2]) is None
+        assert engine.gem_info()["refs_unresolved"] == 1
+        assert server.wallet.store.get_delegation(other.id) is None
+        assert len(engine.result_cache) == 0
+        assert "rpc:subscribe" not in network.by_topic
+        network._handlers["w.mid"] = mid
+        assert engine.discover(alice.entity, roles[2]) is not None
+
+    def test_malformed_proof_beside_a_lost_ref_raises_nothing(
+            self, two_home, alice, org):
+        """The deferred decode runs in ``_pump``, outside the RPC
+        layer's fault boundary: a record not shaped like a proof is
+        dropped there, not raised out of ``discover``."""
+        engine, server, _rogue, network, roles = two_home
+        held, = server.wallet.store.delegations()
+        link = issue(org, roles[0], roles[1])
+
+        def forge(_params):
+            lost = self._ref_only(Proof.single(link), "f" * 64)
+            return [lost, dict(lost, subject=5,
+                               chain=[{"ref": held.id}])]
+
+        self._lying_mid(network, forge)
+        assert engine.discover(alice.entity, roles[2]) is None
+        assert engine.gem_info()["refs_from_holdings"] == 1
+        assert engine.gem_info()["answer_records"] == 0
+        assert len(engine.result_cache) == 0
+
+    def test_lost_copy_is_refetched_from_pump(self, two_home, alice,
+                                              clock):
+        """The origin's lease lapses while its ``unsubscribe`` is lost
+        to a partition, so w.mid still believes it holds the link and
+        sends a ref. The origin fetches it back -- 2 + 2 messages, from
+        ``_pump``, never from inside the answer sink on the home's
+        stack -- and w.mid still has one subscription for it."""
+        engine, server, _rogue, network, roles = two_home
+        assert engine.discover(alice.entity, roles[2]) is not None
+        network.partition("w.local", "w.mid", bidirectional=False)
+        clock.advance(31.0)
+        assert len(server.cache.sweep()) == 2
+        network.heal("w.local", "w.mid", bidirectional=False)
+        engine.result_cache.clear()
+
+        in_sink, sink = [], server.gem_answer_sink
+
+        def watched_sink(src, params):
+            in_sink.append(src)
+            try:
+                sink(src, params)
+            finally:
+                in_sink.pop()
+
+        server.gem_answer_sink = watched_sink
+        mid = network._handlers["w.mid"]
+
+        def watching_mid(src, topic, payload):
+            assert topic.startswith("notify:gem_") or not in_sink
+            return mid(src, topic, payload)
+
+        network._handlers["w.mid"] = watching_mid
+        network.reset_counters()
+        stats = DiscoveryStats()
+        assert engine.discover(alice.entity, roles[2],
+                               stats=stats) is not None
+        assert engine.gem_info()["refs_refetched"] == 1
+        assert engine.gem_info()["refs_unresolved"] == 0
+        calls = network.topic_summary("rpc:")
+        assert calls["get_delegation"]["messages"] == 1
+        assert calls["subscribe"]["messages"] == 1
+        assert stats.delegations_cached == 2
+        assert len(engine.result_cache) == 2
+
     def test_another_origins_table_is_out_of_reach(self, two_home, alice):
         """Goal tables are keyed by the host that opened them: a third
         host reusing the origin's root id neither reads, redirects nor
@@ -429,3 +566,81 @@ class TestGoalTables:
         assert stats.wallets_contacted == {"wallet.d3.example"}
         assert stats.rounds == 1
         assert stats.cache_hits == 2
+
+
+class TestHoldings:
+    """A home's subscription table is its record of what each peer
+    holds: it answers a peer with refs to what is in there, adds to it
+    only what it ships, and takes back what a failed push carried."""
+
+    @staticmethod
+    def _subscriptions(dep):
+        counts = {}
+        for address, home in dep.homes.items():
+            counts[address] = home.holdings_count()
+            # One hub subscription per (peer, delegation) pair; the
+            # other two are the wallet's and the server's wildcards.
+            assert home.wallet.hub.total_subscriptions() \
+                == counts[address] + 2
+        return counts
+
+    def test_rediscovery_ships_refs_and_leaks_no_subscriptions(self):
+        workload = topology.make_scc_heavy(6, 6, seed=1)
+        dep = deploy_coalition(workload)
+        try:
+            assert dep.authorize(max_remote_queries=2048) is not None
+            bridges = {
+                (d.subject_tag.home, d.object_tag.home): d
+                for d, _ in workload.delegations
+                if d.subject_tag is not None and d.object_tag is not None
+                and d.subject_tag.home != d.object_tag.home}
+            bridge = bridges["wallet.d3.example", "wallet.d4.example"]
+            dep.homes["wallet.d3.example"].wallet.revoke(
+                workload.principals["D4"], bridge.id)
+            after = []
+            for _ in range(3):
+                dep.network.reset_counters()
+                assert dep.authorize(max_remote_queries=2048) is None
+                after.append(self._subscriptions(dep))
+                dep.engine.result_cache.clear()
+            assert after[0] == after[1] == after[2]
+            info = dep.engine.gem_info()
+            assert info["refs_from_holdings"] > 0
+            assert info["refs_refetched"] == info["refs_unresolved"] == 0
+            # The last, fully cold denial moved refs, not credentials.
+            assert "rpc:subscribe" not in dep.network.by_topic
+            assert dep.network.totals.bytes < 60_000
+
+            other = bridges["wallet.d1.example", "wallet.d2.example"]
+            dep.network.reset_counters()
+            dep.homes["wallet.d1.example"].wallet.revoke(
+                workload.principals["D2"], other.id)
+            assert dep.network.by_topic[
+                "notify:delegation_event"].messages == 1
+            assert dep.server.wallet.is_revoked(other.id)
+        finally:
+            dep.close()
+
+    def test_failed_push_takes_its_subscriptions_back(self):
+        """The answer push is lost to a one-way partition: the
+        subscriptions made for it would have no holder, and the sent-set
+        would promise refs to what never arrived."""
+        workload = topology.make_ring_coalition(3, seed=52)
+        dep = deploy_coalition(workload)
+        try:
+            lossy = sorted(dep.homes)[1]
+            dep.network.partition(lossy, dep.server.address,
+                                  bidirectional=False)
+            assert dep.authorize() is None
+            assert dep.homes[lossy].gem_tables.stats.to_dict()[
+                "evals_served"] >= 1
+            assert self._subscriptions(dep)[lossy] == 0
+            assert all(not table.sent_ids for table in
+                       dep.homes[lossy].gem_tables._tables.values())
+            dep.network.heal(lossy, dep.server.address,
+                             bidirectional=False)
+            dep.engine.result_cache.clear()
+            assert dep.authorize() is not None
+            assert self._subscriptions(dep)[lossy] > 0
+        finally:
+            dep.close()

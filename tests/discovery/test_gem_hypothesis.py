@@ -100,8 +100,9 @@ def _simple_paths(edges, start, goal, limit=2):
     return found
 
 
-@settings(max_examples=10, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+# The example budget is the loaded profile's (tests/conftest.py): 10 in
+# tier-1, 200 under ``--hypothesis-profile=long``.
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(coalition_digraphs())
 def test_gem_agrees_with_seed_and_stays_bounded(graph):
     domains, edges, obj_index = graph

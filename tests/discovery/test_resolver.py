@@ -3,9 +3,10 @@ import pytest
 from repro.core import Role, SimClock, issue
 from repro.core.errors import DiscoveryError
 from repro.discovery.resolver import WalletDirectory, WalletServer
-from repro.net.rpc import RpcError
+from repro.net.rpc import RpcError, RpcNode
 from repro.net.transport import Network
 from repro.wallet.wallet import Wallet
+from repro.workloads.scenarios import build_distributed_federation
 
 
 @pytest.fixture()
@@ -85,6 +86,75 @@ class TestRemoteSubscriptions:
                              "subscriber": "w1"})
         assert reply["known"] is False
         assert reply["revoked"] is False
+
+    def test_subscribe_is_idempotent_per_peer(self, deployment, org, alice):
+        """One (peer, delegation) pair is one subscription however often
+        it is asked for: the same token comes back, one revocation is
+        one push, and a second peer gets a token of its own."""
+        net, s1, s2, _role = deployment
+        d = s2.wallet.store.graph.out_edges(alice.entity)[0]
+        first = s1.rpc.call("w2", "subscribe", {"delegation_id": d.id})
+        again = s1.rpc.call("w2", "subscribe", {"delegation_id": d.id})
+        other = RpcNode(net, "w3").call("w2", "subscribe",
+                                        {"delegation_id": d.id})
+        assert again["subscription"] == first["subscription"]
+        assert other["subscription"] != first["subscription"]
+        assert s2.holdings_count() == 2
+        assert s2.wallet.hub.subscriber_count(d.id) == 2
+        s2.wallet.revoke(org, d.id)
+        assert net.by_link_topic[
+            ("w2", "w1", "notify:delegation_event")].messages == 1
+
+    def test_subscriber_is_the_transport_source(self, deployment, org,
+                                                alice):
+        """A request cannot aim a home's pushes at a third party: the
+        ``subscriber`` a caller declares is not read, the entry is the
+        caller's own."""
+        net, s1, s2, _role = deployment
+        d = s2.wallet.store.graph.out_edges(alice.entity)[0]
+        mallory = RpcNode(net, "mallory.example")
+        pushed = []
+        mallory.expose("delegation_event",
+                       lambda src, params: pushed.append(src))
+        mallory.call("w2", "subscribe",
+                     {"delegation_id": d.id, "subscriber": "w1"})
+        assert list(s2._holdings) == ["mallory.example"]
+        s2.wallet.revoke(org, d.id)
+        assert pushed == ["w2"]
+        assert ("w2", "w1", "notify:delegation_event") \
+            not in net.by_link_topic
+
+    def test_only_the_holder_can_unsubscribe(self):
+        """Tokens are guessable (``<home>/sub/N``); knowing a victim's
+        must not be enough to switch its revocation push off."""
+        fed = build_distributed_federation(domains=6, users_per_domain=1,
+                                           seed=7)
+        assert fed.authorize(5, 0, 0) is not None
+        home = fed.domains[3].home
+        tokens = [token for token, _sub in
+                  home._holdings["server.d0.example"].values()]
+        assert tokens
+        mallory = RpcNode(fed.network, "mallory.example")
+        for token in tokens:
+            assert mallory.call(home.address, "unsubscribe",
+                                {"subscription": token}) is False
+        fed.network.reset_counters()
+        home.wallet.revoke(fed.domains[2].principal,
+                           fed.domains[2].bridge.id)
+        assert fed.network.by_topic[
+            "notify:delegation_event"].messages == 1
+        assert fed.authorize(5, 0, 0) is None
+        # The holder's own token still works, once.
+        victim = fed.domains[0].server
+        kept = [t for t, _sub in
+                home._holdings[victim.address].values()]
+        for token in kept:
+            unsubscribe = {"subscription": token}
+            assert victim.rpc.call(home.address, "unsubscribe",
+                                   unsubscribe) is True
+            assert victim.rpc.call(home.address, "unsubscribe",
+                                   unsubscribe) is False
+        assert home.holdings_count() == 0
 
 
 class TestConfirm:

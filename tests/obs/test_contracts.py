@@ -63,14 +63,16 @@ DISCOVERY_CACHE_KEYS = {
     "entries": int, "maxsize": int,
 }
 
-# Contract v2 -- DiscoveryEngine.gem_info() / cache_info()["gem"]
-# (v1 + "answers_dropped"; "active" left with the switch).
+# Contract v3 -- DiscoveryEngine.gem_info() / cache_info()["gem"]
+# (v2 + the three "refs_*" counters and the live "holdings" count).
 GEM_INFO_KEYS = {
     "roots": int, "evals_issued": int, "answers_received": int,
     "answers_dropped": int, "answer_records": int,
     "terminates_sent": int, "evals_served": int,
     "loops_detected": int, "answers_pushed": int, "table_flushes": int,
-    "tables": int,
+    "refs_from_holdings": int, "refs_refetched": int,
+    "refs_unresolved": int,
+    "tables": int, "holdings": int,
 }
 
 
