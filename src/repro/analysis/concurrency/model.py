@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 # Modules whose ``scoped``/``activate`` contexts mark the code under
 # them as running against injected, shard-local state.
-SCOPE_MODULES = ("obs", "verify_cache", "fastpath")
+SCOPE_MODULES = ("obs", "verify_cache")
 
 # Receiver-module -> banned-attr sets: calls that read or mutate
 # process-global singletons (mirrors tools/reprolint.py's
@@ -42,7 +42,7 @@ GLOBAL_SURFACES = {
     "verify_cache": {"memo", "enabled", "set_enabled", "disabled",
                      "cache_info", "cache_clear", "configure",
                      "note_object_hit"},
-    "fastpath": {"enabled", "set_enabled", "disabled", "configure"},
+    "result_cache": {"enabled", "disabled"},
 }
 
 # Methods that mutate a dict/list/set in place.

@@ -24,7 +24,7 @@ CONC_RULES: Dict[str, Rule] = {}
 #: Modules that *implement* the scoped surfaces; their internals are
 #: exempt from scope-escape (they are the mechanism, not a breach).
 PROVIDER_MODULES = ("repro.obs", "repro.crypto.verify_cache",
-                    "repro.discovery.fastpath")
+                    "repro.discovery.result_cache")
 
 #: Default entry-point classes for the scope-escape reachability walk.
 DEFAULT_ENTRY_CLASSES = ("ShardRuntime", "ShardContext")

@@ -345,13 +345,10 @@ def cmd_discover(_workspace: Workspace, args) -> int:
     network, reporting the wire traffic and the discovery breakdown.
     """
     from repro.crypto import verify_cache
-    from repro.discovery import fastpath
     from repro.discovery.engine import DiscoveryStats
 
     if args.no_crypto_cache:
         verify_cache.set_enabled(False)
-    if args.no_discovery_cache:
-        fastpath.set_enabled(False)
     repeat = max(1, args.repeat)
 
     engine, network, _clock, _wallet, subject, obj = \
@@ -371,12 +368,10 @@ def cmd_discover(_workspace: Workspace, args) -> int:
         snapshot = network.snapshot()
         print(f"# wire: {snapshot['messages']} messages, "
               f"{snapshot['bytes']} bytes", file=sys.stderr)
-        info = engine.discovery_info()
-        s = info["stats"]
+        s = engine.discovery_info()["stats"]
         g = engine.gem_info()
         print(
             "# discovery: "
-            f"result_cache={info['fastpath']} "
             f"goals_sent={s['rounds']} "
             f"cache_hits={s['cache_hits']} "
             f"negative_hits={s['cache_negative_hits']} "
@@ -886,11 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
              "federation[:DOMAINS[:SEED]], or a coalition family "
              "ring|mesh|scc|deep[:SIZE[:SEED]] (cyclic cross-home "
              "topologies)")
-    discover.add_argument(
-        "--no-discovery-cache", action="store_true",
-        help="neither consult nor fill the per-home discovery result "
-             "cache (every search re-contacts every home); "
-             "DRBAC_NO_DISCOVERY_CACHE=1 does the same")
     discover.add_argument(
         "--no-crypto-cache", action="store_true",
         help="disable the signature-verification memo (re-verify every "

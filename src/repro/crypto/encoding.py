@@ -88,20 +88,10 @@ def _int_encoding(value: int) -> bytes:
 _SMALL_INT_ENC = {value: _int_encoding(value)
                   for value in range(-128, 257)}
 
-_reg = obs.registry()
-_codec_instance = obs.next_instance()
-_c_encodes = _reg.counter("drbac_codec_encodes_total",
-                          instance=_codec_instance)
-_c_encoded_bytes = _reg.counter("drbac_codec_encoded_bytes_total",
-                                instance=_codec_instance)
-_c_decodes = _reg.counter("drbac_codec_decodes_total",
-                          instance=_codec_instance)
-_c_decoded_bytes = _reg.counter("drbac_codec_decoded_bytes_total",
-                                instance=_codec_instance)
-_c_intern_hits = _reg.counter("drbac_codec_intern_hits_total",
-                              instance=_codec_instance)
-_c_intern_misses = _reg.counter("drbac_codec_intern_misses_total",
-                                instance=_codec_instance)
+_stats = obs.CounterSet(
+    "drbac_codec",
+    ("encodes", "encoded_bytes", "decodes", "decoded_bytes",
+     "intern_hits", "intern_misses"))
 
 
 class EncodingError(ValueError):
@@ -116,8 +106,8 @@ def canonical_encode(value: Any) -> bytes:
         raise EncodingError(
             f"encoded payload too large: {len(buf)} bytes")
     encoded = bytes(buf)
-    _c_encodes.inc()
-    _c_encoded_bytes.inc(len(encoded))
+    _stats.c_encodes.inc()
+    _stats.c_encoded_bytes.inc(len(encoded))
     return encoded
 
 
@@ -140,8 +130,8 @@ def canonical_decode(data: bytes) -> Any:
     size = len(buf)
     if size > MAX_ENCODED_SIZE:
         raise EncodingError(f"payload too large: {size} bytes")
-    _c_decodes.inc()
-    _c_decoded_bytes.inc(size)
+    _stats.c_decodes.inc()
+    _stats.c_decoded_bytes.inc(size)
     value, offset = _fast_decode_at(buf, 0, size)
     if offset != size:
         raise EncodingError(
@@ -151,19 +141,12 @@ def canonical_decode(data: bytes) -> Any:
 
 def codec_info() -> dict:
     """``cache_info()``-style snapshot of the codec counters."""
-    hits = _c_intern_hits.value
-    misses = _c_intern_misses.value
-    lookups = hits + misses
-    return {
-        "encodes": _c_encodes.value,
-        "encoded_bytes": _c_encoded_bytes.value,
-        "decodes": _c_decodes.value,
-        "decoded_bytes": _c_decoded_bytes.value,
-        "intern_hits": hits,
-        "intern_misses": misses,
-        "intern_hit_rate": (hits / lookups) if lookups else 0.0,
-        "atoms": len(_atoms),
-    }
+    info = _stats.to_dict()
+    lookups = info["intern_hits"] + info["intern_misses"]
+    info["intern_hit_rate"] = \
+        (info["intern_hits"] / lookups) if lookups else 0.0
+    info["atoms"] = len(_atoms)
+    return info
 
 
 # -- single-buffer encode, zero-copy decode ----------------------------------
@@ -275,8 +258,8 @@ def _pair_key(pair: Tuple[bytes, ...]) -> bytes:
 
 # Bound-method aliases keep the per-atom accounting to one call each in
 # the decoder's innermost loop.
-_intern_hit = _c_intern_hits.inc
-_intern_miss = _c_intern_misses.inc
+_intern_hit = _stats.c_intern_hits.inc
+_intern_miss = _stats.c_intern_misses.inc
 _atoms_get = _atoms.get
 
 

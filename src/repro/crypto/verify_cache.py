@@ -21,10 +21,10 @@ Two rules keep the memo invalidation-free by construction:
   Nothing mutable participates, so there is nothing to invalidate.
 
 The memo is a bounded LRU (default 8192 entries). Disable it globally
-with :func:`set_enabled` (the CLI's ``--no-crypto-cache``), with the
-``DRBAC_NO_CRYPTO_CACHE`` environment variable, or temporarily with the
-:func:`disabled` context manager; outcomes are identical either way,
-only latency changes (asserted by ``tests/crypto/test_verify_cache.py``).
+with :func:`set_enabled` (the CLI's ``--no-crypto-cache``) or
+temporarily with the :func:`disabled` context manager; outcomes are
+identical either way, only latency changes (asserted by
+``tests/crypto/test_verify_cache.py``).
 
 Scoping
 -------
@@ -39,7 +39,6 @@ Outside any scope the process-wide ``_MEMO`` default applies, so
 existing callers and the ``cache_info()`` contract are unchanged.
 """
 
-import os
 from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -56,58 +55,33 @@ MemoKey = Tuple[str, bytes, bytes, bytes]
 class VerificationMemo:
     """Bounded LRU of signatures that have verified successfully.
 
-    The hit/miss/eviction tallies live in the process-wide
-    :mod:`repro.obs` registry (``drbac_crypto_memo_*_total``); the
-    ``hits``/``misses``/``evictions``/``object_hits`` attributes remain
-    readable exactly as before, as views over those counters.
+    The hit/miss/eviction tallies live in the :mod:`repro.obs` registry
+    (``drbac_crypto_memo_*_total``) as ``stats``; :meth:`info` reads
+    them back under the names it always reported.
     """
 
-    __slots__ = ("maxsize", "_entries", "enabled",
-                 "_c_hits", "_c_misses", "_c_evictions", "_c_object_hits")
+    __slots__ = ("maxsize", "_entries", "enabled", "stats")
 
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE,
                  enabled: bool = True) -> None:
         self.maxsize = maxsize
         self._entries: "OrderedDict[MemoKey, bool]" = OrderedDict()
-        instance = obs.next_instance()
-        reg = obs.registry()
-        self._c_hits = reg.counter(
-            "drbac_crypto_memo_hits_total", instance=instance)
-        self._c_misses = reg.counter(
-            "drbac_crypto_memo_misses_total", instance=instance)
-        self._c_evictions = reg.counter(
-            "drbac_crypto_memo_evictions_total", instance=instance)
-        # Verifications short-circuited by a per-object flag on an
-        # immutable Delegation/Revocation (set after its first success);
-        # those never reach the key computation below.
-        self._c_object_hits = reg.counter(
-            "drbac_crypto_memo_object_hits_total", instance=instance)
+        # ``object_hits``: verifications short-circuited by a per-object
+        # flag on an immutable Delegation/Revocation (set after its
+        # first success); those never reach the key computation below.
+        self.stats = obs.CounterSet(
+            "drbac_crypto_memo",
+            ("hits", "misses", "evictions", "object_hits"))
         self.enabled = enabled
-
-    @property
-    def hits(self) -> int:
-        return self._c_hits.value
-
-    @property
-    def misses(self) -> int:
-        return self._c_misses.value
-
-    @property
-    def evictions(self) -> int:
-        return self._c_evictions.value
-
-    @property
-    def object_hits(self) -> int:
-        return self._c_object_hits.value
 
     def lookup(self, key: MemoKey) -> bool:
         """True iff ``key`` is known-good; updates hit/miss counters."""
         entries = self._entries
         if key in entries:
             entries.move_to_end(key)
-            self._c_hits.inc()
+            self.stats.c_hits.inc()
             return True
-        self._c_misses.inc()
+        self.stats.c_misses.inc()
         return False
 
     def record(self, key: MemoKey) -> None:
@@ -118,7 +92,7 @@ class VerificationMemo:
             return
         if len(entries) >= self.maxsize:
             entries.popitem(last=False)
-            self._c_evictions.inc()
+            self.stats.c_evictions.inc()
         entries[key] = True
 
     def clear(self) -> None:
@@ -134,15 +108,11 @@ class VerificationMemo:
             "enabled": self.enabled,
             "entries": len(self._entries),
             "maxsize": self.maxsize,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "object_hits": self.object_hits,
+            **self.stats.to_dict(),
         }
 
 
-_MEMO = VerificationMemo(
-    enabled=not os.environ.get("DRBAC_NO_CRYPTO_CACHE"))
+_MEMO = VerificationMemo()
 
 _SCOPED: "ContextVar[Optional[VerificationMemo]]" = ContextVar(
     "drbac_verify_memo", default=None)
@@ -185,7 +155,7 @@ def set_enabled(value: bool) -> None:
 
 def note_object_hit() -> None:
     """Count a verification short-circuited by a per-object flag."""
-    memo()._c_object_hits.inc()
+    memo().stats.c_object_hits.inc()
 
 
 def cache_clear() -> None:
@@ -205,7 +175,7 @@ def configure(maxsize: Optional[int] = None) -> None:
         current.maxsize = maxsize
         while len(current._entries) > maxsize:
             current._entries.popitem(last=False)
-            current._c_evictions.inc()
+            current.stats.c_evictions.inc()
 
 
 @contextmanager

@@ -59,9 +59,9 @@ from repro.core.errors import DiscoveryError, DRBACError
 from repro.core.proof import Proof
 from repro.core.roles import Role, Subject, subject_key
 from repro.core.tags import DiscoveryTag
-from repro.discovery import fastpath as fastpath_mod
+from repro.discovery import result_cache as result_cache_mod
 from repro.discovery import wire
-from repro.discovery.fastpath import DiscoveryCache, make_discovery_key
+from repro.discovery.result_cache import DiscoveryCache, make_discovery_key
 from repro.discovery.gem import MAX_DEPTH, GoalKey
 from repro.discovery.resolver import WalletServer
 from repro.net.rpc import RpcError
@@ -255,27 +255,13 @@ class DiscoveryEngine:
         # Engine-level aggregates (per-run DiscoveryStats records stay
         # plain dataclasses; these registry series accumulate across
         # runs for `drbac metrics`).
-        instance = obs.next_instance()
-        address = server.address
-        self._c_runs = obs.counter(
-            "drbac_discovery_runs_total",
-            address=address, instance=instance)
-        self._c_local_hits = obs.counter(
-            "drbac_discovery_local_hits_total",
-            address=address, instance=instance)
-        self._c_remote_queries = obs.counter(
-            "drbac_discovery_remote_queries_total",
-            address=address, instance=instance)
+        self._totals = obs.CounterSet(
+            "drbac_discovery", ("runs", "local_hits", "remote_queries"),
+            address=server.address)
         self._h_seconds = obs.histogram(
-            "drbac_discovery_seconds",
-            address=address, instance=instance)
+            "drbac_discovery_seconds", **self._totals.labels)
 
     # ------------------------------------------------------------------
-
-    @property
-    def fastpath_active(self) -> bool:
-        """Is the result cache consulted and filled right now?"""
-        return fastpath_mod.enabled()
 
     def _on_hub_event(self, event) -> None:
         from repro.pubsub.events import EventKind
@@ -293,7 +279,7 @@ class DiscoveryEngine:
         """Breakdown for ``Wallet.cache_info()["discovery"]`` and the
         CLI ``--timing`` output."""
         return {
-            "fastpath": self.fastpath_active,
+            "fastpath": result_cache_mod.enabled(),
             "stats": self.stats.to_dict(),
             "result_cache": self.result_cache.info(),
         }
@@ -341,10 +327,10 @@ class DiscoveryEngine:
                 run.wire_bytes = network.totals.bytes - bytes_before
                 stats.merge(run)
                 self.stats.merge(run)
-                self._c_runs.inc()
+                self._totals.c_runs.inc()
                 if run.local_hit:
-                    self._c_local_hits.inc()
-                self._c_remote_queries.inc(run.rounds)
+                    self._totals.c_local_hits.inc()
+                self._totals.c_remote_queries.inc(run.rounds)
                 self._h_seconds.observe(perf_counter() - started)
                 span.set(local_hit=run.local_hit,
                          remote_queries=run.rounds,
@@ -371,10 +357,10 @@ class DiscoveryEngine:
             root_id=f"{self.server.address}#gem{next(self._root_ids)}",
             subject=subject, obj=obj, constraints=constraints,
             bases=bases, tags=tags, stats=stats, budget=budget,
-            use_cache=self.fastpath_active,
+            use_cache=result_cache_mod.enabled(),
             key_suffix=(_constraints_key(constraints), _bases_key(bases)))
         self._searches[search.root_id] = search
-        self.gem_stats.inc("roots")
+        self.gem_stats.c_roots.inc()
         try:
             self._enqueue(search, subject, "fwd", 0)
             for sub_proof in wallet.query_subject(subject):
@@ -395,7 +381,7 @@ class DiscoveryEngine:
             search.loop_homes &= stats.wallets_contacted
             for home in sorted(search.loop_homes):
                 self.server.send_gem_terminate(home, search.root_id)
-                self.gem_stats.inc("terminates_sent")
+                self.gem_stats.c_terminates_sent.inc()
 
     def _enqueue(self, search: _Search, node: Subject, direction: str,
                  depth: int) -> Optional[str]:
@@ -460,7 +446,7 @@ class DiscoveryEngine:
             else:
                 stats.remote_object_queries += 1
             stats.wallets_contacted.add(home)
-            self.gem_stats.inc("evals_issued")
+            self.gem_stats.c_evals_issued.inc()
             search.pending[(home, goal)] = depth
             try:
                 with obs.span("discovery.gem_eval", home=home,
@@ -542,7 +528,7 @@ class DiscoveryEngine:
                 continue
             loop_home = self._enqueue(search, head, direction, depth + 1)
             if loop_home is not None:
-                self.gem_stats.inc("loops_detected")
+                self.gem_stats.c_loops_detected.inc()
                 search.loop_homes.update((home, loop_home))
 
     def _on_gem_answers(self, src: str, params: dict) -> None:
@@ -557,9 +543,9 @@ class DiscoveryEngine:
             goal: GoalKey = (direction, subject_key(node))
             depth = search.pending.pop((src, goal), None)
         if depth is None:
-            self.gem_stats.inc("answers_dropped")
+            self.gem_stats.c_answers_dropped.inc()
             return
-        self.gem_stats.inc("answers_received")
+        self.gem_stats.c_answers_received.inc()
         received = search.received
         store = self.server.wallet.store
         memo: Dict[int, Delegation] = {}
@@ -578,8 +564,8 @@ class DiscoveryEngine:
         missing = sorted(r for r in held
                          if store.get_delegation(r) is None)
         if len(held) > len(missing):
-            self.gem_stats.inc("refs_from_holdings",
-                               len(held) - len(missing))
+            self.gem_stats.c_refs_from_holdings.inc(
+                len(held) - len(missing))
         answer = _Answer(src, goal, depth, params.get("status", "done"),
                          payloads, memo, missing, [],
                          dict(params.get("subs", {})))
@@ -611,7 +597,7 @@ class DiscoveryEngine:
             except (DRBACError, KeyError, TypeError, ValueError,
                     AttributeError):
                 continue        # unresolved, or not shaped like a proof
-        self.gem_stats.inc("answer_records", len(answer.proofs))
+        self.gem_stats.c_answer_records.inc(len(answer.proofs))
 
     def _refetch(self, search: _Search, answer: _Answer) -> None:
         """Recover an answer whose refs the wallet could not resolve:
@@ -638,10 +624,10 @@ class DiscoveryEngine:
                     TypeError):
                 # Unreachable, unknown there (a null record), not what
                 # was asked for, or not a record at all.
-                self.gem_stats.inc("refs_unresolved")
+                self.gem_stats.c_refs_unresolved.inc()
                 continue
             search.received[ref] = delegation
-            self.gem_stats.inc("refs_refetched")
+            self.gem_stats.c_refs_refetched.inc()
         self._decode(search, answer)
 
     def _absorb(self, search: _Search, answer: _Answer,

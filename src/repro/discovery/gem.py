@@ -14,7 +14,8 @@ of in-home revisits.
 
 This module holds:
 
-* :class:`GemStats` -- registry-backed ``drbac_gem_*`` counters;
+* :data:`GEM_COUNTER_NAMES` -- the registry-backed ``drbac_gem_*``
+  counters;
 * :class:`GoalTable` / :class:`GemTableStore` -- the per-home tables,
   owned by each :class:`~repro.discovery.resolver.WalletServer` and
   flushed by terminate notifications, hub events and TTL sweep (see
@@ -48,47 +49,19 @@ MAX_DEPTH = 64
 # ---------------------------------------------------------------------------
 
 
-class GemStats:
-    """Registry-backed ``drbac_gem_*`` tallies.
-
-    One instance serves both protocol sides: an engine increments the
-    initiator-side counters (roots/evals issued/answers received or
-    dropped), a :class:`GemTableStore` the home-side ones (evals
-    served/loops detected/answers pushed/table flushes).
-    ``cache_info()["gem"]`` surfaces :meth:`to_dict` (pinned by
-    ``tests/obs/test_contracts.py``).
-
-    A series is registered when it first moves: every wallet server
-    owns one of these, most only ever play one side, and a registered
-    series lives as long as the process does.
-    """
-
-    NAMES = ("roots", "evals_issued", "answers_received",
-             "answers_dropped", "answer_records", "terminates_sent",
-             "evals_served", "loops_detected", "answers_pushed",
-             "table_flushes", "refs_from_holdings", "refs_refetched",
-             "refs_unresolved")
-
-    __slots__ = ("_registry", "_instance", "_counters")
-
-    def __init__(self) -> None:
-        self._registry = obs.registry()
-        self._instance = obs.next_instance()
-        self._counters: Dict[str, obs.Counter] = {}
-
-    def inc(self, name: str, amount: int = 1) -> None:
-        counter = self._counters.get(name)
-        if counter is None:
-            if name not in self.NAMES:
-                raise KeyError(name)
-            counter = self._counters[name] = self._registry.counter(
-                f"drbac_gem_{name}_total", instance=self._instance)
-        counter.inc(amount)
-
-    def to_dict(self) -> dict:
-        counters = self._counters
-        return {name: counters[name].value if name in counters else 0
-                for name in self.NAMES}
+# The ``drbac_gem_*`` tallies one host keeps, as one
+# :class:`~repro.obs.CounterSet` serving both protocol sides: an engine
+# increments the initiator-side counters (roots/evals issued/answers
+# received or dropped), a :class:`GemTableStore` the home-side ones
+# (evals served/loops detected/answers pushed/table flushes).
+# ``cache_info()["gem"]`` surfaces its ``to_dict()`` (pinned by
+# ``tests/obs/test_contracts.py``).
+GEM_COUNTER_NAMES = (
+    "roots", "evals_issued", "answers_received",
+    "answers_dropped", "answer_records", "terminates_sent",
+    "evals_served", "loops_detected", "answers_pushed",
+    "table_flushes", "refs_from_holdings", "refs_refetched",
+    "refs_unresolved")
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +111,12 @@ class GemTableStore:
     """
 
     def __init__(self, max_roots: int = DEFAULT_MAX_ROOTS,
-                 ttl: float = DEFAULT_TABLE_TTL,
-                 stats: Optional[GemStats] = None) -> None:
+                 ttl: float = DEFAULT_TABLE_TTL) -> None:
         if max_roots < 1:
             raise ValueError("max_roots must be positive")
         self.max_roots = max_roots
         self.ttl = ttl
-        self.stats = stats or GemStats()
+        self.stats = obs.CounterSet("drbac_gem", GEM_COUNTER_NAMES)
         self._tables: Dict[str, GoalTable] = {}
 
     def get(self, root_id: str) -> Optional[GoalTable]:
@@ -168,7 +140,7 @@ class GemTableStore:
         """Drop one root's table (terminate notification). Idempotent."""
         if self._tables.pop(root_id, None) is None:
             return False
-        self.stats.inc("table_flushes")
+        self.stats.c_table_flushes.inc()
         return True
 
     def flush_all(self) -> int:
@@ -176,7 +148,7 @@ class GemTableStore:
         count = len(self._tables)
         if count:
             self._tables.clear()
-            self.stats.inc("table_flushes", count)
+            self.stats.c_table_flushes.inc(count)
         return count
 
     def sweep(self, now: float) -> int:

@@ -260,10 +260,10 @@ class WalletServer:
         table = self.gem_tables.get_or_create(
             _table_key(src, params["root"]), src, now)
         stats = self.gem_tables.stats
-        stats.inc("evals_served")
+        stats.c_evals_served.inc()
         goal = (direction, subject_key(node))
         if not table.activate(goal):
-            stats.inc("loops_detected")
+            stats.c_loops_detected.inc()
             self._gem_push_answers(table, params, [], "duplicate")
             return
         self.queries_served += 1
@@ -314,7 +314,7 @@ class WalletServer:
             for delegation_id in subs:
                 self._release(origin, delegation_id)
             return
-        self.gem_tables.stats.inc("answers_pushed", len(answers))
+        self.gem_tables.stats.c_answers_pushed.inc(len(answers))
 
     def _rpc_gem_answers(self, src: str, params: dict) -> None:
         """Answer push arriving at a search's origin; handed, with its

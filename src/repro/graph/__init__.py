@@ -17,7 +17,7 @@ This package provides:
 """
 
 from repro.graph.delegation_graph import DelegationGraph
-from repro.graph.proof_cache import ProofCache, ProofCacheStats
+from repro.graph.proof_cache import ProofCache
 from repro.graph.reach_index import ReachabilityIndex, ReachIndexStats
 from repro.graph.search import (
     SearchStats,
@@ -40,7 +40,6 @@ from repro.graph.search import build_support_provider
 __all__ = [
     "DelegationGraph",
     "ProofCache",
-    "ProofCacheStats",
     "ReachabilityIndex",
     "ReachIndexStats",
     "SearchStats",

@@ -63,93 +63,11 @@ KIND_OBJECT = "object"
 CacheKey = Tuple[str, Optional[tuple], Optional[tuple], tuple, tuple]
 
 
-class ProofCacheStats:
-    """Hit/miss/invalidation accounting, surfaced by the benchmark.
-
-    Backed by per-instance counters in the :mod:`repro.obs` registry
-    (``drbac_proof_cache_*_total{instance=...}``): the attribute surface
-    (``stats.hits`` ...) is unchanged, while ``drbac metrics`` sees the
-    same numbers without a second bookkeeping path.  The ``c_*``
-    attributes are the live :class:`~repro.obs.Counter` objects the hot
-    path increments directly.
-    """
-
-    __slots__ = ("c_hits", "c_misses", "c_negative_hits", "c_stores",
-                 "c_invalidations", "c_publish_invalidations",
-                 "c_evictions")
-
-    def __init__(self) -> None:
-        instance = obs.next_instance()
-        reg = obs.registry()
-        self.c_hits = reg.counter(
-            "drbac_proof_cache_hits_total", instance=instance)
-        self.c_misses = reg.counter(
-            "drbac_proof_cache_misses_total", instance=instance)
-        self.c_negative_hits = reg.counter(
-            "drbac_proof_cache_negative_hits_total", instance=instance)
-        self.c_stores = reg.counter(
-            "drbac_proof_cache_stores_total", instance=instance)
-        self.c_invalidations = reg.counter(
-            "drbac_proof_cache_invalidations_total", instance=instance)
-        self.c_publish_invalidations = reg.counter(
-            "drbac_proof_cache_publish_invalidations_total",
-            instance=instance)
-        self.c_evictions = reg.counter(
-            "drbac_proof_cache_evictions_total", instance=instance)
-
-    @property
-    def hits(self) -> int:
-        return self.c_hits.value
-
-    @property
-    def misses(self) -> int:
-        return self.c_misses.value
-
-    @property
-    def negative_hits(self) -> int:
-        return self.c_negative_hits.value
-
-    @property
-    def stores(self) -> int:
-        return self.c_stores.value
-
-    @property
-    def invalidations(self) -> int:
-        return self.c_invalidations.value
-
-    @property
-    def publish_invalidations(self) -> int:
-        return self.c_publish_invalidations.value
-
-    @property
-    def evictions(self) -> int:
-        return self.c_evictions.value
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def reset(self) -> None:
-        self.c_hits.reset()
-        self.c_misses.reset()
-        self.c_negative_hits.reset()
-        self.c_stores.reset()
-        self.c_invalidations.reset()
-        self.c_publish_invalidations.reset()
-        self.c_evictions.reset()
-
-    def to_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "negative_hits": self.negative_hits,
-            "stores": self.stores,
-            "invalidations": self.invalidations,
-            "publish_invalidations": self.publish_invalidations,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
+# The table's tallies, ``drbac_<prefix>_<name>_total{instance}``;
+# ``ProofCache.info()`` reports them by these names.
+COUNTER_NAMES = ("hits", "misses", "negative_hits", "stores",
+                 "invalidations", "publish_invalidations", "expirations",
+                 "evictions")
 
 
 @dataclass
@@ -161,7 +79,7 @@ class _Entry:
     created_at: float
     valid_until: float                # inf for negatives
     negative: bool
-    fragile: bool
+    fragile: bool = False
 
 
 def make_key(kind: str,
@@ -178,9 +96,18 @@ def make_key(kind: str,
 class ProofCache:
     """LRU decision cache with event-driven invalidation.
 
+    This class is the entry table -- LRU order, validity window,
+    delegation-id inverted index, growable set, eviction, tallies --
+    and one *policy* on top of it: how :meth:`store` reads delegation
+    ids, earliest expiry and growability off a query result, and the
+    reachability test :meth:`on_publish` applies. The discovery result
+    cache is the same table under another policy.
+
     Not thread-safe by itself; the owning wallet serializes access the
     same way it serializes graph mutation.
     """
+
+    METRIC_PREFIX = "drbac_proof_cache"
 
     def __init__(self, maxsize: int = 4096,
                  reach_index: Optional[ReachabilityIndex] = None) -> None:
@@ -188,15 +115,15 @@ class ProofCache:
             raise ValueError("maxsize must be positive")
         self.maxsize = maxsize
         self.reach_index = reach_index
-        self.stats = ProofCacheStats()
-        self._entries: "OrderedDict[CacheKey, _Entry]" = OrderedDict()
-        self._by_delegation: Dict[str, Set[CacheKey]] = {}
+        self.stats = obs.CounterSet(self.METRIC_PREFIX, COUNTER_NAMES)
+        self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
+        self._by_delegation: Dict[str, Set[tuple]] = {}
         # Entries a PUBLISHED event could flip: negatives + enumerations.
-        self._growable: Set[CacheKey] = set()
+        self._growable: Set[tuple] = set()
 
     # -- lookup / store ----------------------------------------------------
 
-    def lookup(self, key: CacheKey, now: float) -> Tuple[bool, object]:
+    def lookup(self, key: tuple, now: float) -> Tuple[bool, object]:
         """Return ``(hit, value)``; a miss returns ``(False, None)``.
 
         An entry is served only inside its validity window: at or after
@@ -210,6 +137,7 @@ class ProofCache:
             return False, None
         if now < entry.created_at or now >= entry.valid_until:
             self.stats.c_misses.inc()
+            self.stats.c_expirations.inc()
             self._drop(key)
             return False, None
         self._entries.move_to_end(key)
@@ -221,8 +149,6 @@ class ProofCache:
     def store(self, key: CacheKey, value: object, now: float,
               fragile: bool = False) -> None:
         """Memoize one query result computed at time ``now``."""
-        if key in self._entries:
-            self._drop(key)
         kind = key[0]
         if kind == KIND_DIRECT:
             proofs: Tuple[Proof, ...] = () if value is None else (value,)
@@ -237,22 +163,31 @@ class ProofCache:
             for delegation in proof.all_delegations():
                 if delegation.expiry is not None:
                     valid_until = min(valid_until, delegation.expiry)
-        entry = _Entry(
+        self._put(key, _Entry(
             value=value,
             delegation_ids=delegation_ids,
             created_at=now,
             valid_until=valid_until,
             negative=negative,
             fragile=fragile,
-        )
+        ), growable=negative or kind != KIND_DIRECT or fragile)
+
+    def _put(self, key: tuple, entry: _Entry, growable: bool) -> None:
+        """The one store path. A newer observation replaces whatever
+        the key held even when it cannot itself be kept: an entry whose
+        validity window is empty would never be served, but the answer
+        it supersedes must not be served either."""
+        self._drop(key)
+        if entry.valid_until <= entry.created_at:
+            return
         while len(self._entries) >= self.maxsize:
             evicted_key, evicted_entry = self._entries.popitem(last=False)
             self._unlink_entry(evicted_key, evicted_entry)
             self.stats.c_evictions.inc()
         self._entries[key] = entry
-        for delegation_id in delegation_ids:
+        for delegation_id in entry.delegation_ids:
             self._by_delegation.setdefault(delegation_id, set()).add(key)
-        if negative or kind != KIND_DIRECT or fragile:
+        if growable:
             self._growable.add(key)
         self.stats.c_stores.inc()
 
@@ -330,14 +265,14 @@ class ProofCache:
 
     # -- internals ---------------------------------------------------------
 
-    def _drop(self, key: CacheKey) -> bool:
+    def _drop(self, key: tuple) -> bool:
         entry = self._entries.pop(key, None)
         if entry is None:
             return False
         self._unlink_entry(key, entry)
         return True
 
-    def _unlink_entry(self, key: CacheKey, entry: _Entry) -> None:
+    def _unlink_entry(self, key: tuple, entry: _Entry) -> None:
         self._growable.discard(key)
         for delegation_id in entry.delegation_ids:
             keys = self._by_delegation.get(delegation_id)
@@ -351,10 +286,18 @@ class ProofCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: CacheKey) -> bool:
+    def __contains__(self, key: tuple) -> bool:
         return key in self._entries
 
+    def info(self) -> dict:
+        """The tallies by name, plus ``hit_rate`` and ``entries``."""
+        data = self.stats.to_dict()
+        lookups = data["hits"] + data["misses"]
+        data["hit_rate"] = data["hits"] / lookups if lookups else 0.0
+        data["entries"] = len(self._entries)
+        return data
+
     def __repr__(self) -> str:
-        return (f"ProofCache({len(self._entries)}/{self.maxsize} entries, "
-                f"{len(self._growable)} growable, "
-                f"hit_rate={self.stats.hit_rate:.2f})")
+        return (f"{type(self).__name__}({len(self._entries)}/"
+                f"{self.maxsize} entries, {len(self._growable)} growable, "
+                f"hit_rate={self.info()['hit_rate']:.2f})")

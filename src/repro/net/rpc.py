@@ -136,6 +136,14 @@ class RpcNode:
             result = handler(src, message.get("params"))
         except Exception as exc:  # noqa: BLE001 - fault boundary
             if oneway:
+                # Nothing rides back on a one-way message: the failure
+                # is counted (``name`` is an exposed method, so the
+                # label is bounded) and named on the open span.
+                obs.counter("drbac_rpc_notify_errors_total",
+                            method=name).inc()
+                span = obs.tracer().current()
+                if span is not None:
+                    span.set(notify_error=type(exc).__name__)
                 return None
             return {
                 "error": f"{type(exc).__name__}: {exc}",

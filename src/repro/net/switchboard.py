@@ -113,29 +113,19 @@ class Switchboard:
         # Registry-backed session counters (labelled by address plus a
         # process-unique instance id -- coalitions reuse addresses across
         # simulated networks, and two hosts' tallies must never merge).
-        instance = obs.next_instance()
-        reg = obs.registry()
-        self._c_handshakes_completed = reg.counter(
-            "drbac_switchboard_handshakes_completed_total",
-            address=address, instance=instance)
-        self._c_handshakes_rejected = reg.counter(
-            "drbac_switchboard_handshakes_rejected_total",
-            address=address, instance=instance)
-        self._c_sessions_reused = reg.counter(
-            "drbac_switchboard_sessions_reused_total",
-            address=address, instance=instance)
+        self.stats = obs.CounterSet(
+            "drbac_switchboard",
+            ("handshakes_completed", "handshakes_rejected",
+             "sessions_reused"),
+            address=address)
 
-    @property
-    def handshakes_completed(self) -> int:
-        return self._c_handshakes_completed.value
-
-    @property
-    def handshakes_rejected(self) -> int:
-        return self._c_handshakes_rejected.value
-
-    @property
-    def sessions_reused(self) -> int:
-        return self._c_sessions_reused.value
+    def __getattr__(self, name: str):
+        # Reached only for what is not an attribute: the tallies stay
+        # readable on the switchboard (``board.handshakes_completed``).
+        stats = self.__dict__.get("stats")
+        if stats is None:
+            raise AttributeError(name)
+        return getattr(stats, name)
 
     @staticmethod
     def _net_address(address: str) -> str:
@@ -214,7 +204,7 @@ class Switchboard:
         channel._peer_address = remote_address  # type: ignore[attr-defined]
         self._channels[channel.channel_id] = channel
         self._by_peer[remote_address] = channel.channel_id
-        self._c_handshakes_completed.inc()
+        self.stats.c_handshakes_completed.inc()
         return channel
 
     # -- session reuse -----------------------------------------------------
@@ -230,7 +220,7 @@ class Switchboard:
             channel = self._channels.get(channel_id)
             if channel is not None and channel.open:
                 if expected_peer is None or channel.peer == expected_peer:
-                    self._c_sessions_reused.inc()
+                    self.stats.c_sessions_reused.inc()
                     return channel
             self._by_peer.pop(remote_address, None)
         return self.connect(remote_address, expected_peer=expected_peer,
@@ -272,12 +262,12 @@ class Switchboard:
     def _on_finish(self, payload: dict) -> dict:
         pending = self._pending.pop(payload.get("channel"), None)
         if pending is None:
-            self._c_handshakes_rejected.inc()
+            self.stats.c_handshakes_rejected.inc()
             return {"ok": False, "error": "no pending handshake"}
         initiator: Entity = pending["initiator"]
         if not initiator.verify(pending["transcript"],
                                 bytes(payload["signature"])):
-            self._c_handshakes_rejected.inc()
+            self.stats.c_handshakes_rejected.inc()
             return {"ok": False, "error": "initiator signature invalid"}
         if self.required_role_validator is not None:
             proof = None
@@ -292,7 +282,7 @@ class Switchboard:
             try:
                 self.required_role_validator(initiator, proof)
             except Exception as exc:  # noqa: BLE001 - policy boundary
-                self._c_handshakes_rejected.inc()
+                self.stats.c_handshakes_rejected.inc()
                 return {"ok": False, "error": f"credential check: {exc}"}
         session_key = _session_key(pending["nonce_i"], pending["nonce_r"],
                                    initiator, self.principal.entity)
@@ -304,7 +294,7 @@ class Switchboard:
         channel._peer_address = pending["from"]  # type: ignore[attr-defined]
         self._channels[channel.channel_id] = channel
         self._by_peer[pending["from"]] = channel.channel_id
-        self._c_handshakes_completed.inc()
+        self.stats.c_handshakes_completed.inc()
         return {"ok": True}
 
     # -- frames --------------------------------------------------------------

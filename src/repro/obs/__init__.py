@@ -9,17 +9,16 @@ catalog and span-name inventory.
 The switch
 ----------
 
-``DRBAC_OBS=off`` (or ``0``/``false``/``no``), :func:`set_enabled`, and
-the :func:`disabled` context manager -- the same three knobs as
-``crypto.verify_cache`` and ``discovery.fastpath`` -- turn *tracing*
-off.  With tracing off, :func:`span` returns a shared no-op context
+``DRBAC_OBS=off`` (or ``0``/``false``/``no``) -- the one environment
+variable ``src/`` reads -- :func:`set_enabled` and the :func:`disabled`
+context manager turn *tracing* off.  With tracing off, :func:`span` returns a shared no-op context
 manager: the instrumented hot paths pay one global load and one truth
 test, which is what keeps the ``DRBAC_OBS=on`` vs. ``off`` delta under
 the 3% budget enforced by ``benchmarks/bench_observability.py``.
 
 Metric counters are *not* gated: they are the same per-instance tallies
-the repo always kept (``ProofCacheStats.hits`` and friends now live in
-the registry but cost the same one addition), and the legacy surfaces
+the repo always kept (a proof cache's ``stats.hits`` and friends now
+live in the registry but cost the same one addition), and the legacy surfaces
 (``Wallet.cache_info()``, ``DiscoveryStats``, Switchboard counters)
 must keep returning live numbers regardless of the switch.
 
@@ -51,8 +50,8 @@ from contextvars import ContextVar
 from typing import Optional
 
 from .metrics import (  # noqa: F401  (re-exported)
-    Counter, Gauge, Histogram, MetricsRegistry, DEFAULT_BUCKETS,
-    next_instance,
+    Counter, CounterSet, Gauge, Histogram, MetricsRegistry,
+    DEFAULT_BUCKETS, next_instance,
 )
 from .trace import Span, Tracer, NOOP_SPAN  # noqa: F401
 

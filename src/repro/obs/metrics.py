@@ -4,9 +4,10 @@ The registry is the single source of truth for every tally the repo
 keeps.  The pre-existing ad-hoc stats surfaces -- ``Wallet.cache_info()``,
 ``discovery.DiscoveryStats``, ``crypto.verify_cache.cache_info()``, the
 Switchboard session counters -- are *views* over registry instruments:
-each stats object holds direct references to its ``Counter`` objects and
-exposes them through the same attribute names as before, so callers are
-unchanged while ``drbac metrics`` can dump one coherent picture.
+each owner declares its names in one :class:`CounterSet`, increments the
+live ``Counter`` objects it hands out and reads them back under the same
+attribute names as before, so callers are unchanged while ``drbac
+metrics`` can dump one coherent picture.
 
 Design constraints (see docs/OBSERVABILITY.md):
 
@@ -75,6 +76,53 @@ class Counter:
 
     def reset(self) -> None:
         self.value = 0
+
+
+class CounterSet:
+    """The tallies one object keeps, declared as a tuple of names.
+
+    ``CounterSet("drbac_proof_cache", ("hits", "misses"))`` stands for
+    the series ``drbac_proof_cache_<name>_total{instance=N, ...}`` in
+    the registry that is current at construction (so a set built
+    inside ``obs.scoped()`` tallies into that scope). ``stats.c_hits``
+    is the live :class:`Counter` -- hot paths keep
+    ``stats.c_hits.inc()``, one attribute load once touched -- and
+    ``stats.hits`` its value.
+
+    A series is registered the first time its ``c_<name>`` is touched:
+    every wallet, hub and wallet server owns a set, most never move
+    most of their names, and a registered series lives as long as the
+    process does.
+    """
+
+    def __init__(self, prefix: str, names: Iterable[str],
+                 **labels: str) -> None:
+        from repro import obs  # the scope-aware registry lives above us
+        self._prefix = prefix
+        self._names = tuple(names)
+        self._registry = obs.registry()
+        self.labels = dict(labels, instance=next_instance())
+        self._label_key = _label_key(self.labels)
+
+    def __getattr__(self, attr: str):
+        # Reached only for what is not an instance attribute (yet).
+        if attr.startswith("c_") and attr[2:] in self._names:
+            counter = self.__dict__[attr] = self._registry.counter_at(
+                (f"{self._prefix}_{attr[2:]}_total", self._label_key))
+            return counter
+        if not attr.startswith("_") and attr in self._names:
+            counter = self.__dict__.get("c_" + attr)
+            return counter.value if counter is not None else 0
+        raise AttributeError(attr)
+
+    def to_dict(self) -> Dict[str, int]:
+        return {name: getattr(self, name) for name in self._names}
+
+    def reset(self) -> None:
+        for name in self._names:
+            counter = self.__dict__.get("c_" + name)
+            if counter is not None:
+                counter.reset()
 
 
 class Gauge:
@@ -152,10 +200,13 @@ class MetricsRegistry:
     # -- instrument accessors ---------------------------------------------
 
     def counter(self, name: str, **labels: str) -> Counter:
-        key = (name, _label_key(labels))
+        return self.counter_at((name, _label_key(labels)))
+
+    def counter_at(self, key: MetricKey) -> Counter:
+        """:meth:`counter` for a caller that already holds the key."""
         instrument = self._counters.get(key)
         if instrument is None:
-            instrument = self._counters[key] = Counter(name, key[1])
+            instrument = self._counters[key] = Counter(*key)
         return instrument
 
     def gauge(self, name: str, **labels: str) -> Gauge:

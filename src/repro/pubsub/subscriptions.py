@@ -59,23 +59,18 @@ class SubscriptionHub:
     def __init__(self) -> None:
         self._channels: Dict[object, Dict[int, EventCallback]] = {}
         self._tokens = itertools.count()
-        # Registry-backed tallies; ``events_published`` /
-        # ``callbacks_delivered`` stay readable as before (E2 counts on
-        # them) while ``drbac metrics`` exports the same series.
-        instance = obs.next_instance()
-        reg = obs.registry()
-        self._c_events_published = reg.counter(
-            "drbac_hub_events_published_total", instance=instance)
-        self._c_callbacks_delivered = reg.counter(
-            "drbac_hub_callbacks_delivered_total", instance=instance)
+        # Registry-backed tallies (``drbac metrics`` exports them).
+        self.stats = obs.CounterSet(
+            "drbac_hub", ("events_published", "callbacks_delivered"))
 
-    @property
-    def events_published(self) -> int:
-        return self._c_events_published.value
-
-    @property
-    def callbacks_delivered(self) -> int:
-        return self._c_callbacks_delivered.value
+    def __getattr__(self, name: str):
+        # Reached only for what is not an attribute: the tallies stay
+        # readable on the hub itself (``hub.events_published``; E2
+        # counts on them).
+        stats = self.__dict__.get("stats")
+        if stats is None:
+            raise AttributeError(name)
+        return getattr(stats, name)
 
     # -- registration ---------------------------------------------------
 
@@ -124,12 +119,12 @@ class SubscriptionHub:
         may re-query during delivery -- they must observe post-event
         state, never a stale cached answer.
         """
-        self._c_events_published.inc()
+        self.stats.c_events_published.inc()
         errors: List[Exception] = []
         delivered = self._deliver_channel(("wildcard",), event, errors)
         delivered += self._deliver_channel(
             ("delegation", event.delegation_id), event, errors)
-        self._c_callbacks_delivered.inc(delivered)
+        self.stats.c_callbacks_delivered.inc(delivered)
         if errors:
             raise errors[0]
         return delivered
@@ -137,11 +132,11 @@ class SubscriptionHub:
     def publish_proof_available(self, relationship_key,
                                 event: DelegationEvent) -> int:
         """Announce that a previously missing proof now exists."""
-        self._c_events_published.inc()
+        self.stats.c_events_published.inc()
         errors: List[Exception] = []
         delivered = self._deliver_channel(
             ("awaiting", relationship_key), event, errors)
-        self._c_callbacks_delivered.inc(delivered)
+        self.stats.c_callbacks_delivered.inc(delivered)
         if errors:
             raise errors[0]
         return delivered

@@ -101,22 +101,12 @@ class Wallet:
         # Wallet-level observability. Counters sit off the warm query
         # path (the proof cache's own hits/misses already count those);
         # the histogram times cold graph searches only.
-        _instance = obs.next_instance()
-        self._c_publishes = obs.counter(
-            "drbac_wallet_publishes_total",
-            address=address, instance=_instance)
-        self._c_revocations = obs.counter(
-            "drbac_wallet_revocations_total",
-            address=address, instance=_instance)
-        self._c_authorizations = obs.counter(
-            "drbac_wallet_authorizations_total",
-            address=address, instance=_instance)
-        self._c_searches = obs.counter(
-            "drbac_wallet_searches_total",
-            address=address, instance=_instance)
+        self._stats = obs.CounterSet(
+            "drbac_wallet",
+            ("publishes", "revocations", "authorizations", "searches"),
+            address=address)
         self._h_search = obs.histogram(
-            "drbac_wallet_search_seconds",
-            address=address, instance=_instance)
+            "drbac_wallet_search_seconds", **self._stats.labels)
         # Keys already announced as expired, to avoid duplicate events.
         self._expired_announced: set = set()
         # Awaited relationships: key -> (subject, obj, constraints)
@@ -168,7 +158,7 @@ class Wallet:
                       delegation=delegation.id) as span:
             inserted = self._publish_impl(delegation, supports, at, lint)
             if inserted:
-                self._c_publishes.inc()
+                self._stats.c_publishes.inc()
             span.set(inserted=inserted)
             return inserted
 
@@ -331,7 +321,7 @@ class Wallet:
             raise PublicationError("revocation signature does not verify")
         if not self.store.add_revocation(revocation):
             return False
-        self._c_revocations.inc()
+        self._stats.c_revocations.inc()
         self.hub.publish(DelegationEvent(
             kind=EventKind.REVOKED,
             delegation_id=revocation.delegation_id,
@@ -487,8 +477,7 @@ class Wallet:
         from repro.crypto import encoding, verify_cache
         if self.proof_cache is None:
             return None
-        info = self.proof_cache.stats.to_dict()
-        info["entries"] = len(self.proof_cache)
+        info = self.proof_cache.info()
         if self.reach_index is not None:
             info["reach_index"] = {
                 "nodes": len(self.reach_index),
@@ -577,11 +566,21 @@ class Wallet:
         cached proof may be served to a caller that asked for a different
         search strategy.
         """
-        constraints = tuple(constraints)
-        merged = self._merged_bases(bases)
-        now = self.clock.now()
-        index = self._ready_reach_index()
-        cached = self._cache_active(use_cache)
+        return self._search_direct(
+            subject, obj, tuple(constraints), self._merged_bases(bases),
+            self.clock.now(), self._ready_reach_index(),
+            self._cache_active(use_cache), strategy, stats)
+
+    def _search_direct(self, subject: Subject, obj: Role,
+                       constraints: Tuple[Constraint, ...],
+                       merged: Dict[AttributeRef, float], now: float,
+                       index: Optional[ReachabilityIndex], cached: bool,
+                       strategy: Strategy, stats: Optional[SearchStats],
+                       provider: Optional[SupportProvider] = None
+                       ) -> Optional[Proof]:
+        """The cached direct search under :meth:`query_direct` and
+        :meth:`authorize_many` (which passes the support provider its
+        batch shares)."""
         if cached:
             key = make_key(KIND_DIRECT, subject_key(subject),
                            subject_key(obj), constraints, merged)
@@ -596,10 +595,12 @@ class Wallet:
                 self.store.graph, subject, obj,
                 at=now, revoked=self.store.is_revoked,
                 constraints=constraints, bases=merged,
-                strategy=strategy, support_provider=self.support_provider(),
+                strategy=strategy,
+                support_provider=provider if provider is not None
+                else self.support_provider(),
                 stats=search_stats, reach_index=index,
             )
-        self._c_searches.inc()
+        self._stats.c_searches.inc()
         self._h_search.observe(perf_counter() - search_started)
         if cached:
             # A negative computed while support chains were missing is
@@ -659,7 +660,7 @@ class Wallet:
                 support_provider=self.support_provider(),
                 stats=search_stats,
             )
-        self._c_searches.inc()
+        self._stats.c_searches.inc()
         self._h_search.observe(perf_counter() - search_started)
         if cached:
             fragile = search_stats.pruned_no_support > before_no_support
@@ -714,7 +715,7 @@ class Wallet:
         """
         with obs.span("wallet.authorize", wallet=self.address,
                       subject=subject, object=obj) as span:
-            self._c_authorizations.inc()
+            self._stats.c_authorizations.inc()
             proof = self.query_direct(subject, obj,
                                       constraints=constraints,
                                       strategy=strategy)
@@ -754,30 +755,10 @@ class Wallet:
         cached = self._cache_active(use_cache)
         provider = self.support_provider()
         search_stats = stats if stats is not None else SearchStats()
-        results: List[Optional[Proof]] = []
-        for subject, obj in requests:
-            key = None
-            if cached:
-                key = make_key(KIND_DIRECT, subject_key(subject),
-                               subject_key(obj), constraints, merged)
-                hit, value = self.proof_cache.lookup(key, now)
-                if hit:
-                    results.append(value)
-                    continue
-            before_no_support = search_stats.pruned_no_support
-            proof = direct_query(
-                self.store.graph, subject, obj,
-                at=now, revoked=self.store.is_revoked,
-                constraints=constraints, bases=merged,
-                strategy=strategy, support_provider=provider,
-                stats=search_stats, reach_index=index,
-            )
-            if cached:
-                fragile = proof is None and \
-                    search_stats.pruned_no_support > before_no_support
-                self.proof_cache.store(key, proof, now, fragile=fragile)
-            results.append(proof)
-        return results
+        return [self._search_direct(subject, obj, constraints, merged, now,
+                                    index, cached, strategy, search_stats,
+                                    provider)
+                for subject, obj in requests]
 
     def await_proof(self, subject: Subject, obj: Role,
                     callback: Callable,

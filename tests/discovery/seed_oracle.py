@@ -11,10 +11,11 @@ Steps 2-5).
 Production discovery is ``DiscoveryEngine.discover`` (tabled goal
 evaluation); this walk left ``src/`` when that became the one path.
 It stays here for two jobs: the proofs the engine finds must be
-byte-identical to the ones this walk finds (``test_byte_identity.py``),
-and ``benchmarks/bench_figure2_distributed.py`` prints the paper's
-step table from it.  It shares no logic with the engine beyond the
-wallet server's public query/subscribe client helpers.
+byte-identical to the ones this walk finds (``TestCoherence`` in
+``test_gem.py`` and ``test_fastpath.py``), and
+``benchmarks/bench_figure2_distributed.py`` prints the paper's step
+table from it.  It shares no logic with the engine beyond the wallet
+server's public query/subscribe client helpers.
 """
 
 from collections import deque

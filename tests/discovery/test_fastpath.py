@@ -7,9 +7,8 @@ the cache on or off -- and identical to what the seed frontier walk
 (``seed_oracle``) finds.
 """
 
-import pathlib
-import subprocess
-import sys
+import contextvars
+from contextlib import nullcontext
 
 import pytest
 
@@ -21,9 +20,9 @@ from repro.core import (
     issue,
 )
 from repro.crypto.encoding import canonical_encode
-from repro.discovery import fastpath
+from repro.discovery import result_cache
 from repro.discovery.engine import DiscoveryEngine, DiscoveryStats
-from repro.discovery.fastpath import DiscoveryCache, make_discovery_key
+from repro.discovery.result_cache import DiscoveryCache, make_discovery_key
 from repro.discovery.resolver import WalletServer
 from repro.net.transport import Network
 from repro.wallet.wallet import Wallet
@@ -39,9 +38,14 @@ def _proof_bytes(proof):
     return canonical_encode(proof.to_dict())
 
 
+def _arm(cache_on):
+    """The default arm, or the reference arm with the cache off."""
+    return nullcontext() if cache_on else result_cache.disabled()
+
+
 def _run_walkthrough(cache_on, seed=11):
     d = build_distributed_case_study(seed=seed)
-    with fastpath.scoped(cache_on):
+    with _arm(cache_on):
         proof = d.run_steps_1_to_5()
     assert proof is not None
     return d, proof
@@ -84,7 +88,7 @@ class TestCoherence:
             d, _proof = _run_walkthrough(cache_on)
             ghost = Role(d.case.air_net.entity, "ghost")
             d.network.reset_counters()
-            with fastpath.scoped(cache_on):
+            with _arm(cache_on):
                 assert d.engine.discover(d.case.maria.entity,
                                          ghost) is None
             traffic[cache_on] = d.network.totals
@@ -171,14 +175,14 @@ class TestResultCache:
         engine, server, _network, _roles = two_home
         ghost = Role(org.entity, "ghost")
         assert engine.discover(alice.entity, ghost) is None
-        assert len(engine.result_cache._negatives) > 0
+        assert len(engine.result_cache._growable) > 0
         # A publication grows the graph: negative answers may now be
         # stale, so all of them are dropped (positives survive).
         positives = len(engine.result_cache) \
-            - len(engine.result_cache._negatives)
+            - len(engine.result_cache._growable)
         server.wallet.publish(issue(org, bob.entity,
                                     Role(org.entity, "other")))
-        assert len(engine.result_cache._negatives) == 0
+        assert len(engine.result_cache._growable) == 0
         assert len(engine.result_cache) == positives
 
     def test_cache_info_surfaced_via_wallet(self, two_home, alice):
@@ -229,27 +233,30 @@ class TestBypass:
             network, Wallet(owner=org, address="w.x", clock=clock),
             principal=org)
         engine = DiscoveryEngine(server)
-        assert engine.fastpath_active == fastpath.enabled()
-        with fastpath.disabled():
-            assert not engine.fastpath_active
-        assert engine.fastpath_active == fastpath.enabled()
 
-    def test_env_variable_disables(self):
-        root = pathlib.Path(__file__).resolve().parents[2]
-        code = ("import sys; from repro.discovery import fastpath; "
-                "sys.exit(0 if not fastpath.enabled() else 1)")
-        result = subprocess.run(
-            [sys.executable, "-c", code], cwd=root,
-            env={"DRBAC_NO_DISCOVERY_CACHE": "1",
-                 "PYTHONPATH": str(root / "src")})
-        assert result.returncode == 0
+        def active():
+            return engine.discovery_info()["fastpath"]
+
+        assert active() and result_cache.enabled()
+        with result_cache.disabled():
+            assert not active()
+            with result_cache.disabled():       # nests
+                assert not active()
+            assert not active()
+            # Context-local: another context still sees the default.
+            assert contextvars.Context().run(result_cache.enabled)
+        assert active()
+        with pytest.raises(RuntimeError):       # restores on exception
+            with result_cache.disabled():
+                raise RuntimeError("boom")
+        assert active() and result_cache.enabled()
 
     def test_no_cache_traffic_when_disabled(self, two_home, alice):
         """Switch off: the same search over the same wire protocol,
         but the cache is neither read nor filled -- a repeat for
         another target pays the full price again."""
         engine, _server, network, roles = two_home
-        with fastpath.disabled():
+        with result_cache.disabled():
             stats = DiscoveryStats()
             assert engine.discover(alice.entity, roles[2],
                                    stats=stats) is not None
@@ -300,3 +307,14 @@ class TestDiscoveryCacheUnit:
         key = make_discovery_key("h", "direct", ("s",), ("o",), (), ())
         cache.store(key, "value", now=0.0, ttl=0.0)
         assert len(cache) == 0
+
+    def test_uncacheable_answer_still_replaces_the_old_one(self):
+        """With ``negative_ttl = 0`` an empty (or unreachable) answer
+        is not kept -- but the closure it supersedes must go with it,
+        not be served for the rest of its lease."""
+        cache = DiscoveryCache()
+        key = make_discovery_key("h", "subject", ("s",), None, (), ())
+        cache.store(key, ("proof",), 0.0, 30.0, delegation_ids=["d1"])
+        cache.store(key, (), 1.0, 0.0)
+        assert cache.lookup(key, 2.0) == (False, None)
+        assert len(cache) == 0 and not cache._by_delegation

@@ -11,11 +11,13 @@ count, where the seed walk re-expands; (3) only the home a goal was
 sent to can answer it, once.
 """
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.core import DiscoveryTag, Proof, Role, SubjectFlag, issue
 from repro.crypto.encoding import canonical_encode
-from repro.discovery import fastpath, gem, wire
+from repro.discovery import gem, result_cache, wire
 from repro.discovery.engine import DiscoveryEngine, DiscoveryStats
 from repro.discovery.resolver import WalletServer
 from repro.net.transport import Network
@@ -115,7 +117,7 @@ class TestCoherence:
         on and off: the exact same proof bytes, on every family. (The
         random digraphs are in ``test_gem_hypothesis.py``.)"""
         for cache_on in (True, False):
-            with fastpath.scoped(cache_on):
+            with nullcontext() if cache_on else result_cache.disabled():
                 engine_proof, oracle_proof = run()
             assert oracle_proof is not None
             assert _proof_bytes(engine_proof) == _proof_bytes(oracle_proof)
@@ -255,7 +257,7 @@ class TestAnswerAcceptance:
             dict(self._empty_answer(root_id, roles[0]), home="w.mid")))
         assert engine.discover(alice.entity, roles[2]) is not None
         assert engine.gem_info()["answers_dropped"] == 1
-        assert not engine.result_cache._negatives
+        assert not engine.result_cache._growable
 
     def test_forged_answer_for_an_unissued_goal_is_dropped(
             self, two_home, alice, org):
@@ -546,7 +548,7 @@ class TestGoalTables:
         try:
             assert dep.authorize() is not None
             cache = dep.engine.result_cache
-            assert not cache._negatives
+            assert not cache._growable
         finally:
             dep.close()
 

@@ -72,7 +72,7 @@ class TestFullPartition:
         # leaked into the wallet.
         assert "w.mid" in stats.wallets_contacted
         assert stats.delegations_cached == 0
-        assert len(engine.result_cache._negatives) > 0
+        assert len(engine.result_cache._growable) > 0
 
     def test_repeat_during_partition_stays_off_the_wire(self, two_home,
                                                         alice):

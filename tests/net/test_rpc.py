@@ -1,5 +1,6 @@
 import pytest
 
+from repro import obs
 from repro.net.rpc import RpcError, RpcNode
 from repro.net.transport import Network
 
@@ -63,6 +64,29 @@ class TestNotify:
 
         b.expose("boom", boom)
         a.notify("b", "boom")  # no exception at caller
+
+    def test_notify_error_is_counted_and_named(self, nodes):
+        """Nothing rides back on a one-way message, so a handler's
+        failure is counted per method and named on the open span."""
+        _net, a, b = nodes
+        got = []
+
+        def flaky(_src, params):
+            if params is None:
+                raise KeyError("lost")
+            got.append(params)
+
+        b.expose("flaky", flaky)
+        with obs.scoped() as scope, obs.enabled_ctx():
+            with obs.span("sender") as span:
+                assert a.notify("b", "flaky") is None
+            a.notify("b", "flaky", {"n": 2})    # the next one arrives
+            errors = [c for c in scope.registry.counters()
+                      if c.name == "drbac_rpc_notify_errors_total"]
+        assert [(dict(c.labels), c.value) for c in errors] \
+            == [({"method": "flaky"}, 1)]
+        assert span.attrs["notify_error"] == "KeyError"
+        assert got == [{"n": 2}]
 
     def test_notify_unknown_method_silent(self, nodes):
         _net, a, _b = nodes

@@ -15,15 +15,18 @@ import pytest
 from repro.core import SimClock
 from repro.crypto import verify_cache
 from repro.discovery.engine import DiscoveryStats
-from repro.discovery.fastpath import DiscoveryCache
+from repro.discovery.result_cache import DiscoveryCache
 from repro.wallet.wallet import Wallet
 from repro.workloads import build_case_study
 
-# Contract v1 -- Wallet.cache_info() (decision cache + nested blocks).
+# Contract v2 -- Wallet.cache_info() (decision cache + nested blocks;
+# v1 + "expirations": the proof cache and the discovery result cache
+# are one table and both count a lapse at lookup).
 CACHE_INFO_KEYS = {
     "hits": int, "misses": int, "negative_hits": int, "stores": int,
     "invalidations": int, "publish_invalidations": int,
-    "evictions": int, "hit_rate": float, "entries": int,
+    "evictions": int, "expirations": int, "hit_rate": float,
+    "entries": int,
 }
 CRYPTO_MEMO_KEYS = {
     "enabled": bool, "entries": int, "maxsize": int, "hits": int,
@@ -290,10 +293,11 @@ class TestScopedSurfaces:
         assert after["misses"] == before["misses"]
 
     def test_fastpath_scoped_overrides_the_switch(self):
-        from repro.discovery import fastpath
-        baseline = fastpath.enabled()
-        with fastpath.scoped(not baseline):
-            assert fastpath.enabled() is not baseline
-            with fastpath.scoped(baseline):
-                assert fastpath.enabled() is baseline
-        assert fastpath.enabled() is baseline
+        from repro.discovery import result_cache
+        assert result_cache.enabled()
+        with result_cache.disabled():
+            assert not result_cache.enabled()
+            with result_cache.disabled():
+                assert not result_cache.enabled()
+            assert not result_cache.enabled()
+        assert result_cache.enabled()

@@ -44,7 +44,7 @@ class TestRepoIsClean:
         walked = {p.replace(os.sep, "/") for p in
                   reprolint.iter_python_files(
                       [os.path.join(REPO_ROOT, "src")])}
-        for needed in ("src/repro/discovery/fastpath.py",
+        for needed in ("src/repro/discovery/result_cache.py",
                        "src/repro/discovery/wire.py",
                        "src/repro/discovery/engine.py",
                        "src/repro/net/switchboard.py",
@@ -210,15 +210,13 @@ class TestServiceInjection:
         assert self._lint_service_module(tmp_path, """
             from repro import obs
             from repro.crypto import verify_cache
-            from repro.discovery import fastpath
             from repro.obs import MetricsRegistry
 
             def shardwork(memo):
                 registry = MetricsRegistry()
                 with obs.scoped(registry=registry):
                     with verify_cache.scoped(memo):
-                        with fastpath.scoped(True):
-                            registry.counter("ok").inc()
+                        registry.counter("ok").inc()
         """) == []
 
     def test_rule_is_scoped_to_the_service_package(self, tmp_path):

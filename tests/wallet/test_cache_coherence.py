@@ -8,6 +8,7 @@ replays the same scripts on a ``cache=False`` wallet to prove equality.
 
 import pytest
 
+from repro import obs
 from repro.core import Role, SimClock, issue
 from repro.wallet.cache import CoherentCache
 from repro.wallet.wallet import Wallet
@@ -241,6 +242,24 @@ class TestBatchedAuthorization:
         for (subject, obj), proof in zip(requests, batch):
             single = wallet.query_direct(subject, obj)
             assert (single is None) == (proof is None)
+
+    def test_batch_searches_are_counted_like_single_ones(self, org, alice,
+                                                         bob, carol,
+                                                         clock):
+        """N cold pairs cost N searches whichever way they arrive."""
+        r = Role(org.entity, "r")
+        requests = [(p.entity, r) for p in (alice, bob, carol)]
+        searches = []
+        for ask in (lambda w: w.authorize_many(requests),
+                    lambda w: [w.query_direct(s, o) for s, o in requests]):
+            with obs.scoped() as scope:
+                wallet = Wallet(owner=org, clock=clock)
+                wallet.publish(issue(org, alice.entity, r))
+                ask(wallet)
+            timed, = scope.registry.histograms()
+            searches.append((scope.registry.total(
+                "drbac_wallet_searches_total"), timed.name, timed.count))
+        assert searches == [(3, "drbac_wallet_search_seconds", 3)] * 2
 
     def test_batch_warms_the_cache(self, wallet, org, alice):
         r = Role(org.entity, "r")

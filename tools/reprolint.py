@@ -106,7 +106,7 @@ OBS_INSTRUMENTED_SUFFIXES = (
     "wallet/wallet.py", "graph/proof_cache.py",
     "crypto/verify_cache.py", "crypto/encoding.py",
     "discovery/engine.py",
-    "discovery/fastpath.py", "net/switchboard.py", "net/rpc.py",
+    "discovery/result_cache.py", "net/switchboard.py", "net/rpc.py",
     "pubsub/subscriptions.py",
 )
 # Attribute-name endings that mark a tally (vs. a sequence number or
@@ -129,7 +129,7 @@ SERVICE_GLOBAL_SURFACES = {
     "verify_cache": {"memo", "enabled", "set_enabled", "disabled",
                      "cache_info", "cache_clear", "configure",
                      "note_object_hit"},
-    "fastpath": {"enabled", "set_enabled", "disabled", "configure"},
+    "result_cache": {"enabled", "disabled"},
 }
 
 
