@@ -9,7 +9,7 @@ helpers the CLI/CI reporters build on.
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 
 class Severity(str, Enum):
@@ -39,6 +39,25 @@ class Severity(str, Enum):
 
 
 _RANKS = {Severity.INFO: 0, Severity.WARN: 1, Severity.ERROR: 2}
+
+
+def exactness_mismatches(expected: Mapping[str, Iterable[str]],
+                         found: Mapping[str, Iterable[str]]) -> List[str]:
+    """Every plant found, nothing else flagged.
+
+    ``expected`` and ``found`` map rule ids to the delegation ids (or
+    ``path:line`` locators) each rule implicates; returns one
+    description per rule whose two sets differ, with the ids in full.
+    Empty means the report matches the ground truth id-for-id.
+    """
+    mismatches: List[str] = []
+    for rule_id in sorted(set(expected) | set(found)):
+        want = sorted(expected.get(rule_id, ()))
+        got = sorted(found.get(rule_id, ()))
+        if want != got:
+            mismatches.append(f"rule {rule_id}: expected {want}, "
+                              f"got {got}")
+    return mismatches
 
 
 @dataclass(frozen=True)

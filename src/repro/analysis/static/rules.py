@@ -5,6 +5,8 @@ Each rule is a named, documented check over an
 themselves via the :func:`rule` decorator (in
 :mod:`repro.analysis.static.checks`); the analyzer iterates the registry
 in registration order, which keeps report ordering deterministic.
+The repository's code linter (``tools/codelint``) keeps its own
+registry and passes it to the same three functions.
 """
 
 from dataclasses import dataclass, field
@@ -44,20 +46,23 @@ class Rule:
 RULES: Dict[str, Rule] = {}
 
 
-def rule(rule_id: str, severity: Severity, title: str,
-         fix_hint: str) -> Callable:
-    """Register a check function as an analyzer rule."""
+def rule(rule_id: str, severity: Severity, title: str, fix_hint: str,
+         registry: Dict[str, Rule] = RULES) -> Callable:
+    """Register a check function as a rule of ``registry`` (default:
+    the policy analyzer's)."""
     def register(check: Callable) -> Callable:
-        if rule_id in RULES:
+        if rule_id in registry:
             raise ValueError(f"duplicate rule id {rule_id!r}")
-        RULES[rule_id] = Rule(id=rule_id, severity=severity, title=title,
-                              fix_hint=fix_hint, check=check)
+        registry[rule_id] = Rule(id=rule_id, severity=severity,
+                                 title=title, fix_hint=fix_hint,
+                                 check=check)
         return check
     return register
 
 
 def select_rules(only: Iterable[str] = None,
-                 ignore: Iterable[str] = None) -> List[Rule]:
+                 ignore: Iterable[str] = None,
+                 registry: Dict[str, Rule] = RULES) -> List[Rule]:
     """Resolve a rule selection, preserving registration order.
 
     ``only`` restricts the run to the named rules; ``ignore`` drops
@@ -65,17 +70,17 @@ def select_rules(only: Iterable[str] = None,
     Unknown ids raise :class:`RuleSelectionError`.
     """
     for name in list(only or ()) + list(ignore or ()):
-        if name not in RULES:
-            known = ", ".join(RULES)
+        if name not in registry:
+            known = ", ".join(registry)
             raise RuleSelectionError(
                 f"unknown rule id {name!r} (known rules: {known})"
             )
-    wanted = set(only) if only else set(RULES)
+    wanted = set(only) if only else set(registry)
     dropped = set(ignore or ())
-    return [r for rid, r in RULES.items()
+    return [r for rid, r in registry.items()
             if rid in wanted and rid not in dropped]
 
 
-def rule_catalog() -> Tuple[Rule, ...]:
+def rule_catalog(registry: Dict[str, Rule] = RULES) -> Tuple[Rule, ...]:
     """Every registered rule, in registration order."""
-    return tuple(RULES.values())
+    return tuple(registry.values())

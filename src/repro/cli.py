@@ -601,59 +601,13 @@ def _lint_workload(spec: str):
                                    filler_family=family)
 
 
-def _lint_code_workload(spec: str):
-    """Build the code workload named by a ``--concurrency --workload``
-    spec: ``defective[:SEED[:FILLER]]`` or ``clean[:SEED[:FILLER]]``
-    (FILLER = generated clean worker modules for scale)."""
-    from repro.workloads.code_defects import make_code_defect_workload
-    name, _, rest = spec.partition(":")
-    if name not in ("defective", "clean"):
-        raise DRBACError(
-            f"unknown concurrency lint workload {name!r} "
-            f"(expected defective[:SEED[:FILLER]] or "
-            f"clean[:SEED[:FILLER]])"
-        )
-    seed_text, _, filler_text = rest.partition(":")
-    try:
-        seed = int(seed_text) if seed_text else None
-        filler = int(filler_text) if filler_text else 0
-    except ValueError:
-        raise DRBACError(
-            f"bad concurrency lint workload spec {spec!r} "
-            f"(expected defective[:SEED[:FILLER]])"
-        ) from None
-    return make_code_defect_workload(seed=seed, clean=(name == "clean"),
-                                     filler_modules=filler)
-
-
 def cmd_lint(workspace: Workspace, args) -> int:
     from repro.analysis.static import Severity, analyze_wallet
     threshold = Severity.from_name(args.fail_on)
     rules = args.rule or None
     ignore = args.ignore or None
     workload = None
-    if args.concurrency:
-        import tempfile
-
-        from repro.analysis.concurrency import analyze_paths
-        if args.workload:
-            workload = _lint_code_workload(args.workload)
-            workload.write_to(tempfile.mkdtemp(prefix="drbac-lint-"))
-            report = workload.analyze(rules=rules, ignore=ignore)
-            report.source = workload.description
-        else:
-            paths = args.path or ["src"]
-            missing = [p for p in paths if not os.path.exists(p)]
-            if missing:
-                raise DRBACError(
-                    f"--concurrency path(s) not found: "
-                    f"{', '.join(missing)}")
-            # Anchor at the cwd so module names line up with import
-            # paths (src/ is stripped) and locators are repo-relative.
-            report = analyze_paths(paths, root=os.getcwd(),
-                                   rules=rules, ignore=ignore)
-            report.source = ",".join(paths)
-    elif args.workload:
+    if args.workload:
         workload = _lint_workload(args.workload)
         report = workload.analyze(rules=rules, ignore=ignore)
         report.source = workload.description
@@ -680,9 +634,8 @@ def cmd_lint(workspace: Workspace, args) -> int:
             f"{report.count(severity)} {severity.value}"
             for severity in Severity
         )
-        unit = "call edge(s)" if args.concurrency else "delegation(s)"
         print(f"# {len(report)} finding(s) ({counts}) over "
-              f"{report.edges} {unit} in "
+              f"{report.edges} delegation(s) in "
               f"{report.elapsed_seconds * 1000:.1f} ms"
               + (f" [{report.source}]" if report.source else ""))
         for mismatch in mismatches:
@@ -983,17 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--workload", default=None, metavar="SPEC",
                       help="lint a generated workload instead of the "
                            "workspace wallet: "
-                           "defective[:SEED[:WIDTHxDEPTH]] (policy) or, "
-                           "with --concurrency, "
-                           "defective[:SEED[:FILLER]] / "
-                           "clean[:SEED[:FILLER]]")
-    lint.add_argument("--concurrency", action="store_true",
-                      help="run the concurrency-safety code analyzer "
-                           "(async/lock/scope dataflow over source "
-                           "trees) instead of the policy analyzer")
-    lint.add_argument("--path", action="append", metavar="PATH",
-                      help="source path for --concurrency (repeatable; "
-                           "default: src)")
+                           "defective[:SEED[:WIDTHxDEPTH[:FAMILY]]]")
     lint.set_defaults(func=cmd_lint)
 
     serve = commands.add_parser(

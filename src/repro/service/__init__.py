@@ -19,7 +19,8 @@ Layout
 
 Everything here takes injected handles (a ``MetricsRegistry``, a
 ``ShardContext``) instead of touching process-global registries or
-memos -- enforced by the ``service-injection`` reprolint rule.
+memos -- enforced by the ``service-injection`` rule of the repository's
+code linter (``tools/reprolint.py``).
 """
 
 from .ring import ConsistentHashRing

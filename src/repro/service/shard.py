@@ -5,8 +5,8 @@ it, plus the scoped infrastructure those wallets share: a private
 :class:`~repro.obs.MetricsRegistry`/:class:`~repro.obs.Tracer` pair and
 a private :class:`~repro.crypto.verify_cache.VerificationMemo`.
 Nothing a shard does leaks into the process-global registries --
-reprolint's ``service-injection`` and the concurrency analyzer's
-``scope-escape`` keep it that way -- so shards compose: one per
+the code linter's ``service-injection`` and ``scope-escape`` rules
+(``tools/reprolint.py``) keep it that way -- so shards compose: one per
 process, N per process, or forked workers, all with identical behavior.
 
 Each shard's 8192-entry memo covers only *its* namespaces' hot

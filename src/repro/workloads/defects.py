@@ -71,22 +71,8 @@ class DefectiveWorkload:
         Returns human-readable mismatch descriptions; empty means the
         report matches the planted ground truth id-for-id.
         """
-        mismatches: List[str] = []
-        found = report.ids_by_rule()
-        for rule_id, want in sorted(self.expected.items()):
-            got = found.get(rule_id, ())
-            if tuple(sorted(want)) != tuple(sorted(got)):
-                mismatches.append(
-                    f"rule {rule_id}: expected ids "
-                    f"{[i[:12] for i in sorted(want)]}, got "
-                    f"{[i[:12] for i in sorted(got)]}"
-                )
-        for rule_id in sorted(set(found) - set(self.expected)):
-            mismatches.append(
-                f"rule {rule_id}: unexpected findings on "
-                f"{[i[:12] for i in found[rule_id]]}"
-            )
-        return mismatches
+        from repro.analysis.static.findings import exactness_mismatches
+        return exactness_mismatches(self.expected, report.ids_by_rule())
 
     def __len__(self) -> int:
         return len(self.delegations)

@@ -1,4 +1,5 @@
-"""Concurrency analyzer: exact plant recovery, clean-tree zero, sanitizer."""
+"""Code linter's concurrency rules: exact plant recovery, clean-tree
+zero; the runtime lock sanitizer."""
 
 import os
 import queue
@@ -8,13 +9,13 @@ import time
 
 import pytest
 
-from repro.analysis.concurrency import (
-    CONC_RULES, analyze_paths, conc_rule_catalog, select_conc_rules,
-)
-from repro.analysis.concurrency.sanitizer import LockSanitizer
+from codelint import RULES, lint_paths as analyze_paths
+from codelint.workload import make_code_defect_workload
 from repro.analysis.static.findings import Severity
-from repro.analysis.static.rules import RuleSelectionError
-from repro.workloads.code_defects import make_code_defect_workload
+from repro.analysis.static.rules import (
+    RuleSelectionError, rule_catalog, select_rules,
+)
+from tests.sanitizer import LockSanitizer
 
 REPO_ROOT = os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))))
@@ -26,6 +27,17 @@ ALL_RULES = (
 )
 
 
+def conc_rule_catalog():
+    """The concurrency rules of the code linter's catalogue."""
+    return tuple(r for r in rule_catalog(RULES) if r.id in ALL_RULES)
+
+
+def select_conc_rules(only=None, ignore=None):
+    """A selection over the code registry, narrowed to these rules."""
+    return [r for r in select_rules(only, ignore, RULES)
+            if r.id in ALL_RULES]
+
+
 def analyze_source(tmp_path, source, name="mod.py", **kwargs):
     path = tmp_path / name
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -35,7 +47,7 @@ def analyze_source(tmp_path, source, name="mod.py", **kwargs):
 
 class TestRegistry:
     def test_all_seven_rules_registered(self):
-        assert tuple(CONC_RULES) == ALL_RULES
+        assert set(ALL_RULES) <= set(RULES)
 
     def test_catalog_orders_match_registry(self):
         assert tuple(r.id for r in conc_rule_catalog()) == ALL_RULES
@@ -105,7 +117,7 @@ class TestRepoTreeIsClean:
         assert repo_report.edges > 1000
 
     def test_transport_coroutines_modeled(self):
-        from repro.analysis.concurrency.model import RepoModel
+        from codelint.model import RepoModel
         model = RepoModel.build(
             [os.path.join(REPO_ROOT, "src", "repro", "service")],
             root=REPO_ROOT)
@@ -115,7 +127,7 @@ class TestRepoTreeIsClean:
             in names
 
     def test_shard_activate_recognized_as_scope(self):
-        from repro.analysis.concurrency.model import RepoModel
+        from codelint.model import RepoModel
         model = RepoModel.build(
             [os.path.join(REPO_ROOT, "src", "repro")], root=REPO_ROOT)
         activate = next(fn for fn in model.all_functions()

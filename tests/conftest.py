@@ -5,6 +5,9 @@ module/session scoped where reuse is safe (entities are immutable), so
 the suite stays fast without stubbing any cryptography.
 """
 
+import os
+import sys
+
 import pytest
 from hypothesis import settings
 
@@ -14,6 +17,11 @@ from repro.workloads import (
     build_distributed_case_study,
     build_table1,
 )
+
+# The repository's code linter (`tools/reprolint.py` and its `codelint`
+# package) lives outside `src`; its tests import it from there.
+sys.path.insert(0, os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools"))
 
 
 # -- Hypothesis budgets ------------------------------------------------------
@@ -94,7 +102,7 @@ def pytest_addoption(parser):
 def pytest_configure(config):
     if not config.getoption("--sanitize"):
         return
-    from repro.analysis.concurrency.sanitizer import LockSanitizer
+    from .sanitizer import LockSanitizer
     sanitizer = LockSanitizer()
     sanitizer.install()
     config._lock_sanitizer = sanitizer

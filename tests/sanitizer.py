@@ -21,7 +21,8 @@ plain-Lock wrapper deliberately does NOT define
 while the RLock wrapper defines all three and keeps the held-stack
 consistent across ``Condition.wait``.
 
-Installed by ``pytest --sanitize`` (see ``tests/conftest.py``).
+Installed by ``pytest --sanitize`` (see ``tests/conftest.py``); it
+lives under ``tests/`` because the test session is its only user.
 """
 
 import sys

@@ -1,18 +1,45 @@
 """The repo invariant linter: clean on src, sharp on planted breaches."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
 import textwrap
+from typing import NamedTuple
 
 import pytest
+
+import codelint
+import reprolint as reprolint_cli
+from codelint.model import SourceModule, _index_nodes, iter_python_files
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPROLINT = os.path.join(REPO_ROOT, "tools", "reprolint.py")
 
-sys.path.insert(0, os.path.join(REPO_ROOT, "tools"))
-import reprolint  # noqa: E402
+
+class Hit(NamedTuple):
+    rule: str
+    locator: str
+
+
+class reprolint:
+    """The per-file surface these tests were written against, served
+    by the one code linter: a finding becomes a ``Hit``."""
+
+    RULE_IDS = tuple(codelint.RULES)
+    iter_python_files = staticmethod(iter_python_files)
+
+    @staticmethod
+    def lint_file(path):
+        report = codelint.lint_paths([path])
+        return [Hit(f.rule_id, f.delegation_ids[0]) for f in report]
+
+    @staticmethod
+    def _index_tree(tree):
+        module = SourceModule(path="", relpath="", modname="", tree=tree)
+        _index_nodes(module)
+        return module
 
 
 def run_reprolint(*targets):
@@ -90,6 +117,22 @@ class TestClockDiscipline:
             def query(wallet):
                 return wallet.clock.now()
         """) == []
+
+    def test_aliased_module_imports_flagged(self, tmp_path):
+        """`import time as t` does not hide `t.time()` (nor does a
+        module-level read escape because it is outside a function)."""
+        violations = lint_source(tmp_path, """
+            import time as t
+            import datetime as dt
+
+            STAMP = t.time()
+
+            def stamp():
+                return t.time(), dt.datetime.now()
+        """, name="a.py")
+        assert [v.rule for v in violations] == ["clock-discipline"] * 3
+        assert sorted(v.locator for v in violations) == [
+            "a.py:5", "a.py:8", "a.py:8"]
 
     def test_core_clock_module_exempt(self, tmp_path):
         clock_dir = tmp_path / "core"
@@ -206,6 +249,17 @@ class TestServiceInjection:
         """)
         assert [v.rule for v in violations] == ["service-injection"]
 
+    def test_aliased_surfaces_flagged(self, tmp_path):
+        violations = self._lint_service_module(tmp_path, """
+            from repro import obs as o
+            import repro.crypto.verify_cache as vc
+
+            def peek():
+                o.counter("x").inc()
+                return vc.cache_info()
+        """)
+        assert [v.rule for v in violations] == ["service-injection"] * 2
+
     def test_scoped_and_injected_handles_allowed(self, tmp_path):
         assert self._lint_service_module(tmp_path, """
             from repro import obs
@@ -290,38 +344,6 @@ class TestSharedPass:
             "clock-discipline", "mutable-default"]
 
 
-class TestJobs:
-    def _plant_tree(self, tmp_path):
-        (tmp_path / "a.py").write_text(
-            "import time\n\ndef t():\n    return time.time()\n")
-        (tmp_path / "b.py").write_text(
-            "def t(x=[]):\n    return x\n")
-        (tmp_path / "clean.py").write_text("def ok():\n    return 1\n")
-        (tmp_path / "broken.py").write_text("def (:\n")
-
-    def test_parallel_output_identical_to_serial(self, tmp_path):
-        self._plant_tree(tmp_path)
-        files = list(reprolint.iter_python_files([str(tmp_path)]))
-        serial = sorted(reprolint.lint_files(files, jobs=1))
-        parallel = sorted(reprolint.lint_files(files, jobs=4))
-        assert serial == parallel
-        assert sorted(v.rule for v in serial) == [
-            "clock-discipline", "mutable-default", "syntax"]
-
-    def test_parallel_src_matches_serial_src(self):
-        files = list(reprolint.iter_python_files(
-            [os.path.join(REPO_ROOT, "src")]))
-        assert sorted(reprolint.lint_files(files, jobs=2)) == \
-            sorted(reprolint.lint_files(files, jobs=1))
-
-    def test_jobs_flag_on_cli(self, tmp_path):
-        self._plant_tree(tmp_path)
-        serial = run_reprolint(str(tmp_path))
-        parallel = run_reprolint(str(tmp_path), "--jobs", "4")
-        assert parallel.returncode == serial.returncode == 1
-        assert parallel.stdout == serial.stdout
-
-
 class TestJsonMode:
     """--json mirrors the drbac lint --json report shape."""
 
@@ -356,17 +378,50 @@ class TestJsonMode:
         assert locator.endswith("bad.py:4")
 
     def test_same_shape_as_drbac_lint_json(self, tmp_path):
-        """Byte-for-byte key parity with the CLI analyzer report."""
+        """Byte-for-byte key parity with the policy analyzer report."""
         (tmp_path / "ok.py").write_text("def ok():\n    return 1\n")
         lint_result = run_reprolint(str(tmp_path), "--json")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
-        drbac = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "lint", "--concurrency",
-             "--path", str(tmp_path), "--json"],
-            cwd=REPO_ROOT, env=env, capture_output=True, text=True)
-        assert drbac.returncode == 0, drbac.stdout + drbac.stderr
+        workspace = str(tmp_path / "ws")
+        for args in (["entity", "create", "BigISP"], ["lint", "--json"]):
+            drbac = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "-w", workspace, *args],
+                cwd=REPO_ROOT, env=env, capture_output=True, text=True)
+            assert drbac.returncode == 0, drbac.stdout + drbac.stderr
         ours = json.loads(lint_result.stdout)
         theirs = json.loads(drbac.stdout)
         assert set(ours) == set(theirs)
         assert set(ours["counts"]) == set(theirs["counts"])
+
+
+CODE_RULE_IDS = (
+    "clock-discipline", "graph-event-coupling", "mutable-default",
+    "frozen-setattr", "obs-discipline", "service-injection",
+    "blocking-in-async", "lock-discipline", "lock-order-cycle",
+    "scope-escape", "unawaited-coroutine", "fire-and-forget-task",
+    "contextvar-discipline",
+)
+
+
+class TestOneLinter:
+    """One registry, one parse per file, one command."""
+
+    def test_registry_lists_thirteen_rules_in_order(self):
+        assert tuple(codelint.RULES) == CODE_RULE_IDS
+
+    def test_src_and_tools_parse_each_file_once(self, monkeypatch,
+                                                capsys):
+        monkeypatch.chdir(REPO_ROOT)
+        files = list(iter_python_files(["src", "tools"]))
+        parsed = []
+        real_parse = ast.parse
+
+        def counting_parse(source, filename="<unknown>", *args, **kw):
+            parsed.append(filename)
+            return real_parse(source, filename, *args, **kw)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        assert reprolint_cli.main(["src", "tools"]) == 0
+        assert sorted(parsed) == sorted(files)
+        assert "0 violation(s)" in capsys.readouterr().err

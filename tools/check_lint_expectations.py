@@ -1,12 +1,15 @@
 #!/usr/bin/env python
-"""Assert a ``drbac lint --json`` report matches planted ground truth.
+"""Assert a lint ``--json`` report matches planted ground truth.
 
-CI runs ``drbac lint --workload defective:SEED --json`` and pipes the
-report here. This script *independently* rebuilds the same defective
-workload (same seed) and checks the report id-for-id: every planted
-defect found by its rule, nothing else flagged. It deliberately does
-not trust the report's embedded ``mismatches`` field -- the point is an
-end-to-end check that the CLI, the analyzer, and the generator agree.
+CI runs ``drbac lint --workload defective:SEED --json`` (policy) and
+``tools/reprolint.py --workload defective:SEED --json`` (code) and
+pipes each report here. The report's ``rules_run`` says which linter
+wrote it; this script *independently* rebuilds that linter's workload
+(same spec) and checks the report id-for-id: every planted defect
+found by its rule, nothing else flagged. It deliberately does not
+trust the report's embedded ``mismatches`` field -- the point is an
+end-to-end check that the command, the linter, and the generator
+agree.
 
 Usage::
 
@@ -18,63 +21,44 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Optional, Sequence, Set
 
+sys.path.insert(0, os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-def compare(payload: dict, expected: Dict[str, tuple]) -> List[str]:
-    """Mismatch descriptions between a lint report and ground truth."""
-    found: Dict[str, Set[str]] = {}
-    for finding in payload.get("findings", []):
-        found.setdefault(finding["rule"], set()).update(
-            finding["delegations"])
-    mismatches: List[str] = []
-    for rule, want in sorted(expected.items()):
-        got = found.pop(rule, set())
-        if set(want) != got:
-            mismatches.append(
-                f"rule {rule}: expected "
-                f"{sorted(i[:12] for i in want)}, report has "
-                f"{sorted(i[:12] for i in got)}")
-    for rule, ids in sorted(found.items()):
-        mismatches.append(
-            f"rule {rule}: unexpected findings on "
-            f"{sorted(i[:12] for i in ids)}")
-    return mismatches
+from codelint import RULES as CODE_RULES  # noqa: E402
+from repro.analysis.static.findings import exactness_mismatches  # noqa: E402
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="check a drbac lint --json report against the "
-                    "defective workload's planted defects")
+        description="check a lint --json report against the planted "
+                    "defects of the workload it was generated from")
     parser.add_argument("report", help="path to the JSON report")
     parser.add_argument("--workload", default="defective",
                         help="workload spec the report was generated "
                              "from (default: defective)")
-    parser.add_argument("--concurrency", action="store_true",
-                        help="the report came from `drbac lint "
-                             "--concurrency`; rebuild the code-defect "
-                             "workload (locators) instead of the "
-                             "policy workload (delegation ids)")
     args = parser.parse_args(argv)
 
-    sys.path.insert(0, os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "..", "src"))
-    if args.concurrency:
-        from repro.cli import _lint_code_workload
-        workload = _lint_code_workload(args.workload)
+    with open(args.report, "r", encoding="utf-8") as handle:
+        payload = json.load(handle)
+    if set(payload["rules_run"]) <= set(CODE_RULES):
+        from codelint.workload import workload_from_spec
+        workload = workload_from_spec(args.workload)
     else:
         from repro.cli import _lint_workload
         workload = _lint_workload(args.workload)
 
-    with open(args.report, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-
-    mismatches = compare(payload, workload.expected)
+    found: Dict[str, Set[str]] = {}
+    for finding in payload.get("findings", []):
+        found.setdefault(finding["rule"], set()).update(
+            finding["delegations"])
+    mismatches = exactness_mismatches(workload.expected, found)
     for mismatch in mismatches:
         print(f"MISMATCH {mismatch}", file=sys.stderr)
     planted = sum(len(ids) for ids in workload.expected.values())
     print(f"check_lint_expectations: {len(workload.expected)} rule(s), "
-          f"{planted} planted delegation id(s), "
+          f"{planted} planted id(s)/locator(s), "
           f"{len(mismatches)} mismatch(es) [{args.workload}]")
     return 1 if mismatches else 0
 

@@ -1,10 +1,15 @@
-"""Whole-repo source model for the concurrency-safety analyzer.
+"""Whole-repo source model for the code linter.
 
-Parses every Python file under the analyzed roots exactly once and
+Parses every Python file under the linted roots exactly once and
 builds the structures the rules consume:
 
-* per-module indexes -- imports, module-level locks / ContextVars /
-  mutable globals, classes with best-effort attribute typing
+* per-module node lists from one ``ast.walk`` -- calls, ``from``
+  imports, function definitions, augmented assignments (what the
+  per-file rules scan) -- plus the alias tables every rule resolves
+  receivers through (``import time as t`` makes ``t.time`` read as
+  ``time.time``);
+* per-module indexes -- module-level locks / ContextVars / mutable
+  globals, classes with best-effort attribute typing
   (``self.x = threading.Lock()`` / ``queue.Queue()`` / ``SomeClass()``);
 * per-function call sites, each annotated with its *lexical* context:
   which locks are held at the call, whether it sits inside a
@@ -27,14 +32,10 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-# Modules whose ``scoped``/``activate`` contexts mark the code under
-# them as running against injected, shard-local state.
-SCOPE_MODULES = ("obs", "verify_cache")
-
 # Receiver-module -> banned-attr sets: calls that read or mutate
-# process-global singletons (mirrors tools/reprolint.py's
-# SERVICE_GLOBAL_SURFACES; the analyzer generalizes that rule from one
-# package to call-graph reachability).
+# process-global singletons.  `service-injection` bans them anywhere in
+# the service package; `scope-escape` bans them on any path from a
+# shard entry point that no scoped() encloses.
 GLOBAL_SURFACES = {
     "obs": {"registry", "get_registry", "tracer", "counter", "gauge",
             "histogram", "span", "reset", "use_clock", "virtual_time",
@@ -50,14 +51,6 @@ MUTATING_METHODS = {"append", "add", "update", "setdefault", "pop",
                     "popitem", "clear", "extend", "insert", "remove",
                     "discard"}
 
-# Call consumers that legitimately take a bare coroutine object.
-COROUTINE_CONSUMERS = {
-    "asyncio.run", "asyncio.gather", "asyncio.wait", "asyncio.wait_for",
-    "asyncio.shield", "asyncio.create_task", "asyncio.ensure_future",
-    "asyncio.as_completed", "run_until_complete", "create_task",
-    "ensure_future",
-}
-
 
 def dotted_name(node: ast.AST) -> Optional[str]:
     """``a.b.c`` for a Name/Attribute chain, else None."""
@@ -69,6 +62,13 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         return None
     parts.append(node.id)
     return ".".join(reversed(parts))
+
+
+def is_scope_call(dotted: Optional[str]) -> bool:
+    """Does a ``with`` item calling ``dotted`` enter a ``scoped()``
+    context?  Any receiver counts: ``obs.scoped()``,
+    ``verify_cache.scoped()``, ``self.scoped()``, a bare ``scoped()``."""
+    return bool(dotted) and dotted.rsplit(".", 1)[-1] == "scoped"
 
 
 @dataclass
@@ -124,7 +124,6 @@ class FunctionInfo:
     calls: List[CallSite] = field(default_factory=list)
     lock_acquires: List[LockAcquire] = field(default_factory=list)
     release_keys_in_finally: Set[str] = field(default_factory=set)
-    release_keys: Set[str] = field(default_factory=set)
     global_writes: List[GlobalWrite] = field(default_factory=list)
     # (with-item call site, block first line, block last line) -- lets
     # the link phase mark bodies scoped once activate()-style targets
@@ -135,9 +134,6 @@ class FunctionInfo:
     local_types: Dict[str, str] = field(default_factory=dict)
     enters_scope: bool = False   # contextmanager wrapping its yield in scoped()
     has_yield: bool = False
-
-    def locator(self) -> str:
-        return f"{self.module.relpath}:{self.lineno}"
 
 
 @dataclass
@@ -155,8 +151,8 @@ class ClassInfo:
 
 @dataclass
 class SourceModule:
-    path: str
-    relpath: str
+    path: str                    # as walked from the given target
+    relpath: str                 # from the model root: the locator prefix
     modname: str
     tree: ast.Module = field(repr=False, default=None)
     source_lines: List[str] = field(default_factory=list, repr=False)
@@ -164,6 +160,13 @@ class SourceModule:
     module_aliases: Dict[str, str] = field(default_factory=dict)
     # alias -> (source module dotted, symbol).
     from_symbols: Dict[str, Tuple[str, str]] = field(default_factory=dict)
+    # Every node of these kinds, anywhere in the file (one ast.walk).
+    calls: List[ast.Call] = field(default_factory=list, repr=False)
+    import_froms: List[ast.ImportFrom] = field(default_factory=list,
+                                               repr=False)
+    func_defs: List[ast.AST] = field(default_factory=list, repr=False)
+    aug_assigns: List[ast.AugAssign] = field(default_factory=list,
+                                             repr=False)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     # module-level NAME = threading.Lock()/RLock() -> "lock"/"rlock".
@@ -175,6 +178,15 @@ class SourceModule:
 
     def loc(self) -> int:
         return len(self.source_lines)
+
+    def real_name(self, dotted: str) -> str:
+        """``dotted`` with its head read through the import aliases."""
+        head, dot, rest = dotted.partition(".")
+        if head in self.module_aliases:
+            head = self.module_aliases[head]
+        elif head in self.from_symbols:
+            head = ".".join(self.from_symbols[head])
+        return head + dot + rest
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +262,16 @@ class _FunctionWalker:
                                             new_scope, is_with_item=True)
                     if site is not None:
                         fn.with_regions.append((site, stmt.lineno, end))
-                    if self._is_scope_call(expr):
+                    if is_scope_call(site.dotted):
                         new_scope = True
                 else:
                     # `with self._lock:` without a call -- bare lock.
-                    lock_key = self._lock_key(expr)
-                    if lock_key is not None:
+                    key = self._lock_key(expr)
+                    if key is not None:
                         fn.lock_acquires.append(LockAcquire(
-                            key=lock_key, lineno=expr.lineno,
+                            key=key, lineno=expr.lineno,
                             held=tuple(new_locks)))
-                        new_locks.append(lock_key)
+                        new_locks.append(key)
                     else:
                         self._visit_expr_tree(expr, locks, in_scope)
                 if item.optional_vars is not None:
@@ -390,41 +402,7 @@ class _FunctionWalker:
         dotted = dotted_name(expr)
         if dotted is None:
             return None
-        return self._lock_key_for_dotted(dotted)
-
-    def _lock_key_for_dotted(self, dotted: str) -> Optional[str]:
-        fn = self.fn
-        module = self.module
-        parts = dotted.split(".")
-        if len(parts) == 1:
-            name = parts[0]
-            if name in module.locks:
-                return f"{module.modname}.{name}"
-            scope: Optional[FunctionInfo] = fn
-            while scope is not None:
-                if scope.local_types.get(name) in ("lock", "rlock"):
-                    return f"{scope.qualname}.{name}"
-                scope = scope.parent
-            return None
-        if parts[0] in ("self", "cls") and len(parts) == 2 and fn.cls:
-            cls = module.classes.get(fn.cls)
-            if cls and cls.attr_ctors.get(parts[1]) in _LOCK_CTORS:
-                return f"{cls.qualname}.{parts[1]}"
-            return None
-        # mod_alias.NAME module-level lock in another repo module is
-        # resolved in the link phase via textual fallback; keep local.
-        return None
-
-    def _is_scope_call(self, call: ast.Call) -> bool:
-        """Is this with-item call a scoped()-style context?"""
-        dotted = dotted_name(call.func)
-        if dotted:
-            parts = dotted.split(".")
-            if parts[-1] == "scoped" and (
-                    len(parts) == 1 or parts[-2] in SCOPE_MODULES
-                    or parts[-2] not in ("self", "cls")):
-                return True
-        return False
+        return lock_key(self.fn, dotted)
 
     def _note_assignment(self, target: ast.expr, value: ast.expr) -> None:
         """Track `x = Ctor(...)` locals and `self.x = Ctor(...)` attrs."""
@@ -454,10 +432,8 @@ class _FunctionWalker:
         receiver = expr.func.value
         if attr == "release":
             key = self._lock_key(receiver)
-            if key is not None:
-                self.fn.release_keys.add(key)
-                if in_finally:
-                    self.fn.release_keys_in_finally.add(key)
+            if key is not None and in_finally:
+                self.fn.release_keys_in_finally.add(key)
             return
         if attr in MUTATING_METHODS and isinstance(receiver, ast.Name) \
                 and receiver.id in self.module.mutable_globals \
@@ -485,6 +461,28 @@ class _FunctionWalker:
                 return True
             scope = scope.parent
         return False
+
+
+def lock_key(fn: FunctionInfo, dotted: str) -> Optional[str]:
+    """Canonical lock identity for a receiver chain in ``fn``, or None."""
+    module = fn.module
+    parts = dotted.split(".")
+    if len(parts) == 1:
+        name = parts[0]
+        if name in module.locks:
+            return f"{module.modname}.{name}"
+        scope: Optional[FunctionInfo] = fn
+        while scope is not None:
+            if scope.local_types.get(name) in ("lock", "rlock"):
+                return f"{scope.qualname}.{name}"
+            scope = scope.parent
+        return None
+    if parts[0] in ("self", "cls") and len(parts) == 2 and fn.cls:
+        cls = module.classes.get(fn.cls)
+        if cls and cls.attr_ctors.get(parts[1]) in _LOCK_CTORS:
+            return f"{cls.qualname}.{parts[1]}"
+    # A mod_alias.NAME lock in another repo module has no local key.
+    return None
 
 
 def _targets_bind_name(targets: Sequence[ast.expr]) -> bool:
@@ -528,16 +526,17 @@ def _module_name(relpath: str) -> str:
     return name
 
 
-def parse_module(path: str, relpath: str) -> Optional[SourceModule]:
+def parse_module(path: str, relpath: str) -> SourceModule:
+    """Parse one file -- the run's only ``ast.parse`` of it -- and index
+    it.  Raises ``SyntaxError``."""
     with open(path, "r", encoding="utf-8") as handle:
         source = handle.read()
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError:
-        return None
-    module = SourceModule(path=path, relpath=relpath.replace(os.sep, "/"),
+    tree = ast.parse(source, filename=path)
+    module = SourceModule(path=path.replace(os.sep, "/"),
+                          relpath=relpath.replace(os.sep, "/"),
                           modname=_module_name(relpath), tree=tree,
                           source_lines=source.splitlines())
+    _index_nodes(module)
     _scan_module_level(module)
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -584,22 +583,35 @@ def _extract_class(node: ast.ClassDef, module: SourceModule) -> None:
                                               cls=qualname, parent=None)
 
 
-def _scan_module_level(module: SourceModule) -> None:
-    for node in module.tree.body:
-        if isinstance(node, ast.Import):
+def _index_nodes(module: SourceModule) -> None:
+    """The one ``ast.walk`` over a file: the node lists the per-file
+    rules scan, and the import alias tables (imports at any depth)."""
+    for node in ast.walk(module.tree):
+        if isinstance(node, ast.Call):
+            module.calls.append(node)
+        elif isinstance(node, ast.Import):
             for alias in node.names:
-                module.module_aliases[alias.asname or
-                                      alias.name.split(".")[0]] = \
-                    alias.name if alias.asname else alias.name.split(".")[0]
                 if alias.asname:
                     module.module_aliases[alias.asname] = alias.name
+                else:
+                    head = alias.name.split(".")[0]
+                    module.module_aliases[head] = head
         elif isinstance(node, ast.ImportFrom):
+            module.import_froms.append(node)
             if node.module is None or node.level:
                 continue
             for alias in node.names:
                 module.from_symbols[alias.asname or alias.name] = \
                     (node.module, alias.name)
-        elif isinstance(node, ast.Assign) and len(node.targets) == 1 \
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            module.func_defs.append(node)
+        elif isinstance(node, ast.AugAssign):
+            module.aug_assigns.append(node)
+
+
+def _scan_module_level(module: SourceModule) -> None:
+    for node in module.tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                 and isinstance(node.targets[0], ast.Name):
             name = node.targets[0].id
             value = node.value
@@ -645,6 +657,8 @@ class RepoModel:
         self.root = root
         self.modules: Dict[str, SourceModule] = {}
         self._by_modname: Dict[str, SourceModule] = {}
+        # (locator, message) of every file that does not parse.
+        self.unparsable: List[Tuple[str, str]] = []
 
     @classmethod
     def build(cls, paths: Sequence[str],
@@ -656,19 +670,20 @@ class RepoModel:
             root = os.path.dirname(root)
         model = cls(root)
         for path in iter_python_files(list(paths)):
-            abspath = os.path.abspath(path)
-            relpath = os.path.relpath(abspath, root)
-            module = parse_module(abspath, relpath)
-            if module is not None:
-                model.modules[module.relpath] = module
-                model._by_modname[module.modname] = module
+            relpath = os.path.relpath(os.path.abspath(path), root)
+            try:
+                module = parse_module(path, relpath)
+            except SyntaxError as exc:
+                model.unparsable.append(
+                    (f"{relpath.replace(os.sep, '/')}:{exc.lineno or 0}",
+                     exc.msg))
+                continue
+            model.modules[module.relpath] = module
+            model._by_modname[module.modname] = module
         model.link()
         return model
 
     # -- lookups -------------------------------------------------------------
-
-    def module_by_name(self, modname: str) -> Optional[SourceModule]:
-        return self._by_modname.get(modname)
 
     def all_functions(self):
         for module in self.modules.values():
@@ -761,13 +776,8 @@ class RepoModel:
             self._resolve_in_module(site, alias_mod, parts[1:])
             return
         # Non-repo module alias: normalize to the real dotted name.
-        real = module.module_aliases.get(head)
-        if real is not None:
-            site.external = ".".join([real] + parts[1:])
-            return
-        if head in module.from_symbols:
-            src, symbol = module.from_symbols[head]
-            site.external = ".".join([src, symbol] + parts[1:])
+        if head in module.module_aliases or head in module.from_symbols:
+            site.external = module.real_name(site.dotted)
 
     def _resolve_in_module(self, site: CallSite, module: SourceModule,
                            parts: List[str]) -> None:
@@ -908,12 +918,9 @@ class RepoModel:
         return changed
 
     def _site_enters_scope(self, site: CallSite) -> bool:
-        if site.dotted:
-            parts = site.dotted.split(".")
-            if parts[-1] == "scoped":
-                return True
         target = site.target
-        return bool(target is not None and target.enters_scope)
+        return is_scope_call(site.dotted) or bool(
+            target is not None and target.enters_scope)
 
     # -- receiver typing for the rules --------------------------------------
 

@@ -1,25 +1,31 @@
-"""Concurrency-safety rules over the linked :class:`RepoModel`.
+"""The code linter's 13 rules over the linked :class:`RepoModel`.
 
-Mirrors the static policy analyzer's registry shape (same ``Rule``
-dataclass, same selection semantics) but checks *code*, not policy
-graphs: findings carry ``relpath:line`` locators in the
-``delegation_ids`` slot so the exact-recovery machinery
-(``verify()``/``check_lint_expectations``) works unchanged.
+They register in the policy analyzer's ``Rule`` registry shape (the
+same ``rule`` / ``select_rules`` code, handed this module's
+``RULES``) but check *code*, not policy graphs: findings carry
+``relpath:line`` locators in the ``delegation_ids`` slot so the
+exact-recovery machinery (``verify()`` / ``check_lint_expectations``)
+works unchanged.  Six are per-file invariants the test suite cannot
+express; seven follow the call graph (async reach, lock order, scope).
 
 Suppression: a trailing ``# lint: allow=<rule-id>`` comment on the
 flagged line silences that rule there (comma-separate for several).
 """
 
+import ast
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.static.findings import Finding, Severity
-from repro.analysis.static.rules import Rule, RuleSelectionError
+from repro.analysis.static.rules import Rule, rule
 
-from repro.analysis.concurrency.model import (
-    GLOBAL_SURFACES, FunctionInfo, CallSite, RepoModel, SourceModule,
+from .model import (
+    GLOBAL_SURFACES, CallSite, FunctionInfo, RepoModel, SourceModule,
+    dotted_name, lock_key,
 )
 
-CONC_RULES: Dict[str, Rule] = {}
+RULES: Dict[str, Rule] = {}
+code_rule = partial(rule, registry=RULES)
 
 #: Modules that *implement* the scoped surfaces; their internals are
 #: exempt from scope-escape (they are the mechanism, not a breach).
@@ -32,44 +38,13 @@ DEFAULT_ENTRY_CLASSES = ("ShardRuntime", "ShardContext")
 SUPPRESS_MARKER = "lint: allow="
 
 
-def conc_rule(rule_id: str, severity: Severity, title: str,
-              fix_hint: str):
-    def register(check):
-        if rule_id in CONC_RULES:
-            raise ValueError(f"duplicate rule id {rule_id!r}")
-        CONC_RULES[rule_id] = Rule(id=rule_id, severity=severity,
-                                   title=title, fix_hint=fix_hint,
-                                   check=check)
-        return check
-    return register
-
-
-def select_conc_rules(only: Iterable[str] = None,
-                      ignore: Iterable[str] = None) -> List[Rule]:
-    """Same contract as the policy analyzer's ``select_rules``."""
-    for name in list(only or ()) + list(ignore or ()):
-        if name not in CONC_RULES:
-            known = ", ".join(CONC_RULES)
-            raise RuleSelectionError(
-                f"unknown concurrency rule id {name!r} "
-                f"(known rules: {known})")
-    wanted = set(only) if only else set(CONC_RULES)
-    dropped = set(ignore or ())
-    return [r for rid, r in CONC_RULES.items()
-            if rid in wanted and rid not in dropped]
-
-
-def conc_rule_catalog() -> Tuple[Rule, ...]:
-    return tuple(CONC_RULES.values())
-
-
 # ---------------------------------------------------------------------------
 # Analysis context
 # ---------------------------------------------------------------------------
 
 
-class ConcurrencyContext:
-    """One analyzer pass: the linked model plus shared derived facts."""
+class CodeContext:
+    """One linter pass: the linked model plus shared derived facts."""
 
     def __init__(self, model: RepoModel,
                  entry_classes: Optional[Iterable[str]] = None) -> None:
@@ -129,32 +104,250 @@ class ConcurrencyContext:
             return True
         return False
 
+    def flag(self, rule: Rule, module: SourceModule, lineno: int,
+             message: str) -> List[Finding]:
+        """``rule``'s finding at ``module:lineno``, unless a suppression
+        comment there allows it."""
+        if self.is_suppressed(module, lineno, rule.id):
+            return []
+        return [rule.finding([f"{module.relpath}:{lineno}"], message)]
+
     def receiver_of(self, site: CallSite) -> Optional[str]:
         if site.dotted and "." in site.dotted:
             return site.dotted.rsplit(".", 1)[0]
         return None
 
-    def lock_key(self, fn: FunctionInfo,
-                 receiver: str) -> Optional[str]:
-        """Canonical lock identity for an acquire/release receiver."""
-        module = fn.module
-        parts = receiver.split(".")
-        if len(parts) == 1:
-            name = parts[0]
-            if name in module.locks:
-                return f"{module.modname}.{name}"
-            scope = fn
-            while scope is not None:
-                if scope.local_types.get(name) in ("lock", "rlock"):
-                    return f"{scope.qualname}.{name}"
-                scope = scope.parent
-            return None
-        if parts[0] in ("self", "cls") and len(parts) == 2 and fn.cls:
-            cls = module.classes.get(fn.cls)
-            if cls is not None \
-                    and cls.attr_types.get(parts[1]) in ("lock", "rlock"):
-                return f"{cls.qualname}.{parts[1]}"
-        return None
+
+# ---------------------------------------------------------------------------
+# Per-file rules: invariants the test suite cannot express
+# ---------------------------------------------------------------------------
+
+# Files (by normalized path suffix) allowed to read the wall clock.
+CLOCK_ALLOWED_SUFFIXES = ("core/clock.py",)
+# Receivers, read through the import aliases, whose .now()/.today()
+# are the real clock (never a repro Clock instance, whose receiver is
+# `clock`/`self.clock`).  time.perf_counter/monotonic/sleep measure
+# durations, not policy-relevant instants, and stay legal.
+CLOCK_BAD_RECEIVERS = {"datetime", "datetime.datetime", "date",
+                       "datetime.date"}
+
+# Modules allowed to mutate delegation graphs without publishing
+# events: detached-graph layers no subscription hub observes.
+EVENT_EXEMPT_SEGMENTS = ("/graph/", "/workloads/", "/analysis/",
+                         "/baselines/", "/tools/")
+EVENT_EXEMPT_SUFFIXES = ("wallet/storage.py",)
+
+# Modules that own frozen-dataclass construction-time caches.
+SETATTR_ALLOWED_SUFFIXES = ("core/delegation.py", "core/attributes.py",
+                            "core/proof.py", "crypto/keys.py")
+
+# Modules whose counters moved into the observability registry; a bare
+# `self.<counter> += n` here has escaped the exporters.
+OBS_INSTRUMENTED_SUFFIXES = (
+    "wallet/wallet.py", "graph/proof_cache.py",
+    "crypto/verify_cache.py", "crypto/encoding.py",
+    "discovery/engine.py",
+    "discovery/result_cache.py", "net/switchboard.py", "net/rpc.py",
+    "pubsub/subscriptions.py",
+)
+# Attribute-name endings that mark a tally (vs. a sequence number or
+# an accumulator that is not a metric).
+OBS_COUNTER_SUFFIXES = (
+    "hits", "misses", "evictions", "stores", "invalidations",
+    "expirations", "handshakes", "completed", "rejected", "reused",
+    "published", "delivered", "runs",
+)
+
+# The service layer must go through injected handles; GLOBAL_SURFACES
+# read or mutate process-global state.  (`scoped()` is the sanctioned
+# entry point and stays legal, as does constructing MetricsRegistry /
+# VerificationMemo / Tracer instances directly.)
+SERVICE_SEGMENT = "/repro/service/"
+
+
+@code_rule(
+    "clock-discipline", Severity.ERROR,
+    "wall-clock read outside core/clock.py",
+    "take the instant from a repro Clock (e.g. wallet.clock.now()); "
+    "direct reads make simulations non-deterministic and queries "
+    "non-reproducible",
+)
+def check_clock_discipline(ctx: CodeContext, rule: Rule) -> List[Finding]:
+    findings = []
+    for module in ctx.model.modules.values():
+        if module.path.endswith(CLOCK_ALLOWED_SUFFIXES):
+            continue
+        for call in module.calls:
+            name = dotted_name(call.func)
+            if name is None:
+                continue
+            real = module.real_name(name)
+            receiver, _, attr = real.rpartition(".")
+            if real == "time.time":
+                message = (f"{name}() bypasses the Clock abstraction; "
+                           f"take the instant from a Clock (e.g. "
+                           f"wallet.clock.now())")
+            elif isinstance(call.func, ast.Name) and real in (
+                    "datetime.datetime", "datetime.date"):
+                message = (f"{name}() (from-imported wall clock) "
+                           f"bypasses the Clock abstraction")
+            elif attr in ("now", "utcnow", "today") \
+                    and receiver in CLOCK_BAD_RECEIVERS:
+                message = (f"{name}() bypasses the Clock abstraction; "
+                           f"route through repro.core.clock")
+            else:
+                continue
+            findings.extend(ctx.flag(rule, module, call.lineno, message))
+    return findings
+
+
+@code_rule(
+    "graph-event-coupling", Severity.ERROR,
+    "delegation graph mutated by a module that never publishes a "
+    "subscription-hub event",
+    "publish the matching hub event (Section 4.2.2) where the graph "
+    "changes, so the proof cache, the reachability index and every "
+    "subscriber see it",
+)
+def check_graph_event_coupling(ctx: CodeContext,
+                               rule: Rule) -> List[Finding]:
+    findings = []
+    for module in ctx.model.modules.values():
+        if any(seg in f"/{module.path}" for seg in EVENT_EXEMPT_SEGMENTS) \
+                or module.path.endswith(EVENT_EXEMPT_SUFFIXES):
+            continue
+        mutations: List[ast.Call] = []
+        publishes = False
+        for node in module.calls:
+            if not isinstance(node.func, ast.Attribute):
+                continue
+            attr = node.func.attr
+            if attr in ("add_delegation", "remove_delegation"):
+                mutations.append(node)
+            elif attr in ("add", "remove") \
+                    and isinstance(node.func.value, ast.Attribute) \
+                    and node.func.value.attr == "graph":
+                mutations.append(node)
+            elif attr == "publish":
+                receiver = dotted_name(node.func.value) or ""
+                if receiver == "hub" or receiver.endswith(".hub"):
+                    publishes = True
+        if mutations and not publishes:
+            findings.extend(ctx.flag(
+                rule, module, mutations[0].lineno,
+                "module mutates a delegation graph but never publishes "
+                "a subscription-hub event; caches and monitors go "
+                "stale silently"))
+    return findings
+
+
+@code_rule(
+    "mutable-default", Severity.ERROR,
+    "mutable default argument",
+    "default to None and build the list/dict/set inside the function; "
+    "a default object is shared across every call",
+)
+def check_mutable_default(ctx: CodeContext, rule: Rule) -> List[Finding]:
+    findings = []
+    for module in ctx.model.modules.values():
+        for node in module.func_defs:
+            defaults = list(node.args.defaults) + [
+                d for d in node.args.kw_defaults if d is not None]
+            for default in defaults:
+                mutable = isinstance(default, (ast.List, ast.Dict, ast.Set))
+                if isinstance(default, ast.Call) \
+                        and isinstance(default.func, ast.Name) \
+                        and default.func.id in ("list", "dict", "set"):
+                    mutable = True
+                if mutable:
+                    findings.extend(ctx.flag(
+                        rule, module, default.lineno,
+                        f"mutable default argument in {node.name}(); "
+                        f"the object is shared across every call"))
+    return findings
+
+
+@code_rule(
+    "frozen-setattr", Severity.ERROR,
+    "object.__setattr__ outside the module that owns the frozen type",
+    "build the value before construction, or move the cache into the "
+    "module that owns the frozen dataclass",
+)
+def check_frozen_setattr(ctx: CodeContext, rule: Rule) -> List[Finding]:
+    findings = []
+    for module in ctx.model.modules.values():
+        if module.path.endswith(SETATTR_ALLOWED_SUFFIXES):
+            continue
+        for node in module.calls:
+            if isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "__setattr__" \
+                    and isinstance(node.func.value, ast.Name) \
+                    and node.func.value.id == "object":
+                findings.extend(ctx.flag(
+                    rule, module, node.lineno,
+                    "object.__setattr__ pierces a frozen dataclass "
+                    "outside the module that owns it"))
+    return findings
+
+
+@code_rule(
+    "obs-discipline", Severity.ERROR,
+    "hand-rolled counter in an instrumented module",
+    "declare the tally in an obs.CounterSet and increment its "
+    "registry-backed Counter so `drbac metrics` / --metrics-out see it",
+)
+def check_obs_discipline(ctx: CodeContext, rule: Rule) -> List[Finding]:
+    findings = []
+    for module in ctx.model.modules.values():
+        if not module.path.endswith(OBS_INSTRUMENTED_SUFFIXES):
+            continue
+        for node in module.aug_assigns:
+            if not isinstance(node.op, (ast.Add, ast.Sub)):
+                continue
+            target = node.target
+            # Only a plain `self.X` receiver: `self.stats.c_hits.inc()`
+            # and per-run result objects (`stats.cache_hits += 1`) stay
+            # legal.
+            if not (isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == "self"):
+                continue
+            if target.attr.lstrip("_").endswith(OBS_COUNTER_SUFFIXES):
+                findings.extend(ctx.flag(
+                    rule, module, node.lineno,
+                    f"self.{target.attr} += ... is a hand-rolled counter "
+                    f"in an instrumented module; use a registry-backed "
+                    f"obs.Counter so exporters see it"))
+    return findings
+
+
+@code_rule(
+    "service-injection", Severity.ERROR,
+    "process-global observability/memo surface used in the service "
+    "package",
+    "inject a handle (MetricsRegistry, VerificationMemo, ShardContext) "
+    "or enter a scoped() context; shards must not share global state",
+)
+def check_service_injection(ctx: CodeContext,
+                            rule: Rule) -> List[Finding]:
+    findings = []
+    for module in ctx.model.modules.values():
+        if SERVICE_SEGMENT not in f"/{module.path}":
+            continue
+        for call in module.calls:
+            name = dotted_name(call.func)
+            if name is None:
+                continue
+            receiver, _, attr = module.real_name(name).rpartition(".")
+            tail = receiver.rsplit(".", 1)[-1]
+            if attr in GLOBAL_SURFACES.get(tail, ()):
+                findings.extend(ctx.flag(
+                    rule, module, call.lineno,
+                    f"{tail}.{attr}() reaches process-global state from "
+                    f"the service layer; inject a handle "
+                    f"(MetricsRegistry, VerificationMemo, ShardContext) "
+                    f"or enter a scoped() context instead"))
+    return findings
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +365,7 @@ _SOCKET_METHODS = {"recv", "recv_into", "send", "sendall", "accept",
 _QUEUE_BLOCKING = {"get", "put", "join"}
 
 
-def _blocking_label(ctx: ConcurrencyContext, fn: FunctionInfo,
+def _blocking_label(ctx: CodeContext, fn: FunctionInfo,
                     site: CallSite) -> Optional[str]:
     """Why this call would block an event loop, or None."""
     if site.awaited or site.is_with_item:
@@ -213,13 +406,13 @@ def _blocking_label(ctx: ConcurrencyContext, fn: FunctionInfo,
 # ---------------------------------------------------------------------------
 
 
-@conc_rule(
+@code_rule(
     "blocking-in-async", Severity.ERROR,
     "blocking primitive reachable from a coroutine",
     "move the blocking call behind loop.run_in_executor (or an async "
     "equivalent) so the event loop keeps serving other connections",
 )
-def check_blocking_in_async(ctx: ConcurrencyContext,
+def check_blocking_in_async(ctx: CodeContext,
                             rule: Rule) -> List[Finding]:
     findings = []
     for fn in ctx.functions:
@@ -231,24 +424,22 @@ def check_blocking_in_async(ctx: ConcurrencyContext,
             label = _blocking_label(ctx, fn, site)
             if label is None:
                 continue
-            if ctx.is_suppressed(fn.module, site.lineno, rule.id):
-                continue
             loc = ctx.locator(fn, site.lineno)
             via = " -> ".join(path)
-            findings.append(rule.finding(
-                [loc],
+            findings.extend(ctx.flag(
+                rule, fn.module, site.lineno,
                 f"{label} at {loc} runs on coroutine {root}'s stack "
                 f"(via {via})"))
     return findings
 
 
-@conc_rule(
+@code_rule(
     "lock-discipline", Severity.ERROR,
     "lock acquired outside `with` and not released in a finally",
     "use `with lock:` (or guarantee release in a finally block) so "
     "an exception between acquire and release cannot leak the lock",
 )
-def check_lock_discipline(ctx: ConcurrencyContext,
+def check_lock_discipline(ctx: CodeContext,
                           rule: Rule) -> List[Finding]:
     findings = []
     for fn in ctx.functions:
@@ -261,27 +452,25 @@ def check_lock_discipline(ctx: ConcurrencyContext,
             rtype = ctx.model.receiver_type(fn, receiver)
             if rtype not in ("lock", "rlock"):
                 continue
-            key = ctx.lock_key(fn, receiver)
+            key = lock_key(fn, receiver)
             if key is not None and key in fn.release_keys_in_finally:
                 continue
-            if ctx.is_suppressed(fn.module, site.lineno, rule.id):
-                continue
             loc = ctx.locator(fn, site.lineno)
-            findings.append(rule.finding(
-                [loc],
+            findings.extend(ctx.flag(
+                rule, fn.module, site.lineno,
                 f"{receiver}.acquire() at {loc} in {fn.qualname} has "
                 f"no matching release in a finally block"))
     return findings
 
 
-@conc_rule(
+@code_rule(
     "lock-order-cycle", Severity.ERROR,
     "inconsistent lock acquisition order (potential deadlock)",
     "impose one global acquisition order on these locks (or collapse "
     "them into a single lock); re-acquiring a non-reentrant lock on "
     "the same stack needs threading.RLock",
 )
-def check_lock_order_cycle(ctx: ConcurrencyContext,
+def check_lock_order_cycle(ctx: CodeContext,
                            rule: Rule) -> List[Finding]:
     # Edge a -> b: some thread acquires b while holding a, either
     # lexically or through a call chain.  A cycle (or a self-edge on a
@@ -326,11 +515,9 @@ def check_lock_order_cycle(ctx: ConcurrencyContext,
         if a == b:
             if ctx.model.lock_kind(a) == "lock":
                 fn, lineno = sites[0]
-                if ctx.is_suppressed(fn.module, lineno, rule.id):
-                    continue
                 loc = ctx.locator(fn, lineno)
-                findings.append(rule.finding(
-                    [loc],
+                findings.extend(ctx.flag(
+                    rule, fn.module, lineno,
                     f"non-reentrant lock {a} re-acquired at {loc} "
                     f"while already held on the same stack"))
             continue
@@ -425,7 +612,7 @@ def _is_global_surface(site: CallSite) -> Optional[str]:
     return None
 
 
-@conc_rule(
+@code_rule(
     "scope-escape", Severity.ERROR,
     "process-global mutable state reachable from a shard entry point "
     "without an enclosing scoped()",
@@ -433,7 +620,7 @@ def _is_global_surface(site: CallSite) -> Optional[str]:
     "via ShardContext.activate()) or inject the per-shard handle "
     "instead of touching the global surface",
 )
-def check_scope_escape(ctx: ConcurrencyContext,
+def check_scope_escape(ctx: CodeContext,
                        rule: Rule) -> List[Finding]:
     entries: List[FunctionInfo] = []
     for module in ctx.model.modules.values():
@@ -464,14 +651,12 @@ def check_scope_escape(ctx: ConcurrencyContext,
                 key = (fn.module.relpath, site.lineno)
                 if key not in reported:
                     reported.add(key)
-                    if not ctx.is_suppressed(fn.module, site.lineno,
-                                             rule.id):
-                        loc = ctx.locator(fn, site.lineno)
-                        findings.append(rule.finding(
-                            [loc],
-                            f"global surface {surface} hit at {loc} "
-                            f"from entry {path[0]} without scoped() "
-                            f"(via {' -> '.join(path)})"))
+                    loc = ctx.locator(fn, site.lineno)
+                    findings.extend(ctx.flag(
+                        rule, fn.module, site.lineno,
+                        f"global surface {surface} hit at {loc} "
+                        f"from entry {path[0]} without scoped() "
+                        f"(via {' -> '.join(path)})"))
             target = site.target
             if target is None:
                 continue
@@ -488,24 +673,22 @@ def check_scope_escape(ctx: ConcurrencyContext,
                 if key in reported:
                     continue
                 reported.add(key)
-                if ctx.is_suppressed(fn.module, write.lineno, rule.id):
-                    continue
                 loc = ctx.locator(fn, write.lineno)
-                findings.append(rule.finding(
-                    [loc],
+                findings.extend(ctx.flag(
+                    rule, fn.module, write.lineno,
                     f"module-global {write.name!r} mutated at {loc} "
                     f"from entry {path[0]} without scoped() "
                     f"(via {' -> '.join(path)})"))
     return findings
 
 
-@conc_rule(
+@code_rule(
     "unawaited-coroutine", Severity.ERROR,
     "coroutine called but never awaited",
     "await the call (or hand it to asyncio.create_task/gather); a "
     "bare coroutine object silently does nothing",
 )
-def check_unawaited_coroutine(ctx: ConcurrencyContext,
+def check_unawaited_coroutine(ctx: CodeContext,
                               rule: Rule) -> List[Finding]:
     findings = []
     for fn in ctx.functions:
@@ -517,23 +700,21 @@ def check_unawaited_coroutine(ctx: ConcurrencyContext,
                 continue  # handed to run/gather/create_task/...
             if not site.is_stmt:
                 continue  # bound to a name: assume awaited later
-            if ctx.is_suppressed(fn.module, site.lineno, rule.id):
-                continue
             loc = ctx.locator(fn, site.lineno)
-            findings.append(rule.finding(
-                [loc],
+            findings.extend(ctx.flag(
+                rule, fn.module, site.lineno,
                 f"coroutine {target.qualname} called at {loc} in "
                 f"{fn.qualname} but its result is discarded unawaited"))
     return findings
 
 
-@conc_rule(
+@code_rule(
     "fire-and-forget-task", Severity.WARN,
     "task spawned without keeping a handle (exceptions vanish)",
     "bind the task and await/cancel it on shutdown, or attach "
     "add_done_callback so failures surface instead of vanishing",
 )
-def check_fire_and_forget(ctx: ConcurrencyContext,
+def check_fire_and_forget(ctx: CodeContext,
                           rule: Rule) -> List[Finding]:
     findings = []
     for fn in ctx.functions:
@@ -544,23 +725,21 @@ def check_fire_and_forget(ctx: ConcurrencyContext,
                 continue
             if not site.is_stmt or site.awaited:
                 continue
-            if ctx.is_suppressed(fn.module, site.lineno, rule.id):
-                continue
             loc = ctx.locator(fn, site.lineno)
-            findings.append(rule.finding(
-                [loc],
+            findings.extend(ctx.flag(
+                rule, fn.module, site.lineno,
                 f"{tail} at {loc} in {fn.qualname} discards the task "
                 f"handle; a failing task would die silently"))
     return findings
 
 
-@conc_rule(
+@code_rule(
     "contextvar-discipline", Severity.WARN,
     "ContextVar.set without a token reset",
     "capture the token (`token = VAR.set(...)`) and restore it in a "
     "finally block with `VAR.reset(token)`",
 )
-def check_contextvar_discipline(ctx: ConcurrencyContext,
+def check_contextvar_discipline(ctx: CodeContext,
                                 rule: Rule) -> List[Finding]:
     findings = []
     for fn in ctx.functions:
@@ -579,11 +758,9 @@ def check_contextvar_discipline(ctx: ConcurrencyContext,
         for site, receiver in sets:
             if receiver in resets and site.assigned:
                 continue
-            if ctx.is_suppressed(fn.module, site.lineno, rule.id):
-                continue
             loc = ctx.locator(fn, site.lineno)
-            findings.append(rule.finding(
-                [loc],
+            findings.extend(ctx.flag(
+                rule, fn.module, site.lineno,
                 f"{receiver}.set(...) at {loc} in {fn.qualname} "
                 f"{'never binds its token' if not site.assigned else 'has no matching reset'}"
                 f"; the previous value cannot be restored"))

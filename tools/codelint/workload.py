@@ -1,9 +1,9 @@
-"""Seeded concurrency-defect generator for the code analyzer.
+"""Seeded concurrency-defect generator for the code linter.
 
-The code-side sibling of :mod:`repro.workloads.defects`: where that
+The code-side sibling of ``repro.workloads.defects``: where that
 module plants policy defects in a delegation graph, this one writes a
 small synthetic *source tree* -- a shard-shaped service in miniature --
-with exactly the concurrency defects the analyzer must recover,
+with exactly the concurrency defects the linter must recover,
 line-exact.  ``clean=True`` emits the same tree with every defect
 repaired (await the coroutine, consistent lock order, scoped access,
 token reset), which is the zero-findings control arm.  Optional filler
@@ -15,10 +15,13 @@ workload's id-exact contract.
 """
 
 import os
+import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.workloads.topology import _rng
+from repro.analysis.static.findings import exactness_mismatches
+
+from . import lint_paths
 
 
 class _FileBuilder:
@@ -69,27 +72,16 @@ class CodeDefectWorkload:
         return root
 
     def analyze(self, **kwargs):
-        """Run the concurrency analyzer over the written tree."""
+        """Run the code linter over the written tree."""
         if self.root is None:
             raise RuntimeError("call write_to(root) before analyze()")
-        from repro.analysis.concurrency import analyze_paths
-        return analyze_paths([self.root], root=self.root, **kwargs)
+        report = lint_paths([self.root], root=self.root, **kwargs)
+        report.source = self.description
+        return report
 
     def verify(self, report) -> List[str]:
         """Exactness check: every plant found, nothing else flagged."""
-        mismatches: List[str] = []
-        found = report.ids_by_rule()
-        for rule_id, want in sorted(self.expected.items()):
-            got = found.get(rule_id, ())
-            if tuple(sorted(want)) != tuple(sorted(got)):
-                mismatches.append(
-                    f"rule {rule_id}: expected locators "
-                    f"{sorted(want)}, got {sorted(got)}")
-        for rule_id in sorted(set(found) - set(self.expected)):
-            mismatches.append(
-                f"rule {rule_id}: unexpected findings at "
-                f"{list(found[rule_id])}")
-        return mismatches
+        return exactness_mismatches(self.expected, report.ids_by_rule())
 
     def total_loc(self) -> int:
         return sum(source.count("\n") for source in self.files.values())
@@ -372,7 +364,7 @@ def make_code_defect_workload(seed: Optional[int] = None,
     modules, scaling total LoC for throughput benchmarks without
     changing the expected findings.
     """
-    rng = _rng(seed)
+    rng = random.Random(seed if seed is not None else 0)
     builders = [
         _build_serverlet(clean),
         _build_journal(clean),
@@ -404,3 +396,23 @@ def make_code_defect_workload(seed: Optional[int] = None,
                      "concurrency defects"),
         extras={"filler_modules": filler_modules},
     )
+
+
+def workload_from_spec(spec: str) -> CodeDefectWorkload:
+    """Build the tree named by ``defective[:SEED[:FILLER]]`` or
+    ``clean[:SEED[:FILLER]]`` (FILLER = generated clean worker modules
+    for scale).  Raises ValueError on anything else."""
+    grammar = "defective[:SEED[:FILLER]] or clean[:SEED[:FILLER]]"
+    name, _, rest = spec.partition(":")
+    if name not in ("defective", "clean"):
+        raise ValueError(f"unknown code workload {name!r} "
+                         f"(expected {grammar})")
+    seed_text, _, filler_text = rest.partition(":")
+    try:
+        seed = int(seed_text) if seed_text else None
+        filler = int(filler_text) if filler_text else 0
+    except ValueError:
+        raise ValueError(f"bad code workload spec {spec!r} "
+                         f"(expected {grammar})") from None
+    return make_code_defect_workload(seed=seed, clean=(name == "clean"),
+                                     filler_modules=filler)
