@@ -243,6 +243,14 @@ class Delegation:
         data["signature"] = self.signature
         return data
 
+    def wire_bytes(self) -> bytes:
+        """``canonical_encode(self.to_dict())``, cached on the instance."""
+        cached = self.__dict__.get("_wire_bytes")
+        if cached is None:
+            cached = canonical_encode(self.to_dict())
+            object.__setattr__(self, "_wire_bytes", cached)
+        return cached
+
     @staticmethod
     def from_dict(data: dict) -> "Delegation":
         """Decode a wire representation. Does not verify the signature."""

@@ -30,7 +30,7 @@ the paper's Step 5 aggregation (BW 100, storage 30, hours 18 in the case
 study).
 """
 
-from typing import Callable, Container, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Container, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.core.attributes import (
     AttributeRef,
@@ -47,6 +47,7 @@ from repro.core.errors import (
 )
 from repro.core.identity import Entity
 from repro.core.roles import Role, Subject, subject_key
+from repro.crypto.encoding import Canonical, canonical_encode
 
 # Maximum support-proof nesting depth; the paper's idiom is recursive and
 # this guards against adversarially deep (or cyclic) certificate bundles.
@@ -63,7 +64,7 @@ class Proof:
     """
 
     __slots__ = ("_subject", "_obj", "_chain", "_supports", "_modifiers",
-                 "_depth_budget")
+                 "_depth_budget", "_flat", "_wire")
 
     def __init__(self, subject: Subject, obj: Role,
                  chain: Iterable[Delegation],
@@ -77,6 +78,7 @@ class Proof:
             raise ProofError("a proof requires a non-empty delegation chain")
         self._modifiers = _compose_chain_modifiers(self._chain)
         self._depth_budget = _depth_budget(self._chain)
+        self._flat = self._wire = None      # derived on first use
 
     # -- construction helpers --------------------------------------------
 
@@ -145,21 +147,22 @@ class Proof:
     def supports_for(self, delegation: Delegation) -> Tuple["Proof", ...]:
         return self._supports.get(delegation.id, ())
 
-    def all_delegations(self) -> Iterator[Delegation]:
+    def all_delegations(self) -> Tuple[Delegation, ...]:
         """Every delegation in the proof, supports included (deduplicated).
 
         This is the set a proof monitor must subscribe to: invalidation of
         *any* of them invalidates the proof.
         """
-        seen = set()
-        stack: List[Proof] = [self]
-        while stack:
-            proof = stack.pop()
-            for delegation in proof._chain:
-                if delegation.id not in seen:
-                    seen.add(delegation.id)
-                    yield delegation
-                stack.extend(proof._supports.get(delegation.id, ()))
+        if self._flat is None:
+            flat: Dict[str, Delegation] = {}    # first sighting wins
+            stack: List[Proof] = [self]
+            while stack:
+                proof = stack.pop()
+                for delegation in proof._chain:
+                    flat.setdefault(delegation.id, delegation)
+                    stack.extend(proof._supports.get(delegation.id, ()))
+            self._flat = tuple(flat.values())
+        return self._flat
 
     def depth(self) -> int:
         """Length of the primary chain."""
@@ -189,13 +192,24 @@ class Proof:
 
     def to_dict(self) -> dict:
         """Wire representation carried in object/subject query responses."""
+        return self._wire_dict(Delegation.to_dict, Proof.to_dict)
+
+    def wire_bytes(self) -> bytes:
+        """``canonical_encode(self.to_dict())``, spliced from parts, once."""
+        if self._wire is None:
+            self._wire = canonical_encode(self._wire_dict(
+                lambda d: Canonical(d.wire_bytes()),
+                lambda p: Canonical(p.wire_bytes())))
+        return self._wire
+
+    def _wire_dict(self, link: Callable, support: Callable) -> dict:
         from repro.core.delegation import _subject_to_dict, _role_to_dict
         return {
             "subject": _subject_to_dict(self._subject),
             "object": _role_to_dict(self._obj),
-            "chain": [d.to_dict() for d in self._chain],
+            "chain": [link(d) for d in self._chain],
             "supports": {
-                delegation_id: [p.to_dict() for p in proofs]
+                delegation_id: [support(p) for p in proofs]
                 for delegation_id, proofs in self._supports.items()
             },
         }

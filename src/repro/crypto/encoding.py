@@ -28,7 +28,9 @@ Wire grammar (one leading type byte each)::
     L <count:u32> <items...>    -> list
     M <count:u32> (<key str item> <value item>)... -> dict
 
-All lengths and counts are unsigned 32-bit big-endian.
+All lengths and counts are unsigned 32-bit big-endian; lists and maps
+nest at most :data:`MAX_DEPTH` deep. :class:`Canonical` bytes are
+spliced verbatim, and :func:`canonical_split` leaves values encoded.
 
 One codec implements this grammar. It encodes into one growing
 ``bytearray`` (no chunk list, no final join-of-hundreds), decodes
@@ -48,7 +50,7 @@ Call/byte tallies and the intern hit rate live in the process-wide
 
 import math
 import struct
-from typing import Any, Tuple
+from typing import Any, Dict, Tuple
 
 from repro import obs
 from repro.crypto.pools import make_room
@@ -59,6 +61,10 @@ _F64 = struct.Struct(">d")
 # Encoded payloads are bounded to keep a malicious/corrupt buffer from
 # driving allocation; dRBAC delegations are small (a few KB).
 MAX_ENCODED_SIZE = 16 * 1024 * 1024
+
+# Encode, decode and split refuse lists and maps nested deeper.
+MAX_DEPTH = 64
+_TOO_DEEP = f"lists and maps nest more than {MAX_DEPTH} deep"
 
 # String-atom intern pool (decode side): role names, namespaces,
 # and map keys repeat across every credential on the wire, so short
@@ -98,10 +104,14 @@ class EncodingError(ValueError):
     """Raised when a value cannot be canonically encoded or decoded."""
 
 
+class Canonical(bytes):
+    """Bytes this codec made for one value, spliced in unchecked."""
+
+
 def canonical_encode(value: Any) -> bytes:
     """Encode ``value`` into its unique canonical byte representation."""
     buf = bytearray()
-    _fast_encode(value, buf)
+    _fast_encode(value, buf, 0)
     if len(buf) > MAX_ENCODED_SIZE:
         raise EncodingError(
             f"encoded payload too large: {len(buf)} bytes")
@@ -132,11 +142,34 @@ def canonical_decode(data: bytes) -> Any:
         raise EncodingError(f"payload too large: {size} bytes")
     _stats.c_decodes.inc()
     _stats.c_decoded_bytes.inc(size)
-    value, offset = _fast_decode_at(buf, 0, size)
+    value, offset = _fast_decode_at(buf, 0, size, 0)
     if offset != size:
         raise EncodingError(
             f"trailing bytes after value at offset {offset}")
     return value
+
+
+def canonical_split(data: bytes) -> Dict[str, bytes]:
+    """Each value of the map ``data`` encodes, still encoded: decoding
+    every span accepts exactly what decoding ``data`` whole does."""
+    buf = bytes(data)
+    size = len(buf)
+    if not 5 <= size <= MAX_ENCODED_SIZE or buf[0] != 77:
+        raise EncodingError("payload is not one map")
+    spans: Dict[str, bytes] = {}
+    offset, previous = 5, b""
+    for _ in range(_U32.unpack_from(buf, 1)[0]):
+        if offset >= size or buf[offset] != 83:
+            raise EncodingError("map key must be a string")
+        key, start = _fast_decode_at(buf, offset, size, 1)
+        if spans and buf[offset + 5:start] <= previous:
+            raise EncodingError("map keys not in canonical order")
+        previous = buf[offset + 5:start]
+        offset = _skip_at(buf, start, 1)
+        spans[key] = buf[start:offset]
+    if offset != size:
+        raise EncodingError(f"trailing bytes after value at offset {offset}")
+    return spans
 
 
 def codec_info() -> dict:
@@ -152,8 +185,8 @@ def codec_info() -> dict:
 # -- single-buffer encode, zero-copy decode ----------------------------------
 
 
-def _fast_encode(value: Any, out: bytearray) -> None:
-    """Append ``value``'s canonical encoding to ``out``.
+def _fast_encode(value: Any, out: bytearray, depth: int) -> None:
+    """Append ``value`` (inside ``depth`` lists/maps) encoded to ``out``.
 
     Exact-type dispatch ordered by measured frequency in delegation
     payloads (str > dict > int > bytes > ...), then subclasses and
@@ -192,11 +225,13 @@ def _fast_encode(value: Any, out: bytearray) -> None:
             if items[index][0] == items[index - 1][0]:
                 raise EncodingError(
                     "duplicate map key after UTF-8 encoding")
+        if depth >= MAX_DEPTH:
+            raise EncodingError(_TOO_DEEP)
         out += b"M"
         out += _U32.pack(len(items))
         for _raw_key, key_enc, item in items:
             out += key_enc
-            _fast_encode(item, out)
+            _fast_encode(item, out, depth + 1)
     elif kind is int:
         enc = _SMALL_INT_ENC.get(value)
         if enc is not None:
@@ -211,15 +246,19 @@ def _fast_encode(value: Any, out: bytearray) -> None:
         out += b"B"
         out += _U32.pack(len(value))
         out += value
+    elif kind is Canonical:
+        out += value
     elif kind is bool:
         out += b"T" if value else b"F"
     elif value is None:
         out += b"N"
     elif kind is list or kind is tuple:
+        if depth >= MAX_DEPTH:
+            raise EncodingError(_TOO_DEEP)
         out += b"L"
         out += _U32.pack(len(value))
         for item in value:
-            _fast_encode(item, out)
+            _fast_encode(item, out, depth + 1)
     elif kind is float:
         if math.isnan(value):
             raise EncodingError("NaN has no canonical encoding")
@@ -230,7 +269,7 @@ def _fast_encode(value: Any, out: bytearray) -> None:
     elif isinstance(value, int):
         out += _int_encoding(value)
     elif isinstance(value, float):
-        _fast_encode(float(value), out)
+        _fast_encode(float(value), out, depth)
     elif isinstance(value, str):
         # Not str(value): a str-mixin enum's __str__ is its member name.
         raw = value.encode("utf-8")
@@ -243,9 +282,9 @@ def _fast_encode(value: Any, out: bytearray) -> None:
         out += _U32.pack(len(raw))
         out += raw
     elif isinstance(value, (list, tuple)):
-        _fast_encode(list(value), out)
+        _fast_encode(list(value), out, depth)
     elif isinstance(value, dict):
-        _fast_encode(dict(value), out)
+        _fast_encode(dict(value), out, depth)
     else:
         raise EncodingError(
             f"type {type(value).__name__} has no canonical encoding"
@@ -263,8 +302,9 @@ _intern_miss = _stats.c_intern_misses.inc
 _atoms_get = _atoms.get
 
 
-def _fast_decode_at(buf, offset: int, end: int) -> Tuple[Any, int]:
-    """Decode one value from ``buf`` (bytes or a flat memoryview).
+def _fast_decode_at(buf, offset: int, end: int,
+                    depth: int) -> Tuple[Any, int]:
+    """Decode one value (bytes or a flat memoryview; ``depth`` deep).
 
     Indexing yields ints for both input types, slices are zero-copy for
     memoryviews, and every ``bytes`` object materialized is one the
@@ -307,6 +347,8 @@ def _fast_decode_at(buf, offset: int, end: int) -> Tuple[Any, int]:
     if tag == 77:  # M
         if offset + 4 > end:
             raise EncodingError("truncated length field")
+        if depth >= MAX_DEPTH:
+            raise EncodingError(_TOO_DEEP)
         (count,) = _U32.unpack_from(buf, offset)
         offset += 4
         result = {}
@@ -340,7 +382,7 @@ def _fast_decode_at(buf, offset: int, end: int) -> Tuple[Any, int]:
                     _intern_miss()
                     make_room(_atoms, _ATOM_LIMIT)
                     _atoms[raw_key] = key
-            value, offset = _fast_decode_at(buf, stop, end)
+            value, offset = _fast_decode_at(buf, stop, end, depth + 1)
             result[key] = value
         return result, offset
     if tag == 73:  # I
@@ -371,12 +413,14 @@ def _fast_decode_at(buf, offset: int, end: int) -> Tuple[Any, int]:
     if tag == 76:  # L
         if offset + 4 > end:
             raise EncodingError("truncated length field")
+        if depth >= MAX_DEPTH:
+            raise EncodingError(_TOO_DEEP)
         (count,) = _U32.unpack_from(buf, offset)
         offset += 4
         items = []
         append = items.append
         for _ in range(count):
-            item, offset = _fast_decode_at(buf, offset, end)
+            item, offset = _fast_decode_at(buf, offset, end, depth + 1)
             append(item)
         return items, offset
     if tag == 78:  # N
@@ -396,3 +440,36 @@ def _fast_decode_at(buf, offset: int, end: int) -> Tuple[Any, int]:
         return value, offset + 8
     raise EncodingError(
         f"unknown type tag {bytes((tag,))!r} at offset {offset - 1}")
+
+
+def _skip_at(buf: bytes, offset: int, depth: int) -> int:
+    """The offset just past the value at ``offset`` (``depth`` lists and
+    maps enclose it), walking its framing without building it."""
+    left, open_lists = 1, []    # values left here / in each enclosing one
+    try:
+        while left or open_lists:
+            if not left:
+                left = open_lists.pop()
+                continue
+            left -= 1
+            tag = buf[offset]
+            if tag == 83 or tag == 66 or tag == 73:     # S, B, I
+                offset += 5 + _U32.unpack_from(buf, offset + 1)[0]
+            elif tag == 77 or tag == 76:                # M, L
+                if depth + len(open_lists) >= MAX_DEPTH:
+                    raise EncodingError(_TOO_DEEP)
+                open_lists.append(left)
+                left = _U32.unpack_from(buf, offset + 1)[0] * (
+                    2 if tag == 77 else 1)
+                offset += 5
+            elif tag == 78 or tag == 84 or tag == 70:   # N, T, F
+                offset += 1
+            elif tag == 68:                             # D
+                offset += 9
+            else:
+                raise EncodingError(f"unknown type tag {bytes((tag,))!r}")
+    except (IndexError, struct.error):
+        raise EncodingError("truncated payload") from None
+    if offset > len(buf):
+        raise EncodingError("truncated payload")
+    return offset

@@ -28,23 +28,28 @@ Backends
                        they came (``transport.pipe_frame``).
 
 Every backend answers ``submit(request) -> Future[dict]`` for callers
-without an event loop and ``await serve_frame(request, payload) ->
-bytes`` (the response frame) for the socket server's loop.
+without an event loop (:meth:`ShardRuntime.handle`) and ``await
+serve_frame(request, payload) -> bytes`` (the response frame, from
+:meth:`ShardRuntime.serve_payload`) for the socket server's loop.
 """
 
 import asyncio
+import hashlib
 import queue
 import socket
 import threading
 from concurrent.futures import Future
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.core.clock import SimClock
 from repro.core.delegation import Delegation, Revocation
 from repro.core.errors import ProofError, PublicationError
+from repro.core.proof import Proof
 from repro.crypto import verify_cache
+from repro.crypto.encoding import Canonical, canonical_decode, canonical_split
+from repro.crypto.pools import make_room
 from repro.crypto.verify_cache import VerificationMemo
 from repro.obs import MetricsRegistry, Tracer
 from repro.wallet.wallet import Wallet
@@ -57,6 +62,7 @@ from .transport import (
 
 DEFAULT_MEMO_MAXSIZE = verify_cache.DEFAULT_MAXSIZE
 DEFAULT_QUEUE_DEPTH = 64
+CREDENTIAL_INDEX_SIZE = verify_cache.DEFAULT_MAXSIZE
 
 _STATUS_OK = "ok"
 _STATUS_DENIED = "denied"
@@ -94,6 +100,32 @@ class ShardContext:
                 yield self
 
 
+class CredentialIndex:
+    """A bounded memo of ``Delegation.from_dict(canonical_decode(span))``
+    keyed by the span's SHA-256: never stale, oldest out first."""
+
+    def __init__(self) -> None:
+        self._entries: Dict[bytes, Delegation] = {}
+        self.stats = obs.CounterSet("drbac_credential_index",
+                                    ("hits", "misses"))
+
+    def resolve(self, span: bytes) -> Delegation:
+        key = hashlib.sha256(span).digest()
+        credential = self._entries.get(key)
+        if credential is not None:
+            self.stats.c_hits.inc()
+            return credential
+        self.stats.c_misses.inc()
+        credential = Delegation.from_dict(canonical_decode(span))
+        make_room(self._entries, CREDENTIAL_INDEX_SIZE)
+        self._entries[key] = credential
+        return credential
+
+    def info(self) -> dict:
+        return dict(self.stats.to_dict(), entries=len(self._entries),
+                    maxsize=CREDENTIAL_INDEX_SIZE)
+
+
 class ShardRuntime:
     """Home wallets for one shard's namespaces, plus request dispatch."""
 
@@ -108,6 +140,7 @@ class ShardRuntime:
         self._homes: Dict[str, Tuple[Wallet, object]] = {}
         index_of = {ns: d for d, ns in enumerate(population.namespaces())}
         with self.context.activate():
+            self.credentials = CredentialIndex()
             for ns in namespaces:
                 domain = population.domain(index_of[ns])
                 home = Wallet(owner=domain.authority,
@@ -122,9 +155,22 @@ class ShardRuntime:
 
     def handle(self, request: dict) -> dict:
         """Serve one request dict inside the shard's scopes."""
+        return self._serve(request, Delegation.from_dict, Proof.to_dict)
+
+    def serve_payload(self, payload: bytes) -> bytes:
+        """``encode_payload(handle(canonical_decode(payload)))``, but the
+        credential is looked up by its bytes and the proof spliced."""
+        request = {key: span if key == "credential" else
+                   canonical_decode(span)
+                   for key, span in canonical_split(payload).items()}
+        return encode_payload(self._serve(
+            request, self.credentials.resolve,
+            lambda proof: Canonical(proof.wire_bytes())))
+
+    def _serve(self, request: dict, credential, proof) -> dict:
         with self.context.activate():
             try:
-                return self._dispatch(request)
+                return self._dispatch(request, credential, proof)
             except (PublicationError, ProofError) as exc:
                 return self._response(request, _STATUS_DENIED,
                                       reason=str(exc))
@@ -145,12 +191,12 @@ class ShardRuntime:
                              f"{self.shard_id}")
         return entry
 
-    def _dispatch(self, request: dict) -> dict:
+    def _dispatch(self, request: dict, credential, proof) -> dict:
         op = request.get("op")
         if op == "authorize":
-            return self._op_authorize(request)
+            return self._op_authorize(request, credential, proof)
         if op == "publish":
-            return self._op_publish(request)
+            return self._op_publish(request, credential)
         if op == "revoke":
             return self._op_revoke(request)
         if op == "ping":
@@ -159,27 +205,24 @@ class ShardRuntime:
             return self._op_stats(request)
         raise ValueError(f"unknown op {op!r}")
 
-    def _op_authorize(self, request: dict) -> dict:
-        """Publish the presented credential (dedup at the store, but the
-        signature is verified at the door every time -- that is the
-        per-request CPU the memo absorbs), then run the full
-        ``authorize`` contract against the home wallet."""
+    def _op_authorize(self, request: dict, credential, proof) -> dict:
+        """Publish the presented credential (every check runs; a stored
+        or already verified one is not inserted or verified twice), then
+        run the full ``authorize`` contract against the home wallet."""
         home, domain = self._home_for(request)
-        credential = Delegation.from_dict(request["credential"])
-        home.publish(credential)
-        monitor = home.authorize(credential.subject, domain.access)
+        presented = credential(request["credential"])
+        home.publish(presented)
+        monitor = home.authorize(presented.subject, domain.access)
         if monitor is None:
             return self._response(request, _STATUS_DENIED,
                                   granted=False, reason="no proof")
-        proof = monitor.proof
         monitor.cancel()  # monitoring is the caller's side of the contract
         return self._response(request, _STATUS_OK, granted=True,
-                              proof=proof.to_dict())
+                              proof=proof(monitor.proof))
 
-    def _op_publish(self, request: dict) -> dict:
+    def _op_publish(self, request: dict, credential) -> dict:
         home, _ = self._home_for(request)
-        credential = Delegation.from_dict(request["credential"])
-        inserted = home.publish(credential)
+        inserted = home.publish(credential(request["credential"]))
         return self._response(request, _STATUS_OK, inserted=inserted)
 
     def _op_revoke(self, request: dict) -> dict:
@@ -195,6 +238,7 @@ class ShardRuntime:
             request, _STATUS_OK,
             namespaces=self.namespaces,
             memo=self.context.memo.info(),
+            credentials=self.credentials.info(),
             wallets=wallets,
             metrics=self.context.registry.snapshot(),
         )
@@ -220,8 +264,9 @@ class InlineShard:
         future.set_result(self.runtime.handle(request))
         return future
 
-    async def serve_frame(self, request: dict, _payload: bytes) -> bytes:
-        return encode_frame(self.runtime.handle(request))
+    async def serve_frame(self, _request: dict, payload: bytes) -> bytes:
+        answer = self.runtime.serve_payload(payload)
+        return HEADER.pack(len(answer)) + answer
 
     def close(self) -> None:
         pass
@@ -251,29 +296,34 @@ class ThreadShard:
         with self._lock:
             return self._pending
 
-    def submit(self, request: dict) -> "Future[dict]":
-        future: "Future[dict]" = Future()
+    def _enqueue(self, serve: Callable, argument) -> Future:
+        future: Future = Future()
         with self._lock:
             self._pending += 1
         try:
-            self._queue.put_nowait((request, future))
+            self._queue.put_nowait((serve, argument, future))
         except queue.Full:
             with self._lock:
                 self._pending -= 1
             raise
         return future
 
-    async def serve_frame(self, request: dict, _payload: bytes) -> bytes:
-        return encode_frame(await asyncio.wrap_future(self.submit(request)))
+    def submit(self, request: dict) -> "Future[dict]":
+        return self._enqueue(self.runtime.handle, request)
+
+    async def serve_frame(self, _request: dict, payload: bytes) -> bytes:
+        answer = await asyncio.wrap_future(
+            self._enqueue(self.runtime.serve_payload, payload))
+        return HEADER.pack(len(answer)) + answer
 
     def _run(self) -> None:
         while True:
             item = self._queue.get()
             if item is None:
                 return
-            request, future = item
+            serve, argument, future = item
             try:
-                future.set_result(self.runtime.handle(request))
+                future.set_result(serve(argument))
             except BaseException as exc:  # never kill the worker loop
                 future.set_exception(exc)
             finally:
@@ -288,8 +338,8 @@ class ThreadShard:
 def _process_worker(shard_id: str, population_spec: dict,
                     namespaces: List[str], memo_maxsize: int,
                     pipe: socket.socket, parent_end: socket.socket) -> None:
-    """Forked worker main loop: rebuild the runtime, then decode,
-    handle and encode frame by frame until the parent hangs up."""
+    """Forked worker main loop: rebuild the runtime, then serve frame
+    by frame until the parent hangs up."""
     parent_end.close()      # or the parent's death would never read as EOF
     runtime = ShardRuntime(
         shard_id, ServicePopulation(**population_spec), namespaces,
@@ -302,8 +352,7 @@ def _process_worker(shard_id: str, population_spec: dict,
         for body in decoder.frames(data):
             request_id, payload = split_pipe_frame(body)
             try:
-                answer = encode_payload(
-                    runtime.handle(decode_payload(payload)))
+                answer = runtime.serve_payload(payload)
             except Exception as exc:    # keep serving; report the failure
                 answer = encode_payload(
                     {"status": _STATUS_ERROR, "shard": shard_id,

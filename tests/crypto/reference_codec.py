@@ -9,17 +9,19 @@ issuers sign and what delegation ids hash, so ``test_encoding.py``
 holds the production codec to this one on recursive values, credential
 wire dicts, subclass/buffer inputs and malformed payloads.
 
-Everything from ``_encode_into`` down is the seed code as it stood;
-only :func:`reference_encode` and :func:`reference_decode` (the seed
-bodies of ``canonical_encode`` / ``canonical_decode`` without the
-metric counters) were written for this file.
+Everything from ``_encode_into`` down is the seed code as it stood,
+but for the nesting bound (``MAX_DEPTH``, threaded through as
+``depth``) that the grammar gained later; only :func:`reference_encode`
+and :func:`reference_decode` (the seed bodies of ``canonical_encode`` /
+``canonical_decode`` without the metric counters) were written for
+this file.
 """
 
 import math
 import struct
 from typing import Any, List, Tuple
 
-from repro.crypto.encoding import MAX_ENCODED_SIZE, EncodingError
+from repro.crypto.encoding import MAX_DEPTH, MAX_ENCODED_SIZE, EncodingError
 
 _U32 = struct.Struct(">I")
 _F64 = struct.Struct(">d")
@@ -27,7 +29,7 @@ _F64 = struct.Struct(">d")
 
 def reference_encode(value: Any) -> bytes:
     out: List[bytes] = []
-    _encode_into(value, out)
+    _encode_into(value, out, 0)
     encoded = b"".join(out)
     if len(encoded) > MAX_ENCODED_SIZE:
         raise EncodingError(
@@ -41,13 +43,19 @@ def reference_decode(data: bytes) -> Any:
     buf = bytes(data)
     if len(buf) > MAX_ENCODED_SIZE:
         raise EncodingError(f"payload too large: {len(buf)} bytes")
-    value, offset = _decode_at(buf, 0)
+    value, offset = _decode_at(buf, 0, 0)
     if offset != len(buf):
         raise EncodingError(f"trailing bytes after value at offset {offset}")
     return value
 
 
-def _encode_into(value: Any, out: List[bytes]) -> None:
+def _nest(depth: int) -> int:
+    if depth >= MAX_DEPTH:
+        raise EncodingError(f"lists and maps nest more than {MAX_DEPTH} deep")
+    return depth + 1
+
+
+def _encode_into(value: Any, out: List[bytes], depth: int) -> None:
     if value is None:
         out.append(b"N")
     elif value is True:
@@ -69,12 +77,13 @@ def _encode_into(value: Any, out: List[bytes]) -> None:
         out.append(_U32.pack(len(raw)))
         out.append(raw)
     elif isinstance(value, (list, tuple)):
+        depth = _nest(depth)
         out.append(b"L")
         out.append(_U32.pack(len(value)))
         for item in value:
-            _encode_into(item, out)
+            _encode_into(item, out, depth)
     elif isinstance(value, dict):
-        _encode_dict(value, out)
+        _encode_dict(value, out, _nest(depth))
     else:
         raise EncodingError(
             f"type {type(value).__name__} has no canonical encoding"
@@ -102,7 +111,7 @@ def _encode_float(value: float, out: List[bytes]) -> None:
     out.append(_F64.pack(value))
 
 
-def _encode_dict(value: dict, out: List[bytes]) -> None:
+def _encode_dict(value: dict, out: List[bytes], depth: int) -> None:
     items: List[Tuple[bytes, Any]] = []
     for key, item in value.items():
         if not isinstance(key, str):
@@ -118,10 +127,10 @@ def _encode_dict(value: dict, out: List[bytes]) -> None:
         out.append(b"S")
         out.append(_U32.pack(len(raw_key)))
         out.append(raw_key)
-        _encode_into(item, out)
+        _encode_into(item, out, depth)
 
 
-def _decode_at(buf: bytes, offset: int) -> Tuple[Any, int]:
+def _decode_at(buf: bytes, offset: int, depth: int) -> Tuple[Any, int]:
     if offset >= len(buf):
         raise EncodingError("truncated payload")
     tag = buf[offset:offset + 1]
@@ -145,9 +154,9 @@ def _decode_at(buf: bytes, offset: int) -> Tuple[Any, int]:
     if tag == b"B":
         return _decode_blob(buf, offset)
     if tag == b"L":
-        return _decode_list(buf, offset)
+        return _decode_list(buf, offset, _nest(depth))
     if tag == b"M":
-        return _decode_map(buf, offset)
+        return _decode_map(buf, offset, _nest(depth))
     raise EncodingError(f"unknown type tag {tag!r} at offset {offset - 1}")
 
 
@@ -190,16 +199,16 @@ def _decode_float(buf: bytes, offset: int) -> Tuple[float, int]:
     return value, offset + 8
 
 
-def _decode_list(buf: bytes, offset: int) -> Tuple[list, int]:
+def _decode_list(buf: bytes, offset: int, depth: int) -> Tuple[list, int]:
     count, offset = _read_u32(buf, offset)
     items = []
     for _ in range(count):
-        item, offset = _decode_at(buf, offset)
+        item, offset = _decode_at(buf, offset, depth)
         items.append(item)
     return items, offset
 
 
-def _decode_map(buf: bytes, offset: int) -> Tuple[dict, int]:
+def _decode_map(buf: bytes, offset: int, depth: int) -> Tuple[dict, int]:
     count, offset = _read_u32(buf, offset)
     result = {}
     previous_key = None
@@ -214,6 +223,6 @@ def _decode_map(buf: bytes, offset: int) -> Tuple[dict, int]:
             key = raw_key.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise EncodingError(f"invalid UTF-8 in map key: {exc}") from exc
-        value, offset = _decode_at(buf, offset)
+        value, offset = _decode_at(buf, offset, depth)
         result[key] = value
     return result, offset

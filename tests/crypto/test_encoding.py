@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.encoding import (
+    MAX_DEPTH,
+    Canonical,
     EncodingError,
     canonical_decode,
     canonical_encode,
+    canonical_split,
 )
 
 from .reference_codec import reference_decode, reference_encode
@@ -110,6 +113,95 @@ class TestStrictDecoding:
     def test_non_bytes_input_rejected(self):
         with pytest.raises(EncodingError):
             canonical_decode("text")
+
+
+def _nested(depth, leaf=None):
+    value = leaf
+    for level in range(depth):
+        value = [value] if level % 2 else {"k": value}
+    return value
+
+
+# 3 000 nested list headers: what used to escape as RecursionError.
+_TOO_DEEP = b"L\x00\x00\x00\x01" * 3000 + b"N"
+
+
+class TestNestingBound:
+    def test_the_bound_itself_round_trips(self):
+        value = _nested(MAX_DEPTH)
+        encoded = canonical_encode(value)
+        assert encoded == reference_encode(value)
+        assert canonical_decode(encoded) == reference_decode(encoded) \
+            == value
+        inner = _nested(MAX_DEPTH - 1)      # inside a map: MAX_DEPTH deep
+        spans = canonical_split(canonical_encode({"v": inner}))
+        assert spans == {"v": canonical_encode(inner)}
+
+    @pytest.mark.parametrize("encode", [canonical_encode, reference_encode])
+    def test_encode_refuses_one_more(self, encode):
+        with pytest.raises(EncodingError, match="nest"):
+            encode(_nested(MAX_DEPTH + 1))
+
+    @pytest.mark.parametrize("encode", [canonical_encode, reference_encode])
+    def test_encode_refuses_a_cycle(self, encode):
+        loop = []
+        loop.append(loop)
+        with pytest.raises(EncodingError, match="nest"):
+            encode(loop)
+
+    @pytest.mark.parametrize("decode", [canonical_decode, reference_decode])
+    def test_decode_refuses_one_more(self, decode):
+        encoded = reference_encode(_nested(MAX_DEPTH))
+        with pytest.raises(EncodingError, match="nest"):
+            decode(b"L\x00\x00\x00\x01" + encoded)
+
+    @pytest.mark.parametrize("decode", [canonical_decode, reference_decode])
+    def test_three_thousand_headers_are_an_encoding_error(self, decode):
+        with pytest.raises(EncodingError, match="nest"):
+            decode(_TOO_DEEP)
+
+    def test_split_counts_the_enclosing_map(self):
+        # {"v": [value nested MAX_DEPTH - 1 deep]} nests MAX_DEPTH + 1.
+        key = b"M\x00\x00\x00\x01" + canonical_encode("v")
+        frame = key + b"L\x00\x00\x00\x01" + canonical_encode(
+            _nested(MAX_DEPTH - 1))
+        with pytest.raises(EncodingError, match="nest"):
+            canonical_decode(frame)
+        with pytest.raises(EncodingError, match="nest"):
+            canonical_split(frame)
+        with pytest.raises(EncodingError, match="nest"):
+            canonical_split(key + _TOO_DEEP)
+
+
+class TestSplitAndSplice:
+    def test_split_hands_back_each_values_bytes(self):
+        value = {"credential": {"a": [1, 2.5, b"x"]}, "ns": "w", "op": None}
+        spans = canonical_split(canonical_encode(value))
+        assert list(spans) == ["credential", "ns", "op"]
+        assert spans == {key: canonical_encode(item)
+                         for key, item in value.items()}
+
+    @pytest.mark.parametrize("payload", [
+        b"", b"N", canonical_encode([1]), b"M\x00\x00",
+        canonical_encode({"a": 1}) + b"x",
+        canonical_encode({"a": "long"})[:-1],
+        b"M\x00\x00\x00\x01I\x00\x00\x00\x01\x00N",     # non-string key
+    ])
+    def test_split_refuses_what_is_not_one_map(self, payload):
+        with pytest.raises(EncodingError):
+            canonical_split(payload)
+
+    def test_split_checks_key_order(self):
+        swapped = b"M\x00\x00\x00\x02" + canonical_encode("b") + b"N" \
+            + canonical_encode("a") + b"N"
+        with pytest.raises(EncodingError, match="order"):
+            canonical_split(swapped)
+
+    def test_canonical_bytes_are_spliced_verbatim(self):
+        inner = {"z": [1, "two"], "a": 3.0}
+        spliced = canonical_encode({"p": Canonical(canonical_encode(inner)),
+                                    "l": [Canonical(canonical_encode(7))]})
+        assert spliced == reference_encode({"p": inner, "l": [7]})
 
 
 # Strategy for arbitrary canonically encodable values.

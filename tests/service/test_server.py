@@ -166,6 +166,29 @@ def test_garbage_frame_closes_only_its_own_connection(mode):
     assert "garbage" in answer["detail"]
 
 
+def test_too_deep_frame_is_a_typed_bad_frame():
+    # 3 000 nested lists used to escape decode_payload as RecursionError:
+    # a traceback on the server and EOF for the client.
+    deep = b"M\x00\x00\x00\x01" + canonical_encode("op") \
+        + b"L\x00\x00\x00\x01" * 3000 + b"N"
+
+    async def scenario(_router, port):
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(HEADER.pack(len(deep)) + deep)
+        answer = canonical_decode((await _read_frame(reader))[4:])
+        assert await reader.read() == b"", "one answer, then a close"
+        writer.close()
+        good = await asyncio.open_connection("127.0.0.1", port)
+        assert (await _call(*good, _authorize(1)))["status"] == STATUS_OK
+        good[1].close()
+        return answer
+
+    answer = _serve("inline", scenario)
+    assert answer["status"] == STATUS_ERROR
+    assert answer["error"] == "bad-frame"
+    assert "nest" in answer["detail"]
+
+
 def test_process_shards_add_no_thread_and_leave_no_child():
     threads_before = threading.active_count()
     children_before = set(multiprocessing.active_children())

@@ -19,6 +19,7 @@ from repro.service.transport import (
     FrameError,
     HEADER,
     PIPE_MAX_FRAME,
+    decode_payload,
     encode_frame,
     pipe_frame,
     split_pipe_frame,
@@ -116,6 +117,16 @@ def test_garbage_payload_poisons_the_decoder():
         decoder.feed(HEADER.pack(len(junk)) + junk)
     with pytest.raises(FrameError):
         decoder.feed(encode_frame({"op": "ping"}))
+
+
+def test_too_deep_payload_is_a_frame_error():
+    deep = b"M\x00\x00\x00\x01" + canonical_encode("op") \
+        + b"L\x00\x00\x00\x01" * 3000 + b"N"
+    with pytest.raises(FrameError, match="nest"):
+        decode_payload(deep)
+    decoder = FrameDecoder()
+    with pytest.raises(FrameError, match="nest"):
+        decoder.feed(HEADER.pack(len(deep)) + deep)
 
 
 def test_non_dict_payload_is_rejected():

@@ -93,6 +93,21 @@ class TestCrashTolerance:
         with _open(path, org) as reopened:
             assert reopened.query_direct(alice.entity, role) is not None
 
+    def test_too_deep_record_ends_replay(self, path, org, alice, bob):
+        # A record nesting 3 000 lists deep is as corrupt as a garbage
+        # one: replay keeps what came before it and stops there.
+        role = Role(org.entity, "r")
+        with _open(path, org) as wallet:
+            wallet.publish(issue(org, alice.entity, role))
+        deep = b"L\x00\x00\x00\x01" * 3000 + b"N"
+        with open(path, "ab") as handle:
+            handle.write(struct.pack(">I", len(deep)) + deep)
+        with _open(path, org) as reopened:
+            assert reopened.query_direct(alice.entity, role) is not None
+            reopened.publish(issue(org, bob.entity, role))
+        with _open(path, org) as again:
+            assert again.query_direct(bob.entity, role) is None
+
     def test_empty_journal_ok(self, path, org):
         with _open(path, org) as wallet:
             assert len(wallet) == 0
