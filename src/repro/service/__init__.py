@@ -32,7 +32,7 @@ from .shard import ShardContext, InlineShard, ThreadShard, ProcessShard
 from .transport import (
     BlockingClient, FrameDecoder, FrameError, ServiceServer, encode_frame,
 )
-from .loadgen import LoadGenerator, LoadgenConfig, LoadgenReport, run_load
+from .loadgen import LoadGenerator, LoadgenConfig, LoadgenReport
 
 __all__ = [
     "ConsistentHashRing",
@@ -41,5 +41,5 @@ __all__ = [
     "ShardContext", "InlineShard", "ThreadShard", "ProcessShard",
     "BlockingClient", "FrameDecoder", "FrameError", "ServiceServer",
     "encode_frame",
-    "LoadGenerator", "LoadgenConfig", "LoadgenReport", "run_load",
+    "LoadGenerator", "LoadgenConfig", "LoadgenReport",
 ]

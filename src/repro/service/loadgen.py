@@ -25,7 +25,7 @@ scaling benchmark partitions across shards.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, List, Optional
 
@@ -74,18 +74,7 @@ class LoadgenReport:
     latency_ms: Dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "wall_seconds": self.wall_seconds,
-            "qps": self.qps,
-            "statuses": dict(self.statuses),
-            "ops": dict(self.ops),
-            "granted": self.granted,
-            "denied": self.denied,
-            "shed": self.shed,
-            "shed_rate": self.shed_rate,
-            "latency_ms": dict(self.latency_ms),
-        }
+        return asdict(self)
 
 
 def _percentile(sorted_samples: List[float], q: float) -> float:
@@ -226,9 +215,3 @@ class LoadGenerator:
     def run(self) -> LoadgenReport:
         """Build the stream, then replay it (the CLI entry point)."""
         return self.replay(self.build_requests())
-
-
-def run_load(population: ServicePopulation, submit: Submit,
-             config: Optional[LoadgenConfig] = None) -> LoadgenReport:
-    """One-shot convenience wrapper around :class:`LoadGenerator`."""
-    return LoadGenerator(population, submit, config).run()

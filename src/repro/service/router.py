@@ -21,7 +21,7 @@ import queue
 from concurrent.futures import Future
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.obs import MetricsRegistry
 from repro.workloads.scenarios import ServicePopulation
@@ -29,9 +29,9 @@ from repro.workloads.scenarios import ServicePopulation
 from .ring import ConsistentHashRing, DEFAULT_VNODES
 from .shard import (
     DEFAULT_MEMO_MAXSIZE, DEFAULT_QUEUE_DEPTH,
-    InlineShard, ProcessShard, ShardRuntime, ThreadShard, response_for,
+    InlineShard, ProcessShard, Reply, ShardRuntime, ThreadShard, response_for,
 )
-from .transport import encode_frame
+from .transport import encode_payload
 
 STATUS_OK = "ok"
 STATUS_DENIED = "denied"
@@ -88,19 +88,13 @@ class Router:
         for shard_id in shard_ids:
             self._backends[shard_id] = self._build_backend(
                 shard_id, assignment[shard_id])
-        self._c_requests = {
-            shard_id: self.registry.counter(
-                "drbac_service_requests_total", shard=shard_id)
-            for shard_id in shard_ids}
-        self._c_shed = {
-            shard_id: self.registry.counter(
-                "drbac_service_shed_total", shard=shard_id)
-            for shard_id in shard_ids}
-        self._g_depth = {
-            shard_id: self.registry.gauge(
-                "drbac_service_queue_depth", shard=shard_id)
-            for shard_id in shard_ids}
-        self._h_latency = self.registry.histogram(
+        self._c_requests, self._c_shed, self._g_depth = (
+            {shard_id: make(name, shard=shard_id) for shard_id in shard_ids}
+            for make, name in (
+                (self.registry.counter, "drbac_service_requests_total"),
+                (self.registry.counter, "drbac_service_shed_total"),
+                (self.registry.gauge, "drbac_service_queue_depth")))
+        self.latency = self.registry.histogram(
             "drbac_service_request_seconds")
 
     def _build_backend(self, shard_id: str, namespaces: List[str]):
@@ -167,7 +161,7 @@ class Router:
         """Synchronous request/response through admission control."""
         started = perf_counter()
         response = self.submit_nowait(request).result()
-        self._h_latency.observe(perf_counter() - started)
+        self.latency.observe(perf_counter() - started)
         return response
 
     async def attach(self) -> None:
@@ -176,22 +170,20 @@ class Router:
             if isinstance(backend, ProcessShard):
                 await backend.attach()
 
-    async def relay(self, request: dict, payload: bytes) -> bytes:
-        """``submit`` for the socket server's loop: the response *frame*
-        for the request decoded from ``payload``.  A process shard gets
-        ``payload`` as it came, and its answer is passed on as it comes."""
-        started = perf_counter()
+    def relay(self, request: dict, payload: bytes,
+              reply: Reply) -> Optional[Callable]:
+        """``submit`` for the socket door: ``request`` is ``payload``'s
+        ``ns`` and ``id``, and ``reply`` gets the response payload, now
+        or on a later loop turn.  Returns what gives the shard slot back
+        if the client leaves first, or None."""
         backend, response = self._admit(request)
-        frame = None
         if backend is not None:
             try:
-                frame = await backend.serve_frame(request, payload)
+                return backend.relay(request, payload, reply)
             except queue.Full:
                 response = self._shed_response(request, backend.shard_id)
-        if frame is None:
-            frame = encode_frame(response)
-        self._h_latency.observe(perf_counter() - started)
-        return frame
+        reply(encode_payload(response))
+        return None
 
     # -- inspection ---------------------------------------------------------
 

@@ -17,20 +17,20 @@ layer") says which ``benchmarks/e2e`` rows price both.
 Backends
 --------
 
-:class:`InlineShard`   runs requests on the caller's thread (lowest
-                       overhead; what the tier-1 tests drive).
-:class:`ThreadShard`   a worker thread behind a bounded queue (gives
-                       the router real queue depths to shed against).
-:class:`ProcessShard`  a forked worker on one end of a socketpair; the
-                       child rebuilds the runtime from the population
-                       spec and does the decoding and encoding, so a
-                       request's canonical bytes cross the parent as
-                       they came (``transport.pipe_frame``).
+:class:`InlineShard`   runs requests on the caller's thread.
+:class:`ThreadShard`   a worker thread behind a bounded queue.
+:class:`ProcessShard`  a forked worker on one end of a socketpair that
+                       rebuilds the runtime from the population spec;
+                       request bytes cross the parent as they came.
 
 Every backend answers ``submit(request) -> Future[dict]`` for callers
-without an event loop (:meth:`ShardRuntime.handle`) and ``await
-serve_frame(request, payload) -> bytes`` (the response frame, from
-:meth:`ShardRuntime.serve_payload`) for the socket server's loop.
+without an event loop (:meth:`ShardRuntime.handle`) and ``relay(request,
+payload, reply)`` for the socket server's: ``reply`` gets the answer of
+:meth:`ShardRuntime.serve_payload` -- inline before ``relay`` returns,
+from a thread via ``loop.call_soon_threadsafe``, from a process when the
+pipe answers (``shard-unavailable`` once the worker is dead).  The shard
+decodes every field but the door's ``ns`` and ``id`` inside its
+typed-error path, so one that does not decode is its ``status: error``.
 """
 
 import asyncio
@@ -40,6 +40,7 @@ import socket
 import threading
 from concurrent.futures import Future
 from contextlib import contextmanager
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
@@ -56,13 +57,14 @@ from repro.wallet.wallet import Wallet
 from repro.workloads.scenarios import SERVICE_EPOCH, ServicePopulation
 
 from .transport import (
-    HEADER, PIPE_MAX_FRAME, FrameDecoder, decode_payload, encode_frame,
-    encode_payload, pipe_frame, split_pipe_frame,
+    PIPE_MAX_FRAME, FrameDecoder, decode_payload, encode_payload,
+    pipe_frame, split_pipe_frame,
 )
 
 DEFAULT_MEMO_MAXSIZE = verify_cache.DEFAULT_MAXSIZE
 DEFAULT_QUEUE_DEPTH = 64
 CREDENTIAL_INDEX_SIZE = verify_cache.DEFAULT_MAXSIZE
+Reply = Callable[[bytes], None]     # takes a response payload
 
 _STATUS_OK = "ok"
 _STATUS_DENIED = "denied"
@@ -159,17 +161,28 @@ class ShardRuntime:
 
     def serve_payload(self, payload: bytes) -> bytes:
         """``encode_payload(handle(canonical_decode(payload)))``, but the
-        credential is looked up by its bytes and the proof spliced."""
-        request = {key: span if key == "credential" else
-                   canonical_decode(span)
-                   for key, span in canonical_split(payload).items()}
-        return encode_payload(self._serve(
-            request, self.credentials.resolve,
-            lambda proof: Canonical(proof.wire_bytes())))
+        credential is looked up by its bytes and the proof spliced.  It
+        never raises: a failure is answered as a typed error."""
+        try:
+            return encode_payload(self._serve(
+                {}, self.credentials.resolve,
+                lambda proof: Canonical(proof.wire_bytes()), payload))
+        except Exception as exc:    # keep serving; report the failure
+            return encode_payload(
+                {"status": _STATUS_ERROR, "shard": self.shard_id,
+                 "error": f"{type(exc).__name__}: {exc}"})
 
-    def _serve(self, request: dict, credential, proof) -> dict:
+    def _serve(self, request: dict, credential, proof,
+               payload: Optional[bytes] = None) -> dict:
+        """Dispatch ``request``, with ``payload``'s fields decoded into
+        it first; canonical key order puts ``id`` before all of them but
+        ``credential``, which stays encoded for ``credential``."""
         with self.context.activate():
             try:
+                if payload is not None:
+                    for key, span in canonical_split(payload).items():
+                        request[key] = span if key == "credential" \
+                            else canonical_decode(span)
                 return self._dispatch(request, credential, proof)
             except (PublicationError, ProofError) as exc:
                 return self._response(request, _STATUS_DENIED,
@@ -208,17 +221,16 @@ class ShardRuntime:
     def _op_authorize(self, request: dict, credential, proof) -> dict:
         """Publish the presented credential (every check runs; a stored
         or already verified one is not inserted or verified twice), then
-        run the full ``authorize`` contract against the home wallet."""
+        prove the request (monitoring is the caller's side)."""
         home, domain = self._home_for(request)
         presented = credential(request["credential"])
         home.publish(presented)
-        monitor = home.authorize(presented.subject, domain.access)
-        if monitor is None:
+        granted = home.prove(presented.subject, domain.access)
+        if granted is None:
             return self._response(request, _STATUS_DENIED,
                                   granted=False, reason="no proof")
-        monitor.cancel()  # monitoring is the caller's side of the contract
         return self._response(request, _STATUS_OK, granted=True,
-                              proof=proof(monitor.proof))
+                              proof=proof(granted))
 
     def _op_publish(self, request: dict, credential) -> dict:
         home, _ = self._home_for(request)
@@ -264,22 +276,17 @@ class InlineShard:
         future.set_result(self.runtime.handle(request))
         return future
 
-    async def serve_frame(self, _request: dict, payload: bytes) -> bytes:
-        answer = self.runtime.serve_payload(payload)
-        return HEADER.pack(len(answer)) + answer
+    def relay(self, _request: dict, payload: bytes, reply: Reply) -> None:
+        reply(self.runtime.serve_payload(payload))
 
     def close(self) -> None:
         pass
 
 
 class ThreadShard:
-    """A worker thread draining a bounded queue.
-
-    ``pending()`` counts accepted-but-unfinished requests; the router
-    sheds against it.  ``submit`` raises ``queue.Full`` if the bounded
-    queue overflows between the router's admission check and the put --
-    the router converts that to RETRY_LATER too.
-    """
+    """A worker thread draining a bounded queue; ``pending()`` counts
+    accepted-but-unfinished requests, and a full queue raises
+    ``queue.Full`` (the router answers RETRY_LATER to both)."""
 
     def __init__(self, runtime: ShardRuntime,
                  queue_depth: int = DEFAULT_QUEUE_DEPTH) -> None:
@@ -311,10 +318,11 @@ class ThreadShard:
     def submit(self, request: dict) -> "Future[dict]":
         return self._enqueue(self.runtime.handle, request)
 
-    async def serve_frame(self, _request: dict, payload: bytes) -> bytes:
-        answer = await asyncio.wrap_future(
-            self._enqueue(self.runtime.serve_payload, payload))
-        return HEADER.pack(len(answer)) + answer
+    def relay(self, _request: dict, payload: bytes, reply: Reply) -> None:
+        loop = asyncio.get_running_loop()
+        self._enqueue(self.runtime.serve_payload, payload) \
+            .add_done_callback(lambda done: loop.call_soon_threadsafe(
+                reply, done.result()))
 
     def _run(self) -> None:
         while True:
@@ -351,29 +359,20 @@ def _process_worker(shard_id: str, population_spec: dict,
             return
         for body in decoder.frames(data):
             request_id, payload = split_pipe_frame(body)
-            try:
-                answer = runtime.serve_payload(payload)
-            except Exception as exc:    # keep serving; report the failure
-                answer = encode_payload(
-                    {"status": _STATUS_ERROR, "shard": shard_id,
-                     "error": f"{type(exc).__name__}: {exc}"})
-            pipe.sendall(pipe_frame(request_id, answer))
+            pipe.sendall(pipe_frame(request_id,
+                                    runtime.serve_payload(payload)))
 
 
-class ProcessShard(asyncio.Protocol):
-    """A forked ``multiprocessing`` worker behind one socketpair.
+class ProcessShard(asyncio.BufferedProtocol):
+    """A forked ``multiprocessing`` worker behind one socketpair; the
+    child rebuilds its :class:`ShardRuntime` from the population *spec*.
 
-    The child rebuilds its :class:`ShardRuntime` from the population
-    *spec* (seed + sizes), so parent and child agree on every key and
-    credential byte without shipping objects across the fork.
-
-    The parent end has two users, never at once, and neither needs a
-    helper thread.  Until :meth:`attach`, ``submit`` callers take turns
-    to send one request and read the pipe until it is answered; after
-    it the event loop owns the socket for good and ``serve_frame``
-    writes through a transport whose protocol is this object.  Both
-    wait on ``_waiting[request id]``, so ``pending()`` is honest either
-    way, and a dead worker answers ``shard-unavailable`` from then on.
+    Until :meth:`attach`, ``submit`` callers take turns to send one
+    request and read the pipe until it is answered; after it the event
+    loop owns the socket and ``relay`` writes through a transport whose
+    protocol is this object.  Both wait in ``_waiting[request id] =
+    (request, reply)`` (so ``pending()`` is honest either way) for the
+    answer read off the pipe, or ``shard-unavailable`` from a dead worker.
     """
 
     def __init__(self, shard_id: str, population_spec: dict,
@@ -385,7 +384,8 @@ class ProcessShard(asyncio.Protocol):
         self._queue_depth = queue_depth
         self._sock, worker_end = socket.socketpair()
         self._decoder = FrameDecoder(max_frame=PIPE_MAX_FRAME)
-        self._waiting: Dict[int, Future] = {}   # or asyncio futures
+        self._inbox = memoryview(bytearray(1 << 16))
+        self._waiting: Dict[int, Tuple[dict, Reply]] = {}
         self._next_id = 0
         self._admission = threading.Lock()
         self._turn = threading.Lock()
@@ -401,75 +401,68 @@ class ProcessShard(asyncio.Protocol):
     def pending(self) -> int:
         return len(self._waiting)
 
-    def _admit(self, waiter) -> int:
+    def _admit(self, request: dict, reply: Reply) -> int:
         with self._admission:
             if len(self._waiting) >= self._queue_depth:
                 raise queue.Full
             request_id = self._next_id
             self._next_id = (request_id + 1) & 0xFFFFFFFF
-            self._waiting[request_id] = waiter
+            self._waiting[request_id] = (request, reply)
         return request_id
 
-    def data_received(self, data: bytes) -> None:
-        for body in self._decoder.frames(data):
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._inbox      # as the socket door's, and for the same reason
+
+    def buffer_updated(self, nbytes: int) -> None:
+        for body in self._decoder.frames(self._inbox[:nbytes]):
             request_id, answer = split_pipe_frame(body)
-            # No entry: the caller was cancelled or interrupted.
-            waiter = self._waiting.get(request_id)
-            if waiter is not None and not waiter.done():
-                waiter.set_result(answer)
+            waiter = self._waiting.pop(request_id, None)
+            if waiter is not None:      # else its client has left
+                waiter[1](answer)
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
-        for waiter in list(self._waiting.values()):
-            if not waiter.done():
-                waiter.set_result(None)
-
-    def _unavailable(self, request: dict) -> dict:
-        return response_for(request, _STATUS_ERROR, self.shard_id,
-                            error="shard-unavailable")
+        for request_id in list(self._waiting):
+            waiter = self._waiting.pop(request_id, None)
+            if waiter is not None:
+                waiter[1](encode_payload(response_for(
+                    waiter[0], _STATUS_ERROR, self.shard_id,
+                    error="shard-unavailable")))
 
     def submit(self, request: dict) -> "Future[dict]":
         if self._transport is not None:
             raise RuntimeError(
                 f"{self.shard_id}'s pipe belongs to the event loop")
         payload = encode_payload(request)
-        waiter: "Future[Optional[bytes]]" = Future()
-        request_id = self._admit(waiter)
+        answered: "Future[dict]" = Future()
+        request_id = self._admit(request, lambda answer: answered.set_result(
+            decode_payload(answer)))
         try:
             with self._turn:
                 self._sock.sendall(pipe_frame(request_id, payload))
-                while not waiter.done():
-                    data = self._sock.recv(65536)
-                    if not data:
+                while not answered.done():
+                    nbytes = self._sock.recv_into(self._inbox)
+                    if not nbytes:
                         raise ConnectionError("shard worker hung up")
-                    self.data_received(data)
+                    self.buffer_updated(nbytes)
         except OSError:
             self.connection_lost(None)
         finally:
             self._waiting.pop(request_id, None)
-        answer = waiter.result()
-        future: "Future[dict]" = Future()
-        future.set_result(self._unavailable(request) if answer is None
-                          else decode_payload(answer))
-        return future
+        return answered
 
     async def attach(self) -> None:
         """Hand the pipe to the running event loop."""
         self._transport, _ = await asyncio.get_running_loop() \
             .create_connection(lambda: self, sock=self._sock)
 
-    async def serve_frame(self, request: dict, payload: bytes) -> bytes:
-        waiter = asyncio.get_running_loop().create_future()
-        request_id = self._admit(waiter)
-        try:
-            answer = None
-            if not self._transport.is_closing():
-                self._transport.write(pipe_frame(request_id, payload))
-                answer = await waiter
-        finally:
-            self._waiting.pop(request_id, None)
-        if answer is None:
-            return encode_frame(self._unavailable(request))
-        return HEADER.pack(len(answer)) + answer
+    def relay(self, request: dict, payload: bytes,
+              reply: Reply) -> Optional[Callable]:
+        request_id = self._admit(request, reply)
+        if self._transport.is_closing():
+            self.connection_lost(None)      # the worker is gone
+            return None
+        self._transport.write(pipe_frame(request_id, payload))
+        return partial(self._waiting.pop, request_id, None)
 
     def close(self) -> None:
         try:

@@ -17,20 +17,21 @@ payloads, untouched, in frames whose length prefix is followed by a
 4-byte request id (``pipe_frame``; docs/PROTOCOL.md draws both), so
 one splitter, :meth:`FrameDecoder.frames`, serves both streams.
 
-Malformed input never crashes a shard: a zero, oversized, truncated,
-or garbage frame raises :class:`FrameError` inside the decoder, the
-server answers with one typed ``bad-frame`` error frame, closes that
-connection, and keeps serving others (property-tested in
-``tests/service/test_transport.py``).
+The front door is one buffered :mod:`asyncio` protocol per connection
+that decodes only ``ns`` and ``id``, once the framing is walked: a bad
+frame gets one ``bad-frame`` and a close.  Answers come back by
+callback: one loop turn each way.
 """
 
 import asyncio
 import socket
 import struct
+from collections import deque
+from time import perf_counter
 from typing import List, Optional, Tuple
 
 from repro.crypto.encoding import (
-    EncodingError, canonical_decode, canonical_encode,
+    EncodingError, canonical_decode, canonical_encode, canonical_split,
 )
 
 HEADER = struct.Struct(">I")
@@ -39,6 +40,12 @@ PIPE_HEADER = struct.Struct(">II")     # length (id included), request id
 # this is hostile or corrupt (well under the codec's 16MB ceiling).
 DEFAULT_MAX_FRAME = 1 << 20
 PIPE_MAX_FRAME = DEFAULT_MAX_FRAME + HEADER.size
+
+# Per connection: frames queued before the door stops reading, seconds a
+# partial frame may wait, seconds silence may last with nothing owed.
+MAX_QUEUED = 64
+HALF_FRAME_SECONDS = 10.0
+IDLE_SECONDS = 300.0
 
 
 class FrameError(Exception):
@@ -105,8 +112,8 @@ class FrameDecoder:
             self._poisoned = True
             raise
 
-    def frames(self, data: bytes) -> List[bytes]:
-        """Buffer ``data``; the payload of every frame now complete."""
+    def frames(self, data: bytes, limit: Optional[int] = None) -> List[bytes]:
+        """Buffer ``data``; the payloads now complete (at most ``limit``)."""
         if self._poisoned:
             raise FrameError("decoder already failed; drop the connection")
         buffer = self._buffer
@@ -114,7 +121,8 @@ class FrameDecoder:
         payloads: List[bytes] = []
         start = 0
         with memoryview(buffer) as view:
-            while len(view) - start >= HEADER.size:
+            while len(view) - start >= HEADER.size \
+                    and len(payloads) != limit:
                 (length,) = HEADER.unpack_from(view, start)
                 if not 0 < length <= self.max_frame:
                     self._poisoned = True
@@ -131,7 +139,7 @@ class FrameDecoder:
         return payloads
 
     def pending_bytes(self) -> int:
-        """Bytes buffered but not yet forming a complete frame."""
+        """Bytes buffered but not yet split off as a frame."""
         return len(self._buffer)
 
 
@@ -141,15 +149,10 @@ class FrameDecoder:
 
 
 class ServiceServer:
-    """Asyncio TCP front end over a :class:`~repro.service.Router`.
-
-    Requests on one connection are served in order (responses carry the
-    request's ``id`` when present, so clients may still pipeline).  The
-    front door decodes each request once, to validate it and read its
-    ``ns``; :meth:`Router.relay` answers with the response frame, which
-    a process shard encoded itself, so the loop never blocks on a shard
-    and the process runs no helper thread.
-    """
+    """Asyncio TCP front end over a :class:`~repro.service.Router`.  One
+    periodic sweep closes connections that held a partial frame past
+    ``HALF_FRAME_SECONDS`` (with a ``bad-frame``) or stayed silent past
+    ``IDLE_SECONDS``; ``closed`` counts the door's closes by reason."""
 
     def __init__(self, router, host: str = "127.0.0.1", port: int = 0,
                  max_frame: int = DEFAULT_MAX_FRAME) -> None:
@@ -157,54 +160,149 @@ class ServiceServer:
         self.host = host
         self.port = port
         self.max_frame = max_frame
+        self.closed = {reason: router.registry.counter(
+            "drbac_service_connections_closed_total", reason=reason)
+            for reason in ("bad-frame", "half-frame", "idle")}
+        self.connections: set = set()
+        self.inbox = memoryview(bytearray(1 << 16))    # see get_buffer
         self._server: Optional[asyncio.AbstractServer] = None
+        self._sweeper: Optional[asyncio.TimerHandle] = None
 
     async def start(self) -> None:
         await self.router.attach()
-        self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
+        self._sweep()
 
     async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
+        """Serve until cancelled, once :meth:`start` has run."""
         async with self._server:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
         if self._server is not None:
+            self._sweeper.cancel()
             self._server.close()
+            for connection in list(self.connections):
+                connection.transport.close()
             await self._server.wait_closed()
             self._server = None
 
-    async def _handle_client(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        decoder = FrameDecoder(max_frame=self.max_frame)
+    def _sweep(self) -> None:
+        loop = asyncio.get_running_loop()
+        for connection in list(self.connections):
+            if not connection.transport.is_closing():
+                connection.check_deadlines(loop.time())
+        self._sweeper = loop.call_later(
+            min(HALF_FRAME_SECONDS, IDLE_SECONDS) / 4, self._sweep)
+
+
+class _Connection(asyncio.BufferedProtocol):
+    """One client: one request with a shard at a time, later frames queued
+    in order (reading stops at ``MAX_QUEUED``) and drained in a loop, as an
+    inline shard answers inside ``relay``, but not while writing is paused.
+    Answers leave in request order; a client that leaves frees its slot."""
+
+    def __init__(self, server: ServiceServer) -> None:
+        self.server = server
+        self.transport: Optional[asyncio.Transport] = None
+        self.queue: deque = deque()     # (routing fields, payload)
+        self._decoder = FrameDecoder(max_frame=server.max_frame)
+        self._busy = self._pumping = self._paused = False
+        self._cancel = None     # gives the in-flight request's slot back
+        self._started, self._heard = 0.0, asyncio.get_running_loop().time()
+        self._partial_since: Optional[float] = None
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.server.connections.add(self)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        """Every read lands in the server's one buffer, consumed before
+        the next read (asyncio's own reads allocate 256 KiB apiece)."""
+        return self.server.inbox
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self._heard = asyncio.get_running_loop().time()
+        self._take(self.server.inbox[:nbytes])
+        self._pump()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.queue.clear()
+        if self._cancel is not None:
+            self._cancel()
+        self.server.connections.discard(self)
+
+    def pause_writing(self) -> None:
+        self._paused = True
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        self._pump()
+
+    def _take(self, data: bytes) -> None:
+        """Queue the frames ``data`` completes, as many as fit, with the
+        ``ns`` and ``id`` they route on; read on while they fit."""
         try:
-            while True:
-                data = await reader.read(65536)
-                if not data:
-                    return
-                try:
-                    payloads = decoder.frames(data)
-                    requests = [decode_payload(p) for p in payloads]
-                except FrameError as exc:
-                    writer.write(encode_frame(
-                        {"status": "error", "error": "bad-frame",
-                         "detail": str(exc)}))
-                    await writer.drain()
-                    return
-                for request, payload in zip(requests, payloads):
-                    writer.write(await self.router.relay(request, payload))
-                await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
+            for payload in self._decoder.frames(
+                    data, MAX_QUEUED - len(self.queue)):
+                spans = canonical_split(payload)    # walks all the framing
+                self.queue.append(({key: canonical_decode(spans[key])
+                                    for key in ("id", "ns") if key in spans},
+                                   payload))
+                self._partial_since = None  # a frame completed
+        except FrameError as exc:
+            return self._close("bad-frame", str(exc))
+        except EncodingError as exc:
+            return self._close("bad-frame", f"garbage frame payload: {exc}")
+        reading = len(self.queue) < MAX_QUEUED
+        if reading != self.transport.is_reading():
+            (self.transport.resume_reading if reading
+             else self.transport.pause_reading)()
+
+    def _pump(self) -> None:
+        if self._pumping:
+            return      # an inline shard's answer, inside the loop below
+        self._pumping = True
+        try:
+            while self.queue and not (self._busy or self._paused):
+                request, payload = self.queue.popleft()
+                self._busy, self._started = True, perf_counter()
+                self._cancel = self.server.router.relay(
+                    request, payload, self._reply)
+                if not self.transport.is_reading():
+                    self._take(b"")     # the frames already buffered
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            self._pumping = False
+
+    def _reply(self, answer: bytes) -> None:
+        self._busy, self._cancel = False, None
+        self.server.router.latency.observe(perf_counter() - self._started)
+        if not self.transport.is_closing():
+            self.transport.write(HEADER.pack(len(answer)) + answer)
+            self._pump()
+
+    def check_deadlines(self, now: float) -> None:
+        """A partial frame is timed from the first sweep that sees it."""
+        if not (self.transport.is_reading() and self._decoder.pending_bytes()):
+            self._partial_since = None
+        elif self._partial_since is None:
+            self._partial_since = now
+        elif now - self._partial_since > HALF_FRAME_SECONDS:
+            return self._close("half-frame", f"partial frame held past "
+                               f"{HALF_FRAME_SECONDS:g} s")
+        if not (self._busy or self.queue) and now - self._heard > IDLE_SECONDS:
+            self._close("idle")
+
+    def _close(self, reason: str, detail: Optional[str] = None) -> None:
+        """Count ``reason``; answer ``bad-frame`` if ``detail``; close."""
+        self.server.closed[reason].inc()
+        self.queue.clear()
+        if detail is not None:
+            self.transport.write(encode_frame(dict(
+                status="error", error="bad-frame", detail=detail)))
+        self.transport.close()
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +335,3 @@ class BlockingClient:
             self._sock.close()
         except OSError:
             pass
-
-    def __enter__(self) -> "BlockingClient":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()

@@ -703,6 +703,22 @@ class Wallet:
         """Direct query + monitor wrap: the paper's full query contract
         ("what it returns is a proof wrapped in a proof monitor object").
 
+        :meth:`prove`, then :meth:`monitor` on what it found.  Returns a
+        ProofMonitor, or None when no proof exists.
+        """
+        proof = self.prove(subject, obj, constraints=constraints,
+                           strategy=strategy, discover=discover)
+        if proof is None:
+            return None
+        return self.monitor(proof, callback=callback,
+                            constraints=constraints)
+
+    def prove(self, subject: Subject, obj: Role,
+              constraints: Iterable[Constraint] = (),
+              strategy: Strategy = Strategy.BIDIRECTIONAL,
+              discover: Optional[Callable] = None) -> Optional[Proof]:
+        """:meth:`authorize`'s decision, without the monitor.
+
         When the local graph yields no proof and a discovery hook is
         available -- ``discover=`` here, or the :attr:`discover`
         attribute an attached :class:`DiscoveryEngine` installs -- the
@@ -710,8 +726,6 @@ class Wallet:
         spans the whole local-then-distributed contract (and one trace
         tree links the proof search, discovery RPCs, and signature
         verifications it triggered).
-
-        Returns a ProofMonitor, or None when no proof exists.
         """
         with obs.span("wallet.authorize", wallet=self.address,
                       subject=subject, object=obj) as span:
@@ -725,12 +739,9 @@ class Wallet:
                 if hook is not None:
                     source = "discovery"
                     proof = hook(subject, obj, constraints=constraints)
-            if proof is None:
-                span.set(result="denied", source=source)
-                return None
-            span.set(result="granted", source=source)
-            return self.monitor(proof, callback=callback,
-                                constraints=constraints)
+            span.set(result="denied" if proof is None else "granted",
+                     source=source)
+            return proof
 
     def authorize_many(self, requests: Iterable[Tuple[Subject, Role]],
                        constraints: Iterable[Constraint] = (),

@@ -117,14 +117,24 @@ class TestRepoTreeIsClean:
         assert repo_report.edges > 1000
 
     def test_transport_coroutines_modeled(self):
+        # The door is protocol callbacks, not a coroutine: the loop runs
+        # its buffer_updated (a buffered protocol's data_received), so
+        # that is a root of the async reach.
         from codelint.model import RepoModel
+        from codelint.rules import CodeContext
         model = RepoModel.build(
             [os.path.join(REPO_ROOT, "src", "repro", "service")],
             root=REPO_ROOT)
-        names = {fn.qualname for fn in model.all_functions()
-                 if fn.is_async}
-        assert "repro.service.transport.ServiceServer._handle_client" \
-            in names
+        ctx = CodeContext(model)
+        door = "repro.service.transport._Connection.buffer_updated"
+        (received,) = [fn for fn in model.all_functions()
+                       if fn.qualname == door]
+        assert ctx.coroutine_origin(received) == (door, (door,))
+        pump = next(fn for fn in model.all_functions()
+                    if fn.qualname == "repro.service.transport."
+                                      "_Connection._pump")
+        assert ctx.coroutine_origin(pump)[0].startswith(
+            "repro.service.transport._Connection.")
 
     def test_shard_activate_recognized_as_scope(self):
         from codelint.model import RepoModel

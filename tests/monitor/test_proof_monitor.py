@@ -150,3 +150,19 @@ class TestGrants:
         attr = AttributeRef(org.entity, "q")
         monitor = wallet.authorize(alice.entity, r)
         assert monitor.grants({attr: 5.0})[attr] == 5.0
+
+
+class TestProveWithoutMonitor:
+    def test_prove_is_authorize_without_the_monitor(self, setup, alice, bob):
+        wallet, d, r = setup
+        proof = wallet.prove(alice.entity, r)
+        assert proof == wallet.authorize(alice.entity, r).proof
+        assert wallet.prove(bob.entity, r) is None
+        assert wallet._stats.authorizations == 3
+
+    def test_prove_subscribes_nothing(self, setup, org, alice):
+        wallet, d, r = setup
+        assert wallet.prove(alice.entity, r) is not None
+        assert wallet.hub.subscriber_count(d.id) == 0
+        wallet.authorize(alice.entity, r)
+        assert wallet.hub.subscriber_count(d.id) == 1

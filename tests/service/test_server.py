@@ -10,14 +10,16 @@ response dict.
 """
 
 import asyncio
+import collections
 import multiprocessing
 import os
 import signal
+import socket
 import threading
 
 import pytest
 
-from repro.crypto.encoding import canonical_decode, canonical_encode
+from repro.crypto.encoding import Canonical, canonical_decode, canonical_encode
 from repro.obs import MetricsRegistry
 from repro.service import (
     Router,
@@ -25,9 +27,11 @@ from repro.service import (
     STATUS_ERROR,
     STATUS_OK,
     STATUS_RETRY_LATER,
+    FrameDecoder,
     ServiceServer,
     encode_frame,
 )
+from repro.service import transport
 from repro.service.transport import HEADER
 from repro.workloads.scenarios import SERVICE_EPOCH
 
@@ -38,7 +42,7 @@ TIMEOUT = 20.0
 
 
 def _serve(mode, scenario, **config):
-    """Run ``scenario(router, port)`` against a started server, then
+    """Run ``scenario(server)`` against a started server, then
     stop the server and close the router, all on one loop."""
     router = Router(POP, RouterConfig(shards=2, mode=mode, **config),
                     registry=MetricsRegistry())
@@ -48,13 +52,17 @@ def _serve(mode, scenario, **config):
         try:
             await server.start()
             return await asyncio.wait_for(
-                scenario(router, server.port), TIMEOUT)
+                scenario(server), TIMEOUT)
         finally:
             await server.stop()
             router.close()
             await asyncio.sleep(0.05)   # the loop sees the pipes close
 
     return asyncio.run(main())
+
+
+def _connect(server):
+    return asyncio.open_connection("127.0.0.1", server.port)
 
 
 async def _read_frame(reader):
@@ -106,8 +114,8 @@ def test_frames_are_the_inline_routers_response_encoded(mode):
     assert [r["status"] for r in expected[:3]] == [STATUS_OK] * 3
     assert {r["status"] for r in expected[3:]} >= {"denied", STATUS_ERROR}
 
-    async def scenario(_router, port):
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    async def scenario(server):
+        reader, writer = await _connect(server)
         frames = []
         for request in requests:
             writer.write(encode_frame(request))
@@ -126,10 +134,11 @@ def test_frames_are_the_inline_routers_response_encoded(mode):
 def test_back_to_back_requests_are_answered_in_order(mode):
     # Neighbouring requests go to different shards, whose answers may
     # be ready out of order.
-    async def scenario(router, port):
+    async def scenario(server):
+        router = server.router
         first, second = _on(router, "shard-0", 4), _on(router, "shard-1", 4)
         indices = [i for pair in zip(first, second) for i in pair]
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        reader, writer = await _connect(server)
         writer.write(b"".join(
             encode_frame(dict(_authorize(index), id=number))
             for number, index in enumerate(indices)))
@@ -146,10 +155,10 @@ def test_back_to_back_requests_are_answered_in_order(mode):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_garbage_frame_closes_only_its_own_connection(mode):
-    async def scenario(_router, port):
-        good = await asyncio.open_connection("127.0.0.1", port)
+    async def scenario(server):
+        good = await _connect(server)
         assert (await _call(*good, _authorize(1)))["status"] == STATUS_OK
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        reader, writer = await _connect(server)
         junk = b"\xff\xfe\xfd\xfc"
         writer.write(HEADER.pack(len(junk)) + junk + encode_frame(
             {"op": "ping", "ns": POP.namespace(0)}))
@@ -158,6 +167,7 @@ def test_garbage_frame_closes_only_its_own_connection(mode):
         writer.close()
         assert (await _call(*good, _authorize(2)))["status"] == STATUS_OK
         good[1].close()
+        assert server.closed["bad-frame"].value == 1
         return answer
 
     answer = _serve(mode, scenario)
@@ -172,13 +182,13 @@ def test_too_deep_frame_is_a_typed_bad_frame():
     deep = b"M\x00\x00\x00\x01" + canonical_encode("op") \
         + b"L\x00\x00\x00\x01" * 3000 + b"N"
 
-    async def scenario(_router, port):
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    async def scenario(server):
+        reader, writer = await _connect(server)
         writer.write(HEADER.pack(len(deep)) + deep)
         answer = canonical_decode((await _read_frame(reader))[4:])
         assert await reader.read() == b"", "one answer, then a close"
         writer.close()
-        good = await asyncio.open_connection("127.0.0.1", port)
+        good = await _connect(server)
         assert (await _call(*good, _authorize(1)))["status"] == STATUS_OK
         good[1].close()
         return answer
@@ -193,8 +203,8 @@ def test_process_shards_add_no_thread_and_leave_no_child():
     threads_before = threading.active_count()
     children_before = set(multiprocessing.active_children())
 
-    async def scenario(router, port):
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    async def scenario(server):
+        reader, writer = await _connect(server)
         for index in range(20):
             response = await _call(reader, writer, _authorize(index))
             assert response["status"] == STATUS_OK
@@ -210,18 +220,19 @@ def test_process_shards_add_no_thread_and_leave_no_child():
 
 
 def test_killed_worker_answers_typed_on_the_socket():
-    async def scenario(router, port):
+    async def scenario(server):
+        router = server.router
         doomed, healthy = _on(router, "shard-0", 6), _on(router, "shard-1", 3)
         backend = router._backends["shard-0"]
         worker = _worker_pid(router, "shard-0")
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        reader, writer = await _connect(server)
         assert (await _call(reader, writer,
                             _authorize(doomed[0])))["status"] == STATUS_OK
         # Mid-load: five connections each with a request in the pipe.
         os.kill(worker, signal.SIGSTOP)
         in_flight = []
         for index in doomed[:5]:
-            connection = await asyncio.open_connection("127.0.0.1", port)
+            connection = await _connect(server)
             connection[1].write(encode_frame(dict(_authorize(index),
                                                   id=index)))
             in_flight.append(connection)
@@ -249,7 +260,8 @@ def test_killed_worker_answers_typed_on_the_socket():
 
 
 def test_socket_overload_sheds_and_a_vanished_client_leaks_nothing():
-    async def scenario(router, port):
+    async def scenario(server):
+        router = server.router
         backend = router._backends["shard-0"]
         worker = _worker_pid(router, "shard-0")
         indices = _on(router, "shard-0", 10)
@@ -257,24 +269,18 @@ def test_socket_overload_sheds_and_a_vanished_client_leaks_nothing():
         try:
             connections = []
             for index in indices:
-                connection = await asyncio.open_connection("127.0.0.1", port)
+                connection = await _connect(server)
                 connection[1].write(encode_frame(_authorize(index)))
                 connections.append(connection)
             # Past the high-watermark the front door answers at once.
             shed = [canonical_decode((await _read_frame(reader))[4:])
                     for reader, _ in connections[4:]]
             assert backend.pending() == 4
-            # One admitted client walks away before its answer.
+            # One admitted client walks away before its answer: its
+            # slot comes back at once, with the worker still stopped.
             connections[0][1].close()
-            # A cancelled request gives its slot back straight away.
-            ping = {"op": "ping", "ns": _authorize(indices[0])["ns"]}
-            task = asyncio.ensure_future(
-                backend.serve_frame(ping, canonical_encode(ping)))
-            await asyncio.sleep(0)
-            assert backend.pending() == 5
-            task.cancel()
-            await asyncio.gather(task, return_exceptions=True)
-            assert backend.pending() == 4
+            await _until(lambda: backend.pending() == 3)
+            assert not any(door.queue for door in server.connections)
         finally:
             os.kill(worker, signal.SIGCONT)
         served = [canonical_decode((await _read_frame(reader))[4:])
@@ -290,3 +296,180 @@ def test_socket_overload_sheds_and_a_vanished_client_leaks_nothing():
     assert all(r["retry_after_ms"] == 50.0 and r["shard"] == "shard-0"
                for r in shed)
     assert [r["status"] for r in served] == [STATUS_OK] * 3
+
+
+# -- the door's contract -----------------------------------------------------
+
+
+class _Recording(collections.deque):
+    """A connection's queue that remembers the longest it grew."""
+
+    longest = 0
+
+    def append(self, item):
+        super().append(item)
+        _Recording.longest = max(_Recording.longest, len(self))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_pipelined_frames_come_back_in_order_within_the_queue_bound(
+        mode, monkeypatch):
+    monkeypatch.setattr(transport, "deque", _Recording)
+    monkeypatch.setattr(_Recording, "longest", 0)
+    namespaces = POP.namespaces()
+    requests = [dict(_authorize(n % 40), id=n) if n % 10 == 0 else
+                {"op": "ping", "ns": namespaces[n % len(namespaces)], "id": n}
+                for n in range(1000)]
+
+    async def scenario(server):
+        reader, writer = await _connect(server)
+        writer.write(b"".join(encode_frame(r) for r in requests))
+        answers = [canonical_decode((await _read_frame(reader))[4:])
+                   for _ in requests]
+        writer.close()
+        return answers
+
+    answers = _serve(mode, scenario)
+    assert [a["id"] for a in answers] == list(range(1000))
+    assert all(a["status"] == STATUS_OK for a in answers)
+    assert {a["shard"] for a in answers} == {"shard-0", "shard-1"}
+    assert _Recording.longest == transport.MAX_QUEUED
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_client_that_stops_reading_is_not_dispatched_to(mode):
+    requests = [dict(_authorize(n % 40), id=n) for n in range(300)]
+
+    def relayed(server):
+        return server.router.registry.total("drbac_service_requests_total")
+
+    async def scenario(server):
+        loop = asyncio.get_running_loop()
+        client = socket.socket()
+        client.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        client.setblocking(False)
+        await loop.sock_connect(client, ("127.0.0.1", server.port))
+        await _until(lambda: server.connections)
+        (door,) = server.connections
+        # Small kernel buffers: the door's own write buffer fills first.
+        door.transport.get_extra_info("socket").setsockopt(
+            socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        sending = asyncio.ensure_future(loop.sock_sendall(
+            client, b"".join(encode_frame(r) for r in requests)))
+        await _until(lambda: door._paused)
+        stalled = relayed(server)
+        await asyncio.sleep(0.2)
+        assert relayed(server) == stalled < len(requests)
+        assert len(door.queue) <= transport.MAX_QUEUED
+        decoder, answers = FrameDecoder(), []
+        while len(answers) < len(requests):
+            answers += decoder.feed(await loop.sock_recv(client, 65536))
+        await sending
+        client.close()
+        return answers
+
+    answers = _serve(mode, scenario)
+    assert [a["id"] for a in answers] == list(range(300))
+    assert all(a["status"] == STATUS_OK for a in answers)
+
+
+def _encoded(value):
+    return canonical_encode(value)
+
+
+# Credential spans whose framing the door accepts but that no decode does.
+UNDECODABLE = {
+    "unsorted inner map": (b"M\x00\x00\x00\x02" + _encoded("b") + _encoded(1)
+                           + _encoded("a") + _encoded(2),
+                           "map keys not in canonical order"),
+    "non-minimal int": (b"M\x00\x00\x00\x01" + _encoded("version")
+                        + b"I\x00\x00\x00\x02\x00\x02",
+                        "non-minimal integer encoding"),
+    "invalid UTF-8": (b"M\x00\x00\x00\x01" + _encoded("issuer")
+                      + b"S\x00\x00\x00\x02\xff\xfe",
+                      "invalid UTF-8"),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("defect", sorted(UNDECODABLE))
+def test_a_credential_that_does_not_decode_is_the_shards_error(mode, defect):
+    span, reason = UNDECODABLE[defect]
+    request = dict(_authorize(5), id=77, credential=Canonical(span))
+
+    async def scenario(server):
+        reader, writer = await _connect(server)
+        answer = await _call(reader, writer, request)
+        after = await _call(reader, writer, dict(_authorize(5), id=78))
+        writer.close()
+        assert server.closed["bad-frame"].value == 0
+        return answer, after
+
+    answer, after = _serve(mode, scenario)
+    assert answer["status"] == STATUS_ERROR
+    assert answer["id"] == 77 and answer["shard"] in ("shard-0", "shard-1")
+    assert answer["error"].startswith("malformed request")
+    assert reason in answer["error"]
+    assert after["status"] == STATUS_OK and after["id"] == 78
+
+
+def _closes(server):
+    return {reason: counter.value for reason, counter in server.closed.items()}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_partial_frame_held_too_long_is_a_typed_close(mode, monkeypatch):
+    monkeypatch.setattr(transport, "HALF_FRAME_SECONDS", 0.2)
+
+    async def scenario(server):
+        reader, writer = await _connect(server)
+        assert (await _call(reader, writer, _authorize(3)))["status"] \
+            == STATUS_OK
+        writer.write(HEADER.pack(100) + b"M\x00\x00")   # and no more
+        answer = canonical_decode((await _read_frame(reader))[4:])
+        assert await reader.read() == b"", "one answer, then a close"
+        writer.close()
+        return answer, _closes(server), server.router.registry.total(
+            "drbac_service_connections_closed_total")
+
+    answer, closes, total = _serve(mode, scenario)
+    assert answer["status"] == STATUS_ERROR
+    assert answer["error"] == "bad-frame"
+    assert "partial frame" in answer["detail"]
+    assert closes == {"bad-frame": 0, "half-frame": 1, "idle": 0}
+    assert total == 1
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_silent_connection_is_closed_as_idle(mode, monkeypatch):
+    monkeypatch.setattr(transport, "IDLE_SECONDS", 0.2)
+    ping = {"op": "ping", "ns": POP.namespace(0)}
+
+    async def scenario(server):
+        router = server.router
+        quiet, chatty = await _connect(server), await _connect(server)
+        assert (await _call(*quiet, ping))["status"] == STATUS_OK
+        for _ in range(10):         # 0.5 s, never 0.2 s apart
+            assert (await _call(*chatty, ping))["status"] == STATUS_OK
+            await asyncio.sleep(0.05)
+        assert await quiet[0].read() == b"", "closed, without a frame"
+        quiet[1].close()
+        chatty[1].close()
+        if mode == "process":
+            # Waiting on a stopped shard is not silence.
+            index = _on(router, "shard-0", 1)[0]
+            worker = _worker_pid(router, "shard-0")
+            os.kill(worker, signal.SIGSTOP)
+            try:
+                reader, writer = await _connect(server)
+                writer.write(encode_frame(_authorize(index)))
+                await asyncio.sleep(0.5)
+            finally:
+                os.kill(worker, signal.SIGCONT)
+            answer = canonical_decode((await _read_frame(reader))[4:])
+            assert answer["status"] == STATUS_OK
+            writer.close()
+        return _closes(server)
+
+    assert _serve(mode, scenario) == {"bad-frame": 0, "half-frame": 0,
+                                      "idle": 1}

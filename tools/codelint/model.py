@@ -856,6 +856,24 @@ class RepoModel:
                     stack.append(resolved)
         return None
 
+    def derives_from(self, cls: ClassInfo, bases: Sequence[str]) -> bool:
+        """Whether a class in ``cls``'s repo hierarchy names one of the
+        dotted ``bases`` (read through its module's imports)."""
+        seen: Set[str] = set()
+        stack = [cls]
+        while stack:
+            current = stack.pop()
+            if current.qualname in seen:
+                continue
+            seen.add(current.qualname)
+            for base in current.bases:
+                if current.module.real_name(base) in bases:
+                    return True
+                resolved = self._resolve_class(current.module, base)
+                if resolved is not None:
+                    stack.append(resolved)
+        return False
+
     def _method_of(self, cls_qualname: str,
                    name: str) -> Optional[FunctionInfo]:
         modname, _, cls_name = cls_qualname.rpartition(".")

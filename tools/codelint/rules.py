@@ -37,6 +37,15 @@ DEFAULT_ENTRY_CLASSES = ("ShardRuntime", "ShardContext")
 
 SUPPRESS_MARKER = "lint: allow="
 
+#: A transport's protocol: the event loop calls these methods on its own
+#: stack, so each is a root of the async reach like a coroutine.
+LOOP_PROTOCOLS = ("asyncio.Protocol", "asyncio.BufferedProtocol",
+                  "asyncio.protocols.Protocol",
+                  "asyncio.protocols.BufferedProtocol")
+LOOP_CALLBACKS = frozenset((
+    "connection_made", "data_received", "eof_received", "connection_lost",
+    "pause_writing", "resume_writing", "get_buffer", "buffer_updated"))
+
 
 # ---------------------------------------------------------------------------
 # Analysis context
@@ -55,7 +64,7 @@ class CodeContext:
         self.functions: List[FunctionInfo] = list(model.all_functions())
         self.suppressed = 0
         # sync function -> (async root qualname, call path) proving
-        # it runs on a coroutine's stack.
+        # it runs on a coroutine's (or a loop callback's) stack.
         self.async_reach: Dict[int, Tuple[str, Tuple[str, ...]]] = {}
         self._compute_async_reach()
 
@@ -65,6 +74,9 @@ class CodeContext:
         queue: List[Tuple[FunctionInfo, Tuple[str, ...]]] = []
         for fn in self.functions:
             if fn.is_async:
+                queue.append((fn, (fn.qualname,)))
+            elif self._is_loop_callback(fn):
+                self.async_reach[id(fn)] = (fn.qualname, (fn.qualname,))
                 queue.append((fn, (fn.qualname,)))
         while queue:
             fn, path = queue.pop(0)
@@ -77,6 +89,14 @@ class CodeContext:
                 extended = path + (target.qualname,)
                 self.async_reach[id(target)] = (path[0], extended)
                 queue.append((target, extended))
+
+    def _is_loop_callback(self, fn: FunctionInfo) -> bool:
+        if fn.name not in LOOP_CALLBACKS or fn.cls is None \
+                or fn.parent is not None:
+            return False
+        cls = fn.module.classes.get(fn.cls)
+        return cls is not None \
+            and self.model.derives_from(cls, LOOP_PROTOCOLS)
 
     def coroutine_origin(self, fn: FunctionInfo):
         """(async root, path) if ``fn`` runs on a coroutine, else None."""
@@ -408,7 +428,7 @@ def _blocking_label(ctx: CodeContext, fn: FunctionInfo,
 
 @code_rule(
     "blocking-in-async", Severity.ERROR,
-    "blocking primitive reachable from a coroutine",
+    "blocking primitive reachable from a coroutine or protocol callback",
     "move the blocking call behind loop.run_in_executor (or an async "
     "equivalent) so the event loop keeps serving other connections",
 )
@@ -428,7 +448,7 @@ def check_blocking_in_async(ctx: CodeContext,
             via = " -> ".join(path)
             findings.extend(ctx.flag(
                 rule, fn.module, site.lineno,
-                f"{label} at {loc} runs on coroutine {root}'s stack "
+                f"{label} at {loc} runs on the event loop under {root} "
                 f"(via {via})"))
     return findings
 

@@ -124,6 +124,19 @@ def _build_serverlet(clean: bool) -> _FileBuilder:
         "    return await handle(None)",
         "",
         "",
+        "class Door(asyncio.Protocol):",
+        "    # The loop calls data_received on its own stack, as it",
+        "    # resumes a coroutine.",
+        "    def data_received(self, data):",
+    )
+    if clean:
+        fb.add("        asyncio.get_running_loop().call_later(0.01, print)")
+    else:
+        fb.plant("blocking-in-async", "        time.sleep(0.01)")
+    fb.add(
+        "        self.last = data",
+        "",
+        "",
         "def flush_now(path):",
         "    # Sync-only caller: journal.flush_all is fine from here.",
         "    return journal.flush_all(path)",
