@@ -265,6 +265,8 @@ class ModifierSet:
 
     def to_modifiers(self) -> Tuple[Modifier, ...]:
         """Explode back into individual modifiers (sorted, deterministic)."""
+        if not self._slots:
+            return ()
         return tuple(
             Modifier(attribute=attribute, operator=op, value=value)
             for attribute, (op, value) in sorted(

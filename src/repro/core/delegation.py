@@ -29,9 +29,21 @@ from enum import Enum
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.attributes import Modifier, ModifierSet, Operator
-from repro.core.errors import DelegationError, SignatureInvalidError
+from repro.core.errors import (
+    MALFORMED,
+    DRBACError,
+    DelegationError,
+    SignatureInvalidError,
+)
 from repro.core.identity import Entity, Principal
-from repro.core.roles import Role, Subject, attribute_right, subject_key
+from repro.core.roles import (
+    Role,
+    Subject,
+    attribute_right,
+    role_from_dict,
+    subject_from_dict,
+    subject_key,
+)
 from repro.core.tags import DiscoveryTag
 from repro.crypto import keys as _keys
 from repro.crypto import verify_cache
@@ -210,8 +222,8 @@ class Delegation:
     def _payload_dict(self) -> dict:
         payload = {
             "v": 1,
-            "subject": _subject_to_dict(self.subject),
-            "object": _role_to_dict(self.obj),
+            "subject": self.subject.subject_map(),
+            "object": self.obj.to_dict(),
             "issuer": self.issuer.to_dict(),
             "modifiers": [
                 {
@@ -222,7 +234,7 @@ class Delegation:
                 }
                 for m in self.modifiers.to_modifiers()
             ],
-            "acting_as": [_role_to_dict(role) for role in self.acting_as],
+            "acting_as": [role.to_dict() for role in self.acting_as],
         }
         if self.expiry is not None:
             payload["expiry"] = self.expiry
@@ -253,7 +265,8 @@ class Delegation:
 
     @staticmethod
     def from_dict(data: dict) -> "Delegation":
-        """Decode a wire representation. Does not verify the signature."""
+        """Decode a wire representation. Does not verify the signature;
+        a malformed record raises :class:`DelegationError` only."""
         from repro.core.attributes import AttributeRef
         try:
             modifiers = ModifierSet(
@@ -268,22 +281,22 @@ class Delegation:
                 for m in data.get("modifiers", ())
             )
             return Delegation(
-                subject=_subject_from_dict(data["subject"]),
-                obj=_role_from_dict(data["object"]),
+                subject=subject_from_dict(data["subject"]),
+                obj=role_from_dict(data["object"]),
                 issuer=Entity.from_dict(data["issuer"]),
                 modifiers=modifiers,
-                expiry=data.get("expiry"),
-                issued_at=data.get("issued_at"),
+                expiry=_number(data.get("expiry"), "expiry"),
+                issued_at=_number(data.get("issued_at"), "issued_at"),
                 subject_tag=_tag_from(data.get("subject_tag")),
                 object_tag=_tag_from(data.get("object_tag")),
                 issuer_tag=_tag_from(data.get("issuer_tag")),
                 acting_as=tuple(
-                    _role_from_dict(role) for role in data.get("acting_as", ())
+                    role_from_dict(role) for role in data.get("acting_as", ())
                 ),
                 depth_limit=data.get("depth_limit"),
-                signature=bytes(data.get("signature", b"")),
+                signature=_blob(data.get("signature", b"")),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (*MALFORMED, DRBACError) as exc:
             if isinstance(exc, DelegationError):
                 raise
             raise DelegationError(
@@ -481,12 +494,20 @@ class Revocation:
 
     @staticmethod
     def from_dict(data: dict) -> "Revocation":
-        return Revocation(
-            delegation_id=data["delegation"],
-            issuer=Entity.from_dict(data["issuer"]),
-            revoked_at=data["revoked_at"],
-            signature=bytes(data["signature"]),
-        )
+        """Decode; a malformed record raises :class:`DelegationError`."""
+        try:
+            delegation_id = data["delegation"]
+            if delegation_id.__class__ is not str:
+                raise TypeError("the revoked id must be a string")
+            return Revocation(
+                delegation_id=delegation_id,
+                issuer=Entity.from_dict(data["issuer"]),
+                revoked_at=data["revoked_at"],
+                signature=_blob(data["signature"]),
+            )
+        except (*MALFORMED, DRBACError) as exc:
+            raise DelegationError(
+                f"malformed revocation record: {exc}") from exc
 
 
 # Either signed-certificate type; both expose signing_bytes()/issuer/
@@ -572,35 +593,18 @@ def revoke(principal: Principal, delegation: Delegation,
                       signature=principal.sign(unsigned.signing_bytes()))
 
 
-def _subject_to_dict(subject: Subject) -> dict:
-    if isinstance(subject, Entity):
-        return {"kind": "entity", "entity": subject.to_dict()}
-    return {"kind": "role", **_role_to_dict(subject)}
+def _number(value, name: str):
+    """``value`` if it is None or a number (an optional time field)."""
+    if value is None or isinstance(value, (int, float)):
+        return value
+    raise TypeError(f"{name} must be a number")
 
 
-def _subject_from_dict(data: dict) -> Subject:
-    if data.get("kind") == "entity":
-        return Entity.from_dict(data["entity"])
-    return _role_from_dict(data)
-
-
-def _role_to_dict(role: Role) -> dict:
-    record = {
-        "entity": role.entity.to_dict(),
-        "name": role.name,
-        "ticks": role.ticks,
-    }
-    if role.operator is not None:
-        record["op"] = role.operator.value
-    return record
-
-
-def _role_from_dict(data: dict) -> Role:
-    operator = Operator(data["op"]) if "op" in data else None
-    return Role(entity=Entity.from_dict(data["entity"]),
-                name=data["name"],
-                ticks=data.get("ticks", 0),
-                operator=operator)
+def _blob(value) -> bytes:
+    """``value`` as bytes, if it is bytes-like (not a count to fill)."""
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        return bytes(value)
+    raise TypeError("a signature must be bytes")
 
 
 def _tag_from(data) -> Optional[DiscoveryTag]:

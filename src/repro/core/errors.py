@@ -12,6 +12,13 @@ class DRBACError(Exception):
     """Base class for all dRBAC errors."""
 
 
+# What Python itself raises on a record of the wrong shape or types (a
+# missing key, a list where a map belongs, an unknown enum value, a
+# number too large for a float); each record decoder reports these as
+# its own typed error.
+MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
+
+
 class ParseError(DRBACError):
     """A delegation string does not conform to the dRBAC syntax."""
 

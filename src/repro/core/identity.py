@@ -14,12 +14,19 @@ import secrets
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
+from repro.crypto.encoding import CanonicalMap
 from repro.crypto.keys import (
     DEFAULT_ALGORITHM,
     KeyPair,
     PublicKey,
     generate_keypair,
 )
+from repro.crypto.pools import make_room
+
+# Decoded entities, keyed by their complete content; bounded FIFO like
+# ``keys._pk_intern``.
+_ENTITY_INTERN_LIMIT = 4096
+_entity_intern: dict = {}
 
 
 @dataclass(frozen=True)
@@ -61,13 +68,64 @@ class Entity:
         """Verify a signature allegedly produced by this entity."""
         return self.public_key.verify(message, signature)
 
+    # Content-derived caches only (the map, the subject map, the graph
+    # node key): an interned instance is shared by every decoder.
+
     def to_dict(self) -> dict:
-        return {"key": self.public_key.to_dict(), "nickname": self.nickname}
+        """The wire map, built and encoded once per instance."""
+        cached = self.__dict__.get("_map")
+        if cached is None:
+            cached = CanonicalMap({"key": self.public_key.to_dict(),
+                                   "nickname": self.nickname})
+            object.__setattr__(self, "_map", cached)
+        return cached
+
+    def subject_map(self) -> dict:
+        """The map a delegation carries for this entity as its subject."""
+        cached = self.__dict__.get("_subject_map")
+        if cached is None:
+            cached = CanonicalMap({"kind": "entity",
+                                   "entity": self.to_dict()})
+            object.__setattr__(self, "_subject_map", cached)
+        return cached
+
+    @property
+    def node_key(self) -> tuple:
+        """This entity's graph-node key (see ``roles.subject_key``)."""
+        cached = self.__dict__.get("_node_key")
+        if cached is None:
+            cached = ("entity", self.public_key.fingerprint)
+            object.__setattr__(self, "_node_key", cached)
+        return cached
 
     @staticmethod
     def from_dict(data: dict) -> "Entity":
-        return Entity(public_key=PublicKey.from_dict(data["key"]),
-                      nickname=data.get("nickname", ""))
+        """Decode; equal content yields one shared instance per process
+        (see :func:`entity_content_key`)."""
+        intern_key = entity_content_key(data)
+        entity = _entity_intern.get(intern_key) if intern_key else None
+        if entity is None:
+            entity = Entity(public_key=PublicKey.from_dict(data["key"]),
+                            nickname=data.get("nickname", ""))
+            if intern_key:
+                make_room(_entity_intern, _ENTITY_INTERN_LIMIT)
+                _entity_intern[intern_key] = entity
+        return entity
+
+
+def entity_content_key(data: dict) -> Optional[tuple]:
+    """``(algorithm, key bytes, nickname)`` of an entity map whose
+    fields have exactly those types (``str``, ``bytes``, ``str``), else
+    None: such a map is decoded afresh, failing as it always did."""
+    try:
+        key, nickname = data["key"], data.get("nickname", "")
+        algorithm, key_bytes = key["algorithm"], key["key"]
+    except (KeyError, TypeError, AttributeError):
+        return None
+    if algorithm.__class__ is str and key_bytes.__class__ is bytes \
+            and nickname.__class__ is str:
+        return (algorithm, key_bytes, nickname)
+    return None
 
 
 @dataclass(frozen=True)

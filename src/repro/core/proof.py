@@ -40,13 +40,21 @@ from repro.core.attributes import (
 )
 from repro.core.delegation import Delegation, prefetch_signatures
 from repro.core.errors import (
+    MALFORMED,
+    DRBACError,
     ExpiredError,
     ProofError,
     RevokedError,
     SignatureInvalidError,
 )
 from repro.core.identity import Entity
-from repro.core.roles import Role, Subject, subject_key
+from repro.core.roles import (
+    Role,
+    Subject,
+    role_from_dict,
+    subject_from_dict,
+    subject_key,
+)
 from repro.crypto.encoding import Canonical, canonical_encode
 
 # Maximum support-proof nesting depth; the paper's idiom is recursive and
@@ -203,10 +211,9 @@ class Proof:
         return self._wire
 
     def _wire_dict(self, link: Callable, support: Callable) -> dict:
-        from repro.core.delegation import _subject_to_dict, _role_to_dict
         return {
-            "subject": _subject_to_dict(self._subject),
-            "object": _role_to_dict(self._obj),
+            "subject": self._subject.subject_map(),
+            "object": self._obj.to_dict(),
             "chain": [link(d) for d in self._chain],
             "supports": {
                 delegation_id: [support(p) for p in proofs]
@@ -217,22 +224,25 @@ class Proof:
     @staticmethod
     def from_dict(data: dict) -> "Proof":
         """Decode a wire representation. Does not validate; callers run
-        :func:`validate_proof` before trusting anything received."""
-        from repro.core.delegation import (
-            _subject_from_dict,
-            _role_from_dict,
-        )
-        return Proof(
-            subject=_subject_from_dict(data["subject"]),
-            obj=_role_from_dict(data["object"]),
-            chain=tuple(Delegation.from_dict(d) for d in data["chain"]),
-            supports={
-                delegation_id: tuple(
-                    Proof.from_dict(p) for p in proofs
-                )
-                for delegation_id, proofs in data.get("supports", {}).items()
-            },
-        )
+        :func:`validate_proof` before trusting anything received. A
+        malformed record raises :class:`ProofError` only."""
+        try:
+            return Proof(
+                subject=subject_from_dict(data["subject"]),
+                obj=role_from_dict(data["object"]),
+                chain=tuple(Delegation.from_dict(d) for d in data["chain"]),
+                supports={
+                    delegation_id: tuple(
+                        Proof.from_dict(p) for p in proofs
+                    )
+                    for delegation_id, proofs
+                    in data.get("supports", {}).items()
+                },
+            )
+        except (*MALFORMED, DRBACError) as exc:
+            if isinstance(exc, ProofError):
+                raise
+            raise ProofError(f"malformed proof record: {exc}") from exc
 
     def _canonical_key(self) -> tuple:
         return (

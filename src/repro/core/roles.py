@@ -24,8 +24,15 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.core.attributes import AttributeRef, Operator, _valid_local_name
-from repro.core.errors import DelegationError
-from repro.core.identity import Entity
+from repro.core.errors import MALFORMED, DelegationError
+from repro.core.identity import Entity, entity_content_key
+from repro.crypto.encoding import CanonicalMap
+from repro.crypto.pools import make_room
+
+# Decoded roles, keyed by their complete content; bounded FIFO like
+# ``keys._pk_intern``.
+_ROLE_INTERN_LIMIT = 4096
+_role_intern: dict = {}
 
 
 @dataclass(frozen=True)
@@ -115,6 +122,38 @@ class Role:
     def __repr__(self) -> str:
         return f"Role({self})"
 
+    # -- content-derived caches (an interned role is shared) -------------
+
+    def to_dict(self) -> dict:
+        """The wire map, built and encoded once per instance."""
+        cached = self.__dict__.get("_map")
+        if cached is None:
+            record = {"entity": self.entity.to_dict(), "name": self.name,
+                      "ticks": self.ticks}
+            if self.operator is not None:
+                record["op"] = self.operator.value
+            cached = CanonicalMap(record)
+            object.__setattr__(self, "_map", cached)
+        return cached
+
+    def subject_map(self) -> dict:
+        """The map a delegation carries for this role as its subject."""
+        cached = self.__dict__.get("_subject_map")
+        if cached is None:
+            cached = CanonicalMap({"kind": "role", **self.to_dict()})
+            object.__setattr__(self, "_subject_map", cached)
+        return cached
+
+    @property
+    def node_key(self) -> tuple:
+        """This role's graph-node key (see :func:`subject_key`)."""
+        cached = self.__dict__.get("_node_key")
+        if cached is None:
+            op = self.operator.value if self.operator else ""
+            cached = ("role", self.entity.id, self.name, self.ticks, op)
+            object.__setattr__(self, "_node_key", cached)
+        return cached
+
 
 def attribute_right(attribute: AttributeRef, operator: Operator,
                     ticks: int = 1) -> Role:
@@ -138,16 +177,54 @@ def subject_key(subject: Subject) -> tuple:
     Entities key by fingerprint; roles by (fingerprint, name, ticks,
     operator). Used by the delegation graph and the discovery engine.
     """
-    if isinstance(subject, Entity):
-        return ("entity", subject.id)
-    if isinstance(subject, Role):
-        op = subject.operator.value if subject.operator else ""
-        return ("role", subject.entity.id, subject.name, subject.ticks, op)
+    if isinstance(subject, (Entity, Role)):
+        return subject.node_key
     raise DelegationError(
         f"not a valid subject: {type(subject).__name__}"
     )
 
 
-def describe_subject(subject: Subject) -> str:
-    """Human-readable rendering of a subject for messages and logs."""
-    return str(subject)
+# -- wire maps ----------------------------------------------------------------
+
+
+def subject_from_dict(data: dict) -> Subject:
+    """Decode a subject map (see :meth:`Role.subject_map`); a malformed
+    map raises :class:`DelegationError`."""
+    try:
+        if data.get("kind") == "entity":
+            return Entity.from_dict(data["entity"])
+    except MALFORMED as exc:
+        raise DelegationError(f"malformed entity record: {exc}") from exc
+    return role_from_dict(data)
+
+
+def role_from_dict(data: dict) -> Role:
+    """Decode a role map; equal content yields one shared instance per
+    process. Only exact ``str`` names, nicknames and operators and an
+    exact ``int`` tick count are interned (``True`` is not ``1``); any
+    other field takes the plain path, and a malformed map raises
+    :class:`DelegationError`. A :class:`CanonicalMap` is looked up by
+    its bytes, which fix its content exactly."""
+    encoded = data.encoded if data.__class__ is CanonicalMap else None
+    role = _role_intern.get(encoded) if encoded else None
+    if role is not None:
+        return role
+    try:
+        name, ticks = data["name"], data.get("ticks", 0)
+        has_op = "op" in data
+        op = data["op"] if has_op else None
+        entity_key = entity_content_key(data["entity"])
+        intern_key = entity_key + (name, ticks, op) if entity_key \
+            and name.__class__ is str and ticks.__class__ is int \
+            and (not has_op or op.__class__ is str) else None
+        role = _role_intern.get(intern_key) if intern_key else None
+        if role is None:
+            role = Role(entity=Entity.from_dict(data["entity"]), name=name,
+                        ticks=ticks,
+                        operator=Operator(op) if has_op else None)
+            if intern_key:
+                make_room(_role_intern, _ROLE_INTERN_LIMIT)
+                _role_intern[encoded or intern_key] = role
+        return role
+    except MALFORMED as exc:
+        raise DelegationError(f"malformed role record: {exc}") from exc

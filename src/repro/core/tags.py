@@ -31,6 +31,13 @@ from enum import Enum
 from typing import Optional
 
 from repro.core.errors import ParseError
+from repro.crypto.encoding import CanonicalMap
+from repro.crypto.pools import make_room
+
+# Decoded tags, keyed by their normalized fields; bounded FIFO like
+# ``keys._pk_intern``.
+_TAG_INTERN_LIMIT = 4096
+_tag_intern: dict = {}
 
 
 class SubjectFlag(str, Enum):
@@ -100,21 +107,40 @@ class DiscoveryTag:
         return f"<{self.home}:{self.auth_role_name}:{ttl}:{self.flags}>"
 
     def to_dict(self) -> dict:
-        return {
-            "home": self.home,
-            "auth_role": self.auth_role_name,
-            "ttl": self.ttl,
-            "flags": self.flags,
-        }
+        """The wire map, built and encoded once per instance (the only
+        cache a tag holds: an interned tag is shared)."""
+        cached = self.__dict__.get("_map")
+        if cached is None:
+            cached = CanonicalMap({
+                "home": self.home,
+                "auth_role": self.auth_role_name,
+                "ttl": self.ttl,
+                "flags": self.flags,
+            })
+            object.__setattr__(self, "_map", cached)
+        return cached
 
     @staticmethod
     def from_dict(data: dict) -> "DiscoveryTag":
-        return parse_tag_fields(
-            home=data["home"],
-            auth_role_name=data.get("auth_role", ""),
-            ttl=data.get("ttl", 0.0),
-            flags=data.get("flags", "--"),
-        )
+        """Decode; equal fields yield one shared instance per process.
+        Exact ``str`` fields and an ``int`` or ``float`` TTL (300 and
+        300.0 make the same tag) are interned; anything else takes the
+        plain path."""
+        home = data["home"]
+        auth_role_name = data.get("auth_role", "")
+        ttl = data.get("ttl", 0.0)
+        flags = data.get("flags", "--")
+        exact = home.__class__ is str and auth_role_name.__class__ is str \
+            and flags.__class__ is str \
+            and (ttl.__class__ is float or ttl.__class__ is int)
+        intern_key = (home, auth_role_name, ttl, flags)
+        tag = _tag_intern.get(intern_key) if exact else None
+        if tag is None:
+            tag = parse_tag_fields(home, auth_role_name, ttl, flags)
+            if exact:
+                make_room(_tag_intern, _TAG_INTERN_LIMIT)
+                _tag_intern[intern_key] = tag
+        return tag
 
     @staticmethod
     def parse(text: str) -> "DiscoveryTag":

@@ -29,8 +29,9 @@ Wire grammar (one leading type byte each)::
     M <count:u32> (<key str item> <value item>)... -> dict
 
 All lengths and counts are unsigned 32-bit big-endian; lists and maps
-nest at most :data:`MAX_DEPTH` deep. :class:`Canonical` bytes are
-spliced verbatim, and :func:`canonical_split` leaves values encoded.
+nest at most :data:`MAX_DEPTH` deep. :class:`Canonical` bytes and a
+:class:`CanonicalMap`'s own bytes are spliced verbatim, and
+:func:`canonical_split` leaves values encoded.
 
 One codec implements this grammar. It encodes into one growing
 ``bytearray`` (no chunk list, no final join-of-hundreds), decodes
@@ -106,6 +107,31 @@ class EncodingError(ValueError):
 
 class Canonical(bytes):
     """Bytes this codec made for one value, spliced in unchecked."""
+
+
+def _read_only(self, *_args, **_kwargs):
+    raise TypeError("a CanonicalMap is read-only")
+
+
+class CanonicalMap(dict):
+    """A read-only map that carries its own encoding in ``encoded``.
+
+    Built once from a plain map; the encoder splices ``encoded`` as it
+    splices :class:`Canonical`. Copies (``pickle``, ``copy``) are plain
+    dicts, and every mutator raises ``TypeError``.
+    """
+
+    __slots__ = ("encoded",)
+
+    def __init__(self, value: dict) -> None:
+        dict.__init__(self, value)
+        self.encoded = canonical_encode(value)
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
 
 
 def canonical_encode(value: Any) -> bytes:
@@ -205,6 +231,8 @@ def _fast_encode(value: Any, out: bytearray, depth: int) -> None:
                 make_room(_enc_strs, _ATOM_LIMIT)
                 _enc_strs[value] = enc
         out += enc
+    elif kind is CanonicalMap:
+        out += value.encoded
     elif kind is dict:
         items = []
         append = items.append

@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.crypto import rsa, schnorr, verify_cache
+from repro.crypto.encoding import CanonicalMap
 from repro.crypto.hashing import sha256, sha256_hex
 from repro.crypto.pools import make_room
 
@@ -132,8 +133,14 @@ class PublicKey:
             return self._decode().verify(message, signature)
 
     def to_dict(self) -> dict:
-        """Serializable representation (used in wire messages)."""
-        return {"algorithm": self.algorithm, "key": self.key_bytes}
+        """Serializable representation (used in wire messages), built
+        and encoded once per instance."""
+        cached = self.__dict__.get("_map")
+        if cached is None:
+            cached = CanonicalMap({"algorithm": self.algorithm,
+                                   "key": self.key_bytes})
+            object.__setattr__(self, "_map", cached)
+        return cached
 
     @staticmethod
     def from_dict(data: dict) -> "PublicKey":

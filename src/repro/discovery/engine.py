@@ -594,8 +594,7 @@ class DiscoveryEngine:
             try:
                 answer.proofs.append(wire.proof_from_wire_session(
                     payload, resolve, memo=answer.memo))
-            except (DRBACError, KeyError, TypeError, ValueError,
-                    AttributeError):
+            except DRBACError:
                 continue        # unresolved, or not shaped like a proof
         self.gem_stats.c_answer_records.inc(len(answer.proofs))
 

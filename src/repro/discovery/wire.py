@@ -32,32 +32,27 @@ from typing import (
 )
 
 from repro.core.attributes import AttributeRef, Constraint
-from repro.core.delegation import (
-    Delegation,
-    _role_from_dict,
-    _role_to_dict,
-    _subject_from_dict,
-    _subject_to_dict,
-)
+from repro.core.delegation import Delegation
+from repro.core.errors import DiscoveryError
 from repro.core.identity import Entity
 from repro.core.proof import Proof
-from repro.core.roles import Role, Subject
+from repro.core.roles import Role, Subject, role_from_dict, subject_from_dict
 
 
 def subject_to_wire(subject: Subject) -> dict:
-    return _subject_to_dict(subject)
+    return subject.subject_map()
 
 
 def subject_from_wire(data: dict) -> Subject:
-    return _subject_from_dict(data)
+    return subject_from_dict(data)
 
 
 def role_to_wire(role: Role) -> dict:
-    return _role_to_dict(role)
+    return role.to_dict()
 
 
 def role_from_wire(data: dict) -> Role:
-    return _role_from_dict(data)
+    return role_from_dict(data)
 
 
 def constraints_to_wire(constraints: Iterable[Constraint]) -> List[dict]:
@@ -144,11 +139,11 @@ def delegation_from_wire(data: dict) -> Delegation:
 
 
 def gem_goal_to_wire(direction: str, node: Subject) -> dict:
-    return {"dir": direction, "node": _subject_to_dict(node)}
+    return {"dir": direction, "node": node.subject_map()}
 
 
 def gem_goal_from_wire(data: Mapping) -> Tuple[str, Subject]:
-    return data["dir"], _subject_from_dict(data["node"])
+    return data["dir"], subject_from_dict(data["node"])
 
 
 # ---------------------------------------------------------------------------
@@ -165,23 +160,24 @@ def proof_to_wire_session(proof: Proof, sent_ids: Set[str]) -> dict:
     delegations in ``sent_ids`` (mutated: newly shipped ids are added)."""
 
     def encode(p: Proof) -> dict:
-        chain = []
+        chain, supported = [], []
         for delegation in p.chain:
-            if delegation.id in sent_ids:
-                chain.append({"ref": delegation.id})
+            delegation_id = delegation.id
+            if delegation_id in sent_ids:
+                chain.append({"ref": delegation_id})
             else:
-                sent_ids.add(delegation.id)
+                sent_ids.add(delegation_id)
                 chain.append(delegation.to_dict())
+            proofs = p.supports_for(delegation)
+            if proofs:
+                supported.append((delegation_id, proofs))
+        # Supports after the whole chain: they see its links as sent.
         return {
-            "subject": _subject_to_dict(p.subject),
-            "object": _role_to_dict(p.obj),
+            "subject": p.subject.subject_map(),
+            "object": p.obj.to_dict(),
             "chain": chain,
-            "supports": {
-                delegation.id: [encode(s)
-                                for s in p.supports_for(delegation)]
-                for delegation in p.chain
-                if p.supports_for(delegation)
-            },
+            "supports": {delegation_id: [encode(s) for s in proofs]
+                         for delegation_id, proofs in supported},
         }
 
     return encode(proof)
@@ -205,11 +201,12 @@ def proof_full_delegations(data: Mapping,
     """
     stack = [data]
     while stack:
-        node = stack.pop()
-        for entry in node["chain"]:
-            if "ref" in entry:
+        chain, supports = _session_record(stack.pop())
+        for entry in chain:
+            ref = _ref(entry)
+            if ref is not None:
                 if refs is not None:
-                    refs.add(entry["ref"])
+                    refs.add(ref)
             elif memo is None:
                 yield Delegation.from_dict(entry)
             else:
@@ -219,7 +216,7 @@ def proof_full_delegations(data: Mapping,
                     delegation = Delegation.from_dict(entry)
                     memo[key] = delegation
                 yield delegation
-        for proofs in node.get("supports", {}).values():
+        for proofs in supports.values():
             stack.extend(proofs)
 
 
@@ -237,13 +234,18 @@ def proof_from_wire_session(data: Mapping,
     populate the received-store for future refs. ``memo`` reuses
     delegations already materialized from these exact entry dicts by
     :func:`proof_full_delegations` (see there for the contract).
+    A record that is not shaped like a proof raises a
+    :class:`~repro.core.errors.DRBACError`; what ``resolve`` and
+    ``record`` raise passes through.
     """
 
     def decode(node: Mapping) -> Proof:
+        entries, supports = _session_record(node)
         chain = []
-        for entry in node["chain"]:
-            if "ref" in entry:
-                chain.append(resolve(entry["ref"]))
+        for entry in entries:
+            ref = _ref(entry)
+            if ref is not None:
+                chain.append(resolve(ref))
             else:
                 delegation = memo.get(id(entry)) if memo is not None \
                     else None
@@ -255,13 +257,35 @@ def proof_from_wire_session(data: Mapping,
                     record(delegation)
                 chain.append(delegation)
         return Proof(
-            subject=_subject_from_dict(node["subject"]),
-            obj=_role_from_dict(node["object"]),
+            subject=subject_from_dict(node.get("subject")),
+            obj=role_from_dict(node.get("object")),
             chain=chain,
             supports={
                 delegation_id: tuple(decode(p) for p in proofs)
-                for delegation_id, proofs in node.get("supports", {}).items()
+                for delegation_id, proofs in supports.items()
             },
         )
 
     return decode(data)
+
+
+def _session_record(node: Any) -> Tuple[list, dict]:
+    """The chain and supports of a session-encoded proof record, or a
+    :class:`DiscoveryError` if ``node`` is not shaped like one."""
+    if isinstance(node, dict):
+        chain, supports = node.get("chain"), node.get("supports", {})
+        if isinstance(chain, list) and isinstance(supports, dict) and (
+                not supports or all(isinstance(proofs, list)
+                                    for proofs in supports.values())):
+            return chain, supports
+    raise DiscoveryError("not a session-encoded proof record")
+
+
+def _ref(entry: Any) -> Optional[str]:
+    """The id a chain entry refers to; None if it carries the whole
+    delegation. :class:`DiscoveryError` if it is neither."""
+    if isinstance(entry, dict):
+        ref = entry.get("ref")
+        if ref is None or ref.__class__ is str:
+            return ref
+    raise DiscoveryError("a chain entry is a delegation map or a ref")

@@ -46,7 +46,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro import obs
 from repro.core.clock import SimClock
 from repro.core.delegation import Delegation, Revocation
-from repro.core.errors import ProofError, PublicationError
+from repro.core.errors import DRBACError, ProofError, PublicationError
 from repro.core.proof import Proof
 from repro.crypto import verify_cache
 from repro.crypto.encoding import Canonical, canonical_decode, canonical_split
@@ -187,7 +187,7 @@ class ShardRuntime:
             except (PublicationError, ProofError) as exc:
                 return self._response(request, _STATUS_DENIED,
                                       reason=str(exc))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (DRBACError, KeyError, ValueError) as exc:
                 return self._response(request, _STATUS_ERROR,
                                       error=f"malformed request: {exc}")
 
@@ -198,7 +198,7 @@ class ShardRuntime:
 
     def _home_for(self, request: dict) -> Tuple[Wallet, object]:
         ns = request["ns"]
-        entry = self._homes.get(ns)
+        entry = self._homes.get(ns) if ns.__class__ is str else None
         if entry is None:
             raise ValueError(f"namespace {ns!r} is not homed on "
                              f"{self.shard_id}")

@@ -136,3 +136,30 @@ def test_any_history_gets_the_dict_paths_answers(steps):
                   _off_by_one_byte(_authorize(index), "signature"))
         else:
             _both(framed, plain, dict(_authorize(index), op=op))
+
+
+def _malformed(field):
+    request = _authorize(9)
+    if field == "ns":
+        return dict(request, ns=["not", "a", "name"])
+    if field == "credential":
+        return dict(request, credential={"subject": [], "object": {},
+                                         "issuer": {}})
+    if field == "signature":
+        return dict(request, credential=dict(request["credential"],
+                                             signature=10 ** 12))
+    return {"op": "revoke", "ns": request["ns"],
+            "revocation": {"delegation": ["x"], "issuer": {},
+                           "revoked_at": 1.0, "signature": b""}}
+
+
+@pytest.mark.parametrize("field",
+                         ["ns", "credential", "signature", "revocation"])
+def test_a_malformed_field_is_a_typed_error_on_both_paths(field):
+    """What a record decoder now raises is all the shard catches: each
+    path answers ``status: error``, and the shard keeps serving."""
+    framed, plain = _twins()
+    answer = _both(framed, plain, _malformed(field))
+    assert answer["status"] == "error"
+    assert answer["error"].startswith("malformed request")
+    assert _both(framed, plain, _authorize(9))["granted"] is True

@@ -216,6 +216,34 @@ class TestFrozenSetattr:
                         "    object.__setattr__(obj, '_memo', 1)\n")
         assert reprolint.lint_file(str(path)) == []
 
+    def test_value_caches_stay_in_their_own_modules(self):
+        """Entities, roles and tags cache in their own modules; the
+        certificate module caches on certificates, never on a Role or
+        an Entity it holds."""
+        from codelint.rules import SETATTR_ALLOWED_SUFFIXES
+        assert set(SETATTR_ALLOWED_SUFFIXES) == {
+            "core/delegation.py", "core/attributes.py", "core/proof.py",
+            "crypto/keys.py", "core/identity.py", "core/roles.py",
+            "core/tags.py"}
+        path = os.path.join(REPO_ROOT, "src", "repro", "core",
+                            "delegation.py")
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        targets = {ast.unparse(node.args[0]) for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "__setattr__"}
+        assert targets == {"self", "certificates[index]"}
+
+    def test_workload_plant_is_caught(self, tmp_path):
+        from codelint.workload import make_code_defect_workload
+        workload = make_code_defect_workload(seed=0)
+        (plant,) = workload.expected["frozen-setattr"]
+        assert plant.startswith("pkg/core/graphlike.py:")
+        workload.write_to(str(tmp_path))
+        report = workload.analyze(rules=["frozen-setattr"])
+        assert report.ids_by_rule() == {"frozen-setattr": (plant,)}
+
 
 class TestServiceInjection:
     def _lint_service_module(self, tmp_path, source):

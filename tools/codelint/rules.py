@@ -157,9 +157,12 @@ EVENT_EXEMPT_SEGMENTS = ("/graph/", "/workloads/", "/analysis/",
                          "/baselines/", "/tools/")
 EVENT_EXEMPT_SUFFIXES = ("wallet/storage.py",)
 
-# Modules that own frozen-dataclass construction-time caches.
+# Modules that own frozen-dataclass caches: each caches on its own
+# types only (interned values hold content-derived caches alone).
 SETATTR_ALLOWED_SUFFIXES = ("core/delegation.py", "core/attributes.py",
-                            "core/proof.py", "crypto/keys.py")
+                            "core/proof.py", "crypto/keys.py",
+                            "core/identity.py", "core/roles.py",
+                            "core/tags.py")
 
 # Modules whose counters moved into the observability registry; a bare
 # `self.<counter> += n` here has escaped the exporters.

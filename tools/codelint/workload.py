@@ -4,9 +4,11 @@ The code-side sibling of ``repro.workloads.defects``: where that
 module plants policy defects in a delegation graph, this one writes a
 small synthetic *source tree* -- a shard-shaped service in miniature --
 with exactly the concurrency defects the linter must recover,
-line-exact.  ``clean=True`` emits the same tree with every defect
+line-exact, plus one frozen value type pierced from outside its own
+module.  ``clean=True`` emits the same tree with every defect
 repaired (await the coroutine, consistent lock order, scoped access,
-token reset), which is the zero-findings control arm.  Optional filler
+token reset, ask the owner for its cache), which is the zero-findings
+control arm.  Optional filler
 modules scale the tree to benchmark KLoC without adding findings.
 
 Locators are ``relpath:line`` strings riding in the findings'
@@ -335,6 +337,44 @@ def _build_ctxflow(clean: bool) -> _FileBuilder:
     return fb
 
 
+def _build_value_caches(clean: bool) -> List[_FileBuilder]:
+    """A frozen value type caching in its own module (legal), and a
+    graph module that pierces it from outside (the frozen-setattr
+    plant); ``clean`` asks the owner for the cached key instead."""
+    owner = _FileBuilder("pkg/core/roles.py")
+    owner.add(
+        '"""A frozen value type that caches its node key on itself."""',
+        "",
+        "from dataclasses import dataclass",
+        "",
+        "",
+        "@dataclass(frozen=True)",
+        "class Role:",
+        "    name: str",
+        "",
+        "    def node_key(self):",
+        "        cached = self.__dict__.get('_node_key')",
+        "        if cached is None:",
+        "            cached = ('role', self.name)",
+        "            object.__setattr__(self, '_node_key', cached)",
+        "        return cached",
+    )
+    user = _FileBuilder("pkg/core/graphlike.py")
+    user.add(
+        '"""Graph nodes keyed by role (frozen-setattr plant lives here)."""',
+        "",
+        "",
+        "def node_of(role):",
+    )
+    if clean:
+        user.add("    return role.node_key()")
+    else:
+        user.plant("frozen-setattr",
+                   "    object.__setattr__(role, '_node_key', role.name)")
+        user.add("    return role.name")
+    return [owner, user]
+
+
 def _build_filler(index: int, rng) -> _FileBuilder:
     """A clean, plausible worker module; scales the tree's KLoC."""
     fb = _FileBuilder(f"filler/worker_{index:03d}.py")
@@ -385,11 +425,13 @@ def make_code_defect_workload(seed: Optional[int] = None,
         _build_shardlike(clean),
         _build_taskflow(clean),
         _build_ctxflow(clean),
+        *_build_value_caches(clean),
     ]
     for index in range(filler_modules):
         builders.append(_build_filler(index, rng))
 
-    files: Dict[str, str] = {"pkg/__init__.py": ""}
+    files: Dict[str, str] = {"pkg/__init__.py": "",
+                             "pkg/core/__init__.py": ""}
     if filler_modules:
         files["filler/__init__.py"] = ""
     expected: Dict[str, List[str]] = {}
