@@ -682,8 +682,7 @@ def cmd_serve(_workspace: Workspace, args) -> int:
     config = RouterConfig(
         shards=args.shards, mode=args.mode,
         queue_depth=args.queue_depth,
-        high_watermark=args.high_watermark,
-        memo_maxsize=args.memo_maxsize)
+        high_watermark=args.high_watermark)
     # Injected handle: the CLI folds the router's drbac_service_*
     # metrics into the process registry so --metrics-out sees them.
     router = Router(population, config, registry=obs.get_registry())
@@ -956,9 +955,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--high-watermark", type=int, default=48,
                        help="shed with RETRY_LATER above this depth "
                             "(default: 48)")
-    serve.add_argument("--memo-maxsize", type=int, default=8192,
-                       help="per-shard verification memo entries "
-                            "(default: 8192)")
     _add_service_population_args(serve)
     serve.set_defaults(func=cmd_serve)
 

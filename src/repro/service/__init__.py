@@ -6,7 +6,9 @@ for (PAPERS.md): namespaces map to shards via a consistent-hash ring,
 each shard hosts the home wallets for its namespaces inside its own
 ``obs.scoped()`` / ``verify_cache.scoped()`` context, and a front-door
 router applies admission control with typed RETRY_LATER shedding when
-a shard's bounded queue passes its high-watermark.
+a shard's bounded queue passes its high-watermark.  Every request
+reaches a shard as canonical payload bytes, through one backend method
+(``relay``) and one shard entry point (``ShardRuntime.handle``).
 
 Layout
 ------

@@ -1,11 +1,11 @@
 """Consistent-hash ring mapping issuing namespaces to shards.
 
-Classic Karger-style ring: every shard contributes ``vnodes`` virtual
+Classic Karger-style ring: every shard contributes ``VNODES`` virtual
 points placed by ``blake2b(shard_id + "#" + index)``, and a key routes
 to the first vnode clockwise from ``blake2b(key)``.  Two properties
 the service relies on (pinned by ``tests/service/test_ring.py``):
 
-* **balance** -- with the default 256 vnodes/shard, a 1M-key population
+* **balance** -- with 256 vnodes/shard, a 1M-key population
   splits within +/-15% of fair share across shards (up to 8 shards);
 * **minimal remap** -- growing the ring from N to N+1 shards moves
   about 1/(N+1) of the keys (always < 1/N), because only keys whose
@@ -20,7 +20,7 @@ import bisect
 from hashlib import blake2b
 from typing import Dict, Iterable, List, Tuple
 
-DEFAULT_VNODES = 256
+VNODES = 256
 
 
 def _point(data: str) -> int:
@@ -32,13 +32,9 @@ def _point(data: str) -> int:
 class ConsistentHashRing:
     """Deterministic consistent-hash ring over named shards."""
 
-    __slots__ = ("vnodes", "_points", "_owners", "_shards")
+    __slots__ = ("_points", "_owners", "_shards")
 
-    def __init__(self, shard_ids: Iterable[str] = (),
-                 vnodes: int = DEFAULT_VNODES) -> None:
-        if vnodes < 1:
-            raise ValueError("vnodes must be positive")
-        self.vnodes = vnodes
+    def __init__(self, shard_ids: Iterable[str] = ()) -> None:
         self._points: List[int] = []      # sorted vnode positions
         self._owners: List[str] = []      # shard id per position
         self._shards: List[str] = []
@@ -63,7 +59,7 @@ class ConsistentHashRing:
             raise ValueError(f"shard {shard_id!r} already on the ring")
         self._shards.append(shard_id)
         points, owners = self._points, self._owners
-        for index in range(self.vnodes):
+        for index in range(VNODES):
             point = _point(f"{shard_id}#{index}")
             at = bisect.bisect_left(points, point)
             # 64-bit collisions are ~impossible at these sizes, but keep

@@ -15,6 +15,9 @@ docs/OBSERVABILITY.md) go to an *injected* registry -- pass
 export, or a fresh one to keep a bench isolated.  Per-shard wallet and
 memo tallies stay inside each shard's scoped registry; ``stats()``
 gathers both sides.
+
+Requests reach a shard as payload bytes through :meth:`Router.relay`;
+``submit`` and ``stats()`` encode a dict, relay it and decode the answer.
 """
 
 import queue
@@ -26,12 +29,12 @@ from typing import Callable, Dict, List, Optional
 from repro.obs import MetricsRegistry
 from repro.workloads.scenarios import ServicePopulation
 
-from .ring import ConsistentHashRing, DEFAULT_VNODES
+from .ring import ConsistentHashRing
 from .shard import (
-    DEFAULT_MEMO_MAXSIZE, DEFAULT_QUEUE_DEPTH,
-    InlineShard, ProcessShard, Reply, ShardRuntime, ThreadShard, response_for,
+    DEFAULT_QUEUE_DEPTH, InlineShard, ProcessShard, Reply, ShardRuntime,
+    ThreadShard, response_for,
 )
-from .transport import encode_payload
+from .transport import decode_payload, encode_payload
 
 STATUS_OK = "ok"
 STATUS_DENIED = "denied"
@@ -39,6 +42,7 @@ STATUS_RETRY_LATER = "retry-later"
 STATUS_ERROR = "error"
 
 MODES = ("inline", "thread", "process")
+RETRY_AFTER_MS = 50.0   # what a shed response tells the client to wait
 
 
 class ServiceError(Exception):
@@ -53,9 +57,6 @@ class RouterConfig:
     mode: str = "inline"
     queue_depth: int = DEFAULT_QUEUE_DEPTH
     high_watermark: int = 48
-    memo_maxsize: int = DEFAULT_MEMO_MAXSIZE
-    vnodes: int = DEFAULT_VNODES
-    retry_after_ms: float = 50.0
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -79,8 +80,7 @@ class Router:
         self.registry = registry if registry is not None \
             else MetricsRegistry()
         shard_ids = [f"shard-{i}" for i in range(self.config.shards)]
-        self.ring = ConsistentHashRing(shard_ids,
-                                       vnodes=self.config.vnodes)
+        self.ring = ConsistentHashRing(shard_ids)
         assignment: Dict[str, List[str]] = {s: [] for s in shard_ids}
         for ns in population.namespaces():
             assignment[self.ring.lookup(ns)].append(ns)
@@ -100,21 +100,14 @@ class Router:
     def _build_backend(self, shard_id: str, namespaces: List[str]):
         config = self.config
         if config.mode == "process":
-            return ProcessShard(shard_id, self.population.spec(),
-                                namespaces,
-                                memo_maxsize=config.memo_maxsize,
+            return ProcessShard(shard_id, self.population, namespaces,
                                 queue_depth=config.queue_depth)
-        runtime = ShardRuntime(shard_id, self.population, namespaces,
-                               memo_maxsize=config.memo_maxsize)
+        runtime = ShardRuntime(shard_id, self.population, namespaces)
         if config.mode == "thread":
             return ThreadShard(runtime, queue_depth=config.queue_depth)
         return InlineShard(runtime)
 
     # -- routing ------------------------------------------------------------
-
-    @property
-    def shard_ids(self) -> List[str]:
-        return list(self._backends)
 
     def route(self, namespace: str) -> str:
         return self.ring.lookup(namespace)
@@ -122,7 +115,7 @@ class Router:
     def _shed_response(self, request: dict, shard_id: str) -> dict:
         self._c_shed[shard_id].inc()
         return response_for(request, STATUS_RETRY_LATER, shard_id,
-                            retry_after_ms=self.config.retry_after_ms)
+                            retry_after_ms=RETRY_AFTER_MS)
 
     def _admit(self, request: dict):
         """Ring lookup and admission control: ``(backend, None)`` to
@@ -146,19 +139,11 @@ class Router:
         Shed decisions resolve immediately with ``RETRY_LATER``; the
         caller never blocks on a saturated shard.
         """
-        backend, response = self._admit(request)
-        if backend is not None:
-            try:
-                return backend.submit(request)
-            except queue.Full:
-                # Bounded queue filled between the check and the put.
-                response = self._shed_response(request, backend.shard_id)
-        future: "Future[dict]" = Future()
-        future.set_result(response)
-        return future
+        return _exchange(self.relay, request)
 
     def submit(self, request: dict) -> dict:
-        """Synchronous request/response through admission control."""
+        """Synchronous request/response through admission control (not
+        from a thread running the event loop a shard answers on)."""
         started = perf_counter()
         response = self.submit_nowait(request).result()
         self.latency.observe(perf_counter() - started)
@@ -172,15 +157,16 @@ class Router:
 
     def relay(self, request: dict, payload: bytes,
               reply: Reply) -> Optional[Callable]:
-        """``submit`` for the socket door: ``request`` is ``payload``'s
+        """Admit ``payload`` to its shard: ``request`` holds at least its
         ``ns`` and ``id``, and ``reply`` gets the response payload, now
-        or on a later loop turn.  Returns what gives the shard slot back
-        if the client leaves first, or None."""
+        or later.  Returns what gives the shard slot back if the client
+        leaves first, or None."""
         backend, response = self._admit(request)
         if backend is not None:
             try:
                 return backend.relay(request, payload, reply)
             except queue.Full:
+                # Bounded queue filled between the check and the put.
                 response = self._shed_response(request, backend.shard_id)
         reply(encode_payload(response))
         return None
@@ -191,16 +177,22 @@ class Router:
         """Router counters + per-shard runtime stats (via ``stats`` op).
 
         The ``stats`` op is namespace-free, so it goes straight to each
-        backend rather than through ring routing and admission control.
+        backend's ``relay`` rather than through ring routing and
+        admission control.
         """
-        shards = {}
-        for shard_id, backend in self._backends.items():
-            shards[shard_id] = backend.submit({"op": "stats"}).result()
-        return {
-            "shards": shards,
-            "router": self.registry.snapshot(),
-        }
+        shards = {shard_id: _exchange(backend.relay, {"op": "stats"}).result()
+                  for shard_id, backend in self._backends.items()}
+        return {"shards": shards, "router": self.registry.snapshot()}
 
     def close(self) -> None:
         for backend in self._backends.values():
             backend.close()
+
+
+def _exchange(relay: Callable, request: dict) -> "Future[dict]":
+    """``request`` sent through ``relay`` as payload bytes; the decoded
+    answer, in a future."""
+    future: "Future[dict]" = Future()
+    relay(request, encode_payload(request),
+          lambda answer: future.set_result(decode_payload(answer)))
+    return future

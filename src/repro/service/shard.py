@@ -20,17 +20,17 @@ Backends
 :class:`InlineShard`   runs requests on the caller's thread.
 :class:`ThreadShard`   a worker thread behind a bounded queue.
 :class:`ProcessShard`  a forked worker on one end of a socketpair that
-                       rebuilds the runtime from the population spec;
-                       request bytes cross the parent as they came.
+                       inherits the parent's population; request bytes
+                       cross the parent as they came.
 
-Every backend answers ``submit(request) -> Future[dict]`` for callers
-without an event loop (:meth:`ShardRuntime.handle`) and ``relay(request,
-payload, reply)`` for the socket server's: ``reply`` gets the answer of
-:meth:`ShardRuntime.serve_payload` -- inline before ``relay`` returns,
-from a thread via ``loop.call_soon_threadsafe``, from a process when the
-pipe answers (``shard-unavailable`` once the worker is dead).  The shard
-decodes every field but the door's ``ns`` and ``id`` inside its
-typed-error path, so one that does not decode is its ``status: error``.
+Every backend has one method, ``relay(request, payload, reply)``, and
+``reply`` gets the bytes :meth:`ShardRuntime.handle` (the one entry
+point: payload in, payload out) answers -- inline before ``relay``
+returns, from a thread (on the caller's event loop if it runs one), from
+a process when the pipe answers (``shard-unavailable`` once the worker
+is dead).  The shard decodes every field but the door's ``ns`` and
+``id`` inside its typed-error path, so one that does not decode is its
+``status: error``.
 """
 
 import asyncio
@@ -38,7 +38,6 @@ import hashlib
 import queue
 import socket
 import threading
-from concurrent.futures import Future
 from contextlib import contextmanager
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
@@ -47,7 +46,6 @@ from repro import obs
 from repro.core.clock import SimClock
 from repro.core.delegation import Delegation, Revocation
 from repro.core.errors import DRBACError, ProofError, PublicationError
-from repro.core.proof import Proof
 from repro.crypto import verify_cache
 from repro.crypto.encoding import Canonical, canonical_decode, canonical_split
 from repro.crypto.pools import make_room
@@ -57,11 +55,10 @@ from repro.wallet.wallet import Wallet
 from repro.workloads.scenarios import SERVICE_EPOCH, ServicePopulation
 
 from .transport import (
-    PIPE_MAX_FRAME, FrameDecoder, decode_payload, encode_payload,
-    pipe_frame, split_pipe_frame,
+    PIPE_MAX_FRAME, FrameDecoder, encode_payload, pipe_frame,
+    split_pipe_frame,
 )
 
-DEFAULT_MEMO_MAXSIZE = verify_cache.DEFAULT_MAXSIZE
 DEFAULT_QUEUE_DEPTH = 64
 CREDENTIAL_INDEX_SIZE = verify_cache.DEFAULT_MAXSIZE
 Reply = Callable[[bytes], None]     # takes a response payload
@@ -84,15 +81,14 @@ def response_for(request: dict, status: str, shard_id: str,
 class ShardContext:
     """The scoped singletons one shard injects around its work."""
 
-    def __init__(self, shard_id: str,
-                 memo_maxsize: int = DEFAULT_MEMO_MAXSIZE) -> None:
+    def __init__(self, shard_id: str) -> None:
         self.shard_id = shard_id
         self.registry = MetricsRegistry()
         self.tracer = Tracer()
         # Construct the memo inside the obs scope so its counters land
         # in this shard's registry, not the process-global one.
         with obs.scoped(registry=self.registry, tracer=self.tracer):
-            self.memo = VerificationMemo(maxsize=memo_maxsize)
+            self.memo = VerificationMemo()
 
     @contextmanager
     def activate(self):
@@ -132,12 +128,9 @@ class ShardRuntime:
     """Home wallets for one shard's namespaces, plus request dispatch."""
 
     def __init__(self, shard_id: str, population: ServicePopulation,
-                 namespaces: List[str],
-                 memo_maxsize: int = DEFAULT_MEMO_MAXSIZE,
-                 wallet_cache_size: int = 4096) -> None:
+                 namespaces: List[str]) -> None:
         self.shard_id = shard_id
-        self.population = population
-        self.context = ShardContext(shard_id, memo_maxsize=memo_maxsize)
+        self.context = ShardContext(shard_id)
         self.clock = SimClock(SERVICE_EPOCH)
         self._homes: Dict[str, Tuple[Wallet, object]] = {}
         index_of = {ns: d for d, ns in enumerate(population.namespaces())}
@@ -146,8 +139,7 @@ class ShardRuntime:
             for ns in namespaces:
                 domain = population.domain(index_of[ns])
                 home = Wallet(owner=domain.authority,
-                              address=f"wallet.{ns}", clock=self.clock,
-                              cache_size=wallet_cache_size)
+                              address=f"wallet.{ns}", clock=self.clock)
                 home.publish(domain.grant)
                 self._homes[ns] = (home, domain)
 
@@ -155,35 +147,27 @@ class ShardRuntime:
     def namespaces(self) -> List[str]:
         return sorted(self._homes)
 
-    def handle(self, request: dict) -> dict:
-        """Serve one request dict inside the shard's scopes."""
-        return self._serve(request, Delegation.from_dict, Proof.to_dict)
-
-    def serve_payload(self, payload: bytes) -> bytes:
-        """``encode_payload(handle(canonical_decode(payload)))``, but the
-        credential is looked up by its bytes and the proof spliced.  It
-        never raises: a failure is answered as a typed error."""
+    def handle(self, payload: bytes) -> bytes:
+        """The response payload to a request payload.  It never raises:
+        a failure is answered as a typed error."""
         try:
-            return encode_payload(self._serve(
-                {}, self.credentials.resolve,
-                lambda proof: Canonical(proof.wire_bytes()), payload))
+            return encode_payload(self._serve(payload))
         except Exception as exc:    # keep serving; report the failure
             return encode_payload(
                 {"status": _STATUS_ERROR, "shard": self.shard_id,
                  "error": f"{type(exc).__name__}: {exc}"})
 
-    def _serve(self, request: dict, credential, proof,
-               payload: Optional[bytes] = None) -> dict:
-        """Dispatch ``request``, with ``payload``'s fields decoded into
-        it first; canonical key order puts ``id`` before all of them but
-        ``credential``, which stays encoded for ``credential``."""
+    def _serve(self, payload: bytes) -> dict:
+        """Dispatch ``payload``'s fields, decoded one by one; canonical
+        key order puts ``id`` before all of them but ``credential``,
+        which stays encoded for :attr:`credentials` to resolve."""
+        request: dict = {}
         with self.context.activate():
             try:
-                if payload is not None:
-                    for key, span in canonical_split(payload).items():
-                        request[key] = span if key == "credential" \
-                            else canonical_decode(span)
-                return self._dispatch(request, credential, proof)
+                for key, span in canonical_split(payload).items():
+                    request[key] = span if key == "credential" \
+                        else canonical_decode(span)
+                return self._dispatch(request)
             except (PublicationError, ProofError) as exc:
                 return self._response(request, _STATUS_DENIED,
                                       reason=str(exc))
@@ -204,12 +188,12 @@ class ShardRuntime:
                              f"{self.shard_id}")
         return entry
 
-    def _dispatch(self, request: dict, credential, proof) -> dict:
+    def _dispatch(self, request: dict) -> dict:
         op = request.get("op")
         if op == "authorize":
-            return self._op_authorize(request, credential, proof)
+            return self._op_authorize(request)
         if op == "publish":
-            return self._op_publish(request, credential)
+            return self._op_publish(request)
         if op == "revoke":
             return self._op_revoke(request)
         if op == "ping":
@@ -218,23 +202,24 @@ class ShardRuntime:
             return self._op_stats(request)
         raise ValueError(f"unknown op {op!r}")
 
-    def _op_authorize(self, request: dict, credential, proof) -> dict:
+    def _op_authorize(self, request: dict) -> dict:
         """Publish the presented credential (every check runs; a stored
         or already verified one is not inserted or verified twice), then
         prove the request (monitoring is the caller's side)."""
         home, domain = self._home_for(request)
-        presented = credential(request["credential"])
+        presented = self.credentials.resolve(request["credential"])
         home.publish(presented)
         granted = home.prove(presented.subject, domain.access)
         if granted is None:
             return self._response(request, _STATUS_DENIED,
                                   granted=False, reason="no proof")
         return self._response(request, _STATUS_OK, granted=True,
-                              proof=proof(granted))
+                              proof=Canonical(granted.wire_bytes()))
 
-    def _op_publish(self, request: dict, credential) -> dict:
+    def _op_publish(self, request: dict) -> dict:
         home, _ = self._home_for(request)
-        inserted = home.publish(credential(request["credential"]))
+        inserted = home.publish(
+            self.credentials.resolve(request["credential"]))
         return self._response(request, _STATUS_OK, inserted=inserted)
 
     def _op_revoke(self, request: dict) -> dict:
@@ -261,6 +246,14 @@ class ShardRuntime:
 # ---------------------------------------------------------------------------
 
 
+def _running_loop() -> Optional[asyncio.AbstractEventLoop]:
+    """The event loop running in this thread, or None."""
+    try:
+        return asyncio.get_running_loop()
+    except RuntimeError:
+        return None
+
+
 class InlineShard:
     """Synchronous backend: the caller's thread runs the request."""
 
@@ -271,13 +264,8 @@ class InlineShard:
     def pending(self) -> int:
         return 0
 
-    def submit(self, request: dict) -> "Future[dict]":
-        future: "Future[dict]" = Future()
-        future.set_result(self.runtime.handle(request))
-        return future
-
     def relay(self, _request: dict, payload: bytes, reply: Reply) -> None:
-        reply(self.runtime.serve_payload(payload))
+        reply(self.runtime.handle(payload))
 
     def close(self) -> None:
         pass
@@ -303,37 +291,29 @@ class ThreadShard:
         with self._lock:
             return self._pending
 
-    def _enqueue(self, serve: Callable, argument) -> Future:
-        future: Future = Future()
+    def relay(self, _request: dict, payload: bytes, reply: Reply) -> None:
+        loop = _running_loop()
+        if loop is not None:
+            reply = partial(loop.call_soon_threadsafe, reply)
         with self._lock:
             self._pending += 1
         try:
-            self._queue.put_nowait((serve, argument, future))
+            self._queue.put_nowait((payload, reply))
         except queue.Full:
             with self._lock:
                 self._pending -= 1
             raise
-        return future
-
-    def submit(self, request: dict) -> "Future[dict]":
-        return self._enqueue(self.runtime.handle, request)
-
-    def relay(self, _request: dict, payload: bytes, reply: Reply) -> None:
-        loop = asyncio.get_running_loop()
-        self._enqueue(self.runtime.serve_payload, payload) \
-            .add_done_callback(lambda done: loop.call_soon_threadsafe(
-                reply, done.result()))
 
     def _run(self) -> None:
         while True:
             item = self._queue.get()
             if item is None:
                 return
-            serve, argument, future = item
+            payload, reply = item
             try:
-                future.set_result(serve(argument))
-            except BaseException as exc:  # never kill the worker loop
-                future.set_exception(exc)
+                reply(self.runtime.handle(payload))
+            except Exception:   # a caller's reply must not kill the worker
+                pass
             finally:
                 with self._lock:
                     self._pending -= 1
@@ -343,15 +323,13 @@ class ThreadShard:
         self._worker.join(timeout=5.0)
 
 
-def _process_worker(shard_id: str, population_spec: dict,
-                    namespaces: List[str], memo_maxsize: int,
-                    pipe: socket.socket, parent_end: socket.socket) -> None:
-    """Forked worker main loop: rebuild the runtime, then serve frame
-    by frame until the parent hangs up."""
+def _process_worker(shard_id: str, population: ServicePopulation,
+                    namespaces: List[str], pipe: socket.socket,
+                    parent_end: socket.socket) -> None:
+    """Forked worker main loop: build the runtime, then serve frame by
+    frame until the parent hangs up."""
     parent_end.close()      # or the parent's death would never read as EOF
-    runtime = ShardRuntime(
-        shard_id, ServicePopulation(**population_spec), namespaces,
-        memo_maxsize=memo_maxsize)
+    runtime = ShardRuntime(shard_id, population, namespaces)
     decoder = FrameDecoder(max_frame=PIPE_MAX_FRAME)
     while True:
         data = pipe.recv(65536)
@@ -359,25 +337,23 @@ def _process_worker(shard_id: str, population_spec: dict,
             return
         for body in decoder.frames(data):
             request_id, payload = split_pipe_frame(body)
-            pipe.sendall(pipe_frame(request_id,
-                                    runtime.serve_payload(payload)))
+            pipe.sendall(pipe_frame(request_id, runtime.handle(payload)))
 
 
 class ProcessShard(asyncio.BufferedProtocol):
-    """A forked ``multiprocessing`` worker behind one socketpair; the
-    child rebuilds its :class:`ShardRuntime` from the population *spec*.
+    """A forked worker behind one socketpair; the child builds its
+    :class:`ShardRuntime` from the parent's population (nothing pickled).
 
-    Until :meth:`attach`, ``submit`` callers take turns to send one
-    request and read the pipe until it is answered; after it the event
-    loop owns the socket and ``relay`` writes through a transport whose
+    Until :meth:`attach`, ``relay`` callers take turns to send one
+    request and read the pipe until it is answered; after it only the
+    event loop's thread may ``relay``, through a transport whose
     protocol is this object.  Both wait in ``_waiting[request id] =
     (request, reply)`` (so ``pending()`` is honest either way) for the
     answer read off the pipe, or ``shard-unavailable`` from a dead worker.
     """
 
-    def __init__(self, shard_id: str, population_spec: dict,
+    def __init__(self, shard_id: str, population: ServicePopulation,
                  namespaces: List[str],
-                 memo_maxsize: int = DEFAULT_MEMO_MAXSIZE,
                  queue_depth: int = DEFAULT_QUEUE_DEPTH) -> None:
         import multiprocessing
         self.shard_id = shard_id
@@ -389,11 +365,11 @@ class ProcessShard(asyncio.BufferedProtocol):
         self._next_id = 0
         self._admission = threading.Lock()
         self._turn = threading.Lock()
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._transport: Optional[asyncio.Transport] = None
         self._process = multiprocessing.get_context("fork").Process(
             target=_process_worker,
-            args=(shard_id, population_spec, namespaces, memo_maxsize,
-                  worker_end, self._sock),
+            args=(shard_id, population, namespaces, worker_end, self._sock),
             daemon=True)
         self._process.start()
         worker_end.close()
@@ -428,18 +404,30 @@ class ProcessShard(asyncio.BufferedProtocol):
                     waiter[0], _STATUS_ERROR, self.shard_id,
                     error="shard-unavailable")))
 
-    def submit(self, request: dict) -> "Future[dict]":
-        if self._transport is not None:
+    async def attach(self) -> None:
+        """Hand the pipe to the running event loop."""
+        self._loop = asyncio.get_running_loop()
+        self._transport, _ = await self._loop.create_connection(
+            lambda: self, sock=self._sock)
+
+    def relay(self, request: dict, payload: bytes,
+              reply: Reply) -> Optional[Callable]:
+        """Send ``payload``; returns what gives its slot back if the
+        caller leaves first (attached pipe only), or None."""
+        if self._loop is not None and _running_loop() is not self._loop:
             raise RuntimeError(
                 f"{self.shard_id}'s pipe belongs to the event loop")
-        payload = encode_payload(request)
-        answered: "Future[dict]" = Future()
-        request_id = self._admit(request, lambda answer: answered.set_result(
-            decode_payload(answer)))
-        try:
+        request_id = self._admit(request, reply)
+        if self._transport is not None:
+            if self._transport.is_closing():
+                self.connection_lost(None)      # the worker is gone
+                return None
+            self._transport.write(pipe_frame(request_id, payload))
+            return partial(self._waiting.pop, request_id, None)
+        try:        # take a turn: send, then read until answered
             with self._turn:
                 self._sock.sendall(pipe_frame(request_id, payload))
-                while not answered.done():
+                while request_id in self._waiting:
                     nbytes = self._sock.recv_into(self._inbox)
                     if not nbytes:
                         raise ConnectionError("shard worker hung up")
@@ -448,21 +436,7 @@ class ProcessShard(asyncio.BufferedProtocol):
             self.connection_lost(None)
         finally:
             self._waiting.pop(request_id, None)
-        return answered
-
-    async def attach(self) -> None:
-        """Hand the pipe to the running event loop."""
-        self._transport, _ = await asyncio.get_running_loop() \
-            .create_connection(lambda: self, sock=self._sock)
-
-    def relay(self, request: dict, payload: bytes,
-              reply: Reply) -> Optional[Callable]:
-        request_id = self._admit(request, reply)
-        if self._transport.is_closing():
-            self.connection_lost(None)      # the worker is gone
-            return None
-        self._transport.write(pipe_frame(request_id, payload))
-        return partial(self._waiting.pop, request_id, None)
+        return None
 
     def close(self) -> None:
         try:

@@ -154,12 +154,11 @@ class ServiceServer:
     ``HALF_FRAME_SECONDS`` (with a ``bad-frame``) or stayed silent past
     ``IDLE_SECONDS``; ``closed`` counts the door's closes by reason."""
 
-    def __init__(self, router, host: str = "127.0.0.1", port: int = 0,
-                 max_frame: int = DEFAULT_MAX_FRAME) -> None:
+    def __init__(self, router, host: str = "127.0.0.1",
+                 port: int = 0) -> None:
         self.router = router
         self.host = host
         self.port = port
-        self.max_frame = max_frame
         self.closed = {reason: router.registry.counter(
             "drbac_service_connections_closed_total", reason=reason)
             for reason in ("bad-frame", "half-frame", "idle")}
@@ -208,7 +207,7 @@ class _Connection(asyncio.BufferedProtocol):
         self.server = server
         self.transport: Optional[asyncio.Transport] = None
         self.queue: deque = deque()     # (routing fields, payload)
-        self._decoder = FrameDecoder(max_frame=server.max_frame)
+        self._decoder = FrameDecoder()
         self._busy = self._pumping = self._paused = False
         self._cancel = None     # gives the in-flight request's slot back
         self._started, self._heard = 0.0, asyncio.get_running_loop().time()
@@ -314,11 +313,10 @@ class BlockingClient:
     """Minimal synchronous client (the loadgen CLI's socket mode)."""
 
     def __init__(self, host: str, port: int,
-                 max_frame: int = DEFAULT_MAX_FRAME,
                  timeout: Optional[float] = 30.0) -> None:
         self._sock = socket.create_connection((host, port),
                                               timeout=timeout)
-        self._decoder = FrameDecoder(max_frame=max_frame)
+        self._decoder = FrameDecoder()
         self._inbox: List[dict] = []
 
     def request(self, message: dict) -> dict:

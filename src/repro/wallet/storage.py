@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.core.attributes import AttributeRef
 from repro.core.delegation import Delegation, Revocation
-from repro.core.errors import PublicationError
+from repro.core.errors import DRBACError, PublicationError
 from repro.core.identity import Entity
 from repro.core.proof import Proof
 from repro.crypto.encoding import canonical_decode, canonical_encode
@@ -145,13 +145,23 @@ class WalletStore:
         messages and ordering (delegations before revocations, input
         order within each) match the sequential path exactly.
 
-        Decoding rides the hardware-speed core when enabled: the
-        zero-copy canonical decoder interns the recurring role and
-        namespace atoms, and repeated key/point material resolves to
-        pooled objects (``Point.decode``/``PublicKey.from_dict``), so
-        a store holding many certificates from a few issuers pays the
-        expensive decode work once per distinct value, not per record.
+        Decoders intern repeated atoms, keys, entities and roles, so a
+        store of many certificates from a few issuers decodes each
+        distinct value once.  A malformed store raises
+        :class:`PublicationError`.
         """
+        try:
+            return WalletStore._restore(data)
+        except PublicationError:
+            raise
+        except (DRBACError, AttributeError, KeyError, TypeError,
+                ValueError) as exc:     # EncodingError is a ValueError
+            raise PublicationError(
+                f"malformed wallet store: {type(exc).__name__}: {exc}"
+            ) from exc
+
+    @staticmethod
+    def _restore(data: bytes) -> "WalletStore":
         from repro.core.delegation import verify_signatures
         payload = canonical_decode(data)
         if not isinstance(payload, dict) or payload.get("v") != 1:

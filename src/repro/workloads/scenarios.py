@@ -712,17 +712,6 @@ class ServicePopulation:
     def sample_many(self, count: int, rng: random.Random) -> List[int]:
         return [self.sample(rng) for _ in range(count)]
 
-    def spec(self) -> dict:
-        """The parameters, for bench payloads and reproducibility."""
-        return {
-            "seed": self.seed,
-            "population": self.population,
-            "domains": self.domains,
-            "skew": self.skew,
-            "hot_size": self.hot_size,
-            "hot_fraction": self.hot_fraction,
-        }
-
 
 def build_service_population(seed: int = 7, population: int = 1_000_000,
                              domains: int = 64, skew: float = 1.0,

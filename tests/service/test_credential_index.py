@@ -1,13 +1,11 @@
-"""The shard's bytes path against its dict path.
+"""The shard's credential index against an index that remembers nothing.
 
-``ShardRuntime.serve_payload`` (what the process worker and every
-backend's ``serve_frame`` run) recognizes a presented credential by the
-digest of its canonical bytes and splices a granted proof's cached
-bytes; ``ShardRuntime.handle`` (``submit``'s path) builds every
-credential afresh and answers with ``Proof.to_dict()``.  Each test runs
-twin runtimes over the same history, one per path, and wants the same
-answer from both at every step -- so a remembered credential can never
-buy a different decision than a fresh one.
+``ShardRuntime.handle`` (what every backend runs) recognizes a presented
+credential by the digest of its canonical bytes.  Its twin here is a
+second runtime whose index decodes every credential afresh.  Each test
+runs the twins over the same history and wants byte-identical answers
+from both at every step -- so a remembered credential can never buy a
+different decision than a fresh one.
 """
 
 import pytest
@@ -15,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.core.delegation import Delegation
 from repro.crypto.encoding import canonical_decode, canonical_encode
 from repro.service import shard
 from repro.service.shard import (
@@ -25,17 +24,28 @@ from repro.workloads.scenarios import SERVICE_EPOCH
 from .test_service import POP, _authorize
 
 
+class _Forgetful:
+    """The reference index: every credential decoded afresh."""
+
+    @staticmethod
+    def resolve(span):
+        return Delegation.from_dict(canonical_decode(span))
+
+
 def _twins():
     namespaces = POP.namespaces()
-    return (ShardRuntime("shard-0", POP, namespaces),
-            ShardRuntime("shard-0", POP, namespaces))
+    plain = ShardRuntime("shard-0", POP, namespaces)
+    plain.credentials = _Forgetful()
+    return ShardRuntime("shard-0", POP, namespaces), plain
 
 
 def _both(framed, plain, request):
-    """The bytes path's answer, decoded, once it equals the dict path's."""
-    answer = canonical_decode(framed.serve_payload(canonical_encode(request)))
-    assert answer == plain.handle(request)
-    return answer
+    """The indexed shard's answer, decoded, once its bytes equal the
+    forgetful twin's."""
+    payload = canonical_encode(request)
+    answer = framed.handle(payload)
+    assert answer == plain.handle(payload)
+    return canonical_decode(answer)
 
 
 def _revoke(index):
@@ -107,8 +117,8 @@ def test_the_index_stays_within_its_bound(monkeypatch):
 def test_the_stats_op_reports_the_index_from_the_shards_registry():
     framed, _ = _twins()
     for _ in range(3):
-        framed.serve_payload(canonical_encode(_authorize(5)))
-    stats = canonical_decode(framed.serve_payload(canonical_encode(
+        framed.handle(canonical_encode(_authorize(5)))
+    stats = canonical_decode(framed.handle(canonical_encode(
         {"op": "stats", "ns": POP.namespace(0)})))
     assert stats["credentials"] == {"hits": 2, "misses": 1, "entries": 1,
                                     "maxsize": CREDENTIAL_INDEX_SIZE}
@@ -127,6 +137,7 @@ _steps = st.lists(st.tuples(
 
 @given(_steps)
 def test_any_history_gets_the_dict_paths_answers(steps):
+    """Any history: the indexed shard answers as the forgetful one does."""
     framed, plain = _twins()
     for op, index in steps:
         if op == "revoke":
@@ -157,7 +168,7 @@ def _malformed(field):
                          ["ns", "credential", "signature", "revocation"])
 def test_a_malformed_field_is_a_typed_error_on_both_paths(field):
     """What a record decoder now raises is all the shard catches: each
-    path answers ``status: error``, and the shard keeps serving."""
+    twin answers ``status: error``, and the shard keeps serving."""
     framed, plain = _twins()
     answer = _both(framed, plain, _malformed(field))
     assert answer["status"] == "error"

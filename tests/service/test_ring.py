@@ -10,7 +10,7 @@ hashing bound; naive modulo hashing moves ~N/(N+1)).
 
 import pytest
 
-from repro.service.ring import ConsistentHashRing, DEFAULT_VNODES
+from repro.service.ring import ConsistentHashRing, VNODES
 
 
 def _shard_ids(n):
@@ -83,6 +83,6 @@ def test_empty_ring_rejects_lookup():
 
 
 def test_vnode_count_is_generous():
-    # Balance numbers above assume the default vnode density; a silent
+    # Balance numbers above assume this vnode density; a silent
     # reduction would erode them.
-    assert DEFAULT_VNODES >= 64
+    assert VNODES >= 64

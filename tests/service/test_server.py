@@ -32,6 +32,7 @@ from repro.service import (
     encode_frame,
 )
 from repro.service import transport
+from repro.service.router import RETRY_AFTER_MS
 from repro.service.transport import HEADER
 from repro.workloads.scenarios import SERVICE_EPOCH
 
@@ -199,6 +200,36 @@ def test_too_deep_frame_is_a_typed_bad_frame():
     assert "nest" in answer["detail"]
 
 
+def test_an_attached_pipe_refuses_callers_off_the_loop():
+    # Once served, a process shard's pipe is the loop's: submit() and
+    # stats() from another thread raise, and write nothing to it.
+    async def scenario(server):
+        router = server.router
+        refusals = []
+
+        def off_loop():
+            for call in (lambda: router.submit(_authorize(9)), router.stats):
+                try:
+                    call()
+                except RuntimeError as exc:
+                    refusals.append(str(exc))
+
+        caller = threading.Thread(target=off_loop)
+        caller.start()
+        await _until(lambda: not caller.is_alive())
+        assert len(refusals) == 2
+        assert all("belongs to the event loop" in r for r in refusals)
+        assert [backend.pending() for backend in router._backends.values()] \
+            == [0, 0]
+        reader, writer = await _connect(server)
+        answer = await _call(reader, writer, dict(_authorize(9), id=1))
+        writer.close()
+        return answer
+
+    answer = _serve("process", scenario)
+    assert answer["status"] == STATUS_OK and answer["id"] == 1
+
+
 def test_process_shards_add_no_thread_and_leave_no_child():
     threads_before = threading.active_count()
     children_before = set(multiprocessing.active_children())
@@ -293,7 +324,8 @@ def test_socket_overload_sheds_and_a_vanished_client_leaks_nothing():
     shed, served = _serve("process", scenario,
                           queue_depth=8, high_watermark=4)
     assert [r["status"] for r in shed] == [STATUS_RETRY_LATER] * 6
-    assert all(r["retry_after_ms"] == 50.0 and r["shard"] == "shard-0"
+    assert all(r["retry_after_ms"] == RETRY_AFTER_MS
+               and r["shard"] == "shard-0"
                for r in shed)
     assert [r["status"] for r in served] == [STATUS_OK] * 3
 

@@ -19,7 +19,7 @@ import pytest
 
 from repro.core import SimClock
 from repro.crypto import verify_cache
-from repro.crypto.encoding import canonical_encode
+from repro.crypto.encoding import canonical_decode, canonical_encode
 from repro.obs import MetricsRegistry
 from repro.service import (
     LoadGenerator,
@@ -32,6 +32,8 @@ from repro.service import (
     STATUS_RETRY_LATER,
     ServiceError,
 )
+from repro.service.router import RETRY_AFTER_MS
+from repro.service.shard import ShardRuntime, ThreadShard
 from repro.wallet.wallet import Wallet
 from repro.workloads.scenarios import SERVICE_EPOCH, ServicePopulation
 
@@ -171,7 +173,7 @@ def test_overload_sheds_typed_retry_later():
     assert shed, "flooding a depth-8 queue must shed"
     assert served, "admission control must still serve within capacity"
     for response in shed:
-        assert response["retry_after_ms"] == config.retry_after_ms
+        assert response["retry_after_ms"] == RETRY_AFTER_MS
         assert response["shard"] == "shard-0"
 
 
@@ -216,7 +218,7 @@ def test_process_overload_sheds_typed_retry_later_without_blocking():
             assert future.done()
             response = future.result()
             assert response["status"] == STATUS_RETRY_LATER
-            assert response["retry_after_ms"] == config.retry_after_ms
+            assert response["retry_after_ms"] == RETRY_AFTER_MS
             assert response["shard"] == "shard-0"
         assert backend.pending() == config.high_watermark
         os.kill(worker, signal.SIGCONT)
@@ -249,7 +251,8 @@ def test_queue_depth_caps_what_bypasses_admission_control():
             router, [_authorize(i) for i in range(2)])
         _wait_for(lambda: backend.pending() == 2)
         with pytest.raises(queue.Full):
-            backend.submit({"op": "stats"})
+            backend.relay({"op": "stats"}, canonical_encode({"op": "stats"}),
+                          lambda answer: None)
         os.kill(worker, signal.SIGCONT)
         for thread in threads:
             thread.join(timeout=10.0)
@@ -343,6 +346,24 @@ def test_thread_mode_serves_concurrent_callers():
     statuses = [results.get_nowait() for _ in range(12)]
     assert all(s in (STATUS_OK, STATUS_RETRY_LATER) for s in statuses)
     assert STATUS_OK in statuses
+
+
+def test_a_thread_shard_outlives_a_reply_that_raises():
+    backend = ThreadShard(ShardRuntime("shard-0", POP, POP.namespaces()))
+    answers = queue.Queue()
+
+    def broken(_answer):
+        raise RuntimeError("the caller's reply fails")
+
+    payload = canonical_encode(_authorize(9))
+    try:
+        backend.relay({}, payload, broken)
+        backend.relay({}, payload, answers.put)
+        answer = canonical_decode(answers.get(timeout=10.0))
+        assert answer["granted"] is True
+        _wait_for(lambda: backend.pending() == 0)
+    finally:
+        backend.close()
 
 
 def test_process_mode_round_trips():

@@ -105,3 +105,17 @@ class TestPersistence:
         from repro.crypto.encoding import canonical_encode
         with pytest.raises(PublicationError):
             WalletStore.from_bytes(canonical_encode({"v": 99}))
+
+    @pytest.mark.parametrize("payload", [
+        b"garbage",
+        {"v": 1, "delegations": 5},
+        {"v": 1, "supports": [1]},
+        {"v": 1, "bases": [{"name": "q", "value": 1.0}]},
+    ], ids=["garbage", "delegations-not-a-list", "supports-not-a-map",
+            "base-without-entity"])
+    def test_malformed_store_is_a_publication_error(self, payload):
+        from repro.crypto.encoding import canonical_encode
+        data = payload if isinstance(payload, bytes) \
+            else canonical_encode(payload)
+        with pytest.raises(PublicationError):
+            WalletStore.from_bytes(data)

@@ -372,7 +372,7 @@ class _FunctionWalker:
                 self._visit_call(arg, locks, in_scope, consumer=own)
             elif isinstance(arg, ast.expr):
                 self._visit_expr_tree(arg, locks, in_scope)
-        # Chained receivers: backend.submit(request).result().
+        # Chained receivers: router.submit_nowait(request).result().
         if isinstance(call.func, ast.Attribute) \
                 and isinstance(call.func.value, ast.Call):
             self._visit_call(call.func.value, locks, in_scope,
