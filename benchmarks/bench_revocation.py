@@ -146,7 +146,7 @@ class TestSteadyStateMaintenance:
         from repro.discovery.resolver import WalletServer
         from repro.net.simnet import Simulation
         from repro.net.transport import Network
-        from repro.wallet.maintenance import schedule_maintenance
+        from repro.discovery.maintenance import schedule_maintenance
         from repro.wallet.wallet import Wallet
 
         def run():

@@ -8,16 +8,22 @@ package inspects a wallet or bare delegation graph *at rest* and emits
 typed findings:
 
 * :func:`analyze` / :func:`analyze_wallet` -- run the rule set;
+* :func:`publication_findings` -- the findings one more delegation
+  would add to a wallet (the pre-publication gate);
 * :class:`Finding` / :class:`AnalysisReport` / :class:`Severity` -- the
   typed results;
 * :data:`RULES` / :func:`rule_catalog` / :func:`select_rules` -- the
   rule registry (see ``docs/LINT_RULES.md`` for the catalogue).
 
-Surfaced through ``drbac lint`` and the optional
-``Wallet.publish(..., lint=...)`` pre-publication gate.
+Surfaced through ``drbac lint`` and the gate ``drbac issue --lint``
+runs before it publishes.
 """
 
-from repro.analysis.static.analyzer import analyze, analyze_wallet
+from repro.analysis.static.analyzer import (
+    analyze,
+    analyze_wallet,
+    publication_findings,
+)
 from repro.analysis.static.context import (
     DEFAULT_LONG_LIVED_THRESHOLD,
     AnalysisContext,
@@ -42,6 +48,7 @@ __all__ = [
     "Severity",
     "analyze",
     "analyze_wallet",
+    "publication_findings",
     "rule_catalog",
     "select_rules",
 ]

@@ -22,7 +22,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 from repro.core.attributes import AttributeRef
 from repro.core.delegation import Delegation
 from repro.core.proof import Proof
-from repro.core.roles import Role
+from repro.core.roles import Role, subject_key
 from repro.graph.delegation_graph import DelegationGraph
 from repro.graph.reach_index import ReachabilityIndex
 
@@ -252,7 +252,6 @@ class AnalysisContext:
         right polarity for a defect detector: a dangling-support finding
         asserts no chain can possibly exist.
         """
-        from repro.core.roles import subject_key
         issuer_node = ("entity", delegation.issuer.id)
         role_node = subject_key(role)
         if self.live_reach.can_reach(issuer_node, role_node):

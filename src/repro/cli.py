@@ -41,6 +41,7 @@ from repro.core import (
     parse_role,
     renew as renew_delegation,
 )
+from repro.core.errors import PublicationError
 from repro.core.identity import Entity
 from repro.crypto.encoding import canonical_decode, canonical_encode
 from repro.crypto.keys import deserialize_keypair, serialize_keypair
@@ -155,15 +156,10 @@ def cmd_issue(workspace: Workspace, args) -> int:
         provider = wallet.support_provider()
         supports = list(provider(delegation))
     try:
-        wallet.publish(delegation, supports, lint=args.lint)
+        if args.lint:
+            _lint_before_publish(wallet, delegation, supports, args)
+        wallet.publish(delegation, supports)
     finally:
-        if args.timing and args.lint:
-            info = wallet.lint_gate_info()
-            print(f"# lint gate ({args.lint}): "
-                  f"{info['checks']} check(s), "
-                  f"{info['blocked']} blocked, "
-                  f"{info['seconds'] * 1000:.3f} ms",
-                  file=sys.stderr)
         if args.timing:
             from repro import obs
             registry = obs.registry()
@@ -192,6 +188,25 @@ def cmd_issue(workspace: Workspace, args) -> int:
     print(f"issued {delegation.short_id}: "
           f"{format_delegation(delegation)}")
     return 0
+
+
+def _lint_before_publish(wallet: Wallet, delegation, supports,
+                         args) -> None:
+    """Reject ``delegation`` if publishing it would add a static-analysis
+    finding at or above ``--lint``; ``--timing`` reports the check."""
+    from repro.analysis.static import publication_findings
+    started = time.perf_counter()
+    blocking = publication_findings(wallet, delegation, supports, args.lint)
+    if args.timing:
+        print(f"# lint gate ({args.lint}): 1 check(s), "
+              f"{1 if blocking else 0} blocked, "
+              f"{(time.perf_counter() - started) * 1000:.3f} ms",
+              file=sys.stderr)
+    if blocking:
+        details = "; ".join(f"{finding.rule_id}: {finding.message}"
+                            for finding in blocking)
+        raise PublicationError(
+            f"rejecting {delegation}: lint gate ({args.lint}) -- {details}")
 
 
 def cmd_show(workspace: Workspace, _args) -> int:
@@ -664,8 +679,8 @@ def cmd_renew(workspace: Workspace, args) -> int:
 
 
 def _service_population(args):
-    from repro.workloads.scenarios import build_service_population
-    return build_service_population(
+    from repro.service.population import ServicePopulation
+    return ServicePopulation(
         seed=args.seed, population=args.population, domains=args.domains,
         skew=args.skew, hot_size=args.hot_size,
         hot_fraction=args.hot_fraction)

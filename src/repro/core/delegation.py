@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.core.attributes import Modifier, ModifierSet, Operator
+from repro.core.attributes import AttributeRef, Modifier, ModifierSet, Operator
 from repro.core.errors import (
     MALFORMED,
     DRBACError,
@@ -267,7 +267,6 @@ class Delegation:
     def from_dict(data: dict) -> "Delegation":
         """Decode a wire representation. Does not verify the signature;
         a malformed record raises :class:`DelegationError` only."""
-        from repro.core.attributes import AttributeRef
         try:
             modifiers = ModifierSet(
                 Modifier(

@@ -33,7 +33,13 @@ it with the issuer's key.
 import re
 from typing import Iterable, List, Optional, Tuple
 
-from repro.core.attributes import Modifier, ModifierSet, Operator
+from repro.core.attributes import (
+    AttributeRef,
+    Modifier,
+    ModifierSet,
+    Operator,
+    _format_number,
+)
 from repro.core.delegation import Delegation, issue
 from repro.core.errors import ParseError
 from repro.core.identity import Entity, EntityDirectory, Principal
@@ -247,7 +253,6 @@ class _Parser:
         operator = Operator.from_token(op_token)
         number = self._expect("number")
         value = self._parse_number_text(number.text, number.pos)
-        from repro.core.attributes import AttributeRef
         return Modifier(
             attribute=AttributeRef(entity=entity, name=attr_name),
             operator=operator, value=value,
@@ -349,7 +354,6 @@ def format_delegation(delegation: Delegation) -> str:
     if delegation.issuer_tag is not None:
         parts.append(str(delegation.issuer_tag))
     if delegation.expiry is not None:
-        from repro.core.attributes import _format_number
         parts.append(f" <expiry: {_format_number(delegation.expiry)}>")
     if delegation.depth_limit is not None:
         parts.append(f" <depth: {delegation.depth_limit}>")

@@ -12,7 +12,10 @@ package provides:
   :class:`WalletDirectory` used by scenario builders;
 * :mod:`repro.discovery.engine` -- :class:`DiscoveryEngine`, the
   tag-directed parallel breadth-first search that assembles proofs
-  spanning multiple wallets (Figure 2's Steps 2-5).
+  spanning multiple wallets (Figure 2's Steps 2-5);
+* :mod:`repro.discovery.maintenance` -- the simulator-driven loop that
+  sweeps expirations and reconfirms cached copies before their TTL
+  lease lapses (Section 4.2.1).
 """
 
 from repro.discovery.resolver import WalletDirectory, WalletServer

@@ -56,7 +56,7 @@ from repro import obs
 from repro.core.attributes import AttributeRef, Constraint
 from repro.core.delegation import Delegation, prefetch_signatures
 from repro.core.errors import DiscoveryError, DRBACError
-from repro.core.proof import Proof
+from repro.core.proof import Proof, is_valid_proof
 from repro.core.roles import Role, Subject, subject_key
 from repro.core.tags import DiscoveryTag
 from repro.discovery import result_cache as result_cache_mod
@@ -66,6 +66,7 @@ from repro.discovery.gem import MAX_DEPTH, GoalKey
 from repro.discovery.resolver import WalletServer
 from repro.net.rpc import RpcError
 from repro.net.transport import NetworkError
+from repro.pubsub.events import EventKind
 
 
 def _constraints_key(constraints: Iterable[Constraint]) -> tuple:
@@ -210,11 +211,9 @@ class DiscoveryEngine:
 
     def __init__(self, server: WalletServer,
                  default_ttl: float = 30.0,
-                 subscribe: bool = True,
                  verify_home_authority: bool = False,
                  entity_directory=None,
-                 negative_ttl: float = 5.0,
-                 result_cache_size: int = 2048) -> None:
+                 negative_ttl: float = 5.0) -> None:
         """``verify_home_authority`` enables the Section 4.2.1 check that
         a contacted wallet's host holds the tag's authorizing role
         before its answers are trusted; role names in tags are resolved
@@ -227,12 +226,11 @@ class DiscoveryEngine:
         """
         self.server = server
         self.default_ttl = default_ttl
-        self.subscribe = subscribe
         self.verify_home_authority = verify_home_authority
         self.entity_directory = entity_directory
         self._authority_cache: Dict[Tuple[str, str], bool] = {}
         self.negative_ttl = negative_ttl
-        self.result_cache = DiscoveryCache(maxsize=result_cache_size)
+        self.result_cache = DiscoveryCache()
         self.stats = DiscoveryStats()
         # Result-cache coherence rides the wallet's own event stream,
         # exactly like graph/proof_cache.py.
@@ -246,8 +244,6 @@ class DiscoveryEngine:
         self._searches: Dict[str, _Search] = {}
         self.gem_stats = server.gem_tables.stats
         server.gem_answer_sink = self._on_gem_answers
-        server.wallet.gem_info = self.gem_info
-        server.wallet.discovery_info = self.discovery_info
         # Distributed discovery falls back through this hook from
         # Wallet.authorize when the local graph has no proof, so one
         # authorization yields one connected span tree.
@@ -264,7 +260,6 @@ class DiscoveryEngine:
     # ------------------------------------------------------------------
 
     def _on_hub_event(self, event) -> None:
-        from repro.pubsub.events import EventKind
         kind = event.kind
         # Credentials the engine absorbs mid-search arrive *from* the
         # remote homes, so they cannot make a home's cached answers
@@ -276,8 +271,7 @@ class DiscoveryEngine:
             invalidates=kind.invalidates or kind is EventKind.UPDATED)
 
     def discovery_info(self) -> dict:
-        """Breakdown for ``Wallet.cache_info()["discovery"]`` and the
-        CLI ``--timing`` output."""
+        """Fast-path breakdown for the CLI ``--timing`` output."""
         return {
             "fastpath": result_cache_mod.enabled(),
             "stats": self.stats.to_dict(),
@@ -285,8 +279,8 @@ class DiscoveryEngine:
         }
 
     def gem_info(self) -> dict:
-        """Goal-evaluation breakdown for ``Wallet.cache_info()["gem"]``
-        (contract pinned by ``tests/obs/test_contracts.py``): the
+        """Goal-evaluation breakdown (contract pinned by
+        ``tests/obs/test_contracts.py``): the
         shared ``drbac_gem_*`` counters plus this host's live
         goal-table count and, next to it, how many (peer, credential)
         holdings it keeps a validation subscription for."""
@@ -454,7 +448,7 @@ class DiscoveryEngine:
                     self.server.remote_gem_eval(
                         home, search.root_id, direction, node,
                         constraints=search.constraints,
-                        bases=search.bases, subscribe=self.subscribe)
+                        bases=search.bases)
             except (RpcError, NetworkError, DiscoveryError):
                 # Unreachable home: a clean miss, negative-cached so
                 # the next ``negative_ttl`` seconds don't retry the
@@ -615,10 +609,9 @@ class DiscoveryEngine:
                 if delegation.id != ref:
                     raise DiscoveryError(f"{home} answered {ref!r} "
                                          f"with {delegation.id!r}")
-                if self.subscribe:
-                    answer.subs[ref] = rpc.call(
-                        home, "subscribe",
-                        {"delegation_id": ref})["subscription"]
+                answer.subs[ref] = rpc.call(
+                    home, "subscribe",
+                    {"delegation_id": ref})["subscription"]
             except (RpcError, NetworkError, DRBACError, KeyError,
                     TypeError):
                 # Unreachable, unknown there (a null record), not what
@@ -678,7 +671,7 @@ class DiscoveryEngine:
 
         def cancel_for(delegation_id: str):
             sub_id = subs.get(delegation_id)
-            if sub_id is None or not self.subscribe:
+            if sub_id is None:
                 return None
 
             def cancel() -> None:
@@ -742,7 +735,6 @@ class DiscoveryEngine:
         Returns True when every required role ended up with a currently
         valid support proof attached to the delegation.
         """
-        from repro.core.proof import is_valid_proof
         wallet = self.server.wallet
         required = delegation.required_supports()
         if not required:

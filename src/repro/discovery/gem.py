@@ -54,7 +54,7 @@ MAX_DEPTH = 64
 # increments the initiator-side counters (roots/evals issued/answers
 # received or dropped), a :class:`GemTableStore` the home-side ones
 # (evals served/loops detected/answers pushed/table flushes).
-# ``cache_info()["gem"]`` surfaces its ``to_dict()`` (pinned by
+# ``DiscoveryEngine.gem_info()`` surfaces its ``to_dict()`` (pinned by
 # ``tests/obs/test_contracts.py``).
 GEM_COUNTER_NAMES = (
     "roots", "evals_issued", "answers_received",

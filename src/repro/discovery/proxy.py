@@ -91,14 +91,7 @@ class ValidationProxy:
             raise DiscoveryError(
                 f"upstream subject query failed: {exc}"
             ) from exc
-        mirrored = 0
-        for proof in proofs:
-            for delegation in proof.chain:
-                if self.mirror_delegation(
-                        delegation, proof.supports_for(delegation),
-                        ttl=ttl):
-                    mirrored += 1
-        return mirrored
+        return sum(self.mirror_proof(proof, ttl=ttl) for proof in proofs)
 
     def mirror_proof(self, proof: Proof,
                      ttl: Optional[float] = None) -> int:
@@ -118,11 +111,6 @@ class ValidationProxy:
 
     def mirrored_count(self) -> int:
         return len(self._mirrored)
-
-    def downstream_subscribers(self, delegation_id: str) -> int:
-        """Local hub subscribers for one mirrored delegation -- includes
-        downstream caches subscribed over the network."""
-        return self.server.wallet.hub.subscriber_count(delegation_id)
 
 
 def build_proxy_chain(servers: List[WalletServer],

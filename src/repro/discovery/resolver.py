@@ -16,8 +16,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.delegation import Revocation
 from repro.core.errors import DiscoveryError
-from repro.core.identity import Principal
-from repro.core.proof import Proof
+from repro.core.identity import Entity, Principal
+from repro.core.proof import Proof, is_valid_proof
 from repro.core.roles import subject_key
 from repro.discovery import wire
 from repro.discovery.gem import GemTableStore, GoalTable
@@ -140,9 +140,14 @@ class WalletServer:
         never an address the request names -- on every invalidating
         event. Idempotent per (peer, delegation): a repeat answers the
         existing token. Returns the current status so the subscriber
-        can detect an already-dead delegation.
+        can detect an already-dead delegation. An id this wallet does
+        not store answers ``known: False`` with no token, and nothing
+        is held for it.
         """
         delegation_id = params["delegation_id"]
+        revoked = self.wallet.is_revoked(delegation_id)
+        if self.wallet.store.get_delegation(delegation_id) is None:
+            return {"known": False, "revoked": revoked}
         held = self._holdings.setdefault(src, {})
         if delegation_id not in held:
 
@@ -166,12 +171,8 @@ class WalletServer:
             held[delegation_id] = (
                 f"{self.address}/sub/{next(self._sub_ids)}",
                 self.wallet.hub.subscribe(delegation_id, forward))
-        return {
-            "subscription": held[delegation_id][0],
-            "known": self.wallet.store.get_delegation(delegation_id)
-            is not None,
-            "revoked": self.wallet.is_revoked(delegation_id),
-        }
+        return {"subscription": held[delegation_id][0], "known": True,
+                "revoked": revoked}
 
     def _rpc_unsubscribe(self, src: str, params: dict) -> bool:
         """Drop one of the caller's *own* subscriptions; a token some
@@ -300,7 +301,8 @@ class WalletServer:
             for delegation_id in sorted(shipped):
                 granted = self._rpc_subscribe(origin, {
                     "delegation_id": delegation_id})
-                subs[delegation_id] = granted["subscription"]
+                if granted["known"]:
+                    subs[delegation_id] = granted["subscription"]
         try:
             self.rpc.notify(origin, "gem_answers", {
                 "root": request["root"],
@@ -413,13 +415,16 @@ class WalletServer:
                          ) -> Callable[[], None]:
         """Subscribe this server to a delegation at ``remote``.
 
-        Returns a cancel function (used by the coherent cache).
+        Returns a cancel function (used by the coherent cache); it does
+        nothing when ``remote`` does not store the delegation.
         """
         result = self.rpc.call(remote, "subscribe",
                                {"delegation_id": delegation_id})
-        sub_id = result["subscription"]
+        sub_id = result.get("subscription")
 
         def cancel() -> None:
+            if sub_id is None:
+                return
             try:
                 self.rpc.call(remote, "unsubscribe",
                               {"subscription": sub_id})
@@ -429,16 +434,16 @@ class WalletServer:
         return cancel
 
     def remote_gem_eval(self, remote: str, root_id: str, direction: str,
-                        node, constraints=(), bases=None,
-                        subscribe: bool = True) -> None:
+                        node, constraints=(), bases=None) -> None:
         """Send one goal to ``remote`` -- a single notify, no reply; the
-        home's answer arrives as its own ``gem_answers`` notify."""
+        home's answer arrives as its own ``gem_answers`` notify, with
+        validation subscriptions for what it ships."""
         self.rpc.notify(remote, "gem_eval", {
             "root": root_id,
             "goal": wire.gem_goal_to_wire(direction, node),
             "constraints": wire.constraints_to_wire(constraints),
             "bases": wire.bases_to_wire(bases),
-            "subscribe": subscribe,
+            "subscribe": True,
         })
 
     def send_gem_terminate(self, remote: str, root_id: str) -> None:
@@ -460,8 +465,6 @@ class WalletServer:
         validating the proof locally. The proof's root delegations are
         self-certified by the role's namespace owner, so a rogue host
         cannot forge authority."""
-        from repro.core.identity import Entity
-        from repro.core.proof import is_valid_proof
         try:
             owner_record = self.rpc.call(remote, "whoami")
             if owner_record is None:

@@ -33,7 +33,7 @@ from typing import (
 
 from repro.core.attributes import AttributeRef, Constraint
 from repro.core.delegation import Delegation
-from repro.core.errors import DiscoveryError
+from repro.core.errors import MALFORMED, DiscoveryError, DRBACError
 from repro.core.identity import Entity
 from repro.core.proof import Proof
 from repro.core.roles import Role, Subject, role_from_dict, subject_from_dict
@@ -67,16 +67,14 @@ def constraints_to_wire(constraints: Iterable[Constraint]) -> List[dict]:
 
 
 def constraints_from_wire(data: Iterable[dict]) -> Tuple[Constraint, ...]:
-    return tuple(
-        Constraint(
-            attribute=AttributeRef(
-                entity=Entity.from_dict(record["entity"]),
-                name=record["name"],
-            ),
-            minimum=record["minimum"],
-        )
-        for record in data
-    )
+    """Decode a constraint list; anything else raises
+    :class:`DiscoveryError`."""
+    try:
+        return tuple(Constraint(attribute=_attribute_from_wire(record),
+                                minimum=record["minimum"])
+                     for record in data)
+    except (*MALFORMED, DRBACError) as exc:
+        raise DiscoveryError(f"not a constraint list: {exc}") from exc
 
 
 def bases_to_wire(bases: Optional[Mapping[AttributeRef, float]]
@@ -94,11 +92,18 @@ def bases_to_wire(bases: Optional[Mapping[AttributeRef, float]]
 
 
 def bases_from_wire(data: Iterable[dict]) -> dict:
-    return {
-        AttributeRef(entity=Entity.from_dict(record["entity"]),
-                     name=record["name"]): record["value"]
-        for record in data
-    }
+    """Decode a base-allocation list; anything else raises
+    :class:`DiscoveryError`."""
+    try:
+        return {_attribute_from_wire(record): record["value"]
+                for record in data}
+    except (*MALFORMED, DRBACError) as exc:
+        raise DiscoveryError(f"not a base-allocation list: {exc}") from exc
+
+
+def _attribute_from_wire(record: Mapping) -> AttributeRef:
+    return AttributeRef(entity=Entity.from_dict(record["entity"]),
+                        name=record["name"])
 
 
 def proof_to_wire(proof: Optional[Proof]) -> Optional[dict]:

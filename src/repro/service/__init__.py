@@ -13,6 +13,7 @@ reaches a shard as canonical payload bytes, through one backend method
 Layout
 ------
 
+``population``  the seeded principals, credentials and request skew
 ``ring``        consistent-hash ring (blake2b, 256 vnodes/shard)
 ``shard``       shard runtime + inline / thread / process backends
 ``router``      front door: routing, bounded queues, backpressure

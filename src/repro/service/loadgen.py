@@ -29,8 +29,7 @@ from dataclasses import asdict, dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, List, Optional
 
-from repro.workloads.scenarios import SERVICE_EPOCH, ServicePopulation
-
+from .population import SERVICE_EPOCH, ServicePopulation
 from .router import STATUS_OK, STATUS_RETRY_LATER
 
 Submit = Callable[[dict], dict]

@@ -27,8 +27,8 @@ from time import perf_counter
 from typing import Callable, Dict, List, Optional
 
 from repro.obs import MetricsRegistry
-from repro.workloads.scenarios import ServicePopulation
 
+from .population import ServicePopulation
 from .ring import ConsistentHashRing
 from .shard import (
     DEFAULT_QUEUE_DEPTH, InlineShard, ProcessShard, Reply, ShardRuntime,

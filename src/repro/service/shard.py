@@ -52,8 +52,8 @@ from repro.crypto.pools import make_room
 from repro.crypto.verify_cache import VerificationMemo
 from repro.obs import MetricsRegistry, Tracer
 from repro.wallet.wallet import Wallet
-from repro.workloads.scenarios import SERVICE_EPOCH, ServicePopulation
 
+from .population import SERVICE_EPOCH, ServicePopulation
 from .transport import (
     PIPE_MAX_FRAME, FrameDecoder, encode_payload, pipe_frame,
     split_pipe_frame,

@@ -10,17 +10,18 @@ implements the single-wallet functionality of Figure 1:
   support-proof enforcement), direct/subject/object queries, revocation,
   and the local subscription hub;
 * :mod:`repro.wallet.cache` -- coherent caching of delegations whose home
-  is another wallet, kept fresh by delegation subscriptions.
+  is another wallet, kept fresh by delegation subscriptions;
+* :mod:`repro.wallet.journal` -- a wallet whose every mutation is
+  appended to a replayable journal.
+
+Nothing here reaches past one wallet: the maintenance loop that renews
+cached copies with their homes lives in :mod:`repro.discovery.maintenance`,
+and the pre-publication lint gate in :mod:`repro.analysis.static`.
 """
 
 from repro.wallet.storage import WalletStore
 from repro.wallet.wallet import Wallet
 from repro.wallet.cache import CachedEntry, CoherentCache
-from repro.wallet.maintenance import (
-    MaintenanceStats,
-    WalletMaintenance,
-    schedule_maintenance,
-)
 from repro.wallet.journal import JournaledWallet
 
 __all__ = [
@@ -29,7 +30,4 @@ __all__ = [
     "JournaledWallet",
     "CachedEntry",
     "CoherentCache",
-    "MaintenanceStats",
-    "WalletMaintenance",
-    "schedule_maintenance",
 ]

@@ -158,6 +158,11 @@ class CoherentCache:
     def entry(self, delegation_id: str) -> Optional[CachedEntry]:
         return self._entries.get(delegation_id)
 
+    def ids(self) -> List[str]:
+        """The cached delegation ids, as a snapshot the caller may hold
+        while entries come and go."""
+        return list(self._entries)
+
     def __len__(self) -> int:
         return len(self._entries)
 

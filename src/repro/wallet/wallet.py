@@ -30,13 +30,15 @@ from repro.core.clock import Clock, SimClock
 from repro.core.delegation import (
     Delegation,
     Revocation,
+    is_renewal_of,
     prefetch_signatures,
 )
 from repro.core.delegation import revoke as _sign_revocation
 from repro.core.errors import ProofError, PublicationError
 from repro.core.identity import Entity, Principal
-from repro.core.proof import Proof, validate_proof
+from repro.core.proof import Proof, is_valid_proof, validate_proof
 from repro.core.roles import Role, Subject, subject_key
+from repro.crypto import encoding, verify_cache
 from repro.graph.proof_cache import (
     KIND_DIRECT,
     KIND_OBJECT,
@@ -47,16 +49,19 @@ from repro.graph.proof_cache import (
 from repro.graph.reach_index import ReachabilityIndex
 from repro.graph.search import (
     SearchStats,
-    Strategy,
     SupportProvider,
     build_support_provider,
     direct_query,
     object_query,
     subject_query,
 )
+from repro.monitor.proof_monitor import ProofMonitor
 from repro.pubsub.events import DelegationEvent, EventKind
 from repro.pubsub.subscriptions import Subscription, SubscriptionHub
 from repro.wallet.storage import WalletStore
+
+# Decision-cache capacity (LRU entries) of a caching wallet.
+CACHE_SIZE = 4096
 
 
 class Wallet:
@@ -71,9 +76,7 @@ class Wallet:
                  address: str = "",
                  clock: Optional[Clock] = None,
                  store: Optional[WalletStore] = None,
-                 cache: bool = True,
-                 cache_size: int = 4096,
-                 lint_gate: Optional[str] = None) -> None:
+                 cache: bool = True) -> None:
         if isinstance(owner, Principal):
             self.owner: Optional[Entity] = owner.entity
         else:
@@ -82,22 +85,10 @@ class Wallet:
         self.clock = clock if clock is not None else SimClock()
         self.store = store if store is not None else WalletStore()
         self.hub = SubscriptionHub()
-        # Optional pre-publication lint gate: a Severity name ("error",
-        # "warn", "info") or None (off). See publish(lint=...).
-        self.lint_gate = lint_gate
-        self._lint_stats = {"checks": 0, "blocked": 0, "seconds": 0.0}
-        # Set by a DiscoveryEngine attached to this wallet's server: a
-        # zero-arg callable returning the discovery fast-path breakdown
-        # (surfaced under cache_info()["discovery"]).
-        self.discovery_info: Optional[Callable[[], dict]] = None
-        # Also set by an attached DiscoveryEngine: authorize() falls back
-        # to this hook when the local graph yields no proof, so one call
+        # Set by an attached DiscoveryEngine: authorize() falls back to
+        # this hook when the local graph yields no proof, so one call
         # covers the paper's full local-then-distributed query contract.
         self.discover: Optional[Callable] = None
-        # Set by an attached DiscoveryEngine: a zero-arg callable
-        # returning the GEM tabled-evaluation breakdown (surfaced under
-        # cache_info()["gem"]).
-        self.gem_info: Optional[Callable[[], dict]] = None
         # Wallet-level observability. Counters sit off the warm query
         # path (the proof cache's own hits/misses already count those);
         # the histogram times cold graph searches only.
@@ -115,12 +106,11 @@ class Wallet:
         # Query hot-path acceleration: an incremental reachability index
         # plus an event-invalidated decision cache fed by the wallet's own
         # subscription hub (so coherence rides the Section 4.2.2 events).
-        self.cache_enabled = cache
         if cache:
             self.reach_index: Optional[ReachabilityIndex] = \
                 ReachabilityIndex(self.store.graph)
             self.proof_cache: Optional[ProofCache] = ProofCache(
-                maxsize=cache_size, reach_index=self.reach_index)
+                maxsize=CACHE_SIZE, reach_index=self.reach_index)
             self._cache_subscription: Optional[Subscription] = \
                 self.hub.subscribe_all(self._on_cache_event)
         else:
@@ -134,8 +124,7 @@ class Wallet:
 
     def publish(self, delegation: Delegation,
                 supports: Iterable[Proof] = (),
-                at: Optional[float] = None,
-                lint: Optional[str] = None) -> bool:
+                at: Optional[float] = None) -> bool:
         """Accept a delegation into the wallet.
 
         Returns False if the delegation was already present. Raises
@@ -145,18 +134,12 @@ class Wallet:
 
         ``at`` overrides the validation timestamp -- used by journal
         replay to re-apply an operation at its original time.
-
-        ``lint`` overrides the wallet's ``lint_gate`` for this call: a
-        Severity name runs the static analyzer over the would-be graph
-        and rejects the delegation if it is implicated in a finding at
-        or above that severity; ``"off"`` disables an instance-level
-        gate for this call.
         """
         # The id, not the certificate: a finished span outlives the
         # wallet in the tracer's buffer and must not pin what it saw.
         with obs.span("wallet.publish", wallet=self.address,
                       delegation=delegation.id) as span:
-            inserted = self._publish_impl(delegation, supports, at, lint)
+            inserted = self._publish_impl(delegation, supports, at)
             if inserted:
                 self._stats.c_publishes.inc()
             span.set(inserted=inserted)
@@ -164,8 +147,7 @@ class Wallet:
 
     def _publish_impl(self, delegation: Delegation,
                       supports: Iterable[Proof],
-                      at: Optional[float],
-                      lint: Optional[str]) -> bool:
+                      at: Optional[float]) -> bool:
         now = self.clock.now() if at is None else at
         if not delegation.verify_signature():
             raise PublicationError(
@@ -181,10 +163,6 @@ class Wallet:
             )
         supports = tuple(supports)
         self._check_supports(delegation, supports, now)
-        gate = self.lint_gate if lint is None else lint
-        if gate and gate != "off" \
-                and delegation.id not in self.store.graph:
-            self._lint_gate_check(delegation, supports, now, gate)
         inserted = self.store.add_delegation(delegation, supports)
         if inserted:
             # Index before announcing: the PUBLISHED event's cache
@@ -227,55 +205,6 @@ class Wallet:
                     f"rejecting {delegation}: support proof for {role} "
                     f"is invalid: {exc}"
                 ) from exc
-
-    def _lint_gate_check(self, delegation: Delegation,
-                         supports: Tuple[Proof, ...], now: float,
-                         threshold_name: str) -> None:
-        """Reject ``delegation`` if publishing it would introduce a
-        static-analysis finding at or above ``threshold_name``.
-
-        The analyzer runs over a *copy* of the stored graph plus the
-        candidate edge -- the real graph is never mutated outside the
-        event-publishing insert path -- and only findings implicating
-        the candidate block it: pre-existing defects in the store do
-        not punish an innocent newcomer.
-        """
-        from repro.analysis.static import Severity, analyze
-        threshold = Severity.from_name(threshold_name)
-        start = perf_counter()
-        candidate = self.store.graph.copy()
-        candidate.add(delegation)
-
-        def lookup(delegation_id: str) -> Tuple[Proof, ...]:
-            if delegation_id == delegation.id:
-                return supports
-            return self.store.supports_for(delegation_id)
-
-        report = analyze(candidate, at=now,
-                         revoked=self.store.is_revoked,
-                         bases=self.store.base_allocations(),
-                         supports=lookup)
-        blocking = [finding for finding in report.findings
-                    if finding.severity.at_least(threshold)
-                    and delegation.id in finding.delegation_ids]
-        self._lint_stats["checks"] += 1
-        self._lint_stats["seconds"] += perf_counter() - start
-        if blocking:
-            self._lint_stats["blocked"] += 1
-            details = "; ".join(
-                f"{finding.rule_id}: {finding.message}"
-                for finding in blocking
-            )
-            raise PublicationError(
-                f"rejecting {delegation}: lint gate "
-                f"({threshold.value}) -- {details}"
-            )
-
-    def lint_gate_info(self) -> dict:
-        """Lint-gate counters: checks run, publishes blocked, seconds."""
-        info = dict(self._lint_stats)
-        info["threshold"] = self.lint_gate
-        return info
 
     def publish_many(self, items: Iterable[Tuple[Delegation,
                                                  Iterable[Proof]]]) -> int:
@@ -361,7 +290,6 @@ class Wallet:
         old delegation's channel -- proof monitors refresh silently
         rather than invalidating.
         """
-        from repro.core.delegation import is_renewal_of
         old = self.store.get_delegation(old_delegation_id)
         if old is None:
             raise PublicationError(
@@ -436,8 +364,6 @@ class Wallet:
         connectivity; REVOKED/EXPIRED/UPDATED kill exactly the entries
         whose proofs contain the delegation, via the inverted index.
         """
-        if self.proof_cache is None:
-            return
         if event.kind is EventKind.PUBLISHED:
             delegation = self.store.get_delegation(event.delegation_id)
             if delegation is None:
@@ -474,7 +400,6 @@ class Wallet:
         ``codec`` (both caches are per process, not per wallet, so the
         numbers aggregate across all wallets).
         """
-        from repro.crypto import encoding, verify_cache
         if self.proof_cache is None:
             return None
         info = self.proof_cache.info()
@@ -488,12 +413,6 @@ class Wallet:
             }
         info["crypto_memo"] = verify_cache.cache_info()
         info["codec"] = encoding.codec_info()
-        if self.lint_gate or self._lint_stats["checks"]:
-            info["lint_gate"] = self.lint_gate_info()
-        if self.discovery_info is not None:
-            info["discovery"] = self.discovery_info()
-        if self.gem_info is not None:
-            info["gem"] = self.gem_info()
         return info
 
     # ------------------------------------------------------------------
@@ -509,7 +428,6 @@ class Wallet:
         up new proofs (the case-study epilogue depends on this -- revoking
         Sheila's mktg role kills the coalition delegation's support).
         """
-        from repro.core.proof import is_valid_proof
         now = self.clock.now()
         fallback = build_support_provider(
             self.store.graph, at=now, revoked=self.store.is_revoked,
@@ -545,42 +463,31 @@ class Wallet:
             merged.update(bases)
         return merged
 
-    def _cache_active(self, use_cache: Optional[bool]) -> bool:
-        if self.proof_cache is None:
-            return False
-        return self.cache_enabled if use_cache is None else use_cache
-
     def query_direct(self, subject: Subject, obj: Role,
                      constraints: Iterable[Constraint] = (),
                      bases: Optional[Mapping[AttributeRef, float]] = None,
-                     strategy: Strategy = Strategy.BIDIRECTIONAL,
-                     stats: Optional[SearchStats] = None,
-                     use_cache: Optional[bool] = None) -> Optional[Proof]:
+                     stats: Optional[SearchStats] = None) -> Optional[Proof]:
         """Direct query: one proof for ``subject => obj`` meeting the
         constraints, or None (Section 4.1).
 
-        With caching active (the default on a ``cache=True`` wallet) the
-        result -- positive or negative -- is memoized and served until an
-        event invalidates it; ``use_cache=False`` forces a fresh search
-        for this call only. Any valid proof answers a direct query, so a
-        cached proof may be served to a caller that asked for a different
-        search strategy.
+        On a caching wallet the result -- positive or negative -- is
+        memoized and served until an event invalidates it.
         """
         return self._search_direct(
             subject, obj, tuple(constraints), self._merged_bases(bases),
-            self.clock.now(), self._ready_reach_index(),
-            self._cache_active(use_cache), strategy, stats)
+            self.clock.now(), self._ready_reach_index(), stats)
 
     def _search_direct(self, subject: Subject, obj: Role,
                        constraints: Tuple[Constraint, ...],
                        merged: Dict[AttributeRef, float], now: float,
-                       index: Optional[ReachabilityIndex], cached: bool,
-                       strategy: Strategy, stats: Optional[SearchStats],
+                       index: Optional[ReachabilityIndex],
+                       stats: Optional[SearchStats],
                        provider: Optional[SupportProvider] = None
                        ) -> Optional[Proof]:
         """The cached direct search under :meth:`query_direct` and
         :meth:`authorize_many` (which passes the support provider its
         batch shares)."""
+        cached = self.proof_cache is not None
         if cached:
             key = make_key(KIND_DIRECT, subject_key(subject),
                            subject_key(obj), constraints, merged)
@@ -595,7 +502,6 @@ class Wallet:
                 self.store.graph, subject, obj,
                 at=now, revoked=self.store.is_revoked,
                 constraints=constraints, bases=merged,
-                strategy=strategy,
                 support_provider=provider if provider is not None
                 else self.support_provider(),
                 stats=search_stats, reach_index=index,
@@ -614,31 +520,28 @@ class Wallet:
     def query_subject(self, subject: Subject,
                       constraints: Iterable[Constraint] = (),
                       bases: Optional[Mapping[AttributeRef, float]] = None,
-                      stats: Optional[SearchStats] = None,
-                      use_cache: Optional[bool] = None) -> List[Proof]:
+                      stats: Optional[SearchStats] = None) -> List[Proof]:
         """Subject query: the sub-proofs ``subject => *`` (Section 4.1)."""
         return self._query_enumeration(
-            KIND_SUBJECT, subject, constraints, bases, stats, use_cache)
+            KIND_SUBJECT, subject, constraints, bases, stats)
 
     def query_object(self, obj: Role,
                      constraints: Iterable[Constraint] = (),
                      bases: Optional[Mapping[AttributeRef, float]] = None,
-                     stats: Optional[SearchStats] = None,
-                     use_cache: Optional[bool] = None) -> List[Proof]:
+                     stats: Optional[SearchStats] = None) -> List[Proof]:
         """Object query: the sub-proofs ``* => obj`` (Section 4.1)."""
         return self._query_enumeration(
-            KIND_OBJECT, obj, constraints, bases, stats, use_cache)
+            KIND_OBJECT, obj, constraints, bases, stats)
 
     def _query_enumeration(self, kind: str, endpoint: Subject,
                            constraints: Iterable[Constraint],
                            bases: Optional[Mapping[AttributeRef, float]],
-                           stats: Optional[SearchStats],
-                           use_cache: Optional[bool]) -> List[Proof]:
+                           stats: Optional[SearchStats]) -> List[Proof]:
         constraints = tuple(constraints)
         merged = self._merged_bases(bases)
         now = self.clock.now()
         self._ready_reach_index()
-        cached = self._cache_active(use_cache)
+        cached = self.proof_cache is not None
         node = subject_key(endpoint)
         if cached:
             key = make_key(kind,
@@ -690,39 +593,32 @@ class Wallet:
 
         ``discover`` optionally wires in distributed re-discovery for
         revalidation (see :class:`ProofMonitor`)."""
-        from repro.monitor.proof_monitor import ProofMonitor
         return ProofMonitor(wallet=self, proof=proof, callback=callback,
                             constraints=tuple(constraints),
                             discover=discover)
 
     def authorize(self, subject: Subject, obj: Role,
                   constraints: Iterable[Constraint] = (),
-                  callback: Optional[Callable] = None,
-                  strategy: Strategy = Strategy.BIDIRECTIONAL,
-                  discover: Optional[Callable] = None):
+                  callback: Optional[Callable] = None):
         """Direct query + monitor wrap: the paper's full query contract
         ("what it returns is a proof wrapped in a proof monitor object").
 
         :meth:`prove`, then :meth:`monitor` on what it found.  Returns a
         ProofMonitor, or None when no proof exists.
         """
-        proof = self.prove(subject, obj, constraints=constraints,
-                           strategy=strategy, discover=discover)
+        proof = self.prove(subject, obj, constraints=constraints)
         if proof is None:
             return None
         return self.monitor(proof, callback=callback,
                             constraints=constraints)
 
     def prove(self, subject: Subject, obj: Role,
-              constraints: Iterable[Constraint] = (),
-              strategy: Strategy = Strategy.BIDIRECTIONAL,
-              discover: Optional[Callable] = None) -> Optional[Proof]:
+              constraints: Iterable[Constraint] = ()) -> Optional[Proof]:
         """:meth:`authorize`'s decision, without the monitor.
 
-        When the local graph yields no proof and a discovery hook is
-        available -- ``discover=`` here, or the :attr:`discover`
-        attribute an attached :class:`DiscoveryEngine` installs -- the
-        search continues across the coalition's wallets, so one call
+        When the local graph yields no proof and an attached
+        :class:`DiscoveryEngine` has installed its :attr:`discover` hook,
+        the search continues across the coalition's wallets, so one call
         spans the whole local-then-distributed contract (and one trace
         tree links the proof search, discovery RPCs, and signature
         verifications it triggered).
@@ -731,14 +627,11 @@ class Wallet:
                       subject=subject, object=obj) as span:
             self._stats.c_authorizations.inc()
             proof = self.query_direct(subject, obj,
-                                      constraints=constraints,
-                                      strategy=strategy)
+                                      constraints=constraints)
             source = "local"
-            if proof is None:
-                hook = discover if discover is not None else self.discover
-                if hook is not None:
-                    source = "discovery"
-                    proof = hook(subject, obj, constraints=constraints)
+            if proof is None and self.discover is not None:
+                source = "discovery"
+                proof = self.discover(subject, obj, constraints=constraints)
             span.set(result="denied" if proof is None else "granted",
                      source=source)
             return proof
@@ -746,9 +639,7 @@ class Wallet:
     def authorize_many(self, requests: Iterable[Tuple[Subject, Role]],
                        constraints: Iterable[Constraint] = (),
                        bases: Optional[Mapping[AttributeRef, float]] = None,
-                       strategy: Strategy = Strategy.BIDIRECTIONAL,
-                       stats: Optional[SearchStats] = None,
-                       use_cache: Optional[bool] = None
+                       stats: Optional[SearchStats] = None
                        ) -> List[Optional[Proof]]:
         """Direct-query a batch of ``(subject, obj)`` pairs at one instant.
 
@@ -763,12 +654,10 @@ class Wallet:
         merged = self._merged_bases(bases)
         now = self.clock.now()
         index = self._ready_reach_index()
-        cached = self._cache_active(use_cache)
         provider = self.support_provider()
         search_stats = stats if stats is not None else SearchStats()
         return [self._search_direct(subject, obj, constraints, merged, now,
-                                    index, cached, strategy, search_stats,
-                                    provider)
+                                    index, search_stats, provider)
                 for subject, obj in requests]
 
     def await_proof(self, subject: Subject, obj: Role,

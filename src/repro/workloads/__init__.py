@@ -27,13 +27,11 @@ from repro.workloads.scenarios import (
     DistributedCaseStudy,
     DistributedFederation,
     FederationDomain,
-    ServiceDomain,
     ServicePopulation,
     Table1Scenario,
     build_case_study,
     build_distributed_case_study,
     build_distributed_federation,
-    build_service_population,
     build_table1,
 )
 
@@ -52,11 +50,9 @@ __all__ = [
     "DistributedFederation",
     "FederationDomain",
     "Table1Scenario",
-    "ServiceDomain",
     "ServicePopulation",
     "build_case_study",
     "build_distributed_case_study",
     "build_distributed_federation",
-    "build_service_population",
     "build_table1",
 ]

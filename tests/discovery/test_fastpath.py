@@ -185,16 +185,6 @@ class TestResultCache:
         assert len(engine.result_cache._growable) == 0
         assert len(engine.result_cache) == positives
 
-    def test_cache_info_surfaced_via_wallet(self, two_home, alice):
-        engine, server, _network, roles = two_home
-        assert engine.discover(alice.entity, roles[2]) is not None
-        info = server.wallet.cache_info()
-        assert "discovery" in info
-        disc = info["discovery"]
-        assert disc["fastpath"] is True
-        assert disc["stats"]["rounds"] == 2
-        assert disc["result_cache"]["stores"] == 2
-
 
 class TestCoalescingAndSessions:
     def test_chain_found_one_exchange_per_home(self, two_home, alice):

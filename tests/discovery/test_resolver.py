@@ -87,6 +87,22 @@ class TestRemoteSubscriptions:
         assert reply["known"] is False
         assert reply["revoked"] is False
 
+    def test_unknown_ids_hold_nothing(self, deployment):
+        """A home stores no subscription for an id it does not hold, so
+        a peer cannot grow its holdings by naming made-up ids, and the
+        cancel built from such a reply sends nothing."""
+        net, s1, s2, _role = deployment
+        for n in range(5_000):
+            reply = s1.rpc.call("w2", "subscribe",
+                                {"delegation_id": f"ghost{n}"})
+            assert "subscription" not in reply
+        assert s2.holdings_count() == 0
+        assert s2.wallet.hub.subscriber_count("ghost0") == 0
+        cancel = s1.remote_subscribe("w2", "ghost0")
+        net.reset_counters()
+        cancel()
+        assert net.totals.messages == 0
+
     def test_subscribe_is_idempotent_per_peer(self, deployment, org, alice):
         """One (peer, delegation) pair is one subscription however often
         it is asked for: the same token comes back, one revocation is

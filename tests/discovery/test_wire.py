@@ -1,6 +1,7 @@
 import pytest
 
 from repro.core import AttributeRef, Constraint, Role
+from repro.core.errors import DiscoveryError
 from repro.discovery import wire
 
 
@@ -31,6 +32,16 @@ class TestConstraints:
     def test_empty(self):
         assert wire.constraints_from_wire(wire.constraints_to_wire(())) \
             == ()
+
+
+@pytest.mark.parametrize("decode", [wire.constraints_from_wire,
+                                    wire.bases_from_wire])
+@pytest.mark.parametrize("data", [
+    [1], [{}], [{"entity": 1, "name": "x", "minimum": 1}], 5,
+])
+def test_malformed_attribute_lists_raise_discovery_error(decode, data):
+    with pytest.raises(DiscoveryError):
+        decode(data)
 
 
 class TestBases:

@@ -16,7 +16,7 @@ from repro.core import renew
 from repro.disco.service import DiscoService
 from repro.disco.sessions import SessionState
 from repro.net.simnet import Simulation
-from repro.wallet.maintenance import schedule_maintenance
+from repro.discovery.maintenance import schedule_maintenance
 from repro.workloads.scenarios import build_distributed_federation
 
 

@@ -16,10 +16,10 @@ from repro import obs
 from repro.core.delegation import Delegation
 from repro.crypto.encoding import canonical_decode, canonical_encode
 from repro.service import shard
+from repro.service.population import SERVICE_EPOCH
 from repro.service.shard import (
     CREDENTIAL_INDEX_SIZE, CredentialIndex, ShardRuntime,
 )
-from repro.workloads.scenarios import SERVICE_EPOCH
 
 from .test_service import POP, _authorize
 

@@ -32,9 +32,9 @@ from repro.service import (
     encode_frame,
 )
 from repro.service import transport
+from repro.service.population import SERVICE_EPOCH
 from repro.service.router import RETRY_AFTER_MS
 from repro.service.transport import HEADER
-from repro.workloads.scenarios import SERVICE_EPOCH
 
 from .test_service import POP, _authorize, reference_proof_bytes
 

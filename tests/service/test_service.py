@@ -32,10 +32,10 @@ from repro.service import (
     STATUS_RETRY_LATER,
     ServiceError,
 )
+from repro.service.population import SERVICE_EPOCH, ServicePopulation
 from repro.service.router import RETRY_AFTER_MS
 from repro.service.shard import ShardRuntime, ThreadShard
 from repro.wallet.wallet import Wallet
-from repro.workloads.scenarios import SERVICE_EPOCH, ServicePopulation
 
 POP = ServicePopulation(seed=3, population=400, domains=8,
                         hot_size=50, hot_fraction=0.9)
@@ -72,7 +72,7 @@ def reference_proof_bytes(index):
     credential = POP.credential(index)
     home = Wallet(owner=domain.authority,
                   address=f"wallet.{namespace}",
-                  clock=SimClock(SERVICE_EPOCH), cache_size=4096)
+                  clock=SimClock(SERVICE_EPOCH))
     home.publish(domain.grant)
     home.publish(credential)
     monitor = home.authorize(credential.subject, domain.access)

@@ -16,14 +16,8 @@ LAYERS = (("obs",), ("crypto",), ("core",), ("graph", "pubsub"),
 RANK = {name: rank for rank, row in enumerate(LAYERS) for name in row}
 TOP = len(LAYERS) - 1
 
-# Today's exceptions.  This set may only shrink: an entry that stops
-# being needed fails the test until it is deleted.
-ALLOWED = {
-    ("service/shard.py", "workloads"), ("service/router.py", "workloads"),
-    ("service/loadgen.py", "workloads"),    # the seeded ServicePopulation
-    ("wallet/wallet.py", "analysis"),       # lazy import for the lint gate
-    ("wallet/maintenance.py", "discovery"), ("wallet/maintenance.py", "net"),
-}
+# Exceptions: none.  A new upward import fails the test.
+ALLOWED = set()
 
 
 def _imported_packages(tree):

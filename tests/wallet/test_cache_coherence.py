@@ -268,11 +268,15 @@ class TestBatchedAuthorization:
         wallet.authorize_many(requests)
         assert wallet.proof_cache.stats.hits >= 9
 
-    def test_batch_respects_no_cache_flag(self, wallet, org, alice):
+    def test_batch_respects_no_cache_flag(self, org, alice, clock):
+        """An uncached wallet searches every request of the batch."""
         r = Role(org.entity, "r")
-        wallet.publish(issue(org, alice.entity, r))
-        wallet.authorize_many([(alice.entity, r)] * 3, use_cache=False)
-        assert wallet.proof_cache.stats.hits == 0
+        with obs.scoped() as scope:
+            wallet = Wallet(owner=org, clock=clock, cache=False)
+            wallet.publish(issue(org, alice.entity, r))
+            proofs = wallet.authorize_many([(alice.entity, r)] * 3)
+        assert all(proof is not None for proof in proofs)
+        assert scope.registry.total("drbac_wallet_searches_total") == 3
 
     def test_uncached_wallet_has_no_cache_objects(self, org, clock):
         wallet = Wallet(owner=org, clock=clock, cache=False)

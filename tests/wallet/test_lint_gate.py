@@ -1,7 +1,9 @@
-"""The wallet's optional pre-publication lint gate."""
+"""The pre-publication lint gate: ``publication_findings`` before
+``Wallet.publish``, as ``drbac issue --lint`` runs it."""
 
 import pytest
 
+from repro.analysis.static import publication_findings
 from repro.core.attributes import AttributeRef, Modifier, Operator
 from repro.core.delegation import issue
 from repro.core.errors import PublicationError
@@ -24,88 +26,81 @@ def self_noop(org):
     return issue(org, org.entity, Role(org.entity, "solo"))
 
 
+def gated_publish(wallet, delegation, threshold, supports=()):
+    """Publish unless the gate finds something; raise like the CLI."""
+    blocking = publication_findings(wallet, delegation, supports,
+                                    threshold)
+    if blocking:
+        raise PublicationError("; ".join(
+            f"{finding.rule_id}: {finding.message}" for finding in blocking))
+    return wallet.publish(delegation, supports)
+
+
 class TestGateOff:
     def test_default_wallet_has_no_gate(self, org):
+        """A plain publish runs no analyzer: the defect goes in."""
         wallet = Wallet(owner=org, address="w.test")
-        assert wallet.publish(self_noop(org))
-        assert wallet.lint_gate_info()["checks"] == 0
-        assert "lint_gate" not in wallet.cache_info()
+        defect = self_noop(org)
+        assert wallet.publish(defect)
+        assert wallet.store.get_delegation(defect.id) is not None
 
 
 class TestGateOn:
     def test_blocks_at_threshold(self, org):
-        wallet = Wallet(owner=org, address="w.test", lint_gate="warn")
+        wallet = Wallet(owner=org, address="w.test")
         with pytest.raises(PublicationError) as excinfo:
-            wallet.publish(self_noop(org))
+            gated_publish(wallet, self_noop(org), "warn")
         assert "self-delegation" in str(excinfo.value)
         assert len(wallet.store) == 0
 
     def test_error_threshold_lets_warnings_through(self, org):
-        wallet = Wallet(owner=org, address="w.test", lint_gate="error")
-        assert wallet.publish(self_noop(org))
+        wallet = Wallet(owner=org, address="w.test")
+        assert gated_publish(wallet, self_noop(org), "error")
 
     def test_blocks_edge_that_completes_a_cycle(self, org, holder):
         """Each leg is clean alone; the gate analyzes the would-be
         graph, so the leg that closes the amplifying cycle is caught."""
-        wallet = Wallet(owner=org, address="w.test", lint_gate="error")
+        wallet = Wallet(owner=org, address="w.test")
         x, y = Role(org.entity, "x"), Role(org.entity, "y")
         amp = AttributeRef(org.entity, "amp")
-        assert wallet.publish(issue(org, holder.entity, x))
-        assert wallet.publish(issue(
+        assert gated_publish(wallet, issue(org, holder.entity, x), "error")
+        assert gated_publish(wallet, issue(
             org, x, y,
-            modifiers=[Modifier(amp, Operator.MULTIPLY, 0.5)]))
+            modifiers=[Modifier(amp, Operator.MULTIPLY, 0.5)]), "error")
         with pytest.raises(PublicationError) as excinfo:
-            wallet.publish(issue(org, y, x))
+            gated_publish(wallet, issue(org, y, x), "error")
         assert "amplification-cycle" in str(excinfo.value)
 
     def test_clean_delegation_passes(self, org, holder):
-        wallet = Wallet(owner=org, address="w.test", lint_gate="warn")
-        assert wallet.publish(
-            issue(org, holder.entity, Role(org.entity, "svc")))
-        info = wallet.lint_gate_info()
-        assert info["checks"] == 1
-        assert info["blocked"] == 0
+        wallet = Wallet(owner=org, address="w.test")
+        clean = issue(org, holder.entity, Role(org.entity, "svc"))
+        assert publication_findings(wallet, clean, (), "info") == []
+        assert gated_publish(wallet, clean, "warn")
 
     def test_preexisting_defects_do_not_block_newcomers(self, org,
                                                         holder):
         """Only findings implicating the candidate block it."""
         wallet = Wallet(owner=org, address="w.test")
         wallet.publish(self_noop(org))  # defect already in the store
-        wallet.lint_gate = "warn"
-        assert wallet.publish(
-            issue(org, holder.entity, Role(org.entity, "svc")))
+        newcomer = issue(org, holder.entity, Role(org.entity, "svc"))
+        assert publication_findings(wallet, newcomer, (), "info") == []
+        assert gated_publish(wallet, newcomer, "warn")
 
     def test_graph_unchanged_after_block(self, org, holder):
-        wallet = Wallet(owner=org, address="w.test", lint_gate="warn")
+        wallet = Wallet(owner=org, address="w.test")
         clean = issue(org, holder.entity, Role(org.entity, "svc"))
-        wallet.publish(clean)
+        gated_publish(wallet, clean, "warn")
         with pytest.raises(PublicationError):
-            wallet.publish(self_noop(org))
+            gated_publish(wallet, self_noop(org), "warn")
         assert len(wallet.store) == 1
         assert wallet.query_direct(holder.entity,
                                    Role(org.entity, "svc")) is not None
 
-
-class TestPerCallOverride:
-    def test_override_enables(self, org):
+    def test_held_delegation_has_no_findings(self, org):
+        """Publishing what the wallet already holds adds nothing, so
+        even a defective delegation has no findings the second time."""
         wallet = Wallet(owner=org, address="w.test")
-        with pytest.raises(PublicationError):
-            wallet.publish(self_noop(org), lint="warn")
-
-    def test_off_disables_instance_gate(self, org):
-        wallet = Wallet(owner=org, address="w.test", lint_gate="warn")
-        assert wallet.publish(self_noop(org), lint="off")
-
-
-class TestAccounting:
-    def test_stats_surface_in_cache_info(self, org, holder):
-        wallet = Wallet(owner=org, address="w.test", lint_gate="warn")
-        wallet.publish(issue(org, holder.entity,
-                             Role(org.entity, "svc")))
-        with pytest.raises(PublicationError):
-            wallet.publish(self_noop(org))
-        info = wallet.cache_info()["lint_gate"]
-        assert info["checks"] == 2
-        assert info["blocked"] == 1
-        assert info["seconds"] > 0.0
-        assert info["threshold"] == "warn"
+        defect = self_noop(org)
+        assert publication_findings(wallet, defect, (), "info")
+        wallet.publish(defect)
+        assert publication_findings(wallet, defect, (), "info") == []

@@ -6,10 +6,10 @@ import pytest
 from repro.core import DiscoveryTag, Role, SubjectFlag, issue
 from repro.core.roles import subject_key
 from repro.discovery.engine import DiscoveryEngine
+from repro.discovery.maintenance import WalletMaintenance, schedule_maintenance
 from repro.discovery.resolver import WalletServer
 from repro.net.simnet import Simulation
 from repro.net.transport import Network
-from repro.wallet.maintenance import WalletMaintenance, schedule_maintenance
 from repro.wallet.wallet import Wallet
 
 TTL = 30.0

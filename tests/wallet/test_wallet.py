@@ -11,7 +11,7 @@ from repro.core import (
     SimClock,
     issue,
 )
-from repro.graph.search import SearchStats, Strategy
+from repro.graph.search import SearchStats, Strategy, direct_query
 from repro.wallet.wallet import Wallet
 
 
@@ -102,8 +102,11 @@ class TestQueries:
 
     def test_strategies_agree(self, loaded, table1):
         for strategy in Strategy:
-            assert loaded.query_direct(table1.maria.entity, table1.member,
-                                       strategy=strategy) is not None
+            assert direct_query(
+                loaded.store.graph, table1.maria.entity, table1.member,
+                at=loaded.clock.now(), revoked=loaded.store.is_revoked,
+                strategy=strategy,
+                support_provider=loaded.support_provider()) is not None
 
     def test_stats_forwarded(self, loaded, table1):
         stats = SearchStats()
