@@ -12,11 +12,14 @@ Two encoding families live here:
   answers of one discovery search. A home keeps a per-root seen-set
   and replaces a delegation the origin already has -- shipped earlier
   for that root, or held under a live validation subscription -- with
-  ``{"ref": <delegation id>}``; the origin resolves refs against what
-  it received in full during the same search, then its wallet. Each
-  certificate therefore crosses the wire only while the origin lacks
-  it, and the byte counters record the savings honestly because the
-  refs are what actually crosses the simulated wire.
+  the 32 raw bytes of its id (SAFE's content-hash links); the origin
+  resolves refs against what it received in full during the same
+  search, then its wallet. A record carries only what the origin
+  cannot derive: no endpoints (the chain's ends are the proof's) and
+  no empty support map. Each certificate therefore crosses the wire
+  only while the origin lacks it, and the byte counters record the
+  savings honestly because the refs are what actually crosses the
+  simulated wire.
 """
 
 from typing import (
@@ -155,9 +158,16 @@ def gem_goal_from_wire(data: Mapping) -> Tuple[str, Subject]:
 # Session-deduplicated proof encoding
 # ---------------------------------------------------------------------------
 #
-# A delegation's wire dict never carries a bare "ref" key (its mandatory
-# keys are "v"/"subject"/"object"/...), so {"ref": <id>} is unambiguous
-# as a placeholder for a certificate the channel has already carried.
+# A record is {"chain": [...], "supports": {...}}, "supports" absent when
+# empty. A chain entry is a delegation map or the 32 raw bytes of a
+# delegation id: a delegation's wire form is always a map, so a
+# ``bytes`` entry is unambiguously a reference. The endpoints are not
+# sent: Table 1 linkage makes them the chain's first subject and last
+# object, and the decoder takes them from there.
+
+_ID_BYTES = 32
+_RECORD_KEYS = frozenset(("chain", "supports"))
+_NO_SUPPORTS: dict = {}     # read only
 
 
 def proof_to_wire_session(proof: Proof, sent_ids: Set[str]) -> dict:
@@ -169,7 +179,7 @@ def proof_to_wire_session(proof: Proof, sent_ids: Set[str]) -> dict:
         for delegation in p.chain:
             delegation_id = delegation.id
             if delegation_id in sent_ids:
-                chain.append({"ref": delegation_id})
+                chain.append(bytes.fromhex(delegation_id))
             else:
                 sent_ids.add(delegation_id)
                 chain.append(delegation.to_dict())
@@ -177,9 +187,9 @@ def proof_to_wire_session(proof: Proof, sent_ids: Set[str]) -> dict:
             if proofs:
                 supported.append((delegation_id, proofs))
         # Supports after the whole chain: they see its links as sent.
+        if not supported:
+            return {"chain": chain}
         return {
-            "subject": p.subject.subject_map(),
-            "object": p.obj.to_dict(),
             "chain": chain,
             "supports": {delegation_id: [encode(s) for s in proofs]
                          for delegation_id, proofs in supported},
@@ -196,6 +206,8 @@ def proof_full_delegations(data: Mapping,
     proof. Used to pre-seed the receiver's store before decoding -- a
     certificate shipped in one payload of an answer resolves refs in
     the others. The ids the proof only refers to are added to ``refs``.
+    Anything not shaped like a session record raises
+    :class:`DiscoveryError`.
 
     ``memo`` (entry-identity keyed) shares the materialized
     :class:`Delegation` objects with a later
@@ -204,23 +216,15 @@ def proof_full_delegations(data: Mapping,
     The caller owns the memo's lifetime: keys are ``id(entry)``, valid
     only while it keeps the payloads alive.
     """
+    memo = {} if memo is None else memo
     stack = [data]
     while stack:
         chain, supports = _session_record(stack.pop())
-        for entry in chain:
-            ref = _ref(entry)
-            if ref is not None:
-                if refs is not None:
-                    refs.add(ref)
-            elif memo is None:
-                yield Delegation.from_dict(entry)
-            else:
-                key = id(entry)
-                delegation = memo.get(key)
-                if delegation is None:
-                    delegation = Delegation.from_dict(entry)
-                    memo[key] = delegation
-                yield delegation
+        for link in _links(chain, memo):
+            if link.__class__ is not str:
+                yield link
+            elif refs is not None:
+                refs.add(link)
         for proofs in supports.values():
             stack.extend(proofs)
 
@@ -230,7 +234,10 @@ def proof_from_wire_session(data: Mapping,
                             record: Optional[Callable[[Delegation], None]]
                             = None,
                             memo: Optional[dict] = None) -> Proof:
-    """Decode a session-encoded proof.
+    """Decode a session-encoded proof; its subject and object are its
+    chain's ends. A record with any key beside ``chain`` and
+    ``supports`` -- endpoints that could disagree with the chain -- is
+    refused.
 
     ``resolve`` maps a ref id to the full :class:`Delegation` (the
     search's received-store or the wallet -- raising on an unknown
@@ -243,27 +250,23 @@ def proof_from_wire_session(data: Mapping,
     :class:`~repro.core.errors.DRBACError`; what ``resolve`` and
     ``record`` raise passes through.
     """
+    memo = {} if memo is None else memo
 
     def decode(node: Mapping) -> Proof:
         entries, supports = _session_record(node)
+        if not node.keys() <= _RECORD_KEYS:
+            raise DiscoveryError("a session record carries only its chain "
+                                 "and supports; its ends are derived")
         chain = []
-        for entry in entries:
-            ref = _ref(entry)
-            if ref is not None:
-                chain.append(resolve(ref))
-            else:
-                delegation = memo.get(id(entry)) if memo is not None \
-                    else None
-                if delegation is None:
-                    delegation = Delegation.from_dict(entry)
-                    if memo is not None:
-                        memo[id(entry)] = delegation
-                if record is not None:
-                    record(delegation)
-                chain.append(delegation)
+        for link in _links(entries, memo):
+            if link.__class__ is str:
+                link = resolve(link)
+            elif record is not None:
+                record(link)
+            chain.append(link)
         return Proof(
-            subject=subject_from_dict(node.get("subject")),
-            obj=role_from_dict(node.get("object")),
+            subject=chain[0].subject,
+            obj=chain[-1].obj,
             chain=chain,
             supports={
                 delegation_id: tuple(decode(p) for p in proofs)
@@ -276,21 +279,41 @@ def proof_from_wire_session(data: Mapping,
 
 def _session_record(node: Any) -> Tuple[list, dict]:
     """The chain and supports of a session-encoded proof record, or a
-    :class:`DiscoveryError` if ``node`` is not shaped like one."""
+    :class:`DiscoveryError` if ``node`` is not shaped like one: a map
+    with a non-empty ``chain`` list and, only when there are any,
+    ``supports`` lists keyed by delegation id."""
     if isinstance(node, dict):
-        chain, supports = node.get("chain"), node.get("supports", {})
-        if isinstance(chain, list) and isinstance(supports, dict) and (
-                not supports or all(isinstance(proofs, list)
-                                    for proofs in supports.values())):
+        chain = node.get("chain")
+        supports = node.get("supports", _NO_SUPPORTS)
+        if isinstance(chain, list) and chain \
+                and isinstance(supports, dict) \
+                and (supports is _NO_SUPPORTS or supports) \
+                and all(isinstance(proofs, list)
+                        for proofs in supports.values()):
             return chain, supports
     raise DiscoveryError("not a session-encoded proof record")
 
 
-def _ref(entry: Any) -> Optional[str]:
-    """The id a chain entry refers to; None if it carries the whole
-    delegation. :class:`DiscoveryError` if it is neither."""
-    if isinstance(entry, dict):
-        ref = entry.get("ref")
-        if ref is None or ref.__class__ is str:
-            return ref
-    raise DiscoveryError("a chain entry is a delegation map or a ref")
+def _links(entries: list, memo: dict) -> Iterator[Any]:
+    """Each chain entry as the hex id it refers to or the
+    :class:`Delegation` it carries (decoded once per entry object, via
+    ``memo``). :class:`DiscoveryError` for anything else."""
+    for entry in entries:
+        if isinstance(entry, bytes):
+            if len(entry) != _ID_BYTES:
+                raise DiscoveryError(
+                    f"a ref is {_ID_BYTES} bytes, not {len(entry)}")
+            yield entry.hex()
+        elif isinstance(entry, dict):
+            delegation = memo.get(id(entry))
+            if delegation is None:
+                try:
+                    delegation = Delegation.from_dict(entry)
+                except DRBACError as exc:
+                    raise DiscoveryError(
+                        f"not a delegation map: {exc}") from exc
+                memo[id(entry)] = delegation
+            yield delegation
+        else:
+            raise DiscoveryError(
+                "a chain entry is a delegation map or a 32-byte ref")

@@ -368,7 +368,7 @@ class TestAnswerAcceptance:
     @staticmethod
     def _ref_only(proof, ref):
         payload = wire.proof_to_wire_session(proof, set())
-        payload["chain"] = [{"ref": ref}]
+        payload["chain"] = [bytes.fromhex(ref)]
         return payload
 
     def test_ref_to_a_credential_nobody_has_is_not_cached(
@@ -428,7 +428,7 @@ class TestAnswerAcceptance:
         def forge(_params):
             lost = self._ref_only(Proof.single(link), "f" * 64)
             return [lost, dict(lost, subject=5,
-                               chain=[{"ref": held.id}])]
+                               chain=[bytes.fromhex(held.id)])]
 
         self._lying_mid(network, forge)
         assert engine.discover(alice.entity, roles[2]) is None

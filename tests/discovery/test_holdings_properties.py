@@ -3,7 +3,7 @@ holds must be indistinguishable from one that ships everything.
 
 A home's subscription table doubles as its index of which credentials
 each peer holds (``WalletServer._holdings``), and discovery answers
-carry ``{"ref": id}`` for anything in it. The state machine below
+carry a 32-byte id ref for anything in it. The state machine below
 drives random interleavings of discover / revoke / lease lapse /
 one-way partitions / result-cache flushes / home restarts over a
 cyclic coalition and a ring federation, and after every discover

@@ -1,0 +1,157 @@
+"""Placement invariance: a decision does not depend on where the
+credentials live.
+
+Section 4.2's claim is that tag-directed discovery finds what a wallet
+holding every credential would find. Hypothesis generates small
+credential sets -- role-to-role delegations across a few domains, each
+modulating valued attributes under all three Table 2 operators, every
+node tagged ``S``/``O`` with a randomly drawn home -- plus constraints
+on the query. Each set is evaluated twice: once in a single
+:class:`Wallet` holding everything, once deployed across the homes its
+tags name (``deploy_coalition``) and searched by ``discover``. For
+every role:
+
+* discovery grants exactly when the single wallet grants;
+* where the role has one simple path from the user, so the grant has
+  one proof, both grants carry the same attribute values (Table 3's
+  arithmetic); where it has several, which one a search meets first is
+  not part of the contract;
+* every distributed proof passes ``Wallet.validate`` at the origin,
+  under the query's constraints.
+"""
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from repro.core import DiscoveryTag, ObjectFlag, Role, SubjectFlag
+from repro.core.attributes import AttributeRef, Constraint, Modifier, Operator
+from repro.core.delegation import issue
+from repro.core.identity import create_principal
+from repro.wallet.wallet import Wallet
+from repro.workloads.scenarios import deploy_coalition
+from repro.workloads.topology import GeneratedWorkload
+
+from .test_gem_hypothesis import _simple_paths
+
+# Key generation dominates example cost: one immutable pool, shared.
+DOMAINS = 3
+ROLES_PER_DOMAIN = 2
+NODES = DOMAINS * ROLES_PER_DOMAIN
+OWNERS = [create_principal(f"D{k}") for k in range(DOMAINS)]
+USER = create_principal("user")
+TTL = 300.0
+HOMES = [f"wallet.d{k}.example" for k in range(DOMAINS)]
+ROLES = [Role(OWNERS[n // ROLES_PER_DOMAIN].entity,
+              f"r{n % ROLES_PER_DOMAIN}") for n in range(NODES)]
+
+# One attribute per Table 2 operator in each domain's namespace (each
+# attribute is bound to a single operator), with the values a modifier
+# on it may take and the resource's base allocation.
+OPERATORS = {
+    "BW": (Operator.MIN, st.sampled_from([0.0, 40.0, 80.0, 150.0])),
+    "storage": (Operator.SUBTRACT, st.sampled_from([0.0, 5.0, 30.0])),
+    "hours": (Operator.MULTIPLY, st.sampled_from([0.25, 0.5, 1.0])),
+}
+BASES = {AttributeRef(owner.entity, name): 100.0
+         for owner in OWNERS for name in OPERATORS}
+
+
+@st.composite
+def modifiers(draw, domain):
+    """Modifiers on attributes of the object's domain (Section 3.2.1)."""
+    names = draw(st.sets(st.sampled_from(sorted(OPERATORS)), max_size=2))
+    return [Modifier(AttributeRef(OWNERS[domain].entity, name),
+                     OPERATORS[name][0], draw(OPERATORS[name][1]))
+            for name in sorted(names)]
+
+
+@st.composite
+def credential_sets(draw):
+    """(edges, homes, constraints): a placed, valued credential set."""
+    pairs = draw(st.sets(
+        st.tuples(st.integers(0, NODES - 1), st.integers(0, NODES - 1))
+        .filter(lambda e: e[0] != e[1]), min_size=2, max_size=2 * NODES))
+    edges = [(a, b, draw(modifiers(b // ROLES_PER_DOMAIN)))
+             for a, b in sorted(pairs)]
+    homes = draw(st.lists(st.integers(0, DOMAINS - 1),
+                          min_size=NODES, max_size=NODES))
+    # Constraints bind only on attributes some credential modulates.
+    modulated = sorted({m.attribute for _a, _b, mods in edges
+                        for m in mods},
+                       key=lambda a: (a.entity.id, a.name))
+    if not modulated:
+        return edges, homes, ()
+    constraints = draw(st.lists(
+        st.builds(Constraint, st.sampled_from(modulated),
+                  st.sampled_from([10.0, 50.0, 90.0])), max_size=2))
+    return edges, homes, tuple(constraints)
+
+
+def _tag(node, homes):
+    home = homes[node]
+    return DiscoveryTag(home=HOMES[home],
+                        auth_role_name=ROLES[home * ROLES_PER_DOMAIN]
+                        .qualified_name,
+                        ttl=TTL, subject_flag=SubjectFlag.SEARCH,
+                        object_flag=ObjectFlag.SEARCH)
+
+
+def _workload(edges, homes):
+    delegations = [(issue(OWNERS[0], USER.entity, ROLES[0],
+                          object_tag=_tag(0, homes)), ())]
+    for a, b, mods in edges:
+        delegations.append((issue(
+            OWNERS[b // ROLES_PER_DOMAIN], ROLES[a], ROLES[b],
+            modifiers=mods, subject_tag=_tag(a, homes),
+            object_tag=_tag(b, homes)), ()))
+    return GeneratedWorkload(
+        principals={p.nickname: p for p in [USER, *OWNERS]},
+        delegations=delegations, subject=USER.entity, obj=ROLES[0],
+        description=f"placed credential set, {len(edges)} edges",
+        extras={"family": "placed", "home_addresses": HOMES})
+
+
+def _covered_head_under_constraints():
+    """Node 0 and node 2 share home 0. Under ``D1.storage >= 50`` the
+    chain 0 -> 2 -> 3 fails (100 - 30 - 30) where 0 -> 4 -> 5 -> 2 -> 3
+    passes (100 - 30); home 0's closure for node 0 holds 0 -> 2 but not
+    2 -> 3, so node 2 must be asked again, not taken as covered."""
+    storage = AttributeRef(OWNERS[1].entity, "storage")
+
+    def spend():
+        return [Modifier(storage, Operator.SUBTRACT, 30.0)]
+
+    edges = [(0, 2, spend()), (0, 4, []), (2, 3, spend()), (4, 5, []),
+             (5, 2, [])]
+    return edges, [0, 2, 0, 2, 1, 1], (Constraint(storage, 50.0),)
+
+
+# The example budget is the loaded profile's (tests/conftest.py): 10 in
+# tier-1, 200 under ``--hypothesis-profile=long``.
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(credential_sets())
+@example(_covered_head_under_constraints())
+def test_discovery_decides_as_one_wallet_holding_everything(case):
+    edges, homes, constraints = case
+    workload = _workload(edges, homes)
+    single = Wallet(owner=OWNERS[0])
+    for delegation, supports in workload.delegations:
+        single.publish(delegation, supports)
+    deployed = deploy_coalition(workload)
+    try:
+        origin = deployed.server.wallet
+        origin.publish(deployed.entry)
+        for node, role in enumerate(ROLES):
+            local = single.query_direct(USER.entity, role, constraints,
+                                        BASES)
+            found = deployed.engine.discover(
+                USER.entity, role, constraints, BASES,
+                max_remote_queries=1024)
+            assert (found is None) == (local is None), role
+            if found is None:
+                continue
+            origin.validate(found, constraints, BASES)
+            if _simple_paths([(a, b) for a, b, _m in edges], 0, node) == 1:
+                assert found.grants(BASES) == local.grants(BASES), role
+    finally:
+        deployed.close()

@@ -1,0 +1,245 @@
+"""The session-encoded ``gem_answers`` record under hostile input.
+
+A home's answer is untrusted input at the origin (ROADMAP item 1: the
+decode boundary is the security boundary). The record is
+``{"chain": [...], "supports": {...}}``: each chain entry a delegation
+map or a 32-byte id, the endpoints derived from the chain, ``supports``
+absent when empty. The contract pinned here:
+
+* ``proof_full_delegations`` raises only :class:`DiscoveryError`;
+* ``proof_from_wire_session`` raises only a :class:`DRBACError`;
+* a valid record still round-trips to the very proof the home encoded.
+
+The fuzzer starts from valid answers -- the Table 3 proof with its
+support proofs, and a ring coalition's chains, encoded against one
+sent-set so later answers carry refs -- and mutates them the ways a
+lying or broken home could: truncate a chain, give a ref the wrong
+length, splice in a record or a chain from another proof, flip an
+entry's type, or name endpoints.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.errors import DiscoveryError, DRBACError
+from repro.crypto.encoding import canonical_decode, canonical_encode
+from repro.discovery import wire
+from repro.wallet.wallet import Wallet
+from repro.workloads import build_case_study, topology
+
+
+def _valid_answers():
+    """(proof, payload) pairs, encoded in order against one sent-set."""
+    case = build_case_study(seed=3)
+    wallet = case.populate_wallet(Wallet(owner=case.air_net))
+    table3 = wallet.query_direct(case.maria.entity, case.airnet_access)
+    ring = topology.make_ring_coalition(4, seed=5)
+    ring_wallet = Wallet(owner=ring.principals["D0"])
+    for delegation, supports in ring.delegations:
+        ring_wallet.publish(delegation, supports)
+    ring_proofs = ring_wallet.query_subject(ring.subject)
+    proofs = [table3, *case.coalition_support, *ring_proofs]
+    assert table3.supports_for(case.d2_coalition) and len(ring_proofs) > 2
+    sent = set()
+    return [(proof, wire.proof_to_wire_session(proof, sent))
+            for proof in proofs]
+
+
+ANSWERS = _valid_answers()
+KNOWN = {d.id: d for proof, _payload in ANSWERS
+         for d in proof.all_delegations()}
+
+
+def _resolve(delegation_id):
+    delegation = KNOWN.get(delegation_id)
+    if delegation is None:
+        raise DiscoveryError(f"unknown ref {delegation_id}")
+    return delegation
+
+
+def _copy(record):
+    """A structural copy: fresh records and chain lists, shared leaves."""
+    copied = {"chain": list(record["chain"])}
+    if "supports" in record:
+        copied["supports"] = {key: [_copy(p) for p in proofs]
+                              for key, proofs in record["supports"].items()}
+    return copied
+
+
+def _records(payload):
+    """Every record of a payload, supports included, outermost first."""
+    found, stack = [], [payload]
+    while stack:
+        record = stack.pop()
+        found.append(record)
+        for proofs in record.get("supports", {}).values():
+            stack.extend(reversed(proofs))
+    return found
+
+
+def _ref(entry):
+    """The 32-byte id of a chain entry, whichever form it has."""
+    if isinstance(entry, bytes):
+        return entry
+    return bytes.fromhex(wire.delegation_from_wire(entry).id)
+
+
+def _decode_both(payload):
+    """Run both passes; return what each raised (None: nothing)."""
+    raised = []
+    try:
+        list(wire.proof_full_delegations(payload))
+        raised.append(None)
+    except DiscoveryError as exc:
+        raised.append(exc)
+    try:
+        wire.proof_from_wire_session(payload, _resolve)
+        raised.append(None)
+    except DRBACError as exc:
+        raised.append(exc)
+    return raised
+
+
+class TestValidRecords:
+    def test_round_trip_is_byte_identical(self):
+        received = {}
+
+        def resolve(delegation_id):
+            return received.get(delegation_id) or _resolve(delegation_id)
+
+        for proof, payload in ANSWERS:
+            for candidate in (payload,
+                              canonical_decode(canonical_encode(payload))):
+                decoded = wire.proof_from_wire_session(
+                    candidate, resolve,
+                    lambda d: received.__setitem__(d.id, d))
+                assert canonical_encode(decoded.to_dict()) \
+                    == canonical_encode(proof.to_dict())
+
+    def test_the_pool_has_every_record_shape(self):
+        records = [r for _p, payload in ANSWERS for r in _records(payload)]
+        entries = [e for r in records for e in r["chain"]]
+        assert any("supports" in r for r in records)
+        assert any(isinstance(e, bytes) for e in entries)
+        assert any(isinstance(e, dict) for e in entries)
+        assert all(r.keys() <= {"chain", "supports"} for r in records)
+        assert all(r.get("supports", True) for r in records)
+        assert all(len(e) == 32 for e in entries if isinstance(e, bytes))
+
+
+def _with_chain(chain):
+    return {"chain": chain}
+
+
+_FIRST = ANSWERS[0][1]
+_A_REF = _ref(_FIRST["chain"][0])
+
+
+@pytest.mark.parametrize("record", [
+    _with_chain([]),
+    _with_chain([_A_REF[:31]]),
+    _with_chain([_A_REF + b"\0"]),
+    _with_chain([b""]),
+    _with_chain([_A_REF.hex()]),
+    _with_chain([_FIRST["chain"][0], _A_REF.hex()]),
+    _with_chain([{"ref": _A_REF.hex()}]),
+    _with_chain([{"subject": []}]),
+    {"chain": [_A_REF], "supports": {}},
+    {"chain": [_A_REF], "supports": {_A_REF.hex(): [{"chain": []}]}},
+], ids=["empty-chain", "ref-31", "ref-33", "ref-0", "str-ref",
+        "str-ref-after-map", "old-ref-map", "broken-map", "empty-supports",
+        "empty-support-chain"])
+def test_a_misshapen_record_raises_the_typed_error(record):
+    first, second = _decode_both(record)
+    assert isinstance(first, DiscoveryError)
+    assert isinstance(second, DiscoveryError)
+
+
+@pytest.mark.parametrize("key", ["subject", "object"])
+def test_an_endpoint_that_disagrees_with_the_chain_is_refused(key):
+    """The record names an end its chain does not have: never a proof."""
+    proof, payload = ANSWERS[0]
+    other = ANSWERS[-1][0]
+    wrong = other.subject.subject_map() if key == "subject" \
+        else other.obj.to_dict()
+    assert wrong != (proof.subject.subject_map() if key == "subject"
+                     else proof.obj.to_dict())
+    record = dict(_copy(payload), **{key: wrong})
+    _full, decoded = _decode_both(record)
+    assert isinstance(decoded, DiscoveryError)
+
+
+# -- the mutation fuzzer ---------------------------------------------------
+
+
+@st.composite
+def mutated_answers(draw):
+    """(kind, payload, must_raise): one valid answer with one mutation
+    applied, and whether both passes must refuse it."""
+    _proof, original = draw(st.sampled_from(ANSWERS))
+    payload = _copy(original)
+    record = draw(st.sampled_from(_records(payload)))
+    chain = record["chain"]
+    index = draw(st.integers(0, len(chain) - 1))
+    kind = draw(st.sampled_from(["truncate", "ref-length", "splice-chain",
+                                 "splice-record", "flip", "endpoint"]))
+    must_raise = False
+    if kind == "truncate":
+        del chain[index:]
+        must_raise = not chain
+    elif kind == "ref-length":
+        length = draw(st.integers(0, 64).filter(lambda n: n != 32))
+        chain[index] = (_ref(chain[index]) * 2)[:length]
+        must_raise = True
+    elif kind == "splice-chain":
+        _p, donor = draw(st.sampled_from(ANSWERS))
+        donor_chain = draw(st.sampled_from(_records(donor)))["chain"]
+        start = draw(st.integers(0, len(donor_chain) - 1))
+        chain[index:] = donor_chain[start:]
+    elif kind == "splice-record":
+        _p, donor = draw(st.sampled_from(ANSWERS))
+        grafted = _copy(draw(st.sampled_from(_records(donor))))
+        key = _ref(chain[index]).hex()
+        record.setdefault("supports", {}).setdefault(key, []).append(
+            grafted)
+    elif kind == "flip":
+        position = draw(st.integers(0, len(_FLIPS) - 1))
+        chain[index] = _FLIPS[position](_ref(chain[index]))
+        must_raise = position < len(_WRONG_TYPES)
+    else:
+        donor, _payload = draw(st.sampled_from(ANSWERS))
+        if draw(st.booleans()):
+            record["subject"] = donor.subject.subject_map()
+        else:
+            record["object"] = donor.obj.to_dict()
+    return kind, payload, must_raise
+
+
+# A chain entry flipped to another type: the wrong ones first, then the
+# two right ones (the map for a ref, the ref for a map).
+_WRONG_TYPES = [lambda ref: ref.hex(), lambda ref: 7, lambda ref: [ref],
+                lambda ref: None, lambda ref: True, lambda ref: 1.5,
+                lambda ref: {"ref": ref.hex()}]
+_FLIPS = _WRONG_TYPES + [lambda ref: KNOWN[ref.hex()].to_dict(),
+                         lambda ref: ref]
+
+
+# The example budget is the loaded profile's (tests/conftest.py): 10 in
+# tier-1, 200 under ``--hypothesis-profile=long``.
+@settings(deadline=None)
+@given(mutated_answers(), st.booleans())
+def test_a_mutated_answer_raises_only_the_typed_error(mutation, via_bytes):
+    """Whatever the mutation, each pass either succeeds or raises its
+    typed error (``_decode_both`` lets nothing else through); the
+    mutations that break the record's shape are refused by both, and
+    named endpoints by the decoder."""
+    kind, payload, must_raise = mutation
+    if via_bytes:
+        payload = canonical_decode(canonical_encode(payload))
+    full, decoded = _decode_both(payload)
+    if must_raise:
+        assert isinstance(full, DiscoveryError)
+        assert isinstance(decoded, DiscoveryError)
+    if kind == "endpoint":
+        assert isinstance(decoded, DiscoveryError)

@@ -146,13 +146,13 @@ class TestNonCanonicalRejected:
 
 
 def _proof_refs(payload):
-    """Every ``{"ref": id}`` placeholder in a session-encoded proof."""
+    """Every 32-byte id placeholder in a session-encoded proof, as hex."""
     stack = [payload]
     while stack:
         node = stack.pop()
         for entry in node["chain"]:
-            if "ref" in entry:
-                yield entry["ref"]
+            if isinstance(entry, bytes):
+                yield entry.hex()
         for proofs_ in node.get("supports", {}).values():
             stack.extend(proofs_)
 
