@@ -53,7 +53,12 @@ from typing import (
 )
 
 from repro import obs
-from repro.core.attributes import AttributeRef, Constraint
+from repro.core.attributes import (
+    AttributeRef,
+    Constraint,
+    bases_cache_key,
+    constraints_cache_key,
+)
 from repro.core.delegation import Delegation, prefetch_signatures
 from repro.core.errors import DiscoveryError, DRBACError
 from repro.core.proof import Proof, is_valid_proof
@@ -67,20 +72,6 @@ from repro.discovery.resolver import WalletServer
 from repro.net.rpc import RpcError
 from repro.net.transport import NetworkError
 from repro.pubsub.events import EventKind
-
-
-def _constraints_key(constraints: Iterable[Constraint]) -> tuple:
-    """Hashable identity of a constraint set for result-cache keys."""
-    return tuple((c.attribute.entity.id, c.attribute.name, c.minimum)
-                 for c in constraints)
-
-
-def _bases_key(bases: Optional[Mapping[AttributeRef, float]]) -> tuple:
-    """Hashable, order-independent identity of an attribute-base map."""
-    if not bases:
-        return ()
-    return tuple(sorted((attribute.entity.id, attribute.name, value)
-                        for attribute, value in bases.items()))
 
 
 # Tokens for idempotent DiscoveryStats.merge (see below).
@@ -352,7 +343,8 @@ class DiscoveryEngine:
             subject=subject, obj=obj, constraints=constraints,
             bases=bases, tags=tags, stats=stats, budget=budget,
             use_cache=result_cache_mod.enabled(),
-            key_suffix=(_constraints_key(constraints), _bases_key(bases)))
+            key_suffix=(constraints_cache_key(constraints),
+                        bases_cache_key(bases)))
         self._searches[search.root_id] = search
         self.gem_stats.c_roots.inc()
         try:

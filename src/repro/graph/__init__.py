@@ -9,7 +9,7 @@ This package provides:
   forward, reverse, and bidirectional strategies plus monotone attribute
   pruning (Section 4.2.3);
 * :mod:`repro.graph.closure` -- Clarke-style reachability closures and
-  exhaustive chain enumeration (used by baselines and benchmarks);
+  path counts (the E1 benchmark's exponential-blowup table);
 * :mod:`repro.graph.reach_index` -- incremental per-node reachability
   bitsets that let searches skip provably disconnected regions;
 * :mod:`repro.graph.proof_cache` -- event-invalidated memoization of

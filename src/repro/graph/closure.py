@@ -3,9 +3,9 @@
 Clarke et al. [5] "recognized the utility of reachability closures in
 credential discovery"; dRBAC "filters these closures for proofs that
 satisfy a required attribute value range restriction" (Section 6). This
-module computes the closure directly and counts authorizing paths, backing
-both the SPKI baseline and the exponential-blowup demonstration of the E1
-benchmark.
+module computes the closure directly and counts authorizing paths. The
+E1 benchmark's exponential-blowup table uses :func:`count_dag_paths`;
+the SPKI baseline keeps its own name-reduction closure.
 
 All traversals use explicit stacks/queues: path counting on dense graphs
 goes deep by design, and the interpreter recursion limit must not be the
@@ -19,6 +19,7 @@ from repro.core.proof import RevokedSet, _revocation_test
 from repro.core.roles import Subject, subject_key
 from repro.graph.delegation_graph import DelegationGraph
 from repro.graph.reach_index import ReachabilityIndex
+from repro.graph.search import enumerate_chains
 
 
 def reachability_closure(graph: DelegationGraph,
@@ -59,45 +60,11 @@ def count_paths(graph: DelegationGraph, subject: Subject, obj: Subject,
                 max_depth: int = 32,
                 at: float = 0.0,
                 revoked: Optional[RevokedSet] = None) -> int:
-    """Count distinct simple delegation chains from subject to object.
-
-    Exact DFS count with memo-free simple-path semantics; exponential on
-    dense DAGs by design -- that is the phenomenon the E1 benchmark
-    measures. ``max_depth`` caps chain length.
-    """
-    is_revoked = _revocation_test(revoked)
-    target = subject_key(obj)
-    origin = subject_key(subject)
-
-    total = 0
-    depth = 0
-    seen = {origin}
-    node_stack = [origin]
-    stack = [iter(graph.out_edges_by_node(origin))]
-    while stack:
-        delegation = next(stack[-1], None)
-        if delegation is None:
-            stack.pop()
-            seen.discard(node_stack.pop())
-            depth -= 1
-            continue
-        if depth + 1 > max_depth:
-            # matches the recursive guard: a frame at depth >= max_depth
-            # explores no edges at all
-            continue
-        if delegation.is_expired(at) or is_revoked(delegation.id):
-            continue
-        nxt = delegation.object_node
-        if nxt in seen:
-            continue
-        if nxt == target:
-            total += 1
-            continue
-        seen.add(nxt)
-        node_stack.append(nxt)
-        stack.append(iter(graph.out_edges_by_node(nxt)))
-        depth += 1
-    return total
+    """Count distinct simple delegation chains from subject to object:
+    the chains :func:`~repro.graph.search.enumerate_chains` yields, at
+    most ``max_depth`` links long. Exponential on dense DAGs by design."""
+    return sum(1 for _chain in enumerate_chains(
+        graph, subject, obj, at=at, revoked=revoked, max_depth=max_depth))
 
 
 def count_dag_paths(graph: DelegationGraph, subject: Subject, obj: Subject,

@@ -7,15 +7,19 @@ Implements the three wallet query forms:
 * **subject query** -- enumerate proofs of the form ``S => *``;
 * **object query** -- enumerate proofs of the form ``* => O``.
 
-Three strategies are provided for direct queries, matching the efficiency
-discussion in Section 4.2.3:
+All three run one local search, a :class:`_Frontier`: a breadth-first
+queue of partial proofs grown one delegation at a time from a start
+node, forward over out-edges or in reverse over in-edges. A subject
+query drains a forward frontier from S and an object query a reverse one
+from O. A direct query picks one of three strategies, matching the
+efficiency discussion in Section 4.2.3:
 
-* ``Strategy.FORWARD`` -- breadth-first from the subject over out-edges;
-* ``Strategy.REVERSE`` -- breadth-first from the object over in-edges;
-* ``Strategy.BIDIRECTIONAL`` -- alternating frontiers meeting in the
-  middle ("a significant reduction in the number of paths that must be
-  considered is possible if the search is simultaneously conducted in both
-  directions").
+* ``Strategy.FORWARD`` -- a forward frontier from the subject;
+* ``Strategy.REVERSE`` -- a reverse frontier from the object;
+* ``Strategy.BIDIRECTIONAL`` -- both, the shorter queue expanded first,
+  each half joining the other's proofs where they meet ("a significant
+  reduction in the number of paths that must be considered is possible
+  if the search is simultaneously conducted in both directions").
 
 Attribute pruning: because modifier composition is monotone non-increasing
 (Section 3.2.1), a partial chain whose best-case grant already violates a
@@ -32,10 +36,11 @@ are unavailable.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import (
     Callable,
+    Deque,
     Dict,
     Iterable,
     Iterator,
@@ -47,6 +52,7 @@ from typing import (
 
 from repro.core.attributes import AttributeRef, Constraint, Operator
 from repro.core.delegation import Delegation
+from repro.core.errors import DRBACError
 from repro.core.proof import Proof, RevokedSet, _revocation_test
 from repro.core.roles import Subject, subject_key
 from repro.graph.delegation_graph import DelegationGraph
@@ -75,14 +81,8 @@ class SearchStats:
     met_in_middle: int = 0
 
     def reset(self) -> None:
-        self.nodes_expanded = 0
-        self.edges_considered = 0
-        self.labels_created = 0
-        self.pruned_by_constraint = 0
-        self.pruned_no_support = 0
-        self.pruned_by_depth_limit = 0
-        self.pruned_unreachable = 0
-        self.met_in_middle = 0
+        for counter in fields(self):
+            setattr(self, counter.name, 0)
 
 
 @dataclass
@@ -154,6 +154,13 @@ class _Context:
                 self.stats.pruned_by_constraint += 1
                 return True
         return False
+
+    def fits(self, proof: Proof) -> bool:
+        """Within every link's depth limit, and not pruned by constraint."""
+        if proof.depth_budget is not None and proof.depth_budget < 0:
+            self.stats.pruned_by_depth_limit += 1
+            return False
+        return not self.violates(proof)
 
     def final_ok(self, proof: Proof) -> bool:
         if not self.constraints:
@@ -232,7 +239,125 @@ class _LabelStore:
 
 
 # ---------------------------------------------------------------------------
-# Direct query
+# The frontier walk
+# ---------------------------------------------------------------------------
+
+def _extend(ctx: _Context, proof: Optional[Proof], delegation: Delegation,
+            forward: bool) -> Optional[Proof]:
+    """``proof`` grown by one delegation at its open end -- the object end
+    going forward, the subject end in reverse -- or None when the edge is
+    unusable or the grown proof can no longer answer the query.
+
+    Only dRBAC's own failures mean "not through this edge": an attribute
+    bound to two operators (:class:`AttributeError_`) or a proof that does
+    not compose (:class:`ProofError`). Any other exception is a bug and
+    propagates.
+    """
+    if not ctx.edge_usable(delegation):
+        return None
+    supports = ctx.supports_for(delegation)
+    if supports is None:
+        return None
+    try:
+        if proof is None:
+            grown = Proof.single(delegation, supports=supports)
+        elif forward:
+            grown = proof.extend(delegation, supports=supports)
+        else:
+            grown = Proof.single(delegation, supports=supports).join(proof)
+    except DRBACError:
+        return None
+    return grown if ctx.fits(grown) else None
+
+
+def _meet(ctx: _Context, forward: Proof, backward: Proof) -> Optional[Proof]:
+    """The two halves of a bidirectional search joined where they meet,
+    if the whole chain answers the query."""
+    try:
+        joined = forward.join(backward)
+    except DRBACError:
+        return None
+    if ctx.fits(joined) and ctx.final_ok(joined):
+        ctx.stats.met_in_middle += 1
+        return joined
+    return None
+
+
+class _Frontier:
+    """One end of a search: proofs grown breadth-first from ``start``.
+
+    A forward frontier follows out-edges and grows its proofs at their
+    object end; a reverse one follows in-edges and grows them at their
+    subject end. ``far`` is the other end of a direct query -- reaching
+    it closes a proof, and the reachability index prunes nodes that
+    cannot lead there -- or None for an enumeration. ``reached`` holds
+    the proofs admitted at each node, for the other half of a
+    bidirectional search to meet; ``admitted`` holds them in order, the
+    answer of an enumeration.
+    """
+
+    def __init__(self, ctx: _Context, start: tuple, far: Optional[tuple],
+                 forward: bool) -> None:
+        self.ctx = ctx
+        self.far = far
+        self.forward = forward
+        self.edges = ctx.graph.out_edges_by_node if forward \
+            else ctx.graph.in_edges_by_node
+        self.labels = _LabelStore(ctx)
+        self.queue: Deque[Tuple[tuple, Optional[Proof]]] = \
+            deque([(start, None)])
+        self.reached: Dict[tuple, List[Proof]] = {}
+        self.admitted: List[Proof] = []
+
+    def expand(self, other: Optional["_Frontier"] = None) -> Optional[Proof]:
+        """Pop one node and grow its proof over each usable edge.
+
+        Per edge, in order: the goal test at ``far``, a meet with each
+        proof ``other`` reached at the same node, the reachability
+        pruning, then label admission. Returns the first proof of the
+        query that closes, else None.
+        """
+        ctx = self.ctx
+        node, proof = self.queue.popleft()
+        if proof is not None and proof.depth() >= ctx.max_depth:
+            return None
+        ctx.stats.nodes_expanded += 1
+        forward, far = self.forward, self.far
+        for delegation in self.edges(node):
+            grown = _extend(ctx, proof, delegation, forward)
+            if grown is None:
+                continue
+            step = delegation.object_node if forward \
+                else delegation.subject_node
+            if far is not None:
+                if step == far and ctx.final_ok(grown):
+                    return grown
+                if other is not None:
+                    for theirs in other.reached.get(step, ()):
+                        met = _meet(ctx, grown, theirs) if forward \
+                            else _meet(ctx, theirs, grown)
+                        if met is not None:
+                            return met
+                if not (ctx.reachable(step, far) if forward
+                        else ctx.reachable(far, step)):
+                    continue
+            if self.labels.admit(step, grown):
+                self.reached.setdefault(step, []).append(grown)
+                self.admitted.append(grown)
+                self.queue.append((step, grown))
+        return None
+
+    def run(self) -> Optional[Proof]:
+        """Expand until a proof closes or the queue drains."""
+        while self.queue:
+            proof = self.expand()
+            if proof is not None:
+                return proof
+        return None
+
+
+# ---------------------------------------------------------------------------
+# Direct, subject and object queries
 # ---------------------------------------------------------------------------
 
 def direct_query(graph: DelegationGraph, subject: Subject, obj: Subject,
@@ -259,196 +384,27 @@ def direct_query(graph: DelegationGraph, subject: Subject, obj: Subject,
     ctx = _make_context(graph, at, revoked, constraints, bases,
                         support_provider, require_supports, prune,
                         stats, max_depth, reach_index)
-    if subject_key(subject) == subject_key(obj):
+    origin, target = subject_key(subject), subject_key(obj)
+    if origin == target or not ctx.reachable(origin, target):
         return None
-    if not ctx.reachable(subject_key(subject), subject_key(obj)):
-        return None
+    forward = _Frontier(ctx, origin, target, forward=True)
+    backward = _Frontier(ctx, target, origin, forward=False)
     if strategy is Strategy.FORWARD:
-        return _search_forward(ctx, subject, obj)
+        return forward.run()
     if strategy is Strategy.REVERSE:
-        return _search_reverse(ctx, subject, obj)
-    return _search_bidirectional(ctx, subject, obj)
-
-
-def _extend_forward(ctx: _Context, proof: Optional[Proof],
-                    delegation: Delegation) -> Optional[Proof]:
-    """Attach one more delegation to the right end of a forward proof."""
-    if not ctx.edge_usable(delegation):
-        return None
-    supports = ctx.supports_for(delegation)
-    if supports is None:
-        return None
-    try:
-        if proof is None:
-            extended = Proof.single(delegation, supports=supports)
+        return backward.run()
+    # Bidirectional: expand the shorter queue (forward on a tie) until
+    # the halves meet or both drain.
+    while forward.queue or backward.queue:
+        if forward.queue and (not backward.queue
+                              or len(forward.queue) <= len(backward.queue)):
+            proof = forward.expand(backward)
         else:
-            extended = proof.extend(delegation, supports=supports)
-    except Exception:
-        return None
-    if extended.depth_budget is not None and extended.depth_budget < 0:
-        ctx.stats.pruned_by_depth_limit += 1
-        return None
-    if ctx.violates(extended):
-        return None
-    return extended
-
-
-def _prepend_reverse(ctx: _Context, delegation: Delegation,
-                     proof: Optional[Proof]) -> Optional[Proof]:
-    """Attach one more delegation to the left end of a reverse proof."""
-    if not ctx.edge_usable(delegation):
-        return None
-    supports = ctx.supports_for(delegation)
-    if supports is None:
-        return None
-    try:
-        head = Proof.single(delegation, supports=supports)
-        extended = head if proof is None else head.join(proof)
-    except Exception:
-        return None
-    if extended.depth_budget is not None and extended.depth_budget < 0:
-        ctx.stats.pruned_by_depth_limit += 1
-        return None
-    if ctx.violates(extended):
-        return None
-    return extended
-
-
-def _search_forward(ctx: _Context, subject: Subject,
-                    obj: Subject) -> Optional[Proof]:
-    target = subject_key(obj)
-    labels = _LabelStore(ctx)
-    queue = deque([(subject_key(subject), None)])
-    while queue:
-        node, proof = queue.popleft()
-        if proof is not None and proof.depth() >= ctx.max_depth:
-            continue
-        ctx.stats.nodes_expanded += 1
-        for delegation in ctx.graph.out_edges_by_node(node):
-            extended = _extend_forward(ctx, proof, delegation)
-            if extended is None:
-                continue
-            next_node = delegation.object_node
-            if next_node == target and ctx.final_ok(extended):
-                return extended
-            if not ctx.reachable(next_node, target):
-                continue
-            if labels.admit(next_node, extended):
-                queue.append((next_node, extended))
+            proof = backward.expand(forward)
+        if proof is not None:
+            return proof
     return None
 
-
-def _search_reverse(ctx: _Context, subject: Subject,
-                    obj: Subject) -> Optional[Proof]:
-    origin = subject_key(subject)
-    labels = _LabelStore(ctx)
-    queue = deque([(subject_key(obj), None)])
-    while queue:
-        node, proof = queue.popleft()
-        if proof is not None and proof.depth() >= ctx.max_depth:
-            continue
-        ctx.stats.nodes_expanded += 1
-        for delegation in ctx.graph.in_edges_by_node(node):
-            extended = _prepend_reverse(ctx, delegation, proof)
-            if extended is None:
-                continue
-            prev_node = delegation.subject_node
-            if prev_node == origin and ctx.final_ok(extended):
-                return extended
-            if not ctx.reachable(origin, prev_node):
-                continue
-            if labels.admit(prev_node, extended):
-                queue.append((prev_node, extended))
-    return None
-
-
-def _search_bidirectional(ctx: _Context, subject: Subject,
-                          obj: Subject) -> Optional[Proof]:
-    origin = subject_key(subject)
-    target = subject_key(obj)
-    forward_proofs: Dict[tuple, List[Proof]] = {origin: []}
-    backward_proofs: Dict[tuple, List[Proof]] = {target: []}
-    forward_labels = _LabelStore(ctx)
-    backward_labels = _LabelStore(ctx)
-    forward_queue = deque([(origin, None)])
-    backward_queue = deque([(target, None)])
-
-    def try_meet(node: tuple, forward: Optional[Proof],
-                 backward: Optional[Proof]) -> Optional[Proof]:
-        if forward is None and backward is None:
-            return None
-        if forward is None:
-            candidate = backward if node == origin else None
-        elif backward is None:
-            candidate = forward if node == target else None
-        else:
-            try:
-                candidate = forward.join(backward)
-            except Exception:
-                return None
-        if candidate is None:
-            return None
-        if candidate.depth_budget is not None \
-                and candidate.depth_budget < 0:
-            ctx.stats.pruned_by_depth_limit += 1
-            return None
-        if not ctx.violates(candidate) and ctx.final_ok(candidate):
-            ctx.stats.met_in_middle += 1
-            return candidate
-        return None
-
-    while forward_queue or backward_queue:
-        expand_forward = bool(forward_queue) and (
-            not backward_queue or len(forward_queue) <= len(backward_queue)
-        )
-        if expand_forward:
-            node, proof = forward_queue.popleft()
-            if proof is not None and proof.depth() >= ctx.max_depth:
-                continue
-            ctx.stats.nodes_expanded += 1
-            for delegation in ctx.graph.out_edges_by_node(node):
-                extended = _extend_forward(ctx, proof, delegation)
-                if extended is None:
-                    continue
-                next_node = delegation.object_node
-                if next_node == target and ctx.final_ok(extended):
-                    return extended
-                for backward in backward_proofs.get(next_node, ()):
-                    met = try_meet(next_node, extended, backward)
-                    if met is not None:
-                        return met
-                if not ctx.reachable(next_node, target):
-                    continue
-                if forward_labels.admit(next_node, extended):
-                    forward_proofs.setdefault(next_node, []).append(extended)
-                    forward_queue.append((next_node, extended))
-        else:
-            node, proof = backward_queue.popleft()
-            if proof is not None and proof.depth() >= ctx.max_depth:
-                continue
-            ctx.stats.nodes_expanded += 1
-            for delegation in ctx.graph.in_edges_by_node(node):
-                extended = _prepend_reverse(ctx, delegation, proof)
-                if extended is None:
-                    continue
-                prev_node = delegation.subject_node
-                if prev_node == origin and ctx.final_ok(extended):
-                    return extended
-                for forward in forward_proofs.get(prev_node, ()):
-                    met = try_meet(prev_node, forward, extended)
-                    if met is not None:
-                        return met
-                if not ctx.reachable(origin, prev_node):
-                    continue
-                if backward_labels.admit(prev_node, extended):
-                    backward_proofs.setdefault(prev_node, []).append(extended)
-                    backward_queue.append((prev_node, extended))
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Subject and object queries
-# ---------------------------------------------------------------------------
 
 def subject_query(graph: DelegationGraph, subject: Subject,
                   at: float = 0.0,
@@ -468,23 +424,9 @@ def subject_query(graph: DelegationGraph, subject: Subject,
     ctx = _make_context(graph, at, revoked, constraints, bases,
                         support_provider, require_supports, prune,
                         stats, max_depth)
-    results: List[Proof] = []
-    labels = _LabelStore(ctx)
-    queue = deque([(subject_key(subject), None)])
-    while queue:
-        node, proof = queue.popleft()
-        if proof is not None and proof.depth() >= ctx.max_depth:
-            continue
-        ctx.stats.nodes_expanded += 1
-        for delegation in ctx.graph.out_edges_by_node(node):
-            extended = _extend_forward(ctx, proof, delegation)
-            if extended is None:
-                continue
-            next_node = delegation.object_node
-            if labels.admit(next_node, extended):
-                results.append(extended)
-                queue.append((next_node, extended))
-    return results
+    frontier = _Frontier(ctx, subject_key(subject), None, forward=True)
+    frontier.run()
+    return frontier.admitted
 
 
 def object_query(graph: DelegationGraph, obj: Subject,
@@ -501,23 +443,9 @@ def object_query(graph: DelegationGraph, obj: Subject,
     ctx = _make_context(graph, at, revoked, constraints, bases,
                         support_provider, require_supports, prune,
                         stats, max_depth)
-    results: List[Proof] = []
-    labels = _LabelStore(ctx)
-    queue = deque([(subject_key(obj), None)])
-    while queue:
-        node, proof = queue.popleft()
-        if proof is not None and proof.depth() >= ctx.max_depth:
-            continue
-        ctx.stats.nodes_expanded += 1
-        for delegation in ctx.graph.in_edges_by_node(node):
-            extended = _prepend_reverse(ctx, delegation, proof)
-            if extended is None:
-                continue
-            prev_node = delegation.subject_node
-            if labels.admit(prev_node, extended):
-                results.append(extended)
-                queue.append((prev_node, extended))
-    return results
+    frontier = _Frontier(ctx, subject_key(obj), None, forward=False)
+    frontier.run()
+    return frontier.admitted
 
 
 def subject_query_multi(graph: DelegationGraph,
@@ -529,28 +457,17 @@ def subject_query_multi(graph: DelegationGraph,
     Returns the concatenated sub-proofs; proofs are deduplicated when
     two subjects reach identical chains.
     """
-    seen = set()
-    results: List[Proof] = []
-    for subject in subjects:
-        for proof in subject_query(graph, subject, **kwargs):
-            if proof not in seen:
-                seen.add(proof)
-                results.append(proof)
-    return results
+    return list(dict.fromkeys(
+        proof for subject in subjects
+        for proof in subject_query(graph, subject, **kwargs)))
 
 
 def object_query_multi(graph: DelegationGraph, objs: Iterable[Subject],
                        **kwargs) -> List[Proof]:
     """Object query over a *set* of objects (paper, Section 4.1:
     "given an object (more generally, a set of objects)")."""
-    seen = set()
-    results: List[Proof] = []
-    for obj in objs:
-        for proof in object_query(graph, obj, **kwargs):
-            if proof not in seen:
-                seen.add(proof)
-                results.append(proof)
-    return results
+    return list(dict.fromkeys(
+        proof for obj in objs for proof in object_query(graph, obj, **kwargs)))
 
 
 def direct_query_any(graph: DelegationGraph, subject: Subject,
@@ -569,7 +486,7 @@ def direct_query_any(graph: DelegationGraph, subject: Subject,
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive enumeration (benchmark support)
+# Exhaustive enumeration
 # ---------------------------------------------------------------------------
 
 def enumerate_chains(graph: DelegationGraph, subject: Subject,
@@ -579,9 +496,11 @@ def enumerate_chains(graph: DelegationGraph, subject: Subject,
                      max_depth: int = 16) -> Iterator[Tuple[Delegation, ...]]:
     """Yield every simple delegation chain from subject to object.
 
-    Used by the Section 4.2.3 benchmark to demonstrate that the number of
-    potential authorizing paths "is clearly exponential in depth" for
-    unidirectional enumeration. Chains are simple: no node repeats.
+    Chains are simple (no node repeats) and at most ``max_depth`` links
+    long; there are exponentially many on dense graphs, the paths a
+    unidirectional search could have to consider (Section 4.2.3).
+    :func:`repro.graph.closure.count_paths` counts them; the E1 benchmark
+    counts DAG paths with ``count_dag_paths`` instead of enumerating.
 
     Iterative DFS with an explicit stack of edge iterators -- path depth
     is bounded by ``max_depth``, never by the interpreter recursion limit.
@@ -592,7 +511,7 @@ def enumerate_chains(graph: DelegationGraph, subject: Subject,
 
     path: List[Delegation] = []
     seen = {origin}
-    stack = [iter(graph.out_edges_by_node(origin))]
+    stack = [iter(graph.out_edges_by_node(origin))] if max_depth > 0 else []
     while stack:
         delegation = next(stack[-1], None)
         if delegation is None:

@@ -473,102 +473,82 @@ class Wallet:
         On a caching wallet the result -- positive or negative -- is
         memoized and served until an event invalidates it.
         """
-        return self._search_direct(
-            subject, obj, tuple(constraints), self._merged_bases(bases),
-            self.clock.now(), self._ready_reach_index(), stats)
-
-    def _search_direct(self, subject: Subject, obj: Role,
-                       constraints: Tuple[Constraint, ...],
-                       merged: Dict[AttributeRef, float], now: float,
-                       index: Optional[ReachabilityIndex],
-                       stats: Optional[SearchStats],
-                       provider: Optional[SupportProvider] = None
-                       ) -> Optional[Proof]:
-        """The cached direct search under :meth:`query_direct` and
-        :meth:`authorize_many` (which passes the support provider its
-        batch shares)."""
-        cached = self.proof_cache is not None
-        if cached:
-            key = make_key(KIND_DIRECT, subject_key(subject),
-                           subject_key(obj), constraints, merged)
-            hit, value = self.proof_cache.lookup(key, now)
-            if hit:
-                return value
-        search_stats = stats if stats is not None else SearchStats()
-        before_no_support = search_stats.pruned_no_support
-        search_started = perf_counter()
-        with obs.span("wallet.search", wallet=self.address, kind="direct"):
-            proof = direct_query(
-                self.store.graph, subject, obj,
-                at=now, revoked=self.store.is_revoked,
-                constraints=constraints, bases=merged,
-                support_provider=provider if provider is not None
-                else self.support_provider(),
-                stats=search_stats, reach_index=index,
-            )
-        self._stats.c_searches.inc()
-        self._h_search.observe(perf_counter() - search_started)
-        if cached:
-            # A negative computed while support chains were missing is
-            # fragile: any publish could complete a support off the
-            # subject-object path, so the endpoint test must not keep it.
-            fragile = proof is None and \
-                search_stats.pruned_no_support > before_no_support
-            self.proof_cache.store(key, proof, now, fragile=fragile)
-        return proof
+        return self._cached_search(
+            KIND_DIRECT, subject, obj, tuple(constraints),
+            self._merged_bases(bases), self.clock.now(),
+            self._ready_reach_index(), stats)
 
     def query_subject(self, subject: Subject,
                       constraints: Iterable[Constraint] = (),
                       bases: Optional[Mapping[AttributeRef, float]] = None,
                       stats: Optional[SearchStats] = None) -> List[Proof]:
         """Subject query: the sub-proofs ``subject => *`` (Section 4.1)."""
-        return self._query_enumeration(
-            KIND_SUBJECT, subject, constraints, bases, stats)
+        return list(self._cached_search(
+            KIND_SUBJECT, subject, None, tuple(constraints),
+            self._merged_bases(bases), self.clock.now(),
+            self._ready_reach_index(), stats))
 
     def query_object(self, obj: Role,
                      constraints: Iterable[Constraint] = (),
                      bases: Optional[Mapping[AttributeRef, float]] = None,
                      stats: Optional[SearchStats] = None) -> List[Proof]:
         """Object query: the sub-proofs ``* => obj`` (Section 4.1)."""
-        return self._query_enumeration(
-            KIND_OBJECT, obj, constraints, bases, stats)
+        return list(self._cached_search(
+            KIND_OBJECT, None, obj, tuple(constraints),
+            self._merged_bases(bases), self.clock.now(),
+            self._ready_reach_index(), stats))
 
-    def _query_enumeration(self, kind: str, endpoint: Subject,
-                           constraints: Iterable[Constraint],
-                           bases: Optional[Mapping[AttributeRef, float]],
-                           stats: Optional[SearchStats]) -> List[Proof]:
-        constraints = tuple(constraints)
-        merged = self._merged_bases(bases)
-        now = self.clock.now()
-        self._ready_reach_index()
+    def _cached_search(self, kind: str, subject: Optional[Subject],
+                       obj: Optional[Role],
+                       constraints: Tuple[Constraint, ...],
+                       merged: Dict[AttributeRef, float], now: float,
+                       index: Optional[ReachabilityIndex],
+                       stats: Optional[SearchStats],
+                       provider: Optional[SupportProvider] = None
+                       ) -> Union[Proof, None, Tuple[Proof, ...]]:
+        """One query through the proof cache, under the three query
+        methods and :meth:`authorize_many` (which passes the support
+        provider its batch shares). A hit returns the memo; a miss
+        searches under a timed ``wallet.search`` span and stores the
+        answer: a proof or None, or a tuple of proofs."""
         cached = self.proof_cache is not None
-        node = subject_key(endpoint)
         if cached:
             key = make_key(kind,
-                           node if kind == KIND_SUBJECT else None,
-                           node if kind == KIND_OBJECT else None,
+                           None if subject is None else subject_key(subject),
+                           None if obj is None else subject_key(obj),
                            constraints, merged)
             hit, value = self.proof_cache.lookup(key, now)
             if hit:
-                return list(value)
+                return value
         search_stats = stats if stats is not None else SearchStats()
         before_no_support = search_stats.pruned_no_support
-        search = subject_query if kind == KIND_SUBJECT else object_query
         search_started = perf_counter()
         with obs.span("wallet.search", wallet=self.address, kind=kind):
-            proofs = search(
-                self.store.graph, endpoint,
+            common = dict(
                 at=now, revoked=self.store.is_revoked,
                 constraints=constraints, bases=merged,
-                support_provider=self.support_provider(),
-                stats=search_stats,
-            )
+                support_provider=provider if provider is not None
+                else self.support_provider(),
+                stats=search_stats)
+            if kind == KIND_DIRECT:
+                result = direct_query(self.store.graph, subject, obj,
+                                      reach_index=index, **common)
+            elif kind == KIND_SUBJECT:
+                result = tuple(subject_query(self.store.graph, subject,
+                                             **common))
+            else:
+                result = tuple(object_query(self.store.graph, obj, **common))
         self._stats.c_searches.inc()
         self._h_search.observe(perf_counter() - search_started)
         if cached:
-            fragile = search_stats.pruned_no_support > before_no_support
-            self.proof_cache.store(key, tuple(proofs), now, fragile=fragile)
-        return proofs
+            # An answer computed while support chains were missing is
+            # fragile: any publish could complete a support off the
+            # subject-object path, so the endpoint test must not keep it.
+            # A found proof is complete regardless.
+            fragile = not isinstance(result, Proof) and \
+                search_stats.pruned_no_support > before_no_support
+            self.proof_cache.store(key, result, now, fragile=fragile)
+        return result
 
     def validate(self, proof: Proof,
                  constraints: Iterable[Constraint] = (),
@@ -656,8 +636,9 @@ class Wallet:
         index = self._ready_reach_index()
         provider = self.support_provider()
         search_stats = stats if stats is not None else SearchStats()
-        return [self._search_direct(subject, obj, constraints, merged, now,
-                                    index, search_stats, provider)
+        return [self._cached_search(KIND_DIRECT, subject, obj, constraints,
+                                    merged, now, index, search_stats,
+                                    provider)
                 for subject, obj in requests]
 
     def await_proof(self, subject: Subject, obj: Role,

@@ -13,6 +13,8 @@ from contextlib import nullcontext
 import pytest
 
 from repro.core import (
+    AttributeRef,
+    Constraint,
     DiscoveryTag,
     ObjectFlag,
     Role,
@@ -141,6 +143,24 @@ class TestResultCache:
         assert stats.cache_hits > 0
         assert stats.cache_negative_hits > 0
         assert stats.rounds == 0
+
+    def test_negative_ignores_constraint_order(self, two_home, alice,
+                                                org):
+        """A constraint set is a set: a denied constrained search,
+        repeated with its constraints listed the other way round, is
+        served from the same entries and sends no new ``gem_eval``."""
+        engine, _server, network, _roles = two_home
+        ghost = Role(org.entity, "ghost")
+        constraints = [Constraint(AttributeRef(org.entity, "bw"), 10.0),
+                       Constraint(AttributeRef(org.entity, "storage"), 5.0)]
+        assert engine.discover(alice.entity, ghost, constraints) is None
+        evals = network.by_topic["notify:gem_eval"].messages
+        assert evals > 0
+        stats = DiscoveryStats()
+        assert engine.discover(alice.entity, ghost, constraints[::-1],
+                               stats=stats) is None
+        assert network.by_topic["notify:gem_eval"].messages == evals
+        assert stats.cache_negative_hits > 0
 
     def test_positive_enum_reused_across_targets(self, two_home, alice,
                                                  org):

@@ -2,7 +2,7 @@ import pytest
 
 from repro.core.attributes import AttributeRef, Constraint, Modifier, Operator
 from repro.core.delegation import issue
-from repro.core.proof import validate_proof
+from repro.core.proof import Proof, validate_proof
 from repro.core.roles import Role
 from repro.graph.delegation_graph import DelegationGraph
 from repro.graph.search import (
@@ -181,6 +181,52 @@ class TestConstraints:
         assert pruned.pruned_by_constraint > 0
 
 
+class TestTypedFailures:
+    """Only dRBAC's own errors mean "no proof through this edge"."""
+
+    @pytest.fixture()
+    def conflict_graph(self, org, alice):
+        """Two routes to ``t``: ``alice -> a`` binds ``bw`` under MIN and
+        ``a -> t`` under SUBTRACT (an operator conflict, so the route
+        composes to no proof); ``alice -> c -> t`` is clean."""
+        bw = AttributeRef(org.entity, "bw")
+        a, c, t = (Role(org.entity, n) for n in ("a", "c", "t"))
+        clean = issue(org, c, t)
+        graph = DelegationGraph([
+            issue(org, alice.entity, a,
+                  modifiers=[Modifier(bw, Operator.MIN, 50)]),
+            issue(org, a, t,
+                  modifiers=[Modifier(bw, Operator.SUBTRACT, 5)]),
+            issue(org, alice.entity, c),
+            clean,
+        ])
+        return graph, t, clean
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_operator_conflict_skips_the_edge(self, conflict_graph, alice,
+                                              strategy):
+        graph, t, clean = conflict_graph
+        proof = direct_query(graph, alice.entity, t, strategy=strategy)
+        assert proof is not None
+        assert proof.chain[-1] == clean
+        validate_proof(proof, at=0.0)
+        assert direct_query(graph, alice.entity, t, strategy=strategy,
+                            revoked={clean.id}) is None
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_unexpected_error_propagates(self, chain_graph, alice, strategy,
+                                         monkeypatch):
+        """A bug while composing a proof is not a denial."""
+        def broken(*_args, **_kwargs):
+            raise ZeroDivisionError("bug in proof composition")
+
+        monkeypatch.setattr(Proof, "extend", broken)
+        monkeypatch.setattr(Proof, "join", broken)
+        graph, roles = chain_graph
+        with pytest.raises(ZeroDivisionError):
+            direct_query(graph, alice.entity, roles[-1], strategy=strategy)
+
+
 class TestSubjectObjectQueries:
     def test_subject_query_enumerates_reachable(self, chain_graph, alice):
         graph, roles = chain_graph
@@ -242,6 +288,8 @@ class TestEnumerateChains:
                                      max_depth=3)) == []
         assert len(list(enumerate_chains(graph, alice.entity, roles[-1],
                                          max_depth=4))) == 1
+        assert list(enumerate_chains(graph, alice.entity, roles[0],
+                                     max_depth=0)) == []
 
 
 class TestStats:

@@ -4,10 +4,14 @@ On any delegation graph, forward, reverse, and bidirectional direct
 queries must agree on *whether* a proof exists, and any returned proof
 must validate. This is the safety net under the Section 4.2.3 efficiency
 machinery: speed may differ, answers may not.
+
+``TestValuedAttributes`` runs the Pareto-label path: credential sets
+modulating valued attributes under all three Table 2 operators, queried
+under constraints (the placement-invariance generator).
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.attributes import Constraint
@@ -17,6 +21,14 @@ from repro.core.roles import Role
 from repro.graph.delegation_graph import DelegationGraph
 from repro.graph.search import Strategy, direct_query, subject_query
 from repro.workloads.topology import make_random_dag
+
+from ..discovery.test_placement_invariance import (
+    BASES,
+    ROLES,
+    USER,
+    _workload,
+    credential_sets,
+)
 
 
 @st.composite
@@ -80,3 +92,53 @@ class TestStrategyEquivalence:
         if proof is not None:
             assert proof.subject == workload.subject
             assert proof.obj == workload.obj
+
+
+def _valued(case):
+    """(graph, constraints) for one drawn credential set."""
+    edges, homes, constraints = case
+    return _workload(edges, homes).graph(), constraints
+
+
+# The example budget is the loaded profile's (tests/conftest.py): 10 in
+# tier-1, 200 under ``--hypothesis-profile=long``.
+valued = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestValuedAttributes:
+    @valued
+    @given(credential_sets())
+    def test_strategies_agree_and_proofs_satisfy(self, case):
+        graph, constraints = _valued(case)
+        for role in ROLES:
+            verdicts = set()
+            for strategy in Strategy:
+                proof = direct_query(graph, USER.entity, role,
+                                     constraints=constraints, bases=BASES,
+                                     strategy=strategy)
+                verdicts.add(proof is not None)
+                if proof is not None:
+                    assert proof.satisfies(constraints, BASES)
+                    validate_proof(proof, at=0.0, constraints=constraints,
+                                   bases=BASES)
+            assert len(verdicts) == 1, (role, constraints)
+
+    @valued
+    @given(credential_sets())
+    def test_constrained_grant_is_a_grant(self, case):
+        graph, constraints = _valued(case)
+        for role in ROLES:
+            if direct_query(graph, USER.entity, role,
+                            constraints=constraints, bases=BASES):
+                assert direct_query(graph, USER.entity, role,
+                                    bases=BASES) is not None, role
+
+    @valued
+    @given(credential_sets())
+    def test_subject_query_objects_are_direct_reachable(self, case):
+        graph, constraints = _valued(case)
+        for proof in subject_query(graph, USER.entity,
+                                   constraints=constraints, bases=BASES):
+            assert direct_query(graph, USER.entity, proof.obj,
+                                constraints=constraints,
+                                bases=BASES) is not None, proof
