@@ -184,12 +184,14 @@ def check_attribute_misuse(ctx: AnalysisContext) -> Iterator[Finding]:
 def check_namespace_squat(ctx: AnalysisContext) -> Iterator[Finding]:
     """Strict attribute-namespace discipline, checked at rest.
 
-    Proof validation rejects any chain containing a delegation whose
-    modifier names an attribute outside the object role's namespace
-    (``_check_attribute_namespaces``): such modifiers squat on a
-    namespace the delegation does not speak for. They are constructible
-    and signable, so they sit in wallets silently making every proof
-    through them invalid -- exactly what a static pass should surface.
+    The validator's link check (:func:`repro.core.proof.check_link`)
+    rejects any delegation whose modifier names an attribute outside the
+    object role's namespace: such modifiers squat on a namespace the
+    delegation does not speak for. They are constructible and signable;
+    a wallet's publication refuses them, but a store restored from bytes
+    or a graph assembled without publication can still hold them,
+    silently making every proof through them invalid -- exactly what a
+    static pass should surface.
     """
     this = RULES["namespace-squat"]
     for delegation in ctx.live_delegations:

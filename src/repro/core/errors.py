@@ -27,10 +27,6 @@ class DelegationError(DRBACError):
     """A delegation is structurally invalid (bad subject/object/issuer)."""
 
 
-class SignatureInvalidError(DRBACError):
-    """A certificate's cryptographic signature failed verification."""
-
-
 class ProofError(DRBACError):
     """A proof failed validation.
 
@@ -45,6 +41,10 @@ class AttributeError_(DRBACError):
 
     Named with a trailing underscore to avoid shadowing the builtin.
     """
+
+
+class SignatureInvalidError(ProofError):
+    """A certificate's cryptographic signature failed verification."""
 
 
 class ExpiredError(ProofError):

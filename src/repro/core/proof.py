@@ -13,16 +13,15 @@ establishing the issuer's right of assignment; support proofs are
 recursive, themselves possibly containing third-party delegations
 (Section 3.1.2).
 
-Validation (:func:`validate_proof`) checks, for a proof claimed at time
-``at`` against a revocation set:
-
-1. the chain links up and spans exactly ``subject => obj``;
-2. every delegation's signature verifies;
-3. no delegation is expired or revoked;
-4. every required support role has a valid (recursively validated)
-   support proof from the delegation's issuer;
-5. attribute modulation is namespace-legal (strict mode) and composes
-   under the monotone algebra of :mod:`repro.core.attributes`.
+Validation (:func:`validate_proof`) walks the primary chain once: it
+must link up, span exactly ``subject => obj`` and respect every depth
+limit, and each link must pass the **link check** (:func:`check_link`:
+signature, expiry, revocation, attribute namespace) and the **support
+lookup** (:func:`check_supports`: per required role, the first support
+proof claiming ``issuer => role``, validated recursively, depth-capped
+and cycle-checked). These are the only copies of the credential rules:
+wallet publication runs the same two checks, so a wallet never grants a
+proof its own validator refuses. Every failure is a :class:`ProofError`.
 
 The composed attribute modifiers of the primary chain, applied to the
 object's base allocations, give the final modulated grant -- reproducing
@@ -266,13 +265,12 @@ def validate_proof(proof: Proof, at: float,
                    revoked: Optional[RevokedSet] = None,
                    constraints: Iterable[Constraint] = (),
                    bases: Optional[Mapping[AttributeRef, float]] = None,
-                   strict_attribute_namespace: bool = True,
                    max_depth: int = MAX_SUPPORT_DEPTH) -> None:
     """Validate ``proof`` at time ``at``; raise :class:`ProofError` on any
     violation. See the module docstring for the checked rules."""
     prefetch_signatures(proof.all_delegations())
-    _validate(proof, at, _revocation_test(revoked),
-              strict_attribute_namespace, max_depth, active=frozenset())
+    _validate(proof, at, _revocation_test(revoked), max_depth,
+              active=frozenset())
     if constraints:
         if not proof.satisfies(constraints, bases or {}):
             raise ProofError(
@@ -284,7 +282,6 @@ def validate_proofs(proofs: Iterable[Proof], at: float,
                     revoked: Optional[RevokedSet] = None,
                     constraints: Iterable[Constraint] = (),
                     bases: Optional[Mapping[AttributeRef, float]] = None,
-                    strict_attribute_namespace: bool = True,
                     max_depth: int = MAX_SUPPORT_DEPTH) -> None:
     """Validate several proofs, batching the signature work across all of
     them; raises on the first violation in iteration order, with the same
@@ -294,122 +291,118 @@ def validate_proofs(proofs: Iterable[Proof], at: float,
                         for delegation in proof.all_delegations())
     for proof in proofs:
         validate_proof(proof, at, revoked=revoked, constraints=constraints,
-                       bases=bases,
-                       strict_attribute_namespace=strict_attribute_namespace,
-                       max_depth=max_depth)
+                       bases=bases, max_depth=max_depth)
 
 
 def is_valid_proof(proof: Proof, at: float,
                    revoked: Optional[RevokedSet] = None,
                    constraints: Iterable[Constraint] = (),
-                   bases: Optional[Mapping[AttributeRef, float]] = None,
-                   strict_attribute_namespace: bool = True) -> bool:
+                   bases: Optional[Mapping[AttributeRef, float]] = None
+                   ) -> bool:
     """Boolean convenience wrapper around :func:`validate_proof`."""
     try:
         validate_proof(proof, at, revoked=revoked, constraints=constraints,
-                       bases=bases,
-                       strict_attribute_namespace=strict_attribute_namespace)
+                       bases=bases)
     except ProofError:
         return False
     return True
 
 
-def _validate(proof: Proof, at: float, is_revoked: Callable[[str], bool],
-              strict_ns: bool, depth_left: int,
-              active: frozenset) -> None:
-    if depth_left < 0:
-        raise ProofError("support proofs nested beyond the depth limit")
-    key = (subject_key(proof.subject), subject_key(proof.obj))
-    if key in active:
-        raise ProofError(
-            f"cyclic support structure at {proof.subject} => {proof.obj}"
-        )
-    active = active | {key}
-
-    chain = proof.chain
-    _check_linkage(proof)
-    for index, delegation in enumerate(chain):
-        if not delegation.verify_signature():
-            raise SignatureInvalidError(
-                f"link {index}: bad signature on {delegation}"
-            )
-        if delegation.is_expired(at):
-            raise ExpiredError(
-                f"link {index}: {delegation} expired at {delegation.expiry}"
-            )
-        if is_revoked(delegation.id):
-            raise RevokedError(f"link {index}: {delegation} is revoked")
-        if strict_ns:
-            _check_attribute_namespaces(delegation, index)
-        _check_supports(proof, delegation, index, at, is_revoked,
-                        strict_ns, depth_left, active)
-
-
-def _check_linkage(proof: Proof) -> None:
-    chain = proof.chain
-    if subject_key(chain[0].subject) != subject_key(proof.subject):
-        raise ProofError(
-            f"chain starts at {chain[0].subject}, proof claims "
-            f"{proof.subject}"
-        )
-    if subject_key(chain[-1].obj) != subject_key(proof.obj):
-        raise ProofError(
-            f"chain ends at {chain[-1].obj}, proof claims {proof.obj}"
-        )
-    for index in range(1, len(chain)):
-        previous = chain[index - 1]
-        current = chain[index]
-        if subject_key(current.subject) != subject_key(previous.obj):
+def check_link(delegation: Delegation, at: float,
+               is_revoked: Callable[[str], bool]) -> None:
+    """Raise :class:`ProofError` unless ``delegation`` verifies, is live
+    at ``at``, and sets only attributes of its object's namespace
+    (Section 3.2.1). The message names the rule, not the delegation."""
+    if not delegation.verify_signature():
+        raise SignatureInvalidError("signature does not verify")
+    if delegation.is_expired(at):
+        raise ExpiredError(f"expired at {delegation.expiry}")
+    if is_revoked(delegation.id):
+        raise RevokedError("revoked")
+    for attribute in delegation.modifiers.attributes():
+        if attribute.entity != delegation.obj.entity:
             raise ProofError(
-                f"broken chain at link {index}: {previous.obj} != "
-                f"{current.subject}"
-            )
-    budget = proof.depth_budget
-    if budget is not None and budget < 0:
-        raise ProofError(
-            "chain exceeds a delegation's re-delegation depth limit"
-        )
-
-
-def _check_attribute_namespaces(delegation: Delegation, index: int) -> None:
-    """Attributes must live in the object role's namespace (Section 3.2.1:
-    "it is only meaningful to set attributes that are defined within the
-    namespace of the delegation's object, or that are inherited by that
-    object"). Strict mode enforces the namespace-equality half; inherited
-    attributes require relaxing with strict_attribute_namespace=False."""
-    for modifier in delegation.modifiers.to_modifiers():
-        if modifier.attribute.entity != delegation.obj.entity:
-            raise ProofError(
-                f"link {index}: attribute {modifier.attribute} is not in "
-                f"the namespace of object {delegation.obj}"
+                f"attribute {attribute} is not in the namespace of object "
+                f"{delegation.obj}"
             )
 
 
-def _check_supports(proof: Proof, delegation: Delegation, index: int,
-                    at: float, is_revoked: Callable[[str], bool],
-                    strict_ns: bool, depth_left: int,
-                    active: frozenset) -> None:
-    required = delegation.required_supports()
-    if not required:
-        return
-    available = proof.supports_for(delegation)
-    for role in required:
-        support = _find_support(available, delegation.issuer, role)
-        if support is None:
-            raise ProofError(
-                f"link {index}: {delegation} is third-party but no support "
-                f"proof shows {delegation.issuer.display_name} => {role}"
-            )
-        _validate(support, at, is_revoked, strict_ns, depth_left - 1, active)
+def check_supports(delegation: Delegation, supports: Tuple[Proof, ...],
+                   at: float, is_revoked: Callable[[str], bool]) -> None:
+    """Raise :class:`ProofError` unless each role ``delegation``
+    requires has a support among ``supports`` that validates alone."""
+    if supports:
+        prefetch_signatures(d for proof in supports
+                            for d in proof.all_delegations())
+    _lookup_supports(delegation, supports, at, is_revoked,
+                     MAX_SUPPORT_DEPTH, frozenset())
 
 
-def _find_support(proofs: Tuple[Proof, ...], issuer: Entity,
-                  role: Role) -> Optional[Proof]:
+def find_support(proofs: Iterable[Proof], issuer: Entity,
+                 role: Role) -> Optional[Proof]:
+    """The first of ``proofs`` claiming ``issuer => role``, or None."""
     for proof in proofs:
         if isinstance(proof.subject, Entity) and proof.subject == issuer \
                 and proof.obj == role:
             return proof
     return None
+
+
+def _validate(proof: Proof, at: float, is_revoked: Callable[[str], bool],
+              depth_left: int, active: frozenset) -> None:
+    """One walk over the chain: linkage from each link's node keys, then
+    the link check and support lookup per link."""
+    if depth_left < 0:
+        raise ProofError("support proofs nested beyond the depth limit")
+    node, end = subject_key(proof.subject), subject_key(proof.obj)
+    if (node, end) in active:
+        raise ProofError(
+            f"cyclic support structure at {proof.subject} => {proof.obj}"
+        )
+    active = active | {(node, end)}
+    budget = proof.depth_budget
+    if budget is not None and budget < 0:
+        raise ProofError(
+            "chain exceeds a delegation's re-delegation depth limit"
+        )
+    chain = proof.chain
+    for index, delegation in enumerate(chain):
+        if subject_key(delegation.subject) != node:
+            raise ProofError(
+                f"broken chain at link {index}: {chain[index - 1].obj} != "
+                f"{delegation.subject}" if index else
+                f"chain starts at {delegation.subject}, proof claims "
+                f"{proof.subject}"
+            )
+        try:
+            check_link(delegation, at, is_revoked)
+            _lookup_supports(delegation,
+                             proof._supports.get(delegation.id, ()), at,
+                             is_revoked, depth_left - 1, active)
+        except ProofError as exc:
+            raise type(exc)(f"link {index}: {delegation}: {exc}") from None
+        node = subject_key(delegation.obj)
+    if node != end:
+        raise ProofError(
+            f"chain ends at {chain[-1].obj}, proof claims {proof.obj}"
+        )
+
+
+def _lookup_supports(delegation: Delegation, supports: Tuple[Proof, ...],
+                     at: float, is_revoked: Callable[[str], bool],
+                     depth_left: int, active: frozenset) -> None:
+    for role in delegation.required_supports():
+        support = find_support(supports, delegation.issuer, role)
+        if support is None:
+            raise ProofError(
+                f"no support proof shows "
+                f"{delegation.issuer.display_name} => {role}"
+            )
+        try:
+            _validate(support, at, is_revoked, depth_left, active)
+        except ProofError as exc:
+            raise type(exc)(
+                f"support proof for {role} is invalid: {exc}") from None
 
 
 def _depth_budget(chain: Tuple[Delegation, ...]) -> Optional[int]:

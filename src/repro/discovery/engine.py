@@ -61,7 +61,7 @@ from repro.core.attributes import (
 )
 from repro.core.delegation import Delegation, prefetch_signatures
 from repro.core.errors import DiscoveryError, DRBACError
-from repro.core.proof import Proof, is_valid_proof
+from repro.core.proof import Proof, find_support, is_valid_proof
 from repro.core.roles import Role, Subject, subject_key
 from repro.core.tags import DiscoveryTag
 from repro.discovery import result_cache as result_cache_mod
@@ -693,8 +693,8 @@ class DiscoveryEngine:
                     stats.delegations_cached += 1
                 except DRBACError:
                     # A remote wallet served material the local
-                    # publication checks reject (bad signature, missing
-                    # or invalid support proofs, expired). Skip it -- a
+                    # publication checks reject (the validator's link
+                    # check or support lookup). Skip it -- a
                     # rogue or stale peer must not poison the trusted
                     # wallet or abort the search.
                     stats.delegations_rejected += 1
@@ -735,19 +735,13 @@ class DiscoveryEngine:
         if delegation.issuer_tag is not None:
             hints[subject_key(delegation.issuer)] = delegation.issuer_tag
         now = wallet.clock.now()
+        valid = [proof for proof in wallet.store.supports_for(delegation.id)
+                 if is_valid_proof(proof, at=now,
+                                   revoked=wallet.store.is_revoked)]
         satisfied = 0
         fresh: List = []
         for role in required:
-            existing = next(
-                (proof for proof in wallet.store.supports_for(
-                    delegation.id)
-                 if proof.obj == role and proof.subject ==
-                 delegation.issuer
-                 and is_valid_proof(proof, at=now,
-                                    revoked=wallet.store.is_revoked)),
-                None,
-            )
-            if existing is not None:
+            if find_support(valid, delegation.issuer, role) is not None:
                 satisfied += 1
                 continue
             found = self.discover(
@@ -767,18 +761,12 @@ class DiscoveryEngine:
         if not self.verify_home_authority or not tag.auth_role_name:
             return True
         cache_key = (home, tag.auth_role_name)
-        cached = self._authority_cache.get(cache_key)
-        if cached is not None:
-            if not cached:
-                stats.wallets_rejected.add(home)
-            return cached
-        role = self._resolve_auth_role(tag.auth_role_name)
-        if role is None:
-            self._authority_cache[cache_key] = False
-            stats.wallets_rejected.add(home)
-            return False
-        verdict = self.server.verify_wallet_authority(home, role)
-        self._authority_cache[cache_key] = verdict
+        verdict = self._authority_cache.get(cache_key)
+        if verdict is None:
+            role = self._resolve_auth_role(tag.auth_role_name)
+            verdict = role is not None \
+                and self.server.verify_wallet_authority(home, role)
+            self._authority_cache[cache_key] = verdict
         if not verdict:
             stats.wallets_rejected.add(home)
         return verdict
@@ -788,12 +776,8 @@ class DiscoveryEngine:
             return None
         entity_name, _dot, local = name.partition(".")
         try:
-            entity = self.entity_directory.lookup(entity_name)
-        except KeyError:
-            return None
-        try:
-            return Role(entity, local)
-        except Exception:  # noqa: BLE001 - malformed tag role name
+            return Role(self.entity_directory.lookup(entity_name), local)
+        except (KeyError, DRBACError):  # unknown entity, malformed name
             return None
 
     def _ttl_for(self, delegation: Delegation) -> float:

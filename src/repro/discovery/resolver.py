@@ -15,10 +15,10 @@ import itertools
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.delegation import Revocation
-from repro.core.errors import DiscoveryError
-from repro.core.identity import Entity, Principal
-from repro.core.proof import Proof, is_valid_proof
-from repro.core.roles import subject_key
+from repro.core.errors import DiscoveryError, DRBACError
+from repro.core.identity import Principal
+from repro.core.proof import Proof, find_support, is_valid_proof
+from repro.core.roles import subject_from_dict, subject_key
 from repro.discovery import wire
 from repro.discovery.gem import GemTableStore, GoalTable
 from repro.net.rpc import RpcError, RpcNode
@@ -466,20 +466,17 @@ class WalletServer:
         self-certified by the role's namespace owner, so a rogue host
         cannot forge authority."""
         try:
-            owner_record = self.rpc.call(remote, "whoami")
-            if owner_record is None:
-                return False
-            owner = Entity.from_dict(owner_record)
+            # The typed decoder: a malformed record is a DRBACError.
+            owner = subject_from_dict(
+                {"kind": "entity",
+                 "entity": self.rpc.call(remote, "whoami")})
             proof = self.remote_prove_role(remote, auth_role)
-        except (RpcError, Exception):  # noqa: BLE001 - network boundary
+            return proof is not None \
+                and find_support((proof,), owner, auth_role) is proof \
+                and is_valid_proof(proof, at=self.wallet.clock.now(),
+                                   revoked=self.wallet.store.is_revoked)
+        except (RpcError, NetworkError, DRBACError):
             return False
-        if proof is None:
-            return False
-        if not (isinstance(proof.subject, Entity)
-                and proof.subject == owner and proof.obj == auth_role):
-            return False
-        return is_valid_proof(proof, at=self.wallet.clock.now(),
-                              revoked=self.wallet.store.is_revoked)
 
     def remote_confirm(self, remote: str, delegation_id: str) -> bool:
         result = self.rpc.call(remote, "confirm",

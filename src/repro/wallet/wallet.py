@@ -3,10 +3,11 @@
 Figure 1's contract, implemented:
 
 * **Publication** -- an issuer posts delegations here so others can find
-  them. Signatures are verified at the door, and third-party delegations
-  must arrive with support proofs that validate *now* -- "freeing wallets
-  from having to conduct recursive searches to collect the supporting
-  chains when building proofs" (Section 4.1).
+  them. The door runs the validator's own link check and support lookup
+  (:mod:`repro.core.proof`), so third-party delegations must arrive with
+  support proofs that validate *now* -- "freeing wallets from having to
+  conduct recursive searches to collect the supporting chains when
+  building proofs" (Section 4.1).
 * **Authorization queries** -- direct, object, and subject queries over
   the wallet's trusted delegation graph (Section 4.1), with valued
   attribute constraints.
@@ -36,7 +37,13 @@ from repro.core.delegation import (
 from repro.core.delegation import revoke as _sign_revocation
 from repro.core.errors import ProofError, PublicationError
 from repro.core.identity import Entity, Principal
-from repro.core.proof import Proof, is_valid_proof, validate_proof
+from repro.core.proof import (
+    Proof,
+    check_link,
+    check_supports,
+    is_valid_proof,
+    validate_proof,
+)
 from repro.core.roles import Role, Subject, subject_key
 from repro.crypto import encoding, verify_cache
 from repro.graph.proof_cache import (
@@ -128,9 +135,11 @@ class Wallet:
         """Accept a delegation into the wallet.
 
         Returns False if the delegation was already present. Raises
-        :class:`PublicationError` when the signature fails, the delegation
-        is expired or revoked, or a third-party delegation arrives without
-        a complete, currently-valid set of support proofs.
+        :class:`PublicationError` wrapping the verdict of the validator's
+        link check and support lookup (:mod:`repro.core.proof`): a bad
+        signature, an expired or revoked delegation, an attribute outside
+        its object's namespace, or a required support proof missing or
+        invalid now.
 
         ``at`` overrides the validation timestamp -- used by journal
         replay to re-apply an operation at its original time.
@@ -149,20 +158,12 @@ class Wallet:
                       supports: Iterable[Proof],
                       at: Optional[float]) -> bool:
         now = self.clock.now() if at is None else at
-        if not delegation.verify_signature():
-            raise PublicationError(
-                f"rejecting {delegation}: signature does not verify"
-            )
-        if delegation.is_expired(now):
-            raise PublicationError(
-                f"rejecting {delegation}: already expired"
-            )
-        if self.store.is_revoked(delegation.id):
-            raise PublicationError(
-                f"rejecting {delegation}: already revoked"
-            )
         supports = tuple(supports)
-        self._check_supports(delegation, supports, now)
+        try:
+            check_link(delegation, now, self.store.is_revoked)
+            check_supports(delegation, supports, now, self.store.is_revoked)
+        except ProofError as exc:
+            raise PublicationError(f"rejecting {delegation}: {exc}") from exc
         inserted = self.store.add_delegation(delegation, supports)
         if inserted:
             # Index before announcing: the PUBLISHED event's cache
@@ -178,33 +179,6 @@ class Wallet:
             ))
             self._satisfy_awaiting(now)
         return inserted
-
-    def _check_supports(self, delegation: Delegation,
-                        supports: Tuple[Proof, ...], now: float) -> None:
-        required = delegation.required_supports()
-        if not required:
-            return
-        for role in required:
-            match = next(
-                (proof for proof in supports
-                 if isinstance(proof.subject, Entity)
-                 and proof.subject == delegation.issuer
-                 and proof.obj == role),
-                None,
-            )
-            if match is None:
-                raise PublicationError(
-                    f"rejecting {delegation}: third-party delegation "
-                    f"without a support proof for "
-                    f"{delegation.issuer.display_name} => {role}"
-                )
-            try:
-                validate_proof(match, at=now, revoked=self.store.is_revoked)
-            except ProofError as exc:
-                raise PublicationError(
-                    f"rejecting {delegation}: support proof for {role} "
-                    f"is invalid: {exc}"
-                ) from exc
 
     def publish_many(self, items: Iterable[Tuple[Delegation,
                                                  Iterable[Proof]]]) -> int:
@@ -296,13 +270,16 @@ class Wallet:
                 f"wallet does not hold delegation "
                 f"{old_delegation_id[:12]} to renew"
             )
-        if not renewal.verify_signature():
-            raise PublicationError("renewal signature does not verify")
-        if renewal.is_expired(self.clock.now() if at is None else at):
-            raise PublicationError("renewal is already expired")
-        if self.store.is_revoked(old_delegation_id) \
-                or self.store.is_revoked(renewal.id):
-            raise PublicationError("cannot renew a revoked delegation")
+        revoked = self.store.is_revoked
+        try:
+            # A renewal answers for the credential it re-states, so the
+            # original's revocation revokes it too.
+            check_link(renewal, self.clock.now() if at is None else at,
+                       lambda delegation_id: revoked(delegation_id)
+                       or revoked(old_delegation_id))
+        except ProofError as exc:
+            raise PublicationError(f"rejecting renewal {renewal}: {exc}") \
+                from exc
         if not is_renewal_of(renewal, old):
             raise PublicationError(
                 "renewal does not re-state the original delegation with "

@@ -120,6 +120,17 @@ class TestValidation:
         with pytest.raises(SignatureInvalidError):
             validate_proof(Proof.single(forged), at=0.0)
 
+    def test_forged_link_is_a_proof_error(self, org, alice):
+        """A bad signature is one more way a proof fails: the boolean
+        wrapper answers False rather than raising."""
+        from repro.core.delegation import Delegation
+        d = issue(org, alice.entity, Role(org.entity, "r"))
+        forged = Delegation(subject=d.subject, obj=d.obj, issuer=d.issuer,
+                            signature=b"\x00" * 65)
+        with pytest.raises(ProofError, match="signature does not verify"):
+            validate_proof(Proof.single(forged), at=0.0)
+        assert not is_valid_proof(Proof.single(forged), at=0.0)
+
     def test_revoked_support_invalidates_whole_proof(self, table1):
         proof = table1.full_proof()
         with pytest.raises(RevokedError):
@@ -140,19 +151,6 @@ class TestAttributeNamespaceRule:
                   modifiers=[Modifier(attr, Operator.MIN, 5)])
         with pytest.raises(ProofError, match="namespace"):
             validate_proof(Proof.single(d), at=0.0)
-
-    def test_foreign_attribute_allowed_relaxed(self, org, bob, alice):
-        attr = AttributeRef(bob.entity, "quota")
-        d = issue(org, alice.entity, Role(org.entity, "r"),
-                  modifiers=[Modifier(attr, Operator.MIN, 5)])
-        # Relaxed mode supports the "inherited attribute" case; the
-        # modifier still needs a support proof because bob != org.
-        proof = Proof.single(d)
-        try:
-            validate_proof(proof, at=0.0,
-                           strict_attribute_namespace=False)
-        except ProofError as exc:
-            assert "support" in str(exc)
 
 
 class TestAggregation:

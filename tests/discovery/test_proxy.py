@@ -175,6 +175,63 @@ class TestWalletAuthority:
         client, _home, _rogue, wallet_role = authority_setup
         assert not client.verify_wallet_authority("ghost", wallet_role)
 
+    def test_forged_authority_proof_rejected(self, org, clock):
+        """A host answering ``prove_role`` with a forged certificate is
+        unauthorized -- the check neither raises nor trusts it -- and a
+        search that meets it under the authority check skips it."""
+        from repro.core import (Delegation, DiscoveryTag, EntityDirectory,
+                                Proof, SubjectFlag)
+        from repro.core.identity import create_principal
+        from repro.core.roles import subject_key
+        from repro.discovery import wire
+        from repro.discovery.engine import DiscoveryEngine, DiscoveryStats
+
+        network = Network(clock=clock)
+        wallet_role = Role(org.entity, "wallet")
+        role = Role(org.entity, "r")
+        forger = create_principal("Forger")
+
+        class ForgingServer(WalletServer):
+            def _rpc_prove_role(self, _src, params):
+                forged = Delegation(subject=forger.entity,
+                                    obj=wire.role_from_wire(params["role"]),
+                                    issuer=org.entity,
+                                    signature=b"\x00" * 65)
+                return wire.proof_to_wire(Proof.single(forged))
+
+        forger_wallet = Wallet(owner=forger, address="forger.home",
+                               clock=clock)
+        forger_wallet.publish(issue(org, forger.entity, role))
+        ForgingServer(network, forger_wallet, principal=forger)
+        client = WalletServer(network,
+                              Wallet(owner=org, address="client",
+                                     clock=clock), principal=org)
+        assert client.verify_wallet_authority("forger.home",
+                                              wallet_role) is False
+        engine = DiscoveryEngine(client, verify_home_authority=True,
+                                 entity_directory=EntityDirectory(
+                                     [org.entity]))
+        tag = DiscoveryTag(home="forger.home", auth_role_name="Org.wallet",
+                           ttl=0, subject_flag=SubjectFlag.SEARCH)
+        stats = DiscoveryStats()
+        proof = engine.discover(forger.entity, role, stats=stats,
+                                hints={subject_key(forger.entity): tag})
+        assert proof is None
+        assert stats.wallets_rejected == {"forger.home"}
+
+    def test_unexpected_error_propagates(self, authority_setup,
+                                         monkeypatch):
+        """Only network, RPC and dRBAC failures read as "unauthorized";
+        a bug inside the check surfaces instead of hiding as a verdict."""
+        client, _home, _rogue, wallet_role = authority_setup
+
+        def broken(_remote, _role):
+            raise RuntimeError("bug in the check")
+
+        monkeypatch.setattr(client, "remote_prove_role", broken)
+        with pytest.raises(RuntimeError, match="bug in the check"):
+            client.verify_wallet_authority("home", wallet_role)
+
 
 class TestEngineAuthorityCheck:
     def test_engine_skips_unauthorized_home(self, org, alice, clock):

@@ -131,6 +131,41 @@ class TestRogueWallet:
             client.wallet.validate(forged)
 
 
+class TestStaleHome:
+    def test_out_of_namespace_credential_refused_at_origin(
+            self, org, bob, alice, clock):
+        """A home whose store predates the namespace rule serves
+        [alice -> Org.r with Bob.bw <= 5] Org, support included. The
+        origin's publication runs the validator's link check, so the
+        credential is rejected there and nothing is granted."""
+        from repro.core import AttributeRef, DiscoveryTag, Modifier, \
+            Operator, SubjectFlag
+        from repro.core.roles import attribute_right, subject_key
+        network = Network(clock=clock)
+        bw = AttributeRef(bob.entity, "bw")
+        role = Role(org.entity, "r")
+        tag = DiscoveryTag(home="stale.home", ttl=30.0,
+                           subject_flag=SubjectFlag.SEARCH)
+        support = Proof.single(
+            issue(bob, org.entity, attribute_right(bw, Operator.MIN)))
+        squat = issue(org, alice.entity, role, subject_tag=tag,
+                      modifiers=[Modifier(bw, Operator.MIN, 5)])
+        home = Wallet(owner=org, address="stale.home", clock=clock,
+                      cache=False)
+        home.store.add_delegation(squat, (support,))
+        WalletServer(network, home, principal=org)
+        client = WalletServer(network,
+                              Wallet(owner=org, address="client",
+                                     clock=clock), principal=org)
+        stats = DiscoveryStats()
+        proof = DiscoveryEngine(client).discover(
+            alice.entity, role, stats=stats,
+            hints={subject_key(alice.entity): tag})
+        assert proof is None
+        assert stats.delegations_rejected == 1
+        assert client.wallet.store.get_delegation(squat.id) is None
+
+
 class TestReplayAndRevocationAbuse:
     def test_revocation_replay_is_idempotent(self, org, alice):
         wallet = Wallet(owner=org, clock=SimClock())

@@ -3,6 +3,7 @@ import pytest
 from repro.core import (
     Constraint,
     AttributeRef,
+    Delegation,
     Modifier,
     Operator,
     Proof,
@@ -11,6 +12,7 @@ from repro.core import (
     SimClock,
     issue,
 )
+from repro.core.roles import attribute_right
 from repro.graph.search import SearchStats, Strategy, direct_query
 from repro.wallet.wallet import Wallet
 
@@ -62,6 +64,31 @@ class TestPublication:
         wallet.store.remove_delegation(d.id)
         with pytest.raises(PublicationError, match="revoked"):
             wallet.publish(d)
+
+    def test_rejects_attribute_outside_object_namespace(self, wallet, org,
+                                                        bob, alice):
+        """[alice -> Org.r with Bob.bw <= 5] Org arrives with a valid
+        Org => Bob.bw <= ' support, but Bob.bw is not in Org.r's
+        namespace (Section 3.2.1): publication applies the validator's
+        rule, so the wallet cannot grant what its validator refuses."""
+        bw = AttributeRef(bob.entity, "bw")
+        role = Role(org.entity, "r")
+        support = Proof.single(
+            issue(bob, org.entity, attribute_right(bw, Operator.MIN)))
+        d = issue(org, alice.entity, role,
+                  modifiers=[Modifier(bw, Operator.MIN, 5)])
+        with pytest.raises(PublicationError, match="namespace"):
+            wallet.publish(d, supports=[support])
+        assert wallet.query_direct(alice.entity, role) is None
+
+    def test_rejects_support_with_forged_link(self, wallet, table1):
+        real = table1.d1_mark_services
+        forged = Delegation(subject=real.subject, obj=real.obj,
+                            issuer=real.issuer, signature=b"\x00" * 65)
+        support = Proof.single(forged).extend(table1.d2_services_assign)
+        with pytest.raises(PublicationError, match="signature"):
+            wallet.publish(table1.d3_maria_member, supports=[support])
+        assert len(wallet) == 0
 
     def test_publish_many(self, wallet, table1):
         count = wallet.publish_many([
