@@ -217,6 +217,21 @@ class Delegation:
     def object_node(self) -> tuple:
         return subject_key(self.obj)
 
+    @property
+    def homes(self) -> Tuple[str, ...]:
+        """The home wallets this delegation's own tags place it in
+        (Section 4.2.1): its subject's home under ``s``/``S``, then its
+        object's under ``o``/``O``; a home named twice counts once."""
+        placed: Tuple[str, ...] = ()
+        if self.subject_tag is not None \
+                and self.subject_tag.subject_flag.stores_at_home:
+            placed = (self.subject_tag.home,)
+        if self.object_tag is not None \
+                and self.object_tag.object_flag.stores_at_home \
+                and self.object_tag.home not in placed:
+            placed += (self.object_tag.home,)
+        return placed
+
     # -- serialization ------------------------------------------------------
 
     def _payload_dict(self) -> dict:

@@ -90,6 +90,9 @@ class DiscoveryTag:
     def __post_init__(self) -> None:
         if not self.home:
             raise ParseError("discovery tag requires a home wallet address")
+        # The wire decodes a TTL as a float, so a tag signs as one too:
+        # ``ttl=30`` must not change the bytes of a round trip.
+        object.__setattr__(self, "ttl", float(self.ttl))
         if self.ttl < 0:
             raise ParseError("discovery tag TTL cannot be negative")
 
@@ -175,7 +178,7 @@ def parse_tag_fields(home: str, auth_role_name: str, ttl: float,
     except ValueError:
         raise ParseError(f"bad object discovery flag {flags[1]!r}") from None
     return DiscoveryTag(home=home, auth_role_name=auth_role_name,
-                        ttl=float(ttl), subject_flag=subject_flag,
+                        ttl=ttl, subject_flag=subject_flag,
                         object_flag=object_flag)
 
 

@@ -476,14 +476,15 @@ class DiscoveryEngine:
     def _serve_from_cache(self, search: _Search, key: tuple, home: str,
                           goal: GoalKey, depth: int, now: float) -> bool:
         """Answer a goal from the result cache. A cached closure counts
-        only while every chain link of it is still in the local wallet:
-        then nothing needs inserting (or subscribing to) and the goal
-        costs no message."""
+        only while every chain link of it is still in the local wallet,
+        and live there: then nothing needs inserting (or subscribing
+        to) and the goal costs no message."""
         stats = search.stats
         hit, proofs = self.result_cache.lookup(key, now)
         store = self.server.wallet.store
         if not hit or not all(
                 store.get_delegation(d.id) is not None
+                and not self._dead(d, now)
                 for proof in proofs for d in proof.chain):
             stats.cache_misses += 1
             return False
@@ -621,7 +622,7 @@ class DiscoveryEngine:
         goals it continues into."""
         home, proofs = answer.home, answer.proofs
         verified = self._insert(proofs, home, answer.subs, search.tags,
-                                search.stats)
+                                search.stats, now)
         # A ``"duplicate"`` record is an empty closure for a goal the
         # home had already tabled -- "no answer *yet*", never "no
         # path" -- and a closure with rejected links or dropped proofs
@@ -637,6 +638,13 @@ class DiscoveryEngine:
                                 for d in p.all_delegations()])
         self._follow(search, home, answer.goal[0], verified, answer.depth)
 
+    def _dead(self, delegation: Delegation, now: float) -> bool:
+        """``check_link``'s time-varying half, for a link the wallet
+        already holds (its signature and namespace were checked when
+        it was admitted)."""
+        return self.server.wallet.store.is_revoked(delegation.id) \
+            or delegation.is_expired(now)
+
     def _result_ttl(self, proofs: Iterable[Proof]) -> float:
         """A cached result may not outlive the discovery-tag lease of any
         delegation it contains (Section 4.2.1 trust window)."""
@@ -644,13 +652,15 @@ class DiscoveryEngine:
 
     def _insert(self, proofs: List[Proof], home: str,
                 subs: Mapping[str, str], tags: Dict[tuple, DiscoveryTag],
-                stats: DiscoveryStats) -> List[Proof]:
+                stats: DiscoveryStats, now: float) -> List[Proof]:
         """Insert a closure's chain links through the coherent cache's
         publication checks. The validation subscriptions already exist
         -- the home established them when it shipped each certificate
-        -- so only the cancel closures are built here. Returns the
-        proofs whose every chain link is now in the local wallet; only
-        their tags are harvested."""
+        -- so only the cancel closures are built here. A link the
+        wallet already holds is not inserted again, but counts only
+        while it is live: a home may still serve what is revoked or
+        expired here. Returns the proofs whose every chain link is now
+        live in the local wallet; only their tags are harvested."""
         stats.subscriptions_established += len(subs)
         server = self.server
         store = server.wallet.store
@@ -682,7 +692,11 @@ class DiscoveryEngine:
                 if delegation.id in rejected:
                     break
                 if store.get_delegation(delegation.id) is not None:
-                    continue
+                    if not self._dead(delegation, now):
+                        continue
+                    stats.delegations_rejected += 1
+                    rejected.add(delegation.id)
+                    break
                 cancel = cancel_for(delegation.id)
                 try:
                     server.cache.insert(

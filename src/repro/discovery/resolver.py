@@ -4,7 +4,8 @@ A :class:`WalletServer` is a wallet "hosted on a participating server"
 (Section 4): it answers the three query forms over RPC, accepts
 publications, serves remote delegation subscriptions (pushing signed
 revocations to subscribers -- the coherence mechanism of Section 4.2.2),
-and answers TTL confirmation probes.
+hands a revocation to the other home its delegation's tags name, and
+answers TTL confirmation probes.
 
 The :class:`WalletDirectory` is scenario plumbing: it tracks the servers
 in one simulated deployment so builders and tests can reach them by
@@ -58,14 +59,16 @@ class WalletServer:
         # has a copy of it, so discovery answers ship it a ref instead.
         self._holdings: Dict[str, Dict[str, Tuple[str, Subscription]]] = {}
         self._sub_ids = itertools.count()
-        # Tabled goal evaluation: per-root goal tables, the answer
-        # sink a local DiscoveryEngine installs, and a hub
-        # subscription flushing tabled DONE states on any local
-        # mutation (they summarize the closure that just changed).
+        # Tabled goal evaluation: per-root goal tables and the answer
+        # sink a local DiscoveryEngine installs.
         self.gem_tables = GemTableStore()
         self.gem_answer_sink: Optional[Callable[[str, dict], None]] = None
-        self._gem_hub_sub = wallet.hub.subscribe_all(
-            self._on_gem_local_event)
+        # The delegation whose revocation a peer home is handing over
+        # right now: applying it must not send it back.
+        self._relayed: Optional[str] = None
+        # One hub subscription sees every local mutation: it flushes
+        # the goal tables and hands revocations over (see below).
+        self._hub_sub = wallet.hub.subscribe_all(self._on_local_event)
         self._expose_all()
         # Counters surfaced in benchmark reports.
         self.queries_served = 0
@@ -88,6 +91,7 @@ class WalletServer:
         self.rpc.expose("prove_role", self._rpc_prove_role)
         self.rpc.expose("get_delegation", self._rpc_get_delegation)
         self.rpc.expose("delegation_event", self._rpc_delegation_event)
+        self.rpc.expose("revocation", self._rpc_revocation)
         self.rpc.expose("gem_eval", self._rpc_gem_eval)
         self.rpc.expose("gem_answers", self._rpc_gem_answers)
         self.rpc.expose("gem_terminate", self._rpc_gem_terminate)
@@ -331,11 +335,51 @@ class WalletServer:
         Idempotent -- a root this home never tabled is a no-op."""
         self.gem_tables.flush_root(_table_key(src, params.get("root")))
 
-    def _on_gem_local_event(self, _event) -> None:
+    def _on_local_event(self, event: DelegationEvent) -> None:
         """Any local mutation invalidates every tabled DONE state (the
-        tables summarize the local closure that just changed)."""
+        tables summarize the local closure that just changed), and a
+        revocation accepted here follows its delegation's placement."""
         if len(self.gem_tables):
             self.gem_tables.flush_all()
+        if event.kind is EventKind.REVOKED \
+                and event.delegation_id != self._relayed:
+            self._hand_over_revocation(event.delegation_id)
+
+    def _hand_over_revocation(self, delegation_id: str) -> None:
+        """Section 6 at every home: a dual-home delegation (its subject
+        and object tags place it in two wallets) is served from both,
+        so a home its tags name that accepts the revocation sends it,
+        once, to the other. A wallet that merely caches a copy hands
+        over nothing."""
+        store = self.wallet.store
+        delegation = store.get_delegation(delegation_id)
+        revocation = store.revocation_for(delegation_id)
+        if delegation is None or revocation is None \
+                or self.address not in delegation.homes:
+            return
+        payload = {"revocation": revocation.to_dict()}
+        for home in delegation.homes:
+            if home == self.address:
+                continue
+            try:
+                self.rpc.notify(home, "revocation", payload)
+            except NetworkError:
+                # The other home's own subscribers then learn of it by
+                # their leases lapsing, as for any lost push.
+                self.pushes_failed += 1
+            else:
+                self.events_pushed += 1
+
+    def _rpc_revocation(self, _src: str, params: dict) -> None:
+        """A peer home's hand-over: applied like a subscription push,
+        so it counts only if the issuer's signature verifies against
+        this wallet's copy, and never handed on again."""
+        revocation = Revocation.from_dict(params["revocation"])
+        self._relayed = revocation.delegation_id
+        try:
+            self.cache.apply_remote_revocation(revocation)
+        finally:
+            self._relayed = None
 
     def _rpc_delegation_event(self, src: str, params: dict) -> None:
         """Inbound push from a wallet we subscribed at (client side)."""
@@ -491,7 +535,7 @@ class WalletServer:
             for _token, subscription in held.values():
                 subscription.cancel()
         self._holdings.clear()
-        self._gem_hub_sub.cancel()
+        self._hub_sub.cancel()
         self.gem_tables.flush_all()
         if self.switchboard is not None:
             self.switchboard.close()

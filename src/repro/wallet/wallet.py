@@ -212,8 +212,12 @@ class Wallet:
 
         The revocation must verify against the stored delegation if the
         wallet holds it, or stand alone otherwise (so a revocation can
-        outrun its delegation through a cache mesh).
+        outrun its delegation through a cache mesh). One for an id
+        already revoked here answers False before any signature check:
+        a replay changes nothing.
         """
+        if self.store.is_revoked(revocation.delegation_id):
+            return False
         delegation = self.store.get_delegation(revocation.delegation_id)
         if delegation is not None:
             if not revocation.verify(delegation):
@@ -222,8 +226,7 @@ class Wallet:
                 )
         elif not revocation.verify_standalone():
             raise PublicationError("revocation signature does not verify")
-        if not self.store.add_revocation(revocation):
-            return False
+        self.store.add_revocation(revocation)
         self._stats.c_revocations.inc()
         self.hub.publish(DelegationEvent(
             kind=EventKind.REVOKED,

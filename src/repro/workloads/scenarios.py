@@ -523,7 +523,7 @@ def deploy_coalition(workload: "GeneratedWorkload",
         if delegation.subject == workload.subject and entry is None:
             entry = delegation
             continue
-        for home in _tag_homes(delegation):
+        for home in delegation.homes:
             homes[home].wallet.publish(delegation, supports)
     if entry is None:
         raise ValueError("workload has no credential for its subject")
@@ -540,18 +540,3 @@ def deploy_coalition(workload: "GeneratedWorkload",
         network=network, clock=clock, workload=workload, homes=homes,
         server=server, engine=engine, entry=entry, ttl=ttl,
     )
-
-
-def _tag_homes(delegation: Delegation) -> List[str]:
-    """Home addresses the delegation's own tags direct storage to."""
-    placed: List[str] = []
-    subject_tag = delegation.subject_tag
-    if subject_tag is not None and subject_tag.home \
-            and subject_tag.subject_flag.stores_at_home:
-        placed.append(subject_tag.home)
-    object_tag = delegation.object_tag
-    if object_tag is not None and object_tag.home \
-            and object_tag.object_flag.stores_at_home \
-            and object_tag.home not in placed:
-        placed.append(object_tag.home)
-    return placed

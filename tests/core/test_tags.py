@@ -1,6 +1,8 @@
 import pytest
 
+from repro.core.delegation import Delegation, issue
 from repro.core.errors import ParseError
+from repro.core.roles import Role
 from repro.core.tags import (
     DiscoveryTag,
     ObjectFlag,
@@ -41,6 +43,18 @@ class TestParsing:
     def test_dict_round_trip(self):
         tag = DiscoveryTag.parse("<w.example.com:a.b:15:sO>")
         assert DiscoveryTag.from_dict(tag.to_dict()) == tag
+
+    def test_int_ttl_survives_a_delegation_round_trip(self, org, alice):
+        """The wire decodes every TTL as a float; a tag built with an
+        int must sign as that float, or the decoded delegation has
+        another id and its signature no longer verifies."""
+        tag = DiscoveryTag(home="w.example.com", ttl=30,
+                           object_flag=ObjectFlag.SEARCH)
+        assert tag.ttl.__class__ is float
+        d = issue(org, alice.entity, Role(org.entity, "r"), object_tag=tag)
+        back = Delegation.from_dict(d.to_dict())
+        assert back.id == d.id
+        assert back.verify_signature()
 
     def test_no_flags(self):
         tag = DiscoveryTag.parse("<w.example.com::0:-->")

@@ -15,7 +15,15 @@ from contextlib import nullcontext
 
 import pytest
 
-from repro.core import DiscoveryTag, Proof, Role, SubjectFlag, issue
+from repro.core import (
+    DiscoveryTag,
+    Proof,
+    Role,
+    SimClock,
+    SubjectFlag,
+    issue,
+)
+from repro.core.roles import subject_key
 from repro.crypto.encoding import canonical_encode
 from repro.discovery import gem, result_cache, wire
 from repro.discovery.engine import DiscoveryEngine, DiscoveryStats
@@ -646,3 +654,144 @@ class TestHoldings:
             assert self._subscriptions(dep)[lossy] > 0
         finally:
             dep.close()
+
+
+@pytest.fixture(scope="module")
+def dual_home():
+    """``disc_scc``'s coalition and its D3 -> D4 bridge, which the
+    bridge's ``S``/``O`` tags place at both wallet.d3 and wallet.d4."""
+    workload = topology.make_scc_heavy(6, 6, seed=1)
+    bridge = next(
+        d for d, _ in workload.delegations
+        if d.subject_tag is not None and d.object_tag is not None
+        and (d.subject_tag.home, d.object_tag.home)
+        == ("wallet.d3.example", "wallet.d4.example"))
+    assert bridge.homes == ("wallet.d3.example", "wallet.d4.example")
+    return workload, bridge
+
+
+class TestRevocationFollowsPlacement:
+    """Section 6: a revocation stops every proof that uses the
+    delegation -- at whichever of its homes it was accepted, and even
+    where a home still serves the revoked copy."""
+
+    @staticmethod
+    def _revoke(dep, workload, bridge, at):
+        dep.homes[at].wallet.revoke(workload.principals["D4"], bridge.id)
+        assert all(dep.homes[home].wallet.is_revoked(bridge.id)
+                   for home in bridge.homes)
+
+    def test_revoked_at_its_other_home_a_warm_server_denies(
+            self, dual_home):
+        """The server's subscription for the bridge is at d3; D4
+        revokes at d4. d4 hands the revocation to d3 -- one notify, not
+        echoed -- and d3 pushes it to the server."""
+        workload, bridge = dual_home
+        dep = deploy_coalition(workload)
+        try:
+            assert dep.authorize(max_remote_queries=2048) is not None
+            dep.network.reset_counters()
+            self._revoke(dep, workload, bridge, "wallet.d4.example")
+            assert dep.network.by_topic["notify:revocation"].messages == 1
+            assert dep.network.by_topic[
+                "notify:delegation_event"].messages == 1
+            assert dep.server.wallet.is_revoked(bridge.id)
+            assert dep.authorize(max_remote_queries=2048) is None
+        finally:
+            dep.close()
+
+    def test_a_cold_server_is_not_served_the_other_homes_copy(
+            self, dual_home):
+        """Revoked at d3 before the server ever saw it: given the
+        object's tag, the reverse search reaches d4, which must not
+        serve its copy of the bridge."""
+        workload, bridge = dual_home
+        dep = deploy_coalition(workload)
+        try:
+            self._revoke(dep, workload, bridge, "wallet.d3.example")
+            tag = next(d.object_tag for d, _ in workload.delegations
+                       if d.obj == workload.obj and d.object_tag)
+            dep.server.wallet.publish(dep.entry)
+            assert dep.engine.discover(
+                workload.subject, workload.obj,
+                hints={subject_key(workload.obj): tag},
+                max_remote_queries=2048) is None
+        finally:
+            dep.close()
+
+    def test_denied_reauthorize_asks_only_live_goals(self, dual_home):
+        """Four of the six reverse goals are reachable only through the
+        revoked bridge; neither home follows it any more."""
+        workload, bridge = dual_home
+        dep = deploy_coalition(workload)
+        try:
+            assert dep.authorize(max_remote_queries=2048) is not None
+            self._revoke(dep, workload, bridge, "wallet.d3.example")
+            stats = DiscoveryStats()
+            assert dep.authorize(stats=stats,
+                                 max_remote_queries=2048) is None
+            assert (stats.rounds, stats.remote_subject_queries,
+                    stats.remote_object_queries) == (3, 1, 2)
+            assert stats.wire_messages == 7
+        finally:
+            dep.close()
+
+    def test_a_held_revoked_link_a_home_still_serves_is_refused(
+            self, dual_home):
+        """The hand-over to d4 is lost, so d4 still serves the bridge
+        the server holds as revoked: the proofs through it are not
+        verified, their heads not followed, and the closure not
+        cached, so the next search asks that goal again."""
+        workload, bridge = dual_home
+        dep = deploy_coalition(workload)
+        try:
+            assert dep.authorize(max_remote_queries=2048) is not None
+            dep.network.partition("wallet.d3.example", "wallet.d4.example",
+                                  bidirectional=False)
+            dep.homes["wallet.d3.example"].wallet.revoke(
+                workload.principals["D4"], bridge.id)
+            assert dep.homes["wallet.d3.example"].pushes_failed == 1
+            assert not dep.homes["wallet.d4.example"].wallet.is_revoked(
+                bridge.id)
+            for goals in (3, 1):
+                stats = DiscoveryStats()
+                assert dep.authorize(stats=stats,
+                                     max_remote_queries=2048) is None
+                assert stats.rounds == goals
+                assert stats.delegations_rejected == 1
+        finally:
+            dep.close()
+
+    def test_a_held_link_expired_here_is_refused(self, org, alice):
+        """w.mid's clock lags the origin's, so it still serves a link
+        that has expired at the origin. The origin's cached closure
+        with that link is a miss, and the re-asked goal's answer is
+        not followed. (Tags with no TTL: only the certificate's own
+        expiry bounds the cached closure.)"""
+        clock, lagging = SimClock(), SimClock()
+        network = Network(clock=clock)
+        r1, r2, r3 = (Role(org.entity, n) for n in ("r1", "r2", "r3"))
+
+        def tag(home):
+            return DiscoveryTag(home=home, subject_flag=SubjectFlag.SEARCH)
+
+        def host(address, at):
+            return WalletServer(
+                network, Wallet(owner=org, address=address, clock=at),
+                principal=org)
+
+        server, mid, far = (host("w.local", clock), host("w.mid", lagging),
+                            host("w.far", clock))
+        server.wallet.publish(
+            issue(org, alice.entity, r1, object_tag=tag("w.mid")))
+        mid.wallet.publish(issue(org, r1, r2, expiry=100.0,
+                                 subject_tag=tag("w.mid"),
+                                 object_tag=tag("w.far")))
+        far.wallet.publish(issue(org, r2, r3, subject_tag=tag("w.far")))
+        engine = DiscoveryEngine(server, default_ttl=1000.0)
+        assert engine.discover(alice.entity, r3) is not None
+        clock.advance(150.0)
+        stats = DiscoveryStats()
+        assert engine.discover(alice.entity, r3, stats=stats) is None
+        assert (stats.cache_misses, stats.rounds,
+                stats.delegations_rejected) == (1, 1, 1)

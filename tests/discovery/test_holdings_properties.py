@@ -77,10 +77,15 @@ class _World:
                 if home.wallet.store.get_delegation(delegation.id)
                 is not None]
 
-    def revoke(self, index):
+    def revoke(self, index, home=None):
+        """Revoke one credential at every home storing it, or, given
+        ``home``, at the one storing home that number picks."""
         delegation, issuer = self.revocable[index]
-        for home in self.storing(delegation):
-            home.wallet.revoke(issuer, delegation.id)
+        storing = self.storing(delegation)
+        if home is not None:
+            storing = [storing[home % len(storing)]]
+        for server in storing:
+            server.wallet.revoke(issuer, delegation.id)
 
     def discover(self, index):
         engine, subject, obj = self.queries[index]
@@ -198,27 +203,43 @@ class HoldingsMachine(RuleBasedStateMachine):
         elif not self.cut and not self._stale(origin):
             assert ours is None
 
-    @rule(index=st.integers(0, 63))
-    def revoke(self, index):
+    def _revoke(self, index, home=None):
+        """Revoke a credential not revoked yet. Afterwards every home
+        storing it reports it revoked, and each subscribed peer each
+        such home can reach got exactly one push from it."""
         world = self.world
         index %= len(world.revocable)
         if any(index == seen for _at, seen in self.history):
             return
         delegation, _issuer = world.revocable[index]
+        storing = world.storing(delegation)
         expected = {
-            (home.address, peer)
-            for home in world.storing(delegation)
-            for peer, held in home._holdings.items()
+            (server.address, peer)
+            for server in storing
+            for peer, held in server._holdings.items()
             if delegation.id in held
-            and (home.address, peer) not in self.cut}
+            and (server.address, peer) not in self.cut}
         world.network.reset_counters()
-        world.revoke(index)
+        world.revoke(index, home)
         self.history.append((world.clock.now(), index))
-        # One push per subscribed peer the home can reach, no more.
+        assert all(server.wallet.is_revoked(delegation.id)
+                   for server in storing)
         pushed = {link[:2]: traffic.messages for link, traffic
                   in world.network.by_link_topic.items()
                   if link[2] == EVENT}
         assert pushed == dict.fromkeys(expected, 1)
+
+    @rule(index=st.integers(0, 63))
+    def revoke(self, index):
+        self._revoke(index)
+
+    @rule(index=st.integers(0, 63), home=st.integers(0, 3))
+    def revoke_at_one_home(self, index, home):
+        """Revocations follow placement: revoked at one of its homes, a
+        dual-home credential is revoked at the other too (the machine
+        cuts only origin-home links, so every home reaches every
+        other)."""
+        self._revoke(index, home)
 
     @rule(seconds=st.sampled_from([1.0, 120.0, TTL + 1.0]))
     def advance_and_sweep(self, seconds):

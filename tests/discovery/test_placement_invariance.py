@@ -18,6 +18,11 @@ every role:
   not part of the contract;
 * every distributed proof passes ``Wallet.validate`` at the origin,
   under the query's constraints.
+
+A second property revokes one drawn credential at one of the homes
+storing it (Section 6: a revocation stops every proof that uses the
+delegation). An origin that discovered before the revocation and one
+that never did must both decide as the single wallet holding it.
 """
 
 from hypothesis import HealthCheck, example, given, settings
@@ -27,6 +32,9 @@ from repro.core import DiscoveryTag, ObjectFlag, Role, SubjectFlag
 from repro.core.attributes import AttributeRef, Constraint, Modifier, Operator
 from repro.core.delegation import issue
 from repro.core.identity import create_principal
+from repro.core.roles import subject_key
+from repro.discovery.engine import DiscoveryEngine
+from repro.discovery.resolver import WalletServer
 from repro.wallet.wallet import Wallet
 from repro.workloads.scenarios import deploy_coalition
 from repro.workloads.topology import GeneratedWorkload
@@ -154,4 +162,52 @@ def test_discovery_decides_as_one_wallet_holding_everything(case):
             if _simple_paths([(a, b) for a, b, _m in edges], 0, node) == 1:
                 assert found.grants(BASES) == local.grants(BASES), role
     finally:
+        deployed.close()
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(credential_sets(), st.data())
+def test_a_revocation_decides_as_one_wallet_holding_it(case, data):
+    """The drawn credential's ``S``/``O`` tags often name two homes.
+    The warm origin's subscription for it may be at either, and the
+    cold origin, given the object's tag, may ask either."""
+    edges, homes, constraints = case
+    workload = _workload(edges, homes)
+    index = data.draw(st.integers(1, len(edges)), label="revoked")
+    revoked = workload.delegations[index][0]
+    issuer = OWNERS[edges[index - 1][1] // ROLES_PER_DOMAIN]
+    single = Wallet(owner=OWNERS[0])
+    for delegation, supports in workload.delegations:
+        single.publish(delegation, supports)
+    single.revoke(issuer, revoked.id)
+    deployed = deploy_coalition(workload)
+    cold = WalletServer(deployed.network,
+                        Wallet(owner=OWNERS[0], address="server.cold",
+                               clock=deployed.clock), principal=OWNERS[0])
+    try:
+        warm = deployed.engine
+        for server in (deployed.server, cold):
+            server.wallet.publish(deployed.entry)
+        for role in ROLES:
+            warm.discover(USER.entity, role, constraints, BASES,
+                          max_remote_queries=1024)
+        storing = sorted(address for address, home in deployed.homes.items()
+                         if home.wallet.store.get_delegation(revoked.id)
+                         is not None)
+        at = data.draw(st.sampled_from(storing), label="revoked at")
+        deployed.homes[at].wallet.revoke(issuer, revoked.id)
+        cold_engine = DiscoveryEngine(cold)
+        for node, role in enumerate(ROLES):
+            local = single.query_direct(USER.entity, role, constraints,
+                                        BASES)
+            for name, engine, hints in (
+                    ("warm", warm, None),
+                    ("cold", cold_engine,
+                     {subject_key(role): _tag(node, homes)})):
+                found = engine.discover(USER.entity, role, constraints,
+                                        BASES, hints=hints,
+                                        max_remote_queries=1024)
+                assert (found is None) == (local is None), (role, name)
+    finally:
+        cold.close()
         deployed.close()

@@ -178,6 +178,22 @@ class TestRevocation:
         revocation = wallet.revoke(org, d.id)
         assert not wallet.publish_revocation(revocation)
 
+    def test_replayed_revocation_checks_no_signature(self, wallet, org,
+                                                     alice, monkeypatch):
+        from repro.core.delegation import Revocation
+        d = issue(org, alice.entity, Role(org.entity, "r"))
+        wallet.publish(d)
+        revocation = wallet.revoke(org, d.id)
+        calls = []
+        for name in ("verify", "verify_standalone"):
+            real = getattr(Revocation, name)
+            monkeypatch.setattr(
+                Revocation, name,
+                lambda self, *args, _real=real, _name=name:
+                calls.append(_name) or _real(self, *args))
+        assert not wallet.publish_revocation(revocation)
+        assert calls == []
+
     def test_standalone_revocation_for_unknown_delegation(self, wallet,
                                                           org, alice):
         from repro.core.delegation import revoke as sign_revocation
