@@ -67,7 +67,7 @@ def check_amplification_cycle(ctx: AnalysisContext) -> Iterator[Finding]:
     "support proof.",
 )
 def check_dangling_support(ctx: AnalysisContext) -> Iterator[Finding]:
-    """Answered statically from the live reachability index.
+    """Answered statically by walking the live graph from each issuer.
 
     For each live delegation, every role in ``required_supports()``
     must either be live-reachable from the issuer's entity node or be

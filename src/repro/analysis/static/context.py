@@ -2,18 +2,15 @@
 
 Every rule reads from one :class:`AnalysisContext`, which owns the
 expensive derived structures -- the *live* subgraph (edges neither
-expired nor revoked at the analysis instant), a live
-:class:`~repro.graph.reach_index.ReachabilityIndex`, the strongly
-connected components of the live graph in topological order, and the
-set of nodes some entity can structurally reach. Each is built at most
-once per pass, however many rules consult it.
+expired nor revoked at the analysis instant), the strongly connected
+components of the live graph in topological order, the set of nodes
+some entity can structurally reach, and what each issuer reaches. Each
+is built at most once per pass, however many rules consult it.
 
-The live restriction matters: the wallet's own reachability index is a
-structural over-approximation (it keeps expired and revoked edges, which
-is sound for *pruning*), but a defect report must not claim a support
+The live restriction matters: a defect report must not claim a support
 chain exists when its only witness expired years ago. Rules that reason
-about what is constructible *now* therefore go through the live index
-built here.
+about what is constructible *now* therefore walk the live graph built
+here.
 """
 
 import math
@@ -24,7 +21,6 @@ from repro.core.delegation import Delegation
 from repro.core.proof import Proof
 from repro.core.roles import Role, subject_key
 from repro.graph.delegation_graph import DelegationGraph
-from repro.graph.reach_index import ReachabilityIndex
 
 # A delegation outliving this (seconds past the analysis instant, or
 # carrying no expiry at all) counts as long-lived for the
@@ -52,7 +48,7 @@ class AnalysisContext:
         self.long_lived_threshold = long_lived_threshold
         self._live: Optional[List[Delegation]] = None
         self._live_graph: Optional[DelegationGraph] = None
-        self._live_reach: Optional[ReachabilityIndex] = None
+        self._reach_from: Dict[tuple, Set[tuple]] = {}
         self._sccs: Optional[List[List[tuple]]] = None
         self._scc_index: Optional[Dict[tuple, int]] = None
         self._entity_reachable: Optional[Set[tuple]] = None
@@ -77,12 +73,21 @@ class AnalysisContext:
             self._live_graph = DelegationGraph(self.live_delegations)
         return self._live_graph
 
-    @property
-    def live_reach(self) -> ReachabilityIndex:
-        """Transitive closure over live edges only."""
-        if self._live_reach is None:
-            self._live_reach = ReachabilityIndex(self.live_graph)
-        return self._live_reach
+    def _live_walk(self, sources: Iterable[tuple]) -> Set[tuple]:
+        """The sources plus every node they reach through live edges."""
+        graph = self.live_graph
+        frontier = list(sources)
+        seen: Set[tuple] = set(frontier)
+        while frontier:
+            next_frontier: List[tuple] = []
+            for node in frontier:
+                for edge in graph.out_edges_by_node(node):
+                    target = edge.object_node
+                    if target not in seen:
+                        seen.add(target)
+                        next_frontier.append(target)
+            frontier = next_frontier
+        return seen
 
     # -- strongly connected components ------------------------------------
 
@@ -205,20 +210,9 @@ class AnalysisContext:
         every proof chain starts at an entity subject.
         """
         if self._entity_reachable is None:
-            graph = self.live_graph
-            frontier = sorted(node for node in graph.nodes()
-                              if node[0] == "entity")
-            seen: Set[tuple] = set(frontier)
-            while frontier:
-                next_frontier: List[tuple] = []
-                for node in frontier:
-                    for edge in graph.out_edges_by_node(node):
-                        target = edge.object_node
-                        if target not in seen:
-                            seen.add(target)
-                            next_frontier.append(target)
-                frontier = next_frontier
-            self._entity_reachable = seen
+            self._entity_reachable = self._live_walk(
+                sorted(node for node in self.live_graph.nodes()
+                       if node[0] == "entity"))
         return self._entity_reachable
 
     # -- namespace / naming directory --------------------------------------
@@ -253,8 +247,11 @@ class AnalysisContext:
         asserts no chain can possibly exist.
         """
         issuer_node = ("entity", delegation.issuer.id)
-        role_node = subject_key(role)
-        if self.live_reach.can_reach(issuer_node, role_node):
+        reached = self._reach_from.get(issuer_node)
+        if reached is None:
+            reached = self._reach_from[issuer_node] = \
+                self._live_walk((issuer_node,))
+        if subject_key(role) in reached:
             return True
         if self.supports is None:
             return False

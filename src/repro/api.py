@@ -59,7 +59,7 @@ class Domain:
         """Mint a fresh identity with its own wallet.
 
         ``cache=False`` disables the wallet's event-invalidated decision
-        cache and reachability index (see docs/PERFORMANCE.md).
+        cache (see docs/PERFORMANCE.md).
         """
         return cls(create_principal(name, algorithm=algorithm),
                    clock=clock, cache=cache)
@@ -194,7 +194,7 @@ class Domain:
         """Batched :meth:`check`: one decision per ``(subject, role)``.
 
         Backed by :meth:`Wallet.authorize_many`, so the whole batch shares
-        one clock reading, support provider, and index snapshot.
+        one clock reading and support provider.
         """
         constraints = [
             Constraint(self.attribute(name), minimum)

@@ -823,8 +823,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="entity nickname or role (object queries: "
                             "the role)")
     query.add_argument("--no-cache", action="store_true",
-                       help="bypass the wallet's decision cache and "
-                            "reachability index (always run a full search)")
+                       help="bypass the wallet's decision cache (always "
+                            "run a full search)")
     query.add_argument("--no-crypto-cache", action="store_true",
                        help="disable the signature-verification memo and "
                             "per-certificate flags (re-verify every "

@@ -2,8 +2,8 @@
 
 Discovery (:mod:`repro.discovery.engine`) evaluates a query the way
 Trivellato, Zannone & Etalle's GEM does (see PAPERS.md): each home
-keeps a *goal table* per evaluation root recording which goals are
-ACTIVE or DONE, evaluates each goal's local closure once and pushes
+keeps a *goal table* per evaluation root recording which goals it
+has tabled, evaluates each goal's local closure once and pushes
 the answers *once*, directly to the evaluation's origin. The origin
 derives the continuing goals from the credentials it verifies and
 dedups them coalition-wide, so a goal naming an already-issued
@@ -31,9 +31,6 @@ from repro import obs
 # "fwd" (everything reachable from node) or "rev" (everything that
 # reaches node); the node key is the engine's canonical node encoding.
 GoalKey = Tuple[str, tuple]
-
-ACTIVE = "active"
-DONE = "done"
 
 DEFAULT_MAX_ROOTS = 256
 DEFAULT_TABLE_TTL = 60.0
@@ -73,9 +70,8 @@ GEM_COUNTER_NAMES = (
 class GoalTable:
     """One home's tabled state for one evaluation root.
 
-    ``goals`` maps goal keys to ACTIVE (evaluation in flight) or DONE
-    (answers already pushed to the origin); either way an arriving
-    duplicate is never re-evaluated. ``sent_ids`` is the per-root
+    ``goals`` holds the goals tabled here, evaluated or in flight; an
+    arriving duplicate is never re-evaluated. ``sent_ids`` is the per-root
     credential dedup set -- what this root shipped, plus what the
     origin already held a subscription for when a goal was answered --
     so each certificate crosses the wire to the origin at most once
@@ -84,20 +80,16 @@ class GoalTable:
 
     root_id: str
     origin: str
-    created_at: float
     deadline: float
-    goals: Dict[GoalKey, str] = field(default_factory=dict)
+    goals: Set[GoalKey] = field(default_factory=set)
     sent_ids: Set[str] = field(default_factory=set, repr=False)
 
     def activate(self, goal: GoalKey) -> bool:
-        """Table ``goal`` as ACTIVE; False when it already was tabled."""
+        """Table ``goal``; False when it already was tabled."""
         if goal in self.goals:
             return False
-        self.goals[goal] = ACTIVE
+        self.goals.add(goal)
         return True
-
-    def finish(self, goal: GoalKey) -> None:
-        self.goals[goal] = DONE
 
 
 class GemTableStore:
@@ -107,7 +99,7 @@ class GemTableStore:
     TTL-swept, because a crashed initiator never sends its terminate
     wave; the explicit flush channels are the terminate notification
     and local hub events (``flush_all`` -- a mutation makes every
-    tabled DONE state stale).
+    tabled goal's answers stale).
     """
 
     def __init__(self, max_roots: int = DEFAULT_MAX_ROOTS,
@@ -127,12 +119,12 @@ class GemTableStore:
         table = self._tables.get(root_id)
         if table is not None:
             return table
+        # Insertion order is creation order (the clock never goes back),
+        # so the first table is the oldest.
         while len(self._tables) >= self.max_roots:
-            oldest = min(self._tables, key=lambda r:
-                         self._tables[r].created_at)
-            self.flush_root(oldest)
+            self.flush_root(next(iter(self._tables)))
         table = GoalTable(root_id=root_id, origin=origin,
-                          created_at=now, deadline=now + self.ttl)
+                          deadline=now + self.ttl)
         self._tables[root_id] = table
         return table
 

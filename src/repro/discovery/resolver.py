@@ -279,7 +279,6 @@ class WalletServer:
             constraints=wire.constraints_from_wire(
                 params.get("constraints", ())),
             bases=wire.bases_from_wire(params.get("bases", ())))
-        table.finish(goal)
         self._gem_push_answers(table, params, proofs, "done")
 
     def _gem_push_answers(self, table: GoalTable, request: dict,
@@ -336,7 +335,7 @@ class WalletServer:
         self.gem_tables.flush_root(_table_key(src, params.get("root")))
 
     def _on_local_event(self, event: DelegationEvent) -> None:
-        """Any local mutation invalidates every tabled DONE state (the
+        """Any local mutation invalidates every tabled goal (the
         tables summarize the local closure that just changed), and a
         revocation accepted here follows its delegation's placement."""
         if len(self.gem_tables):

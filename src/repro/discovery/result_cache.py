@@ -6,12 +6,14 @@ it before sending a goal, so a search re-contacts only the homes whose
 answers it no longer holds (see docs/PERFORMANCE.md, "Distributed
 discovery").
 
-It is ``graph/proof_cache.py``'s entry table under another policy.
-That cache's entries mirror the local graph; these mirror a *remote*
-wallet's answers, so every entry is leased, not trusted until an
-event: it lapses with the discovery tag's TTL (Section 4.2.1: trust
-cached information for the tag's TTL, then reconfirm). Within that
-window coherence rides the same :class:`SubscriptionHub` events:
+It is ``graph/proof_cache.py``'s entry table, with the same
+invalidation matrix and the same publish rule (every growable entry
+goes); the two differ only in leases. That cache's entries mirror the
+local graph and live until an event; these mirror a *remote* wallet's
+answers, so every entry is leased: it lapses with the discovery tag's
+TTL (Section 4.2.1: trust cached information for the tag's TTL, then
+reconfirm). Within that window coherence rides the same
+:class:`SubscriptionHub` events:
 
 ====================  =====================  ========================
 entry type            REVOKED/EXPIRED/UPD    PUBLISHED
@@ -93,30 +95,12 @@ class DiscoveryCache(ProofCache):
         """Memoize one remote result observed at ``now`` for ``ttl``
         seconds (the discovery-tag lease for positives, the negative
         TTL for empty answers and unreachable homes). An answer with no
-        delegation ids is a negative, and every negative is growable:
-        the origin cannot test a remote graph for reachability."""
+        delegation ids is a negative, and every negative is growable."""
         ids = frozenset(delegation_ids)
         self._put(key, _Entry(
             value=value, delegation_ids=ids, created_at=now,
             valid_until=now + ttl, negative=not ids,
         ), growable=not ids)
-
-    def on_event(self, kind_grows: bool, delegation_id: str,
-                 invalidates: bool = True) -> int:
-        """Apply one hub event.
-
-        ``kind_grows`` is ``EventKind.grows_graph`` (PUBLISHED/UPDATED
-        add paths -> drop negatives); ``invalidates`` runs the
-        inverted-index arm, which kills positives depending on the
-        delegation (REVOKED/EXPIRED, and UPDATED because the answer may
-        embed the superseded certificate). A pure PUBLISHED must pass
-        ``invalidates=False``: a newly inserted copy cannot make a
-        remote answer containing it stale.
-        """
-        dropped = self.on_invalidate(delegation_id) if invalidates else 0
-        if kind_grows:
-            dropped += self.clear_growable()
-        return dropped
 
     def info(self) -> dict:
         data = super().info()

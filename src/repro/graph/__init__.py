@@ -10,15 +10,12 @@ This package provides:
   pruning (Section 4.2.3);
 * :mod:`repro.graph.closure` -- Clarke-style reachability closures and
   path counts (the E1 benchmark's exponential-blowup table);
-* :mod:`repro.graph.reach_index` -- incremental per-node reachability
-  bitsets that let searches skip provably disconnected regions;
 * :mod:`repro.graph.proof_cache` -- event-invalidated memoization of
   query results, the wallet hot-path cache.
 """
 
 from repro.graph.delegation_graph import DelegationGraph
 from repro.graph.proof_cache import ProofCache
-from repro.graph.reach_index import ReachabilityIndex, ReachIndexStats
 from repro.graph.search import (
     SearchStats,
     Strategy,
@@ -40,8 +37,6 @@ from repro.graph.search import build_support_provider
 __all__ = [
     "DelegationGraph",
     "ProofCache",
-    "ReachabilityIndex",
-    "ReachIndexStats",
     "SearchStats",
     "Strategy",
     "direct_query",

@@ -18,27 +18,19 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.core.proof import RevokedSet, _revocation_test
 from repro.core.roles import Subject, subject_key
 from repro.graph.delegation_graph import DelegationGraph
-from repro.graph.reach_index import ReachabilityIndex
 from repro.graph.search import enumerate_chains
 
 
 def reachability_closure(graph: DelegationGraph,
                          at: float = 0.0,
-                         revoked: Optional[RevokedSet] = None,
-                         index: Optional[ReachabilityIndex] = None
+                         revoked: Optional[RevokedSet] = None
                          ) -> Set[Tuple[tuple, tuple]]:
     """All (subject-node, object-node) pairs connected by a delegation chain.
 
-    Expired and revoked delegations are excluded. When an up-to-date
-    :class:`ReachabilityIndex` is supplied and every edge it indexed is
-    live (nothing expired at ``at``, nothing revoked), the closure is read
-    straight out of the index's bitsets; otherwise one BFS per subject
+    Expired and revoked delegations are excluded. One BFS per subject
     node, O(V * E) worst case, fine at wallet scale.
     """
     is_revoked = _revocation_test(revoked)
-    if index is not None and index.covers(graph) and not any(
-            d.is_expired(at) or is_revoked(d.id) for d in graph):
-        return index.closure_pairs(graph.subject_nodes())
     closure: Set[Tuple[tuple, tuple]] = set()
     for start in graph.subject_nodes():
         seen = {start}

@@ -10,29 +10,24 @@ subscription stream (Section 4.2.2) instead of with TTLs:
   cache-key inverted index makes this O(affected entries), not O(cache).
 * **PUBLISHED** events can only *add* authorization paths (the algebra is
   monotone; edges never improve with age), so they threaten only negative
-  and enumeration entries. Each such entry is tested against the new
-  edge's endpoints: a negative ``s => o`` can flip only if ``s`` can
-  reach the new edge's subject *and* its object can reach ``o`` -- a
-  reachability index answers both in O(1), so unrelated publishes leave
-  the cache untouched.
+  and enumeration entries -- the *growable* ones -- and every growable
+  entry is dropped. A new edge can flip a negative from anywhere: on the
+  subject-object path, or far off it by completing a support chain a
+  third-party delegation on the path was waiting for.
 
 Entry taxonomy (the invalidation matrix, also in docs/PERFORMANCE.md):
 
 ====================  ====================  =============================
-entry type            REVOKED/EXPIRED/UPD   PUBLISHED
+entry type            REVOKED/EXPIRED/UPD   PUBLISHED/UPD
 ====================  ====================  =============================
 positive direct       via inverted index    never (monotone algebra)
-negative direct       untouched (no deps)   endpoint-connectivity test
-subject/object enum   via inverted index    subject/object-side test
-any *fragile* entry   via inverted index    always dropped
+negative direct       untouched (no deps)   dropped (growable)
+subject/object enum   via inverted index    dropped (growable)
 ====================  ====================  =============================
 
-**Fragile** entries are results computed while the search declined to
-traverse a third-party delegation for lack of support proofs: a later
-publish can complete a support chain *anywhere* in the graph -- far off
-the subject-object path -- so the endpoint test is not sound for them and
-they are dropped on every publish. Callers flag fragility from
-``SearchStats.pruned_no_support``.
+UPDATED runs both columns: stored proofs may embed the superseded
+certificate, and the renewal can bring back an edge whose lapse a
+negative recorded.
 
 Positive entries additionally carry ``valid_until`` -- the earliest
 expiry among the delegations in the proof -- so a proof is never served
@@ -53,7 +48,6 @@ from repro.core.attributes import (
     constraints_cache_key,
 )
 from repro.core.proof import Proof
-from repro.graph.reach_index import ReachabilityIndex
 
 # Query kinds; skey/okey slots not applicable to a kind are None.
 KIND_DIRECT = "direct"
@@ -79,7 +73,6 @@ class _Entry:
     created_at: float
     valid_until: float                # inf for negatives
     negative: bool
-    fragile: bool = False
 
 
 def make_key(kind: str,
@@ -99,9 +92,9 @@ class ProofCache:
     This class is the entry table -- LRU order, validity window,
     delegation-id inverted index, growable set, eviction, tallies --
     and one *policy* on top of it: how :meth:`store` reads delegation
-    ids, earliest expiry and growability off a query result, and the
-    reachability test :meth:`on_publish` applies. The discovery result
-    cache is the same table under another policy.
+    ids, earliest expiry and growability off a query result. The
+    discovery result cache is the same table under another policy, and
+    both apply hub events through :meth:`on_event`.
 
     Not thread-safe by itself; the owning wallet serializes access the
     same way it serializes graph mutation.
@@ -109,12 +102,10 @@ class ProofCache:
 
     METRIC_PREFIX = "drbac_proof_cache"
 
-    def __init__(self, maxsize: int = 4096,
-                 reach_index: Optional[ReachabilityIndex] = None) -> None:
+    def __init__(self, maxsize: int = 4096) -> None:
         if maxsize < 1:
             raise ValueError("maxsize must be positive")
         self.maxsize = maxsize
-        self.reach_index = reach_index
         self.stats = obs.CounterSet(self.METRIC_PREFIX, COUNTER_NAMES)
         self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
         self._by_delegation: Dict[str, Set[tuple]] = {}
@@ -146,8 +137,7 @@ class ProofCache:
             self.stats.c_negative_hits.inc()
         return True, entry.value
 
-    def store(self, key: CacheKey, value: object, now: float,
-              fragile: bool = False) -> None:
+    def store(self, key: CacheKey, value: object, now: float) -> None:
         """Memoize one query result computed at time ``now``."""
         kind = key[0]
         if kind == KIND_DIRECT:
@@ -169,8 +159,7 @@ class ProofCache:
             created_at=now,
             valid_until=valid_until,
             negative=negative,
-            fragile=fragile,
-        ), growable=negative or kind != KIND_DIRECT or fragile)
+        ), growable=negative or kind != KIND_DIRECT)
 
     def _put(self, key: tuple, entry: _Entry, growable: bool) -> None:
         """The one store path. A newer observation replaces whatever
@@ -210,24 +199,25 @@ class ProofCache:
         self.stats.c_invalidations.inc(dropped)
         return dropped
 
-    def on_publish(self, subject_node: tuple, object_node: tuple) -> int:
-        """PUBLISHED: drop growable entries the new edge could flip.
+    def on_event(self, kind_grows: bool, delegation_id: str,
+                 invalidates: bool = True) -> int:
+        """Apply one hub event.
 
-        The reachability test runs against the index *after* the new edge
-        was inserted (the wallet indexes before it publishes), and a
-        dirty index only over-approximates -- both err toward dropping,
-        never toward keeping a stale negative.
+        ``kind_grows`` is ``EventKind.grows_graph`` (PUBLISHED/UPDATED
+        add paths -> drop every growable entry); ``invalidates`` runs the
+        inverted-index arm, which kills positives depending on the
+        delegation (REVOKED/EXPIRED, and UPDATED because the answer may
+        embed the superseded certificate). A pure PUBLISHED passes
+        ``invalidates=False``: a newly inserted copy cannot make an
+        answer containing it stale.
         """
-        dropped = 0
-        for key in [k for k in self._growable
-                    if self._affected_by_edge(k, subject_node, object_node)]:
-            if self._drop(key):
-                dropped += 1
-        self.stats.c_publish_invalidations.inc(dropped)
+        dropped = self.on_invalidate(delegation_id) if invalidates else 0
+        if kind_grows:
+            dropped += self.clear_growable()
         return dropped
 
     def clear_growable(self) -> int:
-        """Conservative fallback: drop every negative/enumeration entry."""
+        """PUBLISHED: drop every growable (negative/enumeration) entry."""
         dropped = 0
         for key in list(self._growable):
             if self._drop(key):
@@ -239,29 +229,6 @@ class ProofCache:
         self._entries.clear()
         self._by_delegation.clear()
         self._growable.clear()
-
-    def _affected_by_edge(self, key: CacheKey, u: tuple, v: tuple) -> bool:
-        entry = self._entries.get(key)
-        if entry is None:
-            return False
-        if entry.fragile:
-            return True  # new edge may complete a support chain anywhere
-        kind, skey, okey = key[0], key[1], key[2]
-        if kind == KIND_DIRECT:
-            return self._connects(skey, u) and self._connects(v, okey)
-        if kind == KIND_SUBJECT:
-            return self._connects(skey, u)
-        return self._connects(v, okey)
-
-    def _connects(self, a: Optional[tuple], b: Optional[tuple]) -> bool:
-        """Could a chain lead from ``a`` to ``b``? Fails open."""
-        if a is None or b is None:
-            return True
-        if a == b:
-            return True
-        if self.reach_index is None:
-            return True
-        return self.reach_index.can_reach(a, b)
 
     # -- internals ---------------------------------------------------------
 

@@ -56,7 +56,6 @@ from repro.core.errors import DRBACError
 from repro.core.proof import Proof, RevokedSet, _revocation_test
 from repro.core.roles import Subject, subject_key
 from repro.graph.delegation_graph import DelegationGraph
-from repro.graph.reach_index import ReachabilityIndex
 
 SupportProvider = Callable[[Delegation], Tuple[Proof, ...]]
 
@@ -77,7 +76,6 @@ class SearchStats:
     pruned_by_constraint: int = 0
     pruned_no_support: int = 0
     pruned_by_depth_limit: int = 0
-    pruned_unreachable: int = 0
     met_in_middle: int = 0
 
     def reset(self) -> None:
@@ -99,21 +97,6 @@ class _Context:
     prune: bool
     stats: SearchStats
     max_depth: int
-    reach_index: Optional[ReachabilityIndex] = None
-
-    def reachable(self, src_node: tuple, dst_node: tuple) -> bool:
-        """Index-backed pruning test; True when no index is attached.
-
-        The index over-approximates traversable edges, so a False answer
-        proves no delegation chain connects the nodes (see the soundness
-        contract in :mod:`repro.graph.reach_index`).
-        """
-        if self.reach_index is None:
-            return True
-        if self.reach_index.can_reach(src_node, dst_node):
-            return True
-        self.stats.pruned_unreachable += 1
-        return False
 
     def edge_usable(self, delegation: Delegation) -> bool:
         self.stats.edges_considered += 1
@@ -175,9 +158,7 @@ def _make_context(graph: DelegationGraph, at: float,
                   support_provider: Optional[SupportProvider],
                   require_supports: bool, prune: bool,
                   stats: Optional[SearchStats],
-                  max_depth: Optional[int],
-                  reach_index: Optional[ReachabilityIndex] = None
-                  ) -> _Context:
+                  max_depth: Optional[int]) -> _Context:
     return _Context(
         graph=graph,
         at=at,
@@ -189,7 +170,6 @@ def _make_context(graph: DelegationGraph, at: float,
         prune=prune,
         stats=stats if stats is not None else SearchStats(),
         max_depth=max_depth if max_depth is not None else max(len(graph), 1),
-        reach_index=reach_index,
     )
 
 
@@ -289,8 +269,7 @@ class _Frontier:
     A forward frontier follows out-edges and grows its proofs at their
     object end; a reverse one follows in-edges and grows them at their
     subject end. ``far`` is the other end of a direct query -- reaching
-    it closes a proof, and the reachability index prunes nodes that
-    cannot lead there -- or None for an enumeration. ``reached`` holds
+    it closes a proof -- or None for an enumeration. ``reached`` holds
     the proofs admitted at each node, for the other half of a
     bidirectional search to meet; ``admitted`` holds them in order, the
     answer of an enumeration.
@@ -313,9 +292,8 @@ class _Frontier:
         """Pop one node and grow its proof over each usable edge.
 
         Per edge, in order: the goal test at ``far``, a meet with each
-        proof ``other`` reached at the same node, the reachability
-        pruning, then label admission. Returns the first proof of the
-        query that closes, else None.
+        proof ``other`` reached at the same node, then label admission.
+        Returns the first proof of the query that closes, else None.
         """
         ctx = self.ctx
         node, proof = self.queue.popleft()
@@ -338,9 +316,6 @@ class _Frontier:
                             else _meet(ctx, theirs, grown)
                         if met is not None:
                             return met
-                if not (ctx.reachable(step, far) if forward
-                        else ctx.reachable(far, step)):
-                    continue
             if self.labels.admit(step, grown):
                 self.reached.setdefault(step, []).append(grown)
                 self.admitted.append(grown)
@@ -370,22 +345,18 @@ def direct_query(graph: DelegationGraph, subject: Subject, obj: Subject,
                  require_supports: bool = True,
                  prune: bool = True,
                  stats: Optional[SearchStats] = None,
-                 max_depth: Optional[int] = None,
-                 reach_index: Optional[ReachabilityIndex] = None
-                 ) -> Optional[Proof]:
+                 max_depth: Optional[int] = None) -> Optional[Proof]:
     """Find one proof authorizing ``subject => obj`` satisfying constraints.
 
     Returns None if no satisfying proof exists in the graph. A proof of
     zero length (subject identical to object) is not a dRBAC proof and
-    yields None. When a :class:`ReachabilityIndex` covering the graph is
-    supplied, nodes that provably cannot lie on a subject-to-object chain
-    are skipped (counted in ``stats.pruned_unreachable``).
+    yields None.
     """
     ctx = _make_context(graph, at, revoked, constraints, bases,
                         support_provider, require_supports, prune,
-                        stats, max_depth, reach_index)
+                        stats, max_depth)
     origin, target = subject_key(subject), subject_key(obj)
-    if origin == target or not ctx.reachable(origin, target):
+    if origin == target:
         return None
     forward = _Frontier(ctx, origin, target, forward=True)
     backward = _Frontier(ctx, target, origin, forward=False)

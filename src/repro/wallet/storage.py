@@ -57,6 +57,19 @@ class WalletStore:
     def get_delegation(self, delegation_id: str) -> Optional[Delegation]:
         return self.graph.get(delegation_id)
 
+    def find_delegation(self, delegation_id: str) -> Optional[Delegation]:
+        """The held copy of a delegation: the stored one, else a link of
+        a stored support proof."""
+        delegation = self.graph.get(delegation_id)
+        if delegation is not None:
+            return delegation
+        for proofs in self._supports.values():
+            for proof in proofs:
+                for link in proof.all_delegations():
+                    if link.id == delegation_id:
+                        return link
+        return None
+
     def delegations(self) -> Iterator[Delegation]:
         return iter(self.graph)
 

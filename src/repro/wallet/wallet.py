@@ -53,7 +53,6 @@ from repro.graph.proof_cache import (
     ProofCache,
     make_key,
 )
-from repro.graph.reach_index import ReachabilityIndex
 from repro.graph.search import (
     SearchStats,
     SupportProvider,
@@ -110,18 +109,14 @@ class Wallet:
         # Awaited relationships: key -> (subject, obj, constraints)
         self._awaited: Dict[tuple, Tuple[Subject, Role,
                                          Tuple[Constraint, ...]]] = {}
-        # Query hot-path acceleration: an incremental reachability index
-        # plus an event-invalidated decision cache fed by the wallet's own
-        # subscription hub (so coherence rides the Section 4.2.2 events).
+        # Query hot-path acceleration: an event-invalidated decision
+        # cache fed by the wallet's own subscription hub (so coherence
+        # rides the Section 4.2.2 events).
         if cache:
-            self.reach_index: Optional[ReachabilityIndex] = \
-                ReachabilityIndex(self.store.graph)
-            self.proof_cache: Optional[ProofCache] = ProofCache(
-                maxsize=CACHE_SIZE, reach_index=self.reach_index)
+            self.proof_cache: Optional[ProofCache] = ProofCache(CACHE_SIZE)
             self._cache_subscription: Optional[Subscription] = \
                 self.hub.subscribe_all(self._on_cache_event)
         else:
-            self.reach_index = None
             self.proof_cache = None
             self._cache_subscription = None
 
@@ -166,11 +161,6 @@ class Wallet:
             raise PublicationError(f"rejecting {delegation}: {exc}") from exc
         inserted = self.store.add_delegation(delegation, supports)
         if inserted:
-            # Index before announcing: the PUBLISHED event's cache
-            # invalidation tests connectivity against the *new* graph.
-            if self.reach_index is not None:
-                self.reach_index.add_edge(delegation.subject_node,
-                                          delegation.object_node)
             self.hub.publish(DelegationEvent(
                 kind=EventKind.PUBLISHED,
                 delegation_id=delegation.id,
@@ -210,22 +200,26 @@ class Wallet:
     def publish_revocation(self, revocation: Revocation) -> bool:
         """Accept a signed revocation and push it to subscribers.
 
-        The revocation must verify against the stored delegation if the
-        wallet holds it, or stand alone otherwise (so a revocation can
-        outrun its delegation through a cache mesh). One for an id
-        already revoked here answers False before any signature check:
-        a replay changes nothing.
+        The revocation must verify against the wallet's own copy of the
+        delegation -- the stored one, else a link of a stored support
+        proof -- so only that delegation's issuer can revoke it here. One
+        for a delegation the wallet holds no copy of is refused: its
+        signature alone cannot show the signer issued the delegation, and
+        accepting it would let anyone pre-censor any credential id. One
+        for an id already revoked here answers False before any signature
+        check: a replay changes nothing.
         """
         if self.store.is_revoked(revocation.delegation_id):
             return False
-        delegation = self.store.get_delegation(revocation.delegation_id)
-        if delegation is not None:
-            if not revocation.verify(delegation):
-                raise PublicationError(
-                    "revocation does not verify against its delegation"
-                )
-        elif not revocation.verify_standalone():
-            raise PublicationError("revocation signature does not verify")
+        delegation = self.store.find_delegation(revocation.delegation_id)
+        if delegation is None:
+            raise PublicationError(
+                f"wallet holds no delegation "
+                f"{revocation.delegation_id[:12]} to revoke")
+        if not revocation.verify(delegation):
+            raise PublicationError(
+                "revocation does not verify against its delegation"
+            )
         self.store.add_revocation(revocation)
         self._stats.c_revocations.inc()
         self.hub.publish(DelegationEvent(
@@ -292,12 +286,6 @@ class Wallet:
         self.store.remove_delegation(old_delegation_id)
         self._expired_announced.discard(old_delegation_id)
         inserted = self.store.add_delegation(renewal, supports)
-        if inserted and self.reach_index is not None:
-            # Same endpoints as the old certificate (is_renewal_of), so
-            # reachability is unchanged; this balances the edge-count
-            # decrement the UPDATED event will trigger below.
-            self.reach_index.add_edge(renewal.subject_node,
-                                      renewal.object_node)
         self.hub.publish(DelegationEvent(
             kind=EventKind.UPDATED,
             delegation_id=old_delegation_id,
@@ -339,38 +327,16 @@ class Wallet:
     def _on_cache_event(self, event: DelegationEvent) -> None:
         """Wildcard subscriber keeping the decision cache coherent.
 
-        Invalidation matrix (see docs/PERFORMANCE.md): PUBLISHED threatens
-        only negative/enumeration entries, filtered by endpoint
-        connectivity; REVOKED/EXPIRED/UPDATED kill exactly the entries
-        whose proofs contain the delegation, via the inverted index.
+        Invalidation matrix (see docs/PERFORMANCE.md): PUBLISHED and
+        UPDATED drop every negative/enumeration entry (a renewal can
+        bring a lapsed edge back); REVOKED/EXPIRED/UPDATED kill exactly
+        the entries whose proofs contain the delegation, via the
+        inverted index.
         """
-        if event.kind is EventKind.PUBLISHED:
-            delegation = self.store.get_delegation(event.delegation_id)
-            if delegation is None:
-                # Shouldn't happen on the wallet's own publish path, but a
-                # relayed event without the certificate gets the
-                # conservative treatment: drop everything growable.
-                self.proof_cache.clear_growable()
-            else:
-                self.proof_cache.on_publish(delegation.subject_node,
-                                            delegation.object_node)
-            return
-        if event.kind is EventKind.UPDATED or event.kind.invalidates:
-            self.proof_cache.on_invalidate(event.delegation_id)
-            if event.kind is not EventKind.REVOKED \
-                    and self.reach_index is not None \
-                    and self.store.get_delegation(event.delegation_id) \
-                    is None:
-                # The edge left the graph (ttl-lapse eviction or renewal
-                # swap): the index is now a stale superset -- still sound
-                # for pruning, rebuilt lazily before the next query.
-                self.reach_index.mark_removed()
-
-    def _ready_reach_index(self) -> Optional[ReachabilityIndex]:
-        """The reachability index, rebuilt first if removals dirtied it."""
-        if self.reach_index is not None and self.reach_index.dirty:
-            self.reach_index.refresh(self.store.graph)
-        return self.reach_index
+        kind = event.kind
+        self.proof_cache.on_event(
+            kind.grows_graph, event.delegation_id,
+            invalidates=kind.invalidates or kind is EventKind.UPDATED)
 
     def cache_info(self) -> Optional[dict]:
         """Decision-cache counters, or None when caching is off.
@@ -383,14 +349,6 @@ class Wallet:
         if self.proof_cache is None:
             return None
         info = self.proof_cache.info()
-        if self.reach_index is not None:
-            info["reach_index"] = {
-                "nodes": len(self.reach_index),
-                "dirty": self.reach_index.dirty,
-                "rebuilds": self.reach_index.stats.rebuilds,
-                "incremental_updates":
-                    self.reach_index.stats.incremental_updates,
-            }
         info["crypto_memo"] = verify_cache.cache_info()
         info["codec"] = encoding.codec_info()
         return info
@@ -455,8 +413,7 @@ class Wallet:
         """
         return self._cached_search(
             KIND_DIRECT, subject, obj, tuple(constraints),
-            self._merged_bases(bases), self.clock.now(),
-            self._ready_reach_index(), stats)
+            self._merged_bases(bases), self.clock.now(), stats)
 
     def query_subject(self, subject: Subject,
                       constraints: Iterable[Constraint] = (),
@@ -465,8 +422,7 @@ class Wallet:
         """Subject query: the sub-proofs ``subject => *`` (Section 4.1)."""
         return list(self._cached_search(
             KIND_SUBJECT, subject, None, tuple(constraints),
-            self._merged_bases(bases), self.clock.now(),
-            self._ready_reach_index(), stats))
+            self._merged_bases(bases), self.clock.now(), stats))
 
     def query_object(self, obj: Role,
                      constraints: Iterable[Constraint] = (),
@@ -475,14 +431,12 @@ class Wallet:
         """Object query: the sub-proofs ``* => obj`` (Section 4.1)."""
         return list(self._cached_search(
             KIND_OBJECT, None, obj, tuple(constraints),
-            self._merged_bases(bases), self.clock.now(),
-            self._ready_reach_index(), stats))
+            self._merged_bases(bases), self.clock.now(), stats))
 
     def _cached_search(self, kind: str, subject: Optional[Subject],
                        obj: Optional[Role],
                        constraints: Tuple[Constraint, ...],
                        merged: Dict[AttributeRef, float], now: float,
-                       index: Optional[ReachabilityIndex],
                        stats: Optional[SearchStats],
                        provider: Optional[SupportProvider] = None
                        ) -> Union[Proof, None, Tuple[Proof, ...]]:
@@ -500,8 +454,6 @@ class Wallet:
             hit, value = self.proof_cache.lookup(key, now)
             if hit:
                 return value
-        search_stats = stats if stats is not None else SearchStats()
-        before_no_support = search_stats.pruned_no_support
         search_started = perf_counter()
         with obs.span("wallet.search", wallet=self.address, kind=kind):
             common = dict(
@@ -509,10 +461,10 @@ class Wallet:
                 constraints=constraints, bases=merged,
                 support_provider=provider if provider is not None
                 else self.support_provider(),
-                stats=search_stats)
+                stats=stats)
             if kind == KIND_DIRECT:
                 result = direct_query(self.store.graph, subject, obj,
-                                      reach_index=index, **common)
+                                      **common)
             elif kind == KIND_SUBJECT:
                 result = tuple(subject_query(self.store.graph, subject,
                                              **common))
@@ -521,13 +473,7 @@ class Wallet:
         self._stats.c_searches.inc()
         self._h_search.observe(perf_counter() - search_started)
         if cached:
-            # An answer computed while support chains were missing is
-            # fragile: any publish could complete a support off the
-            # subject-object path, so the endpoint test must not keep it.
-            # A found proof is complete regardless.
-            fragile = not isinstance(result, Proof) and \
-                search_stats.pruned_no_support > before_no_support
-            self.proof_cache.store(key, result, now, fragile=fragile)
+            self.proof_cache.store(key, result, now)
         return result
 
     def validate(self, proof: Proof,
@@ -605,20 +551,17 @@ class Wallet:
 
         The batch shares a single clock reading, one support provider
         (whose per-delegation memoization now amortizes *across*
-        requests), one merged base-allocation map, and one refreshed
-        reachability index snapshot -- the per-request overhead a loop of
-        :meth:`query_direct` calls would pay repeatedly. Results align
-        with the input order; each is a Proof or None.
+        requests), and one merged base-allocation map -- the per-request
+        overhead a loop of :meth:`query_direct` calls would pay
+        repeatedly. Results align with the input order; each is a Proof
+        or None.
         """
         constraints = tuple(constraints)
         merged = self._merged_bases(bases)
         now = self.clock.now()
-        index = self._ready_reach_index()
         provider = self.support_provider()
-        search_stats = stats if stats is not None else SearchStats()
         return [self._cached_search(KIND_DIRECT, subject, obj, constraints,
-                                    merged, now, index, search_stats,
-                                    provider)
+                                    merged, now, stats, provider)
                 for subject, obj in requests]
 
     def await_proof(self, subject: Subject, obj: Role,

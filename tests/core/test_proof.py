@@ -93,6 +93,26 @@ class TestValidation:
         with pytest.raises(ProofError, match="starts at"):
             validate_proof(proof, at=0.0)
 
+    def test_wrong_claimed_object_rejected(self, case_study):
+        """A chain that ends at AirNet.member cannot be passed off as a
+        proof of AirNet.access -- built here or decoded off the wire."""
+        case = case_study
+        chain = (case.d1_maria_member, case.d2_coalition)
+        supports = {case.d2_coalition.id: case.coalition_support}
+        honest = Proof(case.maria.entity, case.airnet_member, chain,
+                       supports)
+        validate_proof(honest, at=0.0)
+        claimed = Proof(case.maria.entity, case.airnet_access, chain,
+                        supports)
+        with pytest.raises(ProofError, match="proof claims"):
+            validate_proof(claimed, at=0.0)
+        record = dict(honest.to_dict())
+        record["object"] = case.airnet_access.to_dict()
+        decoded = Proof.from_dict(record)
+        assert decoded.obj == case.airnet_access
+        with pytest.raises(ProofError, match="proof claims"):
+            validate_proof(decoded, at=0.0)
+
     def test_expired_link_rejected(self, org, alice):
         d = issue(org, alice.entity, Role(org.entity, "r"), expiry=10.0)
         proof = Proof.single(d)

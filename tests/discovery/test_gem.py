@@ -512,6 +512,18 @@ class TestAnswerAcceptance:
 
 
 class TestGoalTables:
+    def test_full_store_evicts_the_oldest_table(self):
+        """Past ``max_roots`` the table created first goes, however
+        recently it was used."""
+        store = gem.GemTableStore(max_roots=2)
+        store.get_or_create("a", "origin", now=0.0)
+        store.get_or_create("b", "origin", now=1.0)
+        assert store.get_or_create("a", "origin", now=2.0).activate(
+            ("fwd", ("entity", "x")))
+        store.get_or_create("c", "origin", now=3.0)
+        assert store.get("a") is None
+        assert store.get("b") is not None and store.get("c") is not None
+
     def test_tables_flushed_after_run(self):
         """Loop participants are flushed by the terminate wave; the
         rest expire by TTL sweep -- nothing outlives the table TTL."""
@@ -528,7 +540,7 @@ class TestGoalTables:
             dep.close()
 
     def test_hub_event_flushes_tables(self):
-        """A local mutation makes every tabled DONE state stale: the
+        """A local mutation makes every tabled goal stale: the
         hub wildcard subscription flushes the whole store."""
         workload = topology.make_ring_coalition(4, seed=50)
         dep = deploy_coalition(workload)

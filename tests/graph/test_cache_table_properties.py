@@ -5,9 +5,9 @@ its policies.
 window, delegation-id inverted index, growable set, eviction, tallies)
 plus the wallet's policy; ``discovery.result_cache.DiscoveryCache`` is
 the same table under the lease policy. The machine below drives random
-interleavings of store (positive / negative / fragile / zero-lease) /
-lookup / ``on_invalidate`` / publish (with and without a reach index,
-and the result cache's ``on_event``) / clock advance / fill past
+interleavings of store (positive / negative / zero-lease) / lookup /
+``on_invalidate`` / hub event (``on_event``: the one publish rule drops
+every growable entry) / clock advance / fill past
 ``maxsize`` against a dict-and-list model that lives in this file, once
 per policy. After every step the cache and the model must hold the
 same keys, and the table's own indexes must be whole -- which is what
@@ -24,7 +24,6 @@ from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
-    precondition,
     rule,
 )
 
@@ -46,14 +45,6 @@ LEASES = (0.0, 2.0, 30.0)
 
 def node(i):
     return ("entity", f"n{i}")
-
-
-class _Reach:
-    """A reach index that says: lower-numbered nodes reach higher."""
-
-    @staticmethod
-    def can_reach(a, b):
-        return a[1] < b[1]
 
 
 _Link = namedtuple("_Link", "id expiry")
@@ -120,21 +111,21 @@ class _WalletPolicy:
         return make_key(KIND_DIRECT, node(slot), node(slot + 1))
 
     @staticmethod
-    def store(cache, key, ids, now, lease, fragile):
+    def store(cache, key, ids, now, lease):
         proof = _Proof(ids, now + lease) if ids else None
         if key[0] == KIND_DIRECT:
             value = proof
         else:
             value = (proof,) if proof else ()
-        cache.store(key, value, now, fragile=fragile)
-        return dict(value=value, ids=ids, at=now, fragile=fragile,
+        cache.store(key, value, now)
+        return dict(value=value, ids=ids, at=now,
                     until=now + lease if ids else math.inf,
-                    growable=fragile or not ids or key[0] != KIND_DIRECT)
+                    growable=not ids or key[0] != KIND_DIRECT)
 
 
 class _LeasePolicy:
     """``DiscoveryCache``: ids and lease are given, no ids is the
-    negative, only negatives are growable, nothing is fragile."""
+    negative, only negatives are growable."""
 
     contract = DISCOVERY_CACHE_KEYS
 
@@ -148,11 +139,11 @@ class _LeasePolicy:
                                   (), ())
 
     @staticmethod
-    def store(cache, key, ids, now, lease, fragile):
+    def store(cache, key, ids, now, lease):
         value = tuple(f"closure-of-{i}" for i in ids)
         cache.store(key, value, now, lease, delegation_ids=ids)
-        return dict(value=value, ids=ids, at=now, fragile=False,
-                    until=now + lease, growable=not ids)
+        return dict(value=value, ids=ids, at=now, until=now + lease,
+                    growable=not ids)
 
 
 class CacheTableMachine(RuleBasedStateMachine):
@@ -165,10 +156,10 @@ class CacheTableMachine(RuleBasedStateMachine):
         self.now = 0.0
         self.lookups = 0
 
-    def _store(self, slot, ids, lease, fragile=False):
+    def _store(self, slot, ids, lease):
         key = self.policy.key(slot)
         self.model.store(key, **self.policy.store(
-            self.cache, key, ids, self.now, lease, fragile))
+            self.cache, key, ids, self.now, lease))
 
     @rule(slot=st.integers(0, SLOTS - 1),
           ids=st.lists(st.sampled_from(IDS), min_size=1, unique=True),
@@ -176,10 +167,9 @@ class CacheTableMachine(RuleBasedStateMachine):
     def store_positive(self, slot, ids, lease):
         self._store(slot, tuple(ids), lease)
 
-    @rule(slot=st.integers(0, SLOTS - 1), lease=st.sampled_from(LEASES),
-          fragile=st.booleans())
-    def store_negative(self, slot, lease, fragile):
-        self._store(slot, (), lease, fragile)
+    @rule(slot=st.integers(0, SLOTS - 1), lease=st.sampled_from(LEASES))
+    def store_negative(self, slot, lease):
+        self._store(slot, (), lease)
 
     @rule()
     def fill_past_maxsize(self):
@@ -198,31 +188,12 @@ class CacheTableMachine(RuleBasedStateMachine):
         self.cache.on_invalidate(delegation_id)
         self.model.drop_where(lambda _k, e: delegation_id in e["ids"])
 
-    @precondition(lambda self: self.policy is _WalletPolicy)
-    @rule(u=st.integers(0, SLOTS), v=st.integers(0, SLOTS),
-          indexed=st.booleans())
-    def publish(self, u, v, indexed):
-        """PUBLISHED for a new edge ``u -> v``: a growable entry goes
-        when fragile or when the edge could lie on a path between its
-        endpoints; with no reach index every test fails open."""
-        self.cache.reach_index = _Reach if indexed else None
-
-        def connects(a, b):
-            return a is None or b is None or a == b or not indexed \
-                or _Reach.can_reach(a, b)
-
-        def flips(key, entry):
-            _kind, skey, okey = key[:3]
-            return entry["growable"] and (
-                entry["fragile"] or (connects(skey, node(u))
-                                     and connects(node(v), okey)))
-        self.cache.on_publish(node(u), node(v))
-        self.model.drop_where(flips)
-
-    @precondition(lambda self: self.policy is _LeasePolicy)
     @rule(delegation_id=st.sampled_from(IDS), grows=st.booleans(),
           invalidates=st.booleans())
     def hub_event(self, delegation_id, grows, invalidates):
+        """One hub event, under either policy: a growing one (PUBLISHED,
+        UPDATED) drops every growable entry, an invalidating one the
+        entries that depend on the delegation."""
         self.cache.on_event(grows, delegation_id, invalidates=invalidates)
         self.model.drop_where(
             lambda _k, e: (invalidates and delegation_id in e["ids"])

@@ -12,7 +12,6 @@ from repro.graph.proof_cache import (
     ProofCache,
     make_key,
 )
-from repro.graph.reach_index import ReachabilityIndex
 
 
 def node(name):
@@ -152,78 +151,57 @@ class TestEventInvalidation:
 
 
 class TestPublishInvalidation:
-    @pytest.fixture()
-    def indexed_cache(self):
-        index = ReachabilityIndex()
-        index.add_edge(node("s"), node("u"))
-        index.add_edge(node("v"), node("o"))
-        # elsewhere: a component unrelated to s/o
-        index.add_edge(node("p"), node("q"))
-        return ProofCache(reach_index=index), index
+    """PUBLISHED drops every growable entry -- negatives and
+    enumerations -- and never a positive (the one publish rule both
+    cache tables share)."""
 
-    def test_connected_negative_dropped(self, indexed_cache):
-        cache, _ = indexed_cache
+    def test_connected_negative_dropped(self):
+        cache = ProofCache()
         key = make_key(KIND_DIRECT, node("s"), node("o"))
         cache.store(key, None, now=0.0)
-        # New edge u->v bridges s...u  ->  v...o: the negative must go.
-        assert cache.on_publish(node("u"), node("v")) == 1
+        assert cache.clear_growable() == 1
         assert key not in cache
+        assert cache.stats.publish_invalidations == 1
 
-    def test_unrelated_publish_keeps_negative(self, indexed_cache):
-        cache, _ = indexed_cache
-        key = make_key(KIND_DIRECT, node("s"), node("o"))
-        cache.store(key, None, now=0.0)
-        assert cache.on_publish(node("p"), node("q")) == 0
-        assert key in cache
-
-    def test_half_connected_publish_keeps_negative(self, indexed_cache):
-        cache, _ = indexed_cache
-        key = make_key(KIND_DIRECT, node("s"), node("o"))
-        cache.store(key, None, now=0.0)
-        # s reaches u, but q cannot reach o: no new s=>o path possible.
-        assert cache.on_publish(node("u"), node("q")) == 0
-        assert key in cache
-
-    def test_publish_never_touches_positives(self, indexed_cache, chain):
-        cache, _ = indexed_cache
+    def test_publish_never_touches_positives(self, chain):
+        cache = ProofCache()
         _d1, _d2, proof = chain
         key = make_key(KIND_DIRECT, node("s"), node("o"))
         cache.store(key, proof, now=0.0)
-        cache.on_publish(node("u"), node("v"))
+        assert cache.clear_growable() == 0
         assert key in cache  # monotone algebra: new edges never revoke
 
-    def test_subject_enumeration_dropped_on_subject_side(self,
-                                                         indexed_cache):
-        cache, _ = indexed_cache
-        key = make_key(KIND_SUBJECT, node("s"), None)
-        cache.store(key, (), now=0.0)
-        assert cache.on_publish(node("u"), node("q")) == 1  # s reaches u
-        key2 = make_key(KIND_SUBJECT, node("p"), None)
-        cache.store(key2, (), now=0.0)
-        assert cache.on_publish(node("u"), node("q")) == 0  # p cannot
-
-    def test_object_enumeration_dropped_on_object_side(self, indexed_cache):
-        cache, _ = indexed_cache
+    def test_object_enumeration_dropped_on_object_side(self, chain):
+        _d1, _d2, proof = chain
+        cache = ProofCache()
         key = make_key(KIND_OBJECT, None, node("o"))
-        cache.store(key, (), now=0.0)
-        assert cache.on_publish(node("p"), node("v")) == 1  # v reaches o
+        cache.store(key, (proof,), now=0.0)
+        # An enumeration is growable even when it holds proofs: a new
+        # edge can add one.
+        assert cache.clear_growable() == 1
+        assert key not in cache
 
-    def test_fragile_entry_dropped_on_any_publish(self, indexed_cache):
-        cache, _ = indexed_cache
-        key = make_key(KIND_DIRECT, node("s"), node("o"))
-        cache.store(key, None, now=0.0, fragile=True)
-        # Even a publish in the unrelated component kills fragile entries:
-        # it may complete a support chain far off the s->o path.
-        assert cache.on_publish(node("p"), node("q")) == 1
+    def test_fragile_entry_dropped_on_any_publish(self):
+        # A negative computed while a support chain was missing can be
+        # flipped by a publish far off its subject-object path; every
+        # negative goes, so no entry needs to say why it was negative.
+        cache = ProofCache()
+        keys = [make_key(KIND_DIRECT, node("s"), node("o")),
+                make_key(KIND_SUBJECT, node("p"), None)]
+        for key in keys:
+            cache.store(key, None if key[0] == KIND_DIRECT else (),
+                        now=0.0)
+        assert cache.clear_growable() == 2
+        assert not any(key in cache for key in keys)
 
     def test_no_index_fails_open(self):
-        cache = ProofCache()  # no reachability information
+        cache = ProofCache()  # no reachability information at all
         key = make_key(KIND_DIRECT, node("s"), node("o"))
         cache.store(key, None, now=0.0)
-        assert cache.on_publish(node("x"), node("y")) == 1
+        assert cache.clear_growable() == 1
 
-    def test_clear_growable(self, indexed_cache, chain):
-        cache, _ = indexed_cache
+    def test_clear_growable(self, chain):
+        cache = ProofCache()
         _d1, _d2, proof = chain
         pos = make_key(KIND_DIRECT, node("s"), node("o"))
         neg = make_key(KIND_DIRECT, node("a"), node("b"))

@@ -1,75 +1,83 @@
-"""Unit tests for the incremental reachability index."""
+"""Reachability over the delegation graph: the closure and the search.
+
+The wallet keeps no reachability structure of its own; these cases pin
+what :func:`~repro.graph.closure.reachability_closure` and
+:func:`~repro.graph.search.direct_query` answer about who reaches whom.
+"""
 
 import pytest
 
 from repro.core import Role, issue
+from repro.core.roles import subject_key
 from repro.graph.closure import reachability_closure
 from repro.graph.delegation_graph import DelegationGraph
-from repro.graph.reach_index import ReachabilityIndex
-from repro.graph.search import SearchStats, Strategy, direct_query
+from repro.graph.search import Strategy, direct_query
 
 
-def node(name):
-    return ("entity", name)
+@pytest.fixture()
+def links(org):
+    """``links("ab", "bc")``: a graph of role-to-role delegations inside
+    ``org``, plus ``node(name)`` for the role node a name stands for."""
+    def node(name):
+        return subject_key(Role(org.entity, f"r{name}"))
+
+    def build(*pairs):
+        graph = DelegationGraph()
+        for u, v in pairs:
+            graph.add(issue(org, Role(org.entity, f"r{u}"),
+                            Role(org.entity, f"r{v}")))
+        return graph
+
+    return build, node
 
 
 class TestIncrementalUpdates:
-    def test_single_edge(self):
-        index = ReachabilityIndex()
-        index.add_edge(node("a"), node("b"))
-        assert index.can_reach(node("a"), node("b"))
-        assert not index.can_reach(node("b"), node("a"))
+    def test_single_edge(self, links):
+        build, node = links
+        closure = reachability_closure(build("ab"))
+        assert (node("a"), node("b")) in closure
+        assert (node("b"), node("a")) not in closure
 
-    def test_transitive_chain(self):
-        index = ReachabilityIndex()
-        index.add_edge(node("a"), node("b"))
-        index.add_edge(node("b"), node("c"))
-        index.add_edge(node("c"), node("d"))
-        assert index.can_reach(node("a"), node("d"))
-        assert index.can_reach(node("b"), node("d"))
-        assert not index.can_reach(node("d"), node("a"))
+    def test_transitive_chain(self, links):
+        build, node = links
+        closure = reachability_closure(build("ab", "bc", "cd"))
+        assert (node("a"), node("d")) in closure
+        assert (node("b"), node("d")) in closure
+        assert (node("d"), node("a")) not in closure
 
-    def test_bridging_edge_connects_components(self):
-        index = ReachabilityIndex()
-        index.add_edge(node("a"), node("b"))
-        index.add_edge(node("c"), node("d"))
-        assert not index.can_reach(node("a"), node("d"))
-        index.add_edge(node("b"), node("c"))
-        assert index.can_reach(node("a"), node("d"))
-        assert index.can_reach(node("a"), node("c"))
-        assert index.can_reach(node("b"), node("d"))
+    def test_bridging_edge_connects_components(self, links):
+        build, node = links
+        assert (node("a"), node("d")) not in \
+            reachability_closure(build("ab", "cd"))
+        closure = reachability_closure(build("ab", "cd", "bc"))
+        assert (node("a"), node("d")) in closure
+        assert (node("a"), node("c")) in closure
+        assert (node("b"), node("d")) in closure
 
-    def test_cycle(self):
-        index = ReachabilityIndex()
-        index.add_edge(node("a"), node("b"))
-        index.add_edge(node("b"), node("c"))
-        index.add_edge(node("c"), node("a"))
+    def test_cycle(self, links):
+        build, node = links
+        closure = reachability_closure(build("ab", "bc", "ca"))
         for x in "abc":
             for y in "abc":
-                assert index.can_reach(node(x), node(y))
+                assert (node(x), node(y)) in closure
 
-    def test_self_reach_without_edges(self):
-        index = ReachabilityIndex()
-        assert index.can_reach(node("ghost"), node("ghost"))
-        assert not index.can_reach(node("ghost"), node("other"))
+    def test_self_reach_without_edges(self, links):
+        build, node = links
+        # A node with no edges reaches nothing, itself included: a pair
+        # (x, x) needs a cycle (test_cycle).
+        assert reachability_closure(DelegationGraph()) == set()
+        assert (node("a"), node("a")) not in \
+            reachability_closure(build("ab"))
 
-    def test_duplicate_edge_skips_update(self):
-        index = ReachabilityIndex()
-        index.add_edge(node("a"), node("b"))
-        updates = index.stats.incremental_updates
-        index.add_edge(node("a"), node("b"))
-        assert index.stats.incremental_updates == updates
-        assert index.can_reach(node("a"), node("b"))
-
-    def test_matches_exhaustive_closure(self):
-        # Random-ish dense DAG built deterministically; compare the
-        # incremental index against a per-pair BFS ground truth.
+    def test_matches_exhaustive_closure(self, links):
+        # Dense DAG built deterministically; compare the closure against
+        # a per-pair BFS ground truth.
+        build, node = links
         edges = [(i, j) for i in range(10) for j in range(10)
                  if i != j and (i * 7 + j * 3) % 5 == 0]
-        index = ReachabilityIndex()
+        closure = reachability_closure(build(*edges))
         adjacency = {i: set() for i in range(10)}
         for i, j in edges:
-            index.add_edge(node(i), node(j))
             adjacency[i].add(j)
 
         def bfs_reaches(src, dst):
@@ -90,7 +98,7 @@ class TestIncrementalUpdates:
             for j in range(10):
                 if i == j:
                     continue
-                assert index.can_reach(node(i), node(j)) == \
+                assert ((node(i), node(j)) in closure) == \
                     bfs_reaches(i, j), (i, j)
 
 
@@ -108,52 +116,20 @@ class TestDirtyAndRebuild:
         return g
 
     def test_rebuild_from_graph(self, graph):
-        index = ReachabilityIndex(graph)
-        assert index.covers(graph)
-        assert index.can_reach(self.d1.subject_node, self.d2.object_node)
-        assert not index.can_reach(self.d2.object_node,
-                                   self.d1.subject_node)
-
-    def test_removal_dirties_then_refresh_tightens(self, graph):
-        index = ReachabilityIndex(graph)
-        graph.remove(self.d2.id)
-        index.mark_removed()
-        assert index.dirty
-        assert not index.covers(graph)
-        # Stale superset: still answers True for the severed pair (sound
-        # for pruning -- never claims unreachable when a chain exists).
-        assert index.can_reach(self.d1.subject_node, self.d2.object_node)
-        assert index.refresh(graph)
-        assert not index.dirty
-        assert index.covers(graph)
-        assert not index.can_reach(self.d1.subject_node,
-                                   self.d2.object_node)
-
-    def test_refresh_noop_when_clean(self, graph):
-        index = ReachabilityIndex(graph)
-        assert not index.refresh(graph)
-        assert index.stats.rebuilds == 1
+        closure = reachability_closure(graph)
+        assert (self.d1.subject_node, self.d2.object_node) in closure
+        assert (self.d2.object_node, self.d1.subject_node) not in closure
 
     def test_closure_pairs_matches_closure(self, graph):
-        index = ReachabilityIndex(graph)
-        assert index.closure_pairs(graph.subject_nodes()) == \
-            reachability_closure(graph)
-
-    def test_closure_fast_path_uses_index(self, graph):
-        index = ReachabilityIndex(graph)
-        queries_before = index.stats.queries
-        fast = reachability_closure(graph, index=index)
-        slow = reachability_closure(graph)
-        assert fast == slow
-        assert index.stats.queries == queries_before  # bitset read, no BFS
-
-    def test_closure_ignores_stale_index(self, graph, org, carol):
-        index = ReachabilityIndex(graph)
-        extra = issue(org, carol.entity, Role(org.entity, "mid"))
-        graph.add(extra)  # graph grew behind the index's back
-        assert not index.covers(graph)
-        closure = reachability_closure(graph, index=index)
-        assert (extra.subject_node, extra.object_node) in closure
+        # The closure holds exactly the pairs a direct query can prove.
+        ends = {}
+        for d in graph:
+            ends[d.subject_node] = d.subject
+            ends[d.object_node] = d.obj
+        provable = {(s, o) for s in graph.subject_nodes() for o in ends
+                    if s != o
+                    and direct_query(graph, ends[s], ends[o]) is not None}
+        assert provable == reachability_closure(graph)
 
 
 class TestSearchPruning:
@@ -163,8 +139,9 @@ class TestSearchPruning:
         g = DelegationGraph()
         goal = Role(org.entity, "goal")
         hop = Role(org.entity, "hop")
-        g.add(issue(org, alice.entity, hop))
-        g.add(issue(org, hop, goal))
+        self.path = (issue(org, alice.entity, hop), issue(org, hop, goal))
+        for d in self.path:
+            g.add(d)
         for i in range(6):
             decoy = Role(org.entity, f"decoy{i}")
             deeper = Role(org.entity, f"deeper{i}")
@@ -174,36 +151,21 @@ class TestSearchPruning:
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_same_answer_with_index(self, fan, strategy):
+        # Every strategy finds the one proof past the decoys.
         graph, subject, goal = fan
-        index = ReachabilityIndex(graph)
-        plain = direct_query(graph, subject, goal, strategy=strategy)
-        indexed = direct_query(graph, subject, goal, strategy=strategy,
-                               reach_index=index)
-        assert plain is not None and indexed is not None
-        assert indexed.chain == plain.chain
-
-    def test_prunes_decoy_branches(self, fan):
-        graph, subject, goal = fan
-        index = ReachabilityIndex(graph)
-        stats = SearchStats()
-        direct_query(graph, subject, goal, strategy=Strategy.FORWARD,
-                     stats=stats, reach_index=index)
-        assert stats.pruned_unreachable >= 6  # every decoy skipped
+        proof = direct_query(graph, subject, goal, strategy=strategy)
+        assert proof is not None
+        assert proof.chain == self.path
 
     def test_disconnected_short_circuits(self, fan, org, bob):
         graph, _subject, goal = fan
-        index = ReachabilityIndex(graph)
-        stats = SearchStats()
-        proof = direct_query(graph, bob.entity, goal, stats=stats,
-                             reach_index=index)
-        assert proof is None
-        assert stats.nodes_expanded == 0  # rejected before any expansion
-        assert stats.pruned_unreachable == 1
+        bob_node, goal_node = subject_key(bob.entity), subject_key(goal)
+        assert (bob_node, goal_node) not in reachability_closure(graph)
+        assert direct_query(graph, bob.entity, goal) is None
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_negative_answers_agree(self, fan, strategy):
         graph, subject, _goal = fan
-        index = ReachabilityIndex(graph)
         missing = Role(next(iter(graph)).issuer, "unreachable")
-        assert direct_query(graph, subject, missing, strategy=strategy,
-                            reach_index=index) is None
+        assert direct_query(graph, subject, missing,
+                            strategy=strategy) is None

@@ -32,10 +32,6 @@ CRYPTO_MEMO_KEYS = {
     "enabled": bool, "entries": int, "maxsize": int, "hits": int,
     "misses": int, "evictions": int, "object_hits": int,
 }
-REACH_INDEX_KEYS = {
-    "nodes": int, "dirty": bool, "rebuilds": int,
-    "incremental_updates": int,
-}
 # Contract v2 -- encoding.codec_info() / cache_info()["codec"] (v1's
 # "fast" reported a codec switch that no longer exists).
 CODEC_KEYS = {
@@ -104,12 +100,10 @@ class TestCacheInfoContract:
     def test_shape(self, warm_wallet):
         info = warm_wallet.cache_info()
         nested = {k: info.pop(k)
-                  for k in ("crypto_memo", "reach_index", "codec")}
+                  for k in ("crypto_memo", "codec")}
         _assert_contract(info, CACHE_INFO_KEYS, "cache_info()")
         _assert_contract(nested["crypto_memo"], CRYPTO_MEMO_KEYS,
                          "cache_info()['crypto_memo']")
-        _assert_contract(nested["reach_index"], REACH_INDEX_KEYS,
-                         "cache_info()['reach_index']")
         _assert_contract(nested["codec"], CODEC_KEYS,
                          "cache_info()['codec']")
 

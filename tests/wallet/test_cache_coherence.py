@@ -86,11 +86,15 @@ class TestTtlLapseCoherence:
         role = Role(org.entity, "r")
         coherent.insert(issue(org, alice.entity, role), (),
                         home="home.org", ttl=30.0)
+        # A negative cached before the lapse stays right after it:
+        # removing an edge never flips one.
+        other = Role(org.entity, "other")
+        assert wallet.query_direct(alice.entity, other) is None
         clock.advance(60.0)
         coherent.sweep()
-        assert wallet.reach_index.dirty
-        wallet.query_direct(alice.entity, role)
-        assert not wallet.reach_index.dirty  # lazily rebuilt pre-search
+        assert wallet.query_direct(alice.entity, role) is None
+        assert wallet.query_direct(alice.entity, other) is None
+        assert wallet.proof_cache.stats.negative_hits == 1
 
 
 class TestPublishFlipsNegatives:
@@ -105,18 +109,6 @@ class TestPublishFlipsNegatives:
         wallet.publish(issue(org, mid, top))  # the bridge
         proof = wallet.query_direct(alice.entity, top)
         assert proof is not None and proof.depth() == 2
-
-    def test_unrelated_publish_preserves_negative_entry(self, wallet, org,
-                                                        alice, bob, carol):
-        r = Role(org.entity, "r")
-        wallet.publish(issue(org, alice.entity, r))
-        assert wallet.query_direct(bob.entity, r) is None
-        negatives_before = wallet.proof_cache.stats.negative_hits
-        # Carol's grant shares no connectivity with Bob's question.
-        wallet.publish(issue(org, carol.entity, Role(org.entity, "other")))
-        assert wallet.query_direct(bob.entity, r) is None
-        assert wallet.proof_cache.stats.negative_hits == \
-            negatives_before + 1  # still served from cache
 
     def test_awaited_proof_fires_despite_cached_negative(self, wallet,
                                                          org, alice):
@@ -144,6 +136,22 @@ class TestRenewalCoherence:
         proof = wallet.query_direct(alice.entity, role)
         assert proof is not None
         assert proof.chain[0].expiry == 300.0  # the renewed certificate
+
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_renewal_of_a_lapsed_credential_flips_cached_negative(
+            self, org, alice, clock, cache):
+        # The negative observed after the lapse has no delegation to hang
+        # off; the renewal's UPDATED event must drop it like a publish.
+        from repro.core.delegation import renew
+        wallet = Wallet(owner=org, clock=clock, cache=cache)
+        role = Role(org.entity, "r")
+        d = issue(org, alice.entity, role, expiry=10.0)
+        wallet.publish(d)
+        clock.advance(15.0)
+        assert wallet.query_direct(alice.entity, role) is None
+        wallet.publish_renewal(d.id, renew(org, d, new_expiry=300.0))
+        proof = wallet.query_direct(alice.entity, role)
+        assert proof is not None and proof.chain[0].expiry == 300.0
 
 
 class TestEnumerationCoherence:
@@ -281,5 +289,4 @@ class TestBatchedAuthorization:
     def test_uncached_wallet_has_no_cache_objects(self, org, clock):
         wallet = Wallet(owner=org, clock=clock, cache=False)
         assert wallet.proof_cache is None
-        assert wallet.reach_index is None
         assert wallet.cache_info() is None

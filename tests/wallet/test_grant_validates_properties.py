@@ -79,6 +79,10 @@ steps = st.one_of(
 
 
 def _revoke(wallet, delegation):
+    """Revoke ``delegation`` here, unless the wallet refused it and holds
+    no copy of it either: such a revocation is refused too."""
+    if wallet.store.find_delegation(delegation.id) is None:
+        return
     principal = PRINCIPALS[delegation.issuer]
     wallet.publish_revocation(
         revoke(principal, delegation, revoked_at=wallet.clock.now()))

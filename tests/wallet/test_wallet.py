@@ -196,11 +196,60 @@ class TestRevocation:
 
     def test_standalone_revocation_for_unknown_delegation(self, wallet,
                                                           org, alice):
+        # Even the issuer's own revocation is refused for a delegation
+        # the wallet holds no copy of: nothing here shows who issued it.
         from repro.core.delegation import revoke as sign_revocation
         d = issue(org, alice.entity, Role(org.entity, "r"))
         revocation = sign_revocation(org, d, revoked_at=0.0)
+        with pytest.raises(PublicationError, match="holds no delegation"):
+            wallet.publish_revocation(revocation)
+        assert not wallet.is_revoked(d.id)
+        wallet.publish(d)
         assert wallet.publish_revocation(revocation)
         assert wallet.is_revoked(d.id)
+
+    def test_forged_revocation_cannot_pre_censor(self, wallet, org,
+                                                 alice):
+        """Mallory self-signs a revocation for Org's credential before
+        the wallet holds it: it must be refused, and the credential
+        must still publish and prove."""
+        from repro.core import create_principal
+        from repro.core.delegation import Revocation
+        mallory = create_principal("Mallory")
+        member = Role(org.entity, "member")
+        d = issue(org, alice.entity, member)
+        unsigned = Revocation(delegation_id=d.id, issuer=mallory.entity,
+                              revoked_at=0.0)
+        forged = Revocation(delegation_id=d.id, issuer=mallory.entity,
+                            revoked_at=0.0,
+                            signature=mallory.sign(unsigned.signing_bytes()))
+        assert forged.verify_standalone()  # a well-formed signature
+        with pytest.raises(PublicationError):
+            wallet.publish_revocation(forged)
+        assert wallet.publish(d)
+        assert wallet.prove(alice.entity, member) is not None
+        with pytest.raises(PublicationError):  # and not once it is held
+            wallet.publish_revocation(forged)
+        assert not wallet.is_revoked(d.id)
+
+    def test_revocation_of_a_support_link_verifies_against_it(
+            self, wallet, table1):
+        # A link held only inside a stored support proof is the wallet's
+        # copy: its issuer's revocation is accepted, another's is not.
+        from repro.core.delegation import Revocation
+        from repro.core.delegation import revoke as sign_revocation
+        wallet.publish(table1.d3_maria_member,
+                       supports=[table1.support_proof])
+        link = table1.d1_mark_services
+        assert wallet.store.get_delegation(link.id) is None
+        forged = Revocation(delegation_id=link.id,
+                            issuer=table1.maria.entity, revoked_at=0.0,
+                            signature=table1.maria.sign(b"no"))
+        with pytest.raises(PublicationError):
+            wallet.publish_revocation(forged)
+        assert wallet.publish_revocation(
+            sign_revocation(table1.big_isp, link, revoked_at=0.0))
+        assert wallet.is_revoked(link.id)
 
 
 class TestExpiration:

@@ -229,8 +229,7 @@ def check_clock_discipline(ctx: CodeContext, rule: Rule) -> List[Finding]:
     "delegation graph mutated by a module that never publishes a "
     "subscription-hub event",
     "publish the matching hub event (Section 4.2.2) where the graph "
-    "changes, so the proof cache, the reachability index and every "
-    "subscriber see it",
+    "changes, so the proof cache and every subscriber see it",
 )
 def check_graph_event_coupling(ctx: CodeContext,
                                rule: Rule) -> List[Finding]:
