@@ -87,30 +87,20 @@ class Point:
         finite point -- trailing bytes are rejected explicitly so a
         framing bug upstream cannot smuggle data past a signature.
 
-        Decompression costs a modular square root (~150us), and wire
-        payloads repeat the same handful of issuer keys and signature
-        nonce points, so successfully decoded points are interned in a
-        bounded pool keyed by the exact input bytes.
+        Decompression costs a modular square root (~94us), so it runs
+        only where arithmetic needs ``y``: a key on its first verify, a
+        nonce point in a batch equation. :func:`check_encoding` accepts
+        and refuses exactly the same bytes without it. Wire payloads
+        repeat the same handful of issuer keys, so decoded points are
+        interned in a bounded pool keyed by the exact input bytes.
         """
-        if not isinstance(data, bytes):
-            if not isinstance(data, (bytearray, memoryview)):
-                raise ECError(
-                    f"expected bytes, got {type(data).__name__}")
-            data = bytes(data)
-        if data[:1] == b"\x00":
-            if len(data) != 1:
-                raise ECError("trailing bytes after infinity encoding")
+        data = _checked_encoding(data)
+        if len(data) == 1:
             return INFINITY
-        if len(data) != 33 or data[0] not in (2, 3):
-            if len(data) > 33 and data[0] in (2, 3):
-                raise ECError("trailing bytes after compressed point")
-            raise ECError("invalid compressed point encoding")
         cached = _point_intern.get(data)
         if cached is not None:
             return cached
-        x = int.from_bytes(data[1:], "big")
-        if x >= P:
-            raise ECError("x coordinate out of range")
+        x = _encoded_x(data)
         y_squared = (pow(x, 3, P) + A * x + B) % P
         y = pow(y_squared, (P + 1) // 4, P)  # p = 3 mod 4 on secp256k1
         if (y * y) % P != y_squared:
@@ -121,6 +111,77 @@ class Point:
         make_room(_point_intern, _POINT_INTERN_LIMIT)
         _point_intern[data] = point
         return point
+
+
+def check_encoding(data: bytes) -> bool:
+    """Refuse ``data`` exactly as :meth:`Point.decode` would -- the same
+    :class:`ECError`, message and order -- without computing ``y``.
+
+    Returns True iff ``data`` encodes the point at infinity. An ``x`` is
+    on the curve iff ``x^3 + 7`` is a square mod P, which the Jacobi
+    symbol decides at about a quarter of the square root's cost; bytes
+    already decoded (interned) pass at once.
+    """
+    data = _checked_encoding(data)
+    if len(data) == 1:
+        return True
+    if data not in _point_intern and \
+            _jacobi((pow(_encoded_x(data), 3, P) + B) % P) < 0:
+        raise ECError("x is not on the curve")
+    return False
+
+
+def intern(point: Point) -> bytes:
+    """``point.encode()``, entered in the decoded-point pool: a point this
+    process computed (a generated key) then decodes, and passes
+    :func:`check_encoding`, at once wherever its bytes arrive."""
+    data = point.encode()
+    make_room(_point_intern, _POINT_INTERN_LIMIT)
+    _point_intern[data] = point
+    return data
+
+
+def _checked_encoding(data: bytes) -> bytes:
+    """``data`` as bytes of a well-formed SEC1 shape: one zero byte for
+    infinity, or a 02/03 prefix and 32 bytes of ``x``."""
+    if not isinstance(data, bytes):
+        if not isinstance(data, (bytearray, memoryview)):
+            raise ECError(f"expected bytes, got {type(data).__name__}")
+        data = bytes(data)
+    if data[:1] == b"\x00":
+        if len(data) != 1:
+            raise ECError("trailing bytes after infinity encoding")
+        return data
+    if len(data) != 33 or data[0] not in (2, 3):
+        if len(data) > 33 and data[0] in (2, 3):
+            raise ECError("trailing bytes after compressed point")
+        raise ECError("invalid compressed point encoding")
+    return data
+
+
+def _encoded_x(data: bytes) -> int:
+    x = int.from_bytes(data[1:], "big")
+    if x >= P:
+        raise ECError("x coordinate out of range")
+    return x
+
+
+def _jacobi(a: int) -> int:
+    """The Jacobi symbol (a / P): 1 for a nonzero square mod P, -1 for a
+    non-square, 0 for a multiple of P (P is prime, so this is Euler's
+    criterion ``a^((P-1)/2)`` without the exponentiation)."""
+    n = P
+    a %= n
+    result = 1
+    while a:
+        zeros = (a & -a).bit_length() - 1
+        a >>= zeros
+        if zeros & 1 and (n & 7) in (3, 5):
+            result = -result
+        if (a & n & 3) == 3:
+            result = -result
+        a, n = n % a, a
+    return result if n == 1 else 0
 
 
 INFINITY = Point(None, None)
@@ -316,8 +377,9 @@ _ROW_CACHE_LIMIT = 1024
 _row_cache: dict = {}
 
 # Decoded-point intern pool: wire payloads repeat the same
-# issuer keys and nonce points; interning skips the ~150us square root
-# on every repeat. Keyed by the exact 33 encoded bytes, so two inputs
+# issuer keys and nonce points; interning skips the ~94us square root
+# of a repeat decode (a key is decoded on its first verify, never on
+# construction). Keyed by the exact 33 encoded bytes, so two inputs
 # share an entry only when they are literally the same encoding.
 _POINT_INTERN_LIMIT = 4096
 _point_intern: dict = {}

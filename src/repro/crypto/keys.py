@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.crypto import rsa, schnorr, verify_cache
+from repro.crypto import ec, rsa, schnorr, verify_cache
 from repro.crypto.encoding import CanonicalMap
 from repro.crypto.hashing import sha256, sha256_hex
 from repro.crypto.pools import make_room
@@ -36,8 +36,8 @@ class SignatureError(ValueError):
 
 # Interned PublicKey instances: wire payloads and wallet
 # snapshots repeat the same issuer/subject keys in every record, and
-# each construction re-validates (the Schnorr arm pays a modular square
-# root). The intern key is the COMPLETE content -- (algorithm, key
+# each construction re-validates (the Schnorr arm pays a Jacobi
+# symbol). The intern key is the COMPLETE content -- (algorithm, key
 # bytes) -- so sharing an instance can never conflate distinct keys.
 # Bounded FIFO, mirroring the ec.py cache pattern.
 _PK_INTERN_LIMIT = 4096
@@ -54,23 +54,28 @@ class PublicKey:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise SignatureError(f"unknown algorithm {self.algorithm!r}")
-        # Fail fast on undecodable key material.
-        self._decode()
+        # Fail fast on undecodable key material. A Schnorr key is only
+        # checked here: most keys a wallet admits name a subject and
+        # never verify anything, so the point is decompressed by the
+        # first verify (_decode), not on construction.
+        if self.algorithm == "schnorr-secp256k1":
+            _schnorr_key(schnorr.SchnorrPublicKey.check, self.key_bytes)
+        else:
+            self._decode()
 
     def _decode(self):
         # Decoding is not free (the Schnorr path does a modular square
         # root to decompress the point), so the verifier object is built
-        # once per PublicKey and cached on the instance. The cache slot
-        # is plain instance state, invisible to the dataclass-generated
-        # __eq__/__hash__ (which only consider declared fields).
+        # once per PublicKey, on its first verify, and cached on the
+        # instance. The cache slot is plain instance state, invisible to
+        # the dataclass-generated __eq__/__hash__ (which only consider
+        # declared fields).
         cached = self.__dict__.get("_verifier")
         if cached is not None:
             return cached
         if self.algorithm == "schnorr-secp256k1":
-            try:
-                verifier = schnorr.SchnorrPublicKey.decode(self.key_bytes)
-            except (schnorr.SchnorrError, ValueError) as exc:
-                raise SignatureError(f"bad schnorr key: {exc}") from exc
+            verifier = _schnorr_key(schnorr.SchnorrPublicKey.decode,
+                                    self.key_bytes)
         else:
             n_bytes, e_bytes = _split_rsa_blob(self.key_bytes)
             try:
@@ -253,8 +258,12 @@ def generate_keypair(algorithm: str = DEFAULT_ALGORITHM,
     """
     if algorithm == "schnorr-secp256k1":
         private = schnorr.generate_schnorr_keypair(rng=rng)
+        # The point is already at hand: intern it and seed the verifier
+        # with it, so neither this key nor one built from its bytes
+        # later is ever decompressed.
         public = PublicKey(algorithm=algorithm,
-                           key_bytes=private.public_key.encode())
+                           key_bytes=ec.intern(private.public_key.point))
+        object.__setattr__(public, "_verifier", private.public_key)
         return KeyPair(algorithm=algorithm, public=public, _private=private)
     if algorithm == "rsa-fdh-sha256":
         private = rsa.generate_rsa_keypair(bits=rsa_bits, rng=rng)
@@ -326,6 +335,14 @@ def deserialize_keypair(record: dict) -> KeyPair:
             "private key does not match the stored public key"
         )
     return KeyPair(algorithm=algorithm, public=public, _private=private)
+
+
+def _schnorr_key(parse, key_bytes: bytes):
+    """``parse(key_bytes)``, its refusal re-raised as a SignatureError."""
+    try:
+        return parse(key_bytes)
+    except (schnorr.SchnorrError, ValueError) as exc:
+        raise SignatureError(f"bad schnorr key: {exc}") from exc
 
 
 def _join_rsa_blob(n: int, e: int) -> bytes:

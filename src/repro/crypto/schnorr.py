@@ -48,6 +48,13 @@ class SchnorrPublicKey:
     def decode(data: bytes) -> "SchnorrPublicKey":
         return SchnorrPublicKey(ec.Point.decode(data))
 
+    @staticmethod
+    def check(data: bytes) -> None:
+        """Raise exactly what :meth:`decode` would raise on ``data``,
+        without decompressing the point (:func:`ec.check_encoding`)."""
+        if ec.check_encoding(data):
+            raise SchnorrError("public key may not be the identity point")
+
     def verify(self, message: bytes, signature: bytes) -> bool:
         """Return True iff ``signature`` is valid for ``message``.
 

@@ -13,6 +13,7 @@ publication boundary).
 
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+from repro.core.attributes import AttributeRef, Operator
 from repro.core.delegation import Delegation
 from repro.core.roles import Subject, subject_key
 
@@ -24,6 +25,10 @@ class DelegationGraph:
         self._by_id: Dict[str, Delegation] = {}
         self._out: Dict[tuple, List[Delegation]] = {}
         self._in: Dict[tuple, List[Delegation]] = {}
+        # attribute -> operator -> how many stored delegations modulate
+        # the attribute with it, and the attributes with several.
+        self._operators: Dict[AttributeRef, Dict[Operator, int]] = {}
+        self._mixed: Tuple[AttributeRef, ...] = ()
         for delegation in delegations:
             self.add(delegation)
 
@@ -36,6 +41,12 @@ class DelegationGraph:
         self._by_id[delegation.id] = delegation
         self._out.setdefault(delegation.subject_node, []).append(delegation)
         self._in.setdefault(delegation.object_node, []).append(delegation)
+        for attribute in delegation.modifiers.attributes():
+            counts = self._operators.setdefault(attribute, {})
+            operator = delegation.modifiers.operator_of(attribute)
+            counts[operator] = counts.get(operator, 0) + 1
+            if counts[operator] == 1 and len(counts) == 2:
+                self._find_mixed()
         return True
 
     def remove(self, delegation_id: str) -> Optional[Delegation]:
@@ -51,7 +62,22 @@ class DelegationGraph:
         in_list[:] = [d for d in in_list if d.id != delegation_id]
         if not in_list:
             self._in.pop(delegation.object_node, None)
+        for attribute in delegation.modifiers.attributes():
+            counts = self._operators[attribute]
+            operator = delegation.modifiers.operator_of(attribute)
+            counts[operator] -= 1
+            if not counts[operator]:
+                del counts[operator]
+                if not counts:
+                    del self._operators[attribute]
+                elif len(counts) == 1:
+                    self._find_mixed()
         return delegation
+
+    def _find_mixed(self) -> None:
+        self._mixed = tuple(attribute
+                            for attribute, counts in self._operators.items()
+                            if len(counts) > 1)
 
     # -- lookups ------------------------------------------------------------
 
@@ -80,6 +106,13 @@ class DelegationGraph:
 
     def in_edges_by_node(self, node: tuple) -> Tuple[Delegation, ...]:
         return tuple(self._in.get(node, ()))
+
+    def mixed_attributes(self) -> Tuple[AttributeRef, ...]:
+        """Attributes the stored delegations modulate with more than one
+        operator. A chain may bind each attribute to one operator only
+        (Section 3.2.1), so on these attributes which operator a partial
+        chain has bound decides which suffixes it can still take."""
+        return self._mixed
 
     def nodes(self) -> Set[tuple]:
         """All nodes appearing as a subject or object of some delegation."""

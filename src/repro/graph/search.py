@@ -27,7 +27,10 @@ constraint can never be extended into a satisfying proof and is pruned.
 When constraints are present the search keeps a Pareto frontier of
 non-dominated modifier labels per node, because proofs "are not
 necessarily discovered in topological order" and a label that is worse on
-one attribute may be better on another.
+one attribute may be better on another. The same frontier keeps a second
+prefix whose operator binding or depth budget lets it finish where the
+first cannot (:class:`_LabelStore`), so a query grants whenever a simple
+chain the checker accepts exists.
 
 Searches never verify signatures -- wallets verify at publication time
 (Section 4.1) -- but they do skip expired and revoked delegations, and by
@@ -178,17 +181,31 @@ def _make_context(graph: DelegationGraph, at: float,
 # ---------------------------------------------------------------------------
 
 class _LabelStore:
-    """Per-node records of non-dominated attribute labels.
+    """Per-node records of non-dominated labels.
 
-    Without constraints this degenerates to a visited set (one label per
-    node). With constraints, a new label is admitted unless an existing
-    label is at least as good on *every* constrained attribute.
+    A label is what a partial proof carries into its extensions: the
+    operators it binds on the attributes whose binding decides which
+    suffixes it can take (those the graph modulates with more than one
+    operator, and constrained ones with no base), its depth budget, and
+    under constraints its best-case grant per constrained attribute. A
+    new label is refused when a label already at the node binds the same
+    operators, has a budget at least as loose (None is unlimited) and
+    bounds at least as good: every chain the new one completes, the old
+    one completes too. (It is also no longer: a frontier admits labels
+    in breadth-first order, and a reverse chain's length is part of what
+    it leaves a prefix's budget.) Without operator mixing, depth limits
+    or constraints every label ties, and this is a visited set.
     """
 
     def __init__(self, ctx: _Context) -> None:
         self._ctx = ctx
-        self._labels: Dict[tuple, List[Tuple[float, ...]]] = {}
+        self._labels: Dict[tuple, List[tuple]] = {}
         self._attributes = tuple(c.attribute for c in ctx.constraints)
+        self._binding = ctx.graph.mixed_attributes()
+        if self._attributes:
+            self._binding += tuple(attribute
+                                   for attribute in self._attributes
+                                   if attribute not in ctx.bases)
 
     def _vector(self, proof: Proof) -> Tuple[float, ...]:
         bounds = []
@@ -199,23 +216,36 @@ class _LabelStore:
 
     def admit(self, node: tuple, proof: Proof) -> bool:
         """Record the label; False if dominated by an existing one."""
-        existing = self._labels.setdefault(node, [])
-        if not self._attributes:
-            if existing:
-                return False
-            existing.append(())
-            return True
-        vector = self._vector(proof)
-        for other in existing:
-            if all(o >= v for o, v in zip(other, vector)):
-                return False
-        existing[:] = [
-            other for other in existing
-            if not all(v >= o for v, o in zip(vector, other))
-        ]
-        existing.append(vector)
-        self._ctx.stats.labels_created += 1
+        if self._binding:
+            modifiers = proof.modifiers
+            node = (node, tuple([modifiers.operator_of(attribute)
+                                 for attribute in self._binding]))
+        label = (proof.depth_budget,
+                 self._vector(proof) if self._attributes else ())
+        existing = self._labels.get(node)
+        if existing is None:
+            self._labels[node] = [label]
+        else:
+            for other in existing:
+                if _dominates(other, label):
+                    return False
+            existing[:] = [other for other in existing
+                           if not _dominates(label, other)]
+            existing.append(label)
+        if self._attributes:
+            self._ctx.stats.labels_created += 1
         return True
+
+
+def _dominates(label: tuple, other: tuple) -> bool:
+    """Whether ``label`` completes every chain ``other`` completes, as
+    well: a budget at least as loose and bounds at least as good."""
+    budget, bounds = label
+    other_budget, other_bounds = other
+    return ((budget is None
+             or other_budget is not None and budget >= other_budget)
+            and (not bounds or all(mine >= theirs for mine, theirs
+                                   in zip(bounds, other_bounds))))
 
 
 # ---------------------------------------------------------------------------

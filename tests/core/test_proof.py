@@ -113,6 +113,24 @@ class TestValidation:
         with pytest.raises(ProofError, match="proof claims"):
             validate_proof(decoded, at=0.0)
 
+    def test_cyclic_support_rejected(self, org, alice):
+        """A support proof for Alice => Org.r' whose link [Alice ->
+        Org.r] Alice is supported by a proof claiming Alice => Org.r'
+        again: refused as a cycle, built here or decoded off the wire."""
+        r, r_assign = Role(org.entity, "r"), Role(org.entity, "r", ticks=1)
+        third_party = issue(alice, alice.entity, r)
+        assert third_party.required_supports() == (r_assign,)
+        chain = (third_party, issue(org, r, r_assign))
+        again = Proof(alice.entity, r_assign, chain)
+        cyclic = Proof(alice.entity, r_assign, chain,
+                       {third_party.id: (again,)})
+        with pytest.raises(ProofError, match="cyclic support structure"):
+            validate_proof(cyclic, at=0.0)
+        decoded = Proof.from_dict(dict(cyclic.to_dict()))
+        assert decoded.supports_for(third_party) == (again,)
+        with pytest.raises(ProofError, match="cyclic support structure"):
+            validate_proof(decoded, at=0.0)
+
     def test_expired_link_rejected(self, org, alice):
         d = issue(org, alice.entity, Role(org.entity, "r"), expiry=10.0)
         proof = Proof.single(d)

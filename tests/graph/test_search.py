@@ -227,6 +227,94 @@ class TestTypedFailures:
             direct_query(graph, alice.entity, roles[-1], strategy=strategy)
 
 
+class TestLabelsKeepCompletableChains:
+    """A node first reached by a prefix that cannot finish must not shut
+    out a later prefix that can (ROADMAP item 16): the search finds every
+    chain ``validate_proof`` accepts."""
+
+    @pytest.fixture()
+    def operator_graph(self, org, alice):
+        """``alice -> a`` binds ``bw`` under MIN, ``a -> t`` under
+        SUBTRACT; ``a -> b -> t`` is clean. Only alice -> a -> b -> t
+        composes. A reverse search first admits ``a`` with ``bw -= 10``
+        bound, which alice -> a cannot join."""
+        bw = AttributeRef(org.entity, "bw")
+        a, b, t = (Role(org.entity, n) for n in ("a", "b", "t"))
+        graph = DelegationGraph([
+            issue(org, alice.entity, a,
+                  modifiers=[Modifier(bw, Operator.MIN, 50)]),
+            issue(org, a, t,
+                  modifiers=[Modifier(bw, Operator.SUBTRACT, 10)]),
+            issue(org, a, b),
+            issue(org, b, t),
+        ])
+        return graph, t
+
+    @pytest.fixture()
+    def depth_graph(self, org, alice):
+        """``alice -> m`` may not be re-delegated (depth limit 0);
+        ``alice -> x -> m`` may. Only alice -> x -> m -> t is valid. A
+        forward search first admits ``m`` over the limited link."""
+        m, x, t = (Role(org.entity, n) for n in ("m", "x", "t"))
+        graph = DelegationGraph([
+            issue(org, alice.entity, m, depth_limit=0),
+            issue(org, alice.entity, x),
+            issue(org, x, m),
+            issue(org, m, t),
+        ])
+        return graph, t
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_unbased_constraint_keeps_the_bounding_prefix(self, org, alice,
+                                                          strategy):
+        """``cap`` has no base, so ``cap >= 50`` holds only for a chain
+        that bounds it with ``<=``: alice -> n, which leaves it unbound,
+        must not shut out alice -> y (``cap <= 80``) -> n."""
+        cap = AttributeRef(org.entity, "cap")
+        n, y, t = (Role(org.entity, name) for name in ("n", "y", "t"))
+        graph = DelegationGraph([
+            issue(org, alice.entity, n),
+            issue(org, alice.entity, y,
+                  modifiers=[Modifier(cap, Operator.MIN, 80)]),
+            issue(org, y, n),
+            issue(org, n, t),
+        ])
+        constraints = [Constraint(cap, 50)]
+        proof = direct_query(graph, alice.entity, t, constraints=constraints,
+                             strategy=strategy)
+        assert proof is not None
+        assert proof.depth() == 3
+        validate_proof(proof, at=0.0, constraints=constraints)
+
+    @pytest.mark.parametrize("graph_name", ["operator_graph", "depth_graph"])
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_direct_query_finds_the_valid_chain(self, request, alice,
+                                                graph_name, strategy):
+        graph, t = request.getfixturevalue(graph_name)
+        proof = direct_query(graph, alice.entity, t, strategy=strategy)
+        assert proof is not None
+        assert proof.depth() == 3
+        validate_proof(proof, at=0.0)
+
+    @pytest.mark.parametrize("graph_name", ["operator_graph", "depth_graph"])
+    def test_subject_query_reaches_the_target(self, request, alice,
+                                              graph_name):
+        graph, t = request.getfixturevalue(graph_name)
+        proofs = subject_query(graph, alice.entity)
+        assert t in {proof.obj for proof in proofs}
+        for proof in proofs:
+            validate_proof(proof, at=0.0)
+
+    @pytest.mark.parametrize("graph_name", ["operator_graph", "depth_graph"])
+    def test_object_query_reaches_the_subject(self, request, alice,
+                                              graph_name):
+        graph, t = request.getfixturevalue(graph_name)
+        proofs = object_query(graph, t)
+        assert alice.entity in {proof.subject for proof in proofs}
+        for proof in proofs:
+            validate_proof(proof, at=0.0)
+
+
 class TestSubjectObjectQueries:
     def test_subject_query_enumerates_reachable(self, chain_graph, alice):
         graph, roles = chain_graph
