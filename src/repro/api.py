@@ -45,24 +45,18 @@ class Domain:
 
     def __init__(self, principal: Principal,
                  clock: Optional[Clock] = None,
-                 wallet: Optional[Wallet] = None,
-                 cache: bool = True) -> None:
+                 wallet: Optional[Wallet] = None) -> None:
         self.principal = principal
         self.wallet = wallet if wallet is not None else Wallet(
             owner=principal, clock=clock if clock is not None
-            else SimClock(), cache=cache)
+            else SimClock())
 
     @classmethod
     def create(cls, name: str, clock: Optional[Clock] = None,
-               algorithm: str = "schnorr-secp256k1",
-               cache: bool = True) -> "Domain":
-        """Mint a fresh identity with its own wallet.
-
-        ``cache=False`` disables the wallet's event-invalidated decision
-        cache (see docs/PERFORMANCE.md).
-        """
+               algorithm: str = "schnorr-secp256k1") -> "Domain":
+        """Mint a fresh identity with its own wallet."""
         return cls(create_principal(name, algorithm=algorithm),
-                   clock=clock, cache=cache)
+                   clock=clock)
 
     # -- naming -----------------------------------------------------------
 

@@ -97,9 +97,9 @@ class Workspace:
         return EntityDirectory(
             [p.entity for p in self.principals.values()])
 
-    def wallet(self, cache: bool = True) -> Wallet:
+    def wallet(self) -> Wallet:
         return Wallet(owner=None, address="cli", clock=WallClock(),
-                      store=self.store, cache=cache)
+                      store=self.store)
 
     def principal(self, name: str) -> Principal:
         try:
@@ -229,18 +229,15 @@ def cmd_show(workspace: Workspace, _args) -> int:
 
 def cmd_query(workspace: Workspace, args) -> int:
     from repro.crypto import verify_cache
-    use_cache = not args.no_cache
-    if args.no_crypto_cache:
-        verify_cache.set_enabled(False)
     repeat = max(1, args.repeat)
-    wallet = workspace.wallet(cache=use_cache)
+    wallet = workspace.wallet()
     directory = workspace.directory()
 
     def timed(run):
         """Run the query ``repeat`` times; report per-pass latency.
 
-        With caching on, pass 1 is the cold search and later passes are
-        cache hits -- the repeat flag exists precisely to show that gap.
+        Pass 1 is the cold search and later passes are cache hits --
+        the repeat flag exists precisely to show that gap.
         """
         result = None
         for i in range(repeat):
@@ -248,14 +245,13 @@ def cmd_query(workspace: Workspace, args) -> int:
             result = run()
             elapsed = (time.perf_counter() - started) * 1000
             if repeat > 1 or args.timing:
-                label = "cached" if use_cache and i > 0 else "cold"
+                label = "cached" if i > 0 else "cold"
                 print(f"# pass {i + 1}: {elapsed:.3f} ms ({label})",
                       file=sys.stderr)
         if args.timing:
             info = verify_cache.cache_info()
             print(
                 "# crypto memo: "
-                f"enabled={info['enabled']} "
                 f"entries={info['entries']}/{info['maxsize']} "
                 f"hits={info['hits']} misses={info['misses']} "
                 f"evictions={info['evictions']} "
@@ -359,11 +355,8 @@ def cmd_discover(_workspace: Workspace, args) -> int:
     and runs the tag-directed discovery protocol across its simulated
     network, reporting the wire traffic and the discovery breakdown.
     """
-    from repro.crypto import verify_cache
     from repro.discovery.engine import DiscoveryStats
 
-    if args.no_crypto_cache:
-        verify_cache.set_enabled(False)
     repeat = max(1, args.repeat)
 
     engine, network, _clock, _wallet, subject, obj = \
@@ -822,13 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("subject",
                        help="entity nickname or role (object queries: "
                             "the role)")
-    query.add_argument("--no-cache", action="store_true",
-                       help="bypass the wallet's decision cache (always "
-                            "run a full search)")
-    query.add_argument("--no-crypto-cache", action="store_true",
-                       help="disable the signature-verification memo and "
-                            "per-certificate flags (re-verify every "
-                            "signature from scratch)")
     query.add_argument("--repeat", type=int, default=1, metavar="N",
                        help="run the query N times, reporting per-pass "
                             "latency on stderr (shows cold vs cached)")
@@ -848,10 +834,6 @@ def build_parser() -> argparse.ArgumentParser:
              "federation[:DOMAINS[:SEED]], or a coalition family "
              "ring|mesh|scc|deep[:SIZE[:SEED]] (cyclic cross-home "
              "topologies)")
-    discover.add_argument(
-        "--no-crypto-cache", action="store_true",
-        help="disable the signature-verification memo (re-verify every "
-             "signature from scratch)")
     discover.add_argument(
         "--repeat", type=int, default=1, metavar="N",
         help="run the discovery N times, reporting per-pass latency on "

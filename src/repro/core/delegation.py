@@ -184,15 +184,15 @@ class Delegation:
         immutable certificate is verified at most once per process (the
         process-wide memo in :mod:`repro.crypto.verify_cache` extends
         the same guarantee across re-decoded copies). Failures are never
-        cached, and the flag is ignored while the memo is disabled.
+        cached.
         """
-        if self.__dict__.get("_sig_ok") and verify_cache.enabled():
+        if self.__dict__.get("_sig_ok"):
             verify_cache.note_object_hit()
             return True
         if not self.signature:
             return False
         result = self.issuer.verify(self.signing_bytes(), self.signature)
-        if result and verify_cache.enabled():
+        if result:
             object.__setattr__(self, "_sig_ok", True)
         return result
 
@@ -490,11 +490,11 @@ class Revocation:
         Per-object positive caching, same contract as
         :meth:`Delegation.verify_signature`.
         """
-        if self.__dict__.get("_sig_ok") and verify_cache.enabled():
+        if self.__dict__.get("_sig_ok"):
             verify_cache.note_object_hit()
             return True
         result = self.issuer.verify(self.signing_bytes(), self.signature)
-        if result and verify_cache.enabled():
+        if result:
             object.__setattr__(self, "_sig_ok", True)
         return result
 
@@ -544,9 +544,8 @@ def verify_signatures(certificates: Sequence[SignedCertificate]
     results: List[Optional[bool]] = [None] * len(certificates)
     pending: List[int] = []
     items: List[_keys.BatchItem] = []
-    use_flags = verify_cache.enabled()
     for index, certificate in enumerate(certificates):
-        if use_flags and certificate.__dict__.get("_sig_ok"):
+        if certificate.__dict__.get("_sig_ok"):
             verify_cache.note_object_hit()
             results[index] = True
             continue
@@ -560,7 +559,7 @@ def verify_signatures(certificates: Sequence[SignedCertificate]
     if items:
         for index, verdict in zip(pending, _keys.verify_batch(items)):
             results[index] = verdict
-            if verdict and use_flags:
+            if verdict:
                 object.__setattr__(certificates[index], "_sig_ok", True)
     return [bool(verdict) for verdict in results]
 
@@ -574,11 +573,9 @@ def prefetch_signatures(delegations: Iterable[Delegation]) -> None:
     short-circuit. Failures are deliberately NOT acted on here -- the
     sequential path re-verifies and raises or rejects with the exact
     error, index and ordering (relative to expiry/revocation checks) it
-    always had. No-op while the memo is disabled (nothing would carry
-    over) and for a single fresh certificate (nothing to amortize).
+    always had. No-op for a single fresh certificate (nothing to
+    amortize).
     """
-    if not verify_cache.enabled():
-        return
     fresh: dict = {}
     for delegation in delegations:
         if not delegation.__dict__.get("_sig_ok"):

@@ -123,19 +123,16 @@ class PublicKey:
             return False
         signature = bytes(signature)
         memo = verify_cache.memo()
-        if memo.enabled:
-            key = self._memo_key(message, signature)
-            if memo.lookup(key):
-                return True
-            # Memo miss: the only arm that pays group arithmetic, and
-            # the only one worth a trace span.
-            with obs.span("crypto.verify", algorithm=self.algorithm):
-                ok = self._decode().verify(message, signature)
-            if ok:
-                memo.record(key)
-            return ok
+        key = self._memo_key(message, signature)
+        if memo.lookup(key):
+            return True
+        # Memo miss: the only arm that pays group arithmetic, and the
+        # only one worth a trace span.
         with obs.span("crypto.verify", algorithm=self.algorithm):
-            return self._decode().verify(message, signature)
+            ok = self._decode().verify(message, signature)
+        if ok:
+            memo.record(key)
+        return ok
 
     def to_dict(self) -> dict:
         """Serializable representation (used in wire messages), built
@@ -210,7 +207,6 @@ def verify_batch(items: Sequence[BatchItem]) -> List[bool]:
     """
     results: List[Optional[bool]] = [None] * len(items)
     memo = verify_cache.memo()
-    use_memo = memo.enabled
     memo_keys: List[Optional[verify_cache.MemoKey]] = [None] * len(items)
     schnorr_indices: List[int] = []
     schnorr_items: List[schnorr.BatchItem] = []
@@ -219,12 +215,11 @@ def verify_batch(items: Sequence[BatchItem]) -> List[bool]:
             results[index] = False
             continue
         signature = bytes(signature)
-        if use_memo:
-            key = public_key._memo_key(message, signature)
-            memo_keys[index] = key
-            if memo.lookup(key):
-                results[index] = True
-                continue
+        key = public_key._memo_key(message, signature)
+        memo_keys[index] = key
+        if memo.lookup(key):
+            results[index] = True
+            continue
         if public_key.algorithm == "schnorr-secp256k1":
             schnorr_indices.append(index)
             schnorr_items.append(
@@ -241,10 +236,9 @@ def verify_batch(items: Sequence[BatchItem]) -> List[bool]:
             verdicts = schnorr.verify_batch_bisect(schnorr_items)
         for index, verdict in zip(schnorr_indices, verdicts):
             results[index] = verdict
-    if use_memo:
-        for index, verdict in enumerate(results):
-            if verdict and memo_keys[index] is not None:
-                memo.record(memo_keys[index])
+    for index, verdict in enumerate(results):
+        if verdict and memo_keys[index] is not None:
+            memo.record(memo_keys[index])
     return [bool(verdict) for verdict in results]
 
 

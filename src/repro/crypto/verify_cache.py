@@ -20,11 +20,10 @@ Two rules keep the memo invalidation-free by construction:
   key material, SHA-256 of the signed bytes, and the signature itself.
   Nothing mutable participates, so there is nothing to invalidate.
 
-The memo is a bounded LRU (default 8192 entries). Disable it globally
-with :func:`set_enabled` (the CLI's ``--no-crypto-cache``) or
-temporarily with the :func:`disabled` context manager; outcomes are
-identical either way, only latency changes (asserted by
-``tests/crypto/test_verify_cache.py``).
+The memo is a bounded LRU (default 8192 entries) and has no off
+switch: a memo hit and a full check give the same verdict, only
+latency differs (asserted by ``tests/crypto/test_verify_cache.py``
+against a fresh :func:`scoped` memo and fresh objects).
 
 Scoping
 -------
@@ -60,10 +59,11 @@ class VerificationMemo:
     them back under the names it always reported.
     """
 
-    __slots__ = ("maxsize", "_entries", "enabled", "stats")
+    __slots__ = ("maxsize", "_entries", "stats")
 
-    def __init__(self, maxsize: int = DEFAULT_MAXSIZE,
-                 enabled: bool = True) -> None:
+    def __init__(self, maxsize: int = DEFAULT_MAXSIZE) -> None:
+        if maxsize < 1:
+            raise ValueError("memo maxsize must be positive")
         self.maxsize = maxsize
         self._entries: "OrderedDict[MemoKey, bool]" = OrderedDict()
         # ``object_hits``: verifications short-circuited by a per-object
@@ -72,7 +72,6 @@ class VerificationMemo:
         self.stats = obs.CounterSet(
             "drbac_crypto_memo",
             ("hits", "misses", "evictions", "object_hits"))
-        self.enabled = enabled
 
     def lookup(self, key: MemoKey) -> bool:
         """True iff ``key`` is known-good; updates hit/miss counters."""
@@ -105,7 +104,6 @@ class VerificationMemo:
     def info(self) -> dict:
         """``cache_info()``-style statistics snapshot."""
         return {
-            "enabled": self.enabled,
             "entries": len(self._entries),
             "maxsize": self.maxsize,
             **self.stats.to_dict(),
@@ -125,32 +123,22 @@ def memo() -> VerificationMemo:
 
 
 @contextmanager
-def scoped(instance: Optional[VerificationMemo] = None, *,
-           maxsize: int = DEFAULT_MAXSIZE):
+def scoped(instance: Optional[VerificationMemo] = None):
     """Install an isolated memo for this context (fresh unless injected).
 
-    A fresh memo inherits the global enable switch, and its counters
-    register in whatever :mod:`repro.obs` registry is current -- enter
-    ``obs.scoped()`` first to keep a shard's tallies private.  Rides
-    ``contextvars``: nests, propagates into tasks, and must be re-entered
-    by worker threads/processes (see ``repro.service.shard``).
+    A fresh memo's counters register in whatever :mod:`repro.obs`
+    registry is current -- enter ``obs.scoped()`` first to keep a
+    shard's tallies private.  A test that wants a small memo injects
+    ``VerificationMemo(maxsize=...)``.  Rides ``contextvars``: nests,
+    propagates into tasks, and must be re-entered by worker
+    threads/processes (see ``repro.service.shard``).
     """
-    current = instance if instance is not None else VerificationMemo(
-        maxsize=maxsize, enabled=_MEMO.enabled)
+    current = instance if instance is not None else VerificationMemo()
     token = _SCOPED.set(current)
     try:
         yield current
     finally:
         _SCOPED.reset(token)
-
-
-def enabled() -> bool:
-    return memo().enabled
-
-
-def set_enabled(value: bool) -> None:
-    """Enable/disable the current memo (and the per-object fast flags)."""
-    memo().enabled = bool(value)
 
 
 def note_object_hit() -> None:
@@ -164,27 +152,3 @@ def cache_clear() -> None:
 
 def cache_info() -> dict:
     return memo().info()
-
-
-def configure(maxsize: Optional[int] = None) -> None:
-    """Adjust the memo bound; entries beyond the new bound are evicted."""
-    if maxsize is not None:
-        if maxsize < 1:
-            raise ValueError("memo maxsize must be positive")
-        current = memo()
-        current.maxsize = maxsize
-        while len(current._entries) > maxsize:
-            current._entries.popitem(last=False)
-            current.stats.c_evictions.inc()
-
-
-@contextmanager
-def disabled():
-    """Temporarily run with the memo off (tests, honest benchmarks)."""
-    current = memo()
-    previous = current.enabled
-    current.enabled = False
-    try:
-        yield
-    finally:
-        current.enabled = previous

@@ -64,7 +64,6 @@ from repro.core.errors import DiscoveryError, DRBACError
 from repro.core.proof import Proof, find_support, is_valid_proof
 from repro.core.roles import Role, Subject, subject_key
 from repro.core.tags import DiscoveryTag
-from repro.discovery import result_cache as result_cache_mod
 from repro.discovery import wire
 from repro.discovery.result_cache import DiscoveryCache, make_discovery_key
 from repro.discovery.gem import MAX_DEPTH, GoalKey
@@ -175,9 +174,8 @@ class _Search:
     tags: Dict[tuple, DiscoveryTag]
     stats: DiscoveryStats
     budget: int
-    # Whether the result cache is read and filled, and the part of its
-    # keys every goal of this search shares.
-    use_cache: bool
+    # The part of the result cache's keys every goal of this search
+    # shares.
     key_suffix: tuple
     # Goals waiting to be sent: (home, direction, node, depth).
     queue: Deque[tuple] = field(default_factory=deque)
@@ -262,9 +260,9 @@ class DiscoveryEngine:
             invalidates=kind.invalidates or kind is EventKind.UPDATED)
 
     def discovery_info(self) -> dict:
-        """Fast-path breakdown for the CLI ``--timing`` output."""
+        """Run stats and result-cache counters for the CLI ``--timing``
+        output."""
         return {
-            "fastpath": result_cache_mod.enabled(),
             "stats": self.stats.to_dict(),
             "result_cache": self.result_cache.info(),
         }
@@ -342,7 +340,6 @@ class DiscoveryEngine:
             root_id=f"{self.server.address}#gem{next(self._root_ids)}",
             subject=subject, obj=obj, constraints=constraints,
             bases=bases, tags=tags, stats=stats, budget=budget,
-            use_cache=result_cache_mod.enabled(),
             key_suffix=(constraints_cache_key(constraints),
                         bases_cache_key(bases)))
         self._searches[search.root_id] = search
@@ -414,7 +411,6 @@ class DiscoveryEngine:
         stream instead -- the control flow is the same because each
         goal begets exactly one answer."""
         stats = search.stats
-        use_cache = search.use_cache
         now = self.server.wallet.clock.now()
         while search.queue and search.budget > 0:
             home, direction, node, depth = search.queue.popleft()
@@ -422,8 +418,8 @@ class DiscoveryEngine:
             if (home, goal) in search.covered:
                 continue
             key = self._cache_key(home, goal, search)
-            if use_cache and self._serve_from_cache(search, key, home,
-                                                    goal, depth, now):
+            if self._serve_from_cache(search, key, home, goal, depth,
+                                      now):
                 continue
             search.budget -= 1
             stats.rounds += 1
@@ -446,9 +442,7 @@ class DiscoveryEngine:
                 # the next ``negative_ttl`` seconds don't retry the
                 # dead link. Heals by TTL lapse.
                 del search.pending[(home, goal)]
-                if use_cache:
-                    self.result_cache.store(key, (), now,
-                                            self.negative_ttl)
+                self.result_cache.store(key, (), now, self.negative_ttl)
                 continue
             while search.answers:
                 cached_before = stats.delegations_cached
@@ -628,8 +622,7 @@ class DiscoveryEngine:
         # path" -- and a closure with rejected links or dropped proofs
         # (a ref left unresolved) is not the home's real answer: none
         # of them may be served to a later search.
-        if search.use_cache and answer.status == "done" \
-                and len(verified) == len(answer.payloads):
+        if answer.status == "done" and len(verified) == len(answer.payloads):
             ttl = self._result_ttl(proofs) if proofs else self.negative_ttl
             self.result_cache.store(
                 self._cache_key(home, answer.goal, search),

@@ -1,4 +1,4 @@
-"""The discovery result cache and its switch.
+"""The discovery result cache.
 
 A :class:`DiscoveryCache` memoizes what remote homes answered: the
 engine fills it with each ``(home, goal)`` closure it absorbs and reads
@@ -28,15 +28,14 @@ Negative entries also cover *unreachable* homes (a partitioned link
 raises ``NetworkError``): the miss is cached for ``negative_ttl``
 seconds and heals by lapse, never by a stale positive.
 
-The switch exists for the reference arm of the coherence tests:
-inside :func:`disabled` the engine neither consults nor fills the
-cache -- the search, its wire protocol and the proofs it finds are the
-same either way (``tests/discovery/test_fastpath.py::TestCoherence``,
-``tests/discovery/test_gem.py::TestCoherence``).
+The cache has no off switch. A coherence test gets its reference arm
+by clearing the engine's cache before each reference search: one
+search never re-issues a goal, so it cannot hit its own fills, and
+the search, its wire protocol and the proofs it finds are those of a
+cache that was never there (``tests/discovery/test_fastpath.py::
+TestCoherence``, ``tests/discovery/test_gem.py::TestCoherence``).
 """
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import Optional, Tuple
 
 from repro.graph.proof_cache import ProofCache, _Entry
@@ -46,28 +45,6 @@ DiscoveryKey = Tuple[str, str, Optional[tuple], Optional[tuple],
                      tuple, tuple]
 
 DEFAULT_MAXSIZE = 2048
-
-_ENABLED: "ContextVar[bool]" = ContextVar(
-    "drbac_discovery_result_cache", default=True)
-
-
-def enabled() -> bool:
-    """Is the discovery result cache consulted and filled in this
-    context?"""
-    return _ENABLED.get()
-
-
-@contextmanager
-def disabled():
-    """Run this context with the result cache off (the tests'
-    reference arm). Rides ``contextvars``: nests, restores on the way
-    out, and does not leak into another context."""
-    token = _ENABLED.set(False)
-    try:
-        yield
-    finally:
-        _ENABLED.reset(token)
-
 
 def make_discovery_key(home: str, kind: str,
                        skey: Optional[tuple], okey: Optional[tuple],

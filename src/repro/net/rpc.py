@@ -5,12 +5,11 @@ as an error reply and re-raises at the caller as :class:`RpcError`, so a
 remote wallet rejecting a publication behaves exactly like a local one.
 """
 
-import traceback
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict
 
 from repro import obs
-from repro.net.transport import Network, NetworkError
+from repro.net.transport import Network
 
 Method = Callable[[str, Any], Any]
 
@@ -64,40 +63,6 @@ class RpcNode:
             raise RpcError(method, reply["error"])
         return reply.get("result")
 
-    def call_batch(self, dst: str, method: str,
-                   params_list: List[Any]) -> List[Any]:
-        """Invoke ``method`` once per entry of ``params_list`` in a single
-        round trip (the discovery fast path's RPC coalescing).
-
-        The batch rides one request/reply pair regardless of length, so
-        N coalesced invocations cost 2 messages instead of 2N. Items are
-        executed in order; a handler exception fails only its own item.
-        Returns the per-item results; an item whose handler raised
-        re-raises here as :class:`RpcError` when its result is read --
-        concretely, this method raises on the FIRST failed item after
-        returning nothing, mirroring sequential ``call`` semantics.
-        """
-        params_list = list(params_list)
-        started = perf_counter()
-        with obs.span("rpc.call_batch", method=method, dst=dst,
-                      items=len(params_list)):
-            reply = self.network.send(self.address, dst,
-                                      f"rpc:{method}", {
-                                          "method": method,
-                                          "batch": params_list,
-                                      })
-            self.network.send(dst, self.address,
-                              f"rpc-reply:{method}", reply)
-        _rpc_record(method, started)
-        if reply.get("error") is not None:
-            raise RpcError(method, reply["error"])
-        results = []
-        for item in reply.get("result") or []:
-            if item.get("error") is not None:
-                raise RpcError(method, item["error"])
-            results.append(item.get("result"))
-        return results
-
     def notify(self, dst: str, method: str, params: Any = None) -> None:
         """One-way message: no reply traffic, errors swallowed remotely."""
         obs.counter("drbac_rpc_notifies_total", method=method).inc()
@@ -120,18 +85,6 @@ class RpcNode:
             if oneway:
                 return None
             return {"error": f"no such method {name!r}", "result": None}
-        if "batch" in message:
-            items = []
-            for params in message["batch"]:
-                try:
-                    items.append({"error": None,
-                                  "result": handler(src, params)})
-                except Exception as exc:  # noqa: BLE001 - fault boundary
-                    items.append({
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "result": None,
-                    })
-            return {"error": None, "result": items}
         try:
             result = handler(src, message.get("params"))
         except Exception as exc:  # noqa: BLE001 - fault boundary

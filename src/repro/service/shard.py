@@ -9,10 +9,13 @@ the code linter's ``service-injection`` and ``scope-escape`` rules
 (``tools/reprolint.py``) keep it that way -- so shards compose: one per
 process, N per process, or forked workers, all with identical behavior.
 
-Each shard's 8192-entry memo covers only *its* namespaces' hot
-credentials, so N shards hold N memos' worth of hot set; process
-shards add real parallelism on top.  docs/PERFORMANCE.md ("Service
-layer") says which ``benchmarks/e2e`` rows price both.
+The memo does not answer a shard's repeats: the proof cache does, or
+a credential found in the shard's ``CredentialIndex`` is an object
+whose per-object ``_sig_ok`` flag is already set, so the memo is never
+asked (``service.shard.memo_hit_share`` reads 0.0 on both ``svc_*``
+workloads of ``benchmarks/e2e``).  Process shards add real
+parallelism; docs/PERFORMANCE.md ("Service layer") says which rows
+price it.
 
 Backends
 --------

@@ -66,7 +66,7 @@ from repro.pubsub.events import DelegationEvent, EventKind
 from repro.pubsub.subscriptions import Subscription, SubscriptionHub
 from repro.wallet.storage import WalletStore
 
-# Decision-cache capacity (LRU entries) of a caching wallet.
+# Decision-cache capacity (LRU entries) of a wallet.
 CACHE_SIZE = 4096
 
 
@@ -81,8 +81,7 @@ class Wallet:
     def __init__(self, owner: Union[Principal, Entity, None] = None,
                  address: str = "",
                  clock: Optional[Clock] = None,
-                 store: Optional[WalletStore] = None,
-                 cache: bool = True) -> None:
+                 store: Optional[WalletStore] = None) -> None:
         if isinstance(owner, Principal):
             self.owner: Optional[Entity] = owner.entity
         else:
@@ -112,13 +111,9 @@ class Wallet:
         # Query hot-path acceleration: an event-invalidated decision
         # cache fed by the wallet's own subscription hub (so coherence
         # rides the Section 4.2.2 events).
-        if cache:
-            self.proof_cache: Optional[ProofCache] = ProofCache(CACHE_SIZE)
-            self._cache_subscription: Optional[Subscription] = \
-                self.hub.subscribe_all(self._on_cache_event)
-        else:
-            self.proof_cache = None
-            self._cache_subscription = None
+        self.proof_cache = ProofCache(CACHE_SIZE)
+        self._cache_subscription: Subscription = \
+            self.hub.subscribe_all(self._on_cache_event)
 
     # ------------------------------------------------------------------
     # Publication (Figure 1, arrow "publish")
@@ -338,16 +333,14 @@ class Wallet:
             kind.grows_graph, event.delegation_id,
             invalidates=kind.invalidates or kind is EventKind.UPDATED)
 
-    def cache_info(self) -> Optional[dict]:
-        """Decision-cache counters, or None when caching is off.
+    def cache_info(self) -> dict:
+        """Decision-cache counters.
 
         Includes the process-wide signature-verification memo's counters
         under ``crypto_memo`` and the canonical codec's counters under
         ``codec`` (both caches are per process, not per wallet, so the
         numbers aggregate across all wallets).
         """
-        if self.proof_cache is None:
-            return None
         info = self.proof_cache.info()
         info["crypto_memo"] = verify_cache.cache_info()
         info["codec"] = encoding.codec_info()
@@ -408,8 +401,8 @@ class Wallet:
         """Direct query: one proof for ``subject => obj`` meeting the
         constraints, or None (Section 4.1).
 
-        On a caching wallet the result -- positive or negative -- is
-        memoized and served until an event invalidates it.
+        The result -- positive or negative -- is memoized and served
+        until an event invalidates it.
         """
         return self._cached_search(
             KIND_DIRECT, subject, obj, tuple(constraints),
@@ -445,15 +438,13 @@ class Wallet:
         provider its batch shares). A hit returns the memo; a miss
         searches under a timed ``wallet.search`` span and stores the
         answer: a proof or None, or a tuple of proofs."""
-        cached = self.proof_cache is not None
-        if cached:
-            key = make_key(kind,
-                           None if subject is None else subject_key(subject),
-                           None if obj is None else subject_key(obj),
-                           constraints, merged)
-            hit, value = self.proof_cache.lookup(key, now)
-            if hit:
-                return value
+        key = make_key(kind,
+                       None if subject is None else subject_key(subject),
+                       None if obj is None else subject_key(obj),
+                       constraints, merged)
+        hit, value = self.proof_cache.lookup(key, now)
+        if hit:
+            return value
         search_started = perf_counter()
         with obs.span("wallet.search", wallet=self.address, kind=kind):
             common = dict(
@@ -472,8 +463,7 @@ class Wallet:
                 result = tuple(object_query(self.store.graph, obj, **common))
         self._stats.c_searches.inc()
         self._h_search.observe(perf_counter() - search_started)
-        if cached:
-            self.proof_cache.store(key, result, now)
+        self.proof_cache.store(key, result, now)
         return result
 
     def validate(self, proof: Proof,

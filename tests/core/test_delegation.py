@@ -162,8 +162,6 @@ class TestPrefetchSignatures:
         with verify_cache.scoped():
             prefetch_signatures([a])
             prefetch_signatures([])
-            with verify_cache.disabled():
-                prefetch_signatures([a, b])
         assert batches == []
         assert not a.__dict__.get("_sig_ok")
 

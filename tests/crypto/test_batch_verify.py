@@ -387,7 +387,7 @@ class TestKeysBatchDispatch:
                     if isinstance(signature, bytes) else False
                     for key, message, signature in items]
         assert expected == [True, True, False, False, False]
-        with verify_cache.disabled():
+        with verify_cache.scoped():         # a fresh memo: every item runs
             assert crypto.verify_batch(items) == expected
         # With the memo on: once cold, then served from the memo.
         assert crypto.verify_batch(items) == expected
@@ -432,7 +432,7 @@ class TestKeysBatchDispatch:
             assert memo.info()["entries"] == 7
             assert not memo.lookup(public._memo_key(message + b"!",
                                                     signature))
-        with verify_cache.disabled():
+        with verify_cache.scoped():
             assert crypto.verify_batch(items) == verdicts
 
     @pytest.mark.parametrize("count,keys,kernel",
@@ -440,7 +440,7 @@ class TestKeysBatchDispatch:
     def test_span_names_the_kernel(self, count, keys, kernel):
         items = self._keyed(count, keys)
         obs.reset()
-        with obs.enabled_ctx(), verify_cache.disabled():
+        with obs.enabled_ctx(), verify_cache.scoped():
             assert all(crypto.verify_batch(items))
         spans = [span for span in obs.tracer().finished()
                  if span.name == "crypto.verify_batch"]

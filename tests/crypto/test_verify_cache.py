@@ -1,8 +1,11 @@
 """Coherence of the signature-verification memo.
 
-The acceptance bar (ISSUE satellite + criterion): mutating nothing but
-process state -- eviction at the bound, ``cache_clear()``, toggling the
-memo off -- never changes any verify outcome; only counters move.
+Mutating nothing but process state -- eviction at the bound,
+``cache_clear()``, a fresh scoped memo with freshly decoded objects --
+never changes any verify outcome; only counters move. The memo has no
+off switch: the reference verdicts come from a fresh memo and fresh
+objects, or from the decode-and-compare oracle in
+``reference_verify.py``.
 """
 
 import random
@@ -16,19 +19,21 @@ from repro.core.identity import create_principal
 from repro.core.proof import Proof, validate_proof
 from repro.core.roles import Role
 from repro.crypto import verify_cache
+from repro.crypto.verify_cache import VerificationMemo
+
+from .reference_verify import reference_verify
 
 
 @pytest.fixture(autouse=True)
 def fresh_memo():
-    """Isolate each test: clean entries/config, memo enabled."""
-    memo = verify_cache.memo()
-    saved_size, saved_enabled = memo.maxsize, memo.enabled
-    verify_cache.cache_clear()
-    verify_cache.set_enabled(True)
-    yield
-    verify_cache.cache_clear()
-    memo.maxsize = saved_size
-    memo.enabled = saved_enabled
+    """Isolate each test in a fresh scoped memo."""
+    with verify_cache.scoped() as memo:
+        yield memo
+
+
+def _fresh(certificate):
+    """A re-decoded copy: same bytes, no per-object flag."""
+    return type(certificate).from_dict(certificate.to_dict())
 
 
 def _signed(count, seed=0):
@@ -57,17 +62,18 @@ class TestMemoMechanics:
         assert verify_cache.cache_info()["entries"] == 0
 
     def test_eviction_at_bound_preserves_outcomes(self):
-        verify_cache.configure(maxsize=4)
         public, signed = _signed(10, seed=2)
-        outcomes = [public.verify(m, s) for m, s in signed]
-        assert all(outcomes)
-        info = verify_cache.cache_info()
-        assert info["entries"] == 4
-        assert info["evictions"] >= 6
-        # Evicted entries re-verify from scratch with identical results;
-        # tampered inputs still fail even while their neighbors hit.
-        assert [public.verify(m, s) for m, s in signed] == outcomes
-        assert not public.verify(signed[0][0] + b"!", signed[0][1])
+        with verify_cache.scoped(VerificationMemo(maxsize=4)):
+            outcomes = [public.verify(m, s) for m, s in signed]
+            assert all(outcomes)
+            info = verify_cache.cache_info()
+            assert info["entries"] == 4
+            assert info["evictions"] >= 6
+            # Evicted entries re-verify from scratch with identical
+            # results; tampered inputs still fail even while their
+            # neighbors hit.
+            assert [public.verify(m, s) for m, s in signed] == outcomes
+            assert not public.verify(signed[0][0] + b"!", signed[0][1])
 
     def test_cache_clear_preserves_outcomes(self):
         public, signed = _signed(5, seed=3)
@@ -78,27 +84,24 @@ class TestMemoMechanics:
 
     def test_configure_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            verify_cache.configure(maxsize=0)
-
-    def test_disabled_context_restores(self):
-        assert verify_cache.enabled()
-        with verify_cache.disabled():
-            assert not verify_cache.enabled()
-        assert verify_cache.enabled()
+            VerificationMemo(maxsize=0)
 
 
 class TestDisabledEquivalence:
-    """--no-crypto-cache equivalence: identical outcomes, memo untouched."""
+    """Memo hits and full checks agree: a warm memo gives the verdicts
+    of a fresh memo with fresh objects, and of the oracle."""
 
     def test_verify_outcomes_identical(self):
         public, signed = _signed(4, seed=4)
         bad = [(m + b"x", s) for m, s in signed]
-        with_memo = [public.verify(m, s) for m, s in signed + bad]
-        verify_cache.cache_clear()
-        verify_cache.set_enabled(False)
-        without_memo = [public.verify(m, s) for m, s in signed + bad]
-        assert with_memo == without_memo
-        assert verify_cache.cache_info()["entries"] == 0
+        cold = [public.verify(m, s) for m, s in signed + bad]
+        warm = [public.verify(m, s) for m, s in signed + bad]
+        reference = [reference_verify(public._decode().point, m, s)
+                     for m, s in signed + bad]
+        assert cold == warm == reference == [True] * 4 + [False] * 4
+        info = verify_cache.cache_info()
+        assert info["entries"] == 4           # successes only
+        assert info["hits"] == 4
 
     def test_proof_validation_identical(self):
         alice = create_principal("Alice", rng=random.Random(5))
@@ -109,13 +112,16 @@ class TestDisabledEquivalence:
         d2 = issue(bob, middle, role)
         proof = Proof.single(d1).extend(d2)
         now = time.time()
-        validate_proof(proof, at=now)  # memo enabled
-        verify_cache.set_enabled(False)
-        validate_proof(proof, at=now)  # and disabled: same verdict
         revocation = revoke(bob, d1, now)
+        validate_proof(proof, at=now)  # verified, flags set
+        validate_proof(proof, at=now)  # served by the flags
         assert revocation.verify(d1)
-        verify_cache.set_enabled(True)
         assert revocation.verify(d1)
+        with verify_cache.scoped():    # nothing carries: same verdicts
+            fresh_d1 = _fresh(d1)
+            validate_proof(Proof.single(fresh_d1).extend(_fresh(d2)),
+                           at=now)
+            assert _fresh(revocation).verify(fresh_d1)
 
     def test_batch_helper_identical_and_flags_gated(self):
         alice = create_principal("Alice", rng=random.Random(7))
@@ -128,12 +134,17 @@ class TestDisabledEquivalence:
         forged.__dict__.pop("_sig_ok", None)
         certificates = [good, revoke(bob, good, 1.0), forged]
         with_memo = verify_signatures(certificates)
-        verify_cache.set_enabled(False)
         assert verify_signatures(certificates) == with_memo
         assert with_memo == [True, True, False]
-        # The per-object fast flag is ignored while disabled.
-        assert good.__dict__.get("_sig_ok")
-        assert good.verify_signature()
+        # Successes set the per-object flags; a failure never does.
+        assert [c.__dict__.get("_sig_ok", False)
+                for c in certificates] == with_memo
+        # Failures are never cached, so ``forged`` is as fresh as the
+        # re-decoded copies.
+        copies = [_fresh(good), _fresh(certificates[1]), forged]
+        assert all(not c.__dict__.get("_sig_ok") for c in copies)
+        with verify_cache.scoped():
+            assert verify_signatures(copies) == with_memo
 
 
 class TestObjectFlags:

@@ -5,13 +5,11 @@ lifecycle.
 
 The load-bearing invariants: (1) the engine may use a different wire
 pattern than the seed walk but never finds a different *answer* --
-proofs are byte-identical, result cache on or off; (2) on cyclic
+proofs are byte-identical, result cache kept or emptied; (2) on cyclic
 topologies its cross-home message count is flat in the cycle's revisit
 count, where the seed walk re-expands; (3) only the home a goal was
 sent to can answer it, once.
 """
-
-from contextlib import nullcontext
 
 import pytest
 
@@ -25,7 +23,7 @@ from repro.core import (
 )
 from repro.core.roles import subject_key
 from repro.crypto.encoding import canonical_encode
-from repro.discovery import gem, result_cache, wire
+from repro.discovery import gem, wire
 from repro.discovery.engine import DiscoveryEngine, DiscoveryStats
 from repro.discovery.resolver import WalletServer
 from repro.net.transport import Network
@@ -44,10 +42,13 @@ def _proof_bytes(proof):
     return canonical_encode(proof.to_dict())
 
 
-def _cold(workload, stats=None):
-    """Fresh deployment, one cold authorization, message count."""
+def _cold(workload, stats=None, emptied=False):
+    """Fresh deployment, one cold authorization, message count.
+    ``emptied``: the reference arm, result cache cleared first."""
     dep = deploy_coalition(workload)
     try:
+        if emptied:
+            dep.engine.result_cache.clear()
         dep.network.reset_counters()
         proof = dep.authorize(stats=stats, max_remote_queries=1024)
         return dep, proof, dep.network.totals.messages
@@ -71,31 +72,37 @@ def _cold_oracle(workload):
 
 def _coalition(make):
     """(engine proof, oracle proof) over one coalition family."""
-    def run():
+    def run(emptied):
         workload = make()
-        return _cold(workload)[1], _cold_oracle(workload)[1]
+        return (_cold(workload, emptied=emptied)[1],
+                _cold_oracle(workload)[1])
     return run
 
 
-def _case_study():
+def _case_study(emptied):
     proofs = []
-    for discover in (
-            lambda d: d.engine.discover(d.case.maria.entity,
-                                        d.case.airnet_access),
-            lambda d: seed_discover(d.server, d.case.maria.entity,
-                                    d.case.airnet_access)):
+    for use_engine in (True, False):
         d = build_distributed_case_study(seed=11)
         d.server.wallet.publish(d.case.d1_maria_member)
-        proofs.append(discover(d))
+        if use_engine:
+            if emptied:
+                d.engine.result_cache.clear()
+            proofs.append(d.engine.discover(d.case.maria.entity,
+                                            d.case.airnet_access))
+            continue
+        proofs.append(seed_discover(d.server, d.case.maria.entity,
+                                    d.case.airnet_access))
     return proofs
 
 
-def _federation():
+def _federation(emptied):
     proofs = []
     for use_engine in (True, False):
         fed = build_distributed_federation(domains=6, users_per_domain=1,
                                            seed=7)
         if use_engine:
+            if emptied:
+                fed.domains[0].engine.result_cache.clear()
             proofs.append(fed.authorize(5, 0, 0))
             continue
         source, target = fed.domains[5], fed.domains[0]
@@ -122,11 +129,10 @@ class TestCoherence:
                              ids=[f[0] for f in FAMILIES])
     def test_proofs_byte_identical_across_arms(self, name, run):
         """Same workload, the engine and the seed oracle, result cache
-        on and off: the exact same proof bytes, on every family. (The
-        random digraphs are in ``test_gem_hypothesis.py``.)"""
-        for cache_on in (True, False):
-            with nullcontext() if cache_on else result_cache.disabled():
-                engine_proof, oracle_proof = run()
+        kept and emptied: the exact same proof bytes, on every family.
+        (The random digraphs are in ``test_gem_hypothesis.py``.)"""
+        for emptied in (False, True):
+            engine_proof, oracle_proof = run(emptied)
             assert oracle_proof is not None
             assert _proof_bytes(engine_proof) == _proof_bytes(oracle_proof)
 

@@ -150,8 +150,7 @@ class TestStaleHome:
             issue(bob, org.entity, attribute_right(bw, Operator.MIN)))
         squat = issue(org, alice.entity, role, subject_tag=tag,
                       modifiers=[Modifier(bw, Operator.MIN, 5)])
-        home = Wallet(owner=org, address="stale.home", clock=clock,
-                      cache=False)
+        home = Wallet(owner=org, address="stale.home", clock=clock)
         home.store.add_delegation(squat, (support,))
         WalletServer(network, home, principal=org)
         client = WalletServer(network,

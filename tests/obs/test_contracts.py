@@ -28,8 +28,10 @@ CACHE_INFO_KEYS = {
     "evictions": int, "expirations": int, "hit_rate": float,
     "entries": int,
 }
+# Contract v2 -- verify_cache.cache_info() / cache_info()["crypto_memo"]
+# (v1's "enabled" reported a memo switch that no longer exists).
 CRYPTO_MEMO_KEYS = {
-    "enabled": bool, "entries": int, "maxsize": int, "hits": int,
+    "entries": int, "maxsize": int, "hits": int,
     "misses": int, "evictions": int, "object_hits": int,
 }
 # Contract v2 -- encoding.codec_info() / cache_info()["codec"] (v1's
@@ -114,11 +116,6 @@ class TestCacheInfoContract:
         first = warm_wallet.cache_info()
         for _ in range(5):
             assert warm_wallet.cache_info() == first
-
-    def test_uncached_wallet_reports_none(self):
-        wallet = Wallet(owner=None, address="nc", clock=SimClock(),
-                        cache=False)
-        assert wallet.cache_info() is None
 
     def test_verify_cache_info_matches_module_surface(self, warm_wallet):
         info = warm_wallet.cache_info()["crypto_memo"]
@@ -257,7 +254,8 @@ class TestScopedSurfaces:
     def test_verify_cache_scoped_isolates_the_memo(self):
         verify_cache.cache_clear()
         before = verify_cache.cache_info()
-        with verify_cache.scoped(maxsize=64) as memo:
+        with verify_cache.scoped(
+                verify_cache.VerificationMemo(maxsize=64)) as memo:
             assert verify_cache.memo() is memo
             # Contract shape holds for scoped memos too.
             _assert_contract(verify_cache.cache_info(),
@@ -284,13 +282,3 @@ class TestScopedSurfaces:
         after = verify_cache.cache_info()
         assert after["entries"] == before["entries"]
         assert after["misses"] == before["misses"]
-
-    def test_fastpath_scoped_overrides_the_switch(self):
-        from repro.discovery import result_cache
-        assert result_cache.enabled()
-        with result_cache.disabled():
-            assert not result_cache.enabled()
-            with result_cache.disabled():
-                assert not result_cache.enabled()
-            assert not result_cache.enabled()
-        assert result_cache.enabled()

@@ -94,7 +94,7 @@ class TestVerifyCacheScopedNesting:
         """A memo built inside obs.scoped() tallies into that registry,
         mirroring ShardContext.__init__'s construction order."""
         with obs.scoped() as scope:
-            with verify_cache.scoped(maxsize=8):
+            with verify_cache.scoped():
                 verify_cache.note_object_hit()
         snapshot = scope.registry.snapshot()
         hits = [m for m in snapshot["counters"]
@@ -171,7 +171,7 @@ class TestWorkerThreadScopeSafety:
             release.wait(timeout=5)
             memo.clear()
 
-        with verify_cache.scoped(maxsize=8) as memo:
+        with verify_cache.scoped() as memo:
             worker = threading.Thread(target=work, args=(memo,))
             worker.start()
             assert entered.wait(timeout=5)

@@ -3,7 +3,8 @@
 The decision cache must be invisible except for speed: every scenario
 here drives the wallet only through its public API (publish, revoke,
 renew, sweep) and asserts that cached answers track the truth, then
-replays the same scripts on a ``cache=False`` wallet to prove equality.
+replays the same scripts with the proof cache cleared before every
+query -- the reference arm, which always searches -- to prove equality.
 """
 
 import pytest
@@ -143,14 +144,20 @@ class TestRenewalCoherence:
         # The negative observed after the lapse has no delegation to hang
         # off; the renewal's UPDATED event must drop it like a publish.
         from repro.core.delegation import renew
-        wallet = Wallet(owner=org, clock=clock, cache=cache)
+        wallet = Wallet(owner=org, clock=clock)
         role = Role(org.entity, "r")
+
+        def query():
+            if not cache:
+                wallet.proof_cache.clear()
+            return wallet.query_direct(alice.entity, role)
+
         d = issue(org, alice.entity, role, expiry=10.0)
         wallet.publish(d)
         clock.advance(15.0)
-        assert wallet.query_direct(alice.entity, role) is None
+        assert query() is None
         wallet.publish_renewal(d.id, renew(org, d, new_expiry=300.0))
-        proof = wallet.query_direct(alice.entity, role)
+        proof = query()
         assert proof is not None and proof.chain[0].expiry == 300.0
 
 
@@ -175,23 +182,29 @@ class TestEnumerationCoherence:
 
 
 class TestEquivalenceScript:
-    """Same event script, cache on vs off: answers must never diverge."""
+    """Same event script, cached vs always searched: answers must never
+    diverge."""
 
-    def _run_script(self, cache: bool, principals):
+    def _run_script(self, cached, principals):
         org, alice, bob = principals
         clock = SimClock()
-        wallet = Wallet(owner=org, address="w", clock=clock, cache=cache)
+        wallet = Wallet(owner=org, address="w", clock=clock)
         mid = Role(org.entity, "mid")
         top = Role(org.entity, "top")
         observations = []
 
+        def ask(query, *args):
+            if not cached:
+                wallet.proof_cache.clear()
+            return query(*args)
+
         def observe():
             observations.append((
-                wallet.query_direct(alice.entity, mid) is not None,
-                wallet.query_direct(alice.entity, top) is not None,
-                wallet.query_direct(bob.entity, top) is not None,
-                len(wallet.query_subject(alice.entity)),
-                len(wallet.query_object(top)),
+                ask(wallet.query_direct, alice.entity, mid) is not None,
+                ask(wallet.query_direct, alice.entity, top) is not None,
+                ask(wallet.query_direct, bob.entity, top) is not None,
+                len(ask(wallet.query_subject, alice.entity)),
+                len(ask(wallet.query_object, top)),
             ))
 
         observe()                                   # empty wallet
@@ -275,18 +288,3 @@ class TestBatchedAuthorization:
         requests = [(alice.entity, r)] * 10
         wallet.authorize_many(requests)
         assert wallet.proof_cache.stats.hits >= 9
-
-    def test_batch_respects_no_cache_flag(self, org, alice, clock):
-        """An uncached wallet searches every request of the batch."""
-        r = Role(org.entity, "r")
-        with obs.scoped() as scope:
-            wallet = Wallet(owner=org, clock=clock, cache=False)
-            wallet.publish(issue(org, alice.entity, r))
-            proofs = wallet.authorize_many([(alice.entity, r)] * 3)
-        assert all(proof is not None for proof in proofs)
-        assert scope.registry.total("drbac_wallet_searches_total") == 3
-
-    def test_uncached_wallet_has_no_cache_objects(self, org, clock):
-        wallet = Wallet(owner=org, clock=clock, cache=False)
-        assert wallet.proof_cache is None
-        assert wallet.cache_info() is None

@@ -10,7 +10,8 @@ one wallet (refusals are allowed), interleaved with revocations and
 clock advances. After every step, each proof the wallet's query forms
 return (``query_direct``, ``query_subject``, ``query_object``,
 ``authorize_many``) must pass the same wallet's ``validate``, under the
-query's constraints.
+query's constraints -- whether the proof cache answers or, with the
+cache cleared before every query, the graph search does.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -88,14 +89,21 @@ def _revoke(wallet, delegation):
         revoke(principal, delegation, revoked_at=wallet.clock.now()))
 
 
-def _assert_grants_validate(wallet, constraints):
-    proofs = [wallet.query_direct(USER.entity, role, constraints)
+def _assert_grants_validate(wallet, constraints, searched):
+    """``searched``: clear the proof cache before every query, so each
+    answer comes from a graph search."""
+    def cold():
+        if searched:
+            wallet.proof_cache.clear()
+        return wallet
+
+    proofs = [cold().query_direct(USER.entity, role, constraints)
               for role in ROLES]
-    proofs += wallet.query_subject(USER.entity, constraints)
+    proofs += cold().query_subject(USER.entity, constraints)
     for role in ROLES:
-        proofs += wallet.query_object(role, constraints)
-    proofs += wallet.authorize_many([(USER.entity, role) for role in ROLES],
-                                    constraints)
+        proofs += cold().query_object(role, constraints)
+    proofs += cold().authorize_many(
+        [(USER.entity, role) for role in ROLES], constraints)
     for proof in proofs:
         if proof is not None:
             wallet.validate(proof, constraints=constraints)
@@ -109,8 +117,8 @@ def _assert_grants_validate(wallet, constraints):
                           st.sampled_from([10.0, 50.0])), max_size=1),
        st.booleans())
 def test_every_grant_passes_the_wallets_validator(script, constraints,
-                                                  cache):
-    wallet = Wallet(owner=OWNERS[0], clock=SimClock(), cache=cache)
+                                                  searched):
+    wallet = Wallet(owner=OWNERS[0], clock=SimClock())
     for attribute, value in BASES.items():
         wallet.set_base_allocation(attribute, value)
     published = []
@@ -127,4 +135,4 @@ def test_every_grant_passes_the_wallets_validator(script, constraints,
             _revoke(wallet, victim)
         elif step is not None:
             wallet.clock.advance(step[1])
-        _assert_grants_validate(wallet, tuple(constraints))
+        _assert_grants_validate(wallet, tuple(constraints), searched)

@@ -40,10 +40,8 @@ GLOBAL_SURFACES = {
     "obs": {"registry", "get_registry", "tracer", "counter", "gauge",
             "histogram", "span", "reset", "use_clock", "virtual_time",
             "set_enabled"},
-    "verify_cache": {"memo", "enabled", "set_enabled", "disabled",
-                     "cache_info", "cache_clear", "configure",
+    "verify_cache": {"memo", "cache_info", "cache_clear",
                      "note_object_hit"},
-    "result_cache": {"enabled", "disabled"},
 }
 
 # Methods that mutate a dict/list/set in place.

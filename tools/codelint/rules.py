@@ -29,8 +29,7 @@ code_rule = partial(rule, registry=RULES)
 
 #: Modules that *implement* the scoped surfaces; their internals are
 #: exempt from scope-escape (they are the mechanism, not a breach).
-PROVIDER_MODULES = ("repro.obs", "repro.crypto.verify_cache",
-                    "repro.discovery.result_cache")
+PROVIDER_MODULES = ("repro.obs", "repro.crypto.verify_cache")
 
 #: Default entry-point classes for the scope-escape reachability walk.
 DEFAULT_ENTRY_CLASSES = ("ShardRuntime", "ShardContext")
