@@ -118,12 +118,6 @@ class AnalysisReport:
         """True iff any finding is at or above ``threshold``."""
         return any(f.severity.at_least(threshold) for f in self.findings)
 
-    def by_rule(self) -> Dict[str, List[Finding]]:
-        grouped: Dict[str, List[Finding]] = {}
-        for finding in self.findings:
-            grouped.setdefault(finding.rule_id, []).append(finding)
-        return grouped
-
     def ids_by_rule(self) -> Dict[str, Tuple[str, ...]]:
         """rule id -> sorted union of implicated delegation ids."""
         grouped: Dict[str, set] = {}

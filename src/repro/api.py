@@ -183,22 +183,6 @@ class Domain:
             self._resolve_subject(subject), self._resolve_role(role),
             constraints=constraints) is not None
 
-    def check_many(self, requests: Iterable[Tuple[SubjectLike, RoleLike]],
-                   require: Optional[Dict[str, float]] = None) -> List[bool]:
-        """Batched :meth:`check`: one decision per ``(subject, role)``.
-
-        Backed by :meth:`Wallet.authorize_many`, so the whole batch shares
-        one clock reading and support provider.
-        """
-        constraints = [
-            Constraint(self.attribute(name), minimum)
-            for name, minimum in (require or {}).items()
-        ]
-        pairs = [(self._resolve_subject(subject), self._resolve_role(role))
-                 for subject, role in requests]
-        return [proof is not None for proof in
-                self.wallet.authorize_many(pairs, constraints=constraints)]
-
     def authorize(self, subject: SubjectLike, role: RoleLike,
                   evidence: Iterable[Tuple[Delegation,
                                            Tuple[Proof, ...]]] = (),

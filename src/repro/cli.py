@@ -386,8 +386,7 @@ def cmd_discover(_workspace: Workspace, args) -> int:
             f"cache_misses={s['cache_misses']} "
             f"answers_received={g['answers_received']} "
             f"answers_dropped={g['answers_dropped']} "
-            f"loops_detected={g['loops_detected']} "
-            f"terminates_sent={g['terminates_sent']}",
+            f"loops_detected={g['loops_detected']}",
             file=sys.stderr,
         )
     if proof is None:

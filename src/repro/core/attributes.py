@@ -319,17 +319,6 @@ def check_constraints(modifiers: ModifierSet,
     return True
 
 
-def attribute_sort_key(attribute: AttributeRef) -> Tuple[str, str]:
-    """Canonical, hashable ordering key for an attribute reference.
-
-    Entity id first (globally unique), local name second -- two
-    AttributeRefs compare equal exactly when their sort keys do, which is
-    what lets query caches canonicalize constraint/base sets regardless
-    of the order a caller supplied them in.
-    """
-    return (attribute.entity.id, attribute.name)
-
-
 def constraints_cache_key(constraints: Iterable[Constraint]
                           ) -> Tuple[Tuple[str, str, float], ...]:
     """Order-insensitive canonical key for a constraint set."""

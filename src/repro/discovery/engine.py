@@ -153,7 +153,6 @@ class _Answer(NamedTuple):
     home: str
     goal: GoalKey
     depth: int
-    status: str
     payloads: List[Mapping]
     memo: Dict[int, Delegation]
     missing: List[str]
@@ -192,7 +191,6 @@ class _Search:
     # Certificates received in full this search (resolves the refs a
     # home sends for anything it already shipped).
     received: Dict[str, Delegation] = field(default_factory=dict)
-    loop_homes: Set[str] = field(default_factory=set)
 
 
 class DiscoveryEngine:
@@ -200,14 +198,13 @@ class DiscoveryEngine:
 
     def __init__(self, server: WalletServer,
                  default_ttl: float = 30.0,
-                 verify_home_authority: bool = False,
                  entity_directory=None,
                  negative_ttl: float = 5.0) -> None:
-        """``verify_home_authority`` enables the Section 4.2.1 check that
-        a contacted wallet's host holds the tag's authorizing role
-        before its answers are trusted; role names in tags are resolved
-        through ``entity_directory`` (an
-        :class:`~repro.core.identity.EntityDirectory`).
+        """Given an ``entity_directory`` (an
+        :class:`~repro.core.identity.EntityDirectory`, which resolves
+        the role names in tags), the engine runs the Section 4.2.1
+        check that a contacted wallet's host holds the tag's
+        authorizing role before its answers are trusted.
 
         ``negative_ttl`` bounds how long an empty answer (or an
         unreachable home) is trusted before the goal is sent again;
@@ -215,7 +212,6 @@ class DiscoveryEngine:
         """
         self.server = server
         self.default_ttl = default_ttl
-        self.verify_home_authority = verify_home_authority
         self.entity_directory = entity_directory
         self._authority_cache: Dict[Tuple[str, str], bool] = {}
         self.negative_ttl = negative_ttl
@@ -226,12 +222,12 @@ class DiscoveryEngine:
         self._cache_subscription = server.wallet.hub.subscribe_all(
             self._on_hub_event)
         # Live searches by root id (answer pushes land here via the
-        # server's sink), and the drbac_gem_* counters shared with the
-        # server's table store so engine- and home-side tallies of this
-        # host read as one surface.
+        # server's sink), and the server's drbac_gem_* counters, so
+        # origin- and home-side tallies of this host read as one
+        # surface.
         self._root_ids = itertools.count()
         self._searches: Dict[str, _Search] = {}
-        self.gem_stats = server.gem_tables.stats
+        self.gem_stats = server.gem_stats
         server.gem_answer_sink = self._on_gem_answers
         # Distributed discovery falls back through this hook from
         # Wallet.authorize when the local graph has no proof, so one
@@ -270,11 +266,10 @@ class DiscoveryEngine:
     def gem_info(self) -> dict:
         """Goal-evaluation breakdown (contract pinned by
         ``tests/obs/test_contracts.py``): the
-        shared ``drbac_gem_*`` counters plus this host's live
-        goal-table count and, next to it, how many (peer, credential)
-        holdings it keeps a validation subscription for."""
+        shared ``drbac_gem_*`` counters plus how many (peer,
+        credential) holdings this host keeps a validation subscription
+        for."""
         info = self.gem_stats.to_dict()
-        info["tables"] = len(self.server.gem_tables)
         info["holdings"] = self.server.holdings_count()
         return info
 
@@ -358,30 +353,23 @@ class DiscoveryEngine:
             return proof
         finally:
             del self._searches[search.root_id]
-            # Homes at either end of a detected back edge drop their
-            # table now; every other table is memo state the home
-            # expires by TTL sweep.
-            search.loop_homes &= stats.wallets_contacted
-            for home in sorted(search.loop_homes):
-                self.server.send_gem_terminate(home, search.root_id)
-                self.gem_stats.c_terminates_sent.inc()
 
     def _enqueue(self, search: _Search, node: Subject, direction: str,
-                 depth: int) -> Optional[str]:
+                 depth: int) -> bool:
         """Queue the goal ``node`` names, if its tag names a home this
-        engine may ask. Returns that home when the goal was already
-        issued for this search -- a loop -- and None otherwise."""
+        engine may ask. True when that goal was already issued for this
+        search -- a loop."""
         home = self._home_for(node, search.tags, search.stats,
                               direction == "fwd")
         if home is None:
-            return None
+            return False
         key = (home, (direction, subject_key(node)))
         if key in search.issued:
-            return home
+            return True
         if depth <= MAX_DEPTH:
             search.issued.add(key)
             search.queue.append((home, direction, node, depth))
-        return None
+        return False
 
     def _home_for(self, node: Subject, tags: Dict[tuple, DiscoveryTag],
                   stats: DiscoveryStats, forward: bool) -> Optional[str]:
@@ -507,10 +495,8 @@ class DiscoveryEngine:
             if covers and tag is not None and tag.home == home:
                 search.covered.add((home, (direction, subject_key(head))))
                 continue
-            loop_home = self._enqueue(search, head, direction, depth + 1)
-            if loop_home is not None:
+            if self._enqueue(search, head, direction, depth + 1):
                 self.gem_stats.c_loops_detected.inc()
-                search.loop_homes.update((home, loop_home))
 
     def _on_gem_answers(self, src: str, params: dict) -> None:
         """The server's ``gem_answers`` sink. A push is accepted only
@@ -547,8 +533,7 @@ class DiscoveryEngine:
         if len(held) > len(missing):
             self.gem_stats.c_refs_from_holdings.inc(
                 len(held) - len(missing))
-        answer = _Answer(src, goal, depth, params.get("status", "done"),
-                         payloads, memo, missing, [],
+        answer = _Answer(src, goal, depth, payloads, memo, missing, [],
                          dict(params.get("subs", {})))
         if not missing:
             self._decode(search, answer)
@@ -617,12 +602,10 @@ class DiscoveryEngine:
         home, proofs = answer.home, answer.proofs
         verified = self._insert(proofs, home, answer.subs, search.tags,
                                 search.stats, now)
-        # A ``"duplicate"`` record is an empty closure for a goal the
-        # home had already tabled -- "no answer *yet*", never "no
-        # path" -- and a closure with rejected links or dropped proofs
-        # (a ref left unresolved) is not the home's real answer: none
-        # of them may be served to a later search.
-        if answer.status == "done" and len(verified) == len(answer.payloads):
+        # A closure with rejected links or dropped proofs (a ref left
+        # unresolved) is not the home's real answer: it may not be
+        # served to a later search.
+        if len(verified) == len(answer.payloads):
             ttl = self._result_ttl(proofs) if proofs else self.negative_ttl
             self.result_cache.store(
                 self._cache_key(home, answer.goal, search),
@@ -765,7 +748,7 @@ class DiscoveryEngine:
                     stats: DiscoveryStats) -> bool:
         """Section 4.2.1 host authorization: before trusting a wallet,
         check its operator holds the tag's authorizing role."""
-        if not self.verify_home_authority or not tag.auth_role_name:
+        if self.entity_directory is None or not tag.auth_role_name:
             return True
         cache_key = (home, tag.auth_role_name)
         verdict = self._authority_cache.get(cache_key)
@@ -779,7 +762,7 @@ class DiscoveryEngine:
         return verdict
 
     def _resolve_auth_role(self, name: str) -> Optional[Role]:
-        if self.entity_directory is None or "." not in name:
+        if "." not in name:
             return None
         entity_name, _dot, local = name.partition(".")
         try:

@@ -15,13 +15,14 @@ address without going through the network.
 import itertools
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro import obs
 from repro.core.delegation import Revocation
 from repro.core.errors import DiscoveryError, DRBACError
 from repro.core.identity import Principal
 from repro.core.proof import Proof, find_support, is_valid_proof
-from repro.core.roles import subject_from_dict, subject_key
+from repro.core.roles import subject_from_dict
 from repro.discovery import wire
-from repro.discovery.gem import GemTableStore, GoalTable
+from repro.discovery.gem import GEM_COUNTER_NAMES
 from repro.net.rpc import RpcError, RpcNode
 from repro.net.switchboard import Switchboard
 from repro.net.transport import Network, NetworkError
@@ -59,15 +60,15 @@ class WalletServer:
         # has a copy of it, so discovery answers ship it a ref instead.
         self._holdings: Dict[str, Dict[str, Tuple[str, Subscription]]] = {}
         self._sub_ids = itertools.count()
-        # Tabled goal evaluation: per-root goal tables and the answer
-        # sink a local DiscoveryEngine installs.
-        self.gem_tables = GemTableStore()
+        # Goal evaluation: this host's drbac_gem_* counters (a local
+        # DiscoveryEngine shares them) and the answer sink it installs.
+        self.gem_stats = obs.CounterSet("drbac_gem", GEM_COUNTER_NAMES)
         self.gem_answer_sink: Optional[Callable[[str, dict], None]] = None
         # The delegation whose revocation a peer home is handing over
         # right now: applying it must not send it back.
         self._relayed: Optional[str] = None
-        # One hub subscription sees every local mutation: it flushes
-        # the goal tables and hands revocations over (see below).
+        # One hub subscription sees every local mutation: it hands
+        # revocations over (see below).
         self._hub_sub = wallet.hub.subscribe_all(self._on_local_event)
         self._expose_all()
         # Counters surfaced in benchmark reports.
@@ -94,7 +95,6 @@ class WalletServer:
         self.rpc.expose("revocation", self._rpc_revocation)
         self.rpc.expose("gem_eval", self._rpc_gem_eval)
         self.rpc.expose("gem_answers", self._rpc_gem_answers)
-        self.rpc.expose("gem_terminate", self._rpc_gem_terminate)
 
     # ------------------------------------------------------------------
     # Server-side RPC handlers
@@ -241,36 +241,23 @@ class WalletServer:
         }
 
     # ------------------------------------------------------------------
-    # Tabled goal evaluation (the serving side of discovery)
+    # Goal evaluation (the serving side of discovery)
     # ------------------------------------------------------------------
 
     def _rpc_gem_eval(self, src: str, params: dict) -> None:
-        """Evaluate one tabled goal for a search rooted at ``src``.
+        """Evaluate one goal for a search whose origin is ``src``.
 
         Arrives as a one-message *notify* from the search's origin (the
         coordinating engine); nothing rides back on this exchange. The
-        home tables the goal, computes its local closure **once**, and
-        pushes a single ``gem_answers`` notify straight back to ``src``
-        carrying the closure (session-encoded against the per-root
-        sent-set) and the validation subscriptions it established
-        server-side. The origin derives the continuing goals itself
-        from the tags of what it verifies. A goal already tabled (a
-        replay) answers ``"duplicate"`` with an empty closure instead
-        of re-evaluating. Tables are keyed by ``(src, root)``: no other
-        host can reach, redirect or flush this origin's table.
+        home computes the goal's local closure and pushes a single
+        ``gem_answers`` notify straight back to ``src``. It keeps
+        nothing per search: the origin dedups goals, accepts one answer
+        per goal it sent, and derives the continuing goals itself from
+        the tags of what it verifies, so a retransmitted eval is simply
+        answered again.
         """
         direction, node = wire.gem_goal_from_wire(params["goal"])
-        now = self.wallet.clock.now()
-        self.gem_tables.sweep(now)
-        table = self.gem_tables.get_or_create(
-            _table_key(src, params["root"]), src, now)
-        stats = self.gem_tables.stats
-        stats.c_evals_served.inc()
-        goal = (direction, subject_key(node))
-        if not table.activate(goal):
-            stats.c_loops_detected.inc()
-            self._gem_push_answers(table, params, [], "duplicate")
-            return
+        self.gem_stats.c_evals_served.inc()
         self.queries_served += 1
         query = self.wallet.query_object if direction == "rev" \
             else self.wallet.query_subject
@@ -279,29 +266,27 @@ class WalletServer:
             constraints=wire.constraints_from_wire(
                 params.get("constraints", ())),
             bases=wire.bases_from_wire(params.get("bases", ())))
-        self._gem_push_answers(table, params, proofs, "done")
+        self._gem_push_answers(src, params, proofs)
 
-    def _gem_push_answers(self, table: GoalTable, request: dict,
-                          proofs: List[Proof], status: str) -> None:
+    def _gem_push_answers(self, origin: str, request: dict,
+                          proofs: List[Proof]) -> None:
         """Ship this home's local closure for one goal straight to the
-        search's origin: one notify, session-encoded against the
-        per-root sent-set *and* what the origin holds a validation
-        subscription for, so each certificate crosses the wire only
-        while the origin lacks it. The notify doubles as the goal's
-        completion signal, so it is sent even for an empty closure.
-        Newly shipped certificates get their validation subscriptions
-        established *here*, server-side, with the origin as subscriber
-        -- no subscribe round trips; a push that never left takes them
-        back, for nobody holds what it carried."""
-        origin, sent = table.origin, table.sent_ids
-        sent.update(self._holdings.get(origin, ()))
-        before = set(sent)
+        search's origin: one notify, session-encoded against what the
+        origin holds a validation subscription for, so a certificate
+        crosses the wire only while the origin lacks it. The notify
+        doubles as the goal's completion signal, so it is sent even for
+        an empty closure. Newly shipped certificates get their
+        validation subscriptions established *here*, server-side, with
+        the origin as subscriber -- no subscribe round trips; a push
+        that never left takes them back, for nobody holds what it
+        carried."""
+        held = self._holdings.get(origin, {})
+        sent = set(held)
         answers = [wire.proof_to_wire_session(proof, sent)
                    for proof in proofs]
-        shipped = sent - before
         subs: Dict[str, str] = {}
         if request.get("subscribe", True):
-            for delegation_id in sorted(shipped):
+            for delegation_id in sorted(sent.difference(held)):
                 granted = self._rpc_subscribe(origin, {
                     "delegation_id": delegation_id})
                 if granted["known"]:
@@ -310,16 +295,14 @@ class WalletServer:
             self.rpc.notify(origin, "gem_answers", {
                 "root": request["root"],
                 "goal": request["goal"],
-                "status": status,
                 "answers": answers,
                 "subs": subs,
             })
         except NetworkError:
-            sent -= shipped
             for delegation_id in subs:
                 self._release(origin, delegation_id)
             return
-        self.gem_tables.stats.c_answers_pushed.inc(len(answers))
+        self.gem_stats.c_answers_pushed.inc(len(answers))
 
     def _rpc_gem_answers(self, src: str, params: dict) -> None:
         """Answer push arriving at a search's origin; handed, with its
@@ -329,17 +312,9 @@ class WalletServer:
         if sink is not None:
             sink(src, params)
 
-    def _rpc_gem_terminate(self, src: str, params: dict) -> None:
-        """Explicit termination: the origin is done with this root.
-        Idempotent -- a root this home never tabled is a no-op."""
-        self.gem_tables.flush_root(_table_key(src, params.get("root")))
-
     def _on_local_event(self, event: DelegationEvent) -> None:
-        """Any local mutation invalidates every tabled goal (the
-        tables summarize the local closure that just changed), and a
-        revocation accepted here follows its delegation's placement."""
-        if len(self.gem_tables):
-            self.gem_tables.flush_all()
+        """A revocation accepted here follows its delegation's
+        placement."""
         if event.kind is EventKind.REVOKED \
                 and event.delegation_id != self._relayed:
             self._hand_over_revocation(event.delegation_id)
@@ -489,14 +464,6 @@ class WalletServer:
             "subscribe": True,
         })
 
-    def send_gem_terminate(self, remote: str, root_id: str) -> None:
-        """Best-effort terminate notification (one message); a home
-        that never hears it expires the table by TTL sweep instead."""
-        try:
-            self.rpc.notify(remote, "gem_terminate", {"root": root_id})
-        except NetworkError:
-            pass
-
     def remote_prove_role(self, remote: str, role) -> Optional[Proof]:
         data = self.rpc.call(remote, "prove_role",
                              {"role": wire.role_to_wire(role)})
@@ -535,15 +502,9 @@ class WalletServer:
                 subscription.cancel()
         self._holdings.clear()
         self._hub_sub.cancel()
-        self.gem_tables.flush_all()
         if self.switchboard is not None:
             self.switchboard.close()
         self.rpc.close()
-
-
-def _table_key(origin: str, root_id: Any) -> str:
-    """Goal tables belong to the host that opened them."""
-    return f"{origin} {root_id}"
 
 
 class WalletDirectory:

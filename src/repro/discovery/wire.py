@@ -9,10 +9,10 @@ Two encoding families live here:
 * the plain ``*_to_wire``/``*_from_wire`` pairs -- every value is
   self-contained, decodable with no shared state;
 * the ``*_session`` pairs -- credential-deduplicated proofs for the
-  answers of one discovery search. A home keeps a per-root seen-set
-  and replaces a delegation the origin already has -- shipped earlier
-  for that root, or held under a live validation subscription -- with
-  the 32 raw bytes of its id (SAFE's content-hash links); the origin
+  answers of one discovery search. A home replaces a delegation the
+  origin already has -- held under a live validation subscription, or
+  shipped earlier in the same answer -- with the 32 raw bytes of its
+  id (SAFE's content-hash links); the origin
   resolves refs against what it received in full during the same
   search, then its wallet. A record carries only what the origin
   cannot derive: no endpoints (the chain's ends are the proof's) and
@@ -137,13 +137,12 @@ def delegation_from_wire(data: dict) -> Delegation:
 # Goal-evaluation framing
 # ---------------------------------------------------------------------------
 #
-# Discovery rides three one-way notify kinds (docs/PROTOCOL.md):
+# Discovery rides two one-way notify kinds (docs/PROTOCOL.md):
 #
-# * ``gem_eval``      -- origin -> home: evaluate one goal for a root;
-# * ``gem_answers``   -- home -> origin: the home's local closure for
-#   that goal as *session-encoded* proofs deduplicated against the
-#   per-root sent-set, plus the subscriptions it established;
-# * ``gem_terminate`` -- origin -> home: flush that root's goal table.
+# * ``gem_eval``    -- origin -> home: evaluate one goal for a root;
+# * ``gem_answers`` -- home -> origin: the home's local closure for
+#   that goal as *session-encoded* proofs deduplicated against what the
+#   origin holds, plus the subscriptions it established.
 
 
 def gem_goal_to_wire(direction: str, node: Subject) -> dict:

@@ -121,9 +121,6 @@ class DelegationGraph:
     def subject_nodes(self) -> Set[tuple]:
         return set(self._out)
 
-    def object_nodes(self) -> Set[tuple]:
-        return set(self._in)
-
     def copy(self) -> "DelegationGraph":
         """A shallow copy sharing the (immutable) delegations."""
         clone = DelegationGraph()

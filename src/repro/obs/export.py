@@ -45,10 +45,8 @@ def _fmt(value: float) -> str:
     return repr(value)
 
 
-def to_prometheus(registry: MetricsRegistry,
-                  help_text: Optional[Dict[str, str]] = None) -> str:
+def to_prometheus(registry: MetricsRegistry) -> str:
     """Serialize every instrument in Prometheus text exposition format."""
-    help_text = help_text or {}
     lines: List[str] = []
     seen_types = set()
 
@@ -56,8 +54,7 @@ def to_prometheus(registry: MetricsRegistry,
         if name in seen_types:
             return
         seen_types.add(name)
-        lines.append("# HELP %s %s" % (
-            name, help_text.get(name, "drbac %s" % kind)))
+        lines.append("# HELP %s drbac %s" % (name, kind))
         lines.append("# TYPE %s %s" % (name, kind))
 
     for counter in sorted(registry.counters(),

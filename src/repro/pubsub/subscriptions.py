@@ -161,9 +161,6 @@ class SubscriptionHub:
     def subscriber_count(self, delegation_id: str) -> int:
         return len(self._channels.get(("delegation", delegation_id), ()))
 
-    def awaiting_count(self, relationship_key) -> int:
-        return len(self._channels.get(("awaiting", relationship_key), ()))
-
     def awaiting_keys(self) -> List[object]:
         """Relationship keys with at least one awaiting-proof subscriber."""
         return [key[1] for key in self._channels if key[0] == "awaiting"]

@@ -23,6 +23,10 @@ from repro.core.roles import Role
 # sharing any state.
 SERVICE_EPOCH = 0.0
 
+# How many signed credentials a population keeps (LRU): key generation
+# plus signing costs ~2 ms each.
+CREDENTIAL_CACHE = 200_000
+
 
 @dataclass
 class ServiceDomain:
@@ -58,8 +62,8 @@ class ServicePopulation:
 
     def __init__(self, seed: int = 7, population: int = 1_000_000,
                  domains: int = 64, skew: float = 1.0,
-                 hot_size: int = 12_000, hot_fraction: float = 0.95,
-                 credential_cache: int = 200_000) -> None:
+                 hot_size: int = 12_000,
+                 hot_fraction: float = 0.95) -> None:
         if population < 1 or domains < 1 or domains > population:
             raise ValueError("need 1 <= domains <= population")
         if not 0 < hot_size <= population:
@@ -76,7 +80,6 @@ class ServicePopulation:
         self.hot_fraction = hot_fraction
         self._domains: Dict[int, ServiceDomain] = {}
         self._credentials: "OrderedDict[int, Delegation]" = OrderedDict()
-        self._credential_cache = credential_cache
         self._cdf: Optional[array] = None
 
     # -- namespaces and domains ---------------------------------------------
@@ -118,9 +121,8 @@ class ServicePopulation:
     def credential(self, index: int) -> Delegation:
         """``[user{i} -> Org.member] Org`` for ``i``'s home domain.
 
-        LRU-cached (``credential_cache`` entries) because key
-        generation + signing costs ~2ms; identical bytes regardless of
-        cache state.
+        LRU-cached (``CREDENTIAL_CACHE`` entries); identical bytes
+        regardless of cache state.
         """
         cached = self._credentials.get(index)
         if cached is not None:
@@ -129,7 +131,7 @@ class ServicePopulation:
         domain = self.domain(self.domain_of(index))
         credential = issue(domain.authority, self.principal(index).entity,
                            domain.member, issued_at=SERVICE_EPOCH)
-        if len(self._credentials) >= self._credential_cache:
+        if len(self._credentials) >= CREDENTIAL_CACHE:
             self._credentials.popitem(last=False)
         self._credentials[index] = credential
         return credential

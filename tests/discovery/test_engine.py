@@ -256,10 +256,7 @@ class TestBudget:
                 link = issue(rogue, role(i), role(i + 1),
                              subject_tag=_tag(home(i)),
                              object_tag=_tag(home(i + 1)))
-                table = self.gem_tables.get_or_create(
-                    params["root"], src, 0.0)
-                self._gem_push_answers(table, params,
-                                       [Proof.single(link)], "done")
+                self._gem_push_answers(src, params, [Proof.single(link)])
 
         for address in ("liar.a", "liar.b"):
             EndlessServer(network,

@@ -1,7 +1,7 @@
 """Tabled goal evaluation, the engine's one search: coherence with the
 seed frontier walk, loop detection and termination on cyclic
-coalitions, which answer pushes an origin accepts, and the goal-table
-lifecycle.
+coalitions, which answer pushes an origin accepts, and that a home
+keeps no per-search state.
 
 The load-bearing invariants: (1) the engine may use a different wire
 pattern than the seed walk but never finds a different *answer* --
@@ -23,7 +23,7 @@ from repro.core import (
 )
 from repro.core.roles import subject_key
 from repro.crypto.encoding import canonical_encode
-from repro.discovery import gem, wire
+from repro.discovery import wire
 from repro.discovery.engine import DiscoveryEngine, DiscoveryStats
 from repro.discovery.resolver import WalletServer
 from repro.net.transport import Network
@@ -157,7 +157,7 @@ class TestCoherence:
 class TestTermination:
     def test_messages_flat_in_revisit_count(self):
         """Growing the SCC components grows the number of times the
-        seed frontier revisits each home; the engine tables every goal
+        seed frontier revisits each home; the origin issues every goal
         once, so its cross-home message count must not move at all."""
         engine_msgs, seed_msgs = [], []
         for m in (2, 4):
@@ -173,28 +173,26 @@ class TestTermination:
 
     def test_loops_detected_at_origin(self):
         """A mesh home's closure bridges back into a home already
-        asked: the origin's issued-set catches it and the terminate
-        wave covers the loop ends."""
+        asked: the origin's issued-set catches it."""
         workload = topology.make_mesh_coalition(4, seed=47)
         dep = deploy_coalition(workload)
         try:
             assert dep.authorize() is not None
             info = dep.engine.gem_info()
             assert info["loops_detected"] >= 1
-            assert info["terminates_sent"] >= 1
         finally:
             dep.close()
 
     def test_each_home_evaluates_each_goal_once(self):
         """No goal is ever re-evaluated: evals served across the
-        coalition equals evals issued by the origin (every one-way
-        eval lands on a fresh table slot)."""
+        coalition equals evals issued by the origin, which sends each
+        goal once."""
         workload = topology.make_scc_heavy(3, 3, seed=48)
         dep = deploy_coalition(workload)
         try:
             assert dep.authorize() is not None
             info = dep.engine.gem_info()
-            served = sum(home.gem_tables.info()["evals_served"]
+            served = sum(home.gem_stats.evals_served
                          for home in dep.homes.values())
             assert info["evals_issued"] == info["answers_received"] \
                 == served > 0
@@ -246,7 +244,7 @@ class TestAnswerAcceptance:
 
     @staticmethod
     def _empty_answer(root_id, node):
-        return {"root": root_id, "status": "done", "answers": [],
+        return {"root": root_id, "answers": [],
                 "subs": {}, "goal": wire.gem_goal_to_wire("fwd", node)}
 
     def _interfere(self, engine, interfere):
@@ -262,7 +260,7 @@ class TestAnswerAcceptance:
         engine.server.network._handlers["w.mid"] = handler
 
     def test_misattributed_answer_is_dropped(self, two_home, alice):
-        """A third host plants an empty "done" closure for the goal
+        """A third host plants an empty closure for the goal
         w.mid was asked: dropped, so w.mid's real answer still counts,
         the proof is found and nothing negative is cached."""
         engine, server, rogue, _network, roles = two_home
@@ -335,11 +333,46 @@ class TestAnswerAcceptance:
         assert len(engine.result_cache) == cached
 
     def test_duplicate_record_is_not_cached(self, two_home, alice):
+        """The origin's eval reaches w.mid twice, so w.mid pushes its
+        closure twice. The second record answers a goal already
+        answered: counted as dropped, nothing inserted or cached."""
+        engine, _server, _rogue, network, roles = two_home
+        mid, local = network._handlers["w.mid"], network._handlers["w.local"]
+        pushes = []
+
+        def recording_local(src, topic, payload):
+            if topic == "notify:gem_answers" and src == "w.mid":
+                pushes.append(payload["params"]["answers"])
+            return local(src, topic, payload)
+
+        def doubling_mid(src, topic, payload):
+            if topic == "notify:gem_eval":
+                mid(src, topic, payload)
+            return mid(src, topic, payload)
+
+        network._handlers["w.local"] = recording_local
+        network._handlers["w.mid"] = doubling_mid
+        stats = DiscoveryStats()
+        assert engine.discover(alice.entity, roles[2],
+                               stats=stats) is not None
+        # Both pushes carry the real closure, the second as a ref to
+        # what the first shipped: w.mid kept nothing that could tell it
+        # the goal was answered before.
+        assert [len(answers) for answers in pushes] == [1, 1]
+        shipped, = pushes[0][0]["chain"]
+        assert pushes[1][0]["chain"] == [bytes.fromhex(
+            wire.delegation_from_wire(shipped).id)]
+        info = engine.gem_info()
+        assert info["answers_dropped"] == 1
+        assert info["answers_received"] == 2       # w.mid, w.far
+        assert stats.delegations_cached == 2
+        assert engine.result_cache.info()["stores"] == 2
+
+    def test_retransmitted_eval_gets_the_real_closure(self, two_home,
+                                                      alice):
         """w.mid evaluates the goal but its answer push is lost; the
-        retransmitted eval finds the goal tabled and answers
-        "duplicate" with an empty closure. That is "no answer *yet*",
-        not "no path": no entry, positive or negative, may come of it,
-        so the next search (a fresh root) gets the real closure."""
+        retransmitted eval is simply answered again, with the real
+        closure, and that answer is cached as a positive."""
         engine, _server, _rogue, network, roles = two_home
         mid = network._handlers["w.mid"]
 
@@ -351,11 +384,11 @@ class TestAnswerAcceptance:
             return mid(src, topic, payload)
 
         network._handlers["w.mid"] = flaky_mid
-        assert engine.discover(alice.entity, roles[2]) is None
-        assert engine.gem_info()["answers_received"] == 1
-        assert len(engine.result_cache) == 0
-        network._handlers["w.mid"] = mid
         assert engine.discover(alice.entity, roles[2]) is not None
+        assert engine.gem_info()["answers_received"] == 2
+        cache = engine.result_cache
+        assert {key[0] for key in cache._entries} == {"w.mid", "w.far"}
+        assert not cache._growable
 
     def _lying_mid(self, network, forge, fetched=None):
         """w.mid answers every goal with ``forge(params)`` instead of
@@ -369,7 +402,7 @@ class TestAnswerAcceptance:
                 network.send("w.mid", "w.local", "notify:gem_answers", {
                     "method": "gem_answers", "oneway": True,
                     "params": {"root": params["root"],
-                               "goal": params["goal"], "status": "done",
+                               "goal": params["goal"],
                                "answers": forge(params), "subs": {}}})
                 return None
             if topic == "rpc:get_delegation" and fetched is not None:
@@ -495,9 +528,9 @@ class TestAnswerAcceptance:
         assert len(engine.result_cache) == 2
 
     def test_another_origins_table_is_out_of_reach(self, two_home, alice):
-        """Goal tables are keyed by the host that opened them: a third
-        host reusing the origin's root id neither reads, redirects nor
-        flushes its table."""
+        """A home keeps nothing per root, and answers whoever sent the
+        eval: a third host reusing the origin's root id gets its own
+        answer and neither reads nor redirects the origin's."""
         engine, _server, rogue, _network, roles = two_home
         interfered = []
 
@@ -505,66 +538,18 @@ class TestAnswerAcceptance:
             rogue.rpc.notify("w.mid", "gem_eval", {
                 "root": root_id, "subscribe": False,
                 "goal": wire.gem_goal_to_wire("fwd", roles[0])})
-            rogue.rpc.notify("w.mid", "gem_terminate", {"root": root_id})
             interfered.append(root_id)
 
         self._interfere(engine, squat)
         assert engine.discover(alice.entity, roles[2]) is not None
         assert interfered
-        # w.mid answered the origin "done", not "duplicate", and to it.
+        # w.mid answered the origin its real closure, and to it.
         assert engine.gem_info()["answers_dropped"] == 0
         assert {key[0] for key in engine.result_cache._entries} \
             == {"w.mid", "w.far"}
 
 
-class TestGoalTables:
-    def test_full_store_evicts_the_oldest_table(self):
-        """Past ``max_roots`` the table created first goes, however
-        recently it was used."""
-        store = gem.GemTableStore(max_roots=2)
-        store.get_or_create("a", "origin", now=0.0)
-        store.get_or_create("b", "origin", now=1.0)
-        assert store.get_or_create("a", "origin", now=2.0).activate(
-            ("fwd", ("entity", "x")))
-        store.get_or_create("c", "origin", now=3.0)
-        assert store.get("a") is None
-        assert store.get("b") is not None and store.get("c") is not None
-
-    def test_tables_flushed_after_run(self):
-        """Loop participants are flushed by the terminate wave; the
-        rest expire by TTL sweep -- nothing outlives the table TTL."""
-        workload = topology.make_ring_coalition(4, seed=49)
-        dep = deploy_coalition(workload)
-        try:
-            assert dep.authorize() is not None
-            dep.clock.advance(gem.DEFAULT_TABLE_TTL + 1.0)
-            now = dep.clock.now()
-            for home in dep.homes.values():
-                home.gem_tables.sweep(now)
-                assert len(home.gem_tables) == 0
-        finally:
-            dep.close()
-
-    def test_hub_event_flushes_tables(self):
-        """A local mutation makes every tabled goal stale: the
-        hub wildcard subscription flushes the whole store."""
-        workload = topology.make_ring_coalition(4, seed=50)
-        dep = deploy_coalition(workload)
-        try:
-            assert dep.authorize() is not None
-            home = next(h for h in dep.homes.values()
-                        if len(h.gem_tables))
-            issuers = {p.entity.id: p
-                       for p in dep.workload.principals.values()}
-            delegation, principal = next(
-                (d, issuers[d.issuer.id])
-                for d in home.wallet.store.delegations()
-                if d.issuer.id in issuers)
-            home.wallet.revoke(principal, delegation.id)
-            assert len(home.gem_tables) == 0
-        finally:
-            dep.close()
-
+class TestResultCacheFill:
     def test_duplicate_answer_never_caches_negative(self):
         """Nothing a cyclic coalition's search absorbs may plant a
         negative entry for a home that has an answer (the
@@ -579,7 +564,7 @@ class TestGoalTables:
             dep.close()
 
     def test_gem_feeds_discovery_cache(self):
-        """Tabled answers land in the result cache, and the engine
+        """Goal answers land in the result cache, and the engine
         reads it back: once a bridge is revoked, the re-search asks
         only the home whose closure the revocation invalidated."""
         fed = build_distributed_federation(domains=6, users_per_domain=1)
@@ -651,8 +636,8 @@ class TestHoldings:
 
     def test_failed_push_takes_its_subscriptions_back(self):
         """The answer push is lost to a one-way partition: the
-        subscriptions made for it would have no holder, and the sent-set
-        would promise refs to what never arrived."""
+        subscriptions made for it would have no holder, and the
+        holdings would promise refs to what never arrived."""
         workload = topology.make_ring_coalition(3, seed=52)
         dep = deploy_coalition(workload)
         try:
@@ -660,11 +645,9 @@ class TestHoldings:
             dep.network.partition(lossy, dep.server.address,
                                   bidirectional=False)
             assert dep.authorize() is None
-            assert dep.homes[lossy].gem_tables.stats.to_dict()[
-                "evals_served"] >= 1
+            assert dep.homes[lossy].gem_stats.evals_served >= 1
             assert self._subscriptions(dep)[lossy] == 0
-            assert all(not table.sent_ids for table in
-                       dep.homes[lossy].gem_tables._tables.values())
+            assert dep.server.address not in dep.homes[lossy]._holdings
             dep.network.heal(lossy, dep.server.address,
                              bidirectional=False)
             dep.engine.result_cache.clear()
@@ -672,6 +655,28 @@ class TestHoldings:
             assert self._subscriptions(dep)[lossy] > 0
         finally:
             dep.close()
+
+    def test_evals_under_fresh_roots_grow_only_holdings(self, two_home,
+                                                        alice):
+        """A peer may send a home any number of goals under fresh root
+        ids: nothing of the home's grows but the peer's holdings, by
+        what the first answer shipped."""
+        _engine, home, rogue, _network, _roles = two_home
+
+        def sizes():
+            return {name: len(value) for name, value in vars(home).items()
+                    if name != "_holdings" and hasattr(value, "__len__")}
+
+        before = sizes()
+        goal = wire.gem_goal_to_wire("fwd", alice.entity)
+        for i in range(300):
+            rogue.rpc.notify(home.address, "gem_eval",
+                             {"root": f"w.rogue#gem{i}", "goal": goal})
+        assert home.gem_stats.evals_served == 300
+        assert sizes() == before
+        shipped, = home.wallet.store.delegations()
+        assert {peer: set(held) for peer, held in home._holdings.items()} \
+            == {"w.rogue": {shipped.id}}
 
 
 @pytest.fixture(scope="module")
@@ -750,7 +755,7 @@ class TestRevocationFollowsPlacement:
                                  max_remote_queries=2048) is None
             assert (stats.rounds, stats.remote_subject_queries,
                     stats.remote_object_queries) == (3, 1, 2)
-            assert stats.wire_messages == 7
+            assert stats.wire_messages == 6
         finally:
             dep.close()
 

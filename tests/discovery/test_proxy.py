@@ -208,7 +208,7 @@ class TestWalletAuthority:
                                      clock=clock), principal=org)
         assert client.verify_wallet_authority("forger.home",
                                               wallet_role) is False
-        engine = DiscoveryEngine(client, verify_home_authority=True,
+        engine = DiscoveryEngine(client,
                                  entity_directory=EntityDirectory(
                                      [org.entity]))
         tag = DiscoveryTag(home="forger.home", auth_role_name="Org.wallet",
@@ -255,8 +255,7 @@ class TestEngineAuthorityCheck:
                               Wallet(owner=org, address="client",
                                      clock=clock), principal=org)
         directory = EntityDirectory([org.entity])
-        engine = DiscoveryEngine(client, verify_home_authority=True,
-                                 entity_directory=directory)
+        engine = DiscoveryEngine(client, entity_directory=directory)
         tag = DiscoveryTag(home="rogue.home", auth_role_name="Org.wallet",
                            ttl=0, subject_flag=SubjectFlag.SEARCH)
         stats = DiscoveryStats()
@@ -286,8 +285,7 @@ class TestEngineAuthorityCheck:
                               Wallet(owner=org, address="client",
                                      clock=clock), principal=org)
         directory = EntityDirectory([org.entity])
-        engine = DiscoveryEngine(client, verify_home_authority=True,
-                                 entity_directory=directory)
+        engine = DiscoveryEngine(client, entity_directory=directory)
         tag = DiscoveryTag(home="good.home", auth_role_name="Org.wallet",
                            ttl=0, subject_flag=SubjectFlag.SEARCH)
         proof = engine.discover(alice.entity, role,
@@ -330,7 +328,7 @@ class TestEngineAuthorityCheck:
         client = WalletServer(network,
                               Wallet(owner=org, address="client",
                                      clock=clock), principal=org)
-        engine = DiscoveryEngine(client, verify_home_authority=True,
+        engine = DiscoveryEngine(client,
                                  entity_directory=EntityDirectory(
                                      [org.entity]))
         stats = DiscoveryStats()

@@ -89,9 +89,7 @@ class TestRogueWallet:
                 # Answer a forged closure regardless of what's asked.
                 forged = Proof.single(
                     issue(rogue, alice.entity, target))
-                table = self.gem_tables.get_or_create(
-                    params["root"], src, 0.0)
-                self._gem_push_answers(table, params, [forged], "done")
+                self._gem_push_answers(src, params, [forged])
 
         rogue_wallet = Wallet(owner=rogue, address="rogue.home",
                               clock=clock)

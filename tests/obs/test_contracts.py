@@ -64,16 +64,17 @@ DISCOVERY_CACHE_KEYS = {
     "entries": int, "maxsize": int,
 }
 
-# Contract v3 -- DiscoveryEngine.gem_info()
-# (v2 + the three "refs_*" counters and the live "holdings" count).
+# Contract v4 -- DiscoveryEngine.gem_info()
+# (v3 without the live table count and the terminate and flush
+# counters: homes keep no per-search state, so there is nothing to
+# count, terminate or flush; "loops_detected" counts at the origin
+# only).
 GEM_INFO_KEYS = {
     "roots": int, "evals_issued": int, "answers_received": int,
-    "answers_dropped": int, "answer_records": int,
-    "terminates_sent": int, "evals_served": int,
-    "loops_detected": int, "answers_pushed": int, "table_flushes": int,
+    "answers_dropped": int, "answer_records": int, "evals_served": int,
+    "loops_detected": int, "answers_pushed": int,
     "refs_from_holdings": int, "refs_refetched": int,
-    "refs_unresolved": int,
-    "tables": int, "holdings": int,
+    "refs_unresolved": int, "holdings": int,
 }
 
 
@@ -189,6 +190,13 @@ class TestDiscoveryCacheContract:
                          "DiscoveryCache.info()")
         assert info["misses"] == 1
 
+    def test_info_is_a_pure_read(self):
+        cache = DiscoveryCache()
+        cache.lookup(("direct", "s", "o"), now=0.0)
+        first = cache.info()
+        for _ in range(5):
+            assert cache.info() == first
+
 
 class TestGemInfoContract:
     def test_shape(self):
@@ -206,19 +214,16 @@ class TestGemInfoContract:
             dep.close()
 
     def test_info_is_a_pure_read(self):
-        from repro.discovery.gem import GemTableStore
-        store = GemTableStore()
-        store.get_or_create("root", "origin", now=0.0)
-        first = store.info()
-        for _ in range(5):
-            assert store.info() == first
-
-    def test_info_is_a_pure_read(self):
-        cache = DiscoveryCache()
-        cache.lookup(("direct", "s", "o"), now=0.0)
-        first = cache.info()
-        for _ in range(5):
-            assert cache.info() == first
+        from repro.workloads.scenarios import deploy_coalition
+        from repro.workloads.topology import make_ring_coalition
+        dep = deploy_coalition(make_ring_coalition(2, seed=61))
+        try:
+            assert dep.authorize() is not None
+            first = dep.engine.gem_info()
+            for _ in range(5):
+                assert dep.engine.gem_info() == first
+        finally:
+            dep.close()
 
 
 class TestScopedSurfaces:
