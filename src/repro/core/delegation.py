@@ -136,16 +136,20 @@ class Delegation:
         Empty for fully self-certified delegations. A third-party object
         contributes ``Object'``; each attribute modulated outside the
         issuer's namespace contributes the attribute-assignment right.
+        Computed once per certificate, like :meth:`signing_bytes`.
         """
-        required = []
-        if self.obj.entity != self.issuer:
-            required.append(self.obj.with_tick())
-        for modifier in self.modifiers.to_modifiers():
-            if modifier.attribute.entity != self.issuer:
-                required.append(
-                    attribute_right(modifier.attribute, modifier.operator)
-                )
-        return tuple(required)
+        cached = self.__dict__.get("_required_supports")
+        if cached is None:
+            required = []
+            if self.obj.entity != self.issuer:
+                required.append(self.obj.with_tick())
+            for modifier in self.modifiers.to_modifiers():
+                if modifier.attribute.entity != self.issuer:
+                    required.append(attribute_right(modifier.attribute,
+                                                    modifier.operator))
+            cached = tuple(required)
+            object.__setattr__(self, "_required_supports", cached)
+        return cached
 
     # -- identity and integrity ------------------------------------------
 

@@ -48,6 +48,7 @@ from typing import (
     Mapping,
     NamedTuple,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -61,7 +62,13 @@ from repro.core.attributes import (
 )
 from repro.core.delegation import Delegation, prefetch_signatures
 from repro.core.errors import DiscoveryError, DRBACError
-from repro.core.proof import Proof, find_support, is_valid_proof
+from repro.core.proof import (
+    Proof,
+    closure_delegations,
+    closure_links,
+    find_support,
+    is_valid_proof,
+)
 from repro.core.roles import Role, Subject, subject_key
 from repro.core.tags import DiscoveryTag
 from repro.discovery import wire
@@ -467,7 +474,7 @@ class DiscoveryEngine:
         if not hit or not all(
                 store.get_delegation(d.id) is not None
                 and not self._dead(d, now)
-                for proof in proofs for d in proof.chain):
+                for d in closure_links(proofs)):
             stats.cache_misses += 1
             return False
         stats.cache_hits += 1
@@ -542,8 +549,9 @@ class DiscoveryEngine:
     def _decode(self, search: _Search, answer: _Answer) -> None:
         """Materialize an answer's proofs, resolving refs against what
         this search received in full and then the wallet. A proof with
-        a ref neither knows (or one that is malformed) is dropped,
-        which leaves the answer incomplete: see ``_absorb``."""
+        a ref neither knows (or one that is malformed) is dropped, and
+        so is every record grown from it, which leaves the answer
+        incomplete: see ``_absorb``."""
         received = search.received
         store = self.server.wallet.store
 
@@ -556,12 +564,17 @@ class DiscoveryEngine:
                     f"unresolvable answer ref {delegation_id!r}")
             return delegation
 
+        decoded: List[Optional[Proof]] = []
+        forward = answer.goal[0] == "fwd"
         for payload in answer.payloads:
             try:
-                answer.proofs.append(wire.proof_from_wire_session(
-                    payload, resolve, memo=answer.memo))
+                proof = wire.proof_from_wire_session(
+                    payload, resolve, memo=answer.memo, earlier=decoded,
+                    forward=forward)
             except DRBACError:
-                continue        # unresolved, or not shaped like a proof
+                proof = None    # unresolved, or not shaped like a proof
+            decoded.append(proof)
+        answer.proofs.extend(p for p in decoded if p is not None)
         self.gem_stats.c_answer_records.inc(len(answer.proofs))
 
     def _refetch(self, search: _Search, answer: _Answer) -> None:
@@ -610,8 +623,7 @@ class DiscoveryEngine:
             self.result_cache.store(
                 self._cache_key(home, answer.goal, search),
                 tuple(proofs), now, ttl,
-                delegation_ids=[d.id for p in proofs
-                                for d in p.all_delegations()])
+                delegation_ids=[d.id for d in closure_delegations(proofs)])
         self._follow(search, home, answer.goal[0], verified, answer.depth)
 
     def _dead(self, delegation: Delegation, now: float) -> bool:
@@ -621,10 +633,10 @@ class DiscoveryEngine:
         return self.server.wallet.store.is_revoked(delegation.id) \
             or delegation.is_expired(now)
 
-    def _result_ttl(self, proofs: Iterable[Proof]) -> float:
+    def _result_ttl(self, proofs: Sequence[Proof]) -> float:
         """A cached result may not outlive the discovery-tag lease of any
         delegation it contains (Section 4.2.1 trust window)."""
-        return min(self._ttl_for(d) for p in proofs for d in p.chain)
+        return min(self._ttl_for(d) for d in closure_links(proofs))
 
     def _insert(self, proofs: List[Proof], home: str,
                 subs: Mapping[str, str], tags: Dict[tuple, DiscoveryTag],
@@ -643,8 +655,7 @@ class DiscoveryEngine:
         # One batch for every signature this wallet has not admitted yet;
         # a failure is rejected by the insert below, with its accounting.
         prefetch_signatures(
-            delegation for proof in proofs
-            for delegation in proof.all_delegations()
+            delegation for delegation in closure_delegations(proofs)
             if store.get_delegation(delegation.id) is None)
 
         def cancel_for(delegation_id: str):
@@ -663,8 +674,13 @@ class DiscoveryEngine:
 
         rejected: Set[str] = set()
         verified: List[Proof] = []
+        # A proof grown from one verified here adds one link to check.
+        verified_ids: Set[int] = set()
         for proof in proofs:
-            for delegation in proof.chain:
+            grown = proof.parent is not None \
+                and id(proof.parent) in verified_ids
+            for delegation in (proof.grown_link(),) if grown \
+                    else proof.chain:
                 if delegation.id in rejected:
                     break
                 if store.get_delegation(delegation.id) is not None:
@@ -694,7 +710,9 @@ class DiscoveryEngine:
                     break
             else:
                 verified.append(proof)
-                for delegation in proof.all_delegations():
+                verified_ids.add(id(proof))
+                for delegation in proof.grown_delegations() if grown \
+                        else proof.all_delegations():
                     self._harvest_tags(delegation, tags)
         return verified
 

@@ -47,7 +47,7 @@ from repro.core.attributes import (
     bases_cache_key,
     constraints_cache_key,
 )
-from repro.core.proof import Proof
+from repro.core.proof import Proof, closure_delegations
 
 # Query kinds; skey/okey slots not applicable to a kind are None.
 KIND_DIRECT = "direct"
@@ -146,16 +146,18 @@ class ProofCache:
         else:
             proofs = tuple(value)
             negative = False  # enumerations are growable, not negative
-        delegation_ids = frozenset(
-            d.id for proof in proofs for d in proof.all_delegations())
+        # A closure is a tree: a member grown from an earlier member
+        # adds one link (and its supports) to what that member depends on.
+        delegation_ids = set()
         valid_until = math.inf
-        for proof in proofs:
-            for delegation in proof.all_delegations():
-                if delegation.expiry is not None:
-                    valid_until = min(valid_until, delegation.expiry)
+        for delegation in closure_delegations(proofs):
+            delegation_ids.add(delegation.id)
+            if delegation.expiry is not None \
+                    and delegation.expiry < valid_until:
+                valid_until = delegation.expiry
         self._put(key, _Entry(
             value=value,
-            delegation_ids=delegation_ids,
+            delegation_ids=frozenset(delegation_ids),
             created_at=now,
             valid_until=valid_until,
             negative=negative,

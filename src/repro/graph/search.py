@@ -274,7 +274,7 @@ def _extend(ctx: _Context, proof: Optional[Proof], delegation: Delegation,
         elif forward:
             grown = proof.extend(delegation, supports=supports)
         else:
-            grown = Proof.single(delegation, supports=supports).join(proof)
+            grown = proof.prepend(delegation, supports=supports)
     except DRBACError:
         return None
     return grown if ctx.fits(grown) else None
@@ -339,7 +339,8 @@ class _Frontier:
                 else delegation.subject_node
             if far is not None:
                 if step == far and ctx.final_ok(grown):
-                    return grown
+                    # The answer, held alone: it pins no prefixes.
+                    return grown.detached()
                 if other is not None:
                     for theirs in other.reached.get(step, ()):
                         met = _meet(ctx, grown, theirs) if forward \

@@ -430,14 +430,12 @@ class Wallet:
                        obj: Optional[Role],
                        constraints: Tuple[Constraint, ...],
                        merged: Dict[AttributeRef, float], now: float,
-                       stats: Optional[SearchStats],
-                       provider: Optional[SupportProvider] = None
+                       stats: Optional[SearchStats]
                        ) -> Union[Proof, None, Tuple[Proof, ...]]:
         """One query through the proof cache, under the three query
-        methods and :meth:`authorize_many` (which passes the support
-        provider its batch shares). A hit returns the memo; a miss
-        searches under a timed ``wallet.search`` span and stores the
-        answer: a proof or None, or a tuple of proofs."""
+        methods. A hit returns the memo; a miss searches under a timed
+        ``wallet.search`` span and stores the answer: a proof or None,
+        or a tuple of proofs."""
         key = make_key(kind,
                        None if subject is None else subject_key(subject),
                        None if obj is None else subject_key(obj),
@@ -450,8 +448,7 @@ class Wallet:
             common = dict(
                 at=now, revoked=self.store.is_revoked,
                 constraints=constraints, bases=merged,
-                support_provider=provider if provider is not None
-                else self.support_provider(),
+                support_provider=self.support_provider(),
                 stats=stats)
             if kind == KIND_DIRECT:
                 result = direct_query(self.store.graph, subject, obj,
@@ -531,28 +528,6 @@ class Wallet:
             span.set(result="denied" if proof is None else "granted",
                      source=source)
             return proof
-
-    def authorize_many(self, requests: Iterable[Tuple[Subject, Role]],
-                       constraints: Iterable[Constraint] = (),
-                       bases: Optional[Mapping[AttributeRef, float]] = None,
-                       stats: Optional[SearchStats] = None
-                       ) -> List[Optional[Proof]]:
-        """Direct-query a batch of ``(subject, obj)`` pairs at one instant.
-
-        The batch shares a single clock reading, one support provider
-        (whose per-delegation memoization now amortizes *across*
-        requests), and one merged base-allocation map -- the per-request
-        overhead a loop of :meth:`query_direct` calls would pay
-        repeatedly. Results align with the input order; each is a Proof
-        or None.
-        """
-        constraints = tuple(constraints)
-        merged = self._merged_bases(bases)
-        now = self.clock.now()
-        provider = self.support_provider()
-        return [self._cached_search(KIND_DIRECT, subject, obj, constraints,
-                                    merged, now, stats, provider)
-                for subject, obj in requests]
 
     def await_proof(self, subject: Subject, obj: Role,
                     callback: Callable,

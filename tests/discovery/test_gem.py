@@ -536,7 +536,7 @@ class TestAnswerAcceptance:
 
         def squat(root_id):
             rogue.rpc.notify("w.mid", "gem_eval", {
-                "root": root_id, "subscribe": False,
+                "root": root_id,
                 "goal": wire.gem_goal_to_wire("fwd", roles[0])})
             interfered.append(root_id)
 

@@ -17,7 +17,10 @@ every role:
   arithmetic); where it has several, which one a search meets first is
   not part of the contract;
 * every distributed proof passes ``Wallet.validate`` at the origin,
-  under the query's constraints.
+  under the query's constraints;
+* each search sends at most two messages per distinct ``(home,
+  direction, node)`` goal (the tabling bound of
+  ``test_gem_hypothesis.py``).
 
 A second property revokes one drawn credential at one of the homes
 storing it (Section 6: a revocation stops every proof that uses the
@@ -149,12 +152,15 @@ def test_discovery_decides_as_one_wallet_holding_everything(case):
     try:
         origin = deployed.server.wallet
         origin.publish(deployed.entry)
+        goals = len(HOMES) * 2 * (NODES + 1)
         for node, role in enumerate(ROLES):
             local = single.query_direct(USER.entity, role, constraints,
                                         BASES)
+            before = deployed.network.totals.messages
             found = deployed.engine.discover(
                 USER.entity, role, constraints, BASES,
                 max_remote_queries=1024)
+            assert deployed.network.totals.messages - before <= 2 * goals
             assert (found is None) == (local is None), role
             if found is None:
                 continue

@@ -9,6 +9,8 @@ family ``deploy_coalition`` builds and on the two scenarios the seed
 oracle is checked against (the Figure 2 case study, with its support
 proofs, and the federation) -- is paired with what the origin decoded
 from that very payload, and the two must encode to the same bytes.
+That holds for a record that names its ``parent`` too: the origin grows
+the proof it decoded from that record by the one link carried.
 """
 
 import pytest
@@ -70,8 +72,8 @@ def test_decoded_proofs_are_byte_identical_to_the_homes(monkeypatch, name,
     encode, decode = wire.proof_to_wire_session, wire.proof_from_wire_session
     sent, decoded = {}, []      # id(payload) -> (payload, proof) / pairs
 
-    def encoding(proof, sent_ids):
-        payload = encode(proof, sent_ids)
+    def encoding(proof, *args):
+        payload = encode(proof, *args)
         sent[id(payload)] = (payload, proof)
         return payload
 
@@ -91,8 +93,14 @@ def test_decoded_proofs_are_byte_identical_to_the_homes(monkeypatch, name,
         original = sent[id(payload)][1]
         assert canonical_encode(proof.to_dict()) \
             == canonical_encode(original.to_dict())
-    records = [r for payload, _p in sent.values() for r in _records(payload)]
-    assert all(r.keys() <= {"chain", "supports"} for r in records)
+    # Only an answer's own records name a parent, each with one link.
+    payloads = [payload for payload, _p in sent.values()]
+    assert all(len(p["chain"]) == 1 for p in payloads if "parent" in p)
+    records = [r for payload in payloads for r in _records(payload)]
+    assert all(r.keys() - {"parent"} <= {"chain", "supports"}
+               for r in records)
+    assert all("parent" not in r for r in records
+               if not any(r is p for p in payloads))
     entries = [e for r in records for e in r["chain"]]
     assert not any(isinstance(e, str) for e in entries)
     assert all(isinstance(e, dict) or len(e) == 32 for e in entries)

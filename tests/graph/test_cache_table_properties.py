@@ -51,7 +51,10 @@ _Link = namedtuple("_Link", "id expiry")
 
 
 class _Proof:
-    """All that ``ProofCache.store`` reads off a proof."""
+    """All that ``ProofCache.store`` reads off a proof: a closure
+    member grown from none of the others."""
+
+    parent = None
 
     def __init__(self, ids, expiry):
         self.links = [_Link(i, expiry) for i in ids]

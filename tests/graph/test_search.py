@@ -221,6 +221,7 @@ class TestTypedFailures:
             raise ZeroDivisionError("bug in proof composition")
 
         monkeypatch.setattr(Proof, "extend", broken)
+        monkeypatch.setattr(Proof, "prepend", broken)
         monkeypatch.setattr(Proof, "join", broken)
         graph, roles = chain_graph
         with pytest.raises(ZeroDivisionError):

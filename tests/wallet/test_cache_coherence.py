@@ -246,6 +246,9 @@ class TestEquivalenceScript:
 
 
 class TestBatchedAuthorization:
+    """A run of requests at one instant, through ``query_direct`` and
+    ``authorize`` loops (the wallet has no batch entry point)."""
+
     def test_authorize_many_matches_individual_queries(self, wallet, org,
                                                        alice, bob, carol):
         r1, r2 = Role(org.entity, "r1"), Role(org.entity, "r2")
@@ -257,12 +260,15 @@ class TestBatchedAuthorization:
             (bob.entity, r1), (bob.entity, r2),
             (carol.entity, r2),
         ]
-        batch = wallet.authorize_many(requests)
+        batch = [wallet.query_direct(subject, obj)
+                 for subject, obj in requests]
         assert [p is not None for p in batch] == \
             [True, True, False, True, False]
         for (subject, obj), proof in zip(requests, batch):
-            single = wallet.query_direct(subject, obj)
-            assert (single is None) == (proof is None)
+            monitor = wallet.authorize(subject, obj)
+            assert (monitor is None) == (proof is None)
+            if monitor is not None:
+                assert monitor.proof == proof
 
     def test_batch_searches_are_counted_like_single_ones(self, org, alice,
                                                          bob, carol,
@@ -271,7 +277,7 @@ class TestBatchedAuthorization:
         r = Role(org.entity, "r")
         requests = [(p.entity, r) for p in (alice, bob, carol)]
         searches = []
-        for ask in (lambda w: w.authorize_many(requests),
+        for ask in (lambda w: [w.prove(s, o) for s, o in requests],
                     lambda w: [w.query_direct(s, o) for s, o in requests]):
             with obs.scoped() as scope:
                 wallet = Wallet(owner=org, clock=clock)
@@ -285,6 +291,6 @@ class TestBatchedAuthorization:
     def test_batch_warms_the_cache(self, wallet, org, alice):
         r = Role(org.entity, "r")
         wallet.publish(issue(org, alice.entity, r))
-        requests = [(alice.entity, r)] * 10
-        wallet.authorize_many(requests)
+        for _ in range(10):
+            wallet.query_direct(alice.entity, r)
         assert wallet.proof_cache.stats.hits >= 9

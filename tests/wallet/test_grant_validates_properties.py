@@ -9,7 +9,7 @@ and without supports, expiry dates -- and publishes all of them into
 one wallet (refusals are allowed), interleaved with revocations and
 clock advances. After every step, each proof the wallet's query forms
 return (``query_direct``, ``query_subject``, ``query_object``,
-``authorize_many``) must pass the same wallet's ``validate``, under the
+``prove``) must pass the same wallet's ``validate``, under the
 query's constraints -- whether the proof cache answers or, with the
 cache cleared before every query, the graph search does.
 """
@@ -102,8 +102,8 @@ def _assert_grants_validate(wallet, constraints, searched):
     proofs += cold().query_subject(USER.entity, constraints)
     for role in ROLES:
         proofs += cold().query_object(role, constraints)
-    proofs += cold().authorize_many(
-        [(USER.entity, role) for role in ROLES], constraints)
+    proofs += [cold().prove(USER.entity, role, constraints)
+               for role in ROLES]
     for proof in proofs:
         if proof is not None:
             wallet.validate(proof, constraints=constraints)
