@@ -22,9 +22,11 @@ One scalar-multiplication stack, fastest applicable layer wins:
   the shared ladder is half as tall, width-5 wNAF recoding keeps the
   addition density at ~1/6 per bit, and all precomputed odd-multiple
   rows for one call share a single Montgomery-batched inversion;
-* **one short NAF ladder** (:func:`multi_scalar_mult_equals`) for the
+* **one split nonce ladder** (:func:`batch_equation_holds`) for the
   one-shot nonce points of a batch-verification equation, whose
-  coefficients are 64 bits: no rows, no GLV, nothing cached;
+  coefficients come as two 32-bit halves of ``a + b*lambda``: width-3
+  NAF over ``[R, 3R]`` and ``[lambda*R, 3*lambda*R]``, 32 doublings,
+  nothing cached;
 * **plain double-and-add** (:func:`scalar_mult_plain`) for a point seen
   once or twice, and the independent oracle every table and ladder
   above is tested against (``tests/crypto``: edge scalars, Hypothesis
@@ -87,7 +89,7 @@ class Point:
         finite point -- trailing bytes are rejected explicitly so a
         framing bug upstream cannot smuggle data past a signature.
 
-        Decompression costs a modular square root (~94us), so it runs
+        Decompression costs a modular square root (~75us), so it runs
         only where arithmetic needs ``y``: a key on its first verify, a
         nonce point in a batch equation. :func:`check_encoding` accepts
         and refuses exactly the same bytes without it. Wire payloads
@@ -377,7 +379,7 @@ _ROW_CACHE_LIMIT = 1024
 _row_cache: dict = {}
 
 # Decoded-point intern pool: wire payloads repeat the same
-# issuer keys and nonce points; interning skips the ~94us square root
+# issuer keys and nonce points; interning skips the ~75us square root
 # of a repeat decode (a key is decoded on its first verify, never on
 # construction). Keyed by the exact 33 encoded bytes, so two inputs
 # share an entry only when they are literally the same encoding.
@@ -603,8 +605,9 @@ def _glv_pairs(scalar: int, row: List[_Affine]
 # affine row (negative digits negate the entry inline -- a field
 # subtraction, not a new row). All rows a call needs are normalized
 # together with ONE Montgomery-batched inversion
-# (:func:`_rows_for_batch`), so an entire batch-verification equation
-# shares a single ``pow(x, -1, P)``.
+# (:func:`_rows_for_batch`), so the key side of a batch-verification
+# equation shares a single ``pow(x, -1, P)`` (its nonce side takes one
+# more, for the ``3R`` rows of :func:`_split_nonce_sum`).
 
 
 def _wnaf_digits(scalar: int, width: int = 5) -> List[int]:
@@ -771,47 +774,63 @@ def multi_scalar_mult(terms: Sequence[Tuple[int, Point]]) -> Point:
     return _from_jacobian(_multi_scalar_mult_jac(_merged_terms(terms)))
 
 
-def _short_joint_mult(terms: Sequence[Tuple[int, Point]]) -> _Jacobian:
-    """``sum(z_i * R_i)`` for short positive scalars on one-shot points.
+def _split_nonce_sum(first: Point,
+                     split_terms: Sequence[Tuple[int, int, Point]]
+                     ) -> _Jacobian:
+    """``first + sum((a_i + b_i*lambda) * R_i)`` for halves ``a_i, b_i``
+    in [0, 2**32) on one-shot points.
 
-    Plain NAF digits, so only ``+-R_i`` is ever added: no rows, no GLV
-    split, and nothing is cached or counted towards table promotion.
-    One shared run of doublings as tall as the longest scalar and one
-    mixed addition per nonzero digit (a third of the bits) per point.
+    Each half is recoded as width-3 NAF (digits +-1, +-3), so ``a_i``
+    adds from the row ``[R_i, 3R_i]`` and ``b_i`` from ``[lambda*R_i,
+    3*lambda*R_i]``, the same row with every x times beta. All ``3R_i``
+    are normalized with one Montgomery inversion. One shared run of 32
+    doublings, ~8 mixed additions per half, ``first`` (finite, like
+    every R_i) added once at the end; no row, table or comb map is
+    read, written or counted.
     """
-    height = max((scalar.bit_length() for scalar, _point in terms),
-                 default=0) + 1
-    columns: List[List[_Affine]] = [[] for _ in range(height)]
-    for scalar, point in terms:
-        # Indexed by the NAF digit itself: [1] is +R, [-1] is -R.
-        signed = (None, (point.x, point.y), (point.x, P - point.y))
-        for index, digit in enumerate(_wnaf_digits(scalar, 2)):
-            if digit:
-                columns[index].append(signed[digit])
+    tripled = _batch_to_affine([
+        _jacobian_add_affine(_jacobian_double((point.x, point.y, 1)),
+                             point.x, point.y)
+        for _a, _b, point in split_terms])
+    # A width-3 NAF of a 32-bit half has at most 33 digits.
+    columns: List[List[_Affine]] = [[] for _ in range(33)]
+    for (a, b, point), (x3, y3) in zip(split_terms, tripled):
+        x, y = point.x, point.y
+        for half, row_x, row_x3 in ((a, x, x3),
+                                    (b, (x * GLV_BETA) % P,
+                                     (x3 * GLV_BETA) % P)):
+            # Indexed by the digit itself: [3] is +3R, [-3] (slot 4) -3R.
+            signed = (None, (row_x, y), None, (row_x3, y3),
+                      (row_x3, P - y3), None, (row_x, P - y))
+            for index, digit in enumerate(_wnaf_digits(half, 3)):
+                if digit:
+                    columns[index].append(signed[digit])
     result: _Jacobian = _J_INFINITY
     for column in reversed(columns):
         if result[2] != 0:
             result = _jacobian_double(result)
         for x, y in column:
             result = _jacobian_add_affine(result, x, y)
-    return result
+    return _jacobian_add_affine(result, first.x, first.y)
 
 
-def multi_scalar_mult_equals(terms: Sequence[Tuple[int, Point]],
-                             short_terms: Sequence[Tuple[int, Point]]
-                             ) -> bool:
-    """Return ``sum(terms) == sum(short_terms)`` without an inversion.
+def batch_equation_holds(terms: Sequence[Tuple[int, Point]], first: Point,
+                         split_terms: Sequence[Tuple[int, int, Point]]
+                         ) -> bool:
+    """Return ``sum(terms) == first + sum((a + b*lambda) * R)`` without an
+    inversion on either side.
 
     The batch-verification equation: ``terms`` are the reusable points
     (generator, issuer keys) with full-width scalars, evaluated as
-    :func:`multi_scalar_mult` does; ``short_terms`` are the signatures'
-    nonce points, finite and each seen once, with short positive
-    coefficients (:func:`_short_joint_mult`). The two Jacobian sums are
-    compared by cross-multiplication: ``X1*Z2^2 == X2*Z1^2`` and
+    :func:`multi_scalar_mult` does; ``first`` is the nonce point whose
+    coefficient is 1 and ``split_terms`` the other signatures' nonce
+    points, finite and each seen once, with their coefficients given as
+    two 32-bit halves (:func:`_split_nonce_sum`). The two Jacobian sums
+    are compared by cross-multiplication: ``X1*Z2^2 == X2*Z1^2`` and
     ``Y1*Z2^3 == Y2*Z1^3``.
     """
     x1, y1, z1 = _multi_scalar_mult_jac(_merged_terms(terms))
-    x2, y2, z2 = _short_joint_mult(short_terms)
+    x2, y2, z2 = _split_nonce_sum(first, split_terms)
     if z1 == 0 or z2 == 0:
         return z1 == z2
     z1sq = (z1 * z1) % P

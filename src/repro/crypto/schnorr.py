@@ -173,19 +173,21 @@ BatchItem = Tuple[SchnorrPublicKey, bytes, bytes]
 # (comb tables), counted by tests/crypto/test_batch_verify.py. A single
 # check is two comb multiplications per signature. The batch equation
 # is one comb multiplication for the generator and one per distinct
-# key, ~21 additions per nonce point (NAF of a 64-bit coefficient), and
-# 64 shared doublings at ~0.6 of an addition each.
+# key; per nonce point after the first, ~17 additions for the width-3
+# NAFs of its two 32-bit halves and a doubling and an addition for its
+# 3R; once per equation, 32 shared doublings at ~0.65 of an addition,
+# the first nonce's one addition and the 3R rows' one inversion (~4).
 _SINGLE_COST = 64
 _COMB_COST = 32
-_NONCE_COST = 21
-_LADDER_COST = 40
+_NONCE_COST = 19
+_LADDER_COST = 26
 
 
 def equation_wins(items: int, keys: int) -> bool:
     """Is the batch equation cheaper than ``items`` single checks, for
     signatures by ``keys`` distinct keys? (7 by 2: yes; 2 by 2: no.)"""
-    return _COMB_COST * (keys + 1) + _NONCE_COST * items + _LADDER_COST \
-        < _SINGLE_COST * items
+    return _COMB_COST * (keys + 1) + _NONCE_COST * (items - 1) \
+        + _LADDER_COST < _SINGLE_COST * items
 
 
 def verify_batch(items: Sequence[BatchItem],
@@ -194,18 +196,30 @@ def verify_batch(items: Sequence[BatchItem],
 
     Each item i contributes the equation ``s_i*G == R_i + e_i*Q_i``.
     Summing them directly would let errors cancel, so each is weighted
-    by an independent random 64-bit coefficient z_i and the combined
-    check
+    by a coefficient z_i and the combined check
 
         (sum z_i*s_i)*G - sum (z_i*e_i)*Q_i == sum z_i*R_i
 
-    runs as ONE :func:`ec.multi_scalar_mult_equals`: table
-    multiplications for the generator and the merged per-key terms on
-    the left, one short ladder over the nonce points on the right. A
-    forged item slips through with probability <= 2**-64 per attempt;
-    the coefficients are fresh per call, so a failure cannot be replayed
-    into an accept. A batch too small for the equation to pay for
-    itself (:func:`equation_wins`) runs the single check per item.
+    runs as ONE :func:`ec.batch_equation_holds`: table multiplications
+    for the generator and the merged per-key terms on the left, one
+    short ladder over the nonce points on the right. z_0 = 1 (as in
+    BIP340 batch verification); every other z_i is ``a + b*lambda mod
+    N`` for the two 32-bit halves (a, b) of one fresh nonzero 64-bit
+    draw, so the nonce ladder is 32 doublings tall.
+
+    Soundness: write item i's error as ``s_i*G - e_i*Q_i - R_i = d_i*G``;
+    the batch accepts iff ``sum z_i*d_i == 0 mod N``. If item 0 is the
+    only bad one, that sum is d_0 != 0. Otherwise fix a bad item i > 0
+    and the other coefficients: one z_i cancels it, and at most one draw
+    gives that z_i, because ``(a, b) -> a + b*lambda mod N`` is
+    injective on [0, 2**32)**2 (the lattice of its collisions has no
+    vector shorter than ~2**128; ``tests/crypto/test_batch_kernel.py``
+    pins it). A forged item slips through with probability 2**-64 per
+    attempt (2**-63 if the cancelling draw is 1, which a zero draw also
+    becomes), and the coefficients are fresh per call, so a failure
+    cannot be replayed into an accept. A batch too small for the
+    equation to pay for itself (:func:`equation_wins`) runs the single
+    check per item.
 
     Returns True iff every item would verify individually. Use
     :func:`verify_batch_bisect` to identify *which* items failed.
@@ -226,26 +240,27 @@ def verify_batch(items: Sequence[BatchItem],
             return False
         e = _challenge(r_bytes, public_key.point, message)
         parsed.append((public_key.point, r_point, s, e))
+    # Item 0's coefficient is 1; every other item draws one nonzero
+    # 64-bit value whose two 32-bit halves (a, b) give z = a + b*lambda.
     if rng is None:
         # One entropy read for the whole batch instead of one syscall
-        # per item. `or 1` keeps the coefficient nonzero; the 2**-64
-        # extra mass on z == 1 is immaterial to the soundness bound.
-        blob = secrets.token_bytes(8 * len(parsed))
-        coefficients = [
-            int.from_bytes(blob[index * 8:index * 8 + 8], "big") or 1
-            for index in range(len(parsed))
-        ]
+        # per item; `or 1` keeps a draw nonzero.
+        blob = secrets.token_bytes(8 * (len(parsed) - 1))
+        draws = [int.from_bytes(blob[index:index + 8], "big") or 1
+                 for index in range(0, len(blob), 8)]
     else:
-        coefficients = [rng.randrange(1, 1 << 64) for _ in parsed]
-    key_terms: List[Tuple[int, ec.Point]] = []
-    nonce_terms: List[Tuple[int, ec.Point]] = []
-    s_combined = 0
-    for (q, r_point, s, e), z in zip(parsed, coefficients):
+        draws = [rng.randrange(1, 1 << 64) for _ in parsed[1:]]
+    q, first_nonce, s_combined, e = parsed[0]
+    key_terms: List[Tuple[int, ec.Point]] = [(-e, q)]
+    split_nonces: List[Tuple[int, int, ec.Point]] = []
+    for (q, r_point, s, e), draw in zip(parsed[1:], draws):
+        b, a = divmod(draw, 1 << 32)
+        z = (a + b * ec.GLV_LAMBDA) % ec.N
         s_combined += z * s
         key_terms.append((-z * e, q))
-        nonce_terms.append((z, r_point))
+        split_nonces.append((a, b, r_point))
     key_terms.append((s_combined, ec.GENERATOR))
-    return ec.multi_scalar_mult_equals(key_terms, nonce_terms)
+    return ec.batch_equation_holds(key_terms, first_nonce, split_nonces)
 
 
 def verify_batch_bisect(items: Sequence[BatchItem],

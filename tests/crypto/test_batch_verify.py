@@ -164,9 +164,9 @@ class TestDispatch:
     @pytest.mark.parametrize("count,keys", SHAPES)
     def test_kernel_follows_the_shape(self, count, keys, monkeypatch):
         equations = []
-        real = ec.multi_scalar_mult_equals
+        real = ec.batch_equation_holds
         monkeypatch.setattr(
-            ec, "multi_scalar_mult_equals",
+            ec, "batch_equation_holds",
             lambda *sides: equations.append(sides) or real(*sides))
         assert verify_batch(_shaped(count, keys))
         assert len(equations) == (1 if equation_wins(count, keys) else 0)
@@ -219,15 +219,18 @@ class TestDispatch:
 
 
 class TestSoundness:
-    """Same equation, same coefficients: 64-bit, nonzero, fresh from
-    ``secrets`` on every call unless a test forces them."""
+    """Same equation, same coefficients: 1 for the first item, and for
+    every other item ``a + b*lambda`` from the halves of one 64-bit,
+    nonzero draw, fresh from ``secrets`` on every call unless a test
+    forces it."""
 
-    def _cancellation_pair(self):
-        """Four signatures under one key, the first two spoiled as
-        (s1 + d, s2 - d): each is invalid, their plain sum is not."""
+    @staticmethod
+    def _cancellation_pair(slots=(0, 1)):
+        """Four signatures under one key, the two at ``slots`` spoiled
+        as (s1 + d, s2 - d): each is invalid, their plain sum is not."""
         items = _shaped(4, 1)
         delta = 0xD15EA5E
-        for index, shift in ((0, delta), (1, -delta)):
+        for index, shift in zip(slots, (delta, -delta)):
             public, message, signature = items[index]
             s = (int.from_bytes(signature[33:], "big") + shift) % ec.N
             items[index] = (public, message,
@@ -239,10 +242,11 @@ class TestSoundness:
         assert equation_wins(4, 1)
         assert _reference(items) == [False, False, True, True]
         # Forced all-ones coefficients reach the equation, and the
-        # unweighted sum they produce does accept the pair ...
+        # unweighted sum they produce does accept the pair ... (a draw
+        # of 1 is the halves (1, 0): z = 1; item 0 draws nothing.)
         ones = _Ones()
         assert verify_batch(items, rng=ones)
-        assert ones.draws == [(1, 1 << 64)] * 4
+        assert ones.draws == [(1, 1 << 64)] * 3
         # ... which is exactly what fresh random weights prevent.
         assert not verify_batch(items)
         assert not verify_batch(items, rng=random.Random(99))
@@ -256,26 +260,139 @@ class TestSoundness:
 
     def test_coefficients_fresh_nonzero_64_bit(self, monkeypatch):
         seen = []
-        real = ec.multi_scalar_mult_equals
+        real = ec.batch_equation_holds
 
-        def spy(key_terms, nonce_terms):
-            seen.append([z for z, _point in nonce_terms])
-            assert len(key_terms) == len(nonce_terms) + 1
-            return real(key_terms, nonce_terms)
+        def spy(key_terms, first, split_terms):
+            assert all(0 <= a < 1 << 32 and 0 <= b < 1 << 32
+                       for a, b, _point in split_terms)
+            seen.append([a | b << 32 for a, b, _point in split_terms])
+            # The first item's key term, one per drawn item, and G.
+            assert len(key_terms) == len(split_terms) + 2
+            return real(key_terms, first, split_terms)
 
-        monkeypatch.setattr(ec, "multi_scalar_mult_equals", spy)
+        monkeypatch.setattr(ec, "batch_equation_holds", spy)
         items = _shaped(7, 2)
         assert verify_batch(items)
         assert verify_batch(items)
         assert len(seen) == 2
-        assert all(len(row) == 7 and all(0 < z < 1 << 64 for z in row)
+        # One draw per item after the first, which draws nothing.
+        assert all(len(row) == 6 and all(0 < draw < 1 << 64
+                                         for draw in row)
                    for row in seen)
         assert seen[0] != seen[1]
         # A zero draw from the entropy blob is bumped to 1, not used.
         monkeypatch.setattr(schnorr.secrets, "token_bytes",
                             lambda size: bytes(size))
         assert verify_batch(items)
-        assert seen[-1] == [1] * 7
+        assert seen[-1] == [1] * 6
+
+
+def _equation_spy(monkeypatch):
+    """Record every batch equation evaluated, with its verdict."""
+    verdicts = []
+    real = ec.batch_equation_holds
+
+    def spy(*sides):
+        verdicts.append(real(*sides))
+        return verdicts[-1]
+
+    monkeypatch.setattr(ec, "batch_equation_holds", spy)
+    return verdicts
+
+
+def _pinned_items(count, keys, e):
+    """``count`` items valid while every challenge is pinned to ``e``:
+    ``R = s*G - e*Q`` for small chosen s, so an s + N alias fits 32
+    bytes."""
+    signers = [_key(5000 + index) for index in range(keys)]
+    items = []
+    for index in range(count):
+        public = signers[index % keys].public_key
+        s = 5 + index
+        nonce = ec.double_scalar_mult(s, ec.GENERATOR, ec.N - e,
+                                      public.point).encode()
+        items.append((public, b"pinned #%d" % index,
+                      nonce + s.to_bytes(32, "big")))
+    return items
+
+
+SPOILS = ("s_bit", "mirrored_r", "off_curve_x", "s_zero", "s_alias",
+          "length")
+# The spoils the equation itself must refuse. The checks that run before
+# it refuse the rest; s = 0, s + N and the long signature would pass the
+# equation without them.
+EQUATION_SPOILS = ("s_bit", "mirrored_r")
+
+
+class TestSpoiledSlot:
+    """One spoiled item in the coefficient-1 slot or in the last slot
+    of a (7, 2) batch: the batch rejects, bisection names that index,
+    and each reject check is needed for it."""
+
+    COUNT, KEYS = 7, 2
+
+    def _spoiled(self, monkeypatch, how, slot):
+        pinned_e = 0xE
+        if how in ("s_zero", "s_alias"):
+            monkeypatch.setattr(schnorr, "_challenge",
+                                lambda *args: pinned_e)
+            items = _pinned_items(self.COUNT, self.KEYS, pinned_e)
+            assert verify_batch(items)
+        else:
+            items = _shaped(self.COUNT, self.KEYS)
+        public, message, signature = items[slot]
+        if how == "s_bit":
+            signature = signature[:-1] + bytes([signature[-1] ^ 1])
+        elif how == "mirrored_r":
+            signer = _key(5000 + slot % self.KEYS)
+            assert signer.public_key == public
+            signature = mirrored_signature(signer.d, message)
+        elif how == "off_curve_x":
+            signature = (b"\x02" + off_curve_x().to_bytes(32, "big")
+                         + signature[33:])
+        elif how == "s_zero":
+            # R = -e*Q: the equation holds for s = 0.
+            nonce = ec.scalar_mult(ec.N - pinned_e, public.point).encode()
+            signature = nonce + bytes(32)
+        elif how == "s_alias":
+            s = int.from_bytes(signature[33:], "big")
+            signature = signature[:33] + (s + ec.N).to_bytes(32, "big")
+        else:
+            # One byte too many; read past the length check it is s.
+            signature = signature[:33] + b"\x00" + signature[33:]
+        items[slot] = (public, message, signature)
+        return items
+
+    @pytest.mark.parametrize("slot", [0, COUNT - 1])
+    @pytest.mark.parametrize("how", SPOILS)
+    def test_batch_rejects_and_bisect_names_the_slot(self, how, slot,
+                                                     monkeypatch):
+        items = self._spoiled(monkeypatch, how, slot)
+        assert equation_wins(self.COUNT, self.KEYS)
+        public, message, signature = items[slot]
+        assert not public.verify(message, signature)
+        equations = _equation_spy(monkeypatch)
+        assert not verify_batch(items)
+        # The equation ran and refused the item, or it never ran.
+        assert equations == ([False] if how in EQUATION_SPOILS else [])
+        del equations[:]
+        assert verify_batch_bisect(items) == [
+            index != slot for index in range(self.COUNT)]
+        # The good halves were accepted by the equation, not bypassed.
+        assert True in equations
+
+    @pytest.mark.parametrize("slots", [(0, 3), (2, 3)])
+    def test_cancellation_pair_rejected_in_any_slots(self, slots,
+                                                     monkeypatch):
+        items = TestSoundness._cancellation_pair(slots)
+        expected = [index not in slots for index in range(4)]
+        assert _reference(items) == expected
+        equations = _equation_spy(monkeypatch)
+        assert verify_batch(items, rng=_Ones())
+        assert not verify_batch(items)
+        assert not verify_batch(items, rng=random.Random(99))
+        assert equations == [True, False, False]
+        assert verify_batch_bisect(items) == expected
 
 
 class _OpCounter:
@@ -332,14 +449,21 @@ class TestCostModel:
         assert single["double"] == 0 and single["add"] == 2 * count
         assert 0.95 * schnorr._SINGLE_COST * count \
             <= single["mixed"] <= schnorr._SINGLE_COST * count
-        # Equation: a comb multiplication per key and for the generator,
-        # ~21 additions per nonce point, at most 64 shared doublings.
+        # Equation: a comb multiplication per key and for the generator;
+        # per nonce after the first, the width-3 NAF additions of its
+        # halves and one doubling and one addition for 3R; the ladder's
+        # shared doublings (<= 32) and the first nonce's one addition.
+        weight, height = _split_ladder(7, count)
         tables = schnorr._COMB_COST * (keys + 1)
-        assert 0.95 * tables <= batch["mixed"] - _naf_weight(7, count) \
-            <= tables
-        assert abs(_naf_weight(7, count) / count
+        nonces = weight + (count - 1) + 1
+        assert 0.95 * tables <= batch["mixed"] - nonces <= tables
+        assert batch["double"] == (count - 1) + height - 1
+        assert 30 <= height - 1 <= 32 and batch["add"] == keys + 1
+        # The constants, with a doubling weighed at 0.65 of a mixed
+        # addition and the 3R rows' one inversion at 4 of them.
+        assert abs((weight + (count - 1) * 1.65) / (count - 1)
                    - schnorr._NONCE_COST) <= 2
-        assert 60 <= batch["double"] <= 64 and batch["add"] == keys + 1
+        assert abs((height - 1) * 0.65 + 1 + 4 - schnorr._LADDER_COST) <= 2
         # And the comparison the dispatch rule makes comes out the same
         # way when counted: fewer operations per signature.
         assert sum(batch.values()) < 0.75 * sum(single.values())
@@ -356,13 +480,18 @@ class TestCostModel:
         assert single["double"] == 0
 
 
-def _naf_weight(seed: int, count: int) -> int:
-    """Nonzero NAF digits of the coefficients ``random.Random(seed)``
-    hands ``verify_batch`` for ``count`` items."""
+def _split_ladder(seed: int, count: int):
+    """(nonzero width-3 NAF digits, longest recoding) of the halves of
+    the draws ``random.Random(seed)`` hands ``verify_batch`` for
+    ``count`` items: the nonce ladder's additions and height."""
     rng = random.Random(seed)
-    return sum(1 for _ in range(count)
-               for digit in ec._wnaf_digits(rng.randrange(1, 1 << 64), 2)
-               if digit)
+    recoded = []
+    for _ in range(count - 1):
+        draw = rng.randrange(1, 1 << 64)
+        recoded += [ec._wnaf_digits(draw & 0xFFFFFFFF, 3),
+                    ec._wnaf_digits(draw >> 32, 3)]
+    return (sum(1 for digits in recoded for digit in digits if digit),
+            max(len(digits) for digits in recoded))
 
 
 class TestKeysBatchDispatch:

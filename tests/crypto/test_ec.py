@@ -138,12 +138,12 @@ class TestPromotionCaches:
     def test_one_shot_points_stay_out(self, monkeypatch):
         """Signature nonce points are seen once per signature and must
         never be counted towards, or promoted into, a window or comb
-        table: only the generator and the issuer keys earn one. (A
-        nonce point that does costs ~0.4 MB per comb and, because the
-        comb cache freezes when full, a slot a real key then cannot
-        get.)"""
+        table, nor get a cached wNAF row: only the generator and the
+        issuer keys earn one. (A nonce point that does costs ~0.4 MB
+        per comb and, because the comb cache freezes when full, a slot
+        a real key then cannot get.)"""
         caches = ("_table_cache", "_comb_cache", "_use_counts",
-                  "_comb_use_counts")
+                  "_comb_use_counts", "_row_cache")
         for name in caches:
             monkeypatch.setattr(ec, name, {})
         ec._table_cache[(ec.GX, ec.GY)] = ec._WindowTable(ec.GENERATOR)

@@ -97,24 +97,30 @@ class TestCombAndWnafCorrectness:
         terms = [(5, ec.GENERATOR), (ec.N - 5, ec.GENERATOR)]
         assert ec.multi_scalar_mult(terms) == ec.INFINITY
         assert ec.multi_scalar_mult(terms[:1]) != ec.INFINITY
-        assert ec.multi_scalar_mult_equals(terms, [])
-        assert not ec.multi_scalar_mult_equals(terms[:1], [])
+        # A nonce side that cancels to infinity too: R + 1*(-R).
+        first = ec.scalar_mult(0x5EED)
+        cancel = [(1, 0, ec.point_neg(first))]
+        assert ec.batch_equation_holds(terms, first, cancel)
+        assert not ec.batch_equation_holds(terms[:1], first, cancel)
 
     @given(st.lists(st.integers(min_value=1, max_value=2**64 - 1),
-                    min_size=1, max_size=4),
+                    min_size=0, max_size=4),
            st.integers(min_value=0, max_value=1))
     @settings(max_examples=10, deadline=None)
-    def test_equation_sides_compare_as_points(self, coefficients, skew):
-        """sum(terms) == sum(short_terms) exactly when the two sums are
-        the same point: short NAF ladder on one side, tables/ladders on
-        the other, compared in Jacobian coordinates."""
-        nonces = [(z, ec.scalar_mult(0x5EED + index))
-                  for index, z in enumerate(coefficients)]
-        total = sum(z * (0x5EED + index)
-                    for index, z in enumerate(coefficients))
+    def test_equation_sides_compare_as_points(self, draws, skew):
+        """sum(terms) == first + sum((a + b*lambda) * R) exactly when
+        the two sums are the same point: the split nonce ladder on one
+        side, tables/ladders on the other, compared in Jacobian
+        coordinates."""
+        first = ec.scalar_mult(0x5EED)
+        split = [(draw & 0xFFFFFFFF, draw >> 32,
+                  ec.scalar_mult(0x5EEE + index))
+                 for index, draw in enumerate(draws)]
+        total = 0x5EED + sum((a + b * ec.GLV_LAMBDA) * (0x5EEE + index)
+                             for index, (a, b, _r) in enumerate(split))
         q = ec.scalar_mult(0xF00D)
         terms = [(total + skew - 7 * 0xF00D, ec.GENERATOR), (7, q)]
-        assert ec.multi_scalar_mult_equals(terms, nonces) == (skew == 0)
+        assert ec.batch_equation_holds(terms, first, split) == (skew == 0)
 
     def test_wnaf_digits_reconstruct_scalar(self):
         for scalar in EDGE_SCALARS:
