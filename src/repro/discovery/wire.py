@@ -143,7 +143,7 @@ def delegation_from_wire(data: dict) -> Delegation:
 # * ``gem_eval``    -- origin -> home: evaluate one goal for a root;
 # * ``gem_answers`` -- home -> origin: the home's local closure for
 #   that goal as *session-encoded* proofs deduplicated against what the
-#   origin holds, plus the subscriptions it established.
+#   origin holds, plus the raw ids of the subscriptions it established.
 
 
 def gem_goal_to_wire(direction: str, node: Subject) -> dict:
@@ -152,6 +152,20 @@ def gem_goal_to_wire(direction: str, node: Subject) -> dict:
 
 def gem_goal_from_wire(data: Mapping) -> Tuple[str, Subject]:
     return data["dir"], subject_from_dict(data["node"])
+
+
+def ids_to_wire(delegation_ids: Iterable[str]) -> List[bytes]:
+    """Delegation ids as the 32 raw bytes a session ref uses."""
+    return [bytes.fromhex(delegation_id) for delegation_id in delegation_ids]
+
+
+def ids_from_wire(data: Any) -> List[str]:
+    """Decode :func:`ids_to_wire`; anything else: :class:`DiscoveryError`."""
+    if not isinstance(data, list) or not all(
+            isinstance(entry, bytes) and len(entry) == _ID_BYTES
+            for entry in data):
+        raise DiscoveryError(f"not a list of {_ID_BYTES}-byte ids")
+    return [entry.hex() for entry in data]
 
 
 # ---------------------------------------------------------------------------

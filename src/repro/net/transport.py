@@ -8,9 +8,8 @@ benchmarks, standing in for the wire traffic of the authors' testbed.
 
 Delivery is synchronous and deterministic. Latency is modeled as
 bookkeeping: each delivered message adds the link latency to
-``total_latency`` and, when ``auto_advance`` is on, advances the shared
-simulated clock -- giving end-to-end virtual latency for sequential
-protocols without callback plumbing.
+``total_latency``, the end-to-end virtual latency of a sequential
+protocol; the simulated clock is left alone.
 """
 
 from dataclasses import dataclass, field
@@ -42,11 +41,9 @@ class Network:
     """A registry of addressable nodes plus the counters between them."""
 
     def __init__(self, clock: Optional[SimClock] = None,
-                 default_latency: float = 0.0,
-                 auto_advance: bool = False) -> None:
+                 default_latency: float = 0.0) -> None:
         self.clock = clock if clock is not None else SimClock()
         self.default_latency = default_latency
-        self.auto_advance = auto_advance
         self._handlers: Dict[str, Handler] = {}
         self._latency: Dict[Tuple[str, str], float] = {}
         self._partitioned: Set[Tuple[str, str]] = set()
@@ -112,8 +109,6 @@ class Network:
             (src, dst, topic), TrafficStats()).record(size)
         latency = self._latency.get((src, dst), self.default_latency)
         self.total_latency += latency
-        if self.auto_advance and latency > 0:
-            self.clock.advance(latency)
         return self._handlers[dst](src, topic, payload)
 
     # -- accounting ------------------------------------------------------------

@@ -11,11 +11,15 @@ from simulation ticks so cached entries lapse when their discovery-tag TTL
 passes without reconfirmation from home ("a time-to-live field that
 indicates the duration a delegation is valid following validity
 confirmation from its home wallet", Section 4.2.1).
+
+An entry records the homes holding a subscription for its copy. A
+revocation ends the copy and, at the pushing home, the holding; any
+other end of the copy calls :attr:`CoherentCache.release` per home.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.delegation import Delegation, Revocation
 from repro.core.errors import PublicationError
@@ -33,8 +37,8 @@ class CachedEntry:
     ttl: float
     valid_until: float
     confirmations: int = 0
-    cancel_remote: Optional[Callable[[], None]] = field(
-        default=None, repr=False)
+    # The homes holding a validation subscription for this copy.
+    held_at: Set[str] = field(default_factory=set)
 
     @property
     def requires_monitoring(self) -> bool:
@@ -47,18 +51,20 @@ class CoherentCache:
     def __init__(self, wallet: Wallet) -> None:
         self._wallet = wallet
         self._entries: Dict[str, CachedEntry] = {}
+        # ``release(home, delegation_id)`` ends one remote holding; the
+        # hosting wallet server points it at its ``unsubscribe``.
+        self.release: Callable[[str, str], None] = lambda *_holding: None
 
     # -- insertion --------------------------------------------------------
 
     def insert(self, delegation: Delegation, supports: Tuple[Proof, ...],
-               home: str, ttl: float,
-               cancel_remote: Optional[Callable[[], None]] = None) -> bool:
+               home: str, ttl: float) -> bool:
         """Cache a delegation fetched from ``home``.
 
         The delegation goes through the wallet's full publication checks.
         A zero TTL marks a delegation that "does not require monitoring"
-        and never lapses. ``cancel_remote`` tears down the remote
-        subscription when the entry is dropped.
+        and never lapses. The homes holding a subscription for the copy
+        are recorded with :meth:`hold`.
         """
         now = self._wallet.clock.now()
         inserted = self._wallet.publish(delegation, supports)
@@ -67,15 +73,21 @@ class CoherentCache:
         if existing is not None:
             existing.valid_until = max(existing.valid_until, valid_until)
             existing.confirmations += 1
-            if cancel_remote is not None:
-                existing.cancel_remote = cancel_remote
         else:
             self._entries[delegation.id] = CachedEntry(
                 delegation=delegation, home=home, ttl=ttl,
                 valid_until=valid_until, confirmations=1,
-                cancel_remote=cancel_remote,
             )
         return inserted
+
+    def hold(self, home: str, delegation_id: str) -> None:
+        """``home`` holds a subscription for ``delegation_id``: record it
+        on the cached copy, or, with no copy to guard, release it."""
+        entry = self._entries.get(delegation_id)
+        if entry is None:
+            self.release(home, delegation_id)
+        else:
+            entry.held_at.add(home)
 
     # -- coherence ------------------------------------------------------------
 
@@ -90,38 +102,32 @@ class CoherentCache:
         return True
 
     def apply_remote_revocation(self, revocation: Revocation) -> bool:
-        """Handle a signed revocation pushed over a remote subscription."""
+        """Handle a signed revocation pushed over a remote subscription:
+        the copy goes, unreleased, as each home ends its holding."""
         try:
             accepted = self._wallet.publish_revocation(revocation)
         except PublicationError:
             return False
-        self._drop(revocation.delegation_id)
+        self._entries.pop(revocation.delegation_id, None)
         return accepted
 
-    def apply_remote_renewal(self, old_id: str, renewal: Delegation,
-                             cancel_remote: Optional[Callable[[], None]]
-                             = None) -> bool:
+    def apply_remote_renewal(self, old_id: str,
+                             renewal: Delegation) -> bool:
         """Swap a cached delegation for its renewal (Section 3.2.2 over
-        the wire): the wallet validates the renewal relationship, the
-        cache entry is re-keyed, and the old upstream subscription is
-        torn down in favor of ``cancel_remote`` for the new id."""
+        the wire): the wallet validates the renewal relationship, and
+        the entry is re-keyed with the old id's holdings released."""
         entry = self._entries.get(old_id)
         try:
             self._wallet.publish_renewal(old_id, renewal)
         except PublicationError:
-            if cancel_remote is not None:
-                cancel_remote()
             return False
         if entry is not None:
             self._drop(old_id)
             now = self._wallet.clock.now()
-            self._entries[renewal.id] = CachedEntry(
-                delegation=renewal, home=entry.home, ttl=entry.ttl,
-                valid_until=(math.inf if entry.ttl <= 0
-                             else now + entry.ttl),
-                confirmations=entry.confirmations + 1,
-                cancel_remote=cancel_remote,
-            )
+            self._entries[renewal.id] = replace(
+                entry, delegation=renewal, held_at=set(),
+                valid_until=math.inf if entry.ttl <= 0 else now + entry.ttl,
+                confirmations=entry.confirmations + 1)
         return True
 
     def sweep(self) -> List[str]:
@@ -149,9 +155,9 @@ class CoherentCache:
         return evicted
 
     def _drop(self, delegation_id: str) -> None:
-        entry = self._entries.pop(delegation_id, None)
-        if entry is not None and entry.cancel_remote is not None:
-            entry.cancel_remote()
+        entry = self._entries.pop(delegation_id)
+        for home in sorted(entry.held_at):
+            self.release(home, delegation_id)
 
     # -- introspection ---------------------------------------------------------
 

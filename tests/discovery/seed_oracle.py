@@ -15,7 +15,8 @@ byte-identical to the ones this walk finds (``TestCoherence`` in
 ``test_gem.py`` and ``test_fastpath.py``), and
 ``benchmarks/bench_figure2_distributed.py`` prints the paper's step
 table from it.  It shares no logic with the engine beyond the wallet
-server's public query/subscribe client helpers.
+server's public query and subscribe helpers (a support link, which
+no cache entry guards, is subscribed to by a bare ``subscribe`` RPC).
 """
 
 from collections import deque
@@ -188,26 +189,23 @@ class _SeedWalk:
             self._harvest(delegation)
             if wallet.store.get_delegation(delegation.id) is not None:
                 continue
-            cancel = None
-            if self.subscribe:
-                try:
-                    cancel = server.remote_subscribe(home, delegation.id)
-                    stats.subscriptions_established += 1
-                except (RpcError, NetworkError):
-                    cancel = None
             try:
                 server.cache.insert(
                     delegation, proof.supports_for(delegation),
-                    home=home, ttl=self._ttl_for(delegation),
-                    cancel_remote=cancel)
+                    home=home, ttl=self._ttl_for(delegation))
                 stats.delegations_cached += 1
             except DRBACError:
                 # A remote wallet served material the local publication
                 # checks reject. Skip it -- a rogue or stale peer must
                 # not poison the trusted wallet or abort the search.
                 stats.delegations_rejected += 1
-                if cancel is not None:
-                    cancel()
+                continue
+            if self.subscribe:
+                try:
+                    server.remote_subscribe(home, delegation.id)
+                    stats.subscriptions_established += 1
+                except (RpcError, NetworkError):
+                    pass
         if self.subscribe:
             # Support delegations also gate the proof's validity;
             # monitor them at the source even though they live in the
@@ -218,7 +216,8 @@ class _SeedWalk:
                     continue
                 self._harvest(delegation)
                 try:
-                    server.remote_subscribe(home, delegation.id)
+                    server.rpc.call(home, "subscribe",
+                                    {"delegation_id": delegation.id})
                     stats.subscriptions_established += 1
                 except (RpcError, NetworkError):
                     pass

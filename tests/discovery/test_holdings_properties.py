@@ -147,6 +147,7 @@ class HoldingsMachine(RuleBasedStateMachine):
         self.world = WORLDS[kind]()
         self.history = []               # (clock, revocable index)
         self.cut = set()                # (src, dst) one-way cuts
+        self.ever_cut = False           # has any release been lost?
 
     def teardown(self):
         if self.world is not None:
@@ -252,6 +253,7 @@ class HoldingsMachine(RuleBasedStateMachine):
     def partition(self, origin, home, outbound):
         link = self._link(origin, home, outbound)
         self.cut.add(link)
+        self.ever_cut = True
         self.world.network.partition(*link, bidirectional=False)
 
     @precondition(lambda self: self.cut)
@@ -267,6 +269,7 @@ class HoldingsMachine(RuleBasedStateMachine):
         leases lapse while the origin cannot reach the home, so the
         home goes on believing the origin holds what it evicted."""
         link = self._link(origin, home, outbound=True)
+        self.ever_cut = True
         self.world.network.partition(*link, bidirectional=False)
         self.advance_and_sweep(TTL + 1.0)
         if link not in self.cut:
@@ -292,6 +295,21 @@ class HoldingsMachine(RuleBasedStateMachine):
         for address, home in self.world.homes.items():
             assert home.wallet.hub.total_subscriptions() \
                 - self.world.baseline[address] == home.holdings_count()
+
+    @invariant()
+    def every_holding_guards_a_recorded_copy(self):
+        """While no release or push has been lost to a cut link, what a
+        home holds for an origin is exactly a copy the origin keeps and
+        has that home recorded on: no holding outlives its copy."""
+        if self.world is None or self.ever_cut:
+            return
+        caches = {engine.server.address: engine.server.cache
+                  for engine in self.world.engines}
+        for address, home in self.world.homes.items():
+            for origin, held in home._holdings.items():
+                for delegation_id in held:
+                    entry = caches[origin].entry(delegation_id)
+                    assert entry is not None and address in entry.held_at
 
 
 HoldingsMachine.TestCase.settings = settings(

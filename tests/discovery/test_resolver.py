@@ -62,20 +62,35 @@ class TestRemoteQueries:
 
 class TestRemoteSubscriptions:
     def test_revocation_pushed_to_subscriber(self, deployment, org, alice):
-        _net, s1, s2, role = deployment
+        """One push carries the revocation, and ends the holding at
+        both ends: the home drops it, the subscriber drops its copy,
+        and nothing more crosses the wire."""
+        net, s1, s2, role = deployment
         d = s2.wallet.store.graph.out_edges(alice.entity)[0]
         # s1 caches the delegation and subscribes at w2.
-        cancel = s1.remote_subscribe("w2", d.id)
-        s1.cache.insert(d, (), home="w2", ttl=30.0, cancel_remote=cancel)
+        s1.cache.insert(d, (), home="w2", ttl=30.0)
+        assert s1.remote_subscribe("w2", d.id)
+        assert s1.cache.entry(d.id).held_at == {"w2"}
+        net.reset_counters()
         s2.wallet.revoke(org, d.id)
         assert s1.wallet.is_revoked(d.id)
         assert s2.events_pushed == 1
+        assert s2.holdings_count() == 0
+        assert d.id not in s1.cache
+        assert net.totals.messages == 1
 
     def test_unsubscribe_stops_pushes(self, deployment, org, alice):
-        _net, s1, s2, role = deployment
+        """A release is one notify naming the delegation, and the home
+        pushes nothing more for it."""
+        net, s1, s2, role = deployment
         d = s2.wallet.store.graph.out_edges(alice.entity)[0]
-        cancel = s1.remote_subscribe("w2", d.id)
-        cancel()
+        s1.cache.insert(d, (), home="w2", ttl=30.0)
+        s1.remote_subscribe("w2", d.id)
+        net.reset_counters()
+        s1.remote_unsubscribe("w2", d.id)
+        assert net.by_topic["notify:unsubscribe"].messages \
+            == net.totals.messages == 1
+        assert s2.holdings_count() == 0
         s2.wallet.revoke(org, d.id)
         assert not s1.wallet.is_revoked(d.id)
 
@@ -89,37 +104,36 @@ class TestRemoteSubscriptions:
 
     def test_unknown_ids_hold_nothing(self, deployment):
         """A home stores no subscription for an id it does not hold, so
-        a peer cannot grow its holdings by naming made-up ids, and the
-        cancel built from such a reply sends nothing."""
+        a peer cannot grow its holdings by naming made-up ids, and a
+        subscriber records nothing for such a reply."""
         net, s1, s2, _role = deployment
         for n in range(5_000):
             reply = s1.rpc.call("w2", "subscribe",
                                 {"delegation_id": f"ghost{n}"})
-            assert "subscription" not in reply
+            assert reply == {"known": False, "revoked": False}
         assert s2.holdings_count() == 0
         assert s2.wallet.hub.subscriber_count("ghost0") == 0
-        cancel = s1.remote_subscribe("w2", "ghost0")
         net.reset_counters()
-        cancel()
-        assert net.totals.messages == 0
+        assert s1.remote_subscribe("w2", "ghost0") is False
+        assert net.totals.messages == 2
 
     def test_subscribe_is_idempotent_per_peer(self, deployment, org, alice):
         """One (peer, delegation) pair is one subscription however often
-        it is asked for: the same token comes back, one revocation is
-        one push, and a second peer gets a token of its own."""
+        it is asked for: one revocation is one push, and a second peer
+        gets a holding of its own."""
         net, s1, s2, _role = deployment
         d = s2.wallet.store.graph.out_edges(alice.entity)[0]
         first = s1.rpc.call("w2", "subscribe", {"delegation_id": d.id})
         again = s1.rpc.call("w2", "subscribe", {"delegation_id": d.id})
-        other = RpcNode(net, "w3").call("w2", "subscribe",
-                                        {"delegation_id": d.id})
-        assert again["subscription"] == first["subscription"]
-        assert other["subscription"] != first["subscription"]
-        assert s2.holdings_count() == 2
+        RpcNode(net, "w3").call("w2", "subscribe", {"delegation_id": d.id})
+        assert first == again == {"known": True, "revoked": False}
+        assert {peer: set(held) for peer, held in s2._holdings.items()} \
+            == {"w1": {d.id}, "w3": {d.id}}
         assert s2.wallet.hub.subscriber_count(d.id) == 2
         s2.wallet.revoke(org, d.id)
         assert net.by_link_topic[
             ("w2", "w1", "notify:delegation_event")].messages == 1
+        assert s2.holdings_count() == 0
 
     def test_subscriber_is_the_transport_source(self, deployment, org,
                                                 alice):
@@ -141,35 +155,33 @@ class TestRemoteSubscriptions:
             not in net.by_link_topic
 
     def test_only_the_holder_can_unsubscribe(self):
-        """Tokens are guessable (``<home>/sub/N``); knowing a victim's
-        must not be enough to switch its revocation push off."""
+        """A holding is named by (peer, delegation id), and the peer is
+        the transport source: naming a victim's delegation ids must not
+        be enough to switch its revocation push off."""
         fed = build_distributed_federation(domains=6, users_per_domain=1,
                                            seed=7)
         assert fed.authorize(5, 0, 0) is not None
         home = fed.domains[3].home
-        tokens = [token for token, _sub in
-                  home._holdings["server.d0.example"].values()]
-        assert tokens
+        victim = fed.domains[0].server
+        held = set(home._holdings[victim.address])
+        assert held
         mallory = RpcNode(fed.network, "mallory.example")
-        for token in tokens:
-            assert mallory.call(home.address, "unsubscribe",
-                                {"subscription": token}) is False
+        for delegation_id in held:
+            mallory.notify(home.address, "unsubscribe",
+                           {"delegation_id": delegation_id})
+        assert set(home._holdings[victim.address]) == held
         fed.network.reset_counters()
         home.wallet.revoke(fed.domains[2].principal,
                            fed.domains[2].bridge.id)
         assert fed.network.by_topic[
             "notify:delegation_event"].messages == 1
         assert fed.authorize(5, 0, 0) is None
-        # The holder's own token still works, once.
-        victim = fed.domains[0].server
-        kept = [t for t, _sub in
-                home._holdings[victim.address].values()]
-        for token in kept:
-            unsubscribe = {"subscription": token}
-            assert victim.rpc.call(home.address, "unsubscribe",
-                                   unsubscribe) is True
-            assert victim.rpc.call(home.address, "unsubscribe",
-                                   unsubscribe) is False
+        # The holder's own release still works, once.
+        for delegation_id in set(home._holdings[victim.address]):
+            victim.remote_unsubscribe(home.address, delegation_id)
+            assert delegation_id not in home._holdings.get(
+                victim.address, {})
+            victim.remote_unsubscribe(home.address, delegation_id)
         assert home.holdings_count() == 0
 
 

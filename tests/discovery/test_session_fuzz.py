@@ -17,6 +17,10 @@ lying or broken home could: truncate a chain, give a ref the wrong
 length, splice in a record or a chain from another proof, flip an
 entry's type, or name endpoints.
 
+An answer's ``subs`` -- the ids the home now holds for the origin --
+is a list of 32-byte ids. Anything else drops the whole answer, counted
+in ``answers_dropped``, before any of it is applied.
+
 A closure ships as a tree (``{"parent": i, "chain": [link]}`` for a
 proof grown from an earlier record of its answer). Its fuzzer gives a
 grown record a parent that is later or itself, out of range, not an
@@ -40,6 +44,7 @@ from repro.crypto.encoding import canonical_decode, canonical_encode
 from repro.discovery import wire
 from repro.wallet.wallet import Wallet
 from repro.workloads import build_case_study, topology
+from repro.workloads.scenarios import deploy_coalition
 
 
 def _valid_answers():
@@ -470,3 +475,58 @@ def test_a_looping_answer_decodes_to_bounded_chains():
             decoded.append(None)
     assert decoded[1].chain == (there, back)
     assert decoded[2:] == [None] * 198
+
+
+# -- an answer's ``subs`` ----------------------------------------------------
+
+
+@pytest.mark.parametrize("subs", [
+    None, 5, _A_REF, {}, {_A_REF.hex(): "wallet.d1.example/sub/0"},
+    [_A_REF.hex()], [_A_REF[:31]], [_A_REF + b"\0"], [[_A_REF]],
+    [_A_REF, None]],
+    ids=["missing", "int", "bare-ref", "empty-map", "token-map", "str-id",
+         "ref-31", "ref-33", "nested", "ref-then-none"])
+def test_misshapen_subs_raise_the_typed_error(subs):
+    with pytest.raises(DiscoveryError):
+        wire.ids_from_wire(subs)
+
+
+@settings(deadline=None)
+@given(st.lists(st.binary(min_size=32, max_size=32)), st.booleans())
+def test_subs_round_trip(raw, via_bytes):
+    ids = [entry.hex() for entry in raw]
+    data = wire.ids_to_wire(ids)
+    if via_bytes:
+        data = canonical_decode(canonical_encode(data))
+    assert wire.ids_from_wire(data) == ids
+
+
+RING = topology.make_ring_coalition(3, seed=53)
+
+
+def test_an_answer_with_misshapen_subs_is_dropped_whole():
+    """Every answer arrives with its ``subs`` in the retired token form:
+    each is dropped before anything of it is inserted, cached or
+    settled, and the search ends empty without raising. Once answers
+    are well formed again the proof is found -- the homes' refs to
+    what they believe the origin holds are fetched back."""
+    dep = deploy_coalition(RING)
+    server, engine = dep.server, dep.engine
+    sink = server.gem_answer_sink
+
+    def token_subs(src, params):
+        sink(src, dict(params, subs={
+            entry.hex(): f"{src}/sub/0" for entry in params["subs"]}))
+
+    try:
+        server.gem_answer_sink = token_subs
+        assert dep.authorize() is None
+        info = engine.gem_info()
+        assert info["answers_dropped"] == info["evals_issued"] > 0
+        assert info["answers_received"] == 0
+        assert len(server.cache) == len(engine.result_cache) == 0
+        server.gem_answer_sink = sink
+        assert dep.authorize() is not None
+        assert engine.gem_info()["refs_refetched"] > 0
+    finally:
+        dep.close()

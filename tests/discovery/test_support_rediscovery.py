@@ -116,9 +116,8 @@ class TestBestEffortPush:
         client = WalletServer(network,
                               Wallet(owner=org, address="client",
                                      clock=clock), principal=org)
-        cancel = client.remote_subscribe("home", d.id)
-        client.cache.insert(d, (), home="home", ttl=30.0,
-                            cancel_remote=cancel)
+        client.cache.insert(d, (), home="home", ttl=30.0)
+        assert client.remote_subscribe("home", d.id)
         network.partition("home", "client", bidirectional=False)
         # The revocation must succeed at home despite the dead push.
         home.wallet.revoke(org, d.id)

@@ -110,3 +110,49 @@ class TestRenewalPropagation:
         # push + get_delegation round trip + new subscribe round trip
         # (bounded, independent of wallet sizes).
         assert _net.totals.messages <= 7
+
+    def test_renewal_moves_the_holding_to_the_new_id(self, deployment,
+                                                     org):
+        """The re-key releases the old id at home and holds the new one:
+        one holding before, one after, each recorded at both ends."""
+        _net, home, client, d, _role, _proof = deployment
+        assert set(home._holdings["client"]) == {d.id}
+        renewed = renew(org, d, new_expiry=500.0)
+        home.wallet.publish_renewal(d.id, renewed)
+        assert set(home._holdings["client"]) == {renewed.id}
+        assert client.cache.entry(renewed.id).held_at == {"home"}
+        assert d.id not in client.cache
+
+
+class TestRenewalBoundary:
+    """The fetched renewal is untrusted input: what comes back is
+    decoded inside the fetch's catch, and must be the credential the
+    UPDATED event named."""
+
+    @pytest.mark.parametrize("record", [
+        None, 5, "x", {"supports": []}, {"delegation": {"subject": 5}},
+        "another-credential"])
+    def test_a_bad_fetch_changes_nothing(self, deployment, org, alice,
+                                         record):
+        network, home, client, d, role, _proof = deployment
+        if record == "another-credential":
+            other = issue(org, alice.entity, Role(org.entity, "other"))
+            record = {"delegation": other.to_dict(), "supports": []}
+        served = network._handlers["home"]
+
+        def lying_home(src, topic, payload):
+            if topic == "rpc:get_delegation":
+                return {"error": None, "result": record}
+            return served(src, topic, payload)
+
+        network._handlers["home"] = lying_home
+        entry = client.cache.entry(d.id)
+        network.reset_counters()
+        home.wallet.publish_renewal(d.id, renew(org, d, new_expiry=500.0))
+        assert client.cache.entry(d.id) is entry
+        assert entry.held_at == {"home"}
+        assert client.cache.ids() == [d.id]
+        assert set(home._holdings["client"]) == {d.id}
+        assert set(network.by_topic) == {"notify:delegation_event",
+                                         "rpc:get_delegation",
+                                         "rpc-reply:get_delegation"}

@@ -103,15 +103,7 @@ class TestLatency:
         network.register("x", lambda *args: None)
         network.send("y", "x", "t", {})
         assert network.total_latency == 2.0
-        assert clock.now() == 0.0  # auto_advance off
-
-    def test_auto_advance(self):
-        clock = SimClock()
-        network = Network(clock=clock, default_latency=2.0,
-                          auto_advance=True)
-        network.register("x", lambda *args: None)
-        network.send("y", "x", "t", {})
-        assert clock.now() == 2.0
+        assert clock.now() == 0.0  # latency never moves the clock
 
     def test_per_link_override(self):
         network = Network(default_latency=1.0)

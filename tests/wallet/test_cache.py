@@ -65,23 +65,38 @@ class TestLeases:
         assert d.id not in cache
 
     def test_sweep_cancels_remote_subscription(self, setup, clock):
+        """A lapsed copy releases its holding at every home recorded on
+        it, once each; a holding with no copy to guard is released at
+        once."""
         wallet, cache, d = setup
-        cancelled = []
-        cache.insert(d, (), home="remote", ttl=5.0,
-                     cancel_remote=lambda: cancelled.append(True))
+        released = []
+        cache.release = lambda home, delegation_id: released.append(
+            (home, delegation_id))
+        cache.insert(d, (), home="remote", ttl=5.0)
+        cache.hold("remote", d.id)
+        cache.hold("proxy", d.id)
+        cache.hold("remote", d.id)
+        cache.hold("remote", "gone")
+        assert released == [("remote", "gone")]
         clock.advance(6.0)
         cache.sweep()
-        assert cancelled == [True]
+        assert released[1:] == [("proxy", d.id), ("remote", d.id)]
 
 
 class TestRemoteRevocation:
     def test_applies_signed_revocation(self, setup, org):
+        """The copy goes without a release: each home drops its holding
+        once it has pushed the revocation."""
         wallet, cache, d = setup
+        released = []
+        cache.release = lambda *holding: released.append(holding)
         cache.insert(d, (), home="remote", ttl=30.0)
+        cache.hold("remote", d.id)
         revocation = revoke(org, d, revoked_at=1.0)
         assert cache.apply_remote_revocation(revocation)
         assert wallet.is_revoked(d.id)
         assert d.id not in cache
+        assert released == []
 
     def test_forged_revocation_rejected(self, setup, bob):
         wallet, cache, d = setup
