@@ -304,6 +304,3 @@ class KeyNoteSystem:
                     truth[assertion.authorizer] = True
                     changed = True
         return truth[POLICY]
-
-    def assertion_count(self) -> int:
-        return len(self._assertions)

@@ -80,10 +80,6 @@ class RT0System:
         self._by_head.setdefault(credential.head, []).append(credential)
         self.names_created.add(credential.head)
 
-    def add_all(self, credentials) -> None:
-        for credential in credentials:
-            self.add(credential)
-
     # -- membership ------------------------------------------------------
 
     def members(self, role: RoleRef) -> Set[str]:
@@ -229,6 +225,3 @@ class RT0System:
     def namespace_size(self, authority: str) -> int:
         return sum(1 for head in self.names_created
                    if head[0] == authority)
-
-    def total_credentials(self) -> int:
-        return len(self._credentials)

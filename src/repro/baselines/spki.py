@@ -189,6 +189,3 @@ class SPKISystem:
         """Distinct names defined in ``key``'s namespace."""
         return sum(1 for issuer, _name in self.names_created
                    if issuer == key)
-
-    def total_certs(self) -> int:
-        return len(self._certs)
