@@ -430,6 +430,14 @@ def check_link(delegation: Delegation, at: float,
     (Section 3.2.1). The message names the rule, not the delegation."""
     if not delegation.verify_signature():
         raise SignatureInvalidError("signature does not verify")
+    check_link_terms(delegation, at, is_revoked)
+
+
+def check_link_terms(delegation: Delegation, at: float,
+                     is_revoked: Callable[[str], bool]) -> None:
+    """:func:`check_link` without the signature: raise
+    :class:`ProofError` unless ``delegation`` is live at ``at`` and sets
+    only attributes of its object's namespace."""
     if delegation.is_expired(at):
         raise ExpiredError(f"expired at {delegation.expiry}")
     if is_revoked(delegation.id):

@@ -16,16 +16,19 @@ goal is "everything home H stores from (or towards) node N"; the origin
 sends each goal to its home at most once per search as a one-way
 ``gem_eval``, the home answers with one ``gem_answers`` push carrying
 its local closure, and the origin derives the next goals itself from
-the discovery tags of the credentials it has just verified. Because the
+the discovery tags of the credentials it has just received. Because the
 origin dedups goals against the search's issued-set, mutually recursive
 cross-home delegations terminate with a message count that does not
 grow with the number of times a cycle would be revisited.
 
-Every remotely fetched delegation is inserted into the local wallet
-through the coherent cache's publication checks (signature, supports,
-expiry), and -- matching Step 5 of the case study -- a validation
-subscription for each one is established at its source, so a
-revocation there is pushed here.
+An answer is *staged*, then *committed*. Staging checks everything but
+signatures and routes the next goals; a commit -- once the subject
+reaches the object over the wallet's and the staged links, or when the
+queue drains -- checks every staged signature in one batch and inserts
+each remotely fetched delegation into the local wallet through the
+coherent cache's publication checks (signature, supports, expiry).
+Matching Step 5 of the case study, a validation subscription for each
+one is established at its source, so a revocation there is pushed here.
 
 Store-only flags ('s'/'o') differ from search flags ('S'/'O') only in
 the *guarantee*: both cause the home wallet to be queried, but only the
@@ -64,6 +67,7 @@ from repro.core.delegation import Delegation, prefetch_signatures
 from repro.core.errors import DiscoveryError, DRBACError
 from repro.core.proof import (
     Proof,
+    check_link_terms,
     closure_delegations,
     closure_links,
     find_support,
@@ -178,6 +182,7 @@ class _Search:
     obj: Role
     constraints: Tuple[Constraint, ...]
     bases: Optional[Mapping[AttributeRef, float]]
+    hints: Mapping[tuple, DiscoveryTag]
     tags: Dict[tuple, DiscoveryTag]
     stats: DiscoveryStats
     budget: int
@@ -199,6 +204,15 @@ class _Search:
     # Certificates received in full this search (resolves the refs a
     # home sends for anything it already shipped).
     received: Dict[str, Delegation] = field(default_factory=dict)
+    # Answers staged since the last commit, in arrival order, and the
+    # links they stage that the wallet does not hold: by id, and as
+    # node-key edges for the reachability gate.
+    staged: List[_Answer] = field(default_factory=list)
+    staged_ids: Set[str] = field(default_factory=set)
+    staged_edges: Dict[tuple, List[tuple]] = field(default_factory=dict)
+    # The checked closures followed so far: (home, direction, proofs,
+    # depth), committed answers' and result-cache hits'.
+    followed: List[tuple] = field(default_factory=list)
 
 
 class DiscoveryEngine:
@@ -237,6 +251,9 @@ class DiscoveryEngine:
         self._searches: Dict[str, _Search] = {}
         self.gem_stats = server.gem_stats
         server.gem_answer_sink = self._on_gem_answers
+        # A revocation pushed before its staged copy is committed is
+        # checked against the copy the search received.
+        server.cache.received = self._received
         # Distributed discovery falls back through this hook from
         # Wallet.authorize when the local graph has no proof, so one
         # authorization yields one connected span tree.
@@ -329,9 +346,8 @@ class DiscoveryEngine:
                   hints: Optional[Mapping[tuple, DiscoveryTag]],
                   budget: int, stats: DiscoveryStats) -> Optional[Proof]:
         wallet = self.server.wallet
-        tags: Dict[tuple, DiscoveryTag] = dict(hints or {})
-        for delegation in wallet.store.delegations():
-            self._harvest_tags(delegation, tags)
+        hints = hints or {}
+        tags = self._wallet_tags(hints)
 
         proof = wallet.query_direct(subject, obj, constraints=constraints,
                                     bases=bases)
@@ -342,7 +358,7 @@ class DiscoveryEngine:
         search = _Search(
             root_id=f"{self.server.address}#gem{next(self._root_ids)}",
             subject=subject, obj=obj, constraints=constraints,
-            bases=bases, tags=tags, stats=stats, budget=budget,
+            bases=bases, hints=hints, tags=tags, stats=stats, budget=budget,
             key_suffix=(constraints_cache_key(constraints),
                         bases_cache_key(bases)))
         self._searches[search.root_id] = search
@@ -402,57 +418,69 @@ class DiscoveryEngine:
     def _pump(self, search: _Search) -> Optional[Proof]:
         """Send queued goals until the proof exists, the queue drains or
         the budget is spent. Answers arrive synchronously on this
-        simulated transport, so each send is followed by absorbing
+        simulated transport, so each send is followed by staging
         whatever landed; a real deployment would block on the answer
         stream instead -- the control flow is the same because each
-        goal begets exactly one answer."""
+        goal begets exactly one answer.
+
+        A staged answer routes goals at once, but enters the wallet only
+        at a commit: when the subject reaches the object over the
+        wallet's links and the staged ones, and when the queue drains.
+        Each commit checks every staged signature together."""
         stats = search.stats
         now = self.server.wallet.clock.now()
-        while search.queue and search.budget > 0:
-            home, direction, node, depth = search.queue.popleft()
-            goal: GoalKey = (direction, subject_key(node))
-            if (home, goal) in search.covered:
-                continue
-            key = self._cache_key(home, goal, search)
-            if self._serve_from_cache(search, key, home, goal, depth,
-                                      now):
-                continue
-            search.budget -= 1
-            stats.rounds += 1
-            if direction == "fwd":
-                stats.remote_subject_queries += 1
-            else:
-                stats.remote_object_queries += 1
-            stats.wallets_contacted.add(home)
-            self.gem_stats.c_evals_issued.inc()
-            search.pending[(home, goal)] = depth
-            try:
-                with obs.span("discovery.gem_eval", home=home,
-                              root=search.root_id):
-                    self.server.remote_gem_eval(
-                        home, search.root_id, direction, node,
-                        constraints=search.constraints,
-                        bases=search.bases)
-            except (RpcError, NetworkError, DiscoveryError):
-                # Unreachable home: a clean miss, negative-cached so
-                # the next ``negative_ttl`` seconds don't retry the
-                # dead link. Heals by TTL lapse.
-                del search.pending[(home, goal)]
-                self.result_cache.store(key, (), now, self.negative_ttl)
-                continue
-            while search.answers:
-                cached_before = stats.delegations_cached
-                answer = search.answers.popleft()
-                if answer.missing:
-                    self._refetch(search, answer)
-                self._absorb(search, answer, now)
-                if stats.delegations_cached > cached_before:
-                    proof = self.server.wallet.query_direct(
-                        search.subject, search.obj,
-                        constraints=search.constraints, bases=search.bases)
-                    if proof is not None:
-                        return proof
-        return None
+        while True:
+            while search.queue and search.budget > 0:
+                home, direction, node, depth = search.queue.popleft()
+                goal: GoalKey = (direction, subject_key(node))
+                if (home, goal) in search.covered:
+                    continue
+                key = self._cache_key(home, goal, search)
+                if self._serve_from_cache(search, key, home, goal, depth,
+                                          now):
+                    continue
+                search.budget -= 1
+                stats.rounds += 1
+                if direction == "fwd":
+                    stats.remote_subject_queries += 1
+                else:
+                    stats.remote_object_queries += 1
+                stats.wallets_contacted.add(home)
+                self.gem_stats.c_evals_issued.inc()
+                search.pending[(home, goal)] = depth
+                try:
+                    with obs.span("discovery.gem_eval", home=home,
+                                  root=search.root_id):
+                        self.server.remote_gem_eval(
+                            home, search.root_id, direction, node,
+                            constraints=search.constraints,
+                            bases=search.bases)
+                except (RpcError, NetworkError, DiscoveryError):
+                    # Unreachable home: a clean miss, negative-cached so
+                    # the next ``negative_ttl`` seconds don't retry the
+                    # dead link. Heals by TTL lapse.
+                    del search.pending[(home, goal)]
+                    self.result_cache.store(key, (), now, self.negative_ttl)
+                    continue
+                while search.answers:
+                    answer = search.answers.popleft()
+                    if answer.missing:
+                        self._refetch(search, answer)
+                    if self._stage(search, answer, now) \
+                            and self._reaches(search) \
+                            and self._commit(search, now):
+                        proof = self.server.wallet.query_direct(
+                            search.subject, search.obj,
+                            constraints=search.constraints,
+                            bases=search.bases)
+                        if proof is not None:
+                            return proof
+            # Drained (or out of budget) short of the object: what is
+            # staged still enters the wallet, and no proof can come of
+            # it -- but a refused credential may route goals again.
+            self._commit(search, now)
+            if not search.queue or search.budget <= 0:
+                return None
 
     @staticmethod
     def _cache_key(home: str, goal: GoalKey, search: _Search) -> tuple:
@@ -482,20 +510,28 @@ class DiscoveryEngine:
         if not proofs:
             stats.cache_negative_hits += 1
         self._follow(search, home, goal[0], proofs, depth)
+        search.followed.append((home, goal[0], proofs, depth))
         return True
 
     def _follow(self, search: _Search, home: str, direction: str,
-                proofs: Iterable[Proof], depth: int) -> None:
+                proofs: Iterable[Proof], depth: int,
+                count_loops: bool = True) -> None:
         """Queue the goals a home's closure continues into: each proof's
         head (its object going forward, its subject in reverse), homed
-        by the tags of verified credentials only.
+        by the tags of the wallet's credentials and of staged ones. A
+        staged credential's tag routes before its signature is checked:
+        it is a hint (Section 4.2), the host-authority check and the
+        goal budget still apply, and nothing the goal brings back enters
+        the wallet unchecked. A cached closure's proofs are all held.
 
         A head stored at the answering home itself continues nowhere:
         the closure is transitive, so it already holds every link that
         home has from there, and a goal still queued for that head is
         covered too. Not so under constraints -- a shorter chain from
         the head may pass where the one through this goal's node did
-        not -- so then every head is asked."""
+        not -- so then every head is asked. ``count_loops`` is False when
+        closures already followed are followed again (see ``_reroute``):
+        a head issued then is no coalition-wide loop."""
         covers = not search.constraints
         for proof in proofs:
             head = proof.obj if direction == "fwd" else proof.subject
@@ -503,7 +539,8 @@ class DiscoveryEngine:
             if covers and tag is not None and tag.home == home:
                 search.covered.add((home, (direction, subject_key(head))))
                 continue
-            if self._enqueue(search, head, direction, depth + 1):
+            if self._enqueue(search, head, direction, depth + 1) \
+                    and count_loops:
                 self.gem_stats.c_loops_detected.inc()
 
     def _on_gem_answers(self, src: str, params: dict) -> None:
@@ -534,10 +571,10 @@ class DiscoveryEngine:
             # A second push for a goal ``src`` was asked lists the
             # accepted push's ids. Any other records no holding: each id
             # goes back to ``src`` unless its copy already counts on it.
+            cache = self.server.cache
             for delegation_id in () if asked else subs:
-                entry = self.server.cache.entry(delegation_id)
-                if entry is None or src not in entry.held_at:
-                    self.server.cache.release(src, delegation_id)
+                if not cache.holds(src, delegation_id):
+                    cache.release(src, delegation_id)
             return
         self.gem_stats.c_answers_received.inc()
         received = search.received
@@ -566,12 +603,20 @@ class DiscoveryEngine:
             self._decode(search, answer)
         search.answers.append(answer)
 
+    def _received(self, delegation_id: str) -> Optional[Delegation]:
+        """A copy of ``delegation_id`` a live search received, if any."""
+        for search in self._searches.values():
+            delegation = search.received.get(delegation_id)
+            if delegation is not None:
+                return delegation
+        return None
+
     def _decode(self, search: _Search, answer: _Answer) -> None:
         """Materialize an answer's proofs, resolving refs against what
         this search received in full and then the wallet. A proof with
         a ref neither knows (or one that is malformed) is dropped, and
         so is every record grown from it, which leaves the answer
-        incomplete: see ``_absorb``."""
+        incomplete: see ``_commit``."""
         received = search.received
         store = self.server.wallet.store
 
@@ -627,24 +672,142 @@ class DiscoveryEngine:
             self.gem_stats.c_refs_refetched.inc()
         self._decode(search, answer)
 
-    def _absorb(self, search: _Search, answer: _Answer,
-                now: float) -> None:
-        """Absorb one accepted answer: insert its credentials, remember
-        the (home, goal) closure in the result cache, and queue the
-        goals it continues into."""
-        home, proofs = answer.home, answer.proofs
-        verified = self._insert(proofs, home, answer.subs, search.tags,
-                                search.stats, now)
-        # A closure with rejected links or dropped proofs (a ref left
-        # unresolved) is not the home's real answer: it may not be
-        # served to a later search.
-        if len(verified) == len(answer.payloads):
-            ttl = self._result_ttl(proofs) if proofs else self.negative_ttl
-            self.result_cache.store(
-                self._cache_key(home, answer.goal, search),
-                tuple(proofs), now, ttl,
-                delegation_ids=[d.id for d in closure_delegations(proofs)])
-        self._follow(search, home, answer.goal[0], verified, answer.depth)
+    def _stage(self, search: _Search, answer: _Answer,
+               now: float) -> bool:
+        """Stage one accepted answer: check each proof's links for
+        everything but their signatures, follow the heads of the proofs
+        that pass -- routed by their tags, a hint until the commit
+        checks the signatures -- and keep the answer for the commit.
+        True when it staged a link neither the wallet nor this search
+        held."""
+        store = self.server.wallet.store
+        new = False
+        failed: Set[str] = set()
+        passed: List[Proof] = []
+        # A proof grown from one that passed adds one link to check.
+        passed_ids: Set[int] = set()
+        for proof in answer.proofs:
+            grown = proof.parent is not None \
+                and id(proof.parent) in passed_ids
+            for delegation in (proof.grown_link(),) if grown \
+                    else proof.chain:
+                if delegation.id in failed:
+                    break
+                if delegation.id in search.staged_ids:
+                    continue
+                if store.get_delegation(delegation.id) is not None:
+                    if self._dead(delegation, now):
+                        failed.add(delegation.id)
+                        break
+                    continue
+                if not self._admissible(
+                        delegation, proof.supports_for(delegation), now):
+                    failed.add(delegation.id)
+                    break
+                new = True
+                search.staged_ids.add(delegation.id)
+                search.staged_edges.setdefault(
+                    delegation.subject_node, []).append(
+                        delegation.object_node)
+            else:
+                passed.append(proof)
+                passed_ids.add(id(proof))
+                for delegation in proof.grown_delegations() if grown \
+                        else proof.all_delegations():
+                    self._harvest_tags(delegation, search.tags)
+        search.staged.append(answer)
+        self._follow(search, answer.home, answer.goal[0], passed,
+                     answer.depth)
+        return new
+
+    def _admissible(self, delegation: Delegation,
+                    supports: Tuple[Proof, ...], now: float) -> bool:
+        """The publication checks a staged link can pass before its
+        signature is checked: live, in its object's namespace, and with
+        a support proof claimed for each role it requires."""
+        try:
+            check_link_terms(delegation, now,
+                             self.server.wallet.store.is_revoked)
+        except DRBACError:
+            return False
+        return all(find_support(supports, delegation.issuer, role)
+                   is not None for role in delegation.required_supports())
+
+    def _reaches(self, search: _Search) -> bool:
+        """Does the subject reach the object over the wallet's links and
+        the staged ones? Node keys only -- no attributes, supports or
+        time -- so a proof needs it: the gate a commit waits for."""
+        out_edges = self.server.wallet.store.graph.out_edges_by_node
+        staged = search.staged_edges
+        target = subject_key(search.obj)
+        seen = {subject_key(search.subject)}
+        stack = list(seen)
+        while stack:
+            node = stack.pop()
+            for step in itertools.chain(
+                    (d.object_node for d in out_edges(node)),
+                    staged.get(node, ())):
+                if step == target:
+                    return True
+                if step not in seen:
+                    seen.add(step)
+                    stack.append(step)
+        return False
+
+    def _commit(self, search: _Search, now: float) -> bool:
+        """Admit the staged answers: one batch for every signature they
+        carry that the wallet has not admitted yet, then -- answer by
+        answer, in arrival order -- their credentials through the
+        coherent cache's publication checks, the (home, goal) closure
+        into the result cache, and the holdings. A staged link refused
+        here re-routes the search (``_reroute``). True when a credential
+        entered the wallet."""
+        answers, search.staged = search.staged, []
+        staged, search.staged_ids = search.staged_ids, set()
+        search.staged_edges.clear()
+        store = self.server.wallet.store
+        # A failure is rejected by the insert, with its accounting.
+        prefetch_signatures(
+            delegation for answer in answers
+            for delegation in closure_delegations(answer.proofs)
+            if store.get_delegation(delegation.id) is None)
+        stats = search.stats
+        cached_before = stats.delegations_cached
+        refused = False
+        for answer in answers:
+            home, proofs = answer.home, answer.proofs
+            verified, rejected = self._insert(proofs, home, answer.subs,
+                                              stats, now)
+            refused = refused or not staged.isdisjoint(rejected)
+            search.followed.append((home, answer.goal[0], verified,
+                                    answer.depth))
+            # A closure with rejected links or dropped proofs (a ref left
+            # unresolved) is not the home's real answer: it may not be
+            # served to a later search.
+            if len(verified) == len(answer.payloads):
+                ttl = self._result_ttl(proofs) if proofs \
+                    else self.negative_ttl
+                self.result_cache.store(
+                    self._cache_key(home, answer.goal, search),
+                    tuple(proofs), now, ttl,
+                    delegation_ids=[d.id
+                                    for d in closure_delegations(proofs)])
+        if refused:
+            self._reroute(search)
+        return stats.delegations_cached > cached_before
+
+    def _reroute(self, search: _Search) -> None:
+        """A staged link the commit refused routed goals by tags its
+        signature may not back. Withdraw every staged tag -- the
+        search's tags are the wallet's again -- and follow each checked
+        closure anew, so a forged tag harvested first cannot keep a
+        genuine one for the same node from routing its goal, nor mark
+        that goal covered. Goals already sent stay sent."""
+        search.tags = self._wallet_tags(search.hints)
+        search.covered.clear()
+        for home, direction, proofs, depth in search.followed:
+            self._follow(search, home, direction, proofs, depth,
+                         count_loops=False)
 
     def _dead(self, delegation: Delegation, now: float) -> bool:
         """``check_link``'s time-varying half, for a link the wallet
@@ -658,27 +821,23 @@ class DiscoveryEngine:
         delegation it contains (Section 4.2.1 trust window)."""
         return min(self._ttl_for(d) for d in closure_links(proofs))
 
-    def _insert(self, proofs: List[Proof], home: str,
-                subs: List[str], tags: Dict[tuple, DiscoveryTag],
-                stats: DiscoveryStats, now: float) -> List[Proof]:
+    def _insert(self, proofs: List[Proof], home: str, subs: List[str],
+                stats: DiscoveryStats, now: float
+                ) -> Tuple[List[Proof], Set[str]]:
         """Insert a closure's chain links through the coherent cache's
         publication checks, then settle the validation subscriptions
         the home established when it shipped them (``subs``). A link
         the wallet already holds is not inserted again, but counts
         only while it is live: a home may still serve what is revoked
         or expired here. Returns the proofs whose every chain link is
-        now live in the local wallet; only their tags are harvested."""
+        now live in the local wallet, and the ids of the links refused."""
         stats.subscriptions_established += len(subs)
         cache = self.server.cache
         store = self.server.wallet.store
-        # One batch for every signature this wallet has not admitted yet;
-        # a failure is rejected by the insert below, with its accounting.
-        prefetch_signatures(
-            delegation for delegation in closure_delegations(proofs)
-            if store.get_delegation(delegation.id) is None)
         rejected: Set[str] = set()
-        # The delegations inside the support proofs of accepted links.
-        supported: Set[str] = set()
+        # The links accepted here: kept copies, whose stored support
+        # proofs may need what the home holds.
+        kept: Set[str] = set()
         verified: List[Proof] = []
         # A proof grown from one verified here adds one link to check.
         verified_ids: Set[int] = set()
@@ -708,21 +867,25 @@ class DiscoveryEngine:
                     stats.delegations_rejected += 1
                     rejected.add(delegation.id)
                     break
-                for support in proof.supports_for(delegation):
-                    supported.update(d.id for d in support.all_delegations())
+                kept.add(delegation.id)
             else:
                 verified.append(proof)
                 verified_ids.add(id(proof))
-                for delegation in proof.grown_delegations() if grown \
-                        else proof.all_delegations():
-                    self._harvest_tags(delegation, tags)
         # Record each id the home now holds for this origin on the copy
-        # it guards; with no copy kept, release it -- unless it is in a
-        # kept copy's support proofs, which stay held.
+        # it guards, or on the kept copies whose stored support proofs
+        # it is a link of; with neither, release it.
+        users: Dict[str, List[str]] = {}
+        for copy in kept:
+            if copy in cache:
+                for support in store.supports_for(copy):
+                    for delegation in support.all_delegations():
+                        users.setdefault(delegation.id, []).append(copy)
         for delegation_id in subs:
-            if delegation_id in cache or delegation_id not in supported:
+            if delegation_id in cache or delegation_id not in users:
                 cache.hold(home, delegation_id)
-        return verified
+            else:
+                cache.hold_support(home, delegation_id, users[delegation_id])
+        return verified, rejected
 
     # ------------------------------------------------------------------
 
@@ -803,6 +966,15 @@ class DiscoveryEngine:
             if tag is not None and tag.ttl > 0
         ]
         return min(ttls) if ttls else self.default_ttl
+
+    def _wallet_tags(self, hints: Mapping[tuple, DiscoveryTag]
+                     ) -> Dict[tuple, DiscoveryTag]:
+        """``hints``, then the tags of every credential the wallet
+        holds: what routes a search's goals before any answer."""
+        tags = dict(hints)
+        for delegation in self.server.wallet.store.delegations():
+            self._harvest_tags(delegation, tags)
+        return tags
 
     @staticmethod
     def _harvest_tags(delegation: Delegation,

@@ -192,21 +192,25 @@ class Wallet:
     # Revocation (Section 4.2.2)
     # ------------------------------------------------------------------
 
-    def publish_revocation(self, revocation: Revocation) -> bool:
+    def publish_revocation(self, revocation: Revocation,
+                           received: Optional[Delegation] = None) -> bool:
         """Accept a signed revocation and push it to subscribers.
 
         The revocation must verify against the wallet's own copy of the
         delegation -- the stored one, else a link of a stored support
-        proof -- so only that delegation's issuer can revoke it here. One
-        for a delegation the wallet holds no copy of is refused: its
-        signature alone cannot show the signer issued the delegation, and
-        accepting it would let anyone pre-censor any credential id. One
-        for an id already revoked here answers False before any signature
-        check: a replay changes nothing.
+        proof, else ``received``, a copy on its way in whose insert the
+        revocation then refuses -- so only that delegation's issuer can
+        revoke it here. One for a delegation the wallet has no copy of is
+        refused: its signature alone cannot show the signer issued the
+        delegation, and accepting it would let anyone pre-censor any
+        credential id. One for an id already revoked here answers False
+        before any signature check: a replay changes nothing.
         """
         if self.store.is_revoked(revocation.delegation_id):
             return False
         delegation = self.store.find_delegation(revocation.delegation_id)
+        if delegation is None:
+            delegation = received
         if delegation is None:
             raise PublicationError(
                 f"wallet holds no delegation "

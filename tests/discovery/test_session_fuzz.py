@@ -42,6 +42,7 @@ from repro.core.identity import create_principal
 from repro.core.roles import Role
 from repro.crypto.encoding import canonical_decode, canonical_encode
 from repro.discovery import wire
+from repro.discovery.engine import DiscoveryStats
 from repro.wallet.wallet import Wallet
 from repro.workloads import build_case_study, topology
 from repro.workloads.scenarios import deploy_coalition
@@ -201,7 +202,8 @@ def mutated_answers(draw):
     chain = record["chain"]
     index = draw(st.integers(0, len(chain) - 1))
     kind = draw(st.sampled_from(["truncate", "ref-length", "splice-chain",
-                                 "splice-record", "flip", "endpoint"]))
+                                 "splice-record", "flip", "endpoint",
+                                 "signature"]))
     must_raise = False
     if kind == "truncate":
         del chain[index:]
@@ -225,6 +227,10 @@ def mutated_answers(draw):
         position = draw(st.integers(0, len(_FLIPS) - 1))
         chain[index] = _FLIPS[position](_ref(chain[index]))
         must_raise = position < len(_WRONG_TYPES)
+    elif kind == "signature":
+        # The credential in full, one bit of its signature flipped: well
+        # shaped, signed by nobody.
+        chain[index] = _signature_flipped(KNOWN[_ref(chain[index]).hex()])
     else:
         donor, _payload = draw(st.sampled_from(ANSWERS))
         if draw(st.booleans()):
@@ -232,6 +238,13 @@ def mutated_answers(draw):
         else:
             record["object"] = donor.obj.to_dict()
     return kind, payload, must_raise
+
+
+def _signature_flipped(delegation):
+    data = dict(delegation.to_dict())
+    data["signature"] = data["signature"][:-1] \
+        + bytes([data["signature"][-1] ^ 1])
+    return data
 
 
 # A chain entry flipped to another type: the wrong ones first, then the
@@ -251,7 +264,9 @@ def test_a_mutated_answer_raises_only_the_typed_error(mutation, via_bytes):
     """Whatever the mutation, each pass either succeeds or raises its
     typed error (``_decode_both`` lets nothing else through); the
     mutations that break the record's shape are refused by both, and
-    named endpoints by the decoder."""
+    named endpoints by the decoder. A flipped signature breaks no
+    shape: it decodes, to a credential that does not verify -- which
+    the origin's commit refuses."""
     kind, payload, must_raise = mutation
     if via_bytes:
         payload = canonical_decode(canonical_encode(payload))
@@ -261,6 +276,10 @@ def test_a_mutated_answer_raises_only_the_typed_error(mutation, via_bytes):
         assert isinstance(decoded, DiscoveryError)
     if kind == "endpoint":
         assert isinstance(decoded, DiscoveryError)
+    if kind == "signature":
+        assert full is None and decoded is None
+        assert not all(delegation.verify_signature() for delegation
+                       in wire.proof_full_delegations(payload))
 
 
 # -- tree-encoded answers ----------------------------------------------------
@@ -528,5 +547,48 @@ def test_an_answer_with_misshapen_subs_is_dropped_whole():
         server.gem_answer_sink = sink
         assert dep.authorize() is not None
         assert engine.gem_info()["refs_refetched"] > 0
+    finally:
+        dep.close()
+
+
+def test_an_answer_with_a_flipped_signature_grants_nothing():
+    """A rogue on the path flips one bit of the signature of every
+    credential the ring's homes ship in full. Each answer still routes
+    the next goal, but the commit refuses what it carries: no grant,
+    nothing unverifiable in the wallet or the result cache, and every
+    holding the homes set up for it released. Once answers are honest
+    again the proof is found, shipped in full once more."""
+    dep = deploy_coalition(RING)
+    server, engine = dep.server, dep.engine
+    sink = server.gem_answer_sink
+
+    def flip(record):
+        record = dict(record, chain=[
+            _signature_flipped(wire.delegation_from_wire(entry))
+            if isinstance(entry, dict) else entry
+            for entry in record["chain"]])
+        if "supports" in record:
+            record["supports"] = {key: [flip(p) for p in proofs]
+                                  for key, proofs
+                                  in record["supports"].items()}
+        return record
+
+    def rogue(src, params):
+        sink(src, dict(params, answers=[flip(record) for record
+                                        in params["answers"]]))
+
+    stats = DiscoveryStats()
+    try:
+        server.gem_answer_sink = rogue
+        assert dep.authorize(stats=stats) is None
+        assert stats.delegations_rejected > 0
+        assert stats.delegations_cached == 0
+        assert stats.rounds > 1             # the tags still routed
+        assert len(server.cache) == len(engine.result_cache) == 0
+        assert all(home.holdings_count() == 0
+                   for home in dep.homes.values())
+        server.gem_answer_sink = sink
+        assert dep.authorize() is not None
+        assert engine.gem_info()["refs_from_holdings"] == 0
     finally:
         dep.close()

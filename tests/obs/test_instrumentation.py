@@ -66,9 +66,11 @@ class TestSpanTree:
     def test_tree_covers_the_distributed_stack(self, authorized_case):
         _, spans = authorized_case
         names = {s.name for s in spans}
+        # The shipped credentials' signatures are checked together, in
+        # one batch, before anything is published.
         for required in ("wallet.authorize", "discovery.discover",
                          "discovery.gem_eval", "wallet.search",
-                         "wallet.publish", "crypto.verify"):
+                         "wallet.publish", "crypto.verify_batch"):
             assert required in names, f"missing {required} span"
 
     def test_intervals_nest(self, authorized_case):
