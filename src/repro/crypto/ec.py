@@ -14,19 +14,21 @@ One scalar-multiplication stack, fastest applicable layer wins:
 * **window tables** (:class:`_WindowTable`) for warm fixed base points --
   the same idea with 4-bit windows (~64 mixed additions), an order of
   magnitude cheaper to build;
-* **one Strauss/Shamir joint ladder** (:func:`double_scalar_mult`,
-  :func:`multi_scalar_mult`) for the verification equation's
-  ``s*G - e*P`` while a key is still cold -- all scalars share one run
-  of doublings, the secp256k1 GLV endomorphism
-  (``lambda*(x, y) = (beta*x, y)``) halves each scalar to ~128 bits so
-  the shared ladder is half as tall, width-5 wNAF recoding keeps the
-  addition density at ~1/6 per bit, and all precomputed odd-multiple
-  rows for one call share a single Montgomery-batched inversion;
-* **one split nonce ladder** (:func:`batch_equation_holds`) for the
-  one-shot nonce points of a batch-verification equation, whose
-  coefficients come as two 32-bit halves of ``a + b*lambda``: width-3
-  NAF over ``[R, 3R]`` and ``[lambda*R, 3*lambda*R]``, 32 doublings,
-  nothing cached;
+* **one Strauss/Shamir joint ladder** (:func:`double_scalar_mult`) for
+  the verification equation's ``s*G - e*P`` while a key is still cold
+  -- all scalars share one run of doublings, the secp256k1 GLV
+  endomorphism (``lambda*(x, y) = (beta*x, y)``) halves each scalar to
+  ~128 bits so the shared ladder is half as tall, width-5 wNAF recoding
+  keeps the addition density at ~1/6 per bit, and all precomputed
+  odd-multiple rows for one call share a single Montgomery-batched
+  inversion;
+* **one bucket sum** (:func:`batch_equation_holds`) for a
+  batch-verification equation: its nonce coefficients come as two
+  32-bit halves of ``a + b*lambda``, recoded as signed 4-bit digits
+  into buckets, and the tabled keys' comb or window entries join at
+  weight 1; every bucket is summed with affine additions that share
+  one inversion per level, then one 32-doubling ladder adds them up;
+  no nonce point reaches a table or a promotion count;
 * **plain double-and-add** (:func:`scalar_mult_plain`) for a point seen
   once or twice, and the independent oracle every table and ladder
   above is tested against (``tests/crypto``: edge scalars, Hypothesis
@@ -605,18 +607,18 @@ def _glv_pairs(scalar: int, row: List[_Affine]
 # affine row (negative digits negate the entry inline -- a field
 # subtraction, not a new row). All rows a call needs are normalized
 # together with ONE Montgomery-batched inversion
-# (:func:`_rows_for_batch`), so the key side of a batch-verification
-# equation shares a single ``pow(x, -1, P)`` (its nonce side takes one
-# more, for the ``3R`` rows of :func:`_split_nonce_sum`).
+# (:func:`_rows_for_batch`): a cold key's term in a batch-verification
+# equation is one such ladder (:func:`_cold_sum`), beside the bucket sum.
 
 
-def _wnaf_digits(scalar: int, width: int = 5) -> List[int]:
-    """Signed-digit recoding of ``scalar > 0``, least significant first."""
+def _wnaf_digits(scalar: int) -> List[int]:
+    """Width-5 signed-digit recoding of ``scalar > 0``, least
+    significant first."""
     digits: List[int] = []
     append = digits.append
-    mask = (1 << width) - 1
-    sign_bound = 1 << (width - 1)
-    modulus = 1 << width
+    mask = 0x1F
+    sign_bound = 0x10
+    modulus = 0x20
     while scalar:
         if scalar & 1:
             digit = scalar & mask
@@ -712,12 +714,19 @@ def _multi_scalar_mult_jac(scaled: Sequence[Tuple[int, Point]]) -> _Jacobian:
             continue
         cold.append((scalar, point))
     if cold:
-        rows = _rows_for_batch([point for _scalar, point in cold])
-        pairs: List[Tuple[int, List[_Affine]]] = []
-        for (scalar, _point), row in zip(cold, rows):
-            pairs.extend(_glv_pairs(scalar, row))
-        result = _jacobian_add(result, _joint_wnaf(pairs))
+        result = _jacobian_add(result, _cold_sum(cold))
     return result
+
+
+def _cold_sum(cold: Sequence[Tuple[int, Point]]) -> _Jacobian:
+    """``sum(scalar_i * point_i)`` for points without a table: their
+    GLV halves on one wNAF ladder, all rows normalized with one shared
+    inversion."""
+    rows = _rows_for_batch([point for _scalar, point in cold])
+    pairs: List[Tuple[int, List[_Affine]]] = []
+    for (scalar, _point), row in zip(cold, rows):
+        pairs.extend(_glv_pairs(scalar, row))
+    return _joint_wnaf(pairs)
 
 
 def double_scalar_mult(a: int, p: Point, b: int, q: Point) -> Point:
@@ -761,82 +770,203 @@ def _merged_terms(terms: Sequence[Tuple[int, Point]]
             if merged[(point.x, point.y)] != 0]
 
 
-def multi_scalar_mult(terms: Sequence[Tuple[int, Point]]) -> Point:
-    """Return ``sum(scalar_i * point_i)`` over reusable points.
+# -- batch equation: one bucket sum ------------------------------------------
+#
+# The batch-verification equation holds iff ONE sum is the point at
+# infinity: ``first + sum((a_i + b_i*lambda) * R_i) - sum(terms)``. Its
+# points are sorted by weight before any is added:
+#
+# * every 32-bit half ``a_i`` / ``b_i`` is recoded as signed
+#   _BUCKET_BITS-bit digits (magnitudes 1..8, a carry into a ninth
+#   window), and a digit ``d`` in window ``w`` puts ``sign(d)*R_i`` (or
+#   ``sign(d)*lambda*R_i``, the same point with x times beta) in the
+#   bucket of weight ``|d| * 16**w``;
+# * weight-1 points go straight into the unit bucket: ``first``, and the
+#   negated comb or window-table entries of every tabled key and of G.
+#
+# A bucket whose magnitude is a power of two ``2**j`` has weight
+# ``2**(4w + j)``: it IS column ``4w + j`` of a binary ladder. Every other
+# bucket (magnitudes 3, 5, 6, 7) is summed first, and its sum is added to
+# the columns of its magnitude's set bits. Buckets and columns are
+# summed with affine additions, each level of pairs sharing ONE
+# Montgomery inversion (:func:`_affine_sums`); then one run of 32
+# Jacobian doublings adds the 33 column sums, 4 doublings per window.
+# Equal-x pairs are exact -- an attacker picks the nonce points: equal
+# points are a doubling (denominator 2y), opposite points cancel and
+# leave the level, so a zero never enters an inversion. A key without a
+# table joins as one ``_cold_sum`` ladder, subtracted at the end.
 
-    The fixed-key side of batch signature verification: coefficients
-    for repeated points are merged first (one wallet-load batch
-    typically re-uses a handful of issuer keys), points with comb or
-    window tables are handled by table multiplication, and everything
-    else shares a single GLV-halved width-5 wNAF ladder with one
-    batched row inversion.
-    """
-    return _from_jacobian(_multi_scalar_mult_jac(_merged_terms(terms)))
+# Of widths 3 to 6, 4 was fastest over the (12, 6) and (42, 6) equations
+# of a cold discovery together (5 is a shade faster on (42, 6) alone).
+_BUCKET_BITS = 4
+_HALF_BITS = 32
+_RADIX = 1 << _BUCKET_BITS
+_WINDOWS = -(-_HALF_BITS // _BUCKET_BITS)   # 8, and a carry window
+_COLUMNS = _BUCKET_BITS * _WINDOWS + 1       # 33: the carry is 0 or 1
 
 
-def _split_nonce_sum(first: Point,
-                     split_terms: Sequence[Tuple[int, int, Point]]
-                     ) -> _Jacobian:
-    """``first + sum((a_i + b_i*lambda) * R_i)`` for halves ``a_i, b_i``
-    in [0, 2**32) on one-shot points.
+def _digit_places() -> Tuple[List[List[int]], List[List[int]]]:
+    """(places, spreads): ``places[w][m]`` is the list a digit of
+    magnitude ``m`` in window ``w`` lands in -- a column index below
+    ``_COLUMNS``, a bucket index above -- and ``spreads[b]`` the
+    columns bucket ``b``'s sum is added to."""
+    places: List[List[int]] = []
+    spreads: List[List[int]] = []
+    for window in range(_WINDOWS):
+        row = [-1]
+        for magnitude in range(1, _RADIX // 2 + 1):
+            bits = [_BUCKET_BITS * window + bit for bit in range(_BUCKET_BITS)
+                    if magnitude >> bit & 1]
+            if len(bits) == 1:
+                row.append(bits[0])
+            else:
+                row.append(_COLUMNS + len(spreads))
+                spreads.append(bits)
+        places.append(row)
+    return places, spreads
 
-    Each half is recoded as width-3 NAF (digits +-1, +-3), so ``a_i``
-    adds from the row ``[R_i, 3R_i]`` and ``b_i`` from ``[lambda*R_i,
-    3*lambda*R_i]``, the same row with every x times beta. All ``3R_i``
-    are normalized with one Montgomery inversion. One shared run of 32
-    doublings, ~8 mixed additions per half, ``first`` (finite, like
-    every R_i) added once at the end; no row, table or comb map is
-    read, written or counted.
-    """
-    tripled = _batch_to_affine([
-        _jacobian_add_affine(_jacobian_double((point.x, point.y, 1)),
-                             point.x, point.y)
-        for _a, _b, point in split_terms])
-    # A width-3 NAF of a 32-bit half has at most 33 digits.
-    columns: List[List[_Affine]] = [[] for _ in range(33)]
-    for (a, b, point), (x3, y3) in zip(split_terms, tripled):
-        x, y = point.x, point.y
-        for half, row_x, row_x3 in ((a, x, x3),
-                                    (b, (x * GLV_BETA) % P,
-                                     (x3 * GLV_BETA) % P)):
-            # Indexed by the digit itself: [3] is +3R, [-3] (slot 4) -3R.
-            signed = (None, (row_x, y), None, (row_x3, y3),
-                      (row_x3, P - y3), None, (row_x, P - y))
-            for index, digit in enumerate(_wnaf_digits(half, 3)):
-                if digit:
-                    columns[index].append(signed[digit])
-    result: _Jacobian = _J_INFINITY
+
+_PLACES, _SPREADS = _digit_places()
+
+
+def _affine_sums(chords: Sequence[Tuple[int, int, int, int, int]]
+                 ) -> List[_Affine]:
+    """The affine sums of point pairs, all with ONE field inversion
+    (Montgomery's trick). Each pair comes as ``(x1, y1, x2, num, den)``:
+    the sum's slope is ``num / den``, ``den`` nonzero."""
+    prefix = []
+    acc = 1
+    for chord in chords:
+        prefix.append(acc)
+        acc = (acc * chord[4]) % P
+    inv = pow(acc, -1, P)
+    sums: List[_Affine] = [None] * len(chords)  # type: ignore[list-item]
+    for index in range(len(chords) - 1, -1, -1):
+        x1, y1, x2, num, den = chords[index]
+        slope = (num * ((prefix[index] * inv) % P)) % P
+        inv = (inv * den) % P
+        x3 = (slope * slope - x1 - x2) % P
+        sums[index] = (x3, (slope * (x1 - x3) - y1) % P)
+    return sums
+
+
+def _add_pairs(lists: Sequence[List[_Affine]]) -> None:
+    """One level of summing: the points of every list with two or more
+    are added in pairs, in place, all pairs sharing one inversion.
+
+    Equal x is exact: equal points are a doubling (slope ``3x^2/2y``;
+    ``y != 0`` on secp256k1) and opposite points cancel and are dropped,
+    so a zero denominator never reaches the inversion."""
+    chords = []
+    owners = []
+    for points in lists:
+        if len(points) < 2:
+            continue
+        odd = points.pop() if len(points) & 1 else None
+        for index in range(0, len(points), 2):
+            x1, y1 = points[index]
+            x2, y2 = points[index + 1]
+            if x1 != x2:
+                chords.append((x1, y1, x2, y2 - y1, x2 - x1))
+            elif y1 == y2:
+                chords.append((x1, y1, x1, 3 * x1 * x1, 2 * y1))
+            else:
+                continue
+            owners.append(points)
+        points.clear()
+        if odd is not None:
+            points.append(odd)
+    if chords:
+        for points, total in zip(owners, _affine_sums(chords)):
+            points.append(total)
+
+
+def _negated_entries(table, scalar: int, out: List[_Affine]) -> None:
+    """Append ``-entry`` for each table entry ``table.mult_jac(scalar)``
+    would add (a comb or window table: one per nonzero window)."""
+    bits = table.WINDOW_BITS
+    mask = (1 << bits) - 1
+    for row in table.windows:
+        digit = scalar & mask
+        if digit:
+            x, y = row[digit]
+            out.append((x, P - y))
+        scalar >>= bits
+        if not scalar:
+            break
+
+
+def _bucket_sum(terms: Sequence[Tuple[int, Point]], first: Point,
+                split_terms: Sequence[Tuple[int, int, Point]]) -> _Jacobian:
+    """``first + sum((a + b*lambda) * R) - sum(terms)`` as one bucket
+    sum (see above). ``_comb_for`` and ``_table_for`` are consulted for
+    each merged term, in order, as a table multiplication would."""
+    lists: List[List[_Affine]] = [[] for _ in range(_COLUMNS + len(_SPREADS))]
+    unit = lists[0]
+    unit.append((first.x, first.y))
+    cold: List[Tuple[int, Point]] = []
+    for scalar, point in _merged_terms(terms):
+        table = _comb_for(point)
+        if table is None:
+            table = _table_for(point)
+        if table is None:
+            cold.append((scalar, point))
+        else:
+            _negated_entries(table, scalar, unit)
+    carries = lists[_COLUMNS - 1]
+    for a, b, point in split_terms:
+        y = point.y
+        minus_y = P - y
+        for half, x in ((a, point.x), (b, (point.x * GLV_BETA) % P)):
+            for places in _PLACES:
+                digit = half & (_RADIX - 1)
+                half >>= _BUCKET_BITS
+                if digit > _RADIX // 2:
+                    half += 1
+                    lists[places[_RADIX - digit]].append((x, minus_y))
+                elif digit:
+                    lists[places[digit]].append((x, y))
+            if half:
+                carries.append((x, y))
+    # Columns are summed alongside the buckets, then take the buckets'
+    # sums and finish.
+    buckets = lists[_COLUMNS:]
+    while any(len(bucket) > 1 for bucket in buckets):
+        _add_pairs(lists)
+    for bucket, spread in zip(buckets, _SPREADS):
+        if bucket:
+            for column in spread:
+                lists[column].append(bucket[0])
+    columns = lists[:_COLUMNS]
+    while any(len(column) > 1 for column in columns):
+        _add_pairs(columns)
+    total: _Jacobian = _J_INFINITY
     for column in reversed(columns):
-        if result[2] != 0:
-            result = _jacobian_double(result)
-        for x, y in column:
-            result = _jacobian_add_affine(result, x, y)
-    return _jacobian_add_affine(result, first.x, first.y)
+        if total[2] != 0:
+            total = _jacobian_double(total)
+        if column:
+            x, y = column[0]
+            total = _jacobian_add_affine(total, x, y)
+    if not cold:
+        return total
+    x, y, z = _cold_sum(cold)
+    return _jacobian_add(total, (x, P - y, z))
 
 
 def batch_equation_holds(terms: Sequence[Tuple[int, Point]], first: Point,
                          split_terms: Sequence[Tuple[int, int, Point]]
                          ) -> bool:
-    """Return ``sum(terms) == first + sum((a + b*lambda) * R)`` without an
-    inversion on either side.
+    """Return ``sum(terms) == first + sum((a + b*lambda) * R)``.
 
     The batch-verification equation: ``terms`` are the reusable points
-    (generator, issuer keys) with full-width scalars, evaluated as
-    :func:`multi_scalar_mult` does; ``first`` is the nonce point whose
-    coefficient is 1 and ``split_terms`` the other signatures' nonce
-    points, finite and each seen once, with their coefficients given as
-    two 32-bit halves (:func:`_split_nonce_sum`). The two Jacobian sums
-    are compared by cross-multiplication: ``X1*Z2^2 == X2*Z1^2`` and
-    ``Y1*Z2^3 == Y2*Z1^3``.
+    (generator, issuer keys) with full-width scalars; ``first`` is the
+    nonce point whose coefficient is 1 and ``split_terms`` the other
+    signatures' nonce points, finite and each seen once, with their
+    coefficients given as two 32-bit halves. It holds iff the
+    difference of the two sides, one :func:`_bucket_sum`, is the point
+    at infinity.
     """
-    x1, y1, z1 = _multi_scalar_mult_jac(_merged_terms(terms))
-    x2, y2, z2 = _split_nonce_sum(first, split_terms)
-    if z1 == 0 or z2 == 0:
-        return z1 == z2
-    z1sq = (z1 * z1) % P
-    z2sq = (z2 * z2) % P
-    return (x1 * z2sq - x2 * z1sq) % P == 0 \
-        and (y1 * z2sq * z2 - y2 * z1sq * z1) % P == 0
+    return _bucket_sum(terms, first, split_terms)[2] == 0
 
 
 def is_valid_scalar(scalar: int) -> bool:

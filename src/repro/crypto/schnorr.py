@@ -172,15 +172,18 @@ BatchItem = Tuple[SchnorrPublicKey, bytes, bytes]
 # What each kernel costs in mixed point additions once the keys are hot
 # (comb tables), counted by tests/crypto/test_batch_verify.py. A single
 # check is two comb multiplications per signature. The batch equation
-# is one comb multiplication for the generator and one per distinct
-# key; per nonce point after the first, ~17 additions for the width-3
-# NAFs of its two 32-bit halves and a doubling and an addition for its
-# 3R; once per equation, 32 shared doublings at ~0.65 of an addition,
-# the first nonce's one addition and the 3R rows' one inversion (~4).
+# is one bucket sum (ec.batch_equation_holds) whose points each cost one
+# batched affine addition (~0.7 of a mixed addition): ~32 comb entries
+# per distinct key and for the generator, ~16 signed digits per nonce
+# point after the first. Once per equation: the bucket sums spread over
+# their columns (up to 40 points), the ladder's 32 doublings (~0.65
+# each) and one mixed addition per column, ~7 level inversions (~4
+# each), less the points that end alone in a column and so skip the
+# affine addition.
 _SINGLE_COST = 64
-_COMB_COST = 32
-_NONCE_COST = 19
-_LADDER_COST = 26
+_COMB_COST = 22
+_NONCE_COST = 12
+_LADDER_COST = 68
 
 
 def equation_wins(items: int, keys: int) -> bool:
@@ -200,12 +203,12 @@ def verify_batch(items: Sequence[BatchItem],
 
         (sum z_i*s_i)*G - sum (z_i*e_i)*Q_i == sum z_i*R_i
 
-    runs as ONE :func:`ec.batch_equation_holds`: table multiplications
-    for the generator and the merged per-key terms on the left, one
-    short ladder over the nonce points on the right. z_0 = 1 (as in
-    BIP340 batch verification); every other z_i is ``a + b*lambda mod
-    N`` for the two 32-bit halves (a, b) of one fresh nonzero 64-bit
-    draw, so the nonce ladder is 32 doublings tall.
+    runs as ONE :func:`ec.batch_equation_holds`: one bucket sum over
+    the nonce points and the table entries of the generator and the
+    merged per-key terms. z_0 = 1 (as in BIP340 batch verification);
+    every other z_i is ``a + b*lambda mod N`` for the two 32-bit halves
+    (a, b) of one fresh nonzero 64-bit draw, so the sum's ladder is 32
+    doublings tall.
 
     Soundness: write item i's error as ``s_i*G - e_i*Q_i - R_i = d_i*G``;
     the batch accepts iff ``sum z_i*d_i == 0 mod N``. If item 0 is the

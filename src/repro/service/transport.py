@@ -46,6 +46,8 @@ PIPE_MAX_FRAME = DEFAULT_MAX_FRAME + HEADER.size
 MAX_QUEUED = 64
 HALF_FRAME_SECONDS = 10.0
 IDLE_SECONDS = 300.0
+# Per server: open client connections; the door closes any past this.
+MAX_CONNECTIONS = 256
 
 
 class FrameError(Exception):
@@ -152,7 +154,9 @@ class ServiceServer:
     """Asyncio TCP front end over a :class:`~repro.service.Router`.  One
     periodic sweep closes connections that held a partial frame past
     ``HALF_FRAME_SECONDS`` (with a ``bad-frame``) or stayed silent past
-    ``IDLE_SECONDS``; ``closed`` counts the door's closes by reason."""
+    ``IDLE_SECONDS``, and a connection past ``MAX_CONNECTIONS`` open
+    ones is closed on arrival; ``closed`` counts the door's closes by
+    reason."""
 
     def __init__(self, router, host: str = "127.0.0.1",
                  port: int = 0) -> None:
@@ -161,7 +165,7 @@ class ServiceServer:
         self.port = port
         self.closed = {reason: router.registry.counter(
             "drbac_service_connections_closed_total", reason=reason)
-            for reason in ("bad-frame", "half-frame", "idle")}
+            for reason in ("bad-frame", "half-frame", "idle", "cap")}
         self.connections: set = set()
         self.inbox = memoryview(bytearray(1 << 16))    # see get_buffer
         self._server: Optional[asyncio.AbstractServer] = None
@@ -215,6 +219,10 @@ class _Connection(asyncio.BufferedProtocol):
 
     def connection_made(self, transport: asyncio.Transport) -> None:
         self.transport = transport
+        if len(self.server.connections) >= MAX_CONNECTIONS:
+            self.server.closed["cap"].inc()
+            transport.close()
+            return
         self.server.connections.add(self)
 
     def get_buffer(self, sizehint: int) -> memoryview:

@@ -396,15 +396,26 @@ class TestSpoiledSlot:
 
 
 class _OpCounter:
-    """Counts the three group operations every kernel is made of."""
+    """Counts the group operations every kernel is made of: the three
+    Jacobian ones, and the bucket sum's batched affine additions and
+    the one inversion each batch of them shares."""
 
     def __init__(self, monkeypatch):
-        self.counts = {"mixed": 0, "add": 0, "double": 0}
+        self.counts = {"mixed": 0, "add": 0, "double": 0, "affine": 0,
+                       "inverse": 0}
         for label, name in (("mixed", "_jacobian_add_affine"),
                             ("add", "_jacobian_add"),
                             ("double", "_jacobian_double")):
             monkeypatch.setattr(ec, name, self._wrap(label,
                                                      getattr(ec, name)))
+        affine_sums = ec._affine_sums
+
+        def counted_sums(chords):
+            self.counts["affine"] += len(chords)
+            self.counts["inverse"] += 1
+            return affine_sums(chords)
+
+        monkeypatch.setattr(ec, "_affine_sums", counted_sums)
 
     def _wrap(self, label, function):
         def counted(*args):
@@ -415,6 +426,16 @@ class _OpCounter:
     def take(self) -> dict:
         taken, self.counts = self.counts, dict.fromkeys(self.counts, 0)
         return taken
+
+
+# What each operation weighs against a mixed addition (timed on CPython
+# 3.11): a doubling, a batched affine addition, a field inversion.
+_WEIGHTS = {"mixed": 1, "add": 1.45, "double": 0.65, "affine": 0.7,
+            "inverse": 4}
+
+
+def _weighed(counts) -> float:
+    return sum(_WEIGHTS[label] * count for label, count in counts.items())
 
 
 class TestCostModel:
@@ -445,28 +466,36 @@ class TestCostModel:
         count, keys = 7, 2
         # Single check: two comb multiplications, each joined to the
         # running sum (the first join is onto the identity: free), no
-        # doublings.
+        # doublings and no bucket sum.
         assert single["double"] == 0 and single["add"] == 2 * count
+        assert single["affine"] == single["inverse"] == 0
         assert 0.95 * schnorr._SINGLE_COST * count \
             <= single["mixed"] <= schnorr._SINGLE_COST * count
-        # Equation: a comb multiplication per key and for the generator;
-        # per nonce after the first, the width-3 NAF additions of its
-        # halves and one doubling and one addition for 3R; the ladder's
-        # shared doublings (<= 32) and the first nonce's one addition.
-        weight, height = _split_ladder(7, count)
-        tables = schnorr._COMB_COST * (keys + 1)
-        nonces = weight + (count - 1) + 1
-        assert 0.95 * tables <= batch["mixed"] - nonces <= tables
-        assert batch["double"] == (count - 1) + height - 1
-        assert 30 <= height - 1 <= 32 and batch["add"] == keys + 1
-        # The constants, with a doubling weighed at 0.65 of a mixed
-        # addition and the 3R rows' one inversion at 4 of them.
-        assert abs((weight + (count - 1) * 1.65) / (count - 1)
-                   - schnorr._NONCE_COST) <= 2
-        assert abs((height - 1) * 0.65 + 1 + 4 - schnorr._LADDER_COST) <= 2
+        # Equation: one bucket sum. Every point it places is added once,
+        # by a batched affine addition or, the last one left in a
+        # column, by one of the ladder's mixed additions: the comb
+        # entries of each key and of G, the first nonce, the signed
+        # digits of the other nonces' halves and the bucket sums spread
+        # over their columns. Nothing cancels in a batch of honest
+        # signatures, and no key is cold.
+        digits, spread = _bucket_points(7, count)
+        entries = batch["affine"] + batch["mixed"] - 1 - digits - spread
+        tables = 32 * (keys + 1)
+        assert 0.95 * tables <= entries <= tables
+        assert batch["add"] == 0 and 28 <= batch["double"] <= 32
+        assert batch["mixed"] <= 33 and batch["inverse"] <= 8
+        # The constants, each point weighed as an affine addition.
+        weight = _WEIGHTS["affine"]
+        assert abs(weight * 32 - schnorr._COMB_COST) <= 1
+        assert abs(weight * digits / (count - 1)
+                   - schnorr._NONCE_COST) <= 1.5
+        ladder = _weighed(batch) - schnorr._COMB_COST * (keys + 1) \
+            - schnorr._NONCE_COST * (count - 1)
+        assert abs(ladder - schnorr._LADDER_COST) \
+            <= 0.15 * schnorr._LADDER_COST
         # And the comparison the dispatch rule makes comes out the same
-        # way when counted: fewer operations per signature.
-        assert sum(batch.values()) < 0.75 * sum(single.values())
+        # way when weighed: fewer operations per signature.
+        assert _weighed(batch) < 0.75 * _weighed(single)
 
     def test_small_batch_costs_what_its_single_checks_cost(
             self, hot_items, monkeypatch):
@@ -480,18 +509,32 @@ class TestCostModel:
         assert single["double"] == 0
 
 
-def _split_ladder(seed: int, count: int):
-    """(nonzero width-3 NAF digits, longest recoding) of the halves of
-    the draws ``random.Random(seed)`` hands ``verify_batch`` for
-    ``count`` items: the nonce ladder's additions and height."""
+def _bucket_points(seed: int, count: int):
+    """(nonzero signed 4-bit digits, points the bucket sums add) of the
+    halves of the draws ``random.Random(seed)`` hands ``verify_batch``
+    for ``count`` items: a digit of magnitude 3, 5, 6 or 7 lands in a
+    bucket, whose sum goes to one column per set bit of the magnitude --
+    one point more than the bucket's last, for 3, 5 and 6, two for 7."""
     rng = random.Random(seed)
-    recoded = []
+    digits = 0
+    buckets = set()
     for _ in range(count - 1):
         draw = rng.randrange(1, 1 << 64)
-        recoded += [ec._wnaf_digits(draw & 0xFFFFFFFF, 3),
-                    ec._wnaf_digits(draw >> 32, 3)]
-    return (sum(1 for digits in recoded for digit in digits if digit),
-            max(len(digits) for digits in recoded))
+        for half in (draw & 0xFFFFFFFF, draw >> 32):
+            window = 0
+            while half:
+                digit = half % 16
+                if digit > 8:
+                    digit -= 16
+                half = (half - digit) >> 4
+                if digit:
+                    digits += 1
+                    if abs(digit) in (3, 5, 6, 7):
+                        buckets.add((window, abs(digit)))
+                window += 1
+    spread = sum(bin(magnitude).count("1") - 1
+                 for _w, magnitude in buckets)
+    return digits, spread
 
 
 class TestKeysBatchDispatch:

@@ -46,6 +46,11 @@ def hot_point():
     return point
 
 
+def _sum(terms):
+    """``sum(scalar * point)`` through the tables-or-ladder kernel."""
+    return ec._from_jacobian(ec._multi_scalar_mult_jac(terms))
+
+
 class TestCombAndWnafCorrectness:
     @pytest.mark.parametrize("scalar", EDGE_SCALARS)
     def test_generator_comb_matches_plain_on_edges(self, scalar):
@@ -80,7 +85,7 @@ class TestCombAndWnafCorrectness:
         for scalar, point in terms:
             expected = ec.point_add(expected,
                                     ec.scalar_mult_plain(scalar, point))
-        assert ec.multi_scalar_mult(terms) == expected
+        assert _sum(terms) == expected
 
     @given(st.integers(min_value=1, max_value=ec.N - 1))
     @settings(max_examples=10, deadline=None)
@@ -95,8 +100,8 @@ class TestCombAndWnafCorrectness:
 
     def test_is_infinity_both_arms(self):
         terms = [(5, ec.GENERATOR), (ec.N - 5, ec.GENERATOR)]
-        assert ec.multi_scalar_mult(terms) == ec.INFINITY
-        assert ec.multi_scalar_mult(terms[:1]) != ec.INFINITY
+        assert _sum(terms) == ec.INFINITY
+        assert _sum(terms[:1]) != ec.INFINITY
         # A nonce side that cancels to infinity too: R + 1*(-R).
         first = ec.scalar_mult(0x5EED)
         cancel = [(1, 0, ec.point_neg(first))]
@@ -124,7 +129,7 @@ class TestCombAndWnafCorrectness:
 
     def test_wnaf_digits_reconstruct_scalar(self):
         for scalar in EDGE_SCALARS:
-            digits = ec._wnaf_digits(scalar, 5)
+            digits = ec._wnaf_digits(scalar)
             value = 0
             for position, digit in enumerate(digits):
                 value += digit << position

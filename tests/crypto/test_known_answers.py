@@ -33,6 +33,11 @@ GENERATOR_MULTIPLES = {
 }
 
 
+def _sum(terms):
+    """``sum(scalar * point)`` through the tables-or-ladder kernel."""
+    return ec._from_jacobian(ec._multi_scalar_mult_jac(terms))
+
+
 class TestScalarMultKAT:
     @pytest.mark.parametrize("k", sorted(GENERATOR_MULTIPLES))
     def test_generator_multiples(self, k):
@@ -113,13 +118,13 @@ class TestDoubleScalarMult:
                 terms.append((scalar, point))
                 expected = ec.point_add(
                     expected, ec.scalar_mult_plain(scalar, point))
-        assert ec.multi_scalar_mult(terms) == expected
-        assert ec.multi_scalar_mult([]) == ec.INFINITY
+        assert _sum(terms) == expected
+        assert _sum([]) == ec.INFINITY
 
     def test_multi_scalar_cancellation(self):
         point = ec.scalar_mult_plain(424242)
         terms = [(5, point), (ec.N - 5, point)]
-        assert ec.multi_scalar_mult(terms) == ec.INFINITY
+        assert _sum(terms) == ec.INFINITY
 
 
 # A fixed signing key and pre-computed signatures: the deterministic

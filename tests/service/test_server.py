@@ -468,7 +468,7 @@ def test_a_partial_frame_held_too_long_is_a_typed_close(mode, monkeypatch):
     assert answer["status"] == STATUS_ERROR
     assert answer["error"] == "bad-frame"
     assert "partial frame" in answer["detail"]
-    assert closes == {"bad-frame": 0, "half-frame": 1, "idle": 0}
+    assert closes == {"bad-frame": 0, "half-frame": 1, "idle": 0, "cap": 0}
     assert total == 1
 
 
@@ -504,4 +504,31 @@ def test_a_silent_connection_is_closed_as_idle(mode, monkeypatch):
         return _closes(server)
 
     assert _serve(mode, scenario) == {"bad-frame": 0, "half-frame": 0,
-                                      "idle": 1}
+                                      "idle": 1, "cap": 0}
+
+
+def test_a_connection_past_the_cap_is_closed_at_the_door(monkeypatch):
+    monkeypatch.setattr(transport, "MAX_CONNECTIONS", 2)
+    ping = {"op": "ping", "ns": POP.namespace(0)}
+
+    async def scenario(server):
+        first, second = await _connect(server), await _connect(server)
+        for client in (first, second):
+            assert (await _call(*client, ping))["status"] == STATUS_OK
+        third = await _connect(server)
+        assert await third[0].read() == b"", "closed, without a frame"
+        third[1].close()
+        assert len(server.connections) == 2
+        # The two inside are served on; a slot freed takes a newcomer.
+        assert (await _call(*second, ping))["status"] == STATUS_OK
+        first[1].close()
+        while len(server.connections) == 2:
+            await asyncio.sleep(0.01)
+        fourth = await _connect(server)
+        assert (await _call(*fourth, ping))["status"] == STATUS_OK
+        for client in (second, fourth):
+            client[1].close()
+        return _closes(server)
+
+    assert _serve("inline", scenario) == {"bad-frame": 0, "half-frame": 0,
+                                          "idle": 0, "cap": 1}
