@@ -4,8 +4,9 @@ Not paper figures -- these quantify the implementation decisions this
 reproduction made, so a reader can tell which parts of the measured
 behavior come from the paper's design and which from ours:
 
-* **A1 -- windowed EC precomputation**: per-point tables vs plain
-  double-and-add for the signature-heavy wallet paths.
+* **A1 -- windowed EC precomputation**: per-point tables (affine
+  multiples read by the signed digits of the scalar's two GLV halves)
+  vs plain double-and-add for the signature-heavy wallet paths.
 * **A2 -- support proofs at publication**: the paper requires issuers of
   third-party delegations to ship support proofs with them, "freeing
   wallets from having to conduct recursive searches". We measure the
@@ -29,8 +30,9 @@ from repro.workloads.topology import make_coalition
 
 
 def _promote(scalar, point):
-    """Use ``point`` until `ec` has built its comb, so that no timed
-    call pays the ~110 ms build whatever the round count."""
+    """Use ``point`` until `ec` has built its comb (13 x 512 entries),
+    so that no timed call pays the ~60 ms build whatever the round
+    count."""
     for _ in range(ec._COMB_BUILD_THRESHOLD):
         ec.scalar_mult(scalar, point)
 

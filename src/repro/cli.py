@@ -292,10 +292,12 @@ def _build_distributed_workload(spec: Optional[str]):
     """Build the coalition deployment named by a ``--workload`` spec.
 
     Shared by ``discover``, ``metrics``, and ``trace``: returns
-    ``(engine, network, clock, server_wallet, subject, obj)`` with the
-    subject's credential already presented at the access server, so a
-    single ``server_wallet.authorize(subject, obj)`` (or
-    ``engine.discover``) exercises the paper's full distributed flow.
+    ``(engine, network, clock, server_wallet, subject, obj, presented)``
+    where ``presented`` is the subject's credential, as the
+    (delegation, supports) pairs the access server is handed, so a
+    single ``server_wallet.authorize(subject, obj, presented=presented)``
+    (or ``engine.discover``) exercises the paper's full distributed
+    flow.
     """
     from repro.workloads.scenarios import (
         build_distributed_case_study,
@@ -307,20 +309,19 @@ def _build_distributed_workload(spec: Optional[str]):
     if kind == "case-study":
         seed = int(parts[1]) if len(parts) > 1 else None
         d = build_distributed_case_study(seed=seed)
-        # Step 2 of the walkthrough: Maria presents her credential.
-        d.server.wallet.publish(d.case.d1_maria_member)
+        # Step 1 of the walkthrough: Maria presents her credential.
         return (d.engine, d.network, d.clock, d.server.wallet,
-                d.case.maria.entity, d.case.airnet_access)
+                d.case.maria.entity, d.case.airnet_access,
+                [(d.case.d1_maria_member, ())])
     if kind == "federation":
         domains = int(parts[1]) if len(parts) > 1 else 4
         seed = int(parts[2]) if len(parts) > 2 else None
         fed = build_distributed_federation(domains=domains, seed=seed)
         # A domain-1 user at domain 0's access server: one ring bridge.
         target, source = fed.domains[0], fed.domains[1 % domains]
-        target.server.wallet.publish(source.credentials[0])
         return (target.engine, fed.network, fed.clock,
                 target.server.wallet, source.users[0].entity,
-                target.access)
+                target.access, [(source.credentials[0], ())])
     if kind in ("ring", "mesh", "scc", "deep"):
         from repro.workloads import topology
         from repro.workloads.scenarios import deploy_coalition
@@ -337,9 +338,8 @@ def _build_distributed_workload(spec: Optional[str]):
             workload = topology.make_deep_mutual_trust(size or 6,
                                                        seed=seed)
         dep = deploy_coalition(workload)
-        dep.server.wallet.publish(dep.entry)
         return (dep.engine, dep.network, dep.clock, dep.server.wallet,
-                workload.subject, workload.obj)
+                workload.subject, workload.obj, [(dep.entry, ())])
     raise DRBACError(
         f"unknown workload {spec!r} (expected case-study[:SEED], "
         f"federation[:DOMAINS[:SEED]], or a coalition family "
@@ -359,14 +359,15 @@ def cmd_discover(_workspace: Workspace, args) -> int:
 
     repeat = max(1, args.repeat)
 
-    engine, network, _clock, _wallet, subject, obj = \
+    engine, network, _clock, _wallet, subject, obj, presented = \
         _build_distributed_workload(args.workload)
 
     stats = DiscoveryStats()
     proof = None
     for i in range(repeat):
         started = time.perf_counter()
-        proof = engine.discover(subject, obj, stats=stats)
+        proof = engine.discover(subject, obj, stats=stats,
+                                presented=presented)
         elapsed = (time.perf_counter() - started) * 1000
         if repeat > 1 or args.timing:
             label = "warm" if i > 0 else "cold"
@@ -410,13 +411,13 @@ def cmd_metrics(_workspace: Workspace, args) -> int:
     from repro import obs
     from repro.obs.export import to_prometheus
 
-    _engine, _network, clock, wallet, subject, obj = \
+    _engine, _network, clock, wallet, subject, obj, presented = \
         _build_distributed_workload(args.workload)
     obs.use_clock(clock)
     repeat = max(1, args.repeat)
     grant = None
     for _ in range(repeat):
-        grant = wallet.authorize(subject, obj)
+        grant = wallet.authorize(subject, obj, presented=presented)
     if args.format == "json":
         text = json.dumps(obs.registry().snapshot(), indent=2,
                           sort_keys=True) + "\n"
@@ -447,13 +448,13 @@ def cmd_trace(_workspace: Workspace, args) -> int:
     from repro.obs.export import spans_to_chrome, spans_to_jsonl
 
     with obs.enabled_ctx():
-        _engine, _network, clock, wallet, subject, obj = \
+        _engine, _network, clock, wallet, subject, obj, presented = \
             _build_distributed_workload(args.workload)
         obs.use_clock(clock)
         obs.tracer().clear()
         grant = None
         for _ in range(max(1, args.repeat)):
-            grant = wallet.authorize(subject, obj)
+            grant = wallet.authorize(subject, obj, presented=presented)
     spans = obs.tracer().finished()
     if args.format == "jsonl":
         text = spans_to_jsonl(spans)

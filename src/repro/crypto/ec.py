@@ -7,13 +7,13 @@ stdlib only.
 
 One scalar-multiplication stack, fastest applicable layer wins:
 
-* **comb tables** (:class:`_CombTable`) for the hottest fixed base
-  points (the generator always; entity keys after sustained reuse) --
-  affine-normalized 8-bit windows, so one multiplication is at most 32
-  *mixed* additions and zero doublings;
-* **window tables** (:class:`_WindowTable`) for warm fixed base points --
-  the same idea with 4-bit windows (~64 mixed additions), an order of
-  magnitude cheaper to build;
+* **fixed-base tables** (:class:`_FixedBaseTable`) for reused base
+  points: affine multiples of P read by the signed digits of the two
+  GLV halves of the scalar, so one multiplication is one *mixed*
+  addition per digit and zero doublings -- width-10 combs (at most 26
+  additions) for the hottest points (the generator and entity keys
+  after sustained reuse), width-6 window tables (~44 additions, ten
+  times cheaper to build) for warm ones;
 * **one Strauss/Shamir joint ladder** (:func:`double_scalar_mult`) for
   the verification equation's ``s*G - e*P`` while a key is still cold
   -- all scalars share one run of doublings, the secp256k1 GLV
@@ -315,48 +315,86 @@ def point_neg(point: Point) -> Point:
     return Point(point.x, (P - point.y) % P)
 
 
-class _WindowTable:
-    """Precomputed 4-bit-window multiples of a fixed base point.
+class _FixedBaseTable:
+    """Precomputed signed-digit multiples of a reused base point P.
 
-    ``table[w][d] = d * 16**w * P`` in *affine* coordinates (normalized
-    once at build time with a single batch inversion), for windows w in
-    0..63 and digits d in 1..15. One multiplication then costs at most
-    64 mixed point additions instead of ~256 doublings + ~128 general
-    additions -- which matters because wallets verify a signature for
-    every published delegation.
+    ``windows[j][d] = d * 2**(bits*j) * P`` in affine coordinates, for
+    digits d in 1..2**(bits-1) and enough windows j to cover one GLV
+    half (|k1|, |k2| < 2**128). A scalar is split into ``k1 + k2*lambda``
+    (:func:`_glv_split`) and each half recoded as signed ``bits``-bit
+    digits; both halves read the same rows, the lambda-half as
+    ``(beta*x, y)``, and a negative digit or half negates y. One
+    multiplication is then one mixed addition per nonzero digit, at
+    most ``2 * len(windows)``, and no doublings. Two tiers use it: a
+    width-6 window table (22 x 32 entries, ~44 additions) for warm
+    points and a width-10 comb (13 x 512 entries, at most 26 additions)
+    for the hottest. The build walks each window with mixed additions
+    off the window's affine base, one inversion per window to carry the
+    base across (one doubling of the top entry), and one batch
+    inversion for every entry. A half below ``2**_GLV_HALF_BITS`` leaves
+    the top window room for any carry.
     """
 
-    __slots__ = ("windows",)
+    __slots__ = ("bits", "windows")
 
-    WINDOW_BITS = 4
-    WINDOW_COUNT = 64  # ceil(256 / 4)
-
-    def __init__(self, point: Point) -> None:
-        base = _to_jacobian(point)
+    def __init__(self, point: Point, bits: int) -> None:
+        self.bits = bits
+        top = 1 << (bits - 1)
         flat: List[_Jacobian] = []
-        current = base
-        for _w in range(self.WINDOW_COUNT):
-            accum = current
-            for _digit in range(1, 16):
+        add_affine = _jacobian_add_affine
+        base_x, base_y = point.x, point.y
+        count = -(-(_GLV_HALF_BITS + 1) // bits)
+        for window in range(count):
+            accum: _Jacobian = (base_x, base_y, 1)
+            flat.append(accum)
+            for _digit in range(2, top + 1):
+                accum = add_affine(accum, base_x, base_y)
                 flat.append(accum)
-                accum = _jacobian_add(accum, current)
-            current = accum  # accum == 16 * current after the loop
+            if window + 1 < count:
+                # accum == top * base; doubled, the next window's base,
+                # normalized on its own so the additions above stay mixed.
+                base_x, base_y = _batch_to_affine(
+                    [_jacobian_double(accum)])[0]
         affine = _batch_to_affine(flat)
-        self.windows = [
-            [None] + affine[w * 15:(w + 1) * 15]
-            for w in range(self.WINDOW_COUNT)
-        ]
+        self.windows = [[None] + affine[j * top:(j + 1) * top]
+                        for j in range(count)]
+
+    def entries(self, scalar: int) -> List[_Affine]:
+        """The affine points whose sum is ``scalar * P``, scalar in
+        [0, N): one per nonzero signed digit of each GLV half."""
+        bits = self.bits
+        mask = (1 << bits) - 1
+        top = 1 << (bits - 1)
+        out: List[_Affine] = []
+        append = out.append
+        for half, lam in zip(_glv_split(scalar), (False, True)):
+            negative = half < 0
+            if negative:
+                half = -half
+            for row in self.windows:
+                if not half:
+                    break
+                digit = half & mask
+                half >>= bits
+                if digit > top:
+                    half += 1
+                    x, y = row[mask + 1 - digit]
+                    flip = not negative
+                elif digit:
+                    x, y = row[digit]
+                    flip = negative
+                else:
+                    continue
+                if lam:
+                    x = (x * GLV_BETA) % P
+                append((x, P - y if flip else y))
+        return out
 
     def mult_jac(self, scalar: int) -> _Jacobian:
         result: _Jacobian = _J_INFINITY
-        for row in self.windows:
-            digit = scalar & 0xF
-            if digit:
-                entry = row[digit]
-                result = _jacobian_add_affine(result, entry[0], entry[1])
-            scalar >>= 4
-            if not scalar:
-                break
+        add_affine = _jacobian_add_affine
+        for x, y in self.entries(scalar):
+            result = add_affine(result, x, y)
         return result
 
     def mult(self, scalar: int) -> Point:
@@ -369,6 +407,8 @@ class _WindowTable:
 # maps are bounded so a workload minting thousands of one-shot entities
 # cannot grow memory without limit; eviction is FIFO
 # (:func:`repro.crypto.pools.make_room`), fine for this access pattern.
+_WINDOW_BITS = 6
+_COMB_BITS = 10
 _TABLE_CACHE_LIMIT = 512
 _TABLE_BUILD_THRESHOLD = 3
 _table_cache: dict = {}
@@ -388,10 +428,10 @@ _row_cache: dict = {}
 _POINT_INTERN_LIMIT = 4096
 _point_intern: dict = {}
 
-# Comb tables (8-bit windows) for the hottest points. Building one
-# costs ~8k point additions, so promotion needs sustained reuse; the
-# build runs under a lock so concurrent verifiers cannot duplicate it.
-# Eviction is FIFO, exactly like the window-table cache above.
+# Comb tables for the hottest points. Building one costs ~6.7k point
+# additions, so promotion needs sustained reuse; the build runs under a
+# lock so concurrent verifiers cannot duplicate it. Promotion freezes
+# once the cache is full (see _comb_for).
 _COMB_CACHE_LIMIT = 16
 _COMB_BUILD_THRESHOLD = 24
 _comb_cache: dict = {}
@@ -411,73 +451,17 @@ def _table_for(point: Point):
         _use_counts[key] = count
         return None
     _use_counts.pop(key, None)
-    table = _WindowTable(point)
+    table = _FixedBaseTable(point, _WINDOW_BITS)
     make_room(_table_cache, _TABLE_CACHE_LIMIT)
     _table_cache[key] = table
     return table
-
-
-class _CombTable:
-    """Precomputed 8-bit-window multiples of a *very* hot base point.
-
-    ``windows[w][d] = d * 256**w * P`` in affine coordinates, for
-    windows w in 0..31 and digits d in 1..255: one multiplication is at
-    most 32 mixed additions, half the work of a :class:`_WindowTable`
-    multiplication. The build walks each window with mixed additions
-    off the window's affine base (one inversion per window to carry the
-    base across, one batch inversion for the ~8k entries), which is
-    ~25x the cost of a 4-bit table -- so combs sit behind a much higher
-    promotion threshold and a much smaller cache.
-    """
-
-    __slots__ = ("windows",)
-
-    WINDOW_BITS = 8
-    WINDOW_COUNT = 32  # ceil(256 / 8)
-
-    def __init__(self, point: Point) -> None:
-        flat: List[_Jacobian] = []
-        add_affine = _jacobian_add_affine
-        base_x, base_y = point.x, point.y
-        for _w in range(self.WINDOW_COUNT):
-            accum: _Jacobian = (base_x, base_y, 1)
-            flat.append(accum)
-            for _digit in range(2, 256):
-                accum = add_affine(accum, base_x, base_y)
-                flat.append(accum)
-            # accum == 255 * base; one more step gives the next window's
-            # base, normalized on its own so the mixed adds above stay
-            # mixed. (32 single inversions ~= 5% of the total build.)
-            accum = add_affine(accum, base_x, base_y)
-            base_x, base_y = _batch_to_affine([accum])[0]
-        affine = _batch_to_affine(flat)
-        self.windows = [
-            [None] + affine[w * 255:(w + 1) * 255]
-            for w in range(self.WINDOW_COUNT)
-        ]
-
-    def mult_jac(self, scalar: int) -> _Jacobian:
-        result: _Jacobian = _J_INFINITY
-        add_affine = _jacobian_add_affine
-        for row in self.windows:
-            digit = scalar & 0xFF
-            if digit:
-                entry = row[digit]
-                result = add_affine(result, entry[0], entry[1])
-            scalar >>= 8
-            if not scalar:
-                break
-        return result
-
-    def mult(self, scalar: int) -> Point:
-        return _from_jacobian(self.mult_jac(scalar))
 
 
 def _comb_for(point: Point):
     """The point's comb table, or None while it is not hot enough.
 
     Counted promotion like :func:`_table_for`, but promotion FREEZES
-    once the cache is full instead of evicting: a comb build is ~1000x
+    once the cache is full instead of evicting: a comb build is ~10x
     a window-table build, so evicting the generator's comb for a
     merely-recurring point (a signature's R seen a few dozen times)
     would thrash the cache with rebuilds. The truly hot points -- the
@@ -501,7 +485,7 @@ def _comb_for(point: Point):
     with _FAST_LOCK:
         comb = _comb_cache.get(key)
         if comb is None and len(_comb_cache) < _COMB_CACHE_LIMIT:
-            comb = _CombTable(point)
+            comb = _FixedBaseTable(point, _COMB_BITS)
             _comb_cache[key] = comb
         _comb_use_counts.pop(key, None)
     return comb
@@ -552,6 +536,9 @@ _GLV_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
 _GLV_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
 _GLV_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
 _GLV_B2 = _GLV_A1
+# |k1| <= (_GLV_A1 + _GLV_A2) / 2 and |k2| <= (_GLV_A1 - _GLV_B1) / 2,
+# both below 2**128 (pinned by tests/crypto/test_batch_kernel.py).
+_GLV_HALF_BITS = 128
 
 
 def _glv_split(scalar: int) -> Tuple[int, int]:
@@ -696,19 +683,27 @@ def _joint_wnaf(pairs: List[Tuple[int, List[_Affine]]]) -> _Jacobian:
     return result
 
 
-def _multi_scalar_mult_jac(scaled: Sequence[Tuple[int, Point]]) -> _Jacobian:
+def _fixed_table(point: Point, looked_up: dict):
+    """The point's comb, else its window table, else None: consulted --
+    and counted towards promotion -- once per ``looked_up``."""
+    key = (point.x, point.y)
+    if key not in looked_up:
+        table = _comb_for(point)
+        looked_up[key] = table if table is not None else _table_for(point)
+    return looked_up[key]
+
+
+def _multi_scalar_mult_jac(scaled: Sequence[Tuple[int, Point]],
+                           looked_up: Optional[dict] = None) -> _Jacobian:
     """``sum(scalar_i * point_i)`` before the final affine conversion,
     for scalars in [1, N) on finite points: comb and window tables
     where available, one shared wNAF ladder (and one shared row
     inversion) for everything still cold."""
+    looked_up = {} if looked_up is None else looked_up
     result: _Jacobian = _J_INFINITY
     cold: List[Tuple[int, Point]] = []
     for scalar, point in scaled:
-        comb = _comb_for(point)
-        if comb is not None:
-            result = _jacobian_add(result, comb.mult_jac(scalar))
-            continue
-        table = _table_for(point)
+        table = _fixed_table(point, looked_up)
         if table is not None:
             result = _jacobian_add(result, table.mult_jac(scalar))
             continue
@@ -729,7 +724,8 @@ def _cold_sum(cold: Sequence[Tuple[int, Point]]) -> _Jacobian:
     return _joint_wnaf(pairs)
 
 
-def double_scalar_mult(a: int, p: Point, b: int, q: Point) -> Point:
+def double_scalar_mult(a: int, p: Point, b: int, q: Point,
+                       looked_up: Optional[dict] = None) -> Point:
     """Return ``a*p + b*q`` via one Strauss/Shamir joint ladder.
 
     This is the verification-equation workhorse (``s*G + (N-e)*P``):
@@ -738,7 +734,9 @@ def double_scalar_mult(a: int, p: Point, b: int, q: Point) -> Point:
     independent multiplications. Points that already have comb or window
     tables (the generator always; any entity key after a few uses) skip
     the ladder entirely -- two table multiplications and one addition,
-    with no doublings at all.
+    with no doublings at all. The single checks of one batch share
+    ``looked_up``, so each point counts once towards its tables, as
+    in the batch equation.
     """
     a %= N
     b %= N
@@ -746,7 +744,8 @@ def double_scalar_mult(a: int, p: Point, b: int, q: Point) -> Point:
         return scalar_mult(b, q)
     if b == 0 or q.is_infinity:
         return scalar_mult(a, p)
-    return _from_jacobian(_multi_scalar_mult_jac([(a, p), (b, q)]))
+    return _from_jacobian(_multi_scalar_mult_jac([(a, p), (b, q)],
+                                                 looked_up))
 
 
 def _merged_terms(terms: Sequence[Tuple[int, Point]]
@@ -781,8 +780,9 @@ def _merged_terms(terms: Sequence[Tuple[int, Point]]
 #   window), and a digit ``d`` in window ``w`` puts ``sign(d)*R_i`` (or
 #   ``sign(d)*lambda*R_i``, the same point with x times beta) in the
 #   bucket of weight ``|d| * 16**w``;
-# * weight-1 points go straight into the unit bucket: ``first``, and the
-#   negated comb or window-table entries of every tabled key and of G.
+# * weight-1 points go straight into the unit bucket: ``first``, and,
+#   for every tabled key and G, the comb or window-table entries of its
+#   negated scalar.
 #
 # A bucket whose magnitude is a power of two ``2**j`` has weight
 # ``2**(4w + j)``: it IS column ``4w + j`` of a binary ladder. Every other
@@ -881,38 +881,22 @@ def _add_pairs(lists: Sequence[List[_Affine]]) -> None:
             points.append(total)
 
 
-def _negated_entries(table, scalar: int, out: List[_Affine]) -> None:
-    """Append ``-entry`` for each table entry ``table.mult_jac(scalar)``
-    would add (a comb or window table: one per nonzero window)."""
-    bits = table.WINDOW_BITS
-    mask = (1 << bits) - 1
-    for row in table.windows:
-        digit = scalar & mask
-        if digit:
-            x, y = row[digit]
-            out.append((x, P - y))
-        scalar >>= bits
-        if not scalar:
-            break
-
-
 def _bucket_sum(terms: Sequence[Tuple[int, Point]], first: Point,
                 split_terms: Sequence[Tuple[int, int, Point]]) -> _Jacobian:
     """``first + sum((a + b*lambda) * R) - sum(terms)`` as one bucket
-    sum (see above). ``_comb_for`` and ``_table_for`` are consulted for
-    each merged term, in order, as a table multiplication would."""
+    sum (see above). Each merged term's tables are consulted once, in
+    order, as a table multiplication would consult them."""
     lists: List[List[_Affine]] = [[] for _ in range(_COLUMNS + len(_SPREADS))]
     unit = lists[0]
     unit.append((first.x, first.y))
     cold: List[Tuple[int, Point]] = []
+    looked_up: dict = {}
     for scalar, point in _merged_terms(terms):
-        table = _comb_for(point)
-        if table is None:
-            table = _table_for(point)
+        table = _fixed_table(point, looked_up)
         if table is None:
             cold.append((scalar, point))
         else:
-            _negated_entries(table, scalar, unit)
+            unit.extend(table.entries(N - scalar))    # -scalar * point
     carries = lists[_COLUMNS - 1]
     for a, b, point in split_terms:
         y = point.y
@@ -976,4 +960,4 @@ def is_valid_scalar(scalar: int) -> bool:
 
 # The generator is hot in every signing and verification path; build its
 # table eagerly at import (~10 ms, once per process).
-_table_cache[(GX, GY)] = _WindowTable(GENERATOR)
+_table_cache[(GX, GY)] = _FixedBaseTable(GENERATOR, _WINDOW_BITS)

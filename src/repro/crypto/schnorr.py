@@ -67,13 +67,7 @@ class SchnorrPublicKey:
         curve cannot equal the x of a curve point, so the accept set is
         that of the decode-and-compare form without its square root.
         """
-        parsed = _parse_signature(signature)
-        if parsed is None:
-            return False
-        r_bytes, x, s = parsed
-        e = _challenge(r_bytes, self.point, message)
-        total = ec.double_scalar_mult(s, ec.GENERATOR, ec.N - e, self.point)
-        return total.x == x and (total.y & 1) == (r_bytes[0] & 1)
+        return _single_check(self, message, signature, {})
 
 
 @dataclass(frozen=True)
@@ -147,6 +141,20 @@ def _challenge(r_bytes: bytes, public_point: ec.Point,
     return e if e != 0 else 1
 
 
+def _single_check(key: SchnorrPublicKey, message: bytes, signature: bytes,
+                  looked_up: dict) -> bool:
+    """:meth:`SchnorrPublicKey.verify`, its table lookups shared through
+    ``looked_up`` (see :func:`ec.double_scalar_mult`)."""
+    parsed = _parse_signature(signature)
+    if parsed is None:
+        return False
+    r_bytes, x, s = parsed
+    e = _challenge(r_bytes, key.point, message)
+    total = ec.double_scalar_mult(s, ec.GENERATOR, ec.N - e, key.point,
+                                  looked_up)
+    return total.x == x and (total.y & 1) == (r_bytes[0] & 1)
+
+
 def _parse_signature(signature: bytes
                      ) -> Optional[Tuple[bytes, int, int]]:
     """Split a 65-byte signature into (R bytes, R's x, s), or None if
@@ -171,24 +179,26 @@ BatchItem = Tuple[SchnorrPublicKey, bytes, bytes]
 
 # What each kernel costs in mixed point additions once the keys are hot
 # (comb tables), counted by tests/crypto/test_batch_verify.py. A single
-# check is two comb multiplications per signature. The batch equation
-# is one bucket sum (ec.batch_equation_holds) whose points each cost one
-# batched affine addition (~0.7 of a mixed addition): ~32 comb entries
-# per distinct key and for the generator, ~16 signed digits per nonce
-# point after the first. Once per equation: the bucket sums spread over
+# check is two comb multiplications per signature, at most 26 mixed
+# additions each. The batch equation is one bucket sum
+# (ec.batch_equation_holds) whose points each cost one batched affine
+# addition (~0.7 of a mixed addition): ~26 comb entries per distinct
+# key and for the generator, ~16 signed digits per nonce point after
+# the first. Once per equation: the bucket sums spread over
 # their columns (up to 40 points), the ladder's 32 doublings (~0.65
 # each) and one mixed addition per column, ~7 level inversions (~4
 # each), less the points that end alone in a column and so skip the
 # affine addition.
-_SINGLE_COST = 64
-_COMB_COST = 22
+_SINGLE_COST = 52
+_COMB_COST = 18
 _NONCE_COST = 12
 _LADDER_COST = 68
 
 
 def equation_wins(items: int, keys: int) -> bool:
     """Is the batch equation cheaper than ``items`` single checks, for
-    signatures by ``keys`` distinct keys? (7 by 2: yes; 2 by 2: no.)"""
+    signatures by ``keys`` distinct keys? (7 by 2 and 3 by 1: yes; 2 by
+    1 and 2 by 2: no.)"""
     return _COMB_COST * (keys + 1) + _NONCE_COST * (items - 1) \
         + _LADDER_COST < _SINGLE_COST * items
 
@@ -229,7 +239,11 @@ def verify_batch(items: Sequence[BatchItem],
     ``rng`` exists so tests can force coefficient choices.
     """
     if not equation_wins(len(items), len({key for key, _m, _s in items})):
-        return all(key.verify(message, signature)
+        # One lookup of each key's tables for the whole batch, as the
+        # equation does: the kernel a batch takes must not decide which
+        # keys earn tables.
+        looked_up: dict = {}
+        return all(_single_check(key, message, signature, looked_up)
                    for key, message, signature in items)
     parsed = []
     for public_key, message, signature in items:

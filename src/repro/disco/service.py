@@ -59,24 +59,33 @@ class DiscoService:
         """Authorize ``principal`` for a resource and open a session.
 
         ``presented`` are credentials the requester brings along (the
-        case study's Step 1: Maria's software passes delegation (1));
-        they are published into the local wallet before the query.
-        Raises :class:`AuthorizationDenied` when no satisfying proof can
-        be discovered.
+        case study's Step 1: Maria's software passes delegation (1)).
+        With a discovery engine, those the wallet lacks go to the
+        discovery, which checks their signatures with everything it
+        fetches and publishes them at its first commit; without one
+        they are published before the query. Raises
+        :class:`AuthorizationDenied` when no satisfying proof can be
+        discovered.
         """
         resource = self.registry.get(resource_name)
-        for delegation, supports in presented:
-            if self.wallet.store.get_delegation(delegation.id) is None:
+        presented = [(delegation, supports)
+                     for delegation, supports in presented
+                     if self.wallet.store.get_delegation(delegation.id)
+                     is None]
+        if self.engine is None:
+            for delegation, supports in presented:
                 self.wallet.publish(delegation, supports)
+            presented = []
 
         bases = resource.base_allocations()
-        proof = self.wallet.query_direct(
+        proof = None if presented else self.wallet.query_direct(
             principal, resource.required_role,
             constraints=resource.constraints, bases=bases)
         if proof is None and self.engine is not None:
             proof = self.engine.discover(
                 principal, resource.required_role,
-                constraints=resource.constraints, bases=bases)
+                constraints=resource.constraints, bases=bases,
+                presented=presented)
         if proof is None:
             self.denials += 1
             raise AuthorizationDenied(

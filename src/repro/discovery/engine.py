@@ -27,6 +27,9 @@ reaches the object over the wallet's and the staged links, or when the
 queue drains -- checks every staged signature in one batch and inserts
 each remotely fetched delegation into the local wallet through the
 coherent cache's publication checks (signature, supports, expiry).
+The credentials the requester presents (Step 1 of the case study) are
+staged the same way before any goal is sent, and published by the
+first commit.
 Matching Step 5 of the case study, a validation subscription for each
 one is established at its source, so a revocation there is pushed here.
 
@@ -64,7 +67,7 @@ from repro.core.attributes import (
     constraints_cache_key,
 )
 from repro.core.delegation import Delegation, prefetch_signatures
-from repro.core.errors import DiscoveryError, DRBACError
+from repro.core.errors import DiscoveryError, DRBACError, PublicationError
 from repro.core.proof import (
     Proof,
     check_link_terms,
@@ -213,6 +216,10 @@ class _Search:
     # The checked closures followed so far: (home, direction, proofs,
     # depth), committed answers' and result-cache hits'.
     followed: List[tuple] = field(default_factory=list)
+    # Presented credentials staged for the first commit, with their
+    # support proofs.
+    presented: List[Tuple[Delegation, Tuple[Proof, ...]]] = field(
+        default_factory=list)
 
 
 class DiscoveryEngine:
@@ -305,12 +312,23 @@ class DiscoveryEngine:
                  bases: Optional[Mapping[AttributeRef, float]] = None,
                  hints: Optional[Mapping[tuple, DiscoveryTag]] = None,
                  max_remote_queries: int = 64,
-                 stats: Optional[DiscoveryStats] = None
+                 stats: Optional[DiscoveryStats] = None,
+                 presented: Iterable[Tuple[Delegation,
+                                           Iterable[Proof]]] = ()
                  ) -> Optional[Proof]:
         """Find a proof for ``subject => obj``, fetching remote credentials
         as directed by discovery tags. Returns None when the search space
         (or the ``max_remote_queries`` goal budget) is exhausted without
         a satisfying proof.
+
+        ``presented`` are the (delegation, support proofs) the requester
+        brings along. One the wallet lacks is staged like an answer's
+        link: its tags route goals, and the first commit checks its
+        signature in the same batch as everything staged, then
+        publishes it. A credential the wallet refuses raises the
+        :class:`PublicationError` of :meth:`Wallet.publish` -- before
+        any goal is sent when only its signature is left unchecked,
+        else at that commit, after the goals its tags routed.
         """
         stats = stats if stats is not None else DiscoveryStats()
         run = DiscoveryStats()
@@ -322,8 +340,8 @@ class DiscoveryEngine:
                       subject=subject, object=obj) as span:
             try:
                 return self._discover(subject, obj, tuple(constraints),
-                                      bases, hints, max_remote_queries,
-                                      run)
+                                      bases, hints, presented,
+                                      max_remote_queries, run)
             finally:
                 run.wire_messages = \
                     network.totals.messages - messages_before
@@ -344,29 +362,36 @@ class DiscoveryEngine:
                   constraints: Tuple[Constraint, ...],
                   bases: Optional[Mapping[AttributeRef, float]],
                   hints: Optional[Mapping[tuple, DiscoveryTag]],
+                  presented: Iterable[Tuple[Delegation, Iterable[Proof]]],
                   budget: int, stats: DiscoveryStats) -> Optional[Proof]:
         wallet = self.server.wallet
         hints = hints or {}
-        tags = self._wallet_tags(hints)
-
-        proof = wallet.query_direct(subject, obj, constraints=constraints,
-                                    bases=bases)
-        if proof is not None:
-            stats.local_hit = True
-            return proof
-
         search = _Search(
             root_id=f"{self.server.address}#gem{next(self._root_ids)}",
             subject=subject, obj=obj, constraints=constraints,
-            bases=bases, hints=hints, tags=tags, stats=stats, budget=budget,
+            bases=bases, hints=hints, tags=self._wallet_tags(hints),
+            stats=stats, budget=budget,
             key_suffix=(constraints_cache_key(constraints),
                         bases_cache_key(bases)))
+        now = wallet.clock.now()
+        self._present(search, presented, now)
+        # Without the presented links the wallet's own reach decides;
+        # with them, a subject they alone let reach the object commits
+        # them at once and asks no home.
+        if not search.presented or self._reaches(search):
+            if search.presented:
+                self._commit(search, now)
+            proof = wallet.query_direct(subject, obj,
+                                        constraints=constraints, bases=bases)
+            if proof is not None:
+                stats.local_hit = True
+                return proof
+
         self._searches[search.root_id] = search
         self.gem_stats.c_roots.inc()
         try:
-            self._enqueue(search, subject, "fwd", 0)
-            for sub_proof in wallet.query_subject(subject):
-                self._enqueue(search, sub_proof.obj, "fwd", 0)
+            for head in self._roots(search):
+                self._enqueue(search, head, "fwd", 0)
             proof = self._pump(search)
             if proof is None:
                 # The bidirectional analog: one reverse root from the
@@ -377,6 +402,53 @@ class DiscoveryEngine:
             return proof
         finally:
             del self._searches[search.root_id]
+
+    def _present(self, search: _Search,
+                 presented: Iterable[Tuple[Delegation, Iterable[Proof]]],
+                 now: float) -> None:
+        """Stage each presented credential the wallet lacks: its tags,
+        and those of its support proofs, route goals as hints. One that
+        fails a check staging can run is offered to the wallet at once,
+        which refuses it as it always has (or, should it pass there,
+        holds it)."""
+        store = self.server.wallet.store
+        for delegation, supports in presented:
+            if store.get_delegation(delegation.id) is not None \
+                    or delegation.id in search.staged_ids:
+                continue
+            supports = tuple(supports)
+            if not self._admissible(delegation, supports, now):
+                self.server.wallet.publish(delegation, supports)
+                continue
+            search.presented.append((delegation, supports))
+            search.staged_ids.add(delegation.id)
+            search.staged_edges.setdefault(
+                delegation.subject_node, []).append(delegation.object_node)
+            self._harvest_tags(delegation, search.tags)
+            for support in supports:
+                for link in support.all_delegations():
+                    self._harvest_tags(link, search.tags)
+
+    def _roots(self, search: _Search) -> List[Subject]:
+        """The nodes a search's first goals ask from: the subject, and
+        every node it reaches over the wallet's links and the presented
+        ones."""
+        wallet = self.server.wallet
+        entered = [search.subject]    # grows while it is walked
+        roots: List[Subject] = []
+        seen: Set[tuple] = set()
+        for node in entered:
+            for head in [node] + [proof.obj
+                                  for proof in wallet.query_subject(node)]:
+                key = subject_key(head)
+                if key not in seen:
+                    seen.add(key)
+                    roots.append(head)
+                    entered.extend(
+                        delegation.obj
+                        for delegation, _supports in search.presented
+                        if delegation.subject_node == key)
+        return roots
 
     def _enqueue(self, search: _Search, node: Subject, direction: str,
                  depth: int) -> bool:
@@ -756,21 +828,34 @@ class DiscoveryEngine:
 
     def _commit(self, search: _Search, now: float) -> bool:
         """Admit the staged answers: one batch for every signature they
-        carry that the wallet has not admitted yet, then -- answer by
-        answer, in arrival order -- their credentials through the
-        coherent cache's publication checks, the (home, goal) closure
-        into the result cache, and the holdings. A staged link refused
-        here re-routes the search (``_reroute``). True when a credential
-        entered the wallet."""
+        and the presented credentials carry that the wallet has not
+        admitted yet; then the presented credentials through
+        :meth:`Wallet.publish`, and -- answer by answer, in arrival
+        order -- the answers' credentials through the coherent cache's
+        publication checks, the (home, goal) closure into the result
+        cache, and the holdings. A staged link refused here re-routes
+        the search (``_reroute``); a refused presented credential raises
+        its :class:`PublicationError` once the answers are in. True when
+        a fetched credential entered the wallet."""
         answers, search.staged = search.staged, []
+        presented, search.presented = search.presented, []
         staged, search.staged_ids = search.staged_ids, set()
         search.staged_edges.clear()
         store = self.server.wallet.store
-        # A failure is rejected by the insert, with its accounting.
-        prefetch_signatures(
-            delegation for answer in answers
-            for delegation in closure_delegations(answer.proofs)
-            if store.get_delegation(delegation.id) is None)
+        # A failure is rejected by the publish or the insert, with its
+        # accounting.
+        checked = [link for credential, supports in presented
+                   for link in (credential, *closure_delegations(supports))]
+        checked += [link for answer in answers
+                    for link in closure_delegations(answer.proofs)]
+        prefetch_signatures(delegation for delegation in checked
+                            if store.get_delegation(delegation.id) is None)
+        refusal: Optional[PublicationError] = None
+        for delegation, supports in presented:
+            try:
+                self.server.wallet.publish(delegation, supports)
+            except PublicationError as exc:
+                refusal = refusal or exc
         stats = search.stats
         cached_before = stats.delegations_cached
         refused = False
@@ -794,6 +879,8 @@ class DiscoveryEngine:
                                     for d in closure_delegations(proofs)])
         if refused:
             self._reroute(search)
+        if refusal is not None:
+            raise refusal
         return stats.delegations_cached > cached_before
 
     def _reroute(self, search: _Search) -> None:

@@ -496,21 +496,27 @@ class Wallet:
 
     def authorize(self, subject: Subject, obj: Role,
                   constraints: Iterable[Constraint] = (),
-                  callback: Optional[Callable] = None):
+                  callback: Optional[Callable] = None,
+                  presented: Iterable[Tuple[Delegation,
+                                            Iterable[Proof]]] = ()):
         """Direct query + monitor wrap: the paper's full query contract
         ("what it returns is a proof wrapped in a proof monitor object").
 
         :meth:`prove`, then :meth:`monitor` on what it found.  Returns a
         ProofMonitor, or None when no proof exists.
         """
-        proof = self.prove(subject, obj, constraints=constraints)
+        proof = self.prove(subject, obj, constraints=constraints,
+                           presented=presented)
         if proof is None:
             return None
         return self.monitor(proof, callback=callback,
                             constraints=constraints)
 
     def prove(self, subject: Subject, obj: Role,
-              constraints: Iterable[Constraint] = ()) -> Optional[Proof]:
+              constraints: Iterable[Constraint] = (),
+              presented: Iterable[Tuple[Delegation,
+                                        Iterable[Proof]]] = ()
+              ) -> Optional[Proof]:
         """:meth:`authorize`'s decision, without the monitor.
 
         When the local graph yields no proof and an attached
@@ -519,16 +525,29 @@ class Wallet:
         spans the whole local-then-distributed contract (and one trace
         tree links the proof search, discovery RPCs, and signature
         verifications it triggered).
+
+        ``presented`` are (delegation, support proofs) the requester
+        brings along: published first, or -- those this wallet lacks,
+        under a discovery hook -- handed to the discovery, which checks
+        them with what it fetches.
         """
         with obs.span("wallet.authorize", wallet=self.address,
                       subject=subject, object=obj) as span:
             self._stats.c_authorizations.inc()
-            proof = self.query_direct(subject, obj,
-                                      constraints=constraints)
+            presented = [(delegation, supports)
+                         for delegation, supports in presented
+                         if self.store.get_delegation(delegation.id) is None]
+            if self.discover is None:
+                for delegation, supports in presented:
+                    self.publish(delegation, supports)
+                presented = []
+            proof = None if presented else \
+                self.query_direct(subject, obj, constraints=constraints)
             source = "local"
             if proof is None and self.discover is not None:
                 source = "discovery"
-                proof = self.discover(subject, obj, constraints=constraints)
+                proof = self.discover(subject, obj, constraints=constraints,
+                                      presented=presented)
             span.set(result="denied" if proof is None else "granted",
                      source=source)
             return proof

@@ -262,10 +262,11 @@ class DistributedCaseStudy:
         Step 5 (distributed discovery + insertion + subscriptions).
         Returns the proof for Maria => AirNet.access."""
         case = self.case
-        # Step 1: BigISP's software presents delegation (1) to the server.
-        self.server.wallet.publish(case.d1_maria_member)
-        # Steps 2-5: the server's wallet discovers the rest.
-        return self.engine.discover(case.maria.entity, case.airnet_access)
+        # Step 1: BigISP's software presents delegation (1) to the
+        # server; Steps 2-5: the server's wallet discovers the rest, and
+        # checks (1) with what it fetched.
+        return self.engine.discover(case.maria.entity, case.airnet_access,
+                                    presented=[(case.d1_maria_member, ())])
 
     def authorize_and_monitor(self, callback=None):
         """Step 6: return the proof wrapped in a proof monitor."""
@@ -308,15 +309,13 @@ class DistributedFederation:
     def authorize(self, user_domain: int, user_index: int,
                   resource_domain: int,
                   stats: Optional[DiscoveryStats] = None):
-        """Run the full access flow; returns the proof (or None)."""
+        """Run the full access flow, the user presenting their member
+        credential; returns the proof (or None)."""
         source = self.domains[user_domain]
         target = self.domains[resource_domain]
-        credential = source.credentials[user_index]
-        if target.server.wallet.store.get_delegation(credential.id) \
-                is None:
-            target.server.wallet.publish(credential)
         return target.engine.discover(
-            source.users[user_index].entity, target.access, stats=stats)
+            source.users[user_index].entity, target.access, stats=stats,
+            presented=[(source.credentials[user_index], ())])
 
 
 def build_distributed_federation(domains: int = 4,
@@ -467,12 +466,12 @@ class DeployedCoalition:
 
     def authorize(self, stats: Optional[DiscoveryStats] = None,
                   max_remote_queries: int = 64):
-        """Present the user credential and run discovery at the server."""
-        if self.server.wallet.store.get_delegation(self.entry.id) is None:
-            self.server.wallet.publish(self.entry)
+        """Run discovery at the server, the user presenting their
+        credential."""
         return self.engine.discover(
             self.workload.subject, self.workload.obj, stats=stats,
-            max_remote_queries=max_remote_queries)
+            max_remote_queries=max_remote_queries,
+            presented=[(self.entry, ())])
 
     def close(self) -> None:
         self.server.close()

@@ -7,9 +7,11 @@ b*lambda`` for two 32-bit halves, less ``sum(terms)``; the equation
 holds iff it is the point at infinity. The property tests hold it to
 ``scalar_mult_plain``, on random points and on the sums an attacker can
 arrange (repeated and mirrored nonces, a nonce equal to a key or to one
-of its table entries, buckets that cancel). The lattice test pins why a
-pair of halves names its coefficient uniquely, which is what keeps a
-forged item's chance of passing at 2**-64.
+of its table entries, buckets that cancel). The fixed-base tables whose
+entries the key side adds are held to it too, at both widths, on the
+scalars whose signed GLV digits are likeliest to go wrong. The lattice
+test pins why a pair of halves names its coefficient uniquely, which is
+what keeps a forged item's chance of passing at 2**-64.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ import functools
 import math
 import random
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -86,7 +89,8 @@ WINDOW_KEY = ec.scalar_mult(0xBEEF01)
 
 @functools.lru_cache(maxsize=None)
 def _tables():
-    return ec._CombTable(COMB_KEY), ec._WindowTable(WINDOW_KEY)
+    return (ec._FixedBaseTable(COMB_KEY, ec._COMB_BITS),
+            ec._FixedBaseTable(WINDOW_KEY, ec._WINDOW_BITS))
 
 
 @contextlib.contextmanager
@@ -110,15 +114,11 @@ def _tabled():
             ec._table_cache[window_key] = saved_table
 
 
-def _entry(table, scalar, window):
-    """The entry ``table`` adds for ``scalar``'s digit in ``window`` (or
-    in the nearest window below with a nonzero digit), as a point."""
-    bits = table.WINDOW_BITS
-    for index in range(window, -1, -1):
-        digit = scalar >> (bits * index) & ((1 << bits) - 1)
-        if digit:
-            return ec.Point(*table.windows[index][digit])
-    return ec.Point(*table.windows[0][1])
+def _entry(table, scalar, index):
+    """The ``index``-th entry (cyclically) ``table`` adds for
+    ``scalar``, as a point: a digit of either GLV half."""
+    entries = table.entries(scalar)
+    return ec.Point(*entries[index % len(entries)])
 
 
 scalars = st.integers(min_value=1, max_value=ec.N - 1)
@@ -157,7 +157,7 @@ class TestDegenerateSums:
     @given(comb_scalar=scalars, window_scalar=scalars, g_scalar=scalars,
            picks=st.lists(st.tuples(st.sampled_from(["key", "comb",
                                                      "window"]),
-                                    st.integers(0, 31), st.booleans(),
+                                    st.integers(0, 43), st.booleans(),
                                     few_halves, few_halves),
                           min_size=1, max_size=6),
            as_first=st.booleans())
@@ -177,7 +177,7 @@ class TestDegenerateSums:
                 elif kind == "comb":
                     nonce = _entry(comb, comb_scalar, index)
                 else:
-                    nonce = _entry(window, window_scalar, 2 * index)
+                    nonce = _entry(window, window_scalar, index)
                 if negated:
                     nonce = ec.point_neg(nonce)
                 nonces.append((a, b, nonce))
@@ -208,6 +208,95 @@ class TestDegenerateSums:
         assert _bucket_sum(key_side, r, split) == ec.INFINITY
         assert ec.batch_equation_holds(key_side, r, split)
         assert not ec.batch_equation_holds(key_side[:1], r, split)
+
+
+def _from_halves(k1, k2):
+    """The scalar ``k1 + k2*lambda``, checked to split back into exactly
+    these halves, so a test of its digits tests what it means to."""
+    scalar = (k1 + k2 * ec.GLV_LAMBDA) % ec.N
+    assert ec._glv_split(scalar) == (k1, k2)
+    return scalar
+
+
+def _edge_scalars(bits):
+    """Scalars whose GLV halves are likeliest to be recoded wrong at
+    width ``bits``: a digit of exactly +-2**(bits-1) in either half and
+    just past it (a carry), halves whose every digit carries into the
+    top window, negative halves, and 1, N-1 and lambda."""
+    top = 1 << (bits - 1)
+    long = (1 << 127) - 1
+    carried = (1 << 120) - 1
+    pairs = [(top, 0), (-top, 0), (0, top), (0, -top), (top + 1, -top - 1),
+             (-top - 1, top), (long, 0), (-long, 0), (carried, -carried),
+             (-carried, carried), (top << (bits * 4), -top << bits)]
+    return [_from_halves(k1, k2) for k1, k2 in pairs] \
+        + [1, ec.N - 1, ec.GLV_LAMBDA]
+
+
+WIDTHS = [ec._WINDOW_BITS, ec._COMB_BITS]
+
+
+@functools.lru_cache(maxsize=None)
+def _table(bits):
+    return ec._FixedBaseTable(COMB_KEY, bits)
+
+
+def _entries_sum(table, scalar):
+    total = ec.INFINITY
+    for x, y in table.entries(scalar):
+        total = ec.point_add(total, ec.Point(x, y))
+    return total
+
+
+class TestFixedBaseTables:
+    """``entries(scalar)`` are affine points summing to ``scalar * P``,
+    at most two per window (one per GLV half), and ``mult_jac`` is
+    their sum: held to ``scalar_mult_plain`` at both widths."""
+
+    def test_halves_fit_below_the_top_window(self):
+        """The GLV rounding leaves each half within half a basis vector
+        of zero: below 2**128, so the top window takes any carry."""
+        bound = 1 << ec._GLV_HALF_BITS
+        assert ec._GLV_A1 + ec._GLV_A2 < 2 * bound
+        assert ec._GLV_A1 - ec._GLV_B1 < 2 * bound
+        for bits in WIDTHS:
+            windows = len(_table(bits).windows)
+            # The top window's digit is at most 2**(128 - bits*(w-1)),
+            # plus a carry: still a digit.
+            assert bits * windows > ec._GLV_HALF_BITS
+            assert (bound >> (bits * (windows - 1))) + 1 <= 1 << (bits - 1)
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    def test_table_shape(self, bits):
+        table = _table(bits)
+        top = 1 << (bits - 1)
+        assert all(len(row) == top + 1 and row[0] is None
+                   for row in table.windows)
+        # Comb: 13 x 512 = 6 656 entries; window: 22 x 32 = 704.
+        assert len(table.windows) * top \
+            == {ec._COMB_BITS: 6656, ec._WINDOW_BITS: 704}[bits]
+        for window, row in enumerate(table.windows[:3]):
+            for digit in (1, 2, top):
+                assert ec.Point(*row[digit]) == ec.scalar_mult_plain(
+                    digit << (bits * window), COMB_KEY)
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    def test_edge_scalars(self, bits):
+        table = _table(bits)
+        for scalar in _edge_scalars(bits):
+            expected = ec.scalar_mult_plain(scalar, COMB_KEY)
+            assert _entries_sum(table, scalar) == expected, hex(scalar)
+            assert table.mult(scalar) == expected, hex(scalar)
+            assert len(table.entries(scalar)) <= 2 * len(table.windows)
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    @given(scalar=st.integers(min_value=1, max_value=ec.N - 1))
+    def test_matches_plain_multiplication(self, bits, scalar):
+        table = _table(bits)
+        expected = ec.scalar_mult_plain(scalar, COMB_KEY)
+        assert _entries_sum(table, scalar) == expected
+        assert table.mult(scalar) == expected
+        assert len(table.entries(scalar)) <= 2 * len(table.windows)
 
 
 def _signed_with_nonce(private, message, k):

@@ -449,7 +449,8 @@ class TestCostModel:
         added = []
         for point in [ec.GENERATOR] + [items[i][0].point for i in (0, 1)]:
             if (point.x, point.y) not in ec._comb_cache:
-                ec._comb_cache[(point.x, point.y)] = ec._CombTable(point)
+                ec._comb_cache[(point.x, point.y)] = \
+                    ec._FixedBaseTable(point, ec._COMB_BITS)
                 added.append((point.x, point.y))
         yield items
         for key in added:
@@ -464,11 +465,13 @@ class TestCostModel:
         assert verify_batch(hot_items, rng=random.Random(7))
         batch = counter.take()
         count, keys = 7, 2
-        # Single check: two comb multiplications, each joined to the
-        # running sum (the first join is onto the identity: free), no
-        # doublings and no bucket sum.
+        # Single check: two comb multiplications of at most 26 mixed
+        # additions, one per signed digit of each GLV half, each joined
+        # to the running sum (the first join is onto the identity:
+        # free), no doublings and no bucket sum.
         assert single["double"] == 0 and single["add"] == 2 * count
         assert single["affine"] == single["inverse"] == 0
+        assert schnorr._SINGLE_COST == 2 * 26
         assert 0.95 * schnorr._SINGLE_COST * count \
             <= single["mixed"] <= schnorr._SINGLE_COST * count
         # Equation: one bucket sum. Every point it places is added once,
@@ -480,13 +483,13 @@ class TestCostModel:
         # signatures, and no key is cold.
         digits, spread = _bucket_points(7, count)
         entries = batch["affine"] + batch["mixed"] - 1 - digits - spread
-        tables = 32 * (keys + 1)
+        tables = 26 * (keys + 1)
         assert 0.95 * tables <= entries <= tables
         assert batch["add"] == 0 and 28 <= batch["double"] <= 32
         assert batch["mixed"] <= 33 and batch["inverse"] <= 8
         # The constants, each point weighed as an affine addition.
         weight = _WEIGHTS["affine"]
-        assert abs(weight * 32 - schnorr._COMB_COST) <= 1
+        assert abs(weight * 26 - schnorr._COMB_COST) <= 1
         assert abs(weight * digits / (count - 1)
                    - schnorr._NONCE_COST) <= 1.5
         ladder = _weighed(batch) - schnorr._COMB_COST * (keys + 1) \
@@ -496,6 +499,20 @@ class TestCostModel:
         # And the comparison the dispatch rule makes comes out the same
         # way when weighed: fewer operations per signature.
         assert _weighed(batch) < 0.75 * _weighed(single)
+
+    def test_a_comb_multiplication_is_at_most_26_additions(
+            self, hot_items, monkeypatch):
+        point = hot_items[0][0].point
+        comb = ec._comb_cache[(point.x, point.y)]
+        assert sum(len(row) - 1 for row in comb.windows) <= 6656
+        counter = _OpCounter(monkeypatch)
+        rng = random.Random(26)
+        for scalar in [1, ec.N - 1, ec.GLV_LAMBDA] + [
+                rng.randrange(1, ec.N) for _ in range(40)]:
+            comb.mult_jac(scalar)
+            counts = counter.take()
+            assert counts["mixed"] <= 26
+            assert counts["double"] == counts["add"] == 0
 
     def test_small_batch_costs_what_its_single_checks_cost(
             self, hot_items, monkeypatch):

@@ -146,7 +146,7 @@ class TestPromotionCaches:
                   "_comb_use_counts", "_row_cache")
         for name in caches:
             monkeypatch.setattr(ec, name, {})
-        ec._table_cache[(ec.GX, ec.GY)] = ec._WindowTable(ec.GENERATOR)
+        ec._table_cache[(ec.GX, ec.GY)] = ec._FixedBaseTable(ec.GENERATOR, ec._WINDOW_BITS)
         workload = make_scc_heavy(6, 6, seed=1)
         items = [(d.issuer.public_key, d.signing_bytes(), d.signature)
                  for d, _supports in workload.delegations]

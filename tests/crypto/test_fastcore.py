@@ -42,7 +42,7 @@ def hot_point():
     if key not in ec._comb_cache:
         with ec._FAST_LOCK:
             if key not in ec._comb_cache:
-                ec._comb_cache[key] = ec._CombTable(point)
+                ec._comb_cache[key] = ec._FixedBaseTable(point, ec._COMB_BITS)
     return point
 
 

@@ -4,12 +4,13 @@ credentials live.
 Section 4.2's claim is that tag-directed discovery finds what a wallet
 holding every credential would find. Hypothesis generates small
 credential sets -- role-to-role delegations across a few domains, each
-modulating valued attributes under all three Table 2 operators, every
-node tagged ``S``/``O`` with a randomly drawn home -- plus constraints
-on the query. Each set is evaluated twice: once in a single
-:class:`Wallet` holding everything, once deployed across the homes its
-tags name (``deploy_coalition``) and searched by ``discover``. For
-every role:
+modulating valued attributes under the three Table 2 operators, drawn
+per modifier, every node tagged ``S``/``O`` with a randomly drawn home
+-- plus constraints on the query. Each set is evaluated twice: once in
+a single :class:`Wallet` holding everything, once deployed across the
+homes its tags name (``deploy_coalition``) and searched by
+``discover``, the user presenting the entry credential with each
+request. For every role:
 
 * discovery grants exactly when the single wallet grants;
 * where the role has one simple path from the user, so the grant has
@@ -55,25 +56,30 @@ HOMES = [f"wallet.d{k}.example" for k in range(DOMAINS)]
 ROLES = [Role(OWNERS[n // ROLES_PER_DOMAIN].entity,
               f"r{n % ROLES_PER_DOMAIN}") for n in range(NODES)]
 
-# One attribute per Table 2 operator in each domain's namespace (each
-# attribute is bound to a single operator), with the values a modifier
-# on it may take and the resource's base allocation.
-OPERATORS = {
-    "BW": (Operator.MIN, st.sampled_from([0.0, 40.0, 80.0, 150.0])),
-    "storage": (Operator.SUBTRACT, st.sampled_from([0.0, 5.0, 30.0])),
-    "hours": (Operator.MULTIPLY, st.sampled_from([0.25, 0.5, 1.0])),
+# Three attributes in each domain's namespace, and the values a modifier
+# may take under each Table 2 operator. Each modifier draws its own
+# operator, so one attribute may be modulated under several along a
+# chain. Every attribute has the resource's base allocation.
+ATTRIBUTES = ["BW", "storage", "hours"]
+VALUES = {
+    Operator.MIN: st.sampled_from([0.0, 40.0, 80.0, 150.0]),
+    Operator.SUBTRACT: st.sampled_from([0.0, 5.0, 30.0]),
+    Operator.MULTIPLY: st.sampled_from([0.25, 0.5, 1.0]),
 }
 BASES = {AttributeRef(owner.entity, name): 100.0
-         for owner in OWNERS for name in OPERATORS}
+         for owner in OWNERS for name in ATTRIBUTES}
 
 
 @st.composite
 def modifiers(draw, domain):
     """Modifiers on attributes of the object's domain (Section 3.2.1)."""
-    names = draw(st.sets(st.sampled_from(sorted(OPERATORS)), max_size=2))
-    return [Modifier(AttributeRef(OWNERS[domain].entity, name),
-                     OPERATORS[name][0], draw(OPERATORS[name][1]))
-            for name in sorted(names)]
+    names = draw(st.sets(st.sampled_from(ATTRIBUTES), max_size=2))
+    mods = []
+    for name in sorted(names):
+        operator = draw(st.sampled_from(list(VALUES)))
+        mods.append(Modifier(AttributeRef(OWNERS[domain].entity, name),
+                             operator, draw(VALUES[operator])))
+    return mods
 
 
 @st.composite
@@ -149,9 +155,9 @@ def test_discovery_decides_as_one_wallet_holding_everything(case):
     for delegation, supports in workload.delegations:
         single.publish(delegation, supports)
     deployed = deploy_coalition(workload)
+    presented = [(deployed.entry, ())]
     try:
         origin = deployed.server.wallet
-        origin.publish(deployed.entry)
         goals = len(HOMES) * 2 * (NODES + 1)
         for node, role in enumerate(ROLES):
             local = single.query_direct(USER.entity, role, constraints,
@@ -159,7 +165,7 @@ def test_discovery_decides_as_one_wallet_holding_everything(case):
             before = deployed.network.totals.messages
             found = deployed.engine.discover(
                 USER.entity, role, constraints, BASES,
-                max_remote_queries=1024)
+                max_remote_queries=1024, presented=presented)
             assert deployed.network.totals.messages - before <= 2 * goals
             assert (found is None) == (local is None), role
             if found is None:
@@ -190,13 +196,12 @@ def test_a_revocation_decides_as_one_wallet_holding_it(case, data):
     cold = WalletServer(deployed.network,
                         Wallet(owner=OWNERS[0], address="server.cold",
                                clock=deployed.clock), principal=OWNERS[0])
+    presented = [(deployed.entry, ())]
     try:
         warm = deployed.engine
-        for server in (deployed.server, cold):
-            server.wallet.publish(deployed.entry)
         for role in ROLES:
             warm.discover(USER.entity, role, constraints, BASES,
-                          max_remote_queries=1024)
+                          max_remote_queries=1024, presented=presented)
         storing = sorted(address for address, home in deployed.homes.items()
                          if home.wallet.store.get_delegation(revoked.id)
                          is not None)
@@ -212,7 +217,8 @@ def test_a_revocation_decides_as_one_wallet_holding_it(case, data):
                      {subject_key(role): _tag(node, homes)})):
                 found = engine.discover(USER.entity, role, constraints,
                                         BASES, hints=hints,
-                                        max_remote_queries=1024)
+                                        max_remote_queries=1024,
+                                        presented=presented)
                 assert (found is None) == (local is None), (role, name)
     finally:
         cold.close()

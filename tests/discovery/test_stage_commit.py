@@ -9,12 +9,19 @@ every other staged answer, in one ``keys.verify_batch``. A commit runs
 when the subject reaches the object over the wallet's and the staged
 links (node keys only), and when the queue drains.
 
+The credentials a requester presents are staged before the first goal
+and published by the first commit, checked in its batch.
+
 Pinned here: a forged signature routes at most the goals its tag names
 and never grants; an honest cold discovery checks what it was shipped
-in exactly one batch; a constrained search that reaches its object
-unsatisfied commits early and searches on with the same messages; a
-revocation pushed before its copy is committed is honoured; and no
-holding a kept copy's support proofs need outlives every copy.
+and what it was presented in exactly one batch, and nothing alone; a
+forged presented credential is refused as the wallet always refused
+it, after at most the goals its budget allows; a presented credential
+that completes the chain alone grants with no message; a constrained
+search that reaches its object unsatisfied commits early and searches
+on with the same messages; a revocation pushed before its copy is
+committed is honoured; and no holding a kept copy's support proofs
+need outlives every copy.
 """
 
 import dataclasses
@@ -31,8 +38,9 @@ from repro.core.attributes import (
     Operator,
 )
 from repro.core.delegation import Delegation, Revocation
+from repro.core.errors import PublicationError
 from repro.core.proof import validate_proof
-from repro.crypto import keys, verify_cache
+from repro.crypto import keys, schnorr, verify_cache
 from repro.discovery.engine import DiscoveryEngine, DiscoveryStats
 from repro.discovery.resolver import WalletServer
 from repro.net.transport import Network
@@ -152,10 +160,7 @@ class TestOneBatchPerDiscovery:
     @staticmethod
     def _figure2():
         d = build_distributed_case_study(seed=11)
-        d.server.wallet.publish(d.case.d1_maria_member)
-        homes = [d.bigisp_home, d.airnet_home]
-        return d.server, homes, lambda: d.engine.discover(
-            d.case.maria.entity, d.case.airnet_access)
+        return d.server, [d.bigisp_home, d.airnet_home], d.run_steps_1_to_5
 
     @staticmethod
     def _federation():
@@ -206,6 +211,119 @@ class TestOneBatchPerDiscovery:
                     for link in support.all_delegations())}
         assert kept and kept <= shipped[0]
         assert not home_signatures.intersection(singles)
+
+    @pytest.mark.parametrize("build", ["_figure2", "_federation", "_scc"])
+    def test_one_equation_and_no_single_check(self, build, monkeypatch):
+        """The credential the user presents joins the batch of what was
+        fetched: a cold authorize checks every signature in one
+        ``keys.verify_batch``, one equation, and no Schnorr signature
+        alone."""
+        with verify_cache.scoped():
+            server, _homes, authorize = getattr(self, build)()
+        batches, equations, singles = [], [], []
+        real_batch = keys.verify_batch
+        real_equation = schnorr.ec.batch_equation_holds
+        real_single = schnorr._single_check
+        monkeypatch.setattr(keys, "verify_batch", lambda items: (
+            batches.append(len(items)) or real_batch(items)))
+        monkeypatch.setattr(schnorr.ec, "batch_equation_holds",
+                            lambda *sides: equations.append(1)
+                            or real_equation(*sides))
+        monkeypatch.setattr(schnorr, "_single_check",
+                            lambda *args: singles.append(1)
+                            or real_single(*args))
+        with verify_cache.scoped():
+            assert authorize() is not None
+        assert len(batches) == len(equations) == 1 and singles == []
+        # Everything the origin now holds was in it.
+        store = server.wallet.store
+        held = {d.id for d in store.delegations()} | {
+            link.id for copy in server.cache.ids()
+            for support in store.supports_for(copy)
+            for link in support.all_delegations()}
+        assert batches[0] == len(held)
+
+
+class TestPresented:
+    """alice presents ``[alice -> r1]``, whose object tag names w.mid,
+    which holds ``[r1 -> r2]``."""
+
+    @pytest.fixture()
+    def presenting(self, org, alice, clock):
+        network = Network(clock=clock)
+        r1, r2 = Role(org.entity, "r1"), Role(org.entity, "r2")
+        server, mid = _hosts(network, clock, org, ("w.local", "w.mid"))
+        credential = issue(org, alice.entity, r1, object_tag=_tag("w.mid"))
+        mid.wallet.publish(issue(org, r1, r2, subject_tag=_tag("w.mid")))
+        return DiscoveryEngine(server), server, mid, network, credential, \
+            r1, r2
+
+    def test_joins_the_search_and_the_wallet(self, presenting, alice):
+        engine, server, mid, network, credential, _r1, r2 = presenting
+        stats = DiscoveryStats()
+        proof = engine.discover(alice.entity, r2, stats=stats,
+                                presented=[(credential, ())])
+        assert proof is not None and proof.depth() == 2
+        # Its tag routed the one goal; it is held as published, not as
+        # a fetched copy.
+        assert stats.rounds == 1 and network.totals.messages == 2
+        assert server.wallet.store.get_delegation(credential.id) \
+            is not None
+        assert credential.id not in server.cache
+        assert stats.delegations_cached == 1
+
+    def test_completing_the_chain_alone_sends_nothing(self, presenting,
+                                                      alice):
+        engine, server, _mid, network, credential, r1, _r2 = presenting
+        stats = DiscoveryStats()
+        proof = engine.discover(alice.entity, r1, stats=stats,
+                                presented=[(credential, ())])
+        assert proof is not None and proof.chain == (credential,)
+        assert network.totals.messages == 0 and stats.rounds == 0
+        assert stats.local_hit
+        assert server.wallet.store.get_delegation(credential.id) \
+            is not None
+        # Presented again, it is already held: a local hit as before.
+        assert engine.discover(alice.entity, r1,
+                               presented=[(credential, ())]) == proof
+        assert network.totals.messages == 0
+
+    @pytest.mark.parametrize("budget", [0, 1, 64])
+    def test_a_forged_one_raises_as_the_wallet_did(self, presenting,
+                                                   alice, budget):
+        """Its signature is checked at the first commit, so its tag has
+        routed goals by then -- never more than the budget allows. It
+        then raises the wallet's own refusal, and enters nothing."""
+        engine, server, mid, network, credential, _r1, r2 = presenting
+        forged = _forged(credential)
+        with pytest.raises(PublicationError) as refused:
+            server.wallet.publish(forged)
+        stats = DiscoveryStats()
+        with pytest.raises(PublicationError) as raised:
+            engine.discover(alice.entity, r2, stats=stats,
+                            max_remote_queries=budget,
+                            presented=[(forged, ())])
+        assert str(raised.value) == str(refused.value)
+        assert stats.rounds == min(budget, 1)
+        assert network.totals.messages == 2 * stats.rounds
+        assert server.wallet.store.get_delegation(forged.id) is None
+        assert forged.id not in server.cache
+        assert forged.id not in engine.result_cache._by_delegation
+        assert all(forged.id not in held
+                   for held in mid._holdings.values())
+        # What the goal fetched is genuine and kept, with its holding.
+        assert stats.delegations_cached == stats.rounds
+        assert mid.holdings_count() == stats.rounds
+
+    def test_an_expired_one_raises_before_any_goal(self, presenting, org,
+                                                   alice, clock):
+        engine, server, _mid, network, _credential, r1, r2 = presenting
+        expired = issue(org, alice.entity, r1, expiry=clock.now() - 1.0,
+                        object_tag=_tag("w.mid"))
+        with pytest.raises(PublicationError, match="expired"):
+            engine.discover(alice.entity, r2, presented=[(expired, ())])
+        assert network.totals.messages == 0
+        assert server.wallet.store.get_delegation(expired.id) is None
 
 
 class TestConstrainedReach:
