@@ -450,6 +450,29 @@ def check_link_terms(delegation: Delegation, at: float,
             )
 
 
+def is_live(delegation: Delegation, at: float,
+            is_revoked: Callable[[str], bool]) -> bool:
+    """:func:`check_link_terms`' time-varying half: neither expired at
+    ``at`` nor revoked. All a link needs rechecked once a wallet holds
+    it (its signature and namespace were checked when it was
+    admitted)."""
+    return not delegation.is_expired(at) and not is_revoked(delegation.id)
+
+
+def is_admissible(delegation: Delegation, supports: Tuple[Proof, ...],
+                  at: float, is_revoked: Callable[[str], bool]) -> bool:
+    """The publication checks ``delegation`` can pass before its
+    signature is checked: :func:`check_link_terms`, and a support proof
+    claimed among ``supports`` for each role it requires (the claims
+    are validated where it is published)."""
+    try:
+        check_link_terms(delegation, at, is_revoked)
+    except ProofError:
+        return False
+    return all(find_support(supports, delegation.issuer, role) is not None
+               for role in delegation.required_supports())
+
+
 def check_supports(delegation: Delegation, supports: Tuple[Proof, ...],
                    at: float, is_revoked: Callable[[str], bool]) -> None:
     """Raise :class:`ProofError` unless each role ``delegation``
@@ -547,6 +570,28 @@ def closure_links(proofs: Sequence[Proof]) -> Iterator[Delegation]:
             yield proof.grown_link()
         else:
             yield from proof._chain
+
+
+def admit_closure(proofs: Sequence[Proof],
+                  admit: Callable[[Delegation, Proof], bool]
+                  ) -> Tuple[List[Proof], Set[str]]:
+    """The members of a closure whose every chain link ``admit``
+    passes, and the ids of the links it failed. A member whose parent
+    passed adds only its grown link to check; a link that failed fails
+    every member holding it without being asked again."""
+    failed: Set[str] = set()
+    passed: List[Proof] = []
+    members: Set[int] = set()
+    for proof in proofs:
+        grown = proof.parent is not None and id(proof.parent) in members
+        for delegation in (proof.grown_link(),) if grown else proof._chain:
+            if delegation.id in failed or not admit(delegation, proof):
+                failed.add(delegation.id)
+                break
+        else:
+            passed.append(proof)
+            members.add(id(proof))
+    return passed, failed
 
 
 def _tree(proofs: Sequence[Proof]) -> Iterator[Tuple[Proof, bool]]:

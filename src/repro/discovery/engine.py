@@ -10,28 +10,26 @@ The search the paper describes for a subject of type 'S':
     roots for further searches."
 
 plus the mirror-image object-towards-subject scheme for 'O' objects
-(Section 4.2.3). This engine runs that search as *tabled goal
-evaluation* (after Trivellato, Zannone & Etalle's GEM, PAPERS.md): a
-goal is "everything home H stores from (or towards) node N"; the origin
-sends each goal to its home at most once per search as a one-way
-``gem_eval``, the home answers with one ``gem_answers`` push carrying
-its local closure, and the origin derives the next goals itself from
-the discovery tags of the credentials it has just received. Because the
-origin dedups goals against the search's issued-set, mutually recursive
-cross-home delegations terminate with a message count that does not
-grow with the number of times a cycle would be revisited.
+(Section 4.2.3), run as *tabled goal evaluation*
+(:mod:`repro.discovery.gem`): a goal is "everything home H stores from
+(or towards) node N"; the origin sends each goal to its home at most
+once per search as a one-way ``gem_eval``, the home answers with one
+``gem_answers`` push carrying its local closure, and the origin derives
+the next goals itself from the discovery tags of the credentials it has
+just received.
 
-An answer is *staged*, then *committed*. Staging checks everything but
-signatures and routes the next goals; a commit -- once the subject
-reaches the object over the wallet's and the staged links, or when the
-queue drains -- checks every staged signature in one batch and inserts
-each remotely fetched delegation into the local wallet through the
-coherent cache's publication checks (signature, supports, expiry).
-The credentials the requester presents (Step 1 of the case study) are
-staged the same way before any goal is sent, and published by the
-first commit.
-Matching Step 5 of the case study, a validation subscription for each
-one is established at its source, so a revocation there is pushed here.
+The evaluation -- which goal next, which answer to accept, what to stage
+and when to commit -- is :class:`~repro.discovery.gem.Origin`, a step
+function over a read-only view of the wallet. :class:`DiscoveryEngine`
+drives it: it sends the goals, serves goals from the result cache,
+fetches refs the wallet lost, checks each commit's signatures in one
+batch and inserts each fetched delegation through the coherent cache's
+publication checks (signature, supports, expiry). The credentials the
+requester presents (Step 1 of the case study) are staged the same way
+before any goal is sent, and published by the first commit. Matching
+Step 5 of the case study, a validation subscription for each fetched
+one is established at its source, so a revocation there is pushed
+here.
 
 Store-only flags ('s'/'o') differ from search flags ('S'/'O') only in
 the *guarantee*: both cause the home wallet to be queried, but only the
@@ -52,9 +50,7 @@ from typing import (
     Iterable,
     List,
     Mapping,
-    NamedTuple,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -70,18 +66,19 @@ from repro.core.delegation import Delegation, prefetch_signatures
 from repro.core.errors import DiscoveryError, DRBACError, PublicationError
 from repro.core.proof import (
     Proof,
-    check_link_terms,
+    admit_closure,
     closure_delegations,
     closure_links,
     find_support,
+    is_live,
     is_valid_proof,
 )
 from repro.core.roles import Role, Subject, subject_key
 from repro.core.tags import DiscoveryTag
 from repro.discovery import wire
+from repro.discovery.gem import Answer, Goal, GoalKey, Origin, View
 from repro.discovery.result_cache import DiscoveryCache, make_discovery_key
-from repro.discovery.gem import MAX_DEPTH, GoalKey
-from repro.discovery.resolver import WalletServer
+from repro.discovery.resolver import FETCH_ERRORS, WalletServer
 from repro.net.rpc import RpcError
 from repro.net.transport import NetworkError
 from repro.pubsub.events import EventKind
@@ -159,69 +156,6 @@ class DiscoveryStats:
         return data
 
 
-class _Answer(NamedTuple):
-    """One accepted ``gem_answers`` push: decoded, or -- while
-    ``missing`` names refs this wallet cannot resolve -- waiting for
-    ``_pump`` to fetch them."""
-
-    home: str
-    goal: GoalKey
-    depth: int
-    payloads: List[Mapping]
-    memo: Dict[int, Delegation]
-    missing: List[str]
-    proofs: List[Proof]
-    # The ids the home now holds for this origin because of this push.
-    subs: List[str]
-
-
-@dataclass
-class _Search:
-    """One ``discover`` call's evaluation root: the coalition-wide goal
-    bookkeeping every home's answers are checked against."""
-
-    root_id: str
-    subject: Subject
-    obj: Role
-    constraints: Tuple[Constraint, ...]
-    bases: Optional[Mapping[AttributeRef, float]]
-    hints: Mapping[tuple, DiscoveryTag]
-    tags: Dict[tuple, DiscoveryTag]
-    stats: DiscoveryStats
-    budget: int
-    # The part of the result cache's keys every goal of this search
-    # shares.
-    key_suffix: tuple
-    # Goals waiting to be sent: (home, direction, node, depth).
-    queue: Deque[tuple] = field(default_factory=deque)
-    # Every (home, goal) ever queued -- a derived goal already in here
-    # is a coalition-wide loop, recorded but never re-evaluated.
-    issued: Set[Tuple[str, GoalKey]] = field(default_factory=set)
-    # Goals on the wire and not yet answered, with their depth. An
-    # answer is accepted only for a key in here, from the home it
-    # names, exactly once.
-    pending: Dict[Tuple[str, GoalKey], int] = field(default_factory=dict)
-    # Goals an absorbed closure already answers (see ``_follow``).
-    covered: Set[Tuple[str, GoalKey]] = field(default_factory=set)
-    answers: Deque[_Answer] = field(default_factory=deque)
-    # Certificates received in full this search (resolves the refs a
-    # home sends for anything it already shipped).
-    received: Dict[str, Delegation] = field(default_factory=dict)
-    # Answers staged since the last commit, in arrival order, and the
-    # links they stage that the wallet does not hold: by id, and as
-    # node-key edges for the reachability gate.
-    staged: List[_Answer] = field(default_factory=list)
-    staged_ids: Set[str] = field(default_factory=set)
-    staged_edges: Dict[tuple, List[tuple]] = field(default_factory=dict)
-    # The checked closures followed so far: (home, direction, proofs,
-    # depth), committed answers' and result-cache hits'.
-    followed: List[tuple] = field(default_factory=list)
-    # Presented credentials staged for the first commit, with their
-    # support proofs.
-    presented: List[Tuple[Delegation, Tuple[Proof, ...]]] = field(
-        default_factory=list)
-
-
 class DiscoveryEngine:
     """Drives multi-wallet proof discovery from one local wallet server."""
 
@@ -250,12 +184,13 @@ class DiscoveryEngine:
         # exactly like graph/proof_cache.py.
         self._cache_subscription = server.wallet.hub.subscribe_all(
             self._on_hub_event)
-        # Live searches by root id (answer pushes land here via the
-        # server's sink), and the server's drbac_gem_* counters, so
+        # Live searches by root id, each with the inbox its accepted
+        # answer pushes wait in (they land via the server's sink), and
+        # the server's drbac_gem_* counters, so
         # origin- and home-side tallies of this host read as one
         # surface.
         self._root_ids = itertools.count()
-        self._searches: Dict[str, _Search] = {}
+        self._searches: Dict[str, Tuple[Origin, Deque[Answer]]] = {}
         self.gem_stats = server.gem_stats
         server.gem_answer_sink = self._on_gem_answers
         # A revocation pushed before its staged copy is committed is
@@ -365,599 +300,251 @@ class DiscoveryEngine:
                   presented: Iterable[Tuple[Delegation, Iterable[Proof]]],
                   budget: int, stats: DiscoveryStats) -> Optional[Proof]:
         wallet = self.server.wallet
-        hints = hints or {}
-        search = _Search(
-            root_id=f"{self.server.address}#gem{next(self._root_ids)}",
-            subject=subject, obj=obj, constraints=constraints,
-            bases=bases, hints=hints, tags=self._wallet_tags(hints),
-            stats=stats, budget=budget,
-            key_suffix=(constraints_cache_key(constraints),
-                        bases_cache_key(bases)))
-        now = wallet.clock.now()
-        self._present(search, presented, now)
+        store = wallet.store
+        view = View(
+            address=self.server.address, now=wallet.clock.now(),
+            held=store.get_delegation, delegations=store.delegations,
+            out_edges=store.graph.out_edges_by_node,
+            heads=lambda node: [proof.obj
+                                for proof in wallet.query_subject(node)],
+            is_revoked=store.is_revoked,
+            authorized=lambda home, tag: self._authorized(home, tag, stats))
+        origin = Origin(view, f"{self.server.address}#gem"
+                        f"{next(self._root_ids)}", subject, obj, constraints,
+                        bases, hints or {}, budget, stats, self.gem_stats)
+        for delegation, supports in presented:
+            supports = tuple(supports)
+            if not origin.present(delegation, supports):
+                # Refused as it always was (or, should it pass, held).
+                wallet.publish(delegation, supports)
         # Without the presented links the wallet's own reach decides;
         # with them, a subject they alone let reach the object commits
         # them at once and asks no home.
-        if not search.presented or self._reaches(search):
-            if search.presented:
-                self._commit(search, now)
+        if not origin.presented or origin.reaches():
+            if origin.presented:
+                self._commit(origin, view.now)
             proof = wallet.query_direct(subject, obj,
                                         constraints=constraints, bases=bases)
             if proof is not None:
                 stats.local_hit = True
                 return proof
 
-        self._searches[search.root_id] = search
+        inbox: Deque[Answer] = deque()
+        self._searches[origin.root] = origin, inbox
         self.gem_stats.c_roots.inc()
         try:
-            for head in self._roots(search):
-                self._enqueue(search, head, "fwd", 0)
-            proof = self._pump(search)
-            if proof is None:
-                # The bidirectional analog: one reverse root from the
-                # object side, when its tag announces an object-flagged
-                # home.
-                self._enqueue(search, obj, "rev", 0)
-                proof = self._pump(search)
-            return proof
+            # Forward first; then the bidirectional analog, one reverse
+            # root from the object side.
+            for direction in ("fwd", "rev"):
+                origin.start(direction)
+                proof = self._drive(origin, inbox)
+                if proof is not None:
+                    return proof
+            return None
         finally:
-            del self._searches[search.root_id]
+            del self._searches[origin.root]
 
-    def _present(self, search: _Search,
-                 presented: Iterable[Tuple[Delegation, Iterable[Proof]]],
-                 now: float) -> None:
-        """Stage each presented credential the wallet lacks: its tags,
-        and those of its support proofs, route goals as hints. One that
-        fails a check staging can run is offered to the wallet at once,
-        which refuses it as it always has (or, should it pass there,
-        holds it)."""
-        store = self.server.wallet.store
-        for delegation, supports in presented:
-            if store.get_delegation(delegation.id) is not None \
-                    or delegation.id in search.staged_ids:
-                continue
-            supports = tuple(supports)
-            if not self._admissible(delegation, supports, now):
-                self.server.wallet.publish(delegation, supports)
-                continue
-            search.presented.append((delegation, supports))
-            search.staged_ids.add(delegation.id)
-            search.staged_edges.setdefault(
-                delegation.subject_node, []).append(delegation.object_node)
-            self._harvest_tags(delegation, search.tags)
-            for support in supports:
-                for link in support.all_delegations():
-                    self._harvest_tags(link, search.tags)
-
-    def _roots(self, search: _Search) -> List[Subject]:
-        """The nodes a search's first goals ask from: the subject, and
-        every node it reaches over the wallet's links and the presented
-        ones."""
-        wallet = self.server.wallet
-        entered = [search.subject]    # grows while it is walked
-        roots: List[Subject] = []
-        seen: Set[tuple] = set()
-        for node in entered:
-            for head in [node] + [proof.obj
-                                  for proof in wallet.query_subject(node)]:
-                key = subject_key(head)
-                if key not in seen:
-                    seen.add(key)
-                    roots.append(head)
-                    entered.extend(
-                        delegation.obj
-                        for delegation, _supports in search.presented
-                        if delegation.subject_node == key)
-        return roots
-
-    def _enqueue(self, search: _Search, node: Subject, direction: str,
-                 depth: int) -> bool:
-        """Queue the goal ``node`` names, if its tag names a home this
-        engine may ask. True when that goal was already issued for this
-        search -- a loop."""
-        home = self._home_for(node, search.tags, search.stats,
-                              direction == "fwd")
-        if home is None:
-            return False
-        key = (home, (direction, subject_key(node)))
-        if key in search.issued:
-            return True
-        if depth <= MAX_DEPTH:
-            search.issued.add(key)
-            search.queue.append((home, direction, node, depth))
-        return False
-
-    def _home_for(self, node: Subject, tags: Dict[tuple, DiscoveryTag],
-                  stats: DiscoveryStats, forward: bool) -> Optional[str]:
-        """The home a node's tag directs its goal to, or None: no tag,
-        a flag that stores nothing there, this host itself, or a host
-        that failed the Section 4.2.1 authority check."""
-        tag = tags.get(subject_key(node))
-        if tag is None:
-            return None
-        flag = tag.subject_flag if forward else tag.object_flag
-        if not flag.stores_at_home:
-            return None
-        if not forward and not isinstance(node, Role):
-            return None
-        home = tag.home
-        if not home or home == self.server.address:
-            return None
-        if not self._authorized(home, tag, stats):
-            return None
-        return home
-
-    def _pump(self, search: _Search) -> Optional[Proof]:
-        """Send queued goals until the proof exists, the queue drains or
-        the budget is spent. Answers arrive synchronously on this
-        simulated transport, so each send is followed by staging
-        whatever landed; a real deployment would block on the answer
-        stream instead -- the control flow is the same because each
-        goal begets exactly one answer.
+    def _drive(self, origin: Origin, inbox: Deque[Answer]
+               ) -> Optional[Proof]:
+        """Send the core's goals, one at a time and in its order, until
+        the proof exists, the queue drains or the budget is spent; answer
+        a goal from the result cache where a held closure does. This is
+        the one place that assumes answers arrive synchronously: on the
+        simulated network a home's push has landed in ``inbox`` (through
+        :meth:`_on_gem_answers`) by the time ``remote_gem_eval``
+        returns, so each send is followed by staging whatever landed. A
+        real deployment would block on the answer stream instead; the
+        core is the same, since each goal begets exactly one answer.
 
         A staged answer routes goals at once, but enters the wallet only
         at a commit: when the subject reaches the object over the
-        wallet's links and the staged ones, and when the queue drains.
-        Each commit checks every staged signature together."""
-        stats = search.stats
-        now = self.server.wallet.clock.now()
+        wallet's links and the staged ones, and when the queue drains."""
+        now = origin.view.now
         while True:
-            while search.queue and search.budget > 0:
-                home, direction, node, depth = search.queue.popleft()
-                goal: GoalKey = (direction, subject_key(node))
-                if (home, goal) in search.covered:
+            for goal in iter(origin.next_goal, None):
+                key = self._cache_key(goal.home, goal.key, origin)
+                if self._serve_from_cache(origin, key, goal, now):
                     continue
-                key = self._cache_key(home, goal, search)
-                if self._serve_from_cache(search, key, home, goal, depth,
-                                          now):
-                    continue
-                search.budget -= 1
-                stats.rounds += 1
-                if direction == "fwd":
-                    stats.remote_subject_queries += 1
-                else:
-                    stats.remote_object_queries += 1
-                stats.wallets_contacted.add(home)
-                self.gem_stats.c_evals_issued.inc()
-                search.pending[(home, goal)] = depth
+                origin.send(goal)
                 try:
-                    with obs.span("discovery.gem_eval", home=home,
-                                  root=search.root_id):
+                    with obs.span("discovery.gem_eval", home=goal.home,
+                                  root=origin.root):
                         self.server.remote_gem_eval(
-                            home, search.root_id, direction, node,
-                            constraints=search.constraints,
-                            bases=search.bases)
+                            goal.home, origin.root, goal.key[0], goal.node,
+                            constraints=origin.constraints,
+                            bases=origin.bases)
                 except (RpcError, NetworkError, DiscoveryError):
                     # Unreachable home: a clean miss, negative-cached so
                     # the next ``negative_ttl`` seconds don't retry the
                     # dead link. Heals by TTL lapse.
-                    del search.pending[(home, goal)]
+                    origin.lost(goal)
                     self.result_cache.store(key, (), now, self.negative_ttl)
                     continue
-                while search.answers:
-                    answer = search.answers.popleft()
-                    if answer.missing:
-                        self._refetch(search, answer)
-                    if self._stage(search, answer, now) \
-                            and self._reaches(search) \
-                            and self._commit(search, now):
+                while inbox:
+                    answer = inbox.popleft()
+                    self._refetch(origin, answer)
+                    if origin.stage(answer) and origin.reaches() \
+                            and self._commit(origin, now):
                         proof = self.server.wallet.query_direct(
-                            search.subject, search.obj,
-                            constraints=search.constraints,
-                            bases=search.bases)
+                            origin.subject, origin.obj,
+                            constraints=origin.constraints,
+                            bases=origin.bases)
                         if proof is not None:
                             return proof
             # Drained (or out of budget) short of the object: what is
             # staged still enters the wallet, and no proof can come of
             # it -- but a refused credential may route goals again.
-            self._commit(search, now)
-            if not search.queue or search.budget <= 0:
+            self._commit(origin, now)
+            if not origin.queue or origin.budget <= 0:
                 return None
 
     @staticmethod
-    def _cache_key(home: str, goal: GoalKey, search: _Search) -> tuple:
+    def _cache_key(home: str, goal: GoalKey, origin: Origin) -> tuple:
         direction, node_key = goal
+        suffix = (constraints_cache_key(origin.constraints),
+                  bases_cache_key(origin.bases))
         if direction == "fwd":
             return make_discovery_key(home, "subject", node_key, None,
-                                      *search.key_suffix)
-        return make_discovery_key(home, "object", None, node_key,
-                                  *search.key_suffix)
+                                      *suffix)
+        return make_discovery_key(home, "object", None, node_key, *suffix)
 
-    def _serve_from_cache(self, search: _Search, key: tuple, home: str,
-                          goal: GoalKey, depth: int, now: float) -> bool:
+    def _serve_from_cache(self, origin: Origin, key: tuple, goal: Goal,
+                          now: float) -> bool:
         """Answer a goal from the result cache. A cached closure counts
         only while every chain link of it is still in the local wallet,
         and live there: then nothing needs inserting (or subscribing
         to) and the goal costs no message."""
-        stats = search.stats
+        stats = origin.stats
         hit, proofs = self.result_cache.lookup(key, now)
         store = self.server.wallet.store
         if not hit or not all(
                 store.get_delegation(d.id) is not None
-                and not self._dead(d, now)
+                and is_live(d, now, store.is_revoked)
                 for d in closure_links(proofs)):
             stats.cache_misses += 1
             return False
         stats.cache_hits += 1
         if not proofs:
             stats.cache_negative_hits += 1
-        self._follow(search, home, goal[0], proofs, depth)
-        search.followed.append((home, goal[0], proofs, depth))
+        origin.served(goal, proofs)
         return True
 
-    def _follow(self, search: _Search, home: str, direction: str,
-                proofs: Iterable[Proof], depth: int,
-                count_loops: bool = True) -> None:
-        """Queue the goals a home's closure continues into: each proof's
-        head (its object going forward, its subject in reverse), homed
-        by the tags of the wallet's credentials and of staged ones. A
-        staged credential's tag routes before its signature is checked:
-        it is a hint (Section 4.2), the host-authority check and the
-        goal budget still apply, and nothing the goal brings back enters
-        the wallet unchecked. A cached closure's proofs are all held.
-
-        A head stored at the answering home itself continues nowhere:
-        the closure is transitive, so it already holds every link that
-        home has from there, and a goal still queued for that head is
-        covered too. Not so under constraints -- a shorter chain from
-        the head may pass where the one through this goal's node did
-        not -- so then every head is asked. ``count_loops`` is False when
-        closures already followed are followed again (see ``_reroute``):
-        a head issued then is no coalition-wide loop."""
-        covers = not search.constraints
-        for proof in proofs:
-            head = proof.obj if direction == "fwd" else proof.subject
-            tag = search.tags.get(subject_key(head))
-            if covers and tag is not None and tag.home == home:
-                search.covered.add((home, (direction, subject_key(head))))
-                continue
-            if self._enqueue(search, head, direction, depth + 1) \
-                    and count_loops:
-                self.gem_stats.c_loops_detected.inc()
-
     def _on_gem_answers(self, src: str, params: dict) -> None:
-        """The server's ``gem_answers`` sink. A push is accepted only
-        from the home a still-unanswered goal of a live search was sent
-        to, once; anything else -- an unknown root, another home's
-        goal, a replay, a malformed goal, or ``subs`` that are not a
-        list of ids -- is dropped before its proofs are decoded."""
+        """The server's ``gem_answers`` sink. The live search the push
+        names decides whether ``src`` was asked for it
+        (:meth:`Origin.accept`); an accepted answer waits in that
+        search's inbox, to be fetched, decoded and staged by
+        :meth:`_drive` -- never from in here, on the home's stack. A push
+        whose ``subs`` are not a list of ids is dropped unread."""
         try:
             subs = wire.ids_from_wire(params.get("subs"))
         except DiscoveryError:
             self.gem_stats.c_answers_dropped.inc()
             return
         search = self._searches.get(params.get("root"))
-        depth = None
-        asked = False
-        if search is not None:
-            try:
-                direction, node = wire.gem_goal_from_wire(params["goal"])
-                goal: GoalKey = (direction, subject_key(node))
-            except (DRBACError, KeyError, TypeError):
-                pass    # a goal nobody could have asked
-            else:
-                depth = search.pending.pop((src, goal), None)
-                asked = (src, goal) in search.issued
-        if depth is None:
+        answer, release = search[0].accept(src, params, subs) \
+            if search is not None else (None, subs)
+        if answer is None:
             self.gem_stats.c_answers_dropped.inc()
-            # A second push for a goal ``src`` was asked lists the
-            # accepted push's ids. Any other records no holding: each id
-            # goes back to ``src`` unless its copy already counts on it.
+            # Each id goes back to ``src`` unless its copy already
+            # counts on it.
             cache = self.server.cache
-            for delegation_id in () if asked else subs:
+            for delegation_id in release:
                 if not cache.holds(src, delegation_id):
                     cache.release(src, delegation_id)
             return
         self.gem_stats.c_answers_received.inc()
-        received = search.received
-        store = self.server.wallet.store
-        memo: Dict[int, Delegation] = {}
-        refs: Set[str] = set()
-        payloads = params.get("answers", ())
-        for payload in payloads:
-            for delegation in wire.proof_full_delegations(
-                    payload, memo=memo, refs=refs):
-                received[delegation.id] = delegation
-        # A ref to nothing shipped this search is the home saying "you
-        # hold this". Believe it only as far as the wallet agrees: what
-        # is gone (a lapsed lease whose unsubscribe was lost, a restart)
-        # is fetched by ``_pump`` -- never from in here, on the home's
-        # stack.
-        held = refs.difference(received)
-        missing = sorted(r for r in held
-                         if store.get_delegation(r) is None)
-        if len(held) > len(missing):
-            self.gem_stats.c_refs_from_holdings.inc(
-                len(held) - len(missing))
-        answer = _Answer(src, goal, depth, payloads, memo, missing, [],
-                         subs)
-        if not missing:
-            self._decode(search, answer)
-        search.answers.append(answer)
+        search[1].append(answer)
 
     def _received(self, delegation_id: str) -> Optional[Delegation]:
         """A copy of ``delegation_id`` a live search received, if any."""
-        for search in self._searches.values():
-            delegation = search.received.get(delegation_id)
-            if delegation is not None:
-                return delegation
-        return None
+        return next((origin.received[delegation_id]
+                     for origin, _inbox in self._searches.values()
+                     if delegation_id in origin.received), None)
 
-    def _decode(self, search: _Search, answer: _Answer) -> None:
-        """Materialize an answer's proofs, resolving refs against what
-        this search received in full and then the wallet. A proof with
-        a ref neither knows (or one that is malformed) is dropped, and
-        so is every record grown from it, which leaves the answer
-        incomplete: see ``_commit``."""
-        received = search.received
-        store = self.server.wallet.store
-
-        def resolve(delegation_id: str) -> Delegation:
-            delegation = received.get(delegation_id)
-            if delegation is None:
-                delegation = store.get_delegation(delegation_id)
-            if delegation is None:
-                raise DiscoveryError(
-                    f"unresolvable answer ref {delegation_id!r}")
-            return delegation
-
-        decoded: List[Optional[Proof]] = []
-        forward = answer.goal[0] == "fwd"
-        for payload in answer.payloads:
-            try:
-                proof = wire.proof_from_wire_session(
-                    payload, resolve, memo=answer.memo, earlier=decoded,
-                    forward=forward)
-            except DRBACError:
-                proof = None    # unresolved, or not shaped like a proof
-            decoded.append(proof)
-        answer.proofs.extend(p for p in decoded if p is not None)
-        self.gem_stats.c_answer_records.inc(len(answer.proofs))
-
-    def _refetch(self, search: _Search, answer: _Answer) -> None:
-        """Recover an answer whose refs the wallet could not resolve:
-        fetch each from the home that referred to it, re-establish its
-        validation subscription there (idempotent at the home) and
-        decode. What comes back goes through ``_insert``'s publication
-        checks like anything shipped in full; only its id is checked
-        here, so a home cannot pass one credential off as another."""
-        rpc, home = self.server.rpc, answer.home
+    def _refetch(self, origin: Origin, answer: Answer) -> None:
+        """Fetch each ref of an answer the wallet could not resolve from
+        the home that referred to it, and re-establish its validation
+        subscription there (idempotent at the home). What comes back
+        goes through ``_insert``'s publication checks like anything
+        shipped in full; only its id is checked on arrival
+        (``remote_get_delegation``), so a home cannot pass one
+        credential off as another."""
+        server, home = self.server, answer.home
         for ref in answer.missing:
             try:
-                record = rpc.call(home, "get_delegation",
-                                  {"delegation_id": ref})
-                delegation = wire.delegation_from_wire(
-                    record["delegation"])
-                if delegation.id != ref:
-                    raise DiscoveryError(f"{home} answered {ref!r} "
-                                         f"with {delegation.id!r}")
-                if rpc.call(home, "subscribe",
-                            {"delegation_id": ref})["known"]:
+                delegation = server.remote_get_delegation(home, ref)
+                if server.rpc.call(home, "subscribe",
+                                   {"delegation_id": ref})["known"]:
                     answer.subs.append(ref)
-            except (RpcError, NetworkError, DRBACError, KeyError,
-                    TypeError):
-                # Unreachable, unknown there (a null record), not what
-                # was asked for, or not a record at all.
+            except FETCH_ERRORS:
                 self.gem_stats.c_refs_unresolved.inc()
                 continue
-            search.received[ref] = delegation
+            origin.receive(delegation)
             self.gem_stats.c_refs_refetched.inc()
-        self._decode(search, answer)
 
-    def _stage(self, search: _Search, answer: _Answer,
-               now: float) -> bool:
-        """Stage one accepted answer: check each proof's links for
-        everything but their signatures, follow the heads of the proofs
-        that pass -- routed by their tags, a hint until the commit
-        checks the signatures -- and keep the answer for the commit.
-        True when it staged a link neither the wallet nor this search
-        held."""
-        store = self.server.wallet.store
-        new = False
-        failed: Set[str] = set()
-        passed: List[Proof] = []
-        # A proof grown from one that passed adds one link to check.
-        passed_ids: Set[int] = set()
-        for proof in answer.proofs:
-            grown = proof.parent is not None \
-                and id(proof.parent) in passed_ids
-            for delegation in (proof.grown_link(),) if grown \
-                    else proof.chain:
-                if delegation.id in failed:
-                    break
-                if delegation.id in search.staged_ids:
-                    continue
-                if store.get_delegation(delegation.id) is not None:
-                    if self._dead(delegation, now):
-                        failed.add(delegation.id)
-                        break
-                    continue
-                if not self._admissible(
-                        delegation, proof.supports_for(delegation), now):
-                    failed.add(delegation.id)
-                    break
-                new = True
-                search.staged_ids.add(delegation.id)
-                search.staged_edges.setdefault(
-                    delegation.subject_node, []).append(
-                        delegation.object_node)
-            else:
-                passed.append(proof)
-                passed_ids.add(id(proof))
-                for delegation in proof.grown_delegations() if grown \
-                        else proof.all_delegations():
-                    self._harvest_tags(delegation, search.tags)
-        search.staged.append(answer)
-        self._follow(search, answer.home, answer.goal[0], passed,
-                     answer.depth)
-        return new
-
-    def _admissible(self, delegation: Delegation,
-                    supports: Tuple[Proof, ...], now: float) -> bool:
-        """The publication checks a staged link can pass before its
-        signature is checked: live, in its object's namespace, and with
-        a support proof claimed for each role it requires."""
-        try:
-            check_link_terms(delegation, now,
-                             self.server.wallet.store.is_revoked)
-        except DRBACError:
-            return False
-        return all(find_support(supports, delegation.issuer, role)
-                   is not None for role in delegation.required_supports())
-
-    def _reaches(self, search: _Search) -> bool:
-        """Does the subject reach the object over the wallet's links and
-        the staged ones? Node keys only -- no attributes, supports or
-        time -- so a proof needs it: the gate a commit waits for."""
-        out_edges = self.server.wallet.store.graph.out_edges_by_node
-        staged = search.staged_edges
-        target = subject_key(search.obj)
-        seen = {subject_key(search.subject)}
-        stack = list(seen)
-        while stack:
-            node = stack.pop()
-            for step in itertools.chain(
-                    (d.object_node for d in out_edges(node)),
-                    staged.get(node, ())):
-                if step == target:
-                    return True
-                if step not in seen:
-                    seen.add(step)
-                    stack.append(step)
-        return False
-
-    def _commit(self, search: _Search, now: float) -> bool:
-        """Admit the staged answers: one batch for every signature they
-        and the presented credentials carry that the wallet has not
-        admitted yet; then the presented credentials through
-        :meth:`Wallet.publish`, and -- answer by answer, in arrival
-        order -- the answers' credentials through the coherent cache's
-        publication checks, the (home, goal) closure into the result
-        cache, and the holdings. A staged link refused here re-routes
-        the search (``_reroute``); a refused presented credential raises
-        its :class:`PublicationError` once the answers are in. True when
-        a fetched credential entered the wallet."""
-        answers, search.staged = search.staged, []
-        presented, search.presented = search.presented, []
-        staged, search.staged_ids = search.staged_ids, set()
-        search.staged_edges.clear()
-        store = self.server.wallet.store
+    def _commit(self, origin: Origin, now: float) -> bool:
+        """Admit what the core staged: one batch for every signature of
+        it the wallet has not admitted yet; then the presented
+        credentials through :meth:`Wallet.publish`, and -- answer by
+        answer, in arrival order -- ``_insert``. A refused presented
+        credential raises its :class:`PublicationError` once the answers
+        are in. True when a fetched credential entered the wallet."""
+        batch = origin.commit()
         # A failure is rejected by the publish or the insert, with its
         # accounting.
-        checked = [link for credential, supports in presented
-                   for link in (credential, *closure_delegations(supports))]
-        checked += [link for answer in answers
-                    for link in closure_delegations(answer.proofs)]
-        prefetch_signatures(delegation for delegation in checked
-                            if store.get_delegation(delegation.id) is None)
+        prefetch_signatures(batch.links)
         refusal: Optional[PublicationError] = None
-        for delegation, supports in presented:
+        for delegation, supports in batch.presented:
             try:
                 self.server.wallet.publish(delegation, supports)
             except PublicationError as exc:
                 refusal = refusal or exc
-        stats = search.stats
-        cached_before = stats.delegations_cached
-        refused = False
-        for answer in answers:
-            home, proofs = answer.home, answer.proofs
-            verified, rejected = self._insert(proofs, home, answer.subs,
-                                              stats, now)
-            refused = refused or not staged.isdisjoint(rejected)
-            search.followed.append((home, answer.goal[0], verified,
-                                    answer.depth))
-            # A closure with rejected links or dropped proofs (a ref left
-            # unresolved) is not the home's real answer: it may not be
-            # served to a later search.
-            if len(verified) == len(answer.payloads):
-                ttl = self._result_ttl(proofs) if proofs \
-                    else self.negative_ttl
-                self.result_cache.store(
-                    self._cache_key(home, answer.goal, search),
-                    tuple(proofs), now, ttl,
-                    delegation_ids=[d.id
-                                    for d in closure_delegations(proofs)])
-        if refused:
-            self._reroute(search)
+        cached_before = origin.stats.delegations_cached
+        origin.committed(batch, [self._insert(origin, answer, now)
+                                 for answer in batch.answers])
         if refusal is not None:
             raise refusal
-        return stats.delegations_cached > cached_before
+        return origin.stats.delegations_cached > cached_before
 
-    def _reroute(self, search: _Search) -> None:
-        """A staged link the commit refused routed goals by tags its
-        signature may not back. Withdraw every staged tag -- the
-        search's tags are the wallet's again -- and follow each checked
-        closure anew, so a forged tag harvested first cannot keep a
-        genuine one for the same node from routing its goal, nor mark
-        that goal covered. Goals already sent stay sent."""
-        search.tags = self._wallet_tags(search.hints)
-        search.covered.clear()
-        for home, direction, proofs, depth in search.followed:
-            self._follow(search, home, direction, proofs, depth,
-                         count_loops=False)
-
-    def _dead(self, delegation: Delegation, now: float) -> bool:
-        """``check_link``'s time-varying half, for a link the wallet
-        already holds (its signature and namespace were checked when
-        it was admitted)."""
-        return self.server.wallet.store.is_revoked(delegation.id) \
-            or delegation.is_expired(now)
-
-    def _result_ttl(self, proofs: Sequence[Proof]) -> float:
-        """A cached result may not outlive the discovery-tag lease of any
-        delegation it contains (Section 4.2.1 trust window)."""
-        return min(self._ttl_for(d) for d in closure_links(proofs))
-
-    def _insert(self, proofs: List[Proof], home: str, subs: List[str],
-                stats: DiscoveryStats, now: float
+    def _insert(self, origin: Origin, answer: Answer, now: float
                 ) -> Tuple[List[Proof], Set[str]]:
-        """Insert a closure's chain links through the coherent cache's
-        publication checks, then settle the validation subscriptions
-        the home established when it shipped them (``subs``). A link
-        the wallet already holds is not inserted again, but counts
-        only while it is live: a home may still serve what is revoked
-        or expired here. Returns the proofs whose every chain link is
-        now live in the local wallet, and the ids of the links refused."""
-        stats.subscriptions_established += len(subs)
+        """Insert a staged answer's chain links through the coherent
+        cache's publication checks, settle the validation subscriptions
+        the home established when it shipped them (``subs``), and keep
+        the closure in the result cache if all of it passed. A link the
+        wallet already holds is not inserted again, but counts only
+        while it is live: a home may still serve what is revoked or
+        expired here. Returns the proofs whose every chain link is now
+        live in the local wallet, and the ids of the links refused."""
+        home, proofs, stats = answer.home, answer.proofs, origin.stats
+        stats.subscriptions_established += len(answer.subs)
         cache = self.server.cache
         store = self.server.wallet.store
-        rejected: Set[str] = set()
         # The links accepted here: kept copies, whose stored support
         # proofs may need what the home holds.
         kept: Set[str] = set()
-        verified: List[Proof] = []
-        # A proof grown from one verified here adds one link to check.
-        verified_ids: Set[int] = set()
-        for proof in proofs:
-            grown = proof.parent is not None \
-                and id(proof.parent) in verified_ids
-            for delegation in (proof.grown_link(),) if grown \
-                    else proof.chain:
-                if delegation.id in rejected:
-                    break
-                if store.get_delegation(delegation.id) is None:
-                    try:
-                        cache.insert(
-                            delegation, proof.supports_for(delegation),
-                            home=home, ttl=self._ttl_for(delegation))
-                        stats.delegations_cached += 1
-                    except DRBACError:
-                        # A remote wallet served material the local
-                        # publication checks reject (the validator's
-                        # link check or support lookup). Skip it -- a
-                        # rogue or stale peer must not poison the
-                        # trusted wallet or abort the search.
-                        stats.delegations_rejected += 1
-                        rejected.add(delegation.id)
-                        break
-                elif self._dead(delegation, now):
-                    stats.delegations_rejected += 1
-                    rejected.add(delegation.id)
-                    break
-                kept.add(delegation.id)
-            else:
-                verified.append(proof)
-                verified_ids.add(id(proof))
+
+        def admit(delegation: Delegation, proof: Proof) -> bool:
+            if store.get_delegation(delegation.id) is None:
+                try:
+                    cache.insert(delegation, proof.supports_for(delegation),
+                                 home=home, ttl=self._ttl_for(delegation))
+                except DRBACError:
+                    # A remote wallet served material the local
+                    # publication checks reject (the validator's link
+                    # check or support lookup). Skip it -- a rogue or
+                    # stale peer must not poison the trusted wallet or
+                    # abort the search.
+                    return False
+                stats.delegations_cached += 1
+            elif not is_live(delegation, now, store.is_revoked):
+                return False
+            kept.add(delegation.id)
+            return True
+
+        verified, rejected = admit_closure(proofs, admit)
+        stats.delegations_rejected += len(rejected)
         # Record each id the home now holds for this origin on the copy
         # it guards, or on the kept copies whose stored support proofs
         # it is a link of; with neither, release it.
@@ -967,11 +554,23 @@ class DiscoveryEngine:
                 for support in store.supports_for(copy):
                     for delegation in support.all_delegations():
                         users.setdefault(delegation.id, []).append(copy)
-        for delegation_id in subs:
+        for delegation_id in answer.subs:
             if delegation_id in cache or delegation_id not in users:
                 cache.hold(home, delegation_id)
             else:
                 cache.hold_support(home, delegation_id, users[delegation_id])
+        # A closure with rejected links or dropped proofs (a ref left
+        # unresolved) is not the home's real answer: it may not be
+        # served to a later search. A kept one may not outlive the
+        # discovery-tag lease of any delegation it contains (Section
+        # 4.2.1 trust window).
+        if len(verified) == len(answer.payloads):
+            ttl = min(map(self._ttl_for, closure_links(proofs))) if proofs \
+                else self.negative_ttl
+            self.result_cache.store(
+                self._cache_key(home, answer.goal, origin), tuple(proofs),
+                now, ttl,
+                delegation_ids=[d.id for d in closure_delegations(proofs)])
         return verified, rejected
 
     # ------------------------------------------------------------------
@@ -1004,21 +603,15 @@ class DiscoveryEngine:
         valid = [proof for proof in wallet.store.supports_for(delegation.id)
                  if is_valid_proof(proof, at=now,
                                    revoked=wallet.store.is_revoked)]
-        satisfied = 0
-        fresh: List = []
-        for role in required:
-            if find_support(valid, delegation.issuer, role) is not None:
-                satisfied += 1
-                continue
-            found = self.discover(
-                delegation.issuer, role, hints=hints,
-                max_remote_queries=max_remote_queries, stats=stats)
-            if found is not None:
-                fresh.append(found)
-                satisfied += 1
+        lacking = [role for role in required
+                   if find_support(valid, delegation.issuer, role) is None]
+        fresh = [proof for proof in (
+            self.discover(delegation.issuer, role, hints=hints,
+                          max_remote_queries=max_remote_queries, stats=stats)
+            for role in lacking) if proof is not None]
         if fresh:
             wallet.store.add_supports(delegation.id, fresh)
-        return satisfied == len(required)
+        return len(fresh) == len(lacking)
 
     def _authorized(self, home: str, tag: DiscoveryTag,
                     stats: DiscoveryStats) -> bool:
@@ -1053,20 +646,3 @@ class DiscoveryEngine:
             if tag is not None and tag.ttl > 0
         ]
         return min(ttls) if ttls else self.default_ttl
-
-    def _wallet_tags(self, hints: Mapping[tuple, DiscoveryTag]
-                     ) -> Dict[tuple, DiscoveryTag]:
-        """``hints``, then the tags of every credential the wallet
-        holds: what routes a search's goals before any answer."""
-        tags = dict(hints)
-        for delegation in self.server.wallet.store.delegations():
-            self._harvest_tags(delegation, tags)
-        return tags
-
-    @staticmethod
-    def _harvest_tags(delegation: Delegation,
-                      tags: Dict[tuple, DiscoveryTag]) -> None:
-        if delegation.subject_tag is not None:
-            tags.setdefault(delegation.subject_node, delegation.subject_tag)
-        if delegation.object_tag is not None:
-            tags.setdefault(delegation.object_node, delegation.object_tag)

@@ -16,13 +16,13 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.core.delegation import Revocation
+from repro.core.delegation import Delegation, Revocation
 from repro.core.errors import DiscoveryError, DRBACError
 from repro.core.identity import Principal
-from repro.core.proof import Proof, find_support, is_valid_proof
+from repro.core.proof import Proof, find_support, is_live, is_valid_proof
 from repro.core.roles import subject_from_dict
 from repro.discovery import wire
-from repro.discovery.gem import GEM_COUNTER_NAMES
+from repro.discovery.gem import GEM_COUNTER_NAMES, answer_push
 from repro.net.rpc import RpcError, RpcNode
 from repro.net.switchboard import Switchboard
 from repro.net.transport import Network, NetworkError
@@ -30,6 +30,10 @@ from repro.pubsub.events import DelegationEvent, EventKind
 from repro.pubsub.subscriptions import Subscription
 from repro.wallet.cache import CoherentCache
 from repro.wallet.wallet import Wallet
+
+# What fetching from a peer can raise: unreachable, unknown there (a
+# null record), not what was asked for, or not a record at all.
+FETCH_ERRORS = (RpcError, NetworkError, DRBACError, KeyError, TypeError)
 
 
 class WalletServer:
@@ -187,12 +191,8 @@ class WalletServer:
         """TTL confirmation probe: is the delegation still valid here?"""
         delegation_id = params["delegation_id"]
         delegation = self.wallet.store.get_delegation(delegation_id)
-        valid = (
-            delegation is not None
-            and not delegation.is_expired(self.wallet.clock.now())
-            and not self.wallet.is_revoked(delegation_id)
-        )
-        return {"valid": valid}
+        return {"valid": delegation is not None and is_live(
+            delegation, self.wallet.clock.now(), self.wallet.is_revoked)}
 
     def _rpc_whoami(self, _src: str, _params: Any) -> Optional[dict]:
         owner = self.wallet.owner
@@ -253,35 +253,25 @@ class WalletServer:
     def _gem_push_answers(self, origin: str, request: dict,
                           proofs: List[Proof]) -> None:
         """Ship this home's local closure for one goal straight to the
-        search's origin: one notify, session-encoded against what the
-        origin holds a validation subscription for, so a certificate
-        crosses the wire only while the origin lacks it. The notify
-        doubles as the goal's completion signal, so it is sent even for
-        an empty closure. Newly shipped certificates get their
+        search's origin, as the one notify
+        :func:`~repro.discovery.gem.answer_push` builds. The
+        certificates it ships newly get their
         validation subscriptions established *here*, server-side, with
         the origin as subscriber -- no subscribe round trips -- and the
-        answer lists their ids; a push that never left takes them back,
-        for nobody holds what it carried. The closure ships as a
-        tree."""
-        held = self._holdings.get(origin, {})
-        sent = set(held)
-        answers = wire.proofs_to_wire_session(proofs, sent)
-        subs = [delegation_id
-                for delegation_id in sorted(sent.difference(held))
-                if self._rpc_subscribe(origin, {
-                    "delegation_id": delegation_id})["known"]]
+        push lists their ids; a push that never left takes them back,
+        for nobody holds what it carried."""
+        push, subs = answer_push(request, proofs,
+                                 self._holdings.get(origin, {}),
+                                 self.wallet.store.get_delegation)
+        for delegation_id in subs:
+            self._rpc_subscribe(origin, {"delegation_id": delegation_id})
         try:
-            self.rpc.notify(origin, "gem_answers", {
-                "root": request["root"],
-                "goal": request["goal"],
-                "answers": answers,
-                "subs": wire.ids_to_wire(subs),
-            })
+            self.rpc.notify(origin, "gem_answers", push)
         except NetworkError:
             for delegation_id in subs:
                 self._release(origin, delegation_id)
             return
-        self.gem_stats.c_answers_pushed.inc(len(answers))
+        self.gem_stats.c_answers_pushed.inc(len(push["answers"]))
 
     def _rpc_gem_answers(self, src: str, params: dict) -> None:
         """Answer push arriving at a search's origin; handed, with its
@@ -358,13 +348,8 @@ class WalletServer:
         if self.wallet.store.get_delegation(old_id) is None:
             return
         try:
-            record = self.rpc.call(source, "get_delegation",
-                                   {"delegation_id": event.detail})
-            renewal = wire.delegation_from_wire(record["delegation"])
-            if renewal.id != event.detail:
-                raise DiscoveryError(f"{source} answered {event.detail!r} "
-                                     f"with {renewal.id!r}")
-        except (RpcError, NetworkError, DRBACError, KeyError, TypeError):
+            renewal = self.remote_get_delegation(source, event.detail)
+        except FETCH_ERRORS:
             return
         if self.cache.apply_remote_renewal(old_id, renewal) \
                 and renewal.id in self.cache:
@@ -409,6 +394,18 @@ class WalletServer:
             "delegation": wire.delegation_to_wire(delegation),
             "supports": wire.proofs_to_wire(supports),
         })
+
+    def remote_get_delegation(self, remote: str,
+                              delegation_id: str) -> Delegation:
+        """Fetch one credential by id from ``remote``; anything but the
+        credential the id names raises one of :data:`FETCH_ERRORS`."""
+        record = self.rpc.call(remote, "get_delegation",
+                               {"delegation_id": delegation_id})
+        delegation = wire.delegation_from_wire(record["delegation"])
+        if delegation.id != delegation_id:
+            raise DiscoveryError(f"{remote} answered {delegation_id!r} "
+                                 f"with {delegation.id!r}")
+        return delegation
 
     def remote_subscribe(self, remote: str, delegation_id: str) -> bool:
         """Subscribe this server at ``remote`` to a delegation it caches,

@@ -21,6 +21,7 @@ from repro.core import (
     SubjectFlag,
     issue,
 )
+from repro.core.attributes import AttributeRef, Modifier, Operator
 from repro.core.roles import subject_key
 from repro.crypto.encoding import canonical_encode
 from repro.discovery import wire
@@ -209,6 +210,47 @@ class TestTermination:
         assert stats.wallets_contacted == {"wallet.d1.example",
                                            "wallet.d0.example"}
         assert stats.rounds == 2
+
+
+class TestCovering:
+    def test_a_head_reached_under_modifiers_is_still_asked(self, org, alice,
+                                                         clock):
+        """w.a holds ``[a -> b]`` and ``[a -> c]``; w.b holds ``[b -> c]``
+        binding BW with ``<`` and ``[c -> t]`` binding it with ``-``. w.b's
+        closure for b reaches c, but not t: ``[b -> c -> t]`` binds BW to
+        two operators. So c's goal is not covered by b's answer, and
+        ``alice -> a -> c -> t`` grants as a wallet holding all four
+        links would grant it."""
+        network = Network(clock=clock)
+        bw = AttributeRef(org.entity, "BW")
+        a, b, c, t = (Role(org.entity, name) for name in "abct")
+
+        def tag(home):
+            return DiscoveryTag(home=home, ttl=30.0,
+                                subject_flag=SubjectFlag.SEARCH)
+
+        server, home_a, home_b = (
+            WalletServer(network, Wallet(owner=org, address=address,
+                                         clock=clock), principal=org)
+            for address in ("w.local", "w.a", "w.b"))
+        server.wallet.publish(issue(org, alice.entity, a,
+                                    object_tag=tag("w.a")))
+        home_a.wallet.publish(issue(org, a, b, subject_tag=tag("w.a"),
+                                    object_tag=tag("w.b")))
+        home_a.wallet.publish(issue(org, a, c, subject_tag=tag("w.a"),
+                                    object_tag=tag("w.b")))
+        home_b.wallet.publish(issue(
+            org, b, c, modifiers=[Modifier(bw, Operator.MIN, 50.0)],
+            subject_tag=tag("w.b"), object_tag=tag("w.b")))
+        home_b.wallet.publish(issue(
+            org, c, t, modifiers=[Modifier(bw, Operator.SUBTRACT, 10.0)],
+            subject_tag=tag("w.b")))
+        stats = DiscoveryStats()
+        proof = DiscoveryEngine(server).discover(alice.entity, t,
+                                                 stats=stats)
+        assert proof is not None and proof.depth() == 3
+        assert proof.grants({bw: 100.0})[bw] == 90.0
+        assert stats.rounds == 3
 
 
 @pytest.fixture()
@@ -514,9 +556,10 @@ class TestAnswerAcceptance:
 
     def test_malformed_proof_beside_a_lost_ref_raises_nothing(
             self, two_home, alice, org):
-        """The deferred decode runs in ``_pump``, outside the RPC
-        layer's fault boundary: a record not shaped like a proof is
-        dropped there, not raised out of ``discover``."""
+        """The decode runs in the driver's loop (``_drive``, through
+        ``Origin.stage``), outside the RPC layer's fault boundary: a
+        record not shaped like a proof is dropped there, not raised out
+        of ``discover``."""
         engine, server, _rogue, network, roles = two_home
         held, = server.wallet.store.delegations()
         link = issue(org, roles[0], roles[1])
@@ -537,8 +580,9 @@ class TestAnswerAcceptance:
         """The origin's lease lapses while its ``unsubscribe`` is lost
         to a partition, so w.mid still believes it holds the link and
         sends a ref. The origin fetches it back -- 2 + 2 messages, from
-        ``_pump``, never from inside the answer sink on the home's
-        stack -- and w.mid still has one subscription for it."""
+        the driver's loop (``_drive``), never from inside the answer
+        sink on the home's stack -- and w.mid still has one
+        subscription for it."""
         engine, server, _rogue, network, roles = two_home
         assert engine.discover(alice.entity, roles[2]) is not None
         network.partition("w.local", "w.mid", bidirectional=False)

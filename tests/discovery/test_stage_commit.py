@@ -13,7 +13,8 @@ The credentials a requester presents are staged before the first goal
 and published by the first commit, checked in its batch.
 
 Pinned here: a forged signature routes at most the goals its tag names
-and never grants; an honest cold discovery checks what it was shipped
+and never grants; a third-party link shipped without a support claim
+routes none; an honest cold discovery checks what it was shipped
 and what it was presented in exactly one batch, and nothing alone; a
 forged presented credential is refused as the wallet always refused
 it, after at most the goals its budget allows; a presented credential
@@ -151,6 +152,37 @@ class TestForgedSignature:
         assert stats.delegations_rejected == 1
         # Following the checked closures again is not a loop.
         assert engine.gem_info()["loops_detected"] == 1
+
+
+class _ThirdPartyMid(WalletServer):
+    """Answers every goal with its ``link``, shipped without a support
+    proof."""
+
+    def _rpc_gem_eval(self, src, params):
+        self._gem_push_answers(src, params, [Proof.single(self.link)])
+
+
+class TestUnsupportedThirdParty:
+    def test_a_link_without_its_support_claim_routes_nothing(
+            self, org, alice, bob, clock):
+        """w.mid serves ``[r1 -> r2] Bob``, a third-party link into Org's
+        namespace with no support proof; its object tag names w.rogue.
+        Staging refuses it before its tag can route: one goal, no
+        grant, and w.rogue is never asked."""
+        network = Network(clock=clock)
+        r1, r2 = Role(org.entity, "r1"), Role(org.entity, "r2")
+        server, = _hosts(network, clock, org, ("w.local",))
+        mid, = _hosts(network, clock, org, ("w.mid",), cls=_ThirdPartyMid)
+        _hosts(network, clock, org, ("w.rogue",))
+        mid.link = issue(bob, r1, r2, subject_tag=_tag("w.mid"),
+                         object_tag=_tag("w.rogue"))
+        server.wallet.publish(
+            issue(org, alice.entity, r1, object_tag=_tag("w.mid")))
+        stats = DiscoveryStats()
+        assert DiscoveryEngine(server).discover(alice.entity, r2,
+                                                stats=stats) is None
+        assert "w.rogue" not in stats.wallets_contacted
+        assert stats.rounds == 1
 
 
 class TestOneBatchPerDiscovery:
