@@ -90,6 +90,10 @@ class DiscoveryTag:
     def __post_init__(self) -> None:
         if not self.home:
             raise ParseError("discovery tag requires a home wallet address")
+        # Both are names the origin routes and authorizes by.
+        if not isinstance(self.home, str) \
+                or not isinstance(self.auth_role_name, str):
+            raise ParseError("a discovery tag's home and role are names")
         # The wire decodes a TTL as a float, so a tag signs as one too:
         # ``ttl=30`` must not change the bytes of a round trip.
         object.__setattr__(self, "ttl", float(self.ttl))

@@ -206,8 +206,7 @@ class DiscoveryEngine:
         self._totals = obs.CounterSet(
             "drbac_discovery", ("runs", "local_hits", "remote_queries"),
             address=server.address)
-        self._h_seconds = obs.histogram(
-            "drbac_discovery_seconds", **self._totals.labels)
+        self._h_seconds = self._totals.histogram("drbac_discovery_seconds")
 
     # ------------------------------------------------------------------
 

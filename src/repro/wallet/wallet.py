@@ -101,8 +101,8 @@ class Wallet:
             "drbac_wallet",
             ("publishes", "revocations", "authorizations", "searches"),
             address=address)
-        self._h_search = obs.histogram(
-            "drbac_wallet_search_seconds", **self._stats.labels)
+        self._h_search = self._stats.histogram(
+            "drbac_wallet_search_seconds")
         # Keys already announced as expired, to avoid duplicate events.
         self._expired_announced: set = set()
         # Awaited relationships: key -> (subject, obj, constraints)

@@ -131,11 +131,14 @@ def _assert_exact(proof):
 def _tree_round_trip(proofs, forward):
     """Decode a closure encoded as a tree; return the decoded proofs."""
     known = {d.id: d for proof in proofs for d in proof.all_delegations()}
-    payloads = wire.proofs_to_wire_session(list(proofs), set())
+    table = wire.Table()
+    payloads = wire.proofs_to_wire_session(list(proofs), set(), table)
+    entries = wire.table_from_wire(table.entries)
     decoded = []
     for payload in payloads:
         decoded.append(wire.proof_from_wire_session(
-            payload, known.__getitem__, earlier=decoded, forward=forward))
+            payload, entries, known.__getitem__, earlier=decoded,
+            forward=forward))
     return payloads, decoded
 
 

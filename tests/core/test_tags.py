@@ -44,6 +44,18 @@ class TestParsing:
         tag = DiscoveryTag.parse("<w.example.com:a.b:15:sO>")
         assert DiscoveryTag.from_dict(tag.to_dict()) == tag
 
+    @pytest.mark.parametrize("field,value", [
+        ("home", 5), ("home", b"w.example.com"), ("auth_role", 7),
+        ("auth_role", ["a.b"])])
+    def test_a_name_that_is_no_str_is_refused(self, field, value):
+        """The origin routes by a tag's home and checks its role by
+        name: a map carrying anything else there is no tag, not one
+        whose check raises later, mid-discovery."""
+        record = dict(DiscoveryTag.parse("<w.example.com:a.b:15:sO>")
+                      .to_dict(), **{field: value})
+        with pytest.raises(ParseError):
+            DiscoveryTag.from_dict(record)
+
     def test_int_ttl_survives_a_delegation_round_trip(self, org, alice):
         """The wire decodes every TTL as a float; a tag built with an
         int must sign as that float, or the decoded delegation has

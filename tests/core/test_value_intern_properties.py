@@ -404,13 +404,13 @@ def test_a_misshapen_session_proof_is_a_typed_error(record):
         raise DiscoveryError(f"unknown {delegation_id}")
 
     with pytest.raises((DiscoveryError, DelegationError, ProofError)):
-        wire.proof_from_wire_session(record, resolve)
+        wire.proof_from_wire_session(record, wire.Entries(), resolve)
 
 
 @pytest.mark.parametrize("record", _MISSHAPEN_SESSION_PROOFS)
 def test_a_misshapen_session_proof_ships_nothing(record):
     with pytest.raises(DiscoveryError):
-        list(wire.proof_full_delegations(record))
+        list(wire.proof_full_delegations(record, wire.Entries()))
 
 
 class TestNoTrustStateOnInterns:

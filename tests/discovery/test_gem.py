@@ -14,6 +14,7 @@ sent to can answer it, once.
 import pytest
 
 from repro.core import (
+    Delegation,
     DiscoveryTag,
     Proof,
     Role,
@@ -286,7 +287,7 @@ class TestAnswerAcceptance:
 
     @staticmethod
     def _empty_answer(root_id, node):
-        return {"root": root_id, "answers": [],
+        return {"root": root_id, "answers": [], "table": [],
                 "subs": [], "goal": wire.gem_goal_to_wire("fwd", node)}
 
     def _interfere(self, engine, interfere):
@@ -337,8 +338,10 @@ class TestAnswerAcceptance:
             if topic == "notify:gem_eval":
                 answer = self._empty_answer(payload["params"]["root"],
                                             alice.entity)
+                table = wire.Table()
                 answer["answers"] = [wire.proof_to_wire_session(
-                    Proof.single(forged), set())]
+                    Proof.single(forged), set(), table)]
+                answer["table"] = table.entries
                 network.send("w.mid", "w.local", "notify:gem_answers",
                              {"method": "gem_answers", "params": answer,
                               "oneway": True})
@@ -433,7 +436,7 @@ class TestAnswerAcceptance:
 
         def recording_local(src, topic, payload):
             if topic == "notify:gem_answers" and src == "w.mid":
-                pushes.append(payload["params"]["answers"])
+                pushes.append(payload["params"])
             return local(src, topic, payload)
 
         def doubling_mid(src, topic, payload):
@@ -449,10 +452,12 @@ class TestAnswerAcceptance:
         # Both pushes carry the real closure, the second as a ref to
         # what the first shipped: w.mid kept nothing that could tell it
         # the goal was answered before.
-        assert [len(answers) for answers in pushes] == [1, 1]
-        shipped, = pushes[0][0]["chain"]
-        assert pushes[1][0]["chain"] == [bytes.fromhex(
-            wire.delegation_from_wire(shipped).id)]
+        assert [len(push["answers"]) for push in pushes] == [1, 1]
+        shipped, = pushes[0]["answers"][0]["chain"]
+        table = wire.table_from_wire(pushes[0]["table"])
+        assert pushes[1]["answers"][0]["chain"] == [bytes.fromhex(
+            Delegation.from_dict(shipped, table).id)]
+        assert pushes[1]["table"] == []
         info = engine.gem_info()
         assert info["answers_dropped"] == 1
         assert info["answers_received"] == 2       # w.mid, w.far
@@ -494,7 +499,8 @@ class TestAnswerAcceptance:
                     "method": "gem_answers", "oneway": True,
                     "params": {"root": params["root"],
                                "goal": params["goal"],
-                               "answers": forge(params), "subs": []}})
+                               "answers": forge(params), "table": [],
+                               "subs": []}})
                 return None
             if topic == "rpc:get_delegation" and fetched is not None:
                 return {"error": None, "result": fetched}
@@ -505,7 +511,7 @@ class TestAnswerAcceptance:
 
     @staticmethod
     def _ref_only(proof, ref):
-        payload = wire.proof_to_wire_session(proof, set())
+        payload = wire.proof_to_wire_session(proof, set(), wire.Table())
         payload["chain"] = [bytes.fromhex(ref)]
         return payload
 

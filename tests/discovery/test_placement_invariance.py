@@ -27,6 +27,17 @@ A second property revokes one drawn credential at one of the homes
 storing it (Section 6: a revocation stops every proof that uses the
 delegation). An origin that discovered before the revocation and one
 that never did must both decide as the single wallet holding it.
+
+A third draws third-party links (Section 3.1: the issuer does not own
+the object's namespace). Each is issued by another domain's owner and
+either placed with the support proofs its ``required_supports`` ask for
+-- the object's owner granting the issuer the right of assignment, and
+the right to set each attribute it modulates -- which then ship in the
+answer's ``supports`` beside it, or kept bare by its subject's home,
+which ships it without them and with an object tag naming a home
+nobody else names. A bare link is no credential: discovery decides as
+the single wallet holding only the supported ones, and the home its
+tag names is never asked.
 """
 
 from hypothesis import HealthCheck, example, given, settings
@@ -35,6 +46,7 @@ from hypothesis import strategies as st
 from repro.core import DiscoveryTag, ObjectFlag, Role, SubjectFlag
 from repro.core.attributes import AttributeRef, Constraint, Modifier, Operator
 from repro.core.delegation import issue
+from repro.core.proof import Proof
 from repro.core.identity import create_principal
 from repro.core.roles import subject_key
 from repro.discovery.engine import DiscoveryEngine
@@ -222,4 +234,107 @@ def test_a_revocation_decides_as_one_wallet_holding_it(case, data):
                 assert (found is None) == (local is None), (role, name)
     finally:
         cold.close()
+        deployed.close()
+
+
+# -- third-party links -------------------------------------------------------
+
+OWNER_OF = {owner.entity: owner for owner in OWNERS}
+ROGUE_HOME = "wallet.rogue.example"
+ROGUE_TAG = DiscoveryTag(home=ROGUE_HOME, ttl=TTL,
+                         subject_flag=SubjectFlag.SEARCH,
+                         object_flag=ObjectFlag.SEARCH)
+
+
+@st.composite
+def third_party_sets(draw):
+    """(edges, homes, constraints, parties): a placed credential set
+    whose ``k``-th link is issued by its object's owner when
+    ``parties[k]`` is None, else by the owner of domain ``c`` for
+    ``parties[k] == (c, supported)``."""
+    edges, homes, constraints = draw(credential_sets())
+    parties = [draw(st.one_of(st.none(), st.tuples(
+        st.sampled_from([d for d in range(DOMAINS)
+                         if d != b // ROLES_PER_DOMAIN]),
+        st.booleans()))) for _a, b, _mods in edges]
+    return edges, homes, constraints, parties
+
+
+def _support(issuer, right):
+    """The one-link proof that ``right``'s owner granted it to
+    ``issuer``."""
+    return Proof.single(issue(OWNER_OF[right.entity], issuer.entity, right))
+
+
+def _third_party_workload(edges, homes, parties):
+    """The placed workload of the supported links, and the bare ones as
+    (subject node, link)."""
+    workload = _workload([], homes)
+    bare = []
+    for (a, b, mods), party in zip(edges, parties):
+        issuer = OWNERS[b // ROLES_PER_DOMAIN if party is None else party[0]]
+        supported = party is None or party[1]
+        link = issue(issuer, ROLES[a], ROLES[b], modifiers=mods,
+                     subject_tag=_tag(a, homes),
+                     object_tag=_tag(b, homes) if supported else ROGUE_TAG)
+        if supported:
+            workload.delegations.append((link, tuple(
+                _support(issuer, right)
+                for right in link.required_supports())))
+        else:
+            bare.append((a, link))
+    return workload, bare
+
+
+def _ships_bare(home, bare):
+    """``home`` answers a forward goal with its closure and, out of the
+    goal's node, each link in ``bare`` shipped without its supports."""
+    query = home.wallet.query_subject
+
+    def careless(node, *args, **kwargs):
+        return query(node, *args, **kwargs) + [
+            Proof.single(link) for a, link in bare if ROLES[a] == node]
+
+    home.wallet.query_subject = careless
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(third_party_sets())
+def test_a_third_party_link_counts_only_with_its_supports(case):
+    edges, homes, constraints, parties = case
+    workload, bare = _third_party_workload(edges, homes, parties)
+    single = Wallet(owner=OWNERS[0])
+    for delegation, supports in workload.delegations:
+        single.publish(delegation, supports)
+    deployed = deploy_coalition(workload)
+    rogue = WalletServer(deployed.network,
+                         Wallet(owner=OWNERS[0], address=ROGUE_HOME,
+                                clock=deployed.clock), principal=OWNERS[0])
+    for address in HOMES:
+        _ships_bare(deployed.homes[address],
+                    [(a, link) for a, link in bare
+                     if HOMES[homes[a]] == address])
+    presented = [(deployed.entry, ())]
+    supported = [(a, b) for (a, b, _m), party in zip(edges, parties)
+                 if party is None or party[1]]
+    try:
+        origin = deployed.server.wallet
+        for node, role in enumerate(ROLES):
+            local = single.query_direct(USER.entity, role, constraints,
+                                        BASES)
+            found = deployed.engine.discover(
+                USER.entity, role, constraints, BASES,
+                max_remote_queries=1024, presented=presented)
+            assert (found is None) == (local is None), role
+            if found is None:
+                continue
+            origin.validate(found, constraints, BASES)
+            if _simple_paths(supported, 0, node) == 1:
+                assert found.grants(BASES) == local.grants(BASES), role
+        assert all(origin.store.get_delegation(link.id) is None
+                   for _a, link in bare)
+        assert not any(dst == ROGUE_HOME for _src, dst
+                       in deployed.network.by_link)
+    finally:
+        rogue.close()
         deployed.close()

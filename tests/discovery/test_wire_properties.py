@@ -161,27 +161,29 @@ class TestSessionEncoding:
     @given(st.lists(proofs(), min_size=1, max_size=4))
     @settings(max_examples=20, deadline=None)
     def test_round_trip_with_dedup(self, proof_list):
-        sent_ids = set()
-        payloads = [wire.proof_to_wire_session(p, sent_ids)
+        sent_ids, table = set(), wire.Table()
+        payloads = [wire.proof_to_wire_session(p, sent_ids, table)
                     for p in proof_list]
+        entries = wire.table_from_wire(table.entries)
         # Each delegation crosses the channel in full at most once...
         shipped = []
         for payload in payloads:
             shipped.extend(d.id for d in
-                           wire.proof_full_delegations(payload))
+                           wire.proof_full_delegations(payload, entries))
         assert len(shipped) == len(set(shipped))
         # ...and every ref points at something already shipped.
         seen = set()
         for payload in payloads:
             refs = set(_proof_refs(payload))
-            full = {d.id for d in wire.proof_full_delegations(payload)}
+            full = {d.id for d in
+                    wire.proof_full_delegations(payload, entries)}
             assert refs <= (seen | full)
             seen |= full
         # Receiver side: decode against a received-store fed by record().
         received = {}
         decoded = [
             wire.proof_from_wire_session(
-                payload, received.__getitem__,
+                payload, entries, received.__getitem__,
                 lambda d: received.__setitem__(d.id, d))
             for payload in payloads
         ]
@@ -193,22 +195,23 @@ class TestSessionEncoding:
     @given(proofs())
     @settings(max_examples=15, deadline=None)
     def test_session_payload_is_canonical(self, proof):
-        sent_ids = set()
+        sent_ids, table = set(), wire.Table()
         # Encode twice: the second payload is all refs, still canonical.
-        wire.proof_to_wire_session(proof, sent_ids)
-        second = wire.proof_to_wire_session(proof, sent_ids)
+        wire.proof_to_wire_session(proof, sent_ids, table)
+        second = wire.proof_to_wire_session(proof, sent_ids, table)
         encoded = canonical_encode(second)
         assert canonical_encode(canonical_decode(encoded)) == encoded
-        assert not list(wire.proof_full_delegations(second))
+        assert not list(wire.proof_full_delegations(
+            second, wire.table_from_wire(table.entries)))
 
     @given(proofs())
     @settings(max_examples=10, deadline=None)
     def test_unresolvable_ref_raises(self, proof):
         sent_ids = {d.id for d in proof.chain}   # pretend already sent
-        payload = wire.proof_to_wire_session(proof, sent_ids)
+        payload = wire.proof_to_wire_session(proof, sent_ids, wire.Table())
 
         def resolve(_delegation_id):
             raise KeyError(_delegation_id)
 
         with pytest.raises(KeyError):
-            wire.proof_from_wire_session(payload, resolve)
+            wire.proof_from_wire_session(payload, wire.Entries(), resolve)
